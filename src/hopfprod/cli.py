@@ -45,8 +45,8 @@ from .structures import FDBialgebra, FDHopf, NoAntipodeError, attach_antipode
 from .unified import (
     DatumConditionError,
     ExtendingDatum,
-    build_unified_product,
     check_product_conditions,
+    unified_product_of_checked,
     validate_datum,
 )
 
@@ -127,7 +127,7 @@ def cmd_build(args) -> int:
     if not rep.ok:
         _print_report(rep)
         return EXIT_CHECKS_FAILED
-    carrier = build_unified_product(datum).carrier
+    carrier = unified_product_of_checked(datum).carrier
     if not isinstance(carrier, FDHopf):
         try:
             carrier = attach_antipode(carrier)

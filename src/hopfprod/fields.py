@@ -63,11 +63,40 @@ class Rationals:
         return a.numerator, a.denominator
 
 
+# Miller-Rabin with these bases is exact below 3.3e24, so for every p < 2**64
+_WITNESS_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def is_prime(p: int) -> bool:
+    """Deterministic primality for 0 <= p < 2**64 (Miller-Rabin)."""
+    if p < 2:
+        return False
+    for q in _WITNESS_PRIMES:
+        if p % q == 0:
+            return p == q
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESS_PRIMES:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
+
+
 class PrimeField:
-    """The field of integers mod a prime p, values stored in [0, p)."""
+    """The field of integers mod a prime p < 2**64, values stored in [0, p)."""
 
     def __init__(self, p: int):
-        if p < 2 or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
+        if p >= 2**64:
+            raise ValueError("modulus must be below 2**64")
+        if not is_prime(p):
             raise ValueError(f"modulus {p} is not prime")
         self.p = p
         self.name = f"mod {p}"

@@ -51,7 +51,7 @@ def _field_from(obj):
     if obj["kind"] == "mod-p":
         try:
             return PrimeField(int(obj["p"]))
-        except (KeyError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise MalformedDocumentError(f"bad modulus: {exc}") from exc
     raise MalformedDocumentError(f"unknown field kind {obj['kind']!r}")
 

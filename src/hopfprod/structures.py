@@ -7,8 +7,16 @@ produces the joint n-fold expansion used by the compatibility checkers.
 
 Axiom checkers return :class:`~hopfprod.reports.Report` objects that name
 each failing axiom together with a witness basis element, never bare booleans.
+Checkers and the (anti)morphism predicates evaluate every identity pointwise
+over basis tuples, straight from the structure constants, and stop an axiom
+at its first failing tuple.  Tuples are scanned in row-major order, so the
+witness is the label of the first differing tensor-space index.  None of
+them builds a map out of ``E (x) E (x) E (x) E`` or the dim**4-column
+``tensor_algebra(E, E)``.
 """
 from __future__ import annotations
+
+from itertools import product as iproduct
 
 from .fields import same_field
 from .linalg import (
@@ -313,105 +321,222 @@ def tensor_bialgebra(x: FDBialgebra, y: FDBialgebra) -> FDBialgebra:
 # predicates and checkers
 
 
-def _first_difference(f: LinMap, g: LinMap, labels) -> str | None:
-    """Label of the first domain basis index where two maps differ."""
-    if f == g:
-        return None
-    for i in range(len(labels)):
-        if f.col(i) != g.col(i):
-            return labels[i]
-    return "shape"
+def _add_term(field, acc: dict, key, x):
+    """acc[key] += x in place, dropping the entry when it cancels."""
+    y = field.add(acc.get(key, field.zero), x)
+    if field.is_zero(y):
+        acc.pop(key, None)
+    else:
+        acc[key] = y
+
+
+def _coproducts(c: FDCoalgebra) -> list[list[tuple[int, int, object]]]:
+    """delta(e_i) for every i, as a list of (left, right, coefficient)."""
+    n = c.dim
+    return [[(*divmod(flat, n), x) for flat, x in c.delta.cols.get(i, ())]
+            for i in range(n)]
+
+
+def _counits(c: FDCoalgebra) -> list:
+    """counit(e_i) for every i."""
+    zero = c.field.zero
+    return [dict(c.epsilon.cols.get(i, ())).get(0, zero) for i in range(c.dim)]
+
+
+def _scan(rep: Report, name: str, tuples, holds, label):
+    """Record whether ``holds`` is true on every tuple, in the given order;
+    a failure is witnessed by ``label`` of the first tuple where it is not."""
+    for tup in tuples:
+        if not holds(*tup):
+            rep.add(name, False, label(*tup))
+            return
+    rep.add(name, True)
 
 
 def check_coalgebra(c: FDCoalgebra) -> Report:
     """Verify coassociativity and both counit laws, with witnesses."""
     field = c.field
-    ident = LinMap.identity(field, c.space)
+    mul = field.mul
+    cop, eps = _coproducts(c), _counits(c)
+    basis = [(i,) for i in range(c.dim)]
     rep = Report("coalgebra axioms")
-    lhs = compose(tensor_map(c.delta, ident), c.delta)
-    rhs = compose(tensor_map(ident, c.delta), c.delta)
-    rep.add("coassociativity", lhs == rhs, _first_difference(lhs, rhs, c.space.labels))
-    left = compose(tensor_map(c.epsilon, ident), c.delta)
-    rep.add("counit-left", left == ident, _first_difference(left, ident, c.space.labels))
-    right = compose(tensor_map(ident, c.epsilon), c.delta)
-    rep.add("counit-right", right == ident, _first_difference(right, ident, c.space.labels))
+
+    def coassociative(i):
+        lhs, rhs = {}, {}
+        for a, b, x in cop[i]:
+            for a1, a2, y in cop[a]:
+                _add_term(field, lhs, (a1, a2, b), mul(x, y))
+            for b1, b2, y in cop[b]:
+                _add_term(field, rhs, (a, b1, b2), mul(x, y))
+        return lhs == rhs
+
+    def counit_law(left):
+        def holds(i):
+            acc = {}
+            for a, b, x in cop[i]:
+                _add_term(field, acc, b if left else a, mul(eps[a if left else b], x))
+            return acc == {i: field.one}
+        return holds
+
+    label = c.space.labels.__getitem__
+    _scan(rep, "coassociativity", basis, coassociative, label)
+    _scan(rep, "counit-left", basis, counit_law(True), label)
+    _scan(rep, "counit-right", basis, counit_law(False), label)
     return rep
 
 
 def check_algebra(a: FDAlgebra) -> Report:
     field = a.field
-    ident = LinMap.identity(field, a.space)
+    mul = field.mul
+    n, m = a.dim, a.mult.cols
+    labels = a.space.labels
     rep = Report("algebra axioms")
-    lhs = compose(a.mult, tensor_map(a.mult, ident))
-    rhs = compose(a.mult, tensor_map(ident, a.mult))
-    labels3 = tensor_space(tensor_space(a.space, a.space), a.space).labels
-    rep.add("associativity", lhs == rhs, _first_difference(lhs, rhs, labels3))
-    eta = a.unit_map()
-    left = compose(a.mult, tensor_map(eta, ident))
-    rep.add("unit-left", left == ident, _first_difference(left, ident, a.space.labels))
-    right = compose(a.mult, tensor_map(ident, eta))
-    rep.add("unit-right", right == ident, _first_difference(right, ident, a.space.labels))
+
+    def associative(i, j, k):
+        lhs, rhs = {}, {}
+        for r, x in m.get(i * n + j, ()):
+            for s, y in m.get(r * n + k, ()):
+                _add_term(field, lhs, s, mul(x, y))
+        for r, x in m.get(j * n + k, ()):
+            for s, y in m.get(i * n + r, ()):
+                _add_term(field, rhs, s, mul(x, y))
+        return lhs == rhs
+
+    def unit_law(left):
+        def holds(i):
+            acc = {}
+            for u, x in a.unit.items():
+                for s, y in m.get(u * n + i if left else i * n + u, ()):
+                    _add_term(field, acc, s, mul(x, y))
+            return acc == {i: field.one}
+        return holds
+
+    _scan(rep, "associativity", iproduct(range(n), repeat=3), associative,
+          lambda i, j, k: f"(({labels[i]},{labels[j]}),{labels[k]})")
+    basis = [(i,) for i in range(n)]
+    _scan(rep, "unit-left", basis, unit_law(True), labels.__getitem__)
+    _scan(rep, "unit-right", basis, unit_law(False), labels.__getitem__)
     return rep
 
 
 def check_bialgebra(b: FDBialgebra) -> Report:
     """Coalgebra axioms, algebra axioms, and the four compatibility laws."""
     field = b.field
+    mul = field.mul
+    n, m = b.dim, b.mult.cols
+    cop, eps = _coproducts(b.coalgebra), _counits(b.coalgebra)
+    labels = b.space.labels
+    pairs = list(iproduct(range(n), repeat=2))
+    pair_label = lambda i, j: f"({labels[i]},{labels[j]})"  # as tensor_space names it
     rep = Report("bialgebra axioms")
     rep.extend(check_coalgebra(b.coalgebra))
     rep.extend(check_algebra(b.algebra))
-    pair_labels = tensor_space(b.space, b.space).labels
-    square = tensor_algebra(b.algebra, b.algebra)
-    lhs = compose(b.delta, b.mult)
-    rhs = compose(square.mult, tensor_map(b.delta, b.delta))
-    rep.add("comult-multiplicative", lhs == rhs, _first_difference(lhs, rhs, pair_labels))
+
+    def comult_multiplicative(i, j):
+        lhs, rhs = {}, {}
+        for r, x in m.get(i * n + j, ()):
+            for r1, r2, y in cop[r]:
+                _add_term(field, lhs, (r1, r2), mul(x, y))
+        for i1, i2, x in cop[i]:
+            for j1, j2, y in cop[j]:
+                xy = mul(x, y)
+                for r1, u in m.get(i1 * n + j1, ()):
+                    for r2, v in m.get(i2 * n + j2, ()):
+                        _add_term(field, rhs, (r1, r2), mul(xy, mul(u, v)))
+        return lhs == rhs
+
+    def counit_multiplicative(i, j):
+        acc = field.zero
+        for r, x in m.get(i * n + j, ()):
+            acc = field.add(acc, mul(eps[r], x))
+        return acc == mul(eps[i], eps[j])
+
+    _scan(rep, "comult-multiplicative", pairs, comult_multiplicative, pair_label)
     delta_unit = b.delta.apply(b.unit)
-    want = tensor_vec(field, b.unit, b.unit, b.dim)
+    want = tensor_vec(field, b.unit, b.unit, n)
     rep.add(
         "comult-unit",
         delta_unit == want,
         None if delta_unit == want else "unit",
     )
-    lhs = compose(b.epsilon, b.mult)
-    rhs = tensor_map(b.epsilon, b.epsilon)
-    rep.add("counit-multiplicative", lhs == rhs, _first_difference(lhs, rhs, pair_labels))
+    _scan(rep, "counit-multiplicative", pairs, counit_multiplicative, pair_label)
     eps_unit = b.counit(b.unit)
     rep.add("counit-unit", eps_unit == field.one, None if eps_unit == field.one else "unit")
     return rep
 
 
+def _check_shape(f: LinMap, src, dst, what: str):
+    if f.domain.dim != src.dim or f.codomain.dim != dst.dim:
+        raise ValueError(f"map shape does not match the given {what}")
+
+
+def _coalgebra_morphism(f: LinMap, src: FDCoalgebra, dst: FDCoalgebra, flip: bool) -> bool:
+    """delta_dst . f = (f (x) f) . delta_src, with the factors of the right
+    side swapped when ``flip``, and counit_dst . f = counit_src."""
+    _check_shape(f, src, dst, "coalgebras")
+    field = same_field(f, src, dst)
+    mul = field.mul
+    cop_src, cop_dst, eps_dst = _coproducts(src), _coproducts(dst), _counits(dst)
+    for i in range(src.dim):
+        image = f.cols.get(i, ())
+        lhs, rhs = {}, {}
+        for r, x in image:
+            for r1, r2, y in cop_dst[r]:
+                _add_term(field, lhs, (r1, r2), mul(x, y))
+        for a, b, x in cop_src[i]:
+            for r1, u in f.cols.get(a, ()):
+                for r2, v in f.cols.get(b, ()):
+                    _add_term(field, rhs, (r2, r1) if flip else (r1, r2), mul(x, mul(u, v)))
+        if lhs != rhs:
+            return False
+        counit: dict = {}
+        for r, x in image:
+            _add_term(field, counit, 0, mul(eps_dst[r], x))
+        if counit != dict(src.epsilon.cols.get(i, ())):
+            return False
+    return True
+
+
 def is_coalgebra_map(f: LinMap, src: FDCoalgebra, dst: FDCoalgebra) -> bool:
     """True iff delta_dst . f = (f (x) f) . delta_src and counits agree."""
-    if f.domain.dim != src.dim or f.codomain.dim != dst.dim:
-        raise ValueError("map shape does not match the given coalgebras")
-    if compose(dst.delta, f) != compose(tensor_map(f, f), src.delta):
-        return False
-    return compose(dst.epsilon, f) == src.epsilon
+    return _coalgebra_morphism(f, src, dst, flip=False)
 
 
 def is_coalgebra_antimap(f: LinMap, src: FDCoalgebra, dst: FDCoalgebra) -> bool:
     """Like :func:`is_coalgebra_map` but with the tensor factors swapped."""
-    if f.domain.dim != src.dim or f.codomain.dim != dst.dim:
-        raise ValueError("map shape does not match the given coalgebras")
-    field = same_field(src, dst)
-    flipped = compose(twist_map(field, dst.space, dst.space), compose(tensor_map(f, f), src.delta))
-    if compose(dst.delta, f) != flipped:
-        return False
-    return compose(dst.epsilon, f) == src.epsilon
+    return _coalgebra_morphism(f, src, dst, flip=True)
+
+
+def _algebra_morphism(f: LinMap, src: FDAlgebra, dst: FDAlgebra, flip: bool) -> bool:
+    """f . m_src = m_dst . (f (x) f), with the factors swapped before f (x) f
+    when ``flip``, and f(1_src) = 1_dst."""
+    _check_shape(f, src, dst, "algebras")
+    field = same_field(f, src, dst)
+    mul = field.mul
+    n, nd = src.dim, dst.dim
+    m_src, m_dst = src.mult.cols, dst.mult.cols
+    for i, j in iproduct(range(n), repeat=2):
+        lhs, rhs = {}, {}
+        for r, x in m_src.get(i * n + j, ()):
+            for s, y in f.cols.get(r, ()):
+                _add_term(field, lhs, s, mul(x, y))
+        left, right = (j, i) if flip else (i, j)
+        for r1, u in f.cols.get(left, ()):
+            for r2, v in f.cols.get(right, ()):
+                uv = mul(u, v)
+                for s, y in m_dst.get(r1 * nd + r2, ()):
+                    _add_term(field, rhs, s, mul(uv, y))
+        if lhs != rhs:
+            return False
+    return f.apply(src.unit) == dst.unit
 
 
 def is_algebra_map(f: LinMap, src: FDAlgebra, dst: FDAlgebra) -> bool:
-    if compose(f, src.mult) != compose(dst.mult, tensor_map(f, f)):
-        return False
-    return f.apply(src.unit) == dst.unit
+    return _algebra_morphism(f, src, dst, flip=False)
 
 
 def is_algebra_antimap(f: LinMap, src: FDAlgebra, dst: FDAlgebra) -> bool:
-    field = same_field(src, dst)
-    tw = twist_map(field, src.space, src.space)
-    if compose(f, src.mult) != compose(dst.mult, compose(tensor_map(f, f), tw)):
-        return False
-    return f.apply(src.unit) == dst.unit
+    return _algebra_morphism(f, src, dst, flip=True)
 
 
 def grouplike_indices(c: FDCoalgebra) -> list[int]:

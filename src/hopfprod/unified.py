@@ -463,8 +463,6 @@ def build_unified_product(d: ExtendingDatum) -> UnifiedProduct:
     """Validate the datum, check all conditions, and assemble the product.
 
     Refuses with :class:`DatumConditionError` naming the failing conditions.
-    The mixed-product identities are re-verified on the assembled carrier as
-    a guard against index-convention mistakes.
     """
     rep = validate_datum(d)
     if not rep.ok:
@@ -472,6 +470,16 @@ def build_unified_product(d: ExtendingDatum) -> UnifiedProduct:
     rep = check_product_conditions(d)
     if not rep.ok:
         raise DatumConditionError(rep)
+    return unified_product_of_checked(d)
+
+
+def unified_product_of_checked(d: ExtendingDatum) -> UnifiedProduct:
+    """The product of a datum that already passed :func:`validate_datum` and
+    :func:`check_product_conditions`; the datum is not checked again.
+
+    The mixed-product identities are re-verified on the assembled carrier as
+    a guard against index-convention mistakes.
+    """
     carrier = assemble_product(d)
     mixed = _mixed_relations(d, carrier)
     if not mixed.ok:

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from hopfprod.fields import QQ, FieldMismatchError, PrimeField, Rationals, same_field
+from hopfprod.fields import QQ, FieldMismatchError, PrimeField, Rationals, is_prime, same_field
 
 
 def test_rationals_always_reduced():
@@ -52,6 +52,27 @@ def test_nonprime_modulus_rejected():
         PrimeField(6)
     with pytest.raises(ValueError):
         PrimeField(1)
+
+
+def test_primality_matches_trial_division():
+    def by_trial_division(n):
+        return n >= 2 and all(n % q for q in range(2, int(n**0.5) + 1))
+
+    for n in range(-3, 20000):
+        assert is_prime(n) == by_trial_division(n), n
+    # strong pseudoprimes to every prime base up to 17, and up to 23
+    for n in (341550071728321, 3825123056546413051):
+        assert not is_prime(n)
+    for p in (2**31 - 1, 2**61 - 1, 2**64 - 59):
+        assert is_prime(p)
+    assert not is_prime((2**31 - 1) * (2**31 - 1))
+
+
+def test_modulus_bound():
+    assert PrimeField(2**64 - 59).p == 2**64 - 59
+    for p in (2**64, 2**67 - 1, 10**400):
+        with pytest.raises(ValueError, match="below 2"):
+            PrimeField(p)
 
 
 def test_field_equality_and_mismatch():

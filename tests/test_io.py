@@ -1,8 +1,11 @@
 import json
 import pathlib
+import time
 
 import pytest
 
+import hopfprod.cli
+import hopfprod.unified
 from hopfprod.classification import enumerate_cocycles
 from hopfprod.cli import main
 from hopfprod.corpus import (
@@ -22,7 +25,7 @@ from hopfprod.serialize import (
     parse,
     serialize,
 )
-from hopfprod.special import matched_pair_datum
+from hopfprod.special import matched_pair_datum, trivial_matched_pair
 from hopfprod.unified import CONDITION_NAMES, validate_datum
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -89,6 +92,8 @@ def test_malformed_documents_rejected():
         b'{"format":"other/9","kind":"coalgebra","field":{"kind":"rational"},"payload":{}}',
         b'{"format":"hopfprod/1","kind":"nonsense","field":{"kind":"rational"},"payload":{}}',
         b'{"format":"hopfprod/1","kind":"coalgebra","field":{"kind":"mod-p","p":6},"payload":{}}',
+        b'{"format":"hopfprod/1","kind":"coalgebra","field":{"kind":"mod-p","p":1e400},"payload":{}}',
+        b'{"format":"hopfprod/1","kind":"coalgebra","field":{"kind":"mod-p","p":null},"payload":{}}',
     ]
     for data in bad:
         with pytest.raises(MalformedDocumentError):
@@ -285,3 +290,62 @@ def test_cli_incompatible_data_exit_two(tmp_path, capsys):
     code, _, err = run_cli(capsys, "equiv", str(d1), str(d2), "--search")
     assert code == 2
     assert "share" in err
+
+
+def test_cli_build_checks_each_datum_once(tmp_path, capsys, monkeypatch):
+    calls = {"validate_datum": 0, "check_product_conditions": 0}
+    for name in calls:
+        real = getattr(hopfprod.unified, name)
+
+        def counted(d, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(d)
+
+        monkeypatch.setattr(hopfprod.unified, name, counted)
+        monkeypatch.setattr(hopfprod.cli, name, counted)
+    for k, obj in enumerate((a4_unified_datum(), s3_matched_pair(), z4_crossed_datum())):
+        src = tmp_path / f"d{k}.json"
+        src.write_bytes(serialize(obj))
+        code, _, _ = run_cli(capsys, "build", str(src), "--out", str(tmp_path / "p.json"))
+        assert code == 0
+        assert calls == {"validate_datum": k + 1, "check_product_conditions": k + 1}
+
+
+def mod_p_datum_document(p) -> bytes:
+    """A valid datum over GF(5) whose modulus is then replaced by p; every
+    structure constant is 0 or 1, so the document is valid for any prime."""
+    f5 = PrimeField(5)
+    a, h = (group_algebra(builtin_group(n), f5) for n in ("c2", "c3"))
+    doc = json.loads(serialize(matched_pair_datum(trivial_matched_pair(a, h))))
+    doc["field"]["p"] = p
+    return json.dumps(doc).encode()
+
+
+def test_cli_huge_modulus_exits_two(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_bytes(mod_p_datum_document(10**400))
+    code, _, err = run_cli(capsys, "verify", str(path))
+    assert code == 2
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert "below 2**64" in err
+
+
+def test_cli_61_bit_prime_modulus_is_quick(tmp_path, capsys):
+    data = mod_p_datum_document(2**61 - 1)
+    start = time.perf_counter()
+    datum = parse(data)
+    assert time.perf_counter() - start < 0.25
+    assert datum.field == PrimeField(2**61 - 1)
+    path = tmp_path / "big.json"
+    path.write_bytes(data)
+    code, _, _ = run_cli(capsys, "verify", str(path))
+    assert code == 0
+
+
+def test_cli_composite_modulus_exits_two(tmp_path, capsys):
+    path = tmp_path / "composite.json"
+    for p in (6, (2**31 - 1) ** 2, 3825123056546413051):
+        path.write_bytes(mod_p_datum_document(p))
+        code, _, err = run_cli(capsys, "verify", str(path))
+        assert code == 2
+        assert "not prime" in err and err.count("\n") == 1

@@ -3,16 +3,27 @@ from itertools import product as iproduct
 
 import pytest
 
-from helpers import sweedler_bialgebra
-from hopfprod.fields import QQ
+from helpers import random_linmap, sweedler_bialgebra
+from hopfprod.fields import QQ, PrimeField
 from hopfprod.groups import builtin_group, group_algebra, grouplike_coalgebra
-from hopfprod.linalg import SCALAR_SPACE, BasedSpace, LinMap, compose, tensor_space
+from hopfprod.linalg import (
+    SCALAR_SPACE,
+    BasedSpace,
+    LinMap,
+    compose,
+    tensor_map,
+    tensor_space,
+    tensor_vec,
+    twist_map,
+)
+from hopfprod.reports import Report
 from hopfprod.structures import (
     FDAlgebra,
     FDBialgebra,
     FDCoalgebra,
     NoAntipodeError,
     antipode_solve,
+    check_algebra,
     check_bialgebra,
     check_coalgebra,
     convolution,
@@ -21,8 +32,10 @@ from hopfprod.structures import (
     grouplike_delta,
     grouplike_indices,
     is_algebra_antimap,
+    is_algebra_map,
     is_coalgebra_antimap,
     is_coalgebra_map,
+    tensor_algebra,
     tensor_bialgebra,
 )
 
@@ -242,3 +255,204 @@ def test_grouplike_detection():
     assert grouplike_indices(b.coalgebra) == [0, 1]
     g = group_algebra(builtin_group("c4"))
     assert grouplike_indices(g.coalgebra) == [0, 1, 2, 3]
+
+
+# ---------------------------------------------------------------------------
+# the composed-map formulation of every axiom, kept as an oracle: each side
+# of an identity is built as a whole linear map and the two maps compared
+
+
+def _first_difference(f: LinMap, g: LinMap, labels):
+    """Label of the first domain basis index where two maps differ."""
+    if f == g:
+        return None
+    for i in range(len(labels)):
+        if f.col(i) != g.col(i):
+            return labels[i]
+    return "shape"
+
+
+def oracle_check_coalgebra(c):
+    ident = LinMap.identity(c.field, c.space)
+    rep = Report("coalgebra axioms")
+    lhs = compose(tensor_map(c.delta, ident), c.delta)
+    rhs = compose(tensor_map(ident, c.delta), c.delta)
+    rep.add("coassociativity", lhs == rhs, _first_difference(lhs, rhs, c.space.labels))
+    left = compose(tensor_map(c.epsilon, ident), c.delta)
+    rep.add("counit-left", left == ident, _first_difference(left, ident, c.space.labels))
+    right = compose(tensor_map(ident, c.epsilon), c.delta)
+    rep.add("counit-right", right == ident, _first_difference(right, ident, c.space.labels))
+    return rep
+
+
+def oracle_check_algebra(a):
+    ident = LinMap.identity(a.field, a.space)
+    rep = Report("algebra axioms")
+    lhs = compose(a.mult, tensor_map(a.mult, ident))
+    rhs = compose(a.mult, tensor_map(ident, a.mult))
+    labels3 = tensor_space(tensor_space(a.space, a.space), a.space).labels
+    rep.add("associativity", lhs == rhs, _first_difference(lhs, rhs, labels3))
+    eta = a.unit_map()
+    left = compose(a.mult, tensor_map(eta, ident))
+    rep.add("unit-left", left == ident, _first_difference(left, ident, a.space.labels))
+    right = compose(a.mult, tensor_map(ident, eta))
+    rep.add("unit-right", right == ident, _first_difference(right, ident, a.space.labels))
+    return rep
+
+
+def oracle_check_bialgebra(b):
+    field = b.field
+    rep = Report("bialgebra axioms")
+    rep.extend(oracle_check_coalgebra(b.coalgebra))
+    rep.extend(oracle_check_algebra(b.algebra))
+    pair_labels = tensor_space(b.space, b.space).labels
+    square = tensor_algebra(b.algebra, b.algebra)
+    lhs = compose(b.delta, b.mult)
+    rhs = compose(square.mult, tensor_map(b.delta, b.delta))
+    rep.add("comult-multiplicative", lhs == rhs, _first_difference(lhs, rhs, pair_labels))
+    delta_unit = b.delta.apply(b.unit)
+    want = tensor_vec(field, b.unit, b.unit, b.dim)
+    rep.add("comult-unit", delta_unit == want, "unit")
+    lhs = compose(b.epsilon, b.mult)
+    rhs = tensor_map(b.epsilon, b.epsilon)
+    rep.add("counit-multiplicative", lhs == rhs, _first_difference(lhs, rhs, pair_labels))
+    eps_unit = b.counit(b.unit)
+    rep.add("counit-unit", eps_unit == field.one, "unit")
+    return rep
+
+
+def oracle_is_coalgebra_map(f, src, dst, flip=False):
+    rhs = compose(tensor_map(f, f), src.delta)
+    if flip:
+        rhs = compose(twist_map(f.field, dst.space, dst.space), rhs)
+    return compose(dst.delta, f) == rhs and compose(dst.epsilon, f) == src.epsilon
+
+
+def oracle_is_algebra_map(f, src, dst, flip=False):
+    ff = tensor_map(f, f)
+    if flip:
+        ff = compose(ff, twist_map(f.field, src.space, src.space))
+    return compose(f, src.mult) == compose(dst.mult, ff) and f.apply(src.unit) == dst.unit
+
+
+def rows(report):
+    return [(it.condition, it.passed, it.witness) for it in report.items]
+
+
+def assert_checkers_match_oracle(b):
+    assert rows(check_coalgebra(b.coalgebra)) == rows(oracle_check_coalgebra(b.coalgebra))
+    assert rows(check_algebra(b.algebra)) == rows(oracle_check_algebra(b.algebra))
+    assert rows(check_bialgebra(b)) == rows(oracle_check_bialgebra(b))
+
+
+F5 = PrimeField(5)
+
+
+def oracle_fixtures():
+    c2, c3 = (group_algebra(builtin_group(n)) for n in ("c2", "c3"))
+    return [
+        c2, c3,
+        group_algebra(builtin_group("s3")),
+        group_algebra(builtin_group("c3"), F5),
+        sweedler_bialgebra(),
+        sweedler_bialgebra(F5),
+        sweedler_bialgebra(PrimeField(3)),
+        tensor_bialgebra(c2, c3),
+        tensor_bialgebra(sweedler_bialgebra(), c2),
+    ]
+
+
+def test_checkers_match_composed_map_oracle():
+    for b in oracle_fixtures():
+        assert check_bialgebra(b).ok
+        assert_checkers_match_oracle(b)
+
+
+def corruptions(b):
+    """Every bialgebra that differs from b in exactly one structure constant."""
+    field, n = b.field, b.dim
+    bump = lambda v: field.add(v, field.one)
+    for name, m in (("mult", b.mult), ("delta", b.delta), ("epsilon", b.epsilon)):
+        for i in range(m.domain.dim):
+            for j in range(m.codomain.dim):
+                cols = {k: m.col(k) for k in range(m.domain.dim)}
+                cols[i][j] = bump(cols[i].get(j, field.zero))
+                new = LinMap(field, m.domain, m.codomain, cols)
+                delta = new if name == "delta" else b.delta
+                epsilon = new if name == "epsilon" else b.epsilon
+                mult = new if name == "mult" else b.mult
+                yield FDBialgebra(FDCoalgebra(field, b.space, delta, epsilon),
+                                  FDAlgebra(field, b.space, mult, b.unit))
+    for j in range(n):
+        unit = dict(b.unit)
+        unit[j] = bump(unit.get(j, field.zero))
+        yield FDBialgebra(b.coalgebra, FDAlgebra(field, b.space, b.mult, unit))
+
+
+def test_checkers_match_oracle_on_every_one_entry_corruption():
+    seen = set()
+    count = 0
+    for b in (sweedler_bialgebra(), group_algebra(builtin_group("c3"), F5)):
+        for broken in corruptions(b):
+            assert_checkers_match_oracle(broken)
+            seen.update(it.condition for it in check_bialgebra(broken).failures())
+            count += 1
+    # 64 + 64 + 4 + 4 entries of H4, 27 + 27 + 3 + 3 of k[C3]
+    assert count == 196
+    assert seen == {"coassociativity", "counit-left", "counit-right",
+                    "associativity", "unit-left", "unit-right",
+                    "comult-multiplicative", "comult-unit",
+                    "counit-multiplicative", "counit-unit"}
+
+
+def set_map(field, src, dst, targets):
+    return LinMap(field, src.space, dst.space,
+                  {i: {t: field.one} for i, t in enumerate(targets)})
+
+
+def assert_predicates_match_oracle(f, src, dst):
+    for flip, coalg_pred, alg_pred in ((False, is_coalgebra_map, is_algebra_map),
+                                       (True, is_coalgebra_antimap, is_algebra_antimap)):
+        assert coalg_pred(f, src.coalgebra, dst.coalgebra) == \
+            oracle_is_coalgebra_map(f, src.coalgebra, dst.coalgebra, flip)
+        assert alg_pred(f, src.algebra, dst.algebra) == \
+            oracle_is_algebra_map(f, src.algebra, dst.algebra, flip)
+
+
+def test_predicates_match_oracle_on_set_maps():
+    rng = random.Random(31)
+    groups = {name: group_algebra(builtin_group(name)) for name in ("c2", "c3", "s3")}
+    groups["h4"] = sweedler_bialgebra()
+    verdicts = set()
+    for _ in range(60):
+        src, dst = (groups[rng.choice(sorted(groups))] for _ in range(2))
+        f = set_map(QQ, src, dst, [rng.randrange(dst.dim) for _ in range(src.dim)])
+        assert_predicates_match_oracle(f, src, dst)
+        verdicts.add(is_coalgebra_map(f, src.coalgebra, dst.coalgebra))
+    assert verdicts == {True, False}
+    s3 = groups["s3"]
+    inverse = s3.antipode
+    assert_predicates_match_oracle(inverse, s3, s3)
+    assert is_algebra_antimap(inverse, s3.algebra, s3.algebra)
+    assert not is_algebra_map(inverse, s3.algebra, s3.algebra)
+
+
+def test_predicates_match_oracle_on_noncocommutative_h4():
+    rng = random.Random(32)
+    for field in (QQ, F5):
+        h4 = sweedler_bialgebra(field)
+        ident = LinMap.identity(field, h4.space)
+        s = antipode_solve(h4)
+        zero = LinMap.zero(field, h4.space, h4.space)
+        for f in (ident, s, compose(s, s), zero):
+            assert_predicates_match_oracle(f, h4, h4)
+        # the zero map respects comultiplication but not the counit
+        assert not is_coalgebra_map(zero, h4.coalgebra, h4.coalgebra)
+        assert not is_coalgebra_antimap(zero, h4.coalgebra, h4.coalgebra)
+        assert is_coalgebra_map(ident, h4.coalgebra, h4.coalgebra)
+        assert not is_coalgebra_antimap(ident, h4.coalgebra, h4.coalgebra)
+        assert not is_algebra_antimap(ident, h4.algebra, h4.algebra)
+        assert is_algebra_antimap(s, h4.algebra, h4.algebra)
+        for _ in range(20):
+            f = random_linmap(rng, field, h4.space, h4.space, density=0.3)
+            assert_predicates_match_oracle(f, h4, h4)
