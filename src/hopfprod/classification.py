@@ -27,7 +27,6 @@ from .linalg import (
     compose,
     tensor_map,
     tensor_vec,
-    twist_map,
     vec_add_into,
     vec_scale,
 )
@@ -36,12 +35,16 @@ from .structures import (
     FDBialgebra,
     FDHopf,
     UnitalCoalgebra,
+    _add_term,
+    _coproducts,
+    _scan,
+    _tuple_label,
     convolution,
     grouplike_indices,
     is_coalgebra_map,
     is_algebra_map,
 )
-from .unified import ExtendingDatum, assemble_product
+from .unified import ExtendingDatum, _Ops, assemble_product
 
 if TYPE_CHECKING:  # pragma: no cover
     from .special import MatchedPair
@@ -66,11 +69,16 @@ def is_lazy_cocycle(u: LinMap, h: UnitalCoalgebra, a: FDBialgebra) -> bool:
     if u.apply(h.unit) != a.unit:
         return False
     field = same_field(h, a)
-    ident = LinMap.identity(field, h.space)
-    straight = compose(tensor_map(ident, u), h.delta)
-    crossed = compose(tensor_map(ident, u),
-                      compose(twist_map(field, h.space, h.space), h.delta))
-    return straight == crossed
+    for terms in _coproducts(h.coalg):
+        straight, crossed = {}, {}
+        for left, right, x in terms:
+            for r, y in u.cols.get(right, ()):
+                _add_term(field, straight, (left, r), field.mul(x, y))
+            for r, y in u.cols.get(left, ()):
+                _add_term(field, crossed, (right, r), field.mul(x, y))
+        if straight != crossed:
+            return False
+    return True
 
 
 @dataclass
@@ -149,6 +157,60 @@ def enumerate_cocycles(h: UnitalCoalgebra, a: FDBialgebra,
     return out
 
 
+class _Deformation:
+    """The deformation of a datum d by a lazy cocycle u, evaluated at basis
+    elements h, g of H and c of A, with S the antipode of A:
+
+        h |>' c  = u(h1) (h2 |> c1) S(u(h3 <| c2))
+        h .' g   = (h <| u(g1)) . g2
+        f'(h, g) = u(h1) (h2 |> u(g1)) f(h3 <| u(g2), g3) S(u(h4 .' g4))
+
+    The right action never moves.  The cocycle formula reads the deformed
+    dot from the map it is handed, so a datum can be held against it with
+    its own dot.
+    """
+
+    def __init__(self, d: ExtendingDatum, u: LazyCocycle):
+        self.ops = _Ops(d)
+        self.field = d.field
+        self.hc, self.ac = d.ext.coalg, d.base.coalgebra
+        self.bv = lambda i: basis_vec(d.field, i)
+        self.u = u.linmap.apply
+        self.su = lambda v: d.base.antipode.apply(u.linmap.apply(v))
+
+    def lact(self, hi: int, ci: int) -> dict:
+        ops, bv, u, field = self.ops, self.bv, self.u, self.field
+        out: dict = {}
+        for (h1, h2, h3), ch in self.hc.expand(hi, 3):
+            for (c1, c2), cc in self.ac.expand(ci, 2):
+                term = ops.amul(u(bv(h1)), ops.lact(bv(h2), bv(c1)),
+                                self.su(ops.ract(bv(h3), bv(c2))))
+                vec_add_into(field, out, term, field.mul(ch, cc))
+        return out
+
+    def dot(self, hi: int, gi: int) -> dict:
+        ops, bv = self.ops, self.bv
+        out: dict = {}
+        for (g1, g2), cg in self.hc.expand(gi, 2):
+            term = ops.dot(ops.ract(bv(hi), self.u(bv(g1))), bv(g2))
+            vec_add_into(self.field, out, term, cg)
+        return out
+
+    def cocycle(self, hi: int, gi: int, dot: LinMap) -> dict:
+        ops, bv, u, field = self.ops, self.bv, self.u, self.field
+        out: dict = {}
+        for (h1, h2, h3, h4), ch in self.hc.expand(hi, 4):
+            for (g1, g2, g3, g4), cg in self.hc.expand(gi, 4):
+                term = ops.amul(
+                    u(bv(h1)),
+                    ops.lact(bv(h2), u(bv(g1))),
+                    ops.coc(ops.ract(bv(h3), u(bv(g2))), bv(g3)),
+                    self.su(dot.bilin(bv(h4), bv(g4), ops.hdim)),
+                )
+                vec_add_into(field, out, term, field.mul(ch, cg))
+        return out
+
+
 def deform_datum(d: ExtendingDatum, u: LazyCocycle) -> ExtendingDatum:
     """Deform an arbitrary datum by a lazy cocycle.
 
@@ -163,62 +225,14 @@ def deform_datum(d: ExtendingDatum, u: LazyCocycle) -> ExtendingDatum:
         raise ValueError("deformation needs a Hopf base")
     field = d.field
     h = d.ext
-    hc, ac = h.coalg, a.coalgebra
-    bv = lambda i: basis_vec(field, i)
-    sa = a.antipode
-    um = u.linmap
-    adim, hdim = a.dim, h.dim
-
-    def amul(*vs):
-        out = vs[0]
-        for v in vs[1:]:
-            out = a.mul(out, v)
-        return out
-
-    dot_cols = {}
-    for hi in range(hdim):
-        for gi in range(hdim):
-            out: dict = {}
-            for (g1, g2), cg in hc.expand(gi, 2):
-                term = d.dot.bilin(d.ract.bilin(bv(hi), um.apply(bv(g1)), adim),
-                                   bv(g2), hdim)
-                vec_add_into(field, out, term, cg)
-            if out:
-                dot_cols[hi * hdim + gi] = out
-    dot = LinMap(field, d.dot.domain, h.space, dot_cols)
-
-    lact_cols = {}
-    for hi in range(hdim):
-        for ci in range(adim):
-            out = {}
-            for (h1, h2, h3), ch in hc.expand(hi, 3):
-                for (c1, c2), cc in ac.expand(ci, 2):
-                    term = amul(um.apply(bv(h1)),
-                                d.lact.bilin(bv(h2), bv(c1), adim),
-                                sa.apply(um.apply(d.ract.bilin(bv(h3), bv(c2), adim))))
-                    vec_add_into(field, out, term, field.mul(ch, cc))
-            if out:
-                lact_cols[hi * adim + ci] = out
-    lact = LinMap(field, d.lact.domain, a.space, lact_cols)
-
-    coc_cols = {}
-    for hi in range(hdim):
-        for gi in range(hdim):
-            out = {}
-            for (h1, h2, h3, h4), ch in hc.expand(hi, 4):
-                for (g1, g2, g3, g4), cg in hc.expand(gi, 4):
-                    term = amul(
-                        um.apply(bv(h1)),
-                        d.lact.bilin(bv(h2), um.apply(bv(g1)), adim),
-                        d.cocycle.bilin(
-                            d.ract.bilin(bv(h3), um.apply(bv(g2)), adim),
-                            bv(g3), hdim),
-                        sa.apply(um.apply(dot.bilin(bv(h4), bv(g4), hdim))),
-                    )
-                    vec_add_into(field, out, term, field.mul(ch, cg))
-            if out:
-                coc_cols[hi * hdim + gi] = out
-    cocycle = LinMap(field, d.cocycle.domain, a.space, coc_cols)
+    deform = _Deformation(d, u)
+    hr, ar = range(h.dim), range(a.dim)
+    dot = LinMap(field, d.dot.domain, h.space,
+                 {hi * h.dim + gi: deform.dot(hi, gi) for hi in hr for gi in hr})
+    lact = LinMap(field, d.lact.domain, a.space,
+                  {hi * a.dim + ci: deform.lact(hi, ci) for hi in hr for ci in ar})
+    cocycle = LinMap(field, d.cocycle.domain, a.space,
+                     {hi * h.dim + gi: deform.cocycle(hi, gi, dot) for hi in hr for gi in hr})
     return ExtendingDatum(base=a, ext=h, dot=dot, ract=d.ract,
                           lact=lact, cocycle=cocycle)
 
@@ -248,17 +262,6 @@ class EquivalenceResult:
         return self.report.ok
 
 
-def _scan(rep, name, tuples, labels, check):
-    for tup in tuples:
-        if not check(*tup):
-            witness = "(" + ",".join(lab[k] for lab, k in zip(labels, tup)) + ")"
-            rep.add(name, False, witness)
-            return False
-        continue
-    rep.add(name, True)
-    return True
-
-
 def _incl_base(d: ExtendingDatum, carrier) -> LinMap:
     field = d.field
     return LinMap(field, d.base.space, carrier.space,
@@ -284,13 +287,13 @@ def check_equivalence(d: ExtendingDatum, d2: ExtendingDatum,
         raise ValueError("cocycle context does not match the data")
     field = d.field
     h = d.ext
-    hc, ac = h.coalg, a.coalgebra
+    hc = h.coalg
     bv = lambda i: basis_vec(field, i)
     sa = a.antipode
     um = u.linmap
     hl, al = h.space.labels, a.space.labels
     hr, ar = range(h.dim), range(a.dim)
-    adim, hdim = a.dim, h.dim
+    hdim = h.dim
     rep = Report("extending-structure equivalence")
 
     if d2.ract != d.ract:
@@ -298,52 +301,16 @@ def check_equivalence(d: ExtendingDatum, d2: ExtendingDatum,
         return EquivalenceResult(rep, None)
     rep.add("ract-equal", True)
 
-    def amul(*vs):
-        out = vs[0]
-        for v in vs[1:]:
-            out = a.mul(out, v)
-        return out
-
-    def deformed_lact(hi, ci):
-        got = d2.lact.bilin(bv(hi), bv(ci), adim)
-        want: dict = {}
-        for (h1, h2, h3), ch in hc.expand(hi, 3):
-            for (c1, c2), cc in ac.expand(ci, 2):
-                term = amul(um.apply(bv(h1)),
-                            d.lact.bilin(bv(h2), bv(c1), adim),
-                            sa.apply(um.apply(d.ract.bilin(bv(h3), bv(c2), adim))))
-                vec_add_into(field, want, term, field.mul(ch, cc))
-        return got == want
-
-    ok = _scan(rep, "deformed-lact", iproduct(hr, ar), (hl, al), deformed_lact)
-
-    def deformed_dot(hi, gi):
-        got = d2.dot.bilin(bv(hi), bv(gi), hdim)
-        want: dict = {}
-        for (g1, g2), cg in hc.expand(gi, 2):
-            term = d.dot.bilin(d.ract.bilin(bv(hi), um.apply(bv(g1)), adim),
-                               bv(g2), hdim)
-            vec_add_into(field, want, term, cg)
-        return got == want
-
-    ok = _scan(rep, "deformed-dot", iproduct(hr, hr), (hl, hl), deformed_dot) and ok
-
-    def deformed_cocycle(hi, gi):
-        got = d2.cocycle.bilin(bv(hi), bv(gi), hdim)
-        want: dict = {}
-        for (h1, h2, h3, h4), ch in hc.expand(hi, 4):
-            for (g1, g2, g3, g4), cg in hc.expand(gi, 4):
-                term = amul(
-                    um.apply(bv(h1)),
-                    d.lact.bilin(bv(h2), um.apply(bv(g1)), adim),
-                    d.cocycle.bilin(
-                        d.ract.bilin(bv(h3), um.apply(bv(g2)), adim), bv(g3), hdim),
-                    sa.apply(um.apply(d2.dot.bilin(bv(h4), bv(g4), hdim))),
-                )
-                vec_add_into(field, want, term, field.mul(ch, cg))
-        return got == want
-
-    ok = _scan(rep, "deformed-cocycle", iproduct(hr, hr), (hl, hl), deformed_cocycle) and ok
+    deform, ops2 = _Deformation(d, u), _Ops(d2)
+    ok = _scan(rep, "deformed-lact", iproduct(hr, ar),
+               lambda hi, ci: ops2.lact(bv(hi), bv(ci)) == deform.lact(hi, ci),
+               _tuple_label(hl, al))
+    ok = _scan(rep, "deformed-dot", iproduct(hr, hr),
+               lambda hi, gi: ops2.dot(bv(hi), bv(gi)) == deform.dot(hi, gi),
+               _tuple_label(hl, hl)) and ok
+    ok = _scan(rep, "deformed-cocycle", iproduct(hr, hr),
+               lambda hi, gi: ops2.coc(bv(hi), bv(gi)) == deform.cocycle(hi, gi, d2.dot),
+               _tuple_label(hl, hl)) and ok
     if not ok:
         return EquivalenceResult(rep, None)
 
@@ -430,6 +397,17 @@ def quotient_classes(data: list[ExtendingDatum],
     return classes
 
 
+def _scan_ract_kills(rep: Report, d: ExtendingDatum, u: LazyCocycle) -> bool:
+    """Record whether the right action of d kills u: h <| u(g) = counit(g) h."""
+    field, h = d.field, d.ext
+    bv = lambda i: basis_vec(field, i)
+    ops = _Ops(d)
+    return _scan(rep, "ract-kills-cocycle", iproduct(range(h.dim), repeat=2),
+                 lambda hi, gi: ops.ract(bv(hi), u.linmap.apply(bv(gi)))
+                 == vec_scale(field, h.coalg.counit(bv(gi)), bv(hi)),
+                 _tuple_label(h.space.labels, h.space.labels))
+
+
 def check_bicrossed_equivalence(mp: "MatchedPair", mp2: "MatchedPair",
                                 u: LazyCocycle) -> Report:
     """Equivalence of two matched pairs over the same Hopf algebras.
@@ -439,6 +417,8 @@ def check_bicrossed_equivalence(mp: "MatchedPair", mp2: "MatchedPair",
     would-be deformed cocycle collapses to the trivial one, and the right
     action kills u.
     """
+    from .special import matched_pair_datum  # special imports this module
+
     a, h = mp.a, mp.h
     if mp2.a != a or mp2.h != h:
         raise ValueError("matched pairs must share both Hopf algebras")
@@ -447,13 +427,12 @@ def check_bicrossed_equivalence(mp: "MatchedPair", mp2: "MatchedPair",
     if u.base != a or u.ext != h.unit_coalgebra():
         raise ValueError("cocycle context does not match the matched pairs")
     field = a.field
-    hc, ac = h.coalgebra, a.coalgebra
+    hc = h.coalgebra
     bv = lambda i: basis_vec(field, i)
     sa = a.antipode
     um = u.linmap
-    adim, hdim = a.dim, h.dim
     hl, al = h.space.labels, a.space.labels
-    hr, ar = range(hdim), range(adim)
+    hr, ar = range(h.dim), range(a.dim)
     rep = Report("bicrossed equivalence")
 
     if mp2.ract != mp.ract:
@@ -461,41 +440,24 @@ def check_bicrossed_equivalence(mp: "MatchedPair", mp2: "MatchedPair",
         return rep
     rep.add("ract-equal", True)
 
-    def amul(*vs):
-        out = vs[0]
-        for v in vs[1:]:
-            out = a.mul(out, v)
-        return out
-
-    def deformed_lact(hi, ci):
-        got = mp2.lact.bilin(bv(hi), bv(ci), adim)
-        want: dict = {}
-        for (h1, h2, h3), ch in hc.expand(hi, 3):
-            for (c1, c2), cc in ac.expand(ci, 2):
-                term = amul(um.apply(bv(h1)),
-                            mp.lact.bilin(bv(h2), bv(c1), adim),
-                            sa.apply(um.apply(mp.ract.bilin(bv(h3), bv(c2), adim))))
-                vec_add_into(field, want, term, field.mul(ch, cc))
-        return got == want
-
-    _scan(rep, "deformed-lact", iproduct(hr, ar), (hl, al), deformed_lact)
+    d = matched_pair_datum(mp)
+    deform = _Deformation(d, u)
+    ops = deform.ops
+    _scan(rep, "deformed-lact", iproduct(hr, ar),
+          lambda hi, ci: mp2.lact.bilin(bv(hi), bv(ci), a.dim) == deform.lact(hi, ci),
+          _tuple_label(hl, al))
 
     def triviality(hi, gi):
         got: dict = {}
         for (h1, h2, h3), ch in hc.expand(hi, 3):
             for (g1, g2), cg in hc.expand(gi, 2):
-                term = amul(um.apply(bv(h1)),
-                            mp.lact.bilin(bv(h2), um.apply(bv(g1)), adim),
-                            sa.apply(um.apply(h.mul(bv(h3), bv(g2)))))
+                term = ops.amul(um.apply(bv(h1)),
+                                ops.lact(bv(h2), um.apply(bv(g1))),
+                                sa.apply(um.apply(h.mul(bv(h3), bv(g2)))))
                 vec_add_into(field, got, term, field.mul(ch, cg))
         eps = field.mul(hc.counit(bv(hi)), hc.counit(bv(gi)))
         return got == vec_scale(field, eps, a.unit)
 
-    _scan(rep, "cocycle-triviality", iproduct(hr, hr), (hl, hl), triviality)
-
-    def kills(hi, gi):
-        got = mp.ract.bilin(bv(hi), um.apply(bv(gi)), adim)
-        return got == vec_scale(field, hc.counit(bv(gi)), bv(hi))
-
-    _scan(rep, "ract-kills-cocycle", iproduct(hr, hr), (hl, hl), kills)
+    _scan(rep, "cocycle-triviality", iproduct(hr, hr), triviality, _tuple_label(hl, hl))
+    _scan_ract_kills(rep, d, u)
     return rep

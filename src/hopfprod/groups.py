@@ -25,6 +25,8 @@ from .structures import (
     FDCoalgebra,
     FDHopf,
     UnitalCoalgebra,
+    _scan,
+    _tuple_label,
     counit_all_ones,
     grouplike_delta,
 )
@@ -372,17 +374,7 @@ def check_group_structure(ges: GroupExtendingStructure) -> Report:
     rep = Report("set-level extending structure")
     mul = g.mult
     xs, gs = range(nx), range(ng)
-
-    def scan(name, tuples, kinds, check):
-        for tup in tuples:
-            if not check(*tup):
-                witness = ",".join(
-                    ges.x_labels[v] if kind == "x" else g.labels[v]
-                    for kind, v in zip(kinds, tup)
-                )
-                rep.add(name, False, f"({witness})")
-                return
-        rep.add(name, True)
+    xl, gl = ges.x_labels, g.labels
 
     def normal(x, a):
         return (ges.lact[x][e] == e and ges.ract[x][e] == x
@@ -390,32 +382,38 @@ def check_group_structure(ges: GroupExtendingStructure) -> Report:
                 and ges.cocyc[x][base] == e and ges.cocyc[base][x] == e
                 and ges.star[x][base] == x and ges.star[base][x] == x)
 
-    scan("unit-normalization", iproduct(xs, gs), "xg", normal)
-    scan("right-module", iproduct(xs, gs, gs), "xgg",
-         lambda x, a, b: ges.ract[ges.ract[x][a]][b] == ges.ract[x][mul(a, b)])
-    scan("twisted-associativity", iproduct(xs, xs, xs), "xxx",
-         lambda x, y, z: ges.star[ges.star[x][y]][z]
-         == ges.star[ges.ract[x][ges.cocyc[y][z]]][ges.star[y][z]])
-    scan("lact-multiplicative", iproduct(xs, gs, gs), "xgg",
-         lambda x, a, b: ges.lact[x][mul(a, b)]
-         == mul(ges.lact[x][a], ges.lact[ges.ract[x][a]][b]))
-    scan("ract-dot-compat", iproduct(xs, xs, gs), "xxg",
-         lambda x, y, a: ges.ract[ges.star[x][y]][a]
-         == ges.star[ges.ract[x][ges.lact[y][a]]][ges.ract[y][a]])
+    _scan(rep, "unit-normalization", iproduct(xs, gs), normal, _tuple_label(xl, gl))
+    _scan(rep, "right-module", iproduct(xs, gs, gs),
+          lambda x, a, b: ges.ract[ges.ract[x][a]][b] == ges.ract[x][mul(a, b)],
+          _tuple_label(xl, gl, gl))
+    _scan(rep, "twisted-associativity", iproduct(xs, xs, xs),
+          lambda x, y, z: ges.star[ges.star[x][y]][z]
+          == ges.star[ges.ract[x][ges.cocyc[y][z]]][ges.star[y][z]],
+          _tuple_label(xl, xl, xl))
+    _scan(rep, "lact-multiplicative", iproduct(xs, gs, gs),
+          lambda x, a, b: ges.lact[x][mul(a, b)]
+          == mul(ges.lact[x][a], ges.lact[ges.ract[x][a]][b]),
+          _tuple_label(xl, gl, gl))
+    _scan(rep, "ract-dot-compat", iproduct(xs, xs, gs),
+          lambda x, y, a: ges.ract[ges.star[x][y]][a]
+          == ges.star[ges.ract[x][ges.lact[y][a]]][ges.ract[y][a]],
+          _tuple_label(xl, xl, gl))
 
     def twisted_module(x, y, a):
         ya = ges.lact[y][a]
         lhs = mul(ges.lact[x][ya], ges.cocyc[ges.ract[x][ya]][ges.ract[y][a]])
         return lhs == mul(ges.cocyc[x][y], ges.lact[ges.star[x][y]][a])
 
-    scan("twisted-module", iproduct(xs, xs, gs), "xxg", twisted_module)
+    _scan(rep, "twisted-module", iproduct(xs, xs, gs), twisted_module,
+          _tuple_label(xl, xl, gl))
 
     def cocycle_condition(x, y, z):
         fyz = ges.cocyc[y][z]
         lhs = mul(ges.lact[x][fyz], ges.cocyc[ges.ract[x][fyz]][ges.star[y][z]])
         return lhs == mul(ges.cocyc[x][y], ges.cocyc[ges.star[x][y]][z])
 
-    scan("cocycle-condition", iproduct(xs, xs, xs), "xxx", cocycle_condition)
+    _scan(rep, "cocycle-condition", iproduct(xs, xs, xs), cocycle_condition,
+          _tuple_label(xl, xl, xl))
 
     rep.add("action-symmetry", True)  # identical tensor legs on group-like bases
     rep.add("cocycle-symmetry", True)

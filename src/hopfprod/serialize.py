@@ -49,9 +49,12 @@ def _field_from(obj):
     if obj["kind"] == "rational":
         return QQ
     if obj["kind"] == "mod-p":
+        p = obj.get("p")
+        if not isinstance(p, int) or isinstance(p, bool):
+            raise MalformedDocumentError(f"bad modulus: {p!r} is not an integer")
         try:
-            return PrimeField(int(obj["p"]))
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            return PrimeField(p)
+        except ValueError as exc:
             raise MalformedDocumentError(f"bad modulus: {exc}") from exc
     raise MalformedDocumentError(f"unknown field kind {obj['kind']!r}")
 

@@ -12,13 +12,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product as iproduct
 
-from .classification import LazyCocycle, is_lazy_cocycle
+from .classification import LazyCocycle, _scan_ract_kills, deform_datum, is_lazy_cocycle
 from .fields import same_field
 from .linalg import LinMap, basis_vec, tensor_space, tensor_vec, vec_add_into, vec_scale
 from .reports import Report
 from .structures import (
     FDBialgebra,
     FDHopf,
+    _scan,
+    _tuple_label,
     antipode_solve,
     is_coalgebra_map,
     tensor_coalgebra,
@@ -51,15 +53,6 @@ class MatchedPair:
         return self.a.field
 
 
-def _scan(rep, name, tuples, labels, check):
-    for tup in tuples:
-        if not check(*tup):
-            witness = "(" + ",".join(lab[k] for lab, k in zip(labels, tup)) + ")"
-            rep.add(name, False, witness)
-            return
-    rep.add(name, True)
-
-
 def check_matched_pair(mp: MatchedPair) -> Report:
     """Module-coalgebra axioms and the four mutual-action compatibilities."""
     a, h = mp.a, mp.h
@@ -78,16 +71,16 @@ def check_matched_pair(mp: MatchedPair) -> Report:
     ract = lambda hv, av: mp.ract.bilin(hv, av, adim)
     lact = lambda hv, av: mp.lact.bilin(hv, av, adim)
 
-    _scan(rep, "left-module-unit", iproduct(ar), (al,),
-          lambda j: lact(h.unit, bv(j)) == bv(j))
-    _scan(rep, "left-module-law", iproduct(hr, hr, ar), (hl, hl, al),
+    _scan(rep, "left-module-unit", iproduct(ar),
+          lambda j: lact(h.unit, bv(j)) == bv(j), _tuple_label(al))
+    _scan(rep, "left-module-law", iproduct(hr, hr, ar),
           lambda g, i, j: lact(h.mul(bv(g), bv(i)), bv(j))
-          == lact(bv(g), lact(bv(i), bv(j))))
-    _scan(rep, "right-module-unit", iproduct(hr), (hl,),
-          lambda g: ract(bv(g), a.unit) == bv(g))
-    _scan(rep, "right-module-law", iproduct(hr, ar, ar), (hl, al, al),
+          == lact(bv(g), lact(bv(i), bv(j))), _tuple_label(hl, hl, al))
+    _scan(rep, "right-module-unit", iproduct(hr),
+          lambda g: ract(bv(g), a.unit) == bv(g), _tuple_label(hl))
+    _scan(rep, "right-module-law", iproduct(hr, ar, ar),
           lambda g, i, j: ract(ract(bv(g), bv(i)), bv(j))
-          == ract(bv(g), a.mul(bv(i), bv(j))))
+          == ract(bv(g), a.mul(bv(i), bv(j))), _tuple_label(hl, al, al))
 
     def unit_normalization(g, j):
         eps_a = a.counit(bv(j))
@@ -95,7 +88,8 @@ def check_matched_pair(mp: MatchedPair) -> Report:
         return (ract(h.unit, bv(j)) == vec_scale(field, eps_a, h.unit)
                 and lact(bv(g), a.unit) == vec_scale(field, eps_h, a.unit))
 
-    _scan(rep, "unit-normalization", iproduct(hr, ar), (hl, al), unit_normalization)
+    _scan(rep, "unit-normalization", iproduct(hr, ar), unit_normalization,
+          _tuple_label(hl, al))
 
     def lact_multiplicative(g, i, j):
         lhs = lact(bv(g), a.mul(bv(i), bv(j)))
@@ -107,8 +101,8 @@ def check_matched_pair(mp: MatchedPair) -> Report:
                 vec_add_into(field, rhs, term, field.mul(cg, ci))
         return lhs == rhs
 
-    _scan(rep, "lact-multiplicative", iproduct(hr, ar, ar), (hl, al, al),
-          lact_multiplicative)
+    _scan(rep, "lact-multiplicative", iproduct(hr, ar, ar), lact_multiplicative,
+          _tuple_label(hl, al, al))
 
     def ract_multiplicative(g, i, j):
         lhs = ract(h.mul(bv(g), bv(i)), bv(j))
@@ -120,8 +114,8 @@ def check_matched_pair(mp: MatchedPair) -> Report:
                 vec_add_into(field, rhs, term, field.mul(ci, cj))
         return lhs == rhs
 
-    _scan(rep, "ract-multiplicative", iproduct(hr, hr, ar), (hl, hl, al),
-          ract_multiplicative)
+    _scan(rep, "ract-multiplicative", iproduct(hr, hr, ar), ract_multiplicative,
+          _tuple_label(hl, hl, al))
 
     def action_symmetry(g, j):
         lhs: dict = {}
@@ -135,7 +129,7 @@ def check_matched_pair(mp: MatchedPair) -> Report:
                     field, ract(bv(g2), bv(j2)), lact(bv(g1), bv(j1)), adim), c)
         return lhs == rhs
 
-    _scan(rep, "action-symmetry", iproduct(hr, ar), (hl, al), action_symmetry)
+    _scan(rep, "action-symmetry", iproduct(hr, ar), action_symmetry, _tuple_label(hl, al))
     return rep
 
 
@@ -278,14 +272,14 @@ def check_crossed(cd: CrossedDatum) -> Report:
         return (lact(bv(g), a.unit) == vec_scale(field, eps_h, a.unit)
                 and lact(h.unit, bv(j)) == bv(j))
 
-    _scan(rep, "lact-normalization", iproduct(hr, ar), (hl, al), normal_lact)
+    _scan(rep, "lact-normalization", iproduct(hr, ar), normal_lact, _tuple_label(hl, al))
 
     def normal_coc(g):
         eps_h = hc.counit(bv(g))
         want = vec_scale(field, eps_h, a.unit)
         return coc(bv(g), h.unit) == want and coc(h.unit, bv(g)) == want
 
-    _scan(rep, "cocycle-normalization", iproduct(hr), (hl,), normal_coc)
+    _scan(rep, "cocycle-normalization", iproduct(hr), normal_coc, _tuple_label(hl))
 
     def lact_multiplicative(g, i, j):
         lhs = lact(bv(g), a.mul(bv(i), bv(j)))
@@ -295,8 +289,8 @@ def check_crossed(cd: CrossedDatum) -> Report:
             vec_add_into(field, rhs, term, cg)
         return lhs == rhs
 
-    _scan(rep, "lact-multiplicative", iproduct(hr, ar, ar), (hl, al, al),
-          lact_multiplicative)
+    _scan(rep, "lact-multiplicative", iproduct(hr, ar, ar), lact_multiplicative,
+          _tuple_label(hl, al, al))
 
     def twisted_module(g, i, j):
         lhs: dict = {}
@@ -312,7 +306,8 @@ def check_crossed(cd: CrossedDatum) -> Report:
                                    lact(h.mul(bv(g2), bv(i2)), bv(j))), c)
         return lhs == rhs
 
-    _scan(rep, "twisted-module", iproduct(hr, hr, ar), (hl, hl, al), twisted_module)
+    _scan(rep, "twisted-module", iproduct(hr, hr, ar), twisted_module,
+          _tuple_label(hl, hl, al))
 
     def cocycle_condition(g, i, j):
         lhs: dict = {}
@@ -331,8 +326,8 @@ def check_crossed(cd: CrossedDatum) -> Report:
                              field.mul(cg, ci))
         return lhs == rhs
 
-    _scan(rep, "cocycle-condition", iproduct(hr, hr, hr), (hl, hl, hl),
-          cocycle_condition)
+    _scan(rep, "cocycle-condition", iproduct(hr, hr, hr), cocycle_condition,
+          _tuple_label(hl, hl, hl))
 
     def lact_symmetry(g, j):
         lhs: dict = {}
@@ -344,7 +339,7 @@ def check_crossed(cd: CrossedDatum) -> Report:
                          tensor_vec(field, bv(g2), lact(bv(g1), bv(j)), adim), cg)
         return lhs == rhs
 
-    _scan(rep, "lact-symmetry", iproduct(hr, ar), (hl, al), lact_symmetry)
+    _scan(rep, "lact-symmetry", iproduct(hr, ar), lact_symmetry, _tuple_label(hl, al))
 
     def cocycle_symmetry(g, i):
         lhs: dict = {}
@@ -358,7 +353,7 @@ def check_crossed(cd: CrossedDatum) -> Report:
                     field, h.mul(bv(g2), bv(i2)), coc(bv(g1), bv(i1)), adim), c)
         return lhs == rhs
 
-    _scan(rep, "cocycle-symmetry", iproduct(hr, hr), (hl, hl), cocycle_symmetry)
+    _scan(rep, "cocycle-symmetry", iproduct(hr, hr), cocycle_symmetry, _tuple_label(hl, hl))
     return rep
 
 
@@ -432,65 +427,13 @@ def deform_matched_pair(mp: MatchedPair, u: LazyCocycle) -> ExtendingDatum:
     a, h = mp.a, mp.h
     if not isinstance(a, FDHopf):
         raise ValueError("deformation needs an antipode on the base")
-    field = mp.field
     if u.base != a or u.ext != h.unit_coalgebra():
         raise ValueError("cocycle context does not match the matched pair")
     if not is_lazy_cocycle(u.linmap, u.ext, a):
         raise ValueError("map is not a lazy cocycle")
-    hc, ac = h.coalgebra, a.coalgebra
-    bv = lambda i: basis_vec(field, i)
-    adim, hdim = a.dim, h.dim
-    um = u.linmap
-    for hi in range(hdim):
-        for gi in range(hdim):
-            got = mp.ract.bilin(bv(hi), um.apply(bv(gi)), adim)
-            want = vec_scale(field, hc.counit(bv(gi)), bv(hi))
-            if got != want:
-                raise ValueError(
-                    "right action does not kill the cocycle at "
-                    f"({h.space.labels[hi]},{h.space.labels[gi]})"
-                )
-    sa = a.antipode
-
-    def amul(*vs):
-        out = vs[0]
-        for v in vs[1:]:
-            out = a.mul(out, v)
-        return out
-
-    lact_cols = {}
-    for hi in range(hdim):
-        for ci in range(adim):
-            out: dict = {}
-            for (h1, h2, h3), ch in hc.expand(hi, 3):
-                for (c1, c2), cc in ac.expand(ci, 2):
-                    term = amul(um.apply(bv(h1)),
-                                mp.lact.bilin(bv(h2), bv(c1), adim),
-                                sa.apply(um.apply(mp.ract.bilin(bv(h3), bv(c2), adim))))
-                    vec_add_into(field, out, term, field.mul(ch, cc))
-            if out:
-                lact_cols[hi * adim + ci] = out
-    lact = LinMap(field, tensor_space(h.space, a.space), a.space, lact_cols)
-
-    coc_cols = {}
-    for hi in range(hdim):
-        for gi in range(hdim):
-            out = {}
-            for (h1, h2, h3), ch in hc.expand(hi, 3):
-                for (g1, g2), cg in hc.expand(gi, 2):
-                    term = amul(um.apply(bv(h1)),
-                                mp.lact.bilin(bv(h2), um.apply(bv(g1)), adim),
-                                sa.apply(um.apply(h.mul(bv(h3), bv(g2)))))
-                    vec_add_into(field, out, term, field.mul(ch, cg))
-            if out:
-                coc_cols[hi * hdim + gi] = out
-    cocycle = LinMap(field, tensor_space(h.space, h.space), a.space, coc_cols)
-
-    return ExtendingDatum(
-        base=a,
-        ext=h.unit_coalgebra(),
-        dot=h.mult,
-        ract=mp.ract,
-        lact=lact,
-        cocycle=cocycle,
-    )
+    d = matched_pair_datum(mp)
+    kills = Report()
+    if not _scan_ract_kills(kills, d, u):
+        raise ValueError(
+            f"right action does not kill the cocycle at {kills.first_failure().witness}")
+    return deform_datum(d, u)

@@ -284,14 +284,17 @@ class FDHopf(FDBialgebra):
 
 
 def tensor_coalgebra(c: FDCoalgebra, d: FDCoalgebra) -> FDCoalgebra:
-    """The tensor-product coalgebra: (c (x) d)_(1..2) pairs componentwise."""
+    """The tensor-product coalgebra: (c (x) d)_(1..2) pairs componentwise,
+    delta(x (x) y) = (x1 (x) y1) (x) (x2 (x) y2)."""
     field = same_field(c, d)
     space = tensor_space(c.space, d.space)
-    shuffle = tensor_map(
-        tensor_map(LinMap.identity(field, c.space), twist_map(field, c.space, d.space)),
-        LinMap.identity(field, d.space),
-    )
-    delta = compose(shuffle, tensor_map(c.delta, d.delta))
+    n, cop_d = d.dim, _coproducts(d)
+    cols = {}
+    for i, cop_i in enumerate(_coproducts(c)):
+        for j, cop_j in enumerate(cop_d):
+            cols[i * n + j] = {(a1 * n + b1) * space.dim + a2 * n + b2: field.mul(x, y)
+                               for a1, a2, x in cop_i for b1, b2, y in cop_j}
+    delta = LinMap(field, space, tensor_space(space, space), cols)
     epsilon = tensor_map(c.epsilon, d.epsilon)
     return FDCoalgebra(field, space, delta, epsilon)
 
@@ -343,14 +346,22 @@ def _counits(c: FDCoalgebra) -> list:
     return [dict(c.epsilon.cols.get(i, ())).get(0, zero) for i in range(c.dim)]
 
 
-def _scan(rep: Report, name: str, tuples, holds, label):
+def _scan(rep: Report, name: str, tuples, holds, label) -> bool:
     """Record whether ``holds`` is true on every tuple, in the given order;
-    a failure is witnessed by ``label`` of the first tuple where it is not."""
+    a failure is witnessed by ``label`` of the first tuple where it is not.
+    Returns the verdict."""
     for tup in tuples:
         if not holds(*tup):
             rep.add(name, False, label(*tup))
-            return
+            return False
     rep.add(name, True)
+    return True
+
+
+def _tuple_label(*labels):
+    """The witness label "(a,b,c)" of a basis tuple, from one label list per
+    position."""
+    return lambda *tup: "(" + ",".join(lab[k] for lab, k in zip(labels, tup)) + ")"
 
 
 def check_coalgebra(c: FDCoalgebra) -> Report:
@@ -427,7 +438,7 @@ def check_bialgebra(b: FDBialgebra) -> Report:
     cop, eps = _coproducts(b.coalgebra), _counits(b.coalgebra)
     labels = b.space.labels
     pairs = list(iproduct(range(n), repeat=2))
-    pair_label = lambda i, j: f"({labels[i]},{labels[j]})"  # as tensor_space names it
+    pair_label = _tuple_label(labels, labels)  # as tensor_space names it
     rep = Report("bialgebra axioms")
     rep.extend(check_coalgebra(b.coalgebra))
     rep.extend(check_algebra(b.algebra))

@@ -37,6 +37,8 @@ from .structures import (
     is_coalgebra_antimap,
     is_coalgebra_map,
     tensor_coalgebra,
+    _scan,
+    _tuple_label,
 )
 
 CONDITION_NAMES = (
@@ -133,16 +135,6 @@ class _Ops:
         return out
 
 
-def _scan(rep: Report, name: str, tuples, labels, check):
-    """Quantify a pointwise identity; record the first failing tuple."""
-    for tup in tuples:
-        if not check(*tup):
-            witness = "(" + ",".join(lab[k] for lab, k in zip(labels, tup)) + ")"
-            rep.add(name, False, witness)
-            return
-    rep.add(name, True)
-
-
 def validate_datum(d: ExtendingDatum) -> Report:
     """Unit/counit normalization and coalgebra-map property of all four maps."""
     field = d.field
@@ -152,7 +144,7 @@ def validate_datum(d: ExtendingDatum) -> Report:
     one_h = h.unit
     bv = lambda i: basis_vec(field, i)
     eps_h = h.coalg.counit
-    hl, al = (h.space.labels,), (a.space.labels,)
+    hl, al = _tuple_label(h.space.labels), _tuple_label(a.space.labels)
 
     du = h.delta.apply(one_h)
     ok = du == tensor_vec(field, one_h, one_h, h.dim) and eps_h(one_h) == field.one
@@ -165,22 +157,22 @@ def validate_datum(d: ExtendingDatum) -> Report:
     rep.add("cocycle-coalgebra-map", is_coalgebra_map(d.cocycle, hh, a.coalgebra))
     rep.add("dot-coalgebra-map", is_coalgebra_map(d.dot, hh, h.coalg))
 
-    _scan(rep, "lact-normal-unit-right", iproduct(range(h.dim)), hl,
-          lambda i: ops.lact(bv(i), a.unit) == vec_scale(field, eps_h(bv(i)), a.unit))
-    _scan(rep, "lact-normal-unit-left", iproduct(range(a.dim)), al,
-          lambda j: ops.lact(one_h, bv(j)) == bv(j))
-    _scan(rep, "ract-normal-unit-left", iproduct(range(a.dim)), al,
-          lambda j: ops.ract(one_h, bv(j)) == vec_scale(field, a.counit(bv(j)), one_h))
-    _scan(rep, "ract-normal-unit-right", iproduct(range(h.dim)), hl,
-          lambda i: ops.ract(bv(i), a.unit) == bv(i))
-    _scan(rep, "cocycle-normal-right", iproduct(range(h.dim)), hl,
-          lambda i: ops.coc(bv(i), one_h) == vec_scale(field, eps_h(bv(i)), a.unit))
-    _scan(rep, "cocycle-normal-left", iproduct(range(h.dim)), hl,
-          lambda i: ops.coc(one_h, bv(i)) == vec_scale(field, eps_h(bv(i)), a.unit))
-    _scan(rep, "dot-unit-left", iproduct(range(h.dim)), hl,
-          lambda i: ops.dot(one_h, bv(i)) == bv(i))
-    _scan(rep, "dot-unit-right", iproduct(range(h.dim)), hl,
-          lambda i: ops.dot(bv(i), one_h) == bv(i))
+    _scan(rep, "lact-normal-unit-right", iproduct(range(h.dim)),
+          lambda i: ops.lact(bv(i), a.unit) == vec_scale(field, eps_h(bv(i)), a.unit), hl)
+    _scan(rep, "lact-normal-unit-left", iproduct(range(a.dim)),
+          lambda j: ops.lact(one_h, bv(j)) == bv(j), al)
+    _scan(rep, "ract-normal-unit-left", iproduct(range(a.dim)),
+          lambda j: ops.ract(one_h, bv(j)) == vec_scale(field, a.counit(bv(j)), one_h), al)
+    _scan(rep, "ract-normal-unit-right", iproduct(range(h.dim)),
+          lambda i: ops.ract(bv(i), a.unit) == bv(i), hl)
+    _scan(rep, "cocycle-normal-right", iproduct(range(h.dim)),
+          lambda i: ops.coc(bv(i), one_h) == vec_scale(field, eps_h(bv(i)), a.unit), hl)
+    _scan(rep, "cocycle-normal-left", iproduct(range(h.dim)),
+          lambda i: ops.coc(one_h, bv(i)) == vec_scale(field, eps_h(bv(i)), a.unit), hl)
+    _scan(rep, "dot-unit-left", iproduct(range(h.dim)),
+          lambda i: ops.dot(one_h, bv(i)) == bv(i), hl)
+    _scan(rep, "dot-unit-right", iproduct(range(h.dim)),
+          lambda i: ops.dot(bv(i), one_h) == bv(i), hl)
     return rep
 
 
@@ -212,12 +204,12 @@ def check_product_conditions(d: ExtendingDatum) -> Report:
             return False
         return hc.counit(prod) == mul2(hc.counit(bv(g)), hc.counit(bv(i)))
 
-    _scan(rep, "comult-multiplicative", iproduct(hr, hr), (hl, hl),
-          comult_multiplicative)
+    _scan(rep, "comult-multiplicative", iproduct(hr, hr), comult_multiplicative,
+          _tuple_label(hl, hl))
 
-    _scan(rep, "right-module", iproduct(hr, ar, ar), (hl, al, al),
+    _scan(rep, "right-module", iproduct(hr, ar, ar),
           lambda g, i, j: ops.ract(ops.ract(bv(g), bv(i)), bv(j))
-          == ops.ract(bv(g), a.mul(bv(i), bv(j))))
+          == ops.ract(bv(g), a.mul(bv(i), bv(j))), _tuple_label(hl, al, al))
 
     def twisted_associativity(g, i, j):
         lhs = ops.dot(ops.dot(bv(g), bv(i)), bv(j))
@@ -229,8 +221,8 @@ def check_product_conditions(d: ExtendingDatum) -> Report:
                 vec_add_into(field, rhs, term, mul2(ci, cj))
         return lhs == rhs
 
-    _scan(rep, "twisted-associativity", iproduct(hr, hr, hr), (hl, hl, hl),
-          twisted_associativity)
+    _scan(rep, "twisted-associativity", iproduct(hr, hr, hr), twisted_associativity,
+          _tuple_label(hl, hl, hl))
 
     def lact_multiplicative(g, i, j):
         lhs = ops.lact(bv(g), a.mul(bv(i), bv(j)))
@@ -242,8 +234,8 @@ def check_product_conditions(d: ExtendingDatum) -> Report:
                 vec_add_into(field, rhs, term, mul2(cg, ci))
         return lhs == rhs
 
-    _scan(rep, "lact-multiplicative", iproduct(hr, ar, ar), (hl, al, al),
-          lact_multiplicative)
+    _scan(rep, "lact-multiplicative", iproduct(hr, ar, ar), lact_multiplicative,
+          _tuple_label(hl, al, al))
 
     def ract_dot_compat(g, i, j):
         lhs = ops.ract(ops.dot(bv(g), bv(i)), bv(j))
@@ -255,8 +247,8 @@ def check_product_conditions(d: ExtendingDatum) -> Report:
                 vec_add_into(field, rhs, term, mul2(ci, cj))
         return lhs == rhs
 
-    _scan(rep, "ract-dot-compat", iproduct(hr, hr, ar), (hl, hl, al),
-          ract_dot_compat)
+    _scan(rep, "ract-dot-compat", iproduct(hr, hr, ar), ract_dot_compat,
+          _tuple_label(hl, hl, al))
 
     def twisted_module(g, i, j):
         lhs: dict = {}
@@ -277,8 +269,8 @@ def check_product_conditions(d: ExtendingDatum) -> Report:
                 vec_add_into(field, rhs, term, mul2(cg, ci))
         return lhs == rhs
 
-    _scan(rep, "twisted-module", iproduct(hr, hr, ar), (hl, hl, al),
-          twisted_module)
+    _scan(rep, "twisted-module", iproduct(hr, hr, ar), twisted_module,
+          _tuple_label(hl, hl, al))
 
     def cocycle_condition(g, i, j):
         lhs: dict = {}
@@ -299,8 +291,8 @@ def check_product_conditions(d: ExtendingDatum) -> Report:
                 vec_add_into(field, rhs, term, mul2(cg, ci))
         return lhs == rhs
 
-    _scan(rep, "cocycle-condition", iproduct(hr, hr, hr), (hl, hl, hl),
-          cocycle_condition)
+    _scan(rep, "cocycle-condition", iproduct(hr, hr, hr), cocycle_condition,
+          _tuple_label(hl, hl, hl))
 
     def action_symmetry(g, j):
         lhs: dict = {}
@@ -314,7 +306,7 @@ def check_product_conditions(d: ExtendingDatum) -> Report:
                     field, ops.ract(bv(g2), bv(j2)), ops.lact(bv(g1), bv(j1)), a.dim), c)
         return lhs == rhs
 
-    _scan(rep, "action-symmetry", iproduct(hr, ar), (hl, al), action_symmetry)
+    _scan(rep, "action-symmetry", iproduct(hr, ar), action_symmetry, _tuple_label(hl, al))
 
     def cocycle_symmetry(g, i):
         lhs: dict = {}
@@ -328,7 +320,7 @@ def check_product_conditions(d: ExtendingDatum) -> Report:
                     field, ops.dot(bv(g2), bv(i2)), ops.coc(bv(g1), bv(i1)), a.dim), c)
         return lhs == rhs
 
-    _scan(rep, "cocycle-symmetry", iproduct(hr, hr), (hl, hl), cocycle_symmetry)
+    _scan(rep, "cocycle-symmetry", iproduct(hr, hr), cocycle_symmetry, _tuple_label(hl, hl))
     return rep
 
 
@@ -420,7 +412,7 @@ def _mixed_relations(d: ExtendingDatum, e: FDBialgebra) -> Report:
                     tensor_vec(field, bv(ci), bv(gi), nh))
         return got == tensor_vec(field, a.mul(bv(ai), bv(ci)), bv(gi), nh)
 
-    _scan(rep, "mixed-left-base", iproduct(ar, ar, hr), (al, al, hl), left_base)
+    _scan(rep, "mixed-left-base", iproduct(ar, ar, hr), left_base, _tuple_label(al, al, hl))
 
     def against_ext(ai, gi, hi):
         got = e.mul(tensor_vec(field, bv(ai), bv(gi), nh),
@@ -434,7 +426,7 @@ def _mixed_relations(d: ExtendingDatum, e: FDBialgebra) -> Report:
                 vec_add_into(field, want, term, field.mul(cg, ch))
         return got == want
 
-    _scan(rep, "mixed-cocycle", iproduct(ar, hr, hr), (al, hl, hl), against_ext)
+    _scan(rep, "mixed-cocycle", iproduct(ar, hr, hr), against_ext, _tuple_label(al, hl, hl))
 
     def against_base(ai, gi, bi):
         got = e.mul(tensor_vec(field, bv(ai), bv(gi), nh),
@@ -448,14 +440,15 @@ def _mixed_relations(d: ExtendingDatum, e: FDBialgebra) -> Report:
                 vec_add_into(field, want, term, field.mul(cg, cb))
         return got == want
 
-    _scan(rep, "mixed-actions", iproduct(ar, hr, ar), (al, hl, al), against_base)
+    _scan(rep, "mixed-actions", iproduct(ar, hr, ar), against_base,
+          _tuple_label(al, hl, al))
 
     def generator(ai, gi):
         got = e.mul(tensor_vec(field, bv(ai), one_h, nh),
                     tensor_vec(field, one_a, bv(gi), nh))
         return got == tensor_vec(field, bv(ai), bv(gi), nh)
 
-    _scan(rep, "generator-identity", iproduct(ar, hr), (al, hl), generator)
+    _scan(rep, "generator-identity", iproduct(ar, hr), generator, _tuple_label(al, hl))
     return rep
 
 

@@ -286,3 +286,258 @@ def test_bicrossed_equivalence_direct_product_deformed_by_central_map():
         target = next(iter(u.linmap.col(1)))
         verdicts[target] = check_bicrossed_equivalence(mp, mp, u).ok
     assert verdicts == {0: True, 1: False, 2: True, 3: False}
+
+
+# ---------------------------------------------------------------------------
+# independent reference formulas for the shared deformation evaluators
+
+
+def composed_is_lazy_cocycle(u, h, a):
+    """The lazy-cocycle test as composed maps: a unital coalgebra map with
+    (id (x) u) . delta = (id (x) u) . twist . delta."""
+    from hopfprod.structures import is_coalgebra_map
+    from hopfprod.linalg import tensor_map, twist_map
+
+    if not is_coalgebra_map(u, h.coalg, a.coalgebra):
+        return False
+    if u.apply(h.unit) != a.unit:
+        return False
+    ident = LinMap.identity(h.field, h.space)
+    straight = compose(tensor_map(ident, u), h.delta)
+    crossed = compose(tensor_map(ident, u),
+                      compose(twist_map(h.field, h.space, h.space), h.delta))
+    return straight == crossed
+
+
+def _amul(a, *vs):
+    out = vs[0]
+    for v in vs[1:]:
+        out = a.mul(out, v)
+    return out
+
+
+def reference_deform_matched_pair(mp, u):
+    """The bicrossed deformation in closed form, for a u the right action
+    kills: the dot stays the multiplication of H, the left action conjugates
+    by u and the cocycle is u(h1) (h2 |> u(g1)) S_A(u(h3 g2))."""
+    from hopfprod.linalg import basis_vec, tensor_space, vec_add_into
+    from hopfprod.unified import ExtendingDatum
+
+    a, h = mp.a, mp.h
+    field = mp.field
+    hc, ac = h.coalgebra, a.coalgebra
+    bv = lambda i: basis_vec(field, i)
+    adim, hdim = a.dim, h.dim
+    um, sa = u.linmap, a.antipode
+    lact_cols = {}
+    for hi in range(hdim):
+        for ci in range(adim):
+            out: dict = {}
+            for (h1, h2, h3), ch in hc.expand(hi, 3):
+                for (c1, c2), cc in ac.expand(ci, 2):
+                    term = _amul(a, um.apply(bv(h1)),
+                                 mp.lact.bilin(bv(h2), bv(c1), adim),
+                                 sa.apply(um.apply(mp.ract.bilin(bv(h3), bv(c2), adim))))
+                    vec_add_into(field, out, term, field.mul(ch, cc))
+            lact_cols[hi * adim + ci] = out
+    coc_cols = {}
+    for hi in range(hdim):
+        for gi in range(hdim):
+            out = {}
+            for (h1, h2, h3), ch in hc.expand(hi, 3):
+                for (g1, g2), cg in hc.expand(gi, 2):
+                    term = _amul(a, um.apply(bv(h1)),
+                                 mp.lact.bilin(bv(h2), um.apply(bv(g1)), adim),
+                                 sa.apply(um.apply(h.mul(bv(h3), bv(g2)))))
+                    vec_add_into(field, out, term, field.mul(ch, cg))
+            coc_cols[hi * hdim + gi] = out
+    return ExtendingDatum(
+        base=a, ext=h.unit_coalgebra(), dot=h.mult, ract=mp.ract,
+        lact=LinMap(field, tensor_space(h.space, a.space), a.space, lact_cols),
+        cocycle=LinMap(field, tensor_space(h.space, h.space), a.space, coc_cols),
+    )
+
+
+def reference_kill_failure(mp, u):
+    """The first pair (h, g) with h <| u(g) != counit(g) h, as labels."""
+    from hopfprod.linalg import basis_vec, vec_scale
+
+    field, h = mp.field, mp.h
+    for hi in range(h.dim):
+        for gi in range(h.dim):
+            got = mp.ract.bilin(basis_vec(field, hi), u.linmap.col(gi), mp.a.dim)
+            want = vec_scale(field, h.counit(basis_vec(field, gi)), basis_vec(field, hi))
+            if got != want:
+                return f"({h.space.labels[hi]},{h.space.labels[gi]})"
+    return None
+
+
+def reference_deformation_rows(d, d2, u):
+    """(condition, passed, witness) rows for the right-action gate and the
+    three deformation formulas, in the order check_equivalence reports them;
+    the deformed cocycle is written against d2's own dot."""
+    from hopfprod.linalg import basis_vec, vec_add_into
+
+    if d2.ract != d.ract:
+        return [("ract-equal", False, "right actions differ")]
+    a, h = d.base, d.ext
+    field = d.field
+    hc, ac = h.coalg, a.coalgebra
+    bv = lambda i: basis_vec(field, i)
+    sa, um = a.antipode, u.linmap
+    adim, hdim = a.dim, h.dim
+    hl, al = h.space.labels, a.space.labels
+
+    def lact(hi, ci):
+        want: dict = {}
+        for (h1, h2, h3), ch in hc.expand(hi, 3):
+            for (c1, c2), cc in ac.expand(ci, 2):
+                term = _amul(a, um.apply(bv(h1)),
+                             d.lact.bilin(bv(h2), bv(c1), adim),
+                             sa.apply(um.apply(d.ract.bilin(bv(h3), bv(c2), adim))))
+                vec_add_into(field, want, term, field.mul(ch, cc))
+        return d2.lact.bilin(bv(hi), bv(ci), adim) == want
+
+    def dot(hi, gi):
+        want: dict = {}
+        for (g1, g2), cg in hc.expand(gi, 2):
+            term = d.dot.bilin(d.ract.bilin(bv(hi), um.apply(bv(g1)), adim),
+                               bv(g2), hdim)
+            vec_add_into(field, want, term, cg)
+        return d2.dot.bilin(bv(hi), bv(gi), hdim) == want
+
+    def cocycle(hi, gi):
+        want: dict = {}
+        for (h1, h2, h3, h4), ch in hc.expand(hi, 4):
+            for (g1, g2, g3, g4), cg in hc.expand(gi, 4):
+                term = _amul(
+                    a,
+                    um.apply(bv(h1)),
+                    d.lact.bilin(bv(h2), um.apply(bv(g1)), adim),
+                    d.cocycle.bilin(
+                        d.ract.bilin(bv(h3), um.apply(bv(g2)), adim), bv(g3), hdim),
+                    sa.apply(um.apply(d2.dot.bilin(bv(h4), bv(g4), hdim))),
+                )
+                vec_add_into(field, want, term, field.mul(ch, cg))
+        return d2.cocycle.bilin(bv(hi), bv(gi), hdim) == want
+
+    rows = [("ract-equal", True, None)]
+    for name, holds, left, right in (("deformed-lact", lact, hl, al),
+                                     ("deformed-dot", dot, hl, hl),
+                                     ("deformed-cocycle", cocycle, hl, hl)):
+        witness = next((f"({left[i]},{right[j]})"
+                        for i in range(len(left)) for j in range(len(right))
+                        if not holds(i, j)), None)
+        rows.append((name, witness is None, witness))
+    return rows
+
+
+def killed_cocycle_pairs():
+    from hopfprod.fields import PrimeField
+
+    return [
+        s3_matched_pair(),
+        s3_matched_pair(PrimeField(7)),
+        trivial_matched_pair(group_algebra(builtin_group("c4")),
+                             group_algebra(builtin_group("c2"))),
+        trivial_matched_pair(group_algebra(builtin_group("c3")),
+                             group_algebra(builtin_group("s3"))),
+    ]
+
+
+def test_deform_matched_pair_matches_the_closed_formula():
+    from hopfprod.serialize import serialize
+
+    count = 0
+    for mp in killed_cocycle_pairs():
+        for u in enumerate_cocycles(mp.h.unit_coalgebra(), mp.a):
+            assert reference_kill_failure(mp, u) is None
+            assert serialize(deform_matched_pair(mp, u)) == \
+                serialize(reference_deform_matched_pair(mp, u))
+            count += 1
+    assert count == 253
+
+
+def test_deform_matched_pair_names_the_pair_the_ract_does_not_kill():
+    mp = s3_transposed_matched_pair()
+    witnesses = []
+    for u in enumerate_cocycles(mp.h.unit_coalgebra(), mp.a):
+        witness = reference_kill_failure(mp, u)
+        if witness is None:
+            deform_matched_pair(mp, u)
+            continue
+        with pytest.raises(ValueError) as info:
+            deform_matched_pair(mp, u)
+        assert str(info.value) == f"right action does not kill the cocycle at {witness}"
+        witnesses.append(witness)
+    assert witnesses == ["((0 1 2),(0 2 1))", "((0 1 2),(0 1 2))",
+                         "((0 1 2),(0 1 2))"]
+
+
+def _with_one_entry_changed(m: LinMap, k: int) -> LinMap:
+    cols = {i: dict(col) for i, col in m.cols.items()}
+    old = next(iter(cols.get(k, {0: None})))
+    cols[k] = {(old + 1) % m.codomain.dim: m.field.one}
+    return LinMap(m.field, m.domain, m.codomain, cols)
+
+
+def test_check_equivalence_rows_match_the_reference_on_perturbations():
+    from dataclasses import replace
+
+    from hopfprod.classification import deform_datum
+    from hopfprod.corpus import a4_unified_datum
+
+    failing = set()
+    for d in (a4_unified_datum(), crossed_datum(z4_crossed_datum())):
+        u = enumerate_cocycles(d.ext, d.base)[1]
+        d2 = deform_datum(d, u)
+        cases = [d2] + [replace(d2, **{name: _with_one_entry_changed(getattr(d2, name), k)})
+                        for name in ("lact", "dot", "cocycle")
+                        for k in range(getattr(d2, name).domain.dim)]
+        for d2p in cases:
+            want = reference_deformation_rows(d, d2p, u)
+            got = [(it.condition, it.passed, it.witness)
+                   for it in check_equivalence(d, d2p, u).report.items]
+            assert got[:len(want)] == want
+            if not all(passed for _, passed, _ in want):
+                assert len(got) == len(want)
+            failing.update(name for name, passed, _ in want if not passed)
+    assert failing == {"deformed-lact", "deformed-dot", "deformed-cocycle"}
+
+
+def test_lazy_cocycle_verdict_matches_the_composed_maps():
+    import random
+
+    from helpers import random_linmap
+    from hopfprod.corpus import a4_unified_datum
+    from hopfprod.fields import PrimeField
+
+    contexts = [(mp.h.unit_coalgebra(), mp.a) for mp in killed_cocycle_pairs()]
+    contexts += [(s3_transposed_matched_pair().h.unit_coalgebra(),
+                  s3_transposed_matched_pair().a)]
+    for d in (a4_unified_datum(), crossed_datum(z4_crossed_datum())):
+        contexts.append((d.ext, d.base))
+    verdicts = []
+    for h, a in contexts:
+        for u in enumerate_cocycles(h, a):
+            verdicts.append(is_lazy_cocycle(u.linmap, h, a))
+            assert verdicts[-1] == composed_is_lazy_cocycle(u.linmap, h, a)
+    rng = random.Random(4)
+    for field in (QQ, PrimeField(5)):
+        h4 = sweedler_bialgebra(field)
+        h = UnitalCoalgebra(h4.coalgebra, h4.unit)
+        c2 = group_algebra(builtin_group("c2"), field)
+        one = field.one
+        # 1 -> 1, g -> t and 1 -> 1, g -> 1 with x, gx -> 0 are both unital
+        # coalgebra maps; only the second satisfies the lazy identity
+        for a, m in ((h4, LinMap.identity(field, h4.space)),
+                     (h4, LinMap(field, h4.space, h4.space, {0: {0: one}, 1: {0: one}})),
+                     (c2, LinMap(field, h4.space, c2.space, {0: {0: one}, 1: {1: one}})),
+                     (c2, LinMap(field, h4.space, c2.space, {0: {0: one}, 1: {0: one}}))):
+            verdicts.append(is_lazy_cocycle(m, h, a))
+            assert verdicts[-1] == composed_is_lazy_cocycle(m, h, a)
+        for a in (h4, c2):
+            for _ in range(20):
+                m = random_linmap(rng, field, h.space, a.space, density=0.3)
+                assert is_lazy_cocycle(m, h, a) == composed_is_lazy_cocycle(m, h, a)
+    assert True in verdicts and False in verdicts

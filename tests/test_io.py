@@ -94,6 +94,10 @@ def test_malformed_documents_rejected():
         b'{"format":"hopfprod/1","kind":"coalgebra","field":{"kind":"mod-p","p":6},"payload":{}}',
         b'{"format":"hopfprod/1","kind":"coalgebra","field":{"kind":"mod-p","p":1e400},"payload":{}}',
         b'{"format":"hopfprod/1","kind":"coalgebra","field":{"kind":"mod-p","p":null},"payload":{}}',
+        b'{"format":"hopfprod/1","kind":"coalgebra","field":{"kind":"mod-p","p":7.9},"payload":{}}',
+        b'{"format":"hopfprod/1","kind":"coalgebra","field":{"kind":"mod-p","p":"7"},"payload":{}}',
+        b'{"format":"hopfprod/1","kind":"coalgebra","field":{"kind":"mod-p","p":7.0},"payload":{}}',
+        b'{"format":"hopfprod/1","kind":"coalgebra","field":{"kind":"mod-p","p":true},"payload":{}}',
     ]
     for data in bad:
         with pytest.raises(MalformedDocumentError):
@@ -242,6 +246,37 @@ def test_cli_equiv_search_negative(tmp_path, capsys):
     assert "not equivalent" in out
 
 
+def test_cli_equiv_with_wrong_cocycle_prints_failing_report(tmp_path, capsys):
+    from hopfprod.classification import deform_datum
+
+    d = a4_unified_datum()
+    cocycles = enumerate_cocycles(d.ext, d.base)
+    p1, p2, pc = tmp_path / "d1.json", tmp_path / "d2.json", tmp_path / "u.json"
+    p1.write_bytes(serialize(d))
+    p2.write_bytes(serialize(deform_datum(d, cocycles[1])))
+    pc.write_bytes(serialize(cocycles[2]))
+    code, out, _ = run_cli(capsys, "equiv", str(p1), str(p2), "--cocycle", str(pc))
+    assert code == 1
+    assert machine_section(out) == {
+        "field": {"kind": "rational"},
+        "format": "hopfprod/1",
+        "kind": "report",
+        "payload": {
+            "checks": [
+                {"condition": "ract-equal", "passed": True, "witness": None},
+                {"condition": "deformed-lact", "passed": False,
+                 "witness": "((1 3 2),(0 1)(2 3))"},
+                {"condition": "deformed-dot", "passed": False,
+                 "witness": "((1 2 3),(0 2 3))"},
+                {"condition": "deformed-cocycle", "passed": False,
+                 "witness": "((1 2 3),(0 2 1))"},
+            ],
+            "ok": False,
+            "title": "extending-structure equivalence",
+        },
+    }
+
+
 def test_cli_enum_cocycles_and_cap(tmp_path, capsys):
     h = grouplike_coalgebra(("p", "q", "r"))
     a = group_algebra(builtin_group("c2"))
@@ -328,6 +363,15 @@ def test_cli_huge_modulus_exits_two(tmp_path, capsys):
     assert code == 2
     assert err.count("\n") == 1 and "Traceback" not in err
     assert "below 2**64" in err
+
+
+def test_cli_non_integer_modulus_exits_two(tmp_path, capsys):
+    path = tmp_path / "float.json"
+    for p in (7.9, "7", 7.0):
+        path.write_bytes(mod_p_datum_document(p))
+        code, _, err = run_cli(capsys, "verify", str(path))
+        assert code == 2
+        assert "not an integer" in err and err.count("\n") == 1
 
 
 def test_cli_61_bit_prime_modulus_is_quick(tmp_path, capsys):

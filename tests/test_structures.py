@@ -37,6 +37,7 @@ from hopfprod.structures import (
     is_coalgebra_map,
     tensor_algebra,
     tensor_bialgebra,
+    tensor_coalgebra,
 )
 
 
@@ -360,6 +361,30 @@ def oracle_fixtures():
         tensor_bialgebra(c2, c3),
         tensor_bialgebra(sweedler_bialgebra(), c2),
     ]
+
+
+def oracle_tensor_coalgebra_delta(c, d):
+    """(id (x) twist (x) id) . (delta_c (x) delta_d), composed."""
+    field = c.field
+    shuffle = tensor_map(
+        tensor_map(LinMap.identity(field, c.space), twist_map(field, c.space, d.space)),
+        LinMap.identity(field, d.space),
+    )
+    return compose(shuffle, tensor_map(c.delta, d.delta))
+
+
+def test_tensor_coalgebra_matches_the_composed_shuffle():
+    from hopfprod.serialize import serialize
+
+    s3 = group_algebra(builtin_group("s3"))
+    for x, y in [(b, b) for b in oracle_fixtures()] + [(sweedler_bialgebra(), s3),
+                                                          (s3, sweedler_bialgebra())]:
+        got = tensor_coalgebra(x.coalgebra, y.coalgebra)
+        want = FDCoalgebra(got.field, got.space,
+                           oracle_tensor_coalgebra_delta(x.coalgebra, y.coalgebra),
+                           tensor_map(x.epsilon, y.epsilon))
+        assert got == want
+        assert serialize(got) == serialize(want)
 
 
 def test_checkers_match_composed_map_oracle():
