@@ -40,11 +40,12 @@ from .structures import (
     _scan,
     _tuple_label,
     convolution,
+    convolution_unit,
     grouplike_indices,
     is_coalgebra_map,
     is_algebra_map,
 )
-from .unified import ExtendingDatum, _Ops, assemble_product
+from .unified import ExtendingDatum, _Ops, _base_inclusion, assemble_product
 
 if TYPE_CHECKING:  # pragma: no cover
     from .special import MatchedPair
@@ -99,13 +100,9 @@ class LazyCocycle:
         return self.linmap.apply(v)
 
 
-def trivial_cocycle_map(h: UnitalCoalgebra, a: FDBialgebra) -> LinMap:
-    """unit_A . counit_H, the unit of the convolution group."""
-    return compose(a.algebra.unit_map(), h.epsilon)
-
-
 def trivial_lazy_cocycle(h: UnitalCoalgebra, a: FDBialgebra) -> LazyCocycle:
-    return LazyCocycle(trivial_cocycle_map(h, a), h, a)
+    """unit_A . counit_H, the unit of the convolution group."""
+    return LazyCocycle(convolution_unit(h.coalg, a.algebra), h, a)
 
 
 def cocycle_convolve(u: LazyCocycle, v: LazyCocycle) -> LazyCocycle:
@@ -262,22 +259,9 @@ class EquivalenceResult:
         return self.report.ok
 
 
-def _incl_base(d: ExtendingDatum, carrier) -> LinMap:
-    field = d.field
-    return LinMap(field, d.base.space, carrier.space,
-                  {i: tensor_vec(field, basis_vec(field, i), d.ext.unit, d.ext.dim)
-                   for i in range(d.base.dim)})
-
-
-def check_equivalence(d: ExtendingDatum, d2: ExtendingDatum,
-                      u: LazyCocycle) -> EquivalenceResult:
-    """Is d2 the deformation of d by the lazy cocycle u?
-
-    Verifies the forced equality of right actions, then the three deformation
-    formulas for the left action, the cocycle and the dot.  On success the
-    certificate map ``phi: A (x)' H -> A (x) H`` is built and verified to be a
-    bijective bialgebra, left A-module and right H-comodule map.
-    """
+def _deformation_report(d: ExtendingDatum, d2: ExtendingDatum, u: LazyCocycle) -> Report:
+    """The rows of :func:`check_equivalence` up to its certificate: the
+    equality of right actions, then the three deformation formulas."""
     if d.base != d2.base or d.ext != d2.ext:
         raise ValueError("the two data must share the base and the coalgebra")
     a = d.base
@@ -287,18 +271,14 @@ def check_equivalence(d: ExtendingDatum, d2: ExtendingDatum,
         raise ValueError("cocycle context does not match the data")
     field = d.field
     h = d.ext
-    hc = h.coalg
     bv = lambda i: basis_vec(field, i)
-    sa = a.antipode
-    um = u.linmap
     hl, al = h.space.labels, a.space.labels
     hr, ar = range(h.dim), range(a.dim)
-    hdim = h.dim
     rep = Report("extending-structure equivalence")
 
     if d2.ract != d.ract:
         rep.add("ract-equal", False, "right actions differ")
-        return EquivalenceResult(rep, None)
+        return rep
     rep.add("ract-equal", True)
 
     deform, ops2 = _Deformation(d, u), _Ops(d2)
@@ -308,21 +288,29 @@ def check_equivalence(d: ExtendingDatum, d2: ExtendingDatum,
     ok = _scan(rep, "deformed-dot", iproduct(hr, hr),
                lambda hi, gi: ops2.dot(bv(hi), bv(gi)) == deform.dot(hi, gi),
                _tuple_label(hl, hl)) and ok
-    ok = _scan(rep, "deformed-cocycle", iproduct(hr, hr),
-               lambda hi, gi: ops2.coc(bv(hi), bv(gi)) == deform.cocycle(hi, gi, d2.dot),
-               _tuple_label(hl, hl)) and ok
-    if not ok:
-        return EquivalenceResult(rep, None)
+    _scan(rep, "deformed-cocycle", iproduct(hr, hr),
+          lambda hi, gi: ops2.coc(bv(hi), bv(gi)) == deform.cocycle(hi, gi, d2.dot),
+          _tuple_label(hl, hl))
+    return rep
 
-    prod = assemble_product(d)
-    prod2 = assemble_product(d2)
+
+def _certify(rep: Report, d: ExtendingDatum, d2: ExtendingDatum, u: LazyCocycle,
+             prod: FDBialgebra, prod2: FDBialgebra) -> EquivalenceResult:
+    """Build phi: A (x)' H -> A (x) H between the products ``prod2`` of d2
+    and ``prod`` of d, and add the rows that verify it to ``rep``."""
+    field = d.field
+    a, h = d.base, d.ext
+    bv = lambda i: basis_vec(field, i)
+    sa = a.antipode
+    um = u.linmap
+    hdim = h.dim
     phi_cols = {}
     psi_cols = {}
-    for ai in ar:
-        for hi in hr:
+    for ai in range(a.dim):
+        for hi in range(hdim):
             fcol: dict = {}
             gcol: dict = {}
-            for (h1, h2), ch in hc.expand(hi, 2):
+            for (h1, h2), ch in h.coalg.expand(hi, 2):
                 vec_add_into(field, fcol, tensor_vec(
                     field, a.mul(bv(ai), um.apply(bv(h1))), bv(h2), hdim), ch)
                 vec_add_into(field, gcol, tensor_vec(
@@ -335,18 +323,15 @@ def check_equivalence(d: ExtendingDatum, d2: ExtendingDatum,
     rep.add("phi-algebra-map", is_algebra_map(phi, prod2.algebra, prod.algebra))
     rep.add("phi-coalgebra-map", is_coalgebra_map(phi, prod2.coalgebra, prod.coalgebra))
 
-    i_a2 = _incl_base(d2, prod2)
-    i_a1 = _incl_base(d, prod)
     ident_e2 = LinMap.identity(field, prod2.space)
-    lhs = compose(phi, compose(prod2.mult, tensor_map(i_a2, ident_e2)))
-    rhs = compose(prod.mult, tensor_map(i_a1, phi))
+    lhs = compose(phi, compose(prod2.mult,
+                               tensor_map(_base_inclusion(d2, prod2.space), ident_e2)))
+    rhs = compose(prod.mult, tensor_map(_base_inclusion(d, prod.space), phi))
     rep.add("phi-left-module", lhs == rhs)
 
-    ident_a = LinMap.identity(field, a.space)
-    rho1 = tensor_map(ident_a, h.delta)
-    rho2 = tensor_map(ident_a, h.delta)
+    rho = tensor_map(LinMap.identity(field, a.space), h.delta)
     rep.add("phi-right-comodule",
-            compose(rho1, phi) == compose(tensor_map(phi, LinMap.identity(field, h.space)), rho2))
+            compose(rho, phi) == compose(tensor_map(phi, LinMap.identity(field, h.space)), rho))
 
     ident_full = LinMap.identity(field, prod.space)
     rep.add("phi-bijective",
@@ -355,13 +340,29 @@ def check_equivalence(d: ExtendingDatum, d2: ExtendingDatum,
     return EquivalenceResult(rep, cert)
 
 
+def check_equivalence(d: ExtendingDatum, d2: ExtendingDatum,
+                      u: LazyCocycle) -> EquivalenceResult:
+    """Is d2 the deformation of d by the lazy cocycle u?
+
+    Verifies the forced equality of right actions, then the three deformation
+    formulas for the left action, the cocycle and the dot.  On success the
+    certificate map ``phi: A (x)' H -> A (x) H`` is built and verified to be a
+    bijective bialgebra, left A-module and right H-comodule map.
+    """
+    rep = _deformation_report(d, d2, u)
+    if not rep.ok:
+        return EquivalenceResult(rep, None)
+    return _certify(rep, d, d2, u, assemble_product(d), assemble_product(d2))
+
+
 def quotient_classes(data: list[ExtendingDatum],
                      cap: int = DEFAULT_COCYCLE_CAP) -> list[list[int]]:
     """Partition data sharing (A, H, ract) into deformation-equivalence classes.
 
     Works by exhausting the enumerable cocycles, so it is gated to the
     group-like regime.  Symmetry and transitivity of the relation are
-    asserted, not assumed.
+    asserted, not assumed.  Each datum's product is assembled once and
+    shared by all the certificates it takes part in.
     """
     if not data:
         return []
@@ -370,13 +371,15 @@ def quotient_classes(data: list[ExtendingDatum],
         if d.base != first.base or d.ext != first.ext or d.ract != first.ract:
             raise ValueError("all data must share the base, coalgebra and right action")
     cocycles = enumerate_cocycles(first.ext, first.base, cap)
+    products = [assemble_product(d) for d in data]
     n = len(data)
-    related = [[False] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            related[i][j] = any(
-                check_equivalence(data[i], data[j], u).ok for u in cocycles
-            )
+
+    def equivalent(i, j, u):
+        rep = _deformation_report(data[i], data[j], u)
+        return rep.ok and _certify(rep, data[i], data[j], u, products[i], products[j]).ok
+
+    related = [[any(equivalent(i, j, u) for u in cocycles) for j in range(n)]
+               for i in range(n)]
     for i in range(n):
         if not related[i][i]:
             raise AssertionError("equivalence relation is not reflexive")

@@ -192,9 +192,7 @@ def cmd_enum_cocycles(args) -> int:
     a = _load(args.base, (FDBialgebra,), "a bialgebra or hopf document")
     try:
         cocycles = enumerate_cocycles(h, a, args.max_cocycles)
-    except NotGroupLikeError as exc:
-        raise CliError(EXIT_MALFORMED, str(exc))
-    except CapExceededError as exc:
+    except (NotGroupLikeError, CapExceededError) as exc:
         print(str(exc))
         return EXIT_UNDECIDED
     print(f"{len(cocycles)} lazy cocycles")

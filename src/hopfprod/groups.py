@@ -197,23 +197,6 @@ def from_permutations(perms) -> GroupTable:
     return GroupTable(table, [cycle_label(p) for p in elems])
 
 
-def generate_permutation_group(gens) -> GroupTable:
-    degree = len(gens[0])
-    ident = tuple(range(degree))
-    seen = {ident, *map(tuple, gens)}
-    frontier = list(seen)
-    while frontier:
-        new = []
-        for a in frontier:
-            for b in list(seen):
-                for c in (compose_perms(a, b), compose_perms(b, a)):
-                    if c not in seen:
-                        seen.add(c)
-                        new.append(c)
-        frontier = new
-    return from_permutations(seen)
-
-
 def cyclic_group(n: int) -> GroupTable:
     return GroupTable(
         [[(i + j) % n for j in range(n)] for i in range(n)],

@@ -135,6 +135,18 @@ class _Ops:
         return out
 
 
+def _coalgebra_map_rows(rep: Report, hc, ac, ract=None, lact=None, cocycle=None,
+                        dot=None) -> None:
+    """Add a "<name>-coalgebra-map" row for each structure map given, in the
+    order ract, lact, cocycle, dot.  The maps are checked as they are, so one
+    of the wrong shape raises here, before a datum is formed from it."""
+    ha, hh = tensor_coalgebra(hc, ac), tensor_coalgebra(hc, hc)
+    for name, m, src, dst in (("ract", ract, ha, hc), ("lact", lact, ha, ac),
+                              ("cocycle", cocycle, hh, ac), ("dot", dot, hh, hc)):
+        if m is not None:
+            rep.add(f"{name}-coalgebra-map", is_coalgebra_map(m, src, dst))
+
+
 def validate_datum(d: ExtendingDatum) -> Report:
     """Unit/counit normalization and coalgebra-map property of all four maps."""
     field = d.field
@@ -150,12 +162,8 @@ def validate_datum(d: ExtendingDatum) -> Report:
     ok = du == tensor_vec(field, one_h, one_h, h.dim) and eps_h(one_h) == field.one
     rep.add("unit-h-grouplike", ok, None if ok else "1_H")
 
-    hh = tensor_coalgebra(h.coalg, h.coalg)
-    ha = tensor_coalgebra(h.coalg, a.coalgebra)
-    rep.add("ract-coalgebra-map", is_coalgebra_map(d.ract, ha, h.coalg))
-    rep.add("lact-coalgebra-map", is_coalgebra_map(d.lact, ha, a.coalgebra))
-    rep.add("cocycle-coalgebra-map", is_coalgebra_map(d.cocycle, hh, a.coalgebra))
-    rep.add("dot-coalgebra-map", is_coalgebra_map(d.dot, hh, h.coalg))
+    _coalgebra_map_rows(rep, h.coalg, a.coalgebra, ract=d.ract, lact=d.lact,
+                        cocycle=d.cocycle, dot=d.dot)
 
     _scan(rep, "lact-normal-unit-right", iproduct(range(h.dim)),
           lambda i: ops.lact(bv(i), a.unit) == vec_scale(field, eps_h(bv(i)), a.unit), hl)
@@ -176,14 +184,14 @@ def validate_datum(d: ExtendingDatum) -> Report:
     return rep
 
 
-def check_product_conditions(d: ExtendingDatum) -> Report:
-    """The nine compatibility identities, each over all basis tuples."""
+def _condition_evaluators(d: ExtendingDatum) -> dict:
+    """The nine compatibility identities of d as pointwise evaluators, in
+    report order: name -> (index ranges, holds(*indices), witness label)."""
     field = d.field
     a, h = d.base, d.ext
     ops = _Ops(d)
     hc, ac = h.coalg, a.coalgebra
     bv = lambda i: basis_vec(field, i)
-    rep = Report("product compatibility")
     hl, al = h.space.labels, a.space.labels
     hr, ar = range(h.dim), range(a.dim)
     mul2 = field.mul
@@ -204,12 +212,8 @@ def check_product_conditions(d: ExtendingDatum) -> Report:
             return False
         return hc.counit(prod) == mul2(hc.counit(bv(g)), hc.counit(bv(i)))
 
-    _scan(rep, "comult-multiplicative", iproduct(hr, hr), comult_multiplicative,
-          _tuple_label(hl, hl))
-
-    _scan(rep, "right-module", iproduct(hr, ar, ar),
-          lambda g, i, j: ops.ract(ops.ract(bv(g), bv(i)), bv(j))
-          == ops.ract(bv(g), a.mul(bv(i), bv(j))), _tuple_label(hl, al, al))
+    def right_module(g, i, j):
+        return ops.ract(ops.ract(bv(g), bv(i)), bv(j)) == ops.ract(bv(g), a.mul(bv(i), bv(j)))
 
     def twisted_associativity(g, i, j):
         lhs = ops.dot(ops.dot(bv(g), bv(i)), bv(j))
@@ -221,9 +225,6 @@ def check_product_conditions(d: ExtendingDatum) -> Report:
                 vec_add_into(field, rhs, term, mul2(ci, cj))
         return lhs == rhs
 
-    _scan(rep, "twisted-associativity", iproduct(hr, hr, hr), twisted_associativity,
-          _tuple_label(hl, hl, hl))
-
     def lact_multiplicative(g, i, j):
         lhs = ops.lact(bv(g), a.mul(bv(i), bv(j)))
         rhs: dict = {}
@@ -234,9 +235,6 @@ def check_product_conditions(d: ExtendingDatum) -> Report:
                 vec_add_into(field, rhs, term, mul2(cg, ci))
         return lhs == rhs
 
-    _scan(rep, "lact-multiplicative", iproduct(hr, ar, ar), lact_multiplicative,
-          _tuple_label(hl, al, al))
-
     def ract_dot_compat(g, i, j):
         lhs = ops.ract(ops.dot(bv(g), bv(i)), bv(j))
         rhs: dict = {}
@@ -246,9 +244,6 @@ def check_product_conditions(d: ExtendingDatum) -> Report:
                                ops.ract(bv(i2), bv(j2)))
                 vec_add_into(field, rhs, term, mul2(ci, cj))
         return lhs == rhs
-
-    _scan(rep, "ract-dot-compat", iproduct(hr, hr, ar), ract_dot_compat,
-          _tuple_label(hl, hl, al))
 
     def twisted_module(g, i, j):
         lhs: dict = {}
@@ -269,9 +264,6 @@ def check_product_conditions(d: ExtendingDatum) -> Report:
                 vec_add_into(field, rhs, term, mul2(cg, ci))
         return lhs == rhs
 
-    _scan(rep, "twisted-module", iproduct(hr, hr, ar), twisted_module,
-          _tuple_label(hl, hl, al))
-
     def cocycle_condition(g, i, j):
         lhs: dict = {}
         for (g1, g2), cg in hc.expand(g, 2):
@@ -291,9 +283,6 @@ def check_product_conditions(d: ExtendingDatum) -> Report:
                 vec_add_into(field, rhs, term, mul2(cg, ci))
         return lhs == rhs
 
-    _scan(rep, "cocycle-condition", iproduct(hr, hr, hr), cocycle_condition,
-          _tuple_label(hl, hl, hl))
-
     def action_symmetry(g, j):
         lhs: dict = {}
         rhs: dict = {}
@@ -305,8 +294,6 @@ def check_product_conditions(d: ExtendingDatum) -> Report:
                 vec_add_into(field, rhs, tensor_vec(
                     field, ops.ract(bv(g2), bv(j2)), ops.lact(bv(g1), bv(j1)), a.dim), c)
         return lhs == rhs
-
-    _scan(rep, "action-symmetry", iproduct(hr, ar), action_symmetry, _tuple_label(hl, al))
 
     def cocycle_symmetry(g, i):
         lhs: dict = {}
@@ -320,56 +307,73 @@ def check_product_conditions(d: ExtendingDatum) -> Report:
                     field, ops.dot(bv(g2), bv(i2)), ops.coc(bv(g1), bv(i1)), a.dim), c)
         return lhs == rhs
 
-    _scan(rep, "cocycle-symmetry", iproduct(hr, hr), cocycle_symmetry, _tuple_label(hl, hl))
+    return {
+        "comult-multiplicative": ((hr, hr), comult_multiplicative, _tuple_label(hl, hl)),
+        "right-module": ((hr, ar, ar), right_module, _tuple_label(hl, al, al)),
+        "twisted-associativity": ((hr, hr, hr), twisted_associativity,
+                                  _tuple_label(hl, hl, hl)),
+        "lact-multiplicative": ((hr, ar, ar), lact_multiplicative, _tuple_label(hl, al, al)),
+        "ract-dot-compat": ((hr, hr, ar), ract_dot_compat, _tuple_label(hl, hl, al)),
+        "twisted-module": ((hr, hr, ar), twisted_module, _tuple_label(hl, hl, al)),
+        "cocycle-condition": ((hr, hr, hr), cocycle_condition, _tuple_label(hl, hl, hl)),
+        "action-symmetry": ((hr, ar), action_symmetry, _tuple_label(hl, al)),
+        "cocycle-symmetry": ((hr, hr), cocycle_symmetry, _tuple_label(hl, hl)),
+    }
+
+
+def _scan_condition(rep: Report, evaluators: dict, name: str, row: str | None = None) -> None:
+    """Scan one evaluator of :func:`_condition_evaluators` into ``rep``, as
+    the row ``row`` (default: its own name)."""
+    ranges, holds, label = evaluators[name]
+    _scan(rep, row or name, iproduct(*ranges), holds, label)
+
+
+def check_product_conditions(d: ExtendingDatum) -> Report:
+    """The nine compatibility identities, each over all basis tuples."""
+    rep = Report("product compatibility")
+    evaluators = _condition_evaluators(d)
+    for name in evaluators:
+        _scan_condition(rep, evaluators, name)
     return rep
-
-
-def product_vector(d: ExtendingDatum, av: dict, hv: dict, cv: dict, gv: dict) -> dict:
-    """Evaluate (a (x) h)(c (x) g) for sparse component vectors."""
-    field = d.field
-    ops = _Ops(d)
-    hc, ac = d.ext.coalg, d.base.coalgebra
-    bv = lambda i: basis_vec(field, i)
-    out: dict = {}
-    for hi, ch in hv.items():
-        for ci, cc in cv.items():
-            for gi, cg in gv.items():
-                scale0 = field.mul(ch, field.mul(cc, cg))
-                for (h1, h2, h3), c1 in hc.expand(hi, 3):
-                    for (c1i, c2i, c3i), c2 in ac.expand(ci, 3):
-                        for (g1, g2), c3 in hc.expand(gi, 2):
-                            c = field.mul(scale0, field.mul(c1, field.mul(c2, c3)))
-                            left = ops.amul(
-                                av,
-                                ops.lact(bv(h1), bv(c1i)),
-                                ops.coc(ops.ract(bv(h2), bv(c2i)), bv(g1)),
-                            )
-                            right = ops.dot(ops.ract(bv(h3), bv(c3i)), bv(g2))
-                            vec_add_into(field, out,
-                                         tensor_vec(field, left, right, d.ext.dim), c)
-    return out
 
 
 def assemble_product(d: ExtendingDatum) -> FDBialgebra:
     """Build the product carrier from the raw formulas, without any checks.
 
     The multiplication is the twisted formula, the coalgebra is the tensor
-    product of coalgebras, the unit is 1_A (x) 1_H.  Used by the checked
-    builder and, directly, by the independent axiom-verification tests.
+    product of coalgebras, the unit is 1_A (x) 1_H.  The A-free factors
+    L = h1 |> c1, C = f(h2 <| c2, g1) and R = (h3 <| c3) . g2 are evaluated
+    once per (h, c, g); each column is then the sum of (a L) C (x) R, in that
+    order, so that a non-associative A is multiplied as the formula says.
+    Used by the checked builder and, directly, by the independent
+    axiom-verification tests.
     """
     field = d.field
     a, h = d.base, d.ext
+    ops = _Ops(d)
+    hc, ac = h.coalg, a.coalgebra
     na, nh = a.dim, h.dim
     space = tensor_space(a.space, h.space)
     bv = lambda i: basis_vec(field, i)
+    base = [bv(ai) for ai in range(na)]
+    mul = field.mul
     cols = {}
-    for ai in range(na):
-        for hi in range(nh):
-            for ci in range(na):
-                for gi in range(nh):
-                    col = product_vector(d, bv(ai), bv(hi), bv(ci), bv(gi))
-                    if col:
-                        cols[(ai * nh + hi) * (na * nh) + (ci * nh + gi)] = col
+    for hi, ci, gi in iproduct(range(nh), range(na), range(nh)):
+        terms = []
+        for (h1, h2, h3), ch in hc.expand(hi, 3):
+            for (c1, c2, c3), cc in ac.expand(ci, 3):
+                for (g1, g2), cg in hc.expand(gi, 2):
+                    terms.append((ops.lact(bv(h1), bv(c1)),
+                                  ops.coc(ops.ract(bv(h2), bv(c2)), bv(g1)),
+                                  ops.dot(ops.ract(bv(h3), bv(c3)), bv(g2)),
+                                  mul(ch, mul(cc, cg))))
+        for ai, ea in enumerate(base):
+            col: dict = {}
+            for left, coc, right, c in terms:
+                vec_add_into(field, col,
+                             tensor_vec(field, ops.amul(ea, left, coc), right, nh), c)
+            if col:
+                cols[(ai * nh + hi) * (na * nh) + (ci * nh + gi)] = col
     mult = LinMap(field, tensor_space(space, space), space, cols)
     unit = tensor_vec(field, a.unit, h.unit, nh)
     coalg = tensor_coalgebra(a.coalgebra, h.coalg)
@@ -466,6 +470,14 @@ def build_unified_product(d: ExtendingDatum) -> UnifiedProduct:
     return unified_product_of_checked(d)
 
 
+def _base_inclusion(d: ExtendingDatum, space) -> LinMap:
+    """a -> a (x) 1_H, from A into the product space A (x) H."""
+    field = d.field
+    return LinMap(field, d.base.space, space,
+                  {i: tensor_vec(field, basis_vec(field, i), d.ext.unit, d.ext.dim)
+                   for i in range(d.base.dim)})
+
+
 def unified_product_of_checked(d: ExtendingDatum) -> UnifiedProduct:
     """The product of a datum that already passed :func:`validate_datum` and
     :func:`check_product_conditions`; the datum is not checked again.
@@ -480,9 +492,7 @@ def unified_product_of_checked(d: ExtendingDatum) -> UnifiedProduct:
     field = d.field
     a, h = d.base, d.ext
     nh = h.dim
-    incl_base = LinMap(field, a.space, carrier.space,
-                       {i: tensor_vec(field, basis_vec(field, i), h.unit, nh)
-                        for i in range(a.dim)})
+    incl_base = _base_inclusion(d, carrier.space)
     incl_ext = LinMap(field, h.space, carrier.space,
                       {i: tensor_vec(field, a.unit, basis_vec(field, i), nh)
                        for i in range(h.dim)})

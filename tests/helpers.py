@@ -3,10 +3,18 @@ from __future__ import annotations
 
 
 import hopfprod as hp
+from hopfprod.corpus import s3_matched_pair, z4_crossed_datum
 from hopfprod.fields import QQ
 from hopfprod.groups import GroupExtendingStructure
-from hopfprod.linalg import SCALAR_SPACE, LinMap, tensor_space
-from hopfprod.structures import FDAlgebra, FDBialgebra, FDCoalgebra
+from hopfprod.linalg import (
+    SCALAR_SPACE,
+    LinMap,
+    basis_vec,
+    tensor_space,
+    tensor_vec,
+    vec_add_into,
+)
+from hopfprod.structures import FDAlgebra, FDBialgebra, FDCoalgebra, FDHopf
 
 
 def random_group_structure(rng, group, x_size) -> GroupExtendingStructure:
@@ -141,3 +149,101 @@ def random_linmap(rng, field, dom, cod, density=0.7) -> LinMap:
                 col[j] = field.of(rng.randrange(-4, 5), rng.randrange(1, 4))
         cols[i] = col
     return LinMap(field, dom, cod, cols)
+
+
+def with_column(m: LinMap, index: int, col: dict) -> LinMap:
+    """m with the column at ``index`` replaced by ``col``."""
+    cols = {k: m.col(k) for k in range(m.domain.dim)}
+    cols[index] = col
+    return LinMap(m.field, m.domain, m.codomain, cols)
+
+
+def s3_pair_with_bad_lact() -> hp.MatchedPair:
+    """The S3 matched pair with (1 2) |> (0 1 2) sent to the unit."""
+    mp = s3_matched_pair()
+    return hp.MatchedPair(mp.a, mp.h, mp.ract, with_column(mp.lact, 1 * 3 + 1, {0: QQ.one}))
+
+
+def z4_crossed_with_bad_cocycle() -> hp.CrossedDatum:
+    """The Z4 crossed datum with f(1, 0) moved off the unit."""
+    cd = z4_crossed_datum()
+    return hp.CrossedDatum(cd.a, cd.h, cd.lact, with_column(cd.cocycle, 1 * 2 + 0, {1: QQ.one}))
+
+
+# ---------------------------------------------------------------------------
+# the classical product formulas, written without the twisted-product engine
+
+
+def bicrossed_mult_direct(mp: hp.MatchedPair) -> LinMap:
+    """The classical two-action multiplication, built without the engine:
+    (a >< h)(c >< g) = a (h1 |> c1) >< (h2 <| c2) g."""
+    a, h = mp.a, mp.h
+    field = mp.field
+    hc, ac = h.coalgebra, a.coalgebra
+    bv = lambda i: basis_vec(field, i)
+    adim, hdim = a.dim, h.dim
+    space = tensor_space(a.space, h.space)
+    cols = {}
+    for ai in range(adim):
+        for hi in range(hdim):
+            for ci in range(adim):
+                for gi in range(hdim):
+                    out: dict = {}
+                    for (h1, h2), ch in hc.expand(hi, 2):
+                        for (c1, c2), cc in ac.expand(ci, 2):
+                            left = a.mul(bv(ai), mp.lact.bilin(bv(h1), bv(c1), adim))
+                            right = h.mul(mp.ract.bilin(bv(h2), bv(c2), adim), bv(gi))
+                            vec_add_into(field, out,
+                                         tensor_vec(field, left, right, hdim),
+                                         field.mul(ch, cc))
+                    if out:
+                        cols[(ai * hdim + hi) * (adim * hdim) + ci * hdim + gi] = out
+    return LinMap(field, tensor_space(space, space), space, cols)
+
+
+def bicrossed_antipode_direct(mp: hp.MatchedPair, carrier: FDBialgebra) -> LinMap:
+    """S(a >< h) = (1_A >< S_H(h)) (S_A(a) >< 1_H), evaluated in the carrier."""
+    a, h = mp.a, mp.h
+    if not isinstance(a, FDHopf) or not isinstance(h, FDHopf):
+        raise ValueError("both factors must be Hopf algebras")
+    field = mp.field
+    bv = lambda i: basis_vec(field, i)
+    hdim = h.dim
+    cols = {}
+    for ai in range(a.dim):
+        for hi in range(hdim):
+            left = tensor_vec(field, a.unit, h.antipode.apply(bv(hi)), hdim)
+            right = tensor_vec(field, a.antipode.apply(bv(ai)), h.unit, hdim)
+            col = carrier.mul(left, right)
+            if col:
+                cols[ai * hdim + hi] = col
+    return LinMap(field, carrier.space, carrier.space, cols)
+
+
+def crossed_mult_direct(cd: hp.CrossedDatum) -> LinMap:
+    """The classical cocycle-twisted multiplication:
+    (a # h)(c # g) = a (h1 |> c) f(h2, g1) # h3 g2."""
+    a, h = cd.a, cd.h
+    field = cd.field
+    hc = h.coalgebra
+    bv = lambda i: basis_vec(field, i)
+    adim, hdim = a.dim, h.dim
+    space = tensor_space(a.space, h.space)
+    cols = {}
+    for ai in range(adim):
+        for hi in range(hdim):
+            for ci in range(adim):
+                for gi in range(hdim):
+                    out: dict = {}
+                    for (h1, h2, h3), ch in hc.expand(hi, 3):
+                        for (g1, g2), cg in hc.expand(gi, 2):
+                            left = a.mul(a.mul(bv(ai),
+                                               cd.lact.bilin(bv(h1), bv(ci), adim)),
+                                         cd.cocycle.bilin(bv(h2), bv(g1), hdim))
+                            right = h.mul(bv(h3), bv(g2))
+                            vec_add_into(field, out,
+                                         tensor_vec(field, left, right, hdim),
+                                         field.mul(ch, cg))
+                    if out:
+                        cols[(ai * hdim + hi) * (adim * hdim) + ci * hdim + gi] = out
+    return LinMap(field, tensor_space(space, space), space, cols)

@@ -8,6 +8,7 @@ import random
 import time
 
 from helpers import (
+    bicrossed_antipode_direct,
     pair_bijection_is_isomorphism,
     perturb_group_structure,
     random_group_structure,
@@ -29,7 +30,6 @@ from hopfprod.fields import QQ
 from hopfprod.groups import builtin_permutations, small_corpus_names
 from hopfprod.serialize import parse, serialize
 from hopfprod.special import (
-    bicrossed_antipode_direct,
     crossed_datum,
     deform_matched_pair,
     matched_pair_datum,

@@ -8,6 +8,7 @@ from hopfprod.classification import (
     check_equivalence,
     cocycle_convolve,
     cocycle_inverse,
+    LazyCocycle,
     enumerate_cocycles,
     is_lazy_cocycle,
     quotient_classes,
@@ -217,6 +218,9 @@ def test_deforming_a_nontrivial_cocycle_datum_stays_equivalent():
         assert validate_datum(d2).ok
         assert check_product_conditions(d2).ok
         assert check_equivalence(d, d2, u).ok
+    d2 = deform_datum(d, cands[1])
+    assert d2.components_equal(d) is not None
+    assert quotient_classes([d, d2]) == [[0, 1]]
 
 
 def test_quotient_classes_singleton():
@@ -224,7 +228,8 @@ def test_quotient_classes_singleton():
     assert quotient_classes([d]) == [[0]]
 
 
-def test_quotient_classes_z4_deformations_one_class():
+def test_quotient_classes_z4_deformations_one_class(monkeypatch):
+    import hopfprod.classification
     from hopfprod.classification import deform_datum
 
     dz = crossed_datum(z4_crossed_datum())
@@ -235,7 +240,12 @@ def test_quotient_classes_z4_deformations_one_class():
     # deformation lands back on dz itself
     for d2 in data[1:]:
         assert d2.components_equal(dz) is None
+    assembled = []
+    assemble = hopfprod.classification.assemble_product
+    monkeypatch.setattr(hopfprod.classification, "assemble_product",
+                        lambda d: assembled.append(d) or assemble(d))
     assert quotient_classes(data) == [[0, 1, 2]]
+    assert len(assembled) == len(data)  # each datum once, not once per pair
 
 
 def test_quotient_classes_separate_z4_from_klein():
@@ -503,6 +513,48 @@ def test_check_equivalence_rows_match_the_reference_on_perturbations():
                 assert len(got) == len(want)
             failing.update(name for name, passed, _ in want if not passed)
     assert failing == {"deformed-lact", "deformed-dot", "deformed-cocycle"}
+
+
+def test_deformation_over_sweedler_base_matches_the_reference():
+    # A = H4 is not group-like, so the legs c1, c2 of delta(x) = x (x) 1 + g (x) x
+    # differ; the right action moves t <| x to the unit point and the lazy
+    # cocycle sends t to g.  The datum need not be valid to be deformed.
+    from dataclasses import replace
+
+    from hopfprod.classification import deform_datum
+    from hopfprod.fields import PrimeField
+    from hopfprod.linalg import tensor_space
+    from hopfprod.structures import (
+        attach_antipode,
+        trivial_action_left,
+        trivial_cocycle,
+    )
+    from hopfprod.unified import ExtendingDatum
+
+    for field in (QQ, PrimeField(5)):
+        one = field.one
+        a = attach_antipode(sweedler_bialgebra(field))
+        h = grouplike_coalgebra(("1", "t"), field)
+        hh, ha = tensor_space(h.space, h.space), tensor_space(h.space, a.space)
+        dot = LinMap(field, hh, h.space, {0: {0: one}, 1: {1: one}, 2: {1: one}, 3: {0: one}})
+        ract = LinMap(field, ha, h.space, {0: {0: one}, 1: {0: one}, 4: {1: one},
+                                           5: {1: one}, 6: {0: one}})
+        d = ExtendingDatum(base=a, ext=h, dot=dot, ract=ract,
+                           lact=trivial_action_left(field, h.coalg, a.space),
+                           cocycle=trivial_cocycle(field, h.coalg, a.unit, a.space))
+        u = LazyCocycle.build(LinMap(field, h.space, a.space, {0: {0: one}, 1: {1: one}}), h, a)
+        d2 = deform_datum(d, u)
+        assert d2.lact.col(1 * 4 + 2) == {0: one, 2: field.neg(one)}  # t |>' x = 1 - x
+        assert reference_deformation_rows(d, d2, u) == [
+            ("ract-equal", True, None), ("deformed-lact", True, None),
+            ("deformed-dot", True, None), ("deformed-cocycle", True, None)]
+        for name in ("lact", "dot", "cocycle"):
+            for k in range(getattr(d2, name).domain.dim):
+                d2p = replace(d2, **{name: _with_one_entry_changed(getattr(d2, name), k)})
+                want = reference_deformation_rows(d, d2p, u)
+                got = [(it.condition, it.passed, it.witness)
+                       for it in check_equivalence(d, d2p, u).report.items]
+                assert got == want
 
 
 def test_lazy_cocycle_verdict_matches_the_composed_maps():

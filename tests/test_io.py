@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from helpers import s3_pair_with_bad_lact, z4_crossed_with_bad_cocycle
 import hopfprod.cli
 import hopfprod.unified
 from hopfprod.classification import enumerate_cocycles
@@ -160,6 +161,23 @@ def test_cli_verify_corrupted_datum_names_condition(tmp_path, capsys):
                           "cocycle-condition"}
 
 
+def pinned_verify_inputs():
+    """The named examples and one-entry corruptions of them."""
+    return {"s3-bicrossed": (s3_matched_pair(), 0), "z4-crossed": (z4_crossed_datum(), 0),
+            "s3-bicrossed-bad-lact": (s3_pair_with_bad_lact(), 1),
+            "z4-crossed-bad-cocycle": (z4_crossed_with_bad_cocycle(), 1)}
+
+
+def test_cli_verify_reports_are_pinned(tmp_path, capsys):
+    for name, (obj, want_code) in pinned_verify_inputs().items():
+        path = tmp_path / f"{name}.json"
+        path.write_bytes(serialize(obj))
+        code, out, _ = run_cli(capsys, "verify", str(path))
+        assert code == want_code, name
+        machine = out.split("-- machine --\n", 1)[1].encode()
+        assert machine == (GOLDEN / f"verify-{name}.json").read_bytes(), name
+
+
 def test_cli_verify_malformed_input(tmp_path, capsys):
     path = tmp_path / "junk.json"
     path.write_text("{broken")
@@ -289,6 +307,21 @@ def test_cli_enum_cocycles_and_cap(tmp_path, capsys):
     code, _, _ = run_cli(capsys, "enum-cocycles", str(ph), str(pa),
                          "--max-cocycles", "3")
     assert code == 3
+
+
+def test_cli_enum_cocycles_outside_the_group_like_regime_exits_three(tmp_path, capsys):
+    from helpers import sweedler_bialgebra
+
+    h4 = sweedler_bialgebra()
+    pg, pa, ph4, pu = (tmp_path / n for n in ("g.json", "a.json", "h4.json", "u.json"))
+    pg.write_bytes(serialize(grouplike_coalgebra(("p", "q"))))
+    pa.write_bytes(serialize(group_algebra(builtin_group("c2"))))
+    ph4.write_bytes(serialize(h4))
+    pu.write_bytes(serialize(h4.unit_coalgebra()))
+    for ext, base, message in ((pg, ph4, "A is not group-like on its basis"),
+                               (pu, pa, "H is not group-like on its basis")):
+        code, out, err = run_cli(capsys, "enum-cocycles", str(ext), str(base))
+        assert (code, out, err) == (3, message + "\n", "")
 
 
 def test_cli_example_outputs_are_deterministic(tmp_path, capsys):

@@ -1,6 +1,14 @@
 import pytest
 
-from helpers import sweedler_bialgebra
+from helpers import (
+    bicrossed_antipode_direct,
+    bicrossed_mult_direct,
+    crossed_mult_direct,
+    s3_pair_with_bad_lact,
+    sweedler_bialgebra,
+    with_column,
+    z4_crossed_with_bad_cocycle,
+)
 from hopfprod.classification import (
     check_equivalence,
     enumerate_cocycles,
@@ -14,25 +22,32 @@ from hopfprod.corpus import (
     z4_c2_ges,
     z4_crossed_datum,
 )
-from hopfprod.fields import QQ
+from hopfprod.fields import QQ, PrimeField
 from hopfprod.groups import builtin_group, group_algebra, group_unified_product
-from hopfprod.linalg import LinMap, basis_vec, tensor_space
+from hopfprod.linalg import LinMap, basis_vec
 from hopfprod.serialize import serialize
 from hopfprod.special import (
     CrossedDatum,
     MatchedPair,
-    bicrossed_mult_direct,
     build_bicrossed,
     build_crossed,
     check_crossed,
     check_matched_pair,
-    crossed_mult_direct,
+    crossed_datum,
     deform_matched_pair,
     matched_pair_datum,
     trivial_matched_pair,
 )
-from hopfprod.structures import FDHopf, antipode_solve, tensor_bialgebra
-from hopfprod.unified import check_product_conditions, validate_datum
+from hopfprod.structures import (
+    FDHopf,
+    antipode_solve,
+    attach_antipode,
+    tensor_bialgebra,
+    trivial_action_left,
+    trivial_action_right,
+    trivial_cocycle,
+)
+from hopfprod.unified import assemble_product, check_product_conditions, validate_datum
 
 
 def failing(report):
@@ -69,33 +84,58 @@ def test_s3_bicrossed_antipode_is_group_inverse():
     assert p.carrier.antipode == expected.antipode
 
 
-def test_action_symmetry_violation_detected():
+def sweedler_action_symmetry_violation():
     # needs honestly non-cocommutative structure on both sides: take the
     # four-dimensional bialgebra acting on itself, right action trivial and a
     # left action redefined on the single pair (x, x)
     b = sweedler_bialgebra()
-    from hopfprod.structures import trivial_action_left, trivial_action_right
+    lact = with_column(trivial_action_left(QQ, b.coalgebra, b.space), 2 * 4 + 2,
+                       {0: QQ.one})  # x |> x := 1
+    return MatchedPair(a=b, h=b, ract=trivial_action_right(QQ, b.space, b.coalgebra),
+                       lact=lact)
 
-    lact_cols = {}
-    base = trivial_action_left(QQ, b.coalgebra, b.space)
-    for i in range(16):
-        lact_cols[i] = base.col(i)
-    lact_cols[2 * 4 + 2] = {0: QQ.one}  # x |> x := 1
-    lact = LinMap(QQ, tensor_space(b.space, b.space), b.space, lact_cols)
-    mp = MatchedPair(a=b, h=b, ract=trivial_action_right(QQ, b.space, b.coalgebra),
-                     lact=lact)
-    rep = check_matched_pair(mp)
+
+def test_action_symmetry_violation_detected():
+    rep = check_matched_pair(sweedler_action_symmetry_violation())
     items = {item.condition: item for item in rep.items}
     assert not items["action-symmetry"].passed
     assert items["action-symmetry"].witness == "(x,x)"
 
 
+def oracle_matched_pairs():
+    """Every matched pair the suite builds, valid or not, plus the trivial
+    pairs of Sweedler's H4 (multi-term coproducts) with H4 and with k[C3]."""
+    g = lambda name: group_algebra(builtin_group(name))
+    h4 = attach_antipode(sweedler_bialgebra())
+    return [
+        s3_matched_pair(), s3_matched_pair(PrimeField(7)), s3_transposed_matched_pair(),
+        trivial_matched_pair(g("c2"), g("c1")), trivial_matched_pair(g("c1"), g("c2")),
+        trivial_matched_pair(g("c2"), g("c2")), trivial_matched_pair(g("s3"), g("c1")),
+        trivial_matched_pair(g("c3"), g("c2")), trivial_matched_pair(g("c2"), g("c4")),
+        trivial_matched_pair(g("c4"), g("c2")), trivial_matched_pair(g("c3"), g("s3")),
+        trivial_matched_pair(h4, h4), trivial_matched_pair(h4, g("c3")),
+        s3_pair_with_bad_lact(), sweedler_action_symmetry_violation(),
+    ]
+
+
+def oracle_crossed_data():
+    return [z4_crossed_datum(), z2xz2_crossed_datum(), z4_crossed_with_bad_cocycle(),
+            sweedler_cocycle_symmetry_violation()]
+
+
 def test_bicrossed_direct_formula_matches_engine():
-    for mp in (s3_matched_pair(), s3_transposed_matched_pair(),
-               trivial_matched_pair(group_algebra(builtin_group("c2")),
-                                    group_algebra(builtin_group("c4")))):
+    built = 0
+    for mp in oracle_matched_pairs():
+        direct = bicrossed_mult_direct(mp)
+        assert direct == assemble_product(matched_pair_datum(mp)).mult
+        if not check_matched_pair(mp).ok:
+            continue
         p = build_bicrossed(mp)
-        assert bicrossed_mult_direct(mp) == p.carrier.mult
+        assert direct == p.carrier.mult
+        if isinstance(mp.a, FDHopf) and isinstance(mp.h, FDHopf):
+            assert bicrossed_antipode_direct(mp, p.carrier) == p.carrier.antipode
+        built += 1
+    assert built == 13
 
 
 def test_crossed_trivial_everything_gives_tensor_product():
@@ -133,29 +173,29 @@ def test_z4_crossed_product_is_cyclic_of_order_four():
 
 
 def test_crossed_equals_unified_with_trivial_ract_byte_identical():
-    cd = z4_crossed_datum()
-    p = build_crossed(cd)
-    assert serialize(crossed_mult_direct(cd)) == serialize(p.carrier.mult)
+    built = 0
+    for cd in oracle_crossed_data():
+        direct = serialize(crossed_mult_direct(cd))
+        assert direct == serialize(assemble_product(crossed_datum(cd)).mult)
+        if check_crossed(cd).ok:
+            assert direct == serialize(build_crossed(cd).carrier.mult)
+            built += 1
+    assert built == 2
 
 
-def test_cocycle_symmetry_violation_detected():
+def sweedler_cocycle_symmetry_violation():
     # non-symmetric cocycle over the non-cocommutative four-dimensional
     # bialgebra: f trivial except f(x, g) = 1, which skews the two tensor
     # legs (f(x, x) = g would still sit diagonally and pass)
     b = sweedler_bialgebra()
-    from hopfprod.structures import trivial_action_left, trivial_cocycle
+    cocycle = with_column(trivial_cocycle(QQ, b.coalgebra, b.unit, b.space), 2 * 4 + 1,
+                          {0: QQ.one})
+    return CrossedDatum(a=b, h=b, lact=trivial_action_left(QQ, b.coalgebra, b.space),
+                        cocycle=cocycle)
 
-    coc_cols = {}
-    base = trivial_cocycle(QQ, b.coalgebra, b.unit, b.space)
-    for i in range(16):
-        coc_cols[i] = base.col(i)
-    coc_cols[2 * 4 + 1] = {0: QQ.one}
-    cd = CrossedDatum(
-        a=b, h=b,
-        lact=trivial_action_left(QQ, b.coalgebra, b.space),
-        cocycle=LinMap(QQ, tensor_space(b.space, b.space), b.space, coc_cols),
-    )
-    rep = check_crossed(cd)
+
+def test_cocycle_symmetry_violation_detected():
+    rep = check_crossed(sweedler_cocycle_symmetry_violation())
     items = {item.condition: item for item in rep.items}
     assert not items["cocycle-symmetry"].passed
     assert items["cocycle-symmetry"].witness == "(x,g)"
