@@ -54,7 +54,7 @@ from .linalg import (
     twist_map,
 )
 from .reports import CheckItem, Report
-from .serialize import MalformedDocumentError, load, parse, save, serialize
+from .serialize import MalformedDocumentError, load, parse, serialize
 from .special import (
     CrossedDatum,
     MatchedPair,

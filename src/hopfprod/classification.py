@@ -37,6 +37,7 @@ from .structures import (
     UnitalCoalgebra,
     _add_term,
     _coproducts,
+    _counits,
     _scan,
     _tuple_label,
     convolution,
@@ -171,38 +172,36 @@ class _Deformation:
         self.ops = _Ops(d)
         self.field = d.field
         self.hc, self.ac = d.ext.coalg, d.base.coalgebra
-        self.bv = lambda i: basis_vec(d.field, i)
-        self.u = u.linmap.apply
+        self.u = u.linmap.col
         self.su = lambda v: d.base.antipode.apply(u.linmap.apply(v))
 
     def lact(self, hi: int, ci: int) -> dict:
-        ops, bv, u, field = self.ops, self.bv, self.u, self.field
+        ops, u, field = self.ops, self.u, self.field
         out: dict = {}
         for (h1, h2, h3), ch in self.hc.expand(hi, 3):
             for (c1, c2), cc in self.ac.expand(ci, 2):
-                term = ops.amul(u(bv(h1)), ops.lact(bv(h2), bv(c1)),
-                                self.su(ops.ract(bv(h3), bv(c2))))
+                term = ops.amul(u(h1), ops.lact(h2, c1), self.su(ops.ract(h3, c2)))
                 vec_add_into(field, out, term, field.mul(ch, cc))
         return out
 
     def dot(self, hi: int, gi: int) -> dict:
-        ops, bv = self.ops, self.bv
+        ops = self.ops
         out: dict = {}
         for (g1, g2), cg in self.hc.expand(gi, 2):
-            term = ops.dot(ops.ract(bv(hi), self.u(bv(g1))), bv(g2))
+            term = ops.dot(ops.ract(hi, self.u(g1)), g2)
             vec_add_into(self.field, out, term, cg)
         return out
 
     def cocycle(self, hi: int, gi: int, dot: LinMap) -> dict:
-        ops, bv, u, field = self.ops, self.bv, self.u, self.field
+        ops, u, field = self.ops, self.u, self.field
         out: dict = {}
         for (h1, h2, h3, h4), ch in self.hc.expand(hi, 4):
             for (g1, g2, g3, g4), cg in self.hc.expand(gi, 4):
                 term = ops.amul(
-                    u(bv(h1)),
-                    ops.lact(bv(h2), u(bv(g1))),
-                    ops.coc(ops.ract(bv(h3), u(bv(g2))), bv(g3)),
-                    self.su(dot.bilin(bv(h4), bv(g4), ops.hdim)),
+                    u(h1),
+                    ops.lact(h2, u(g1)),
+                    ops.coc(ops.ract(h3, u(g2)), g3),
+                    self.su(dot.bilin(h4, g4, ops.hdim)),
                 )
                 vec_add_into(field, out, term, field.mul(ch, cg))
         return out
@@ -269,9 +268,7 @@ def _deformation_report(d: ExtendingDatum, d2: ExtendingDatum, u: LazyCocycle) -
         raise ValueError("equivalence checking needs a Hopf base")
     if u.ext != d.ext or u.base != a:
         raise ValueError("cocycle context does not match the data")
-    field = d.field
     h = d.ext
-    bv = lambda i: basis_vec(field, i)
     hl, al = h.space.labels, a.space.labels
     hr, ar = range(h.dim), range(a.dim)
     rep = Report("extending-structure equivalence")
@@ -283,13 +280,13 @@ def _deformation_report(d: ExtendingDatum, d2: ExtendingDatum, u: LazyCocycle) -
 
     deform, ops2 = _Deformation(d, u), _Ops(d2)
     ok = _scan(rep, "deformed-lact", iproduct(hr, ar),
-               lambda hi, ci: ops2.lact(bv(hi), bv(ci)) == deform.lact(hi, ci),
+               lambda hi, ci: ops2.lact(hi, ci) == deform.lact(hi, ci),
                _tuple_label(hl, al))
     ok = _scan(rep, "deformed-dot", iproduct(hr, hr),
-               lambda hi, gi: ops2.dot(bv(hi), bv(gi)) == deform.dot(hi, gi),
+               lambda hi, gi: ops2.dot(hi, gi) == deform.dot(hi, gi),
                _tuple_label(hl, hl)) and ok
     _scan(rep, "deformed-cocycle", iproduct(hr, hr),
-          lambda hi, gi: ops2.coc(bv(hi), bv(gi)) == deform.cocycle(hi, gi, d2.dot),
+          lambda hi, gi: ops2.coc(hi, gi) == deform.cocycle(hi, gi, d2.dot),
           _tuple_label(hl, hl))
     return rep
 
@@ -300,7 +297,6 @@ def _certify(rep: Report, d: ExtendingDatum, d2: ExtendingDatum, u: LazyCocycle,
     and ``prod`` of d, and add the rows that verify it to ``rep``."""
     field = d.field
     a, h = d.base, d.ext
-    bv = lambda i: basis_vec(field, i)
     sa = a.antipode
     um = u.linmap
     hdim = h.dim
@@ -311,10 +307,11 @@ def _certify(rep: Report, d: ExtendingDatum, d2: ExtendingDatum, u: LazyCocycle,
             fcol: dict = {}
             gcol: dict = {}
             for (h1, h2), ch in h.coalg.expand(hi, 2):
+                e2 = basis_vec(field, h2)
                 vec_add_into(field, fcol, tensor_vec(
-                    field, a.mul(bv(ai), um.apply(bv(h1))), bv(h2), hdim), ch)
+                    field, a.mul(ai, um.col(h1)), e2, hdim), ch)
                 vec_add_into(field, gcol, tensor_vec(
-                    field, a.mul(bv(ai), sa.apply(um.apply(bv(h1)))), bv(h2), hdim), ch)
+                    field, a.mul(ai, sa.apply(um.col(h1))), e2, hdim), ch)
             phi_cols[ai * hdim + hi] = fcol
             psi_cols[ai * hdim + hi] = gcol
     phi = LinMap(field, prod2.space, prod.space, phi_cols)
@@ -403,11 +400,11 @@ def quotient_classes(data: list[ExtendingDatum],
 def _scan_ract_kills(rep: Report, d: ExtendingDatum, u: LazyCocycle) -> bool:
     """Record whether the right action of d kills u: h <| u(g) = counit(g) h."""
     field, h = d.field, d.ext
-    bv = lambda i: basis_vec(field, i)
     ops = _Ops(d)
+    eps = _counits(h.coalg)
     return _scan(rep, "ract-kills-cocycle", iproduct(range(h.dim), repeat=2),
-                 lambda hi, gi: ops.ract(bv(hi), u.linmap.apply(bv(gi)))
-                 == vec_scale(field, h.coalg.counit(bv(gi)), bv(hi)),
+                 lambda hi, gi: ops.ract(hi, u.linmap.col(gi))
+                 == vec_scale(field, eps[gi], {hi: field.one}),
                  _tuple_label(h.space.labels, h.space.labels))
 
 
@@ -431,7 +428,7 @@ def check_bicrossed_equivalence(mp: "MatchedPair", mp2: "MatchedPair",
         raise ValueError("cocycle context does not match the matched pairs")
     field = a.field
     hc = h.coalgebra
-    bv = lambda i: basis_vec(field, i)
+    eps_h = _counits(hc)
     sa = a.antipode
     um = u.linmap
     hl, al = h.space.labels, a.space.labels
@@ -447,18 +444,17 @@ def check_bicrossed_equivalence(mp: "MatchedPair", mp2: "MatchedPair",
     deform = _Deformation(d, u)
     ops = deform.ops
     _scan(rep, "deformed-lact", iproduct(hr, ar),
-          lambda hi, ci: mp2.lact.bilin(bv(hi), bv(ci), a.dim) == deform.lact(hi, ci),
+          lambda hi, ci: mp2.lact.bilin(hi, ci, a.dim) == deform.lact(hi, ci),
           _tuple_label(hl, al))
 
     def triviality(hi, gi):
         got: dict = {}
         for (h1, h2, h3), ch in hc.expand(hi, 3):
             for (g1, g2), cg in hc.expand(gi, 2):
-                term = ops.amul(um.apply(bv(h1)),
-                                ops.lact(bv(h2), um.apply(bv(g1))),
-                                sa.apply(um.apply(h.mul(bv(h3), bv(g2)))))
+                term = ops.amul(um.col(h1), ops.lact(h2, um.col(g1)),
+                                sa.apply(um.apply(h.mul(h3, g2))))
                 vec_add_into(field, got, term, field.mul(ch, cg))
-        eps = field.mul(hc.counit(bv(hi)), hc.counit(bv(gi)))
+        eps = field.mul(eps_h[hi], eps_h[gi])
         return got == vec_scale(field, eps, a.unit)
 
     _scan(rep, "cocycle-triviality", iproduct(hr, hr), triviality, _tuple_label(hl, hl))

@@ -7,8 +7,11 @@ stored zeros.  Tensor products use the row-major convention throughout: the
 pair ``(i, j)`` over ``A (x) B`` sits at flat index ``i * dim(B) + j``.  That
 convention is normative for file I/O as well.
 
-Bilinear maps are linear maps out of a tensor-product domain; apply them to a
-pair of vectors with :meth:`LinMap.bilin`.
+Bilinear maps are linear maps out of a tensor-product domain.
+:meth:`LinMap.bilin` is the one evaluator for them: each argument is a basis
+index or a sparse vector, a pair of indices reads the stored column without
+field arithmetic, and any other pair is expanded bilinearly in one loop,
+with no intermediate tensor vector.
 """
 from __future__ import annotations
 
@@ -84,17 +87,6 @@ def vec_scale(field, c, v: dict) -> dict:
     return {i: field.mul(c, x) for i, x in v.items()}
 
 
-def vec_sub(field, u: dict, v: dict) -> dict:
-    out = dict(u)
-    for i, c in v.items():
-        x = field.sub(out.get(i, field.zero), c)
-        if field.is_zero(x):
-            out.pop(i, None)
-        else:
-            out[i] = x
-    return out
-
-
 def tensor_vec(field, u: dict, v: dict, right_dim: int) -> dict:
     """The vector u (x) v inside the flattened tensor space."""
     out = {}
@@ -141,11 +133,6 @@ class LinMap:
     def zero(cls, field, domain: BasedSpace, codomain: BasedSpace) -> LinMap:
         return cls(field, domain, codomain, {})
 
-    @classmethod
-    def from_images(cls, field, domain, codomain, images) -> LinMap:
-        """Build from a list of sparse image vectors, one per domain index."""
-        return cls(field, domain, codomain, dict(enumerate(images)))
-
     def col(self, i: int) -> dict:
         return dict(self.cols.get(i, ()))
 
@@ -161,9 +148,31 @@ class LinMap:
                     out[j] = x
         return out
 
-    def bilin(self, v: dict, w: dict, right_dim: int) -> dict:
-        """Apply to v (x) w, where the domain splits as left (x) right."""
-        return self.apply(tensor_vec(self.field, v, w, right_dim))
+    def bilin(self, v, w, right_dim: int) -> dict:
+        """Apply to v (x) w, where the domain splits as left (x) right.
+
+        Each argument is a basis index or a sparse vector.  Two indices give
+        the stored column; otherwise every pair of terms adds its scaled
+        column to the result, a basis index counting with coefficient one.
+        """
+        cols = self.cols
+        if isinstance(v, int) and isinstance(w, int):
+            return dict(cols.get(v * right_dim + w, ()))
+        f = self.field
+        left = ((v, None),) if isinstance(v, int) else v.items()
+        right = ((w, None),) if isinstance(w, int) else tuple(w.items())
+        out = {}
+        for i, x in left:
+            base = i * right_dim
+            for j, y in right:
+                c = y if x is None else x if y is None else f.mul(x, y)
+                for k, m in cols.get(base + j, ()):
+                    z = f.add(out.get(k, f.zero), m if c is None else f.mul(c, m))
+                    if f.is_zero(z):
+                        out.pop(k, None)
+                    else:
+                        out[k] = z
+        return out
 
     def entrywise_key(self):
         return (self.domain.dim, self.codomain.dim, tuple(sorted(self.cols.items())))
@@ -180,9 +189,6 @@ class LinMap:
         if self._hash is None:
             self._hash = hash(self.entrywise_key())
         return self._hash
-
-    def __matmul__(self, other):
-        return compose(self, other)
 
     def __repr__(self):
         return f"LinMap({self.domain.dim}->{self.codomain.dim}, {len(self.cols)} cols)"

@@ -82,12 +82,20 @@ def _entries_obj(field, m: LinMap):
     return out
 
 
+def _scalar(field, num, den):
+    """The field element num/den of a record; a zero denominator is malformed."""
+    try:
+        return field.of(int(num), int(den))
+    except ZeroDivisionError as exc:
+        raise MalformedDocumentError(f"zero denominator in {num}/{den}") from exc
+
+
 def _entries_from(field, obj, domain, codomain) -> LinMap:
     cols: dict[int, dict] = {}
     try:
         for rec in obj:
             i, j, num, den = rec
-            cols.setdefault(int(i), {})[int(j)] = field.of(int(num), int(den))
+            cols.setdefault(int(i), {})[int(j)] = _scalar(field, num, den)
     except (TypeError, ValueError) as exc:
         raise MalformedDocumentError(f"bad entry record: {exc}") from exc
     try:
@@ -111,7 +119,7 @@ def _vector_from(field, obj, dim) -> dict:
             i, num, den = rec
             if not 0 <= int(i) < dim:
                 raise MalformedDocumentError(f"vector index {i} out of range")
-            out[int(i)] = field.of(int(num), int(den))
+            out[int(i)] = _scalar(field, num, den)
     except (TypeError, ValueError) as exc:
         raise MalformedDocumentError(f"bad vector record: {exc}") from exc
     return out
@@ -156,8 +164,6 @@ def _bialgebra_obj(field, b: FDBialgebra):
 def _bialgebra_from(field, obj, want_hopf: bool):
     coalg = _coalgebra_from(field, {k: obj[k] for k in ("space", "delta", "epsilon")
                                     if k in obj})
-    if isinstance(coalg, UnitalCoalgebra):  # pragma: no cover - unit key is mult's
-        coalg = coalg.coalg
     space = coalg.space
     mult = _entries_from(field, obj.get("mult", []), tensor_space(space, space), space)
     unit = _vector_from(field, obj.get("unit", []), space.dim)
@@ -333,11 +339,6 @@ def parse(data: bytes):
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedDocumentError(f"bad {kind} payload: {exc}") from exc
     raise MalformedDocumentError(f"unknown document kind {kind!r}")
-
-
-def save(path, obj):
-    with open(path, "wb") as fh:
-        fh.write(serialize(obj))
 
 
 def load(path):

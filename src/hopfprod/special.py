@@ -21,6 +21,7 @@ from .reports import Report
 from .structures import (
     FDBialgebra,
     FDHopf,
+    _counits,
     _scan,
     _tuple_label,
     attach_antipode,
@@ -32,6 +33,7 @@ from .unified import (
     DatumConditionError,
     ExtendingDatum,
     UnifiedProduct,
+    _Ops,
     _coalgebra_map_rows,
     _condition_evaluators,
     _scan_condition,
@@ -66,33 +68,29 @@ def check_matched_pair(mp: MatchedPair) -> Report:
     """
     a, h = mp.a, mp.h
     field = mp.field
+    one = field.one
     hc = h.coalgebra
-    bv = lambda i: basis_vec(field, i)
-    adim, hdim = a.dim, h.dim
+    eps_a, eps_h = _counits(a.coalgebra), _counits(hc)
     hl, al = h.space.labels, a.space.labels
-    hr, ar = range(hdim), range(adim)
+    hr, ar = range(h.dim), range(a.dim)
     rep = Report("matched pair")
 
     _coalgebra_map_rows(rep, hc, a.coalgebra, ract=mp.ract, lact=mp.lact)
-    shared = _condition_evaluators(matched_pair_datum(mp))
-
-    ract = lambda hv, av: mp.ract.bilin(hv, av, adim)
-    lact = lambda hv, av: mp.lact.bilin(hv, av, adim)
+    d = matched_pair_datum(mp)
+    ops, shared = _Ops(d), _condition_evaluators(d)
 
     _scan(rep, "left-module-unit", iproduct(ar),
-          lambda j: lact(h.unit, bv(j)) == bv(j), _tuple_label(al))
+          lambda j: ops.lact(h.unit, j) == {j: one}, _tuple_label(al))
     _scan(rep, "left-module-law", iproduct(hr, hr, ar),
-          lambda g, i, j: lact(h.mul(bv(g), bv(i)), bv(j))
-          == lact(bv(g), lact(bv(i), bv(j))), _tuple_label(hl, hl, al))
+          lambda g, i, j: ops.lact(h.mul(g, i), j) == ops.lact(g, ops.lact(i, j)),
+          _tuple_label(hl, hl, al))
     _scan(rep, "right-module-unit", iproduct(hr),
-          lambda g: ract(bv(g), a.unit) == bv(g), _tuple_label(hl))
+          lambda g: ops.ract(g, a.unit) == {g: one}, _tuple_label(hl))
     _scan_condition(rep, shared, "right-module", "right-module-law")
 
     def unit_normalization(g, j):
-        eps_a = a.counit(bv(j))
-        eps_h = hc.counit(bv(g))
-        return (ract(h.unit, bv(j)) == vec_scale(field, eps_a, h.unit)
-                and lact(bv(g), a.unit) == vec_scale(field, eps_h, a.unit))
+        return (ops.ract(h.unit, j) == vec_scale(field, eps_a[j], h.unit)
+                and ops.lact(g, a.unit) == vec_scale(field, eps_h[g], a.unit))
 
     _scan(rep, "unit-normalization", iproduct(hr, ar), unit_normalization,
           _tuple_label(hl, al))
@@ -168,36 +166,33 @@ def check_crossed(cd: CrossedDatum) -> Report:
     a, h = cd.a, cd.h
     field = cd.field
     hc = h.coalgebra
-    bv = lambda i: basis_vec(field, i)
-    adim, hdim = a.dim, h.dim
+    eps_h = _counits(hc)
+    adim = a.dim
     hl, al = h.space.labels, a.space.labels
-    hr, ar = range(hdim), range(adim)
+    hr, ar = range(h.dim), range(adim)
     rep = Report("crossed datum")
 
     _coalgebra_map_rows(rep, hc, a.coalgebra, lact=cd.lact, cocycle=cd.cocycle)
-
-    lact = lambda hv, av: cd.lact.bilin(hv, av, adim)
-    coc = lambda hv, gv: cd.cocycle.bilin(hv, gv, hdim)
+    d = crossed_datum(cd)
+    ops = _Ops(d)
 
     def normal_lact(g, j):
-        eps_h = hc.counit(bv(g))
-        return (lact(bv(g), a.unit) == vec_scale(field, eps_h, a.unit)
-                and lact(h.unit, bv(j)) == bv(j))
+        return (ops.lact(g, a.unit) == vec_scale(field, eps_h[g], a.unit)
+                and ops.lact(h.unit, j) == {j: field.one})
 
     _scan(rep, "lact-normalization", iproduct(hr, ar), normal_lact, _tuple_label(hl, al))
 
     def normal_coc(g):
-        eps_h = hc.counit(bv(g))
-        want = vec_scale(field, eps_h, a.unit)
-        return coc(bv(g), h.unit) == want and coc(h.unit, bv(g)) == want
+        want = vec_scale(field, eps_h[g], a.unit)
+        return ops.coc(g, h.unit) == want and ops.coc(h.unit, g) == want
 
     _scan(rep, "cocycle-normalization", iproduct(hr), normal_coc, _tuple_label(hl))
 
     def lact_multiplicative(g, i, j):
-        lhs = lact(bv(g), a.mul(bv(i), bv(j)))
+        lhs = ops.lact(g, a.mul(i, j))
         rhs: dict = {}
         for (g1, g2), cg in hc.expand(g, 2):
-            term = a.mul(lact(bv(g1), bv(i)), lact(bv(g2), bv(j)))
+            term = a.mul(ops.lact(g1, i), ops.lact(g2, j))
             vec_add_into(field, rhs, term, cg)
         return lhs == rhs
 
@@ -211,11 +206,9 @@ def check_crossed(cd: CrossedDatum) -> Report:
             for (i1, i2), ci in hc.expand(i, 2):
                 c = field.mul(cg, ci)
                 vec_add_into(field, lhs,
-                             a.mul(lact(bv(g1), lact(bv(i1), bv(j))),
-                                   coc(bv(g2), bv(i2))), c)
+                             a.mul(ops.lact(g1, ops.lact(i1, j)), ops.coc(g2, i2)), c)
                 vec_add_into(field, rhs,
-                             a.mul(coc(bv(g1), bv(i1)),
-                                   lact(h.mul(bv(g2), bv(i2)), bv(j))), c)
+                             a.mul(ops.coc(g1, i1), ops.lact(h.mul(g2, i2), j)), c)
         return lhs == rhs
 
     _scan(rep, "twisted-module", iproduct(hr, hr, ar), twisted_module,
@@ -229,12 +222,10 @@ def check_crossed(cd: CrossedDatum) -> Report:
                 for (j1, j2), cj in hc.expand(j, 2):
                     c = field.mul(cg, field.mul(ci, cj))
                     vec_add_into(field, lhs,
-                                 a.mul(lact(bv(g1), coc(bv(i1), bv(j1))),
-                                       coc(bv(g2), h.mul(bv(i2), bv(j2)))), c)
+                                 a.mul(ops.lact(g1, ops.coc(i1, j1)),
+                                       ops.coc(g2, h.mul(i2, j2))), c)
             for (i1, i2), ci in hc.expand(i, 2):
-                vec_add_into(field, rhs,
-                             a.mul(coc(bv(g1), bv(i1)),
-                                   coc(h.mul(bv(g2), bv(i2)), bv(j))),
+                vec_add_into(field, rhs, a.mul(ops.coc(g1, i1), ops.coc(h.mul(g2, i2), j)),
                              field.mul(cg, ci))
         return lhs == rhs
 
@@ -246,14 +237,14 @@ def check_crossed(cd: CrossedDatum) -> Report:
         rhs: dict = {}
         for (g1, g2), cg in hc.expand(g, 2):
             vec_add_into(field, lhs,
-                         tensor_vec(field, bv(g1), lact(bv(g2), bv(j)), adim), cg)
+                         tensor_vec(field, basis_vec(field, g1), ops.lact(g2, j), adim), cg)
             vec_add_into(field, rhs,
-                         tensor_vec(field, bv(g2), lact(bv(g1), bv(j)), adim), cg)
+                         tensor_vec(field, basis_vec(field, g2), ops.lact(g1, j), adim), cg)
         return lhs == rhs
 
     _scan(rep, "lact-symmetry", iproduct(hr, ar), lact_symmetry, _tuple_label(hl, al))
 
-    _scan_condition(rep, _condition_evaluators(crossed_datum(cd)), "cocycle-symmetry")
+    _scan_condition(rep, _condition_evaluators(d), "cocycle-symmetry")
     return rep
 
 

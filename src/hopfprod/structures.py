@@ -23,7 +23,6 @@ from .linalg import (
     SCALAR_SPACE,
     BasedSpace,
     LinMap,
-    basis_vec,
     compose,
     solve_system,
     tensor_map,
@@ -552,14 +551,10 @@ def is_algebra_antimap(f: LinMap, src: FDAlgebra, dst: FDAlgebra) -> bool:
 
 def grouplike_indices(c: FDCoalgebra) -> list[int]:
     """Basis indices i with delta(e_i) = e_i (x) e_i and counit 1."""
-    field = c.field
-    out = []
-    for i in range(c.dim):
-        if c.delta.col(i) == {i * c.dim + i: field.one} and c.counit(
-            basis_vec(field, i)
-        ) == field.one:
-            out.append(i)
-    return out
+    one = c.field.one
+    eps = _counits(c)
+    return [i for i in range(c.dim)
+            if c.delta.col(i) == {i * c.dim + i: one} and eps[i] == one]
 
 
 # ---------------------------------------------------------------------------
@@ -657,12 +652,12 @@ def grouplike_delta(field, space: BasedSpace) -> LinMap:
 def trivial_action_right(field, h_space, a_coalg: FDCoalgebra) -> LinMap:
     """h <| a = counit(a) h as a map H (x) A -> H."""
     adim = a_coalg.dim
+    eps = _counits(a_coalg)
     cols = {}
     for i in range(h_space.dim):
         for j in range(adim):
-            e = a_coalg.counit(basis_vec(field, j))
-            if not field.is_zero(e):
-                cols[i * adim + j] = {i: e}
+            if not field.is_zero(eps[j]):
+                cols[i * adim + j] = {i: eps[j]}
     return LinMap(field, tensor_space(h_space, a_coalg.space), h_space, cols)
 
 
@@ -670,8 +665,7 @@ def trivial_action_left(field, h_coalg: FDCoalgebra, a_space) -> LinMap:
     """h |> a = counit(h) a as a map H (x) A -> A."""
     adim = a_space.dim
     cols = {}
-    for i in range(h_coalg.dim):
-        e = h_coalg.counit(basis_vec(field, i))
+    for i, e in enumerate(_counits(h_coalg)):
         if field.is_zero(e):
             continue
         for j in range(adim):
@@ -682,13 +676,12 @@ def trivial_action_left(field, h_coalg: FDCoalgebra, a_space) -> LinMap:
 def trivial_cocycle(field, h_coalg: FDCoalgebra, unit_a: dict, a_space) -> LinMap:
     """f(h, g) = counit(h) counit(g) 1_A as a map H (x) H -> A."""
     hdim = h_coalg.dim
+    eps = _counits(h_coalg)
     cols = {}
-    for i in range(hdim):
-        ei = h_coalg.counit(basis_vec(field, i))
+    for i, ei in enumerate(eps):
         if field.is_zero(ei):
             continue
-        for j in range(hdim):
-            ej = h_coalg.counit(basis_vec(field, j))
+        for j, ej in enumerate(eps):
             c = field.mul(ei, ej)
             if not field.is_zero(c):
                 cols[i * hdim + j] = vec_scale(field, c, unit_a)

@@ -1,10 +1,12 @@
 """Shared fixtures and independent oracles for the test suite."""
 from __future__ import annotations
 
+from itertools import product as iproduct
 
 import hopfprod as hp
+import hopfprod.unified
 from hopfprod.corpus import s3_matched_pair, z4_crossed_datum
-from hopfprod.fields import QQ
+from hopfprod.fields import QQ, PrimeField
 from hopfprod.groups import GroupExtendingStructure
 from hopfprod.linalg import (
     SCALAR_SPACE,
@@ -14,7 +16,19 @@ from hopfprod.linalg import (
     tensor_vec,
     vec_add_into,
 )
-from hopfprod.structures import FDAlgebra, FDBialgebra, FDCoalgebra, FDHopf
+from hopfprod.reports import Report
+from hopfprod.structures import (
+    FDAlgebra,
+    FDBialgebra,
+    FDCoalgebra,
+    FDHopf,
+    _scan,
+    _tuple_label,
+    trivial_action_left,
+    trivial_action_right,
+    trivial_cocycle,
+)
+from hopfprod.unified import ExtendingDatum, _Ops
 
 
 def random_group_structure(rng, group, x_size) -> GroupExtendingStructure:
@@ -164,6 +178,35 @@ def s3_pair_with_bad_lact() -> hp.MatchedPair:
     return hp.MatchedPair(mp.a, mp.h, mp.ract, with_column(mp.lact, 1 * 3 + 1, {0: QQ.one}))
 
 
+def h4_trivial_datum(field=PrimeField(5)) -> hp.ExtendingDatum:
+    """The trivial datum of Sweedler's H4 acting on itself: multi-term
+    coproducts on both sides and a counit that kills x and gx."""
+    h4 = sweedler_bialgebra(field)
+    return trivial_datum(h4, h4)
+
+
+def h4_datum_with_bad_lact(field=PrimeField(5)) -> hp.ExtendingDatum:
+    """The trivial H4 datum with g |> x = x changed to 2x."""
+    d = h4_trivial_datum(field)
+    lact = with_column(d.lact, 1 * 4 + 2, {2: field.of(2)})
+    return hp.ExtendingDatum(d.base, d.ext, d.dot, d.ract, lact, d.cocycle)
+
+
+def h4_datum_with_c2_cocycle(field=QQ) -> hp.ExtendingDatum:
+    """H = Sweedler's H4 over A = k[C2], both actions trivial and the dot the
+    multiplication of H4, with the cocycle f(g, g) = s (the generator of C2)
+    and f trivial elsewhere.  The datum is normalized and its maps are
+    coalgebra maps, but it fails cocycle-symmetry, so it cannot be built."""
+    h4 = sweedler_bialgebra(field)
+    a = hp.group_algebra(hp.builtin_group("c2"), field)
+    cocycle = with_column(trivial_cocycle(field, h4.coalgebra, a.unit, a.space),
+                          1 * 4 + 1, {1: field.one})
+    return hp.ExtendingDatum(base=a, ext=h4.unit_coalgebra(), dot=h4.mult,
+                             ract=trivial_action_right(field, h4.space, a.coalgebra),
+                             lact=trivial_action_left(field, h4.coalgebra, a.space),
+                             cocycle=cocycle)
+
+
 def z4_crossed_with_bad_cocycle() -> hp.CrossedDatum:
     """The Z4 crossed datum with f(1, 0) moved off the unit."""
     cd = z4_crossed_datum()
@@ -247,3 +290,84 @@ def crossed_mult_direct(cd: hp.CrossedDatum) -> LinMap:
                     if out:
                         cols[(ai * hdim + hi) * (adim * hdim) + ci * hdim + gi] = out
     return LinMap(field, tensor_space(space, space), space, cols)
+
+
+# ---------------------------------------------------------------------------
+# the mixed-product identities of the twisted product, re-derived on the
+# assembled carrier
+
+
+def mixed_relations(d: ExtendingDatum, e: FDBialgebra) -> Report:
+    """Products against unit components collapse to short forms; verify them."""
+    field = d.field
+    a, h = d.base, d.ext
+    ops = _Ops(d)
+    hc, ac = h.coalg, a.coalgebra
+    bv = lambda i: basis_vec(field, i)
+    one_h, one_a = h.unit, a.unit
+    nh = h.dim
+    rep = Report("mixed products")
+    hl, al = h.space.labels, a.space.labels
+    hr, ar = range(h.dim), range(a.dim)
+
+    def left_base(ai, ci, gi):
+        got = e.mul(tensor_vec(field, bv(ai), one_h, nh),
+                    tensor_vec(field, bv(ci), bv(gi), nh))
+        return got == tensor_vec(field, a.mul(bv(ai), bv(ci)), bv(gi), nh)
+
+    _scan(rep, "mixed-left-base", iproduct(ar, ar, hr), left_base, _tuple_label(al, al, hl))
+
+    def against_ext(ai, gi, hi):
+        got = e.mul(tensor_vec(field, bv(ai), bv(gi), nh),
+                    tensor_vec(field, one_a, bv(hi), nh))
+        want: dict = {}
+        for (g1, g2), cg in hc.expand(gi, 2):
+            for (h1, h2), ch in hc.expand(hi, 2):
+                term = tensor_vec(field,
+                                  a.mul(bv(ai), ops.coc(bv(g1), bv(h1))),
+                                  ops.dot(bv(g2), bv(h2)), nh)
+                vec_add_into(field, want, term, field.mul(cg, ch))
+        return got == want
+
+    _scan(rep, "mixed-cocycle", iproduct(ar, hr, hr), against_ext, _tuple_label(al, hl, hl))
+
+    def against_base(ai, gi, bi):
+        got = e.mul(tensor_vec(field, bv(ai), bv(gi), nh),
+                    tensor_vec(field, bv(bi), one_h, nh))
+        want: dict = {}
+        for (g1, g2), cg in hc.expand(gi, 2):
+            for (b1, b2), cb in ac.expand(bi, 2):
+                term = tensor_vec(field,
+                                  a.mul(bv(ai), ops.lact(bv(g1), bv(b1))),
+                                  ops.ract(bv(g2), bv(b2)), nh)
+                vec_add_into(field, want, term, field.mul(cg, cb))
+        return got == want
+
+    _scan(rep, "mixed-actions", iproduct(ar, hr, ar), against_base,
+          _tuple_label(al, hl, al))
+
+    def generator(ai, gi):
+        got = e.mul(tensor_vec(field, bv(ai), one_h, nh),
+                    tensor_vec(field, one_a, bv(gi), nh))
+        return got == tensor_vec(field, bv(ai), bv(gi), nh)
+
+    _scan(rep, "generator-identity", iproduct(ar, hr), generator, _tuple_label(al, hl))
+    return rep
+
+
+def assert_mixed_relations(d: ExtendingDatum, e: FDBialgebra) -> None:
+    rep = mixed_relations(d, e)
+    assert rep.ok, f"mixed-product identities failed: {rep.first_failure()}"
+
+
+def check_mixed_relations_on_every_build(monkeypatch) -> None:
+    """Hold every product that ``unified_product_of_checked`` builds from
+    now on against :func:`mixed_relations`."""
+    build = hopfprod.unified.unified_product_of_checked
+
+    def checked(d):
+        p = build(d)
+        assert_mixed_relations(d, p.carrier)
+        return p
+
+    monkeypatch.setattr(hopfprod.unified, "unified_product_of_checked", checked)

@@ -1,10 +1,17 @@
+import copy
 import json
 import pathlib
+import random
 import time
 
 import pytest
 
-from helpers import s3_pair_with_bad_lact, z4_crossed_with_bad_cocycle
+from helpers import (
+    h4_datum_with_bad_lact,
+    h4_trivial_datum,
+    s3_pair_with_bad_lact,
+    z4_crossed_with_bad_cocycle,
+)
 import hopfprod.cli
 import hopfprod.unified
 from hopfprod.classification import enumerate_cocycles
@@ -12,6 +19,7 @@ from hopfprod.cli import main
 from hopfprod.corpus import (
     a4_order2_ges,
     a4_unified_datum,
+    builtin_example,
     s3_matched_pair,
     z4_crossed_datum,
 )
@@ -113,6 +121,24 @@ def test_malformed_documents_rejected():
     doc["payload"]["table"] = [[0, 1], [1, 1]]
     with pytest.raises(MalformedDocumentError):
         parse(json.dumps(doc).encode())
+    # a zero denominator in an entry record and in a vector record
+    for data in zero_denominator_documents():
+        with pytest.raises(MalformedDocumentError, match="zero denominator"):
+            parse(data)
+
+
+def zero_denominator_documents() -> list[bytes]:
+    """The Z4 crossed datum with the denominator of its first cocycle entry,
+    and then of the unit of A, set to zero."""
+    out = []
+    for path in (("cocycle", 0, 3), ("a", "value", "unit", 0, 2)):
+        doc = json.loads(serialize(z4_crossed_datum()))
+        node = doc["payload"]
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = 0
+        out.append(json.dumps(doc).encode())
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -162,10 +188,13 @@ def test_cli_verify_corrupted_datum_names_condition(tmp_path, capsys):
 
 
 def pinned_verify_inputs():
-    """The named examples and one-entry corruptions of them."""
+    """The named examples, the trivial H4 (x) H4 datum over GF(5), and
+    one-entry corruptions of them."""
     return {"s3-bicrossed": (s3_matched_pair(), 0), "z4-crossed": (z4_crossed_datum(), 0),
             "s3-bicrossed-bad-lact": (s3_pair_with_bad_lact(), 1),
-            "z4-crossed-bad-cocycle": (z4_crossed_with_bad_cocycle(), 1)}
+            "z4-crossed-bad-cocycle": (z4_crossed_with_bad_cocycle(), 1),
+            "h4xh4-gf5": (h4_trivial_datum(), 0),
+            "h4xh4-gf5-bad-lact": (h4_datum_with_bad_lact(), 1)}
 
 
 def test_cli_verify_reports_are_pinned(tmp_path, capsys):
@@ -407,6 +436,15 @@ def test_cli_non_integer_modulus_exits_two(tmp_path, capsys):
         assert "not an integer" in err and err.count("\n") == 1
 
 
+def test_cli_zero_denominator_exits_two(tmp_path, capsys):
+    path = tmp_path / "zero.json"
+    for data in zero_denominator_documents():
+        path.write_bytes(data)
+        code, _, err = run_cli(capsys, "verify", str(path))
+        assert code == 2
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_cli_61_bit_prime_modulus_is_quick(tmp_path, capsys):
     data = mod_p_datum_document(2**61 - 1)
     start = time.perf_counter()
@@ -426,3 +464,56 @@ def test_cli_composite_modulus_exits_two(tmp_path, capsys):
         code, _, err = run_cli(capsys, "verify", str(path))
         assert code == 2
         assert "not prime" in err and err.count("\n") == 1
+
+
+def mutate(rng, doc):
+    """A copy of a JSON tree with one seeded mutation at a random node: a
+    numeric nudge, a dropped or duplicated key or list item, or a value of
+    the wrong JSON type."""
+    doc = copy.deepcopy(doc)
+    slots = []
+
+    def walk(node):
+        if isinstance(node, dict):
+            items = node.items()
+        elif isinstance(node, list):
+            items = enumerate(node)
+        else:
+            return
+        for key, value in items:
+            slots.append((node, key))
+            walk(value)
+
+    walk(doc)
+    parent, key = rng.choice(slots)
+    value = parent[key]
+    kind = rng.choice(("nudge", "drop", "duplicate", "retype"))
+    if kind == "nudge" and isinstance(value, int) and not isinstance(value, bool):
+        parent[key] = value + rng.choice((-1, 1, -value))
+    elif kind == "drop":
+        del parent[key]
+    elif kind == "duplicate" and isinstance(parent, list):
+        parent.insert(key, copy.deepcopy(value))
+    elif kind == "duplicate":
+        parent[rng.choice(list(parent))] = copy.deepcopy(value)
+    else:
+        parent[key] = rng.choice((None, True, "x", 1.5, -1, [], {}, [0], {"x": 0}))
+    return doc
+
+
+def test_cli_fuzzed_documents_exit_cleanly(tmp_path, capsys):
+    rng = random.Random(2024)
+    docs = {name: json.loads(serialize(builtin_example(name)))
+            for name in ("s3-bicrossed", "z4-crossed", "a4-unified")}
+    path = tmp_path / "fuzz.json"
+    codes = []
+    for k in range(300):
+        name = rng.choice(sorted(docs))
+        path.write_text(json.dumps(mutate(rng, docs[name])))
+        argv = rng.choice((["verify"], ["build", "--out", str(tmp_path / "p.json")]))
+        code, _, err = run_cli(capsys, *argv, str(path))
+        assert code in (0, 1, 2), (k, name, argv[0])
+        if code == 2:
+            assert err.count("\n") == 1, (k, name, argv[0], err)
+        codes.append(code)
+    assert all(codes.count(c) >= 20 for c in (0, 1, 2)), codes

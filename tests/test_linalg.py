@@ -3,17 +3,19 @@ import random
 import pytest
 
 from helpers import dense_from_linmap, random_linmap
-from hopfprod.fields import QQ
+from hopfprod.fields import QQ, PrimeField
 from hopfprod.linalg import (
     BasedSpace,
     DimensionError,
     LinMap,
     NotInvertibleError,
+    basis_vec,
     compose,
     invert,
     rank,
     tensor_map,
     tensor_space,
+    tensor_vec,
     twist_map,
 )
 
@@ -72,6 +74,28 @@ def test_compose_associative_randomized():
         g = random_linmap(rng, QQ, S4, S3)
         h = random_linmap(rng, QQ, S2, S4)
         assert compose(compose(f, g), h) == compose(f, compose(g, h))
+
+
+def test_bilin_agrees_with_apply_on_every_index_vector_mix():
+    rng = random.Random(10)
+    for field in (QQ, PrimeField(5)):
+        def args(space):
+            """Every basis index, a random vector and the zero vector."""
+            vec = random_linmap(rng, field, BasedSpace(("1",)), space, density=0.6).col(0)
+            return [*range(space.dim), vec, {}]
+
+        def as_vec(x):
+            return basis_vec(field, x) if isinstance(x, int) else x
+
+        for _ in range(8):
+            m = random_linmap(rng, field, tensor_space(S3, S2), S4, density=0.5)
+            stored = dict(m.cols)
+            for v in args(S3):
+                for w in args(S2):
+                    got = m.bilin(v, w, S2.dim)
+                    assert got == m.apply(tensor_vec(field, as_vec(v), as_vec(w), S2.dim))
+                    got[0] = field.one  # the result never aliases a stored column
+            assert m.cols == stored
 
 
 def test_compose_dimension_mismatch():

@@ -1,8 +1,10 @@
 import pytest
 
 from helpers import (
+    assert_mixed_relations,
     bicrossed_antipode_direct,
     bicrossed_mult_direct,
+    check_mixed_relations_on_every_build,
     crossed_mult_direct,
     s3_pair_with_bad_lact,
     sweedler_bialgebra,
@@ -48,6 +50,11 @@ from hopfprod.structures import (
     trivial_cocycle,
 )
 from hopfprod.unified import assemble_product, check_product_conditions, validate_datum
+
+
+@pytest.fixture(autouse=True)
+def mixed_relations_on_every_build(monkeypatch):
+    check_mixed_relations_on_every_build(monkeypatch)
 
 
 def failing(report):
@@ -127,7 +134,11 @@ def test_bicrossed_direct_formula_matches_engine():
     built = 0
     for mp in oracle_matched_pairs():
         direct = bicrossed_mult_direct(mp)
-        assert direct == assemble_product(matched_pair_datum(mp)).mult
+        d = matched_pair_datum(mp)
+        carrier = assemble_product(d)
+        assert direct == carrier.mult
+        if validate_datum(d).ok:
+            assert_mixed_relations(d, carrier)
         if not check_matched_pair(mp).ok:
             continue
         p = build_bicrossed(mp)
@@ -176,7 +187,11 @@ def test_crossed_equals_unified_with_trivial_ract_byte_identical():
     built = 0
     for cd in oracle_crossed_data():
         direct = serialize(crossed_mult_direct(cd))
-        assert direct == serialize(assemble_product(crossed_datum(cd)).mult)
+        d = crossed_datum(cd)
+        carrier = assemble_product(d)
+        assert direct == serialize(carrier.mult)
+        if validate_datum(d).ok:
+            assert_mixed_relations(d, carrier)
         if check_crossed(cd).ok:
             assert direct == serialize(build_crossed(cd).carrier.mult)
             built += 1

@@ -2,14 +2,23 @@ import random
 
 import pytest
 
-from helpers import random_group_structure, trivial_datum
+from helpers import (
+    assert_mixed_relations,
+    check_mixed_relations_on_every_build,
+    h4_datum_with_c2_cocycle,
+    h4_trivial_datum,
+    random_group_structure,
+    trivial_datum,
+)
 from hopfprod.corpus import a4_order2_ges, a4_unified_datum, s3_matched_pair
-from hopfprod.fields import QQ
+from hopfprod.fields import QQ, PrimeField
 from hopfprod.groups import (
     GroupExtendingStructure,
     builtin_group,
+    coset_extending_structure,
     group_algebra,
     lift_to_hopf,
+    small_corpus_names,
 )
 from hopfprod.linalg import LinMap, basis_vec, compose, tensor_vec
 from hopfprod.special import matched_pair_datum
@@ -28,6 +37,11 @@ from hopfprod.unified import (
     product_antipode,
     validate_datum,
 )
+
+
+@pytest.fixture(autouse=True)
+def mixed_relations_on_every_build(monkeypatch):
+    check_mixed_relations_on_every_build(monkeypatch)
 
 
 def failing(report):
@@ -150,8 +164,9 @@ def test_condition_oracle_equivalence_randomized_smoke():
         d = lift_to_hopf(ges)
         assert validate_datum(d).ok
         conditions_ok = check_product_conditions(d).ok
-        bialgebra_ok = check_bialgebra(assemble_product(d)).ok
-        assert conditions_ok == bialgebra_ok
+        carrier = assemble_product(d)
+        assert conditions_ok == check_bialgebra(carrier).ok
+        assert_mixed_relations(d, carrier)
 
 
 def test_product_antipode_ground_field_base():
@@ -181,7 +196,25 @@ def test_product_antipode_rejects_bad_inputs():
 
 def test_mixed_relations_verified_on_build():
     # mixed products against unit components collapse to the short closed
-    # forms; build_unified_product re-verifies them, so a successful build of
-    # the A4 datum is itself the assertion
-    p = build_unified_product(a4_unified_datum())
-    assert p.carrier.dim == 12
+    # forms; the oracle re-multiplies the built carrier to check them on A4,
+    # on H4 (x) H4 (multi-term coproducts) and on every subgroup split of
+    # the corpus groups of order at most 12
+    f5 = PrimeField(5)
+    data = [a4_unified_datum(), a4_unified_datum(f5), h4_trivial_datum(QQ),
+            h4_trivial_datum(f5)]
+    for name in small_corpus_names():
+        g = builtin_group(name)
+        if g.order <= 12:
+            data += [lift_to_hopf(coset_extending_structure(g, indices))
+                     for indices in g.all_subgroups()]
+    assert len(data) == 4 + 72
+    for d in data:
+        assert_mixed_relations(d, build_unified_product(d).carrier)
+    # the identities need only the normalizations, so they also hold on the
+    # assembled product of a datum that fails cocycle-symmetry; this one has
+    # a nontrivial cocycle over the non-cocommutative H4, where swapping the
+    # legs of a coproduct in the product formula shows
+    for field in (QQ, f5):
+        d = h4_datum_with_c2_cocycle(field)
+        assert validate_datum(d).ok
+        assert_mixed_relations(d, assemble_product(d))
