@@ -122,6 +122,39 @@ def sweedler_bialgebra(field=QQ) -> FDBialgebra:
     return FDBialgebra(coalg, alg)
 
 
+def rescaled_bialgebra(b: FDBialgebra, scales, labels) -> FDBialgebra:
+    """b in the basis c_i e_i, for nonzero field values c_i = ``scales[i]``.
+
+    With m(e_i, e_j) = sum_k m_k e_k the new constants are c_i c_j m_k / c_k;
+    delta picks up c_i / (c_j c_k), epsilon c_i and the unit 1 / c_k.
+    """
+    f = b.field
+    inv = [f.inv(c) for c in scales]
+    n = b.dim
+    space = hp.BasedSpace(labels)
+    mult = LinMap(f, tensor_space(space, space), space, {
+        i * n + j: {k: f.mul(f.mul(scales[i], scales[j]), f.mul(m, inv[k]))
+                    for k, m in b.mult.col(i * n + j).items()}
+        for i in range(n) for j in range(n)})
+    delta = LinMap(f, space, tensor_space(space, space), {
+        i: {jk: f.mul(f.mul(scales[i], d), f.mul(inv[jk // n], inv[jk % n]))
+            for jk, d in b.delta.col(i).items()}
+        for i in range(n)})
+    epsilon = LinMap(f, space, SCALAR_SPACE, {
+        i: {0: f.mul(scales[i], e)} for i in range(n) for e in b.epsilon.col(i).values()})
+    unit = {k: f.mul(u, inv[k]) for k, u in b.algebra.unit.items()}
+    return FDBialgebra(FDCoalgebra(f, space, delta, epsilon),
+                       FDAlgebra(f, space, mult, unit, associative="yes"))
+
+
+def scaled_sweedler() -> FDBialgebra:
+    """Sweedler's H4 over QQ in the basis 1, g/2, x/2, gx/3.  Its structure
+    constants include 1/4, 3/4, 1/3 and 1/2: a non-integral QQ fixture."""
+    f = QQ
+    return rescaled_bialgebra(sweedler_bialgebra(f), (f.one, f.of(1, 2), f.of(1, 2), f.of(1, 3)),
+                              ("1", "g/2", "x/2", "gx/3"))
+
+
 def trivial_datum(a: FDBialgebra, h: FDBialgebra) -> hp.ExtendingDatum:
     return hp.matched_pair_datum(hp.trivial_matched_pair(a, h))
 
@@ -189,6 +222,19 @@ def h4_datum_with_bad_lact(field=PrimeField(5)) -> hp.ExtendingDatum:
     """The trivial H4 datum with g |> x = x changed to 2x."""
     d = h4_trivial_datum(field)
     lact = with_column(d.lact, 1 * 4 + 2, {2: field.of(2)})
+    return hp.ExtendingDatum(d.base, d.ext, d.dot, d.ract, lact, d.cocycle)
+
+
+def scaled_h4_trivial_datum() -> hp.ExtendingDatum:
+    """The trivial datum of :func:`scaled_sweedler` acting on itself."""
+    h4 = scaled_sweedler()
+    return trivial_datum(h4, h4)
+
+
+def scaled_h4_datum_with_bad_lact() -> hp.ExtendingDatum:
+    """The scaled H4 datum with g/2 |> x/2 = (1/2) x/2 changed to (1/3) x/2."""
+    d = scaled_h4_trivial_datum()
+    lact = with_column(d.lact, 1 * 4 + 2, {2: QQ.of(1, 3)})
     return hp.ExtendingDatum(d.base, d.ext, d.dot, d.ract, lact, d.cocycle)
 
 

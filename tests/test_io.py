@@ -10,6 +10,8 @@ from helpers import (
     h4_datum_with_bad_lact,
     h4_trivial_datum,
     s3_pair_with_bad_lact,
+    scaled_h4_datum_with_bad_lact,
+    scaled_h4_trivial_datum,
     z4_crossed_with_bad_cocycle,
 )
 import hopfprod.cli
@@ -188,13 +190,16 @@ def test_cli_verify_corrupted_datum_names_condition(tmp_path, capsys):
 
 
 def pinned_verify_inputs():
-    """The named examples, the trivial H4 (x) H4 datum over GF(5), and
-    one-entry corruptions of them."""
+    """The named examples, the trivial H4 (x) H4 datum over GF(5) and over
+    QQ in a basis with non-integral structure constants, and one-entry
+    corruptions of them."""
     return {"s3-bicrossed": (s3_matched_pair(), 0), "z4-crossed": (z4_crossed_datum(), 0),
             "s3-bicrossed-bad-lact": (s3_pair_with_bad_lact(), 1),
             "z4-crossed-bad-cocycle": (z4_crossed_with_bad_cocycle(), 1),
             "h4xh4-gf5": (h4_trivial_datum(), 0),
-            "h4xh4-gf5-bad-lact": (h4_datum_with_bad_lact(), 1)}
+            "h4xh4-gf5-bad-lact": (h4_datum_with_bad_lact(), 1),
+            "h4xh4-qq-scaled": (scaled_h4_trivial_datum(), 0),
+            "h4xh4-qq-scaled-bad-lact": (scaled_h4_datum_with_bad_lact(), 1)}
 
 
 def test_cli_verify_reports_are_pinned(tmp_path, capsys):
@@ -205,6 +210,20 @@ def test_cli_verify_reports_are_pinned(tmp_path, capsys):
         assert code == want_code, name
         machine = out.split("-- machine --\n", 1)[1].encode()
         assert machine == (GOLDEN / f"verify-{name}.json").read_bytes(), name
+
+
+def test_cli_build_output_is_pinned(tmp_path, capsys):
+    """The product of the scaled H4 datum: multiplication, counit and the
+    solved antipode all carry non-integral rationals."""
+    path = tmp_path / "scaled.json"
+    path.write_bytes(serialize(scaled_h4_trivial_datum()))
+    code, out, _ = run_cli(capsys, "build", str(path))
+    assert code == 0
+    assert out.encode() == (GOLDEN / "build-h4xh4-qq-scaled.json").read_bytes()
+    payload = json.loads(out)["payload"]
+    assert json.loads(out)["kind"] == "hopf"
+    for key in ("mult", "epsilon", "antipode"):
+        assert any(den != 1 for *_, den in payload[key]), key
 
 
 def test_cli_verify_malformed_input(tmp_path, capsys):
