@@ -1,9 +1,11 @@
 """Exact ground fields: the rationals and prime fields.
 
-Every object in this package carries a field descriptor.  Rational values are
-``fractions.Fraction`` (always reduced, arbitrary precision); values mod p are
-plain ints in ``[0, p)``.  Mixing objects over different fields is an error,
-checked by :func:`same_field`.
+Every object in this package carries a field descriptor.  A rational value is
+a plain ``int`` when it is integral and a reduced ``fractions.Fraction``
+otherwise (arbitrary precision either way), so the integral structure
+constants of group algebras never pay for ``Fraction`` arithmetic; values mod
+p are plain ints in ``[0, p)``.  Mixing objects over different fields is an
+error, checked by :func:`same_field`.
 """
 from __future__ import annotations
 
@@ -14,10 +16,19 @@ class FieldMismatchError(ValueError):
     """Two objects from different ground fields were combined."""
 
 
+def _norm(x):
+    """A rational value in normal form: ``int`` if integral, else ``Fraction``."""
+    if type(x) is int or x.denominator != 1:
+        return x
+    return x.numerator
+
+
 class Rationals:
     """The field of rational numbers.  Use the module singleton ``QQ``."""
 
     name = "rational"
+    zero = 0
+    one = 1
 
     def __repr__(self):
         return "QQ"
@@ -28,33 +39,25 @@ class Rationals:
     def __hash__(self):
         return hash("rational")
 
-    @property
-    def zero(self):
-        return Fraction(0)
-
-    @property
-    def one(self):
-        return Fraction(1)
-
     def of(self, num, den=1):
-        return Fraction(num, den)
+        return _norm(Fraction(num, den))
 
     def add(self, a, b):
-        return a + b
+        return _norm(a + b)
 
     def sub(self, a, b):
-        return a - b
+        return _norm(a - b)
 
     def neg(self, a):
         return -a
 
     def mul(self, a, b):
-        return a * b
+        return _norm(a * b)
 
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return 1 / a
+        return _norm(Fraction(1, a))  # not 1 / a, which is a float for an int
 
     def is_zero(self, a):
         return a == 0

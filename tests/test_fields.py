@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hopfprod.fields import QQ, FieldMismatchError, PrimeField, Rationals, is_prime, same_field
 
@@ -87,3 +88,57 @@ def test_field_equality_and_mismatch():
     assert same_field(Carrier(QQ), Carrier(QQ)) == QQ
     with pytest.raises(FieldMismatchError):
         same_field(Carrier(QQ), Carrier(PrimeField(5)))
+
+
+# ---------------------------------------------------------------------------
+# QQ values are ints when integral: property tests against Fraction
+
+PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+nums = st.integers(-10**30, 10**30) | st.integers(-12, 12)
+dens = st.integers(1, 10**30) | st.integers(1, 12)
+nonzero_dens = dens | dens.map(lambda d: -d)
+
+
+def assert_normal(x, want: Fraction):
+    """x equals want, and is an int exactly when want is integral."""
+    assert x == want
+    assert type(x) is (int if want.denominator == 1 else Fraction), (x, want)
+
+
+@PROPERTY
+@given(nums, nonzero_dens)
+def test_rationals_of_is_normal(num, den):
+    assert_normal(QQ.of(num, den), Fraction(num, den))
+    assert_normal(QQ.of(num), Fraction(num))
+
+
+@PROPERTY
+@given(nums, nonzero_dens, nums, nonzero_dens)
+def test_rationals_arithmetic_matches_fraction(n1, d1, n2, d2):
+    a, b = QQ.of(n1, d1), QQ.of(n2, d2)
+    fa, fb = Fraction(n1, d1), Fraction(n2, d2)
+    assert_normal(QQ.add(a, b), fa + fb)
+    assert_normal(QQ.sub(a, b), fa - fb)
+    assert_normal(QQ.neg(a), -fa)
+    assert_normal(QQ.mul(a, b), fa * fb)
+    assert QQ.is_zero(a) == (fa == 0)
+    assert QQ.to_pair(a) == (fa.numerator, fa.denominator)
+    if fa:
+        assert_normal(QQ.inv(a), 1 / fa)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            QQ.inv(a)
+
+
+def test_rationals_fixed_points():
+    assert type(QQ.zero) is int and type(QQ.one) is int
+    assert_normal(QQ.inv(2), Fraction(1, 2))
+    assert_normal(QQ.inv(QQ.of(1, 2)), Fraction(2))
+    assert_normal(QQ.inv(-1), Fraction(-1))
+    assert_normal(QQ.mul(QQ.of(2, 3), QQ.of(3, 2)), Fraction(1))
+    assert_normal(QQ.add(QQ.of(1, 2), QQ.of(1, 2)), Fraction(1))
+    with pytest.raises(ZeroDivisionError):
+        QQ.of(1, 0)
+    with pytest.raises(ZeroDivisionError):
+        QQ.inv(QQ.zero)

@@ -5,6 +5,8 @@ import random
 import time
 
 import pytest
+from fractions import Fraction
+from hypothesis import given, settings, strategies as st
 
 from helpers import (
     h4_datum_with_bad_lact,
@@ -85,6 +87,54 @@ def test_parse_serialize_roundtrip_object_equality():
             assert back == obj.linmap
         else:
             assert back == obj
+
+
+@st.composite
+def canonical_documents(draw):
+    """Canonical bytes of a random linmap or unital coalgebra document over
+    QQ (integral and non-integral entries mixed) or GF(p), written straight
+    as JSON: reduced num/den records, sorted by index, no zero entries."""
+    p = draw(st.sampled_from((None, 2, 5, 101, 2**61 - 1)))
+    if p is None:
+        field = {"kind": "rational"}
+        value = st.builds(Fraction, st.integers(-50, 50) | st.integers(-10**20, 10**20),
+                          st.sampled_from((1, 1, 2, 3, 7, 10**20 + 39)))
+    else:
+        field = {"kind": "mod-p", "p": p}
+        value = st.builds(Fraction, st.integers(0, p - 1))
+
+    def space(dim):
+        labels = draw(st.lists(st.text(max_size=3), min_size=dim, max_size=dim, unique=True))
+        return {"dim": dim, "labels": labels}
+
+    def records(*shape):
+        keys = st.tuples(*(st.integers(0, n - 1) for n in shape))
+        cells = draw(st.dictionaries(keys, value, max_size=12))
+        return [[*key, x.numerator, x.denominator]
+                for key, x in sorted(cells.items()) if x]
+
+    n = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        m = draw(st.integers(1, 4))
+        kind, payload = "linmap", {"domain": space(n), "codomain": space(m),
+                                   "entries": records(n, m)}
+    else:
+        kind, payload = "coalgebra", {"space": space(n), "delta": records(n, n * n),
+                                      "epsilon": records(n, 1), "unit": records(n)}
+    doc = {"format": "hopfprod/1", "field": field, "kind": kind, "payload": payload}
+    return (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(canonical_documents())
+def test_serialize_parse_roundtrip_property(data):
+    obj = parse(data)
+    assert serialize(obj) == data
+    maps = (obj,) if isinstance(obj, LinMap) else (obj.delta, obj.epsilon)
+    values = [v for m in maps for col in m.cols.values() for _, v in col]
+    values += [] if isinstance(obj, LinMap) else list(obj.unit.values())
+    assert all(type(v) is int or type(v) is Fraction and v.denominator != 1
+               for v in values)
 
 
 def test_prime_field_document_roundtrip():
