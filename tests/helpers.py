@@ -144,7 +144,7 @@ def rescaled_bialgebra(b: FDBialgebra, scales, labels) -> FDBialgebra:
         i: {0: f.mul(scales[i], e)} for i in range(n) for e in b.epsilon.col(i).values()})
     unit = {k: f.mul(u, inv[k]) for k, u in b.algebra.unit.items()}
     return FDBialgebra(FDCoalgebra(f, space, delta, epsilon),
-                       FDAlgebra(f, space, mult, unit, associative="yes"))
+                       FDAlgebra(f, space, mult, unit))
 
 
 def scaled_sweedler() -> FDBialgebra:

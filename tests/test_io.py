@@ -3,9 +3,9 @@ import json
 import pathlib
 import random
 import time
+from fractions import Fraction
 
 import pytest
-from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from helpers import (
@@ -270,10 +270,10 @@ def test_cli_build_output_is_pinned(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "build", str(path))
     assert code == 0
     assert out.encode() == (GOLDEN / "build-h4xh4-qq-scaled.json").read_bytes()
-    payload = json.loads(out)["payload"]
-    assert json.loads(out)["kind"] == "hopf"
+    doc = json.loads(out)
+    assert doc["kind"] == "hopf"
     for key in ("mult", "epsilon", "antipode"):
-        assert any(den != 1 for *_, den in payload[key]), key
+        assert any(den != 1 for *_, den in doc["payload"][key]), key
 
 
 def test_cli_verify_malformed_input(tmp_path, capsys):
