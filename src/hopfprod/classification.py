@@ -36,7 +36,6 @@ from .structures import (
     FDHopf,
     UnitalCoalgebra,
     _add_term,
-    _coproducts,
     _counits,
     _scan,
     _tuple_label,
@@ -71,9 +70,9 @@ def is_lazy_cocycle(u: LinMap, h: UnitalCoalgebra, a: FDBialgebra) -> bool:
     if u.apply(h.unit) != a.unit:
         return False
     field = same_field(h, a)
-    for terms in _coproducts(h.coalg):
+    for i in range(h.dim):
         straight, crossed = {}, {}
-        for left, right, x in terms:
+        for (left, right), x in h.coalg.expand(i, 2):
             for r, y in u.cols.get(right, ()):
                 _add_term(field, straight, (left, r), field.mul(x, y))
             for r, y in u.cols.get(left, ()):

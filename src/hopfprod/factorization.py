@@ -89,11 +89,9 @@ class FactorizationInput:
     @staticmethod
     def _induce_coalgebra(ambient, incl, solver, what) -> FDCoalgebra:
         field = ambient.field
-        pair_solver = PreimageSolver(tensor_map(incl, incl))
         cols = {}
         for i in range(incl.domain.dim):
-            img = ambient.delta.apply(incl.col(i))
-            pre = pair_solver.preimage(img)
+            pre = solver.pair_preimage(ambient.delta.apply(incl.col(i)))
             if pre is None:
                 raise FactorizationInputError(
                     f"{what} image is not closed under comultiplication")

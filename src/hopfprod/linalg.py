@@ -11,7 +11,8 @@ Bilinear maps are linear maps out of a tensor-product domain.
 :meth:`LinMap.bilin` is the one evaluator for them: each argument is a basis
 index or a sparse vector, a pair of indices reads the stored column without
 field arithmetic, and any other pair is expanded bilinearly in one loop,
-with no intermediate tensor vector.
+with no intermediate tensor vector.  :func:`tensor_apply` likewise applies
+``f (x) g`` to one vector without building the map ``f (x) g``.
 """
 from __future__ import annotations
 
@@ -111,14 +112,15 @@ class LinMap:
         self.domain = domain
         self.codomain = codomain
         norm = {}
+        ndom, ncod = domain.dim, codomain.dim
         for i, col in cols.items():
-            if not 0 <= i < domain.dim:
+            if not 0 <= i < ndom:
                 raise DimensionError(f"domain index {i} out of range")
             entries = tuple(
                 sorted((j, v) for j, v in col.items() if not field.is_zero(v))
             )
             for j, _ in entries:
-                if not 0 <= j < codomain.dim:
+                if not 0 <= j < ncod:
                     raise DimensionError(f"codomain index {j} out of range")
             if entries:
                 norm[i] = entries
@@ -179,6 +181,8 @@ class LinMap:
 
     def __eq__(self, other):
         """Exact structural equality; spaces compared by dimension only."""
+        if self is other:
+            return True
         return (
             isinstance(other, LinMap)
             and self.field == other.field
@@ -223,6 +227,25 @@ def tensor_map(f: LinMap, g: LinMap) -> LinMap:
                 a * cdim + b: field.mul(x, y) for a, x in fcol for b, y in gcol
             }
     return LinMap(field, dom, cod, cols)
+
+
+def tensor_apply(f: LinMap, g: LinMap, v: dict) -> dict:
+    """(f (x) g)(v), evaluated on the support of v without building f (x) g."""
+    field = same_field(f, g)
+    gdim, cdim = g.domain.dim, g.codomain.dim
+    out = {}
+    for p, c in v.items():
+        i, j = divmod(p, gdim)
+        for a, x in f.cols.get(i, ()):
+            cx = field.mul(c, x)
+            for b, y in g.cols.get(j, ()):
+                k = a * cdim + b
+                z = field.add(out.get(k, field.zero), field.mul(cx, y))
+                if field.is_zero(z):
+                    out.pop(k, None)
+                else:
+                    out[k] = z
+    return out
 
 
 def twist_map(field, a: BasedSpace, b: BasedSpace) -> LinMap:
@@ -380,43 +403,56 @@ def solve_system(field, rows: list[dict], rhs: list, n_unknowns: int):
 
 
 class PreimageSolver:
-    """Solve f(x) = v repeatedly for a fixed injective-or-not map f."""
+    """Solve f(x) = v repeatedly for a fixed injective-or-not map f.
+
+    One reduction of ``[f | id]`` to reduced echelon form yields two sparse
+    maps out of the codomain of f: a left inverse ``L`` that sends each v in
+    the image of f to its preimage with every free unknown zero (``L f = id``
+    when f is injective), and a cokernel ``K`` whose kernel is exactly the
+    image of f.  A preimage is then one apply of each.
+    """
 
     def __init__(self, f: LinMap):
         self.f = f
-        self.field = f.field
+        field = self.field = f.field
         n = f.domain.dim
         rows = _rows_of(f)
-        m = len(rows)
         for r, row in enumerate(rows):
-            row[n + r] = self.field.one
-        self.pivots = _rref(self.field, rows, n)
-        self.rows = rows
-        self.n = n
-        self.m = m
-        self.pivot_rows = {r for _, r in self.pivots}
+            row[n + r] = field.one
+        self.pivots = _rref(field, rows, n)
+        pivot_rows = {r for _, r in self.pivots}
+        # the augmented part of the pivot row of column `col` is row `col`
+        # of L; rows without a pivot keep only augmented columns, and those
+        # are the rows of K
+        free = [r for r in range(len(rows)) if r not in pivot_rows]
+        left: dict[int, dict] = {}
+        for col, r in self.pivots:
+            for c, x in rows[r].items():
+                if c >= n:
+                    left.setdefault(c - n, {})[col] = x
+        coker: dict[int, dict] = {}
+        for k, r in enumerate(free):
+            for c, x in rows[r].items():
+                coker.setdefault(c - n, {})[k] = x
+        self.left_inverse = LinMap(field, f.codomain, f.domain, left)
+        self.cokernel = LinMap(field, f.codomain,
+                               BasedSpace(str(r) for r in free), coker)
+        self._ident = LinMap.identity(field, f.codomain)
 
     def preimage(self, v: dict):
         """A preimage of v under f, or None if v is outside the image."""
-        field = self.field
-        sol = {}
-        for col, r in self.pivots:
-            acc = field.zero
-            row = self.rows[r]
-            for c, coeff in row.items():
-                if c >= self.n:
-                    acc = field.add(acc, field.mul(coeff, v.get(c - self.n, field.zero)))
-            if not field.is_zero(acc):
-                sol[col] = acc
-        # rows without pivots impose consistency constraints
-        for r in range(self.m):
-            if r in self.pivot_rows:
-                continue
-            row = self.rows[r]
-            acc = field.zero
-            for c, coeff in row.items():
-                if c >= self.n:
-                    acc = field.add(acc, field.mul(coeff, v.get(c - self.n, field.zero)))
-            if not field.is_zero(acc):
-                return None
-        return sol
+        if self.cokernel.apply(v):
+            return None
+        return self.left_inverse.apply(v)
+
+    def pair_preimage(self, v: dict):
+        """A preimage of v under f (x) f, or None if v is outside its image.
+
+        v lies in im f (x) im f iff ``(K (x) id) v`` and ``(id (x) K) v``
+        vanish, and its preimage is then ``(L (x) L) v``; all three are
+        evaluated on the support of v.
+        """
+        ident, k, l = self._ident, self.cokernel, self.left_inverse
+        if tensor_apply(k, ident, v) or tensor_apply(ident, k, v):
+            return None
+        return tensor_apply(l, l, v)

@@ -82,10 +82,17 @@ def _entries_obj(field, m: LinMap):
     return out
 
 
+def _json_int(x, what: str) -> int:
+    """x itself if it is a JSON integer (not a float, string or boolean)."""
+    if type(x) is not int:
+        raise MalformedDocumentError(f"{what} {x!r} is not an integer")
+    return x
+
+
 def _scalar(field, num, den):
     """The field element num/den of a record; a zero denominator is malformed."""
     try:
-        return field.of(int(num), int(den))
+        return field.of(_json_int(num, "numerator"), _json_int(den, "denominator"))
     except ZeroDivisionError as exc:
         raise MalformedDocumentError(f"zero denominator in {num}/{den}") from exc
 
@@ -95,7 +102,8 @@ def _entries_from(field, obj, domain, codomain) -> LinMap:
     try:
         for rec in obj:
             i, j, num, den = rec
-            cols.setdefault(int(i), {})[int(j)] = _scalar(field, num, den)
+            cols.setdefault(_json_int(i, "index"), {})[_json_int(j, "index")] = \
+                _scalar(field, num, den)
     except (TypeError, ValueError) as exc:
         raise MalformedDocumentError(f"bad entry record: {exc}") from exc
     try:
@@ -117,9 +125,9 @@ def _vector_from(field, obj, dim) -> dict:
     try:
         for rec in obj:
             i, num, den = rec
-            if not 0 <= int(i) < dim:
+            if not 0 <= _json_int(i, "index") < dim:
                 raise MalformedDocumentError(f"vector index {i} out of range")
-            out[int(i)] = _scalar(field, num, den)
+            out[i] = _scalar(field, num, den)
     except (TypeError, ValueError) as exc:
         raise MalformedDocumentError(f"bad vector record: {exc}") from exc
     return out

@@ -22,6 +22,7 @@ from .fields import same_field
 from .linalg import (
     SCALAR_SPACE,
     BasedSpace,
+    DimensionError,
     LinMap,
     compose,
     solve_system,
@@ -29,6 +30,7 @@ from .linalg import (
     tensor_space,
     tensor_vec,
     twist_map,
+    vec_add_into,
     vec_scale,
 )
 from .reports import Report
@@ -55,6 +57,7 @@ class FDCoalgebra:
         if epsilon.domain.dim != space.dim or epsilon.codomain.dim != 1:
             raise ValueError("counit has the wrong shape")
         self._expand_cache: dict[tuple[int, int], list] = {}
+        self._counit_table: tuple | None = None
 
     @property
     def dim(self) -> int:
@@ -68,7 +71,9 @@ class FDCoalgebra:
 
         Returns ``[(indices, coeff), ...]`` where ``indices`` has length n.
         Only valid on coassociative comultiplications (checked elsewhere);
-        the expansion always splits the leftmost factor.
+        the expansion always splits the leftmost factor.  Results are cached
+        per coalgebra, so ``expand(i, 2)`` is the one table of delta(e_i)
+        that the checkers, the predicates and :func:`convolution` read.
         """
         if n == 1:
             return [((i,), self.field.one)]
@@ -287,12 +292,13 @@ def tensor_coalgebra(c: FDCoalgebra, d: FDCoalgebra) -> FDCoalgebra:
     delta(x (x) y) = (x1 (x) y1) (x) (x2 (x) y2)."""
     field = same_field(c, d)
     space = tensor_space(c.space, d.space)
-    n, cop_d = d.dim, _coproducts(d)
+    n = d.dim
     cols = {}
-    for i, cop_i in enumerate(_coproducts(c)):
-        for j, cop_j in enumerate(cop_d):
+    for i in range(c.dim):
+        for j in range(n):
             cols[i * n + j] = {(a1 * n + b1) * space.dim + a2 * n + b2: field.mul(x, y)
-                               for a1, a2, x in cop_i for b1, b2, y in cop_j}
+                               for (a1, a2), x in c.expand(i, 2)
+                               for (b1, b2), y in d.expand(j, 2)}
     delta = LinMap(field, space, tensor_space(space, space), cols)
     epsilon = tensor_map(c.epsilon, d.epsilon)
     return FDCoalgebra(field, space, delta, epsilon)
@@ -332,17 +338,13 @@ def _add_term(field, acc: dict, key, x):
         acc[key] = y
 
 
-def _coproducts(c: FDCoalgebra) -> list[list[tuple[int, int, object]]]:
-    """delta(e_i) for every i, as a list of (left, right, coefficient)."""
-    n = c.dim
-    return [[(*divmod(flat, n), x) for flat, x in c.delta.cols.get(i, ())]
-            for i in range(n)]
-
-
-def _counits(c: FDCoalgebra) -> list:
-    """counit(e_i) for every i."""
-    zero = c.field.zero
-    return [dict(c.epsilon.cols.get(i, ())).get(0, zero) for i in range(c.dim)]
+def _counits(c: FDCoalgebra) -> tuple:
+    """counit(e_i) for every i, computed once per coalgebra."""
+    if c._counit_table is None:
+        zero = c.field.zero
+        c._counit_table = tuple(dict(c.epsilon.cols.get(i, ())).get(0, zero)
+                                for i in range(c.dim))
+    return c._counit_table
 
 
 def _scan(rep: Report, name: str, tuples, holds, label) -> bool:
@@ -367,23 +369,23 @@ def check_coalgebra(c: FDCoalgebra) -> Report:
     """Verify coassociativity and both counit laws, with witnesses."""
     field = c.field
     mul = field.mul
-    cop, eps = _coproducts(c), _counits(c)
+    cop, eps = c.expand, _counits(c)
     basis = [(i,) for i in range(c.dim)]
     rep = Report("coalgebra axioms")
 
     def coassociative(i):
         lhs, rhs = {}, {}
-        for a, b, x in cop[i]:
-            for a1, a2, y in cop[a]:
+        for (a, b), x in cop(i, 2):
+            for (a1, a2), y in cop(a, 2):
                 _add_term(field, lhs, (a1, a2, b), mul(x, y))
-            for b1, b2, y in cop[b]:
+            for (b1, b2), y in cop(b, 2):
                 _add_term(field, rhs, (a, b1, b2), mul(x, y))
         return lhs == rhs
 
     def counit_law(left):
         def holds(i):
             acc = {}
-            for a, b, x in cop[i]:
+            for (a, b), x in cop(i, 2):
                 _add_term(field, acc, b if left else a, mul(eps[a if left else b], x))
             return acc == {i: field.one}
         return holds
@@ -434,7 +436,7 @@ def check_bialgebra(b: FDBialgebra) -> Report:
     field = b.field
     mul = field.mul
     n, m = b.dim, b.mult.cols
-    cop, eps = _coproducts(b.coalgebra), _counits(b.coalgebra)
+    cop, eps = b.coalgebra.expand, _counits(b.coalgebra)
     labels = b.space.labels
     pairs = list(iproduct(range(n), repeat=2))
     pair_label = _tuple_label(labels, labels)  # as tensor_space names it
@@ -445,10 +447,10 @@ def check_bialgebra(b: FDBialgebra) -> Report:
     def comult_multiplicative(i, j):
         lhs, rhs = {}, {}
         for r, x in m.get(i * n + j, ()):
-            for r1, r2, y in cop[r]:
+            for (r1, r2), y in cop(r, 2):
                 _add_term(field, lhs, (r1, r2), mul(x, y))
-        for i1, i2, x in cop[i]:
-            for j1, j2, y in cop[j]:
+        for (i1, i2), x in cop(i, 2):
+            for (j1, j2), y in cop(j, 2):
                 xy = mul(x, y)
                 for r1, u in m.get(i1 * n + j1, ()):
                     for r2, v in m.get(i2 * n + j2, ()):
@@ -486,14 +488,14 @@ def _coalgebra_morphism(f: LinMap, src: FDCoalgebra, dst: FDCoalgebra, flip: boo
     _check_shape(f, src, dst, "coalgebras")
     field = same_field(f, src, dst)
     mul = field.mul
-    cop_src, cop_dst, eps_dst = _coproducts(src), _coproducts(dst), _counits(dst)
+    eps_dst = _counits(dst)
     for i in range(src.dim):
         image = f.cols.get(i, ())
         lhs, rhs = {}, {}
         for r, x in image:
-            for r1, r2, y in cop_dst[r]:
+            for (r1, r2), y in dst.expand(r, 2):
                 _add_term(field, lhs, (r1, r2), mul(x, y))
-        for a, b, x in cop_src[i]:
+        for (a, b), x in src.expand(i, 2):
             for r1, u in f.cols.get(a, ()):
                 for r2, v in f.cols.get(b, ()):
                     _add_term(field, rhs, (r2, r1) if flip else (r1, r2), mul(x, mul(u, v)))
@@ -562,8 +564,23 @@ def grouplike_indices(c: FDCoalgebra) -> list[int]:
 
 
 def convolution(f: LinMap, g: LinMap, src: FDCoalgebra, dst: FDAlgebra) -> LinMap:
-    """The convolution product m_dst . (f (x) g) . delta_src."""
-    return compose(dst.mult, compose(tensor_map(f, g), src.delta))
+    """The convolution product m_dst . (f (x) g) . delta_src, evaluated
+    pointwise: (f * g)(e_i) = sum f(e_i1) g(e_i2) over the cached
+    comultiplication of e_i, with no map out of a tensor square.  Raises
+    :class:`DimensionError` unless both factors map src to dst."""
+    field = same_field(f, g, src, dst)
+    for h in (f, g):
+        if h.domain.dim != src.dim or h.codomain.dim != dst.dim:
+            raise DimensionError(
+                f"convolution factor {h.domain.dim} -> {h.codomain.dim} does not "
+                f"map the coalgebra ({src.dim}) to the algebra ({dst.dim})")
+    cols = {}
+    for i in range(src.dim):
+        acc: dict = {}
+        for (i1, i2), c in src.expand(i, 2):
+            vec_add_into(field, acc, dst.mul(f.col(i1), g.col(i2)), c)
+        cols[i] = acc
+    return LinMap(field, src.delta.domain, dst.mult.codomain, cols)
 
 
 def convolution_unit(src: FDCoalgebra, dst: FDAlgebra) -> LinMap:

@@ -11,7 +11,11 @@ from hopfprod.groups import GroupExtendingStructure
 from hopfprod.linalg import (
     SCALAR_SPACE,
     LinMap,
+    _rows_of,
+    _rref,
     basis_vec,
+    compose,
+    tensor_map,
     tensor_space,
     tensor_vec,
     vec_add_into,
@@ -185,6 +189,42 @@ def dense_from_linmap(m: LinMap):
         for j, v in m.col(i).items():
             rows[j][i] = v
     return rows
+
+
+def convolution_direct(f: LinMap, g: LinMap, src: FDCoalgebra, dst: FDAlgebra) -> LinMap:
+    """The convolution m_dst . (f (x) g) . delta_src through the composed
+    maps, as an oracle for the pointwise ``structures.convolution``."""
+    return compose(dst.mult, compose(tensor_map(f, g), src.delta))
+
+
+def preimage_direct(f: LinMap, v: dict):
+    """A preimage of v under f with every free unknown zero, or None: the
+    reduced echelon form of [f | id] read row by row on v, as an oracle for
+    ``PreimageSolver``.  Apply it to ``tensor_map(f, f)`` for the oracle of
+    ``PreimageSolver.pair_preimage``."""
+    field, n = f.field, f.domain.dim
+    rows = _rows_of(f)
+    for r, row in enumerate(rows):
+        row[n + r] = field.one
+    pivots = _rref(field, rows, n)
+
+    def read(row):
+        acc = field.zero
+        for c, coeff in row.items():
+            if c >= n:
+                acc = field.add(acc, field.mul(coeff, v.get(c - n, field.zero)))
+        return acc
+
+    pivot_rows = {r for _, r in pivots}
+    if any(not field.is_zero(read(row)) for r, row in enumerate(rows)
+           if r not in pivot_rows):
+        return None
+    sol = {}
+    for col, r in pivots:
+        acc = read(rows[r])
+        if not field.is_zero(acc):
+            sol[col] = acc
+    return sol
 
 
 def random_linmap(rng, field, dom, cod, density=0.7) -> LinMap:

@@ -184,6 +184,18 @@ def test_input_validation_errors():
         FactorizationInput.build(e, LinMap.identity(QQ, e.space), no_unit)
 
 
+def test_non_basis_aligned_subcoalgebra_that_is_not_closed():
+    e = group_algebra(builtin_group("c4"))
+    incl_a = basis_inclusion(("0", "2"), e, [0, 2])
+    # H spanned by 1 and g + g^2: delta(g + g^2) = g (x) g + g^2 (x) g^2
+    # lies outside H (x) H
+    incl_h = LinMap(QQ, BasedSpace(("u0", "u1")), e.space,
+                    {0: {0: QQ.one}, 1: {1: QQ.one, 2: QQ.one}})
+    with pytest.raises(FactorizationInputError) as exc:
+        FactorizationInput.build(e, incl_a, incl_h)
+    assert str(exc.value) == "the subcoalgebra image is not closed under comultiplication"
+
+
 def test_non_basis_aligned_subcoalgebra():
     e = group_algebra(builtin_group("c4"))
     incl_a = basis_inclusion(("0", "2"), e, [0, 2])

@@ -177,20 +177,42 @@ def test_malformed_documents_rejected():
     for data in zero_denominator_documents():
         with pytest.raises(MalformedDocumentError, match="zero denominator"):
             parse(data)
+    # an index, numerator or denominator that is not a JSON integer
+    for data in non_integer_record_documents():
+        with pytest.raises(MalformedDocumentError, match="is not an integer"):
+            parse(data)
+
+
+def z4_documents_with(edits) -> list[bytes]:
+    """The Z4 crossed datum once per (path, value) edit, the value written
+    at the path inside the payload."""
+    out = []
+    for path, value in edits:
+        doc = json.loads(serialize(z4_crossed_datum()))
+        node = doc["payload"]
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        out.append(json.dumps(doc).encode())
+    return out
 
 
 def zero_denominator_documents() -> list[bytes]:
     """The Z4 crossed datum with the denominator of its first cocycle entry,
     and then of the unit of A, set to zero."""
-    out = []
-    for path in (("cocycle", 0, 3), ("a", "value", "unit", 0, 2)):
-        doc = json.loads(serialize(z4_crossed_datum()))
-        node = doc["payload"]
-        for key in path[:-1]:
-            node = node[key]
-        node[path[-1]] = 0
-        out.append(json.dumps(doc).encode())
-    return out
+    return z4_documents_with([(("cocycle", 0, 3), 0), (("a", "value", "unit", 0, 2), 0)])
+
+
+def non_integer_record_documents() -> list[bytes]:
+    """The Z4 crossed datum with one index, numerator or denominator of an
+    entry record or a vector record replaced by a float, a string or a
+    boolean."""
+    entry, unit = ("cocycle", 0), ("a", "value", "unit", 0)
+    return z4_documents_with([
+        (entry + (2,), 1.5), (entry + (3,), True), (entry + (3,), 1.0),
+        (entry + (0,), "0"), (entry + (1,), 0.0), (entry + (0,), False),
+        (unit + (0,), 0.0), (unit + (0,), "0"), (unit + (1,), 1.5), (unit + (2,), True),
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -512,6 +534,15 @@ def test_cli_zero_denominator_exits_two(tmp_path, capsys):
         code, _, err = run_cli(capsys, "verify", str(path))
         assert code == 2
         assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_cli_non_integer_record_exits_two(tmp_path, capsys):
+    path = tmp_path / "record.json"
+    for data in non_integer_record_documents():
+        path.write_bytes(data)
+        code, _, err = run_cli(capsys, "verify", str(path))
+        assert code == 2
+        assert "is not an integer" in err and err.count("\n") == 1
 
 
 def test_cli_61_bit_prime_modulus_is_quick(tmp_path, capsys):

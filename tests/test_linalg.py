@@ -2,13 +2,14 @@ import random
 
 import pytest
 
-from helpers import dense_from_linmap, random_linmap
+from helpers import dense_from_linmap, preimage_direct, random_linmap
 from hopfprod.fields import QQ, PrimeField
 from hopfprod.linalg import (
     BasedSpace,
     DimensionError,
     LinMap,
     NotInvertibleError,
+    PreimageSolver,
     basis_vec,
     compose,
     invert,
@@ -17,6 +18,7 @@ from hopfprod.linalg import (
     tensor_space,
     tensor_vec,
     twist_map,
+    vec_add_into,
 )
 
 S2 = BasedSpace(("a", "b"))
@@ -193,3 +195,58 @@ def test_linmap_rejects_out_of_range_indices():
         LinMap(QQ, S2, S2, {5: {0: QQ.one}})
     with pytest.raises(DimensionError):
         LinMap(QQ, S2, S2, {0: {7: QQ.one}})
+
+
+def random_vector(rng, field, dim, density=0.5) -> dict:
+    return {j: field.of(rng.randrange(1, 5), rng.randrange(1, 4))
+            for j in range(dim) if rng.random() < density}
+
+
+def random_injective(rng, field, dom, cod) -> LinMap:
+    while True:
+        f = random_linmap(rng, field, dom, cod, density=0.5)
+        if rank(f) == dom.dim:
+            return f
+
+
+def test_preimage_matches_the_echelon_oracle():
+    rng = random.Random(31)
+    for field in (QQ, PrimeField(5)):
+        for dom in (S2, S3, S4):
+            for _ in range(6):
+                f = random_linmap(rng, field, dom, S4, density=0.5)
+                solver = PreimageSolver(f)
+                inside = f.apply(random_vector(rng, field, dom.dim))
+                for v in (inside, random_vector(rng, field, 4), {}):
+                    got = solver.preimage(v)
+                    assert got == preimage_direct(f, v)
+                    if got is not None:
+                        assert f.apply(got) == v
+                assert solver.preimage(inside) is not None
+
+
+def test_pair_preimage_matches_the_tensor_square_oracle():
+    rng = random.Random(32)
+    for field in (QQ, PrimeField(5)):
+        for dom in (S2, S3):
+            f = random_injective(rng, field, dom, S4)
+            square = tensor_map(f, f)
+            solver = PreimageSolver(f)
+            outside = [w for w in (random_vector(rng, field, 4) for _ in range(20))
+                       if preimage_direct(f, w) is None]
+            assert outside
+            for _ in range(5):
+                x = random_vector(rng, field, dom.dim ** 2) or {0: field.one}
+                v = square.apply(x)
+                assert solver.pair_preimage(v) == preimage_direct(square, v) == x
+                u = f.apply(random_vector(rng, field, dom.dim) or {0: field.one})
+                w = rng.choice(outside)
+                # in im f (x) E or E (x) im f, but not in im f (x) im f
+                for bad in (tensor_vec(field, u, w, 4), tensor_vec(field, w, u, 4)):
+                    assert preimage_direct(square, bad) is None
+                    assert solver.pair_preimage(bad) is None
+                    mixed = dict(v)
+                    vec_add_into(field, mixed, bad)
+                    assert solver.pair_preimage(mixed) is None
+                r = random_vector(rng, field, 16, density=0.3)
+                assert solver.pair_preimage(r) == preimage_direct(square, r)

@@ -3,12 +3,13 @@ from itertools import product as iproduct
 
 import pytest
 
-from helpers import random_linmap, sweedler_bialgebra
+from helpers import convolution_direct, random_linmap, sweedler_bialgebra, with_column
 from hopfprod.fields import QQ, PrimeField
 from hopfprod.groups import builtin_group, group_algebra, grouplike_coalgebra
 from hopfprod.linalg import (
     SCALAR_SPACE,
     BasedSpace,
+    DimensionError,
     LinMap,
     compose,
     tensor_map,
@@ -22,6 +23,7 @@ from hopfprod.structures import (
     FDBialgebra,
     FDCoalgebra,
     NoAntipodeError,
+    _counits,
     antipode_solve,
     check_algebra,
     check_bialgebra,
@@ -186,6 +188,34 @@ def test_convolution_is_associative_on_random_maps():
         gk = convolution(g, k, h.coalgebra, h.algebra)
         assert convolution(fg, k, h.coalgebra, h.algebra) == \
             convolution(f, gk, h.coalgebra, h.algebra)
+
+
+def test_convolution_matches_the_composed_maps():
+    # non-cocommutative sources (H4, H4 (x) H4) and non-commutative targets
+    # (k[S3], H4), over QQ and GF(7)
+    rng = random.Random(13)
+    for field in (QQ, PrimeField(7)):
+        h4 = sweedler_bialgebra(field)
+        sources = [h4.coalgebra, tensor_coalgebra(h4.coalgebra, h4.coalgebra)]
+        targets = [group_algebra(builtin_group("s3"), field).algebra, h4.algebra]
+        for src, dst in iproduct(sources, targets):
+            for density in (0.2, 0.7):
+                f = random_linmap(rng, field, src.space, dst.space, density)
+                g = random_linmap(rng, field, src.space, dst.space, density)
+                got = convolution(f, g, src, dst)
+                assert got == convolution_direct(f, g, src, dst)
+                assert (got.domain, got.codomain) == (src.space, dst.space)
+
+
+def test_convolution_rejects_a_factor_of_the_wrong_shape():
+    h = group_algebra(builtin_group("c3"))
+    ident = LinMap.identity(QQ, h.space)
+    pair = BasedSpace(("a", "b"))
+    short = LinMap.identity(QQ, pair)
+    wide = LinMap(QQ, h.space, pair, {0: {0: QQ.one}})
+    for f, g in ((ident, short), (short, ident), (wide, ident), (ident, wide)):
+        with pytest.raises(DimensionError):
+            convolution(f, g, h.coalgebra, h.algebra)
 
 
 def test_antipode_composed_with_map_is_convolution_inverse():
@@ -481,3 +511,30 @@ def test_predicates_match_oracle_on_noncocommutative_h4():
         for _ in range(20):
             f = random_linmap(rng, field, h4.space, h4.space, density=0.3)
             assert_predicates_match_oracle(f, h4, h4)
+
+
+def test_linmap_equality_stays_structural():
+    rng = random.Random(21)
+    for field in (QQ, PrimeField(5)):
+        m = random_linmap(rng, field, BasedSpace(("a", "b", "c")), BasedSpace(("p", "q")))
+        twin = LinMap(field, m.domain, m.codomain, {i: m.col(i) for i in m.cols})
+        assert twin is not m and twin == m and hash(twin) == hash(m)
+        for i, j in iproduct(range(3), range(2)):
+            col = m.col(i)
+            col[j] = field.add(col.get(j, field.zero), field.one)
+            other = with_column(m, i, col)
+            assert other != m and m != other
+
+
+def test_counit_and_coproduct_tables_read_the_structure_maps():
+    for field in (QQ, PrimeField(5)):
+        h4 = sweedler_bialgebra(field)
+        coalgebras = [h4.coalgebra, tensor_coalgebra(h4.coalgebra, h4.coalgebra),
+                      group_algebra(builtin_group("s3"), field).coalgebra]
+        for c in coalgebras:
+            n = c.dim
+            assert _counits(c) == tuple(c.epsilon.col(i).get(0, field.zero) for i in range(n))
+            assert _counits(c) is _counits(c)
+            for i in range(n):
+                want = sorted((divmod(k, n), x) for k, x in c.delta.col(i).items())
+                assert c.expand(i, 2) == want
