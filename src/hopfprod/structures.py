@@ -83,6 +83,11 @@ class FDCoalgebra:
             return cached
         field = self.field
         dim = self.dim
+        if n == 2:
+            # the stored column, already sorted and free of zeros
+            out = [(divmod(flat, dim), c) for flat, c in self.delta.cols.get(i, ())]
+            self._expand_cache[key] = out
+            return out
         acc: dict[tuple[int, ...], object] = {}
         for rest, c in self.expand(i, n - 1):
             for flat, c2 in self.delta.cols.get(rest[0], ()):
@@ -369,23 +374,23 @@ def check_coalgebra(c: FDCoalgebra) -> Report:
     """Verify coassociativity and both counit laws, with witnesses."""
     field = c.field
     mul = field.mul
-    cop, eps = c.expand, _counits(c)
+    cop, eps = [c.expand(i, 2) for i in range(c.dim)], _counits(c)
     basis = [(i,) for i in range(c.dim)]
     rep = Report("coalgebra axioms")
 
     def coassociative(i):
         lhs, rhs = {}, {}
-        for (a, b), x in cop(i, 2):
-            for (a1, a2), y in cop(a, 2):
+        for (a, b), x in cop[i]:
+            for (a1, a2), y in cop[a]:
                 _add_term(field, lhs, (a1, a2, b), mul(x, y))
-            for (b1, b2), y in cop(b, 2):
+            for (b1, b2), y in cop[b]:
                 _add_term(field, rhs, (a, b1, b2), mul(x, y))
         return lhs == rhs
 
     def counit_law(left):
         def holds(i):
             acc = {}
-            for (a, b), x in cop(i, 2):
+            for (a, b), x in cop[i]:
                 _add_term(field, acc, b if left else a, mul(eps[a if left else b], x))
             return acc == {i: field.one}
         return holds
@@ -436,7 +441,7 @@ def check_bialgebra(b: FDBialgebra) -> Report:
     field = b.field
     mul = field.mul
     n, m = b.dim, b.mult.cols
-    cop, eps = b.coalgebra.expand, _counits(b.coalgebra)
+    cop, eps = [b.expand(i, 2) for i in range(n)], _counits(b.coalgebra)
     labels = b.space.labels
     pairs = list(iproduct(range(n), repeat=2))
     pair_label = _tuple_label(labels, labels)  # as tensor_space names it
@@ -447,10 +452,10 @@ def check_bialgebra(b: FDBialgebra) -> Report:
     def comult_multiplicative(i, j):
         lhs, rhs = {}, {}
         for r, x in m.get(i * n + j, ()):
-            for (r1, r2), y in cop(r, 2):
+            for (r1, r2), y in cop[r]:
                 _add_term(field, lhs, (r1, r2), mul(x, y))
-        for (i1, i2), x in cop(i, 2):
-            for (j1, j2), y in cop(j, 2):
+        for (i1, i2), x in cop[i]:
+            for (j1, j2), y in cop[j]:
                 xy = mul(x, y)
                 for r1, u in m.get(i1 * n + j1, ()):
                     for r2, v in m.get(i2 * n + j2, ()):
