@@ -320,55 +320,22 @@ def _rref(field, rows: list[dict], width: int):
 
 
 def invert(f: LinMap) -> LinMap:
-    """Exact inverse of a square map; raises NotInvertibleError with the rank."""
+    """Exact inverse of a square map; raises NotInvertibleError with the rank.
+
+    A bijective map is injective, so the left inverse of its
+    :class:`PreimageSolver` is its inverse."""
     n = f.domain.dim
     if f.codomain.dim != n:
         raise DimensionError("only square maps can be inverted")
-    field = f.field
-    rows = _rows_of(f)
-    for r, row in enumerate(rows):
-        row[n + r] = field.one
-    pivots = _rref(field, rows, n)
-    if len(pivots) < n:
-        raise NotInvertibleError(len(pivots), n)
-    # after reduction the augmented part of the pivot row for column `col`
-    # holds row `col` of the inverse matrix
-    cols = {}
-    for col, r in pivots:
-        for c, v in rows[r].items():
-            if c >= n:
-                cols.setdefault(c - n, {})[col] = v
-    return LinMap(field, f.codomain, f.domain, cols)
+    solver = PreimageSolver(f)
+    if len(solver.pivots) < n:
+        raise NotInvertibleError(len(solver.pivots), n)
+    return solver.left_inverse
 
 
 def rank(f: LinMap) -> int:
-    """Rank computed by column elimination (independent of :func:`invert`)."""
-    field = f.field
-    cols = [f.col(i) for i in range(f.domain.dim) if f.cols.get(i)]
-    r = 0
-    for j in range(f.codomain.dim):
-        pick = None
-        for k, col in enumerate(cols):
-            if not field.is_zero(col.get(j, field.zero)):
-                pick = k
-                break
-        if pick is None:
-            continue
-        pivot = cols.pop(pick)
-        r += 1
-        pinv = field.inv(pivot[j])
-        for col in cols:
-            factor = col.get(j)
-            if factor is None or field.is_zero(factor):
-                continue
-            scale = field.mul(factor, pinv)
-            for c, v in pivot.items():
-                x = field.sub(col.get(c, field.zero), field.mul(scale, v))
-                if field.is_zero(x):
-                    col.pop(c, None)
-                else:
-                    col[c] = x
-    return r
+    """The number of pivots of the row echelon form of f."""
+    return len(_echelon(f.field, _rows_of(f), f.domain.dim))
 
 
 def solve_system(field, rows: list[dict], rhs: list, n_unknowns: int):

@@ -66,7 +66,7 @@ def _space_obj(space: BasedSpace):
 def _space_from(obj):
     try:
         labels = [str(x) for x in obj["labels"]]
-        if int(obj["dim"]) != len(labels):
+        if _json_int(obj["dim"], "dim") != len(labels):
             raise MalformedDocumentError("dim does not match the label count")
         return BasedSpace(labels)
     except (KeyError, TypeError, ValueError) as exc:
@@ -121,6 +121,8 @@ def _vector_obj(field, v: dict):
 
 
 def _vector_from(field, obj, dim) -> dict:
+    """The sparse vector of a record list; zero values are dropped, as
+    :class:`LinMap` drops them from entry records."""
     out = {}
     try:
         for rec in obj:
@@ -130,7 +132,7 @@ def _vector_from(field, obj, dim) -> dict:
             out[i] = _scalar(field, num, den)
     except (TypeError, ValueError) as exc:
         raise MalformedDocumentError(f"bad vector record: {exc}") from exc
-    return out
+    return {i: x for i, x in out.items() if not field.is_zero(x)}
 
 
 def _coalgebra_obj(field, c: FDCoalgebra, unit: dict | None):

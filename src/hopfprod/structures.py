@@ -29,7 +29,6 @@ from .linalg import (
     tensor_map,
     tensor_space,
     tensor_vec,
-    twist_map,
     vec_add_into,
     vec_scale,
 )
@@ -310,14 +309,19 @@ def tensor_coalgebra(c: FDCoalgebra, d: FDCoalgebra) -> FDCoalgebra:
 
 
 def tensor_algebra(a: FDAlgebra, b: FDAlgebra) -> FDAlgebra:
-    """Componentwise multiplication on the tensor product space."""
+    """Componentwise multiplication on the tensor product space,
+    (x (x) y)(x' (x) y') = x x' (x) y y'."""
     field = same_field(a, b)
     space = tensor_space(a.space, b.space)
-    shuffle = tensor_map(
-        tensor_map(LinMap.identity(field, a.space), twist_map(field, b.space, a.space)),
-        LinMap.identity(field, b.space),
-    )
-    mult = compose(tensor_map(a.mult, b.mult), shuffle)
+    na, nb = a.dim, b.dim
+    cols = {}
+    for ik, xcol in a.mult.cols.items():
+        i, k = divmod(ik, na)
+        for jl, ycol in b.mult.cols.items():
+            j, l = divmod(jl, nb)
+            cols[(i * nb + j) * space.dim + k * nb + l] = {
+                p * nb + q: field.mul(x, y) for p, x in xcol for q, y in ycol}
+    mult = LinMap(field, tensor_space(space, space), space, cols)
     unit = tensor_vec(field, a.unit, b.unit, b.dim)
     flag = "yes" if a.associative == b.associative == "yes" else "unknown"
     return FDAlgebra(field, space, mult, unit, associative=flag)

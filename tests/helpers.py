@@ -1,9 +1,13 @@
 """Shared fixtures and independent oracles for the test suite."""
 from __future__ import annotations
 
+import sys
 from itertools import product as iproduct
 
 import hopfprod as hp
+import hopfprod.classification
+import hopfprod.groups
+import hopfprod.special
 import hopfprod.unified
 from hopfprod.corpus import s3_matched_pair, z4_crossed_datum
 from hopfprod.fields import QQ, PrimeField
@@ -28,11 +32,13 @@ from hopfprod.structures import (
     FDHopf,
     _scan,
     _tuple_label,
+    is_algebra_map,
+    is_coalgebra_map,
     trivial_action_left,
     trivial_action_right,
     trivial_cocycle,
 )
-from hopfprod.unified import ExtendingDatum, _Ops
+from hopfprod.unified import ExtendingDatum, _Ops, _base_inclusion
 
 
 def random_group_structure(rng, group, x_size) -> GroupExtendingStructure:
@@ -225,6 +231,38 @@ def preimage_direct(f: LinMap, v: dict):
         if not field.is_zero(acc):
             sol[col] = acc
     return sol
+
+
+def rank_by_column_elimination(f: LinMap) -> int:
+    """The rank of f by Gaussian elimination on its columns, independent of
+    the row echelon form that ``linalg`` reduces, as an oracle for
+    ``rank``, ``invert`` and ``PreimageSolver``."""
+    field = f.field
+    cols = [f.col(i) for i in range(f.domain.dim) if f.cols.get(i)]
+    r = 0
+    for j in range(f.codomain.dim):
+        pick = None
+        for k, col in enumerate(cols):
+            if not field.is_zero(col.get(j, field.zero)):
+                pick = k
+                break
+        if pick is None:
+            continue
+        pivot = cols.pop(pick)
+        r += 1
+        pinv = field.inv(pivot[j])
+        for col in cols:
+            factor = col.get(j)
+            if factor is None or field.is_zero(factor):
+                continue
+            scale = field.mul(factor, pinv)
+            for c, v in pivot.items():
+                x = field.sub(col.get(c, field.zero), field.mul(scale, v))
+                if field.is_zero(x):
+                    col.pop(c, None)
+                else:
+                    col[c] = x
+    return r
 
 
 def random_linmap(rng, field, dom, cod, density=0.7) -> LinMap:
@@ -457,3 +495,96 @@ def check_mixed_relations_on_every_build(monkeypatch) -> None:
         return p
 
     monkeypatch.setattr(hopfprod.unified, "unified_product_of_checked", checked)
+
+
+# ---------------------------------------------------------------------------
+# the checks the library does not repeat at run time, held on every call
+
+
+def certificate_rows_composed(d: ExtendingDatum, d2: ExtendingDatum, u, prod: FDBialgebra,
+                              prod2: FDBialgebra):
+    """The rows ``classification._certify`` adds, with ``phi`` and ``psi``
+    composed from a (x) h -> a u(h1) (x) h2 and a (x) h -> a S(u(h1)) (x) h2
+    and the module, comodule and bijectivity identities checked on composed
+    maps.  Returns the rows, phi and psi."""
+    field = d.field
+    a, h = d.base, d.ext
+    ident_a, ident_h = LinMap.identity(field, a.space), LinMap.identity(field, h.space)
+    split = tensor_map(ident_a, h.delta)
+
+    def twisted_by(v: LinMap) -> LinMap:
+        return compose(tensor_map(a.mult, ident_h),
+                       compose(tensor_map(tensor_map(ident_a, v), ident_h), split))
+
+    phi = twisted_by(u.linmap)
+    psi = twisted_by(compose(a.antipode, u.linmap))
+    ident_e2 = LinMap.identity(field, prod2.space)
+    lhs = compose(phi, compose(prod2.mult,
+                               tensor_map(_base_inclusion(d2, prod2.space), ident_e2)))
+    rhs = compose(prod.mult, tensor_map(_base_inclusion(d, prod.space), phi))
+    ident_full = LinMap.identity(field, prod.space)
+    rows = [
+        ("phi-algebra-map", is_algebra_map(phi, prod2.algebra, prod.algebra), None),
+        ("phi-coalgebra-map", is_coalgebra_map(phi, prod2.coalgebra, prod.coalgebra), None),
+        ("phi-left-module", lhs == rhs, None),
+        ("phi-right-comodule",
+         compose(split, phi) == compose(tensor_map(phi, ident_h), split), None),
+        ("phi-bijective",
+         compose(phi, psi) == ident_full and compose(psi, phi) == ident_full, None),
+    ]
+    return rows, phi, psi
+
+
+def _rebind_everywhere(monkeypatch, original, replacement) -> None:
+    """Put ``replacement`` under every loaded module name bound to
+    ``original``, so that calls through any import of it reach the wrapper."""
+    name = original.__name__
+    for module in list(sys.modules.values()):
+        if getattr(module, "__dict__", {}).get(name) is original:
+            monkeypatch.setattr(module, name, replacement)
+
+
+def check_library_claims_on_every_call(monkeypatch) -> None:
+    """From now on hold every cocycle product and inverse against
+    ``is_lazy_cocycle``, every cocycle a matched pair is deformed by against
+    it too, every coset split against ``check_group_structure``, and the rows
+    of every equivalence certificate against :func:`certificate_rows_composed`."""
+    cls = hopfprod.classification
+
+    def lazy(u):
+        assert cls.is_lazy_cocycle(u.linmap, u.ext, u.base), "not a lazy cocycle"
+
+    def returns_lazy(op):
+        def checked(*args):
+            w = op(*args)
+            lazy(w)
+            return w
+        return checked
+
+    def deform_matched_pair(mp, u):
+        d = deform(mp, u)
+        lazy(u)
+        return d
+
+    def coset_extending_structure(*args, **kwargs):
+        ges = split(*args, **kwargs)
+        report = hopfprod.groups.check_group_structure(ges)
+        assert report.ok, f"coset split fails {report.first_failure()}"
+        return ges
+
+    def certify(rep, d, d2, u, prod, prod2):
+        start = len(rep.items)
+        result = pointwise(rep, d, d2, u, prod, prod2)
+        rows, phi, psi = certificate_rows_composed(d, d2, u, prod, prod2)
+        assert [(it.condition, it.passed, it.witness) for it in rep.items[start:]] == rows
+        if result.certificate is not None:
+            assert (result.certificate.phi, result.certificate.psi) == (phi, psi)
+        return result
+
+    deform, split, pointwise = (hopfprod.special.deform_matched_pair,
+                                hopfprod.groups.coset_extending_structure, cls._certify)
+    _rebind_everywhere(monkeypatch, cls.cocycle_convolve, returns_lazy(cls.cocycle_convolve))
+    _rebind_everywhere(monkeypatch, cls.cocycle_inverse, returns_lazy(cls.cocycle_inverse))
+    _rebind_everywhere(monkeypatch, deform, deform_matched_pair)
+    _rebind_everywhere(monkeypatch, split, coset_extending_structure)
+    _rebind_everywhere(monkeypatch, pointwise, certify)

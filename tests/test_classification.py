@@ -1,6 +1,6 @@
 import pytest
 
-from helpers import sweedler_bialgebra
+from helpers import sweedler_bialgebra, with_column
 from hopfprod.classification import (
     CapExceededError,
     NotGroupLikeError,
@@ -83,6 +83,19 @@ def test_convolution_unit_neutral_and_inverse():
         v = cocycle_inverse(u)
         assert cocycle_convolve(u, v).linmap == unit.linmap
         assert cocycle_convolve(v, u).linmap == unit.linmap
+
+
+def test_the_group_operations_are_held_against_is_lazy_cocycle():
+    # the library does not re-validate products and inverses; the tests do,
+    # on every call, so an unchecked non-lazy factor is caught there
+    a = group_algebra(builtin_group("c2"))
+    h = grouplike_coalgebra(("p", "q"), QQ)
+    bad = LazyCocycle(LinMap(QQ, h.space, a.space,
+                             {0: {0: QQ.one}, 1: {0: QQ.one, 1: QQ.one}}), h, a)
+    with pytest.raises(AssertionError, match="not a lazy cocycle"):
+        cocycle_convolve(bad, trivial_lazy_cocycle(h, a))
+    with pytest.raises(AssertionError, match="not a lazy cocycle"):
+        cocycle_inverse(bad)
 
 
 def test_convolution_is_pointwise_product_on_grouplikes():
@@ -515,14 +528,11 @@ def test_check_equivalence_rows_match_the_reference_on_perturbations():
     assert failing == {"deformed-lact", "deformed-dot", "deformed-cocycle"}
 
 
-def test_deformation_over_sweedler_base_matches_the_reference():
-    # A = H4 is not group-like, so the legs c1, c2 of delta(x) = x (x) 1 + g (x) x
-    # differ; the right action moves t <| x to the unit point and the lazy
-    # cocycle sends t to g.  The datum need not be valid to be deformed.
-    from dataclasses import replace
-
-    from hopfprod.classification import deform_datum
-    from hopfprod.fields import PrimeField
+def sweedler_base_datum(field):
+    """A datum over A = H4, which is not group-like, so the legs c1, c2 of
+    delta(x) = x (x) 1 + g (x) x differ: H = k{1, t}, the right action moves
+    t <| x to the unit point, and the lazy cocycle u sends t to g.  The datum
+    need not be valid to be deformed.  Returns the datum and u."""
     from hopfprod.linalg import tensor_space
     from hopfprod.structures import (
         attach_antipode,
@@ -531,18 +541,29 @@ def test_deformation_over_sweedler_base_matches_the_reference():
     )
     from hopfprod.unified import ExtendingDatum
 
+    one = field.one
+    a = attach_antipode(sweedler_bialgebra(field))
+    h = grouplike_coalgebra(("1", "t"), field)
+    hh, ha = tensor_space(h.space, h.space), tensor_space(h.space, a.space)
+    dot = LinMap(field, hh, h.space, {0: {0: one}, 1: {1: one}, 2: {1: one}, 3: {0: one}})
+    ract = LinMap(field, ha, h.space, {0: {0: one}, 1: {0: one}, 4: {1: one},
+                                       5: {1: one}, 6: {0: one}})
+    d = ExtendingDatum(base=a, ext=h, dot=dot, ract=ract,
+                       lact=trivial_action_left(field, h.coalg, a.space),
+                       cocycle=trivial_cocycle(field, h.coalg, a.unit, a.space))
+    u = LazyCocycle.build(LinMap(field, h.space, a.space, {0: {0: one}, 1: {1: one}}), h, a)
+    return d, u
+
+
+def test_deformation_over_sweedler_base_matches_the_reference():
+    from dataclasses import replace
+
+    from hopfprod.classification import deform_datum
+    from hopfprod.fields import PrimeField
+
     for field in (QQ, PrimeField(5)):
         one = field.one
-        a = attach_antipode(sweedler_bialgebra(field))
-        h = grouplike_coalgebra(("1", "t"), field)
-        hh, ha = tensor_space(h.space, h.space), tensor_space(h.space, a.space)
-        dot = LinMap(field, hh, h.space, {0: {0: one}, 1: {1: one}, 2: {1: one}, 3: {0: one}})
-        ract = LinMap(field, ha, h.space, {0: {0: one}, 1: {0: one}, 4: {1: one},
-                                           5: {1: one}, 6: {0: one}})
-        d = ExtendingDatum(base=a, ext=h, dot=dot, ract=ract,
-                           lact=trivial_action_left(field, h.coalg, a.space),
-                           cocycle=trivial_cocycle(field, h.coalg, a.unit, a.space))
-        u = LazyCocycle.build(LinMap(field, h.space, a.space, {0: {0: one}, 1: {1: one}}), h, a)
+        d, u = sweedler_base_datum(field)
         d2 = deform_datum(d, u)
         assert d2.lact.col(1 * 4 + 2) == {0: one, 2: field.neg(one)}  # t |>' x = 1 - x
         assert reference_deformation_rows(d, d2, u) == [
@@ -555,6 +576,59 @@ def test_deformation_over_sweedler_base_matches_the_reference():
                 got = [(it.condition, it.passed, it.witness)
                        for it in check_equivalence(d, d2p, u).report.items]
                 assert got == want
+
+
+def _with_one_entry_added(m: LinMap, k: int) -> LinMap:
+    """m with one more entry, of value one, in the column at ``k``."""
+    cols = {i: dict(col) for i, col in m.cols.items()}
+    col = cols.setdefault(k, {})
+    col[(max(col, default=0) + 1) % m.codomain.dim] = m.field.one
+    return LinMap(m.field, m.domain, m.codomain, cols)
+
+
+def test_certificate_rows_match_the_composed_oracle_on_failing_certificates():
+    """``_certify`` is handed a perturbed product as ``prod2``, a cocycle
+    scaled at one point (no longer convolution-invertible by S_A . u), or a
+    coalgebra H with one coproduct entry added (no longer coassociative);
+    every row must match the composed reference, failing ones included."""
+    from dataclasses import replace
+
+    from helpers import certificate_rows_composed
+    from hopfprod.classification import _certify, deform_datum
+    from hopfprod.corpus import a4_unified_datum
+    from hopfprod.fields import PrimeField
+    from hopfprod.reports import Report
+    from hopfprod.structures import FDCoalgebra
+    from hopfprod.unified import assemble_product
+
+    a4 = a4_unified_datum()
+    cases = [(a4, enumerate_cocycles(a4.ext, a4.base)[1])]
+    cases += [sweedler_base_datum(field) for field in (QQ, PrimeField(5))]
+    failing = set()
+    for d, u in cases:
+        d2 = deform_datum(d, u)
+        prod, prod2 = assemble_product(d), assemble_product(d2)
+        h, two = d.ext, d.field.of(2)
+        runs = [(d, d2, u, prod, prod2)]
+        runs += [(d, d2, u, prod, assemble_product(
+                     replace(d2, **{name: _with_one_entry_changed(getattr(d2, name), k)})))
+                 for name in ("lact", "ract", "dot", "cocycle")
+                 for k in range(0, getattr(d2, name).domain.dim, 3)]
+        runs += [(d, d2, LazyCocycle(with_column(u.linmap, k, {j: d.field.mul(two, x)
+                                                               for j, x in u.linmap.col(k).items()}),
+                                     h, d.base), prod, prod2)
+                 for k in range(h.dim)]
+        for k in range(h.dim):
+            delta = _with_one_entry_added(h.delta, k)
+            hp = UnitalCoalgebra(FDCoalgebra(d.field, h.space, delta, h.coalg.epsilon), h.unit)
+            runs.append((replace(d, ext=hp), d2, u, prod, prod2))
+        for run in runs:
+            rep = Report()
+            _certify(rep, *run)
+            want, _, _ = certificate_rows_composed(*run)
+            assert [(it.condition, it.passed, it.witness) for it in rep.items] == want
+            failing.update(name for name, passed, _ in want if not passed)
+    assert {"phi-left-module", "phi-right-comodule", "phi-bijective"} <= failing
 
 
 def test_lazy_cocycle_verdict_matches_the_composed_maps():

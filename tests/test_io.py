@@ -177,8 +177,8 @@ def test_malformed_documents_rejected():
     for data in zero_denominator_documents():
         with pytest.raises(MalformedDocumentError, match="zero denominator"):
             parse(data)
-    # an index, numerator or denominator that is not a JSON integer
-    for data in non_integer_record_documents():
+    # an index, numerator, denominator or dimension that is not a JSON integer
+    for data in non_integer_record_documents() + non_integer_dim_documents():
         with pytest.raises(MalformedDocumentError, match="is not an integer"):
             parse(data)
 
@@ -213,6 +213,12 @@ def non_integer_record_documents() -> list[bytes]:
         (entry + (0,), "0"), (entry + (1,), 0.0), (entry + (0,), False),
         (unit + (0,), 0.0), (unit + (0,), "0"), (unit + (1,), 1.5), (unit + (2,), True),
     ])
+
+
+def non_integer_dim_documents() -> list[bytes]:
+    """The Z4 crossed datum with the dimension 2 of A written as a string,
+    a non-integral float and an integral float."""
+    return z4_documents_with([(("a", "value", "space", "dim"), v) for v in ("2", 2.9, 2.0)])
 
 
 # ---------------------------------------------------------------------------
@@ -538,11 +544,27 @@ def test_cli_zero_denominator_exits_two(tmp_path, capsys):
 
 def test_cli_non_integer_record_exits_two(tmp_path, capsys):
     path = tmp_path / "record.json"
-    for data in non_integer_record_documents():
+    for data in non_integer_record_documents() + non_integer_dim_documents():
         path.write_bytes(data)
         code, _, err = run_cli(capsys, "verify", str(path))
         assert code == 2
         assert "is not an integer" in err and err.count("\n") == 1
+
+
+def test_cli_zero_valued_vector_record_is_dropped(tmp_path, capsys):
+    # a record [1, 0, 1] in the unit of A is the zero term of 1_A, not a
+    # second basis component of the unit
+    clean = json.loads(serialize(a4_unified_datum()))
+    padded = copy.deepcopy(clean)
+    padded["payload"]["base"]["value"]["unit"].append([1, 0, 1])
+    sections = []
+    for doc in (clean, padded):
+        path = tmp_path / "a4.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run_cli(capsys, "verify", str(path))
+        assert code == 0
+        sections.append(machine_section(out))
+    assert sections[0] == sections[1]
 
 
 def test_cli_61_bit_prime_modulus_is_quick(tmp_path, capsys):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from helpers import dense_from_linmap, preimage_direct, random_linmap
+from helpers import dense_from_linmap, preimage_direct, random_linmap, rank_by_column_elimination
 from hopfprod.fields import QQ, PrimeField
 from hopfprod.linalg import (
     BasedSpace,
@@ -175,13 +175,27 @@ def test_invert_fails_iff_rank_deficient():
     rng = random.Random(9)
     for _ in range(25):
         f = random_linmap(rng, QQ, S3, S3, density=0.5)
-        r = rank(f)  # independent column-elimination rank
+        r = rank_by_column_elimination(f)
         try:
             invert(f)
             assert r == 3
         except NotInvertibleError as exc:
             assert r < 3
             assert exc.rank == r
+
+
+def test_rank_and_preimage_pivots_match_column_elimination():
+    rng = random.Random(11)
+    for field in (QQ, PrimeField(5)):
+        for dom in (S2, S3, S4):
+            for cod in (S2, S3, S4):
+                for _ in range(6):
+                    f = random_linmap(rng, field, dom, cod, density=0.4)
+                    r = rank_by_column_elimination(f)
+                    assert rank(f) == r
+                    solver = PreimageSolver(f)
+                    assert len(solver.pivots) == r
+                    assert solver.cokernel.codomain.dim == cod.dim - r
 
 
 def test_linmap_normalization_drops_zeros():
@@ -205,7 +219,7 @@ def random_vector(rng, field, dim, density=0.5) -> dict:
 def random_injective(rng, field, dom, cod) -> LinMap:
     while True:
         f = random_linmap(rng, field, dom, cod, density=0.5)
-        if rank(f) == dom.dim:
+        if rank_by_column_elimination(f) == dom.dim:
             return f
 
 

@@ -417,6 +417,31 @@ def test_tensor_coalgebra_matches_the_composed_shuffle():
         assert serialize(got) == serialize(want)
 
 
+def oracle_tensor_algebra_mult(a, b):
+    """(m_a (x) m_b) . (id (x) twist (x) id), composed."""
+    field = a.field
+    shuffle = tensor_map(
+        tensor_map(LinMap.identity(field, a.space), twist_map(field, b.space, a.space)),
+        LinMap.identity(field, b.space),
+    )
+    return compose(tensor_map(a.mult, b.mult), shuffle)
+
+
+def test_tensor_algebra_matches_the_composed_shuffle():
+    from helpers import scaled_sweedler
+    from hopfprod.serialize import serialize
+
+    s3 = group_algebra(builtin_group("s3"))
+    h4, h4_f5, scaled = sweedler_bialgebra(), sweedler_bialgebra(F5), scaled_sweedler()
+    for x, y in [(h4, h4), (h4_f5, h4_f5), (s3, h4), (scaled, scaled)]:
+        got = tensor_algebra(x.algebra, y.algebra)
+        want = FDAlgebra(got.field, got.space, oracle_tensor_algebra_mult(x.algebra, y.algebra),
+                         got.unit)
+        assert got.mult == want.mult
+        assert serialize(tensor_bialgebra(x, y)) == serialize(
+            FDBialgebra(tensor_coalgebra(x.coalgebra, y.coalgebra), want))
+
+
 def test_checkers_match_composed_map_oracle():
     for b in oracle_fixtures():
         assert check_bialgebra(b).ok
