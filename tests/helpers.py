@@ -550,41 +550,41 @@ def check_library_claims_on_every_call(monkeypatch) -> None:
     it too, every coset split against ``check_group_structure``, and the rows
     of every equivalence certificate against :func:`certificate_rows_composed`."""
     cls = hopfprod.classification
+    convolve, inverse, certify = cls.cocycle_convolve, cls.cocycle_inverse, cls._certify
+    deform, split = hopfprod.special.deform_matched_pair, hopfprod.groups.coset_extending_structure
 
-    def lazy(u):
+    def assert_lazy(u):
         assert cls.is_lazy_cocycle(u.linmap, u.ext, u.base), "not a lazy cocycle"
 
     def returns_lazy(op):
         def checked(*args):
             w = op(*args)
-            lazy(w)
+            assert_lazy(w)
             return w
         return checked
 
-    def deform_matched_pair(mp, u):
+    def checked_deform(mp, u):
         d = deform(mp, u)
-        lazy(u)
+        assert_lazy(u)
         return d
 
-    def coset_extending_structure(*args, **kwargs):
+    def checked_split(*args, **kwargs):
         ges = split(*args, **kwargs)
         report = hopfprod.groups.check_group_structure(ges)
         assert report.ok, f"coset split fails {report.first_failure()}"
         return ges
 
-    def certify(rep, d, d2, u, prod, prod2):
+    def checked_certify(rep, d, d2, u, prod, prod2):
         start = len(rep.items)
-        result = pointwise(rep, d, d2, u, prod, prod2)
+        result = certify(rep, d, d2, u, prod, prod2)
         rows, phi, psi = certificate_rows_composed(d, d2, u, prod, prod2)
         assert [(it.condition, it.passed, it.witness) for it in rep.items[start:]] == rows
         if result.certificate is not None:
             assert (result.certificate.phi, result.certificate.psi) == (phi, psi)
         return result
 
-    deform, split, pointwise = (hopfprod.special.deform_matched_pair,
-                                hopfprod.groups.coset_extending_structure, cls._certify)
-    _rebind_everywhere(monkeypatch, cls.cocycle_convolve, returns_lazy(cls.cocycle_convolve))
-    _rebind_everywhere(monkeypatch, cls.cocycle_inverse, returns_lazy(cls.cocycle_inverse))
-    _rebind_everywhere(monkeypatch, deform, deform_matched_pair)
-    _rebind_everywhere(monkeypatch, split, coset_extending_structure)
-    _rebind_everywhere(monkeypatch, pointwise, certify)
+    for original, replacement in ((convolve, returns_lazy(convolve)),
+                                  (inverse, returns_lazy(inverse)),
+                                  (deform, checked_deform), (split, checked_split),
+                                  (certify, checked_certify)):
+        _rebind_everywhere(monkeypatch, original, replacement)
