@@ -41,7 +41,13 @@ from .special import (
     crossed_datum,
     matched_pair_datum,
 )
-from .structures import FDBialgebra, FDHopf, NoAntipodeError, attach_antipode
+from .structures import (
+    FDBialgebra,
+    FDHopf,
+    NoAntipodeError,
+    UnitalCoalgebra,
+    attach_antipode,
+)
 from .unified import (
     DatumConditionError,
     ExtendingDatum,
@@ -66,9 +72,7 @@ class CliError(Exception):
 def _load(path, want=None, what="input"):
     try:
         obj = load(path)
-    except MalformedDocumentError as exc:
-        raise CliError(EXIT_MALFORMED, f"{path}: {exc}")
-    except OSError as exc:
+    except (MalformedDocumentError, OSError) as exc:
         raise CliError(EXIT_MALFORMED, f"{path}: {exc}")
     if want is not None and not isinstance(obj, want):
         names = want.__name__ if isinstance(want, type) else \
@@ -169,10 +173,7 @@ def cmd_equiv(args) -> int:
         return EXIT_OK if result.ok else EXIT_CHECKS_FAILED
     try:
         candidates = enumerate_cocycles(d1.ext, d1.base, args.max_cocycles)
-    except NotGroupLikeError as exc:
-        print(f"undecided: {exc}")
-        return EXIT_UNDECIDED
-    except CapExceededError as exc:
+    except (NotGroupLikeError, CapExceededError) as exc:
         print(f"undecided: {exc}")
         return EXIT_UNDECIDED
     for k, u in enumerate(candidates):
@@ -186,8 +187,6 @@ def cmd_equiv(args) -> int:
 
 
 def cmd_enum_cocycles(args) -> int:
-    from .structures import UnitalCoalgebra
-
     h = _load(args.ext, (UnitalCoalgebra,), "a coalgebra document with a unit")
     a = _load(args.base, (FDBialgebra,), "a bialgebra or hopf document")
     try:

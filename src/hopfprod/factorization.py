@@ -19,7 +19,6 @@ from .linalg import (
     PreimageSolver,
     compose,
     invert,
-    tensor_map,
     tensor_space,
 )
 from .structures import (
@@ -28,9 +27,31 @@ from .structures import (
     FDCoalgebra,
     FDHopf,
     UnitalCoalgebra,
+    _add_term,
+    _counits,
     is_coalgebra_map,
 )
 from .unified import ExtendingDatum, build_unified_product
+
+
+def _pull_back(family, back):
+    """``{key: back(v)}`` over the ``(key, v)`` pairs of ``family``, empty
+    results dropped, or None as soon as ``back`` returns None."""
+    cols = {}
+    for key, v in family:
+        pre = back(v)
+        if pre is None:
+            return None
+        if pre:
+            cols[key] = pre
+    return cols
+
+
+def _products(mul, left: LinMap, right: LinMap):
+    """``(i * dim(right) + j, mul(left(e_i), right(e_j)))`` over all pairs."""
+    nr = right.domain.dim
+    return ((i * nr + j, mul(left.col(i), right.col(j)))
+            for i in range(left.domain.dim) for j in range(nr))
 
 
 class FactorizationInputError(ValueError):
@@ -89,13 +110,11 @@ class FactorizationInput:
     @staticmethod
     def _induce_coalgebra(ambient, incl, solver, what) -> FDCoalgebra:
         field = ambient.field
-        cols = {}
-        for i in range(incl.domain.dim):
-            pre = solver.pair_preimage(ambient.delta.apply(incl.col(i)))
-            if pre is None:
-                raise FactorizationInputError(
-                    f"{what} image is not closed under comultiplication")
-            cols[i] = pre
+        cols = _pull_back(((i, ambient.delta.apply(incl.col(i)))
+                           for i in range(incl.domain.dim)), solver.pair_preimage)
+        if cols is None:
+            raise FactorizationInputError(
+                f"{what} image is not closed under comultiplication")
         delta = LinMap(field, incl.domain,
                        tensor_space(incl.domain, incl.domain), cols)
         epsilon = compose(ambient.epsilon, incl)
@@ -107,16 +126,10 @@ class FactorizationInput:
         coalg = FactorizationInput._induce_coalgebra(ambient, incl, solver,
                                                      "the subbialgebra")
         n = incl.domain.dim
-        cols = {}
-        for i in range(n):
-            for j in range(n):
-                img = ambient.mul(incl.col(i), incl.col(j))
-                pre = solver.preimage(img)
-                if pre is None:
-                    raise FactorizationInputError(
-                        "the subbialgebra image is not closed under multiplication")
-                if pre:
-                    cols[i * n + j] = pre
+        cols = _pull_back(_products(ambient.mul, incl, incl), solver.preimage)
+        if cols is None:
+            raise FactorizationInputError(
+                "the subbialgebra image is not closed under multiplication")
         mult = LinMap(field, tensor_space(incl.domain, incl.domain), incl.domain, cols)
         unit = solver.preimage(ambient.unit)
         if unit is None:
@@ -125,42 +138,29 @@ class FactorizationInput:
         alg = FDAlgebra(field, incl.domain, mult, unit, associative="yes")
         bialg = FDBialgebra(coalg, alg)
         if isinstance(ambient, FDHopf):
-            s_cols = {}
-            closed = True
-            for i in range(n):
-                pre = solver.preimage(ambient.antipode.apply(incl.col(i)))
-                if pre is None:
-                    closed = False
-                    break
-                if pre:
-                    s_cols[i] = pre
-            if closed:
+            s_cols = _pull_back(((i, ambient.antipode.apply(incl.col(i))) for i in range(n)),
+                                solver.preimage)
+            if s_cols is not None:
                 return FDHopf(coalg, alg, LinMap(field, incl.domain, incl.domain, s_cols))
         return bialg
 
 
 def mult_map(fi: FactorizationInput) -> LinMap:
     """The map a (x) h -> incl_a(a) incl_h(h) into the ambient bialgebra."""
-    field = fi.ambient.field
-    na, nh = fi.incl_a.domain.dim, fi.incl_h.domain.dim
-    cols = {}
-    for i in range(na):
-        for j in range(nh):
-            col = fi.ambient.mul(fi.incl_a.col(i), fi.incl_h.col(j))
-            if col:
-                cols[i * nh + j] = col
-    return LinMap(field, tensor_space(fi.incl_a.domain, fi.incl_h.domain),
+    cols = _pull_back(_products(fi.ambient.mul, fi.incl_a, fi.incl_h), lambda v: v)
+    return LinMap(fi.ambient.field, tensor_space(fi.incl_a.domain, fi.incl_h.domain),
                   fi.ambient.space, cols)
 
 
 def recover_datum(fi: FactorizationInput) -> ExtendingDatum:
     """Pull the two actions, the cocycle and the dot out of a factorization.
 
-    Writes ``h a`` and ``h g`` through the inverse of the multiplication map
-    and projects with the counits:
+    Writes each ``h a`` and ``h g`` through the inverse of the multiplication
+    map and projects that column of ``A (x) H`` onto its legs with the
+    counits:
 
-        lact = (id (x) eps_H) . mu      ract = (eps_A (x) id) . mu
-        cocycle = (id (x) eps_H) . nu   dot  = (eps_A (x) id) . nu
+        lact = (id (x) eps_H)(u^-1(h a))      ract = (eps_A (x) id)(u^-1(h a))
+        cocycle = (id (x) eps_H)(u^-1(h g))   dot  = (eps_A (x) id)(u^-1(h g))
 
     Raises :class:`NotAFactorizationError` with the rank deficit when the
     multiplication map is singular.
@@ -172,32 +172,27 @@ def recover_datum(fi: FactorizationInput) -> ExtendingDatum:
         raise NotAFactorizationError(exc.rank, exc.dim) from exc
     field = fi.ambient.field
     a, h = fi.base, fi.ext
-    na, nh = a.dim, h.dim
+    nh = h.dim
+    eps_a, eps_h = _counits(a.coalgebra), _counits(h.coalg)
 
-    mu_cols = {}
-    for i in range(nh):
-        for j in range(na):
-            col = u_inv.apply(fi.ambient.mul(fi.incl_h.col(i), fi.incl_a.col(j)))
-            if col:
-                mu_cols[i * na + j] = col
-    mu = LinMap(field, tensor_space(h.space, a.space),
-                tensor_space(a.space, h.space), mu_cols)
+    def legs(right: LinMap):
+        """The two counit projections of u^-1(h right(e_j)), column by column."""
+        to_a, to_h = {}, {}
+        for key, v in _pull_back(_products(fi.ambient.mul, fi.incl_h, right),
+                                 u_inv.apply).items():
+            va, vh = {}, {}
+            for p, c in v.items():
+                ai, hi = divmod(p, nh)
+                if not field.is_zero(eps_h[hi]):
+                    _add_term(field, va, ai, field.mul(c, eps_h[hi]))
+                if not field.is_zero(eps_a[ai]):
+                    _add_term(field, vh, hi, field.mul(c, eps_a[ai]))
+            to_a[key], to_h[key] = va, vh
+        dom = tensor_space(h.space, right.domain)
+        return LinMap(field, dom, a.space, to_a), LinMap(field, dom, h.space, to_h)
 
-    nu_cols = {}
-    for i in range(nh):
-        for j in range(nh):
-            col = u_inv.apply(fi.ambient.mul(fi.incl_h.col(i), fi.incl_h.col(j)))
-            if col:
-                nu_cols[i * nh + j] = col
-    nu = LinMap(field, tensor_space(h.space, h.space),
-                tensor_space(a.space, h.space), nu_cols)
-
-    ident_a = LinMap.identity(field, a.space)
-    ident_h = LinMap.identity(field, h.space)
-    lact = compose(tensor_map(ident_a, h.epsilon), mu)
-    ract = compose(tensor_map(a.epsilon, ident_h), mu)
-    cocycle = compose(tensor_map(ident_a, h.epsilon), nu)
-    dot = compose(tensor_map(a.epsilon, ident_h), nu)
+    lact, ract = legs(fi.incl_a)
+    cocycle, dot = legs(fi.incl_h)
     return ExtendingDatum(base=a, ext=h, dot=dot, ract=ract, lact=lact,
                           cocycle=cocycle)
 
@@ -213,13 +208,7 @@ def transfer_structure(e: FDBialgebra, l: FDCoalgebra, u: LinMap) -> FDBialgebra
         raise ValueError("u is not a coalgebra map")
     u_inv = invert(u)
     field = e.field
-    n = l.dim
-    cols = {}
-    for i in range(n):
-        for j in range(n):
-            col = u_inv.apply(e.mul(u.col(i), u.col(j)))
-            if col:
-                cols[i * n + j] = col
+    cols = _pull_back(_products(e.mul, u, u), u_inv.apply)
     mult = LinMap(field, tensor_space(l.space, l.space), l.space, cols)
     unit = u_inv.apply(e.unit)
     alg = FDAlgebra(field, l.space, mult, unit, associative="yes")

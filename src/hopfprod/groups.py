@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product as iproduct
 
 from .fields import QQ
 from .linalg import BasedSpace, LinMap, tensor_space
@@ -349,8 +350,6 @@ def check_group_structure(ges: GroupExtendingStructure) -> Report:
     On group-like bases the two tensor-symmetry conditions hold identically,
     so the battery below is normalization plus the six specialized identities.
     """
-    from itertools import product as iproduct
-
     g = ges.group
     nx, ng = ges.x_size, g.order
     e, base = g.identity, 0

@@ -102,8 +102,10 @@ def _entries_from(field, obj, domain, codomain) -> LinMap:
     try:
         for rec in obj:
             i, j, num, den = rec
-            cols.setdefault(_json_int(i, "index"), {})[_json_int(j, "index")] = \
-                _scalar(field, num, den)
+            col = cols.setdefault(_json_int(i, "index"), {})
+            if _json_int(j, "index") in col:
+                raise MalformedDocumentError(f"repeated index ({i}, {j})")
+            col[j] = _scalar(field, num, den)
     except (TypeError, ValueError) as exc:
         raise MalformedDocumentError(f"bad entry record: {exc}") from exc
     try:
@@ -129,6 +131,8 @@ def _vector_from(field, obj, dim) -> dict:
             i, num, den = rec
             if not 0 <= _json_int(i, "index") < dim:
                 raise MalformedDocumentError(f"vector index {i} out of range")
+            if i in out:
+                raise MalformedDocumentError(f"repeated index {i}")
             out[i] = _scalar(field, num, den)
     except (TypeError, ValueError) as exc:
         raise MalformedDocumentError(f"bad vector record: {exc}") from exc

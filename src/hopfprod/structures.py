@@ -26,7 +26,6 @@ from .linalg import (
     LinMap,
     compose,
     solve_system,
-    tensor_map,
     tensor_space,
     tensor_vec,
     vec_add_into,
@@ -36,11 +35,11 @@ from .reports import Report
 
 
 class NoAntipodeError(ValueError):
-    """The convolution system for an antipode is inconsistent."""
+    """The identity has no convolution inverse on the named side."""
 
     def __init__(self, side: str):
         self.side = side
-        super().__init__(f"no antipode: the {side} convolution system is inconsistent")
+        super().__init__(f"no antipode: the identity has no {side} convolution inverse")
 
 
 class FDCoalgebra:
@@ -293,7 +292,8 @@ class FDHopf(FDBialgebra):
 
 def tensor_coalgebra(c: FDCoalgebra, d: FDCoalgebra) -> FDCoalgebra:
     """The tensor-product coalgebra: (c (x) d)_(1..2) pairs componentwise,
-    delta(x (x) y) = (x1 (x) y1) (x) (x2 (x) y2)."""
+    delta(x (x) y) = (x1 (x) y1) (x) (x2 (x) y2), and the counit is
+    counit(x) counit(y)."""
     field = same_field(c, d)
     space = tensor_space(c.space, d.space)
     n = d.dim
@@ -304,7 +304,9 @@ def tensor_coalgebra(c: FDCoalgebra, d: FDCoalgebra) -> FDCoalgebra:
                                for (a1, a2), x in c.expand(i, 2)
                                for (b1, b2), y in d.expand(j, 2)}
     delta = LinMap(field, space, tensor_space(space, space), cols)
-    epsilon = tensor_map(c.epsilon, d.epsilon)
+    epsilon = LinMap(field, space, SCALAR_SPACE,
+                     {i * n + j: {0: field.mul(x, y)}
+                      for i, x in enumerate(_counits(c)) for j, y in enumerate(_counits(d))})
     return FDCoalgebra(field, space, delta, epsilon)
 
 
@@ -598,56 +600,42 @@ def convolution_unit(src: FDCoalgebra, dst: FDAlgebra) -> LinMap:
 
 
 def antipode_solve(b: FDBialgebra) -> LinMap:
-    """Solve both convolution-inverse systems for the antipode exactly.
+    """Solve the convolution system S * id = unit . counit for the antipode
+    exactly, with the matrix entries of S as unknowns.
 
-    Unknowns are the matrix entries of S; the two systems say S is a left and
-    a right convolution inverse of the identity.  Raises
-    :class:`NoAntipodeError` naming the inconsistent side.
+    One system suffices: in a bialgebra a left convolution inverse L of the
+    identity equals the antipode S whenever S exists, since
+    L = L * (id * S) = (L * id) * S = S.  The solution is then checked to be
+    an inverse on both sides.  Raises :class:`NoAntipodeError` naming the
+    side: "left" when the system is inconsistent, "right" when its solution
+    is no right inverse.
     """
     field = b.field
     n = b.dim
     target = convolution_unit(b.coalgebra, b.algebra)
-
-    def build(side: str):
-        rows, rhs = [], []
-        for k in range(n):
-            want = target.col(k)
-            out_rows = {}
-            for (i, j), c in b.expand(k, 2):
-                if side == "left":
-                    # sum_t S[t,i] * c * mult((t,j) -> r)
-                    for t in range(n):
-                        for r, m in b.mult.cols.get(t * n + j, ()):
-                            key = t * n + i
-                            row = out_rows.setdefault(r, {})
-                            row[key] = field.add(row.get(key, field.zero), field.mul(c, m))
-                else:
-                    for t in range(n):
-                        for r, m in b.mult.cols.get(i * n + t, ()):
-                            key = t * n + j
-                            row = out_rows.setdefault(r, {})
-                            row[key] = field.add(row.get(key, field.zero), field.mul(c, m))
-            for r in set(out_rows) | set(want):
-                rows.append(out_rows.get(r, {}))
-                rhs.append(want.get(r, field.zero))
-        return rows, rhs
-
-    left_rows, left_rhs = build("left")
-    right_rows, right_rhs = build("right")
-    sol, _ = solve_system(field, left_rows + right_rows, left_rhs + right_rhs, n * n)
+    rows, rhs = [], []
+    for k in range(n):
+        want = target.col(k)
+        out_rows = {}
+        for (i, j), c in b.expand(k, 2):
+            # sum_t S[t,i] * c * mult((t,j) -> r)
+            for t in range(n):
+                for r, m in b.mult.cols.get(t * n + j, ()):
+                    key = t * n + i
+                    row = out_rows.setdefault(r, {})
+                    row[key] = field.add(row.get(key, field.zero), field.mul(c, m))
+        for r in set(out_rows) | set(want):
+            rows.append(out_rows.get(r, {}))
+            rhs.append(want.get(r, field.zero))
+    sol, _ = solve_system(field, rows, rhs, n * n)
     if sol is None:
-        if solve_system(field, left_rows, left_rhs, n * n)[0] is None:
-            raise NoAntipodeError("left")
-        if solve_system(field, right_rows, right_rhs, n * n)[0] is None:
-            raise NoAntipodeError("right")
-        raise NoAntipodeError("two-sided")
+        raise NoAntipodeError("left")
     cols: dict[int, dict] = {}
     for key, v in sol.items():
         t, i = divmod(key, n)
         cols.setdefault(i, {})[t] = v
     s = LinMap(field, b.space, b.space, cols)
-    # a consistent system always pins S down: a two-sided convolution inverse
-    # is unique, but verify rather than trust the elimination
+    # verify rather than trust the elimination
     ident = LinMap.identity(field, b.space)
     if convolution(s, ident, b.coalgebra, b.algebra) != target:
         raise NoAntipodeError("left")

@@ -22,7 +22,6 @@ from .fields import same_field
 from .linalg import (
     LinMap,
     basis_vec,
-    tensor_map,
     tensor_space,
     tensor_vec,
     vec_add_into,
@@ -374,15 +373,12 @@ def assemble_product(d: ExtendingDatum) -> FDBialgebra:
 
 @dataclass
 class UnifiedProduct:
-    """The product bialgebra together with its canonical (co)module maps."""
+    """The product bialgebra together with the inclusions of A and H."""
 
     carrier: FDBialgebra
     datum: ExtendingDatum
     incl_base: LinMap
     incl_ext: LinMap
-    proj_base: LinMap
-    proj_ext: LinMap
-    coaction: LinMap
 
     @property
     def field(self):
@@ -415,9 +411,9 @@ def unified_product_of_checked(d: ExtendingDatum) -> UnifiedProduct:
     """The product of a datum that already passed :func:`validate_datum` and
     :func:`check_product_conditions`; the datum is not checked again.
 
-    Assembles the carrier and attaches the inclusions, projections and the
-    coaction.  The carrier is not re-multiplied here: the mixed-product
-    identities are an oracle of the test suite.
+    Assembles the carrier and attaches the two inclusions.  The carrier is
+    not re-multiplied here: the mixed-product identities are an oracle of the
+    test suite.
     """
     carrier = assemble_product(d)
     field = d.field
@@ -427,12 +423,7 @@ def unified_product_of_checked(d: ExtendingDatum) -> UnifiedProduct:
     incl_ext = LinMap(field, h.space, carrier.space,
                       {i: tensor_vec(field, a.unit, basis_vec(field, i), nh)
                        for i in range(h.dim)})
-    ident_a = LinMap.identity(field, a.space)
-    ident_h = LinMap.identity(field, h.space)
-    proj_base = tensor_map(ident_a, h.epsilon)
-    proj_ext = tensor_map(a.epsilon, ident_h)
-    coaction = tensor_map(ident_a, h.delta)
-    return UnifiedProduct(carrier, d, incl_base, incl_ext, proj_base, proj_ext, coaction)
+    return UnifiedProduct(carrier, d, incl_base, incl_ext)
 
 
 def product_antipode(p: UnifiedProduct, s_h: LinMap) -> LinMap:

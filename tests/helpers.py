@@ -6,8 +6,10 @@ from itertools import product as iproduct
 
 import hopfprod as hp
 import hopfprod.classification
+import hopfprod.factorization
 import hopfprod.groups
 import hopfprod.special
+import hopfprod.structures
 import hopfprod.unified
 from hopfprod.corpus import s3_matched_pair, z4_crossed_datum
 from hopfprod.fields import QQ, PrimeField
@@ -19,6 +21,8 @@ from hopfprod.linalg import (
     _rref,
     basis_vec,
     compose,
+    invert,
+    solve_system,
     tensor_map,
     tensor_space,
     tensor_vec,
@@ -30,15 +34,18 @@ from hopfprod.structures import (
     FDBialgebra,
     FDCoalgebra,
     FDHopf,
+    NoAntipodeError,
     _scan,
     _tuple_label,
+    convolution,
+    convolution_unit,
     is_algebra_map,
     is_coalgebra_map,
     trivial_action_left,
     trivial_action_right,
     trivial_cocycle,
 )
-from hopfprod.unified import ExtendingDatum, _Ops, _base_inclusion
+from hopfprod.unified import ExtendingDatum, UnifiedProduct, _Ops, _base_inclusion
 
 
 def random_group_structure(rng, group, x_size) -> GroupExtendingStructure:
@@ -416,6 +423,113 @@ def crossed_mult_direct(cd: hp.CrossedDatum) -> LinMap:
     return LinMap(field, tensor_space(space, space), space, cols)
 
 
+def product_projections(p: UnifiedProduct):
+    """The projections a (x) h -> counit(h) a and a (x) h -> counit(a) h of
+    the product space and its right H-coaction a (x) h -> a (x) h1 (x) h2, as
+    composed maps."""
+    d = p.datum
+    a, h = d.base, d.ext
+    ident_a, ident_h = LinMap.identity(d.field, a.space), LinMap.identity(d.field, h.space)
+    return (tensor_map(ident_a, h.epsilon), tensor_map(a.epsilon, ident_h),
+            tensor_map(ident_a, h.delta))
+
+
+# ---------------------------------------------------------------------------
+# the recovered datum and the antipode through composed maps and two systems
+
+
+def recover_datum_composed(fi) -> ExtendingDatum:
+    """``factorization.recover_datum`` through the maps mu and nu and the
+    composites ``(id (x) eps_H) . mu`` and so on, as its oracle."""
+    u = hopfprod.factorization.mult_map(fi)
+    u_inv = invert(u)
+    field = fi.ambient.field
+    a, h = fi.base, fi.ext
+    na, nh = a.dim, h.dim
+
+    mu_cols = {}
+    for i in range(nh):
+        for j in range(na):
+            col = u_inv.apply(fi.ambient.mul(fi.incl_h.col(i), fi.incl_a.col(j)))
+            if col:
+                mu_cols[i * na + j] = col
+    mu = LinMap(field, tensor_space(h.space, a.space),
+                tensor_space(a.space, h.space), mu_cols)
+
+    nu_cols = {}
+    for i in range(nh):
+        for j in range(nh):
+            col = u_inv.apply(fi.ambient.mul(fi.incl_h.col(i), fi.incl_h.col(j)))
+            if col:
+                nu_cols[i * nh + j] = col
+    nu = LinMap(field, tensor_space(h.space, h.space),
+                tensor_space(a.space, h.space), nu_cols)
+
+    ident_a = LinMap.identity(field, a.space)
+    ident_h = LinMap.identity(field, h.space)
+    lact = compose(tensor_map(ident_a, h.epsilon), mu)
+    ract = compose(tensor_map(a.epsilon, ident_h), mu)
+    cocycle = compose(tensor_map(ident_a, h.epsilon), nu)
+    dot = compose(tensor_map(a.epsilon, ident_h), nu)
+    return ExtendingDatum(base=a, ext=h, dot=dot, ract=ract, lact=lact,
+                          cocycle=cocycle)
+
+
+def antipode_solve_two_systems(b: FDBialgebra) -> LinMap:
+    """The antipode from the left and the right convolution system solved
+    together, as the oracle of ``structures.antipode_solve``.  Raises
+    :class:`NoAntipodeError` naming the inconsistent side, "two-sided" when
+    each side alone is consistent."""
+    field = b.field
+    n = b.dim
+    target = convolution_unit(b.coalgebra, b.algebra)
+
+    def build(side: str):
+        rows, rhs = [], []
+        for k in range(n):
+            want = target.col(k)
+            out_rows = {}
+            for (i, j), c in b.expand(k, 2):
+                if side == "left":
+                    # sum_t S[t,i] * c * mult((t,j) -> r)
+                    for t in range(n):
+                        for r, m in b.mult.cols.get(t * n + j, ()):
+                            key = t * n + i
+                            row = out_rows.setdefault(r, {})
+                            row[key] = field.add(row.get(key, field.zero), field.mul(c, m))
+                else:
+                    for t in range(n):
+                        for r, m in b.mult.cols.get(i * n + t, ()):
+                            key = t * n + j
+                            row = out_rows.setdefault(r, {})
+                            row[key] = field.add(row.get(key, field.zero), field.mul(c, m))
+            for r in set(out_rows) | set(want):
+                rows.append(out_rows.get(r, {}))
+                rhs.append(want.get(r, field.zero))
+        return rows, rhs
+
+    left_rows, left_rhs = build("left")
+    right_rows, right_rhs = build("right")
+    sol, _ = solve_system(field, left_rows + right_rows, left_rhs + right_rhs, n * n)
+    if sol is None:
+        if solve_system(field, left_rows, left_rhs, n * n)[0] is None:
+            raise NoAntipodeError("left")
+        if solve_system(field, right_rows, right_rhs, n * n)[0] is None:
+            raise NoAntipodeError("right")
+        raise NoAntipodeError("two-sided")
+    cols: dict[int, dict] = {}
+    for key, v in sol.items():
+        t, i = divmod(key, n)
+        cols.setdefault(i, {})[t] = v
+    s = LinMap(field, b.space, b.space, cols)
+    ident = LinMap.identity(field, b.space)
+    if convolution(s, ident, b.coalgebra, b.algebra) != target:
+        raise NoAntipodeError("left")
+    if convolution(ident, s, b.coalgebra, b.algebra) != target:
+        raise NoAntipodeError("right")
+    return s
+
+
 # ---------------------------------------------------------------------------
 # the mixed-product identities of the twisted product, re-derived on the
 # assembled carrier
@@ -547,11 +661,16 @@ def _rebind_everywhere(monkeypatch, original, replacement) -> None:
 def check_library_claims_on_every_call(monkeypatch) -> None:
     """From now on hold every cocycle product and inverse against
     ``is_lazy_cocycle``, every cocycle a matched pair is deformed by against
-    it too, every coset split against ``check_group_structure``, and the rows
-    of every equivalence certificate against :func:`certificate_rows_composed`."""
+    it too, every coset split against ``check_group_structure``, the rows
+    of every equivalence certificate against :func:`certificate_rows_composed`,
+    every recovered datum against :func:`recover_datum_composed`, and every
+    solved antipode, or the side a failure names, against
+    :func:`antipode_solve_two_systems`."""
     cls = hopfprod.classification
     convolve, inverse, certify = cls.cocycle_convolve, cls.cocycle_inverse, cls._certify
     deform, split = hopfprod.special.deform_matched_pair, hopfprod.groups.coset_extending_structure
+    recover = hopfprod.factorization.recover_datum
+    antipode = hopfprod.structures.antipode_solve
 
     def assert_lazy(u):
         assert cls.is_lazy_cocycle(u.linmap, u.ext, u.base), "not a lazy cocycle"
@@ -583,8 +702,28 @@ def check_library_claims_on_every_call(monkeypatch) -> None:
             assert (result.certificate.phi, result.certificate.psi) == (phi, psi)
         return result
 
+    def checked_recover(fi):
+        d = recover(fi)
+        mismatch = d.components_equal(recover_datum_composed(fi))
+        assert mismatch is None, f"recovered {mismatch} differs from the composed oracle"
+        return d
+
+    def checked_antipode(b):
+        try:
+            want = antipode_solve_two_systems(b)
+        except NoAntipodeError as exc:
+            want = exc.side
+        try:
+            s = antipode(b)
+        except NoAntipodeError as exc:
+            assert exc.side == want, f"no {exc.side} inverse, the oracle gives {want!r}"
+            raise
+        assert s == want, f"antipode differs from the two-system oracle ({want!r})"
+        return s
+
     for original, replacement in ((convolve, returns_lazy(convolve)),
                                   (inverse, returns_lazy(inverse)),
                                   (deform, checked_deform), (split, checked_split),
-                                  (certify, checked_certify)):
+                                  (certify, checked_certify), (recover, checked_recover),
+                                  (antipode, checked_antipode)):
         _rebind_everywhere(monkeypatch, original, replacement)

@@ -1,6 +1,7 @@
 import pytest
 
-from helpers import trivial_datum
+from helpers import recover_datum_composed, trivial_datum
+from hopfprod.cli import main
 from hopfprod.corpus import a4_unified_datum, s3_matched_pair
 from hopfprod.factorization import (
     FactorizationInput,
@@ -11,17 +12,24 @@ from hopfprod.factorization import (
     roundtrip_check,
     transfer_structure,
 )
-from hopfprod.fields import QQ
+from hopfprod.fields import QQ, PrimeField
 from hopfprod.groups import builtin_group, group_algebra
 from hopfprod.linalg import BasedSpace, LinMap, compose, invert, rank
+from hopfprod.serialize import serialize
 from hopfprod.special import matched_pair_datum
 from hopfprod.structures import (
     FDHopf,
     antipode_solve,
+    attach_antipode,
     is_algebra_map,
     is_coalgebra_map,
 )
-from hopfprod.unified import build_unified_product, check_product_conditions, validate_datum
+from hopfprod.unified import (
+    CONDITION_NAMES,
+    build_unified_product,
+    check_product_conditions,
+    validate_datum,
+)
 
 
 def basis_inclusion(space_labels, ambient, indices):
@@ -273,3 +281,44 @@ def test_transferred_antipode_matches_solver():
     u = mult_map(fi)
     transferred = compose(invert(u), compose(e.antipode, u))
     assert transferred == antipode_solve(p.carrier)
+
+
+def c4_split_with_unit_off_the_basis(field):
+    """E = k[C4] with A = span{1, g^2} and H = span{1 + g, 1 - g}: the unit
+    of H is (u0 + u1) / 2, not a basis vector of H."""
+    e = group_algebra(builtin_group("c4"), field)
+    one = field.one
+    incl_a = LinMap(field, BasedSpace(("1", "g2")), e.space, {0: {0: one}, 1: {2: one}})
+    incl_h = LinMap(field, BasedSpace(("u0", "u1")), e.space,
+                    {0: {0: one, 1: one}, 1: {0: one, 1: field.neg(one)}})
+    return e, incl_a, incl_h
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["QQ", "GF5"])
+def test_factorization_with_a_unit_off_the_basis(field, tmp_path, capsys):
+    e, incl_a, incl_h = c4_split_with_unit_off_the_basis(field)
+    fi = FactorizationInput.build(e, incl_a, incl_h)
+    half = field.inv(field.of(2))
+    assert fi.ext.unit == {0: half, 1: half}
+    d = recover_datum(fi)
+    assert d.components_equal(recover_datum_composed(fi)) is None
+    assert validate_datum(d).ok
+    conditions = check_product_conditions(d)
+    assert conditions.ok
+    assert {item.condition for item in conditions.items} >= set(CONDITION_NAMES)
+    p = build_unified_product(d)
+    u = mult_map(fi)
+    assert is_algebra_map(u, p.carrier.algebra, e.algebra)
+    assert is_coalgebra_map(u, p.carrier.coalgebra, e.coalgebra)
+    assert rank(u) == e.dim
+    assert roundtrip_check(d).ok
+    assert attach_antipode(p.carrier).antipode == compose(invert(u), compose(e.antipode, u))
+
+    paths = {name: tmp_path / f"{name}.json" for name in ("e", "a", "h", "datum", "built")}
+    for name, obj in (("e", e), ("a", incl_a), ("h", incl_h)):
+        paths[name].write_bytes(serialize(obj))
+    assert main(["factorize", str(paths["e"]), "--sub-a", str(paths["a"]),
+                 "--sub-h", str(paths["h"]), "--out", str(paths["datum"])]) == 0
+    assert paths["datum"].read_bytes() == serialize(d)
+    assert main(["build", str(paths["datum"]), "--out", str(paths["built"])]) == 0
+    assert capsys.readouterr().err == ""

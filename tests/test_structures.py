@@ -257,8 +257,29 @@ def test_idempotent_monoid_has_no_antipode():
         FDAlgebra(QQ, space, mult, {0: one}, associative="yes"),
     )
     assert check_bialgebra(b).ok
-    with pytest.raises(NoAntipodeError):
+    with pytest.raises(NoAntipodeError) as exc:
         antipode_solve(b)
+    assert exc.value.side == "left"
+
+
+def test_left_but_no_right_convolution_inverse_names_the_right_side():
+    # not a bialgebra: on the group-like coalgebra {1, x, y} take the unital,
+    # non-associative product with y x = y y = 1 and x x = x y = 0.  Then
+    # S = (1, y, y) solves S * id = unit . counit, but x S(x) = 0, so the
+    # identity has no right convolution inverse.
+    space = BasedSpace(("1", "x", "y"))
+    one = QQ.one
+    mult = LinMap(QQ, tensor_space(space, space), space,
+                  {0: {0: one}, 1: {1: one}, 2: {2: one}, 3: {1: one},
+                   7: {0: one}, 8: {0: one}, 6: {2: one}})
+    b = FDBialgebra(
+        FDCoalgebra(QQ, space, grouplike_delta(QQ, space), counit_all_ones(QQ, space)),
+        FDAlgebra(QQ, space, mult, {0: one}),
+    )
+    assert not check_algebra(b.algebra).ok
+    with pytest.raises(NoAntipodeError) as exc:
+        antipode_solve(b)
+    assert exc.value.side == "right"
 
 
 def test_hopf_antipode_is_algebra_and_coalgebra_antimap():

@@ -7,6 +7,7 @@ from helpers import (
     check_mixed_relations_on_every_build,
     h4_datum_with_c2_cocycle,
     h4_trivial_datum,
+    product_projections,
     random_group_structure,
     trivial_datum,
 )
@@ -124,8 +125,9 @@ def test_embeddings_and_generator_identity():
     assert is_coalgebra_map(p.incl_base, a.coalgebra, e.coalgebra)
     assert is_coalgebra_map(p.incl_ext, h.coalg, e.coalgebra)
     # injectivity via the projections being one-sided inverses
-    assert compose(p.proj_base, p.incl_base) == LinMap.identity(QQ, a.space)
-    assert compose(p.proj_ext, p.incl_ext) == LinMap.identity(QQ, h.space)
+    proj_base, proj_ext, _ = product_projections(p)
+    assert compose(proj_base, p.incl_base) == LinMap.identity(QQ, a.space)
+    assert compose(proj_ext, p.incl_ext) == LinMap.identity(QQ, h.space)
     # every basis element a (x) g factors through the two embeddings
     for ai in range(a.dim):
         for gi in range(h.dim):
@@ -136,7 +138,7 @@ def test_embeddings_and_generator_identity():
 def test_coaction_shape():
     d = matched_pair_datum(s3_matched_pair())
     p = build_unified_product(d)
-    col = p.coaction.col(1 * 2 + 1)
+    col = product_projections(p)[2].col(1 * 2 + 1)
     # a (x) h goes to a (x) h1 (x) h2; group-like h gives a single term
     assert col == {(1 * 2 + 1) * 2 + 1: QQ.one}
 
