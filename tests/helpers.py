@@ -17,6 +17,7 @@ from hopfprod.groups import GroupExtendingStructure
 from hopfprod.linalg import (
     SCALAR_SPACE,
     LinMap,
+    NotInvertibleError,
     _rows_of,
     _rref,
     basis_vec,
@@ -442,7 +443,10 @@ def recover_datum_composed(fi) -> ExtendingDatum:
     """``factorization.recover_datum`` through the maps mu and nu and the
     composites ``(id (x) eps_H) . mu`` and so on, as its oracle."""
     u = hopfprod.factorization.mult_map(fi)
-    u_inv = invert(u)
+    try:
+        u_inv = invert(u)
+    except NotInvertibleError as exc:
+        raise hp.NotAFactorizationError(exc.rank, exc.dim) from exc
     field = fi.ambient.field
     a, h = fi.base, fi.ext
     na, nh = a.dim, h.dim
