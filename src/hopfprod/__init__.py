@@ -9,8 +9,8 @@ from .classification import (
     EquivalenceCertificate,
     EquivalenceResult,
     LazyCocycle,
+    NotALazyCocycleError,
     NotGroupLikeError,
-    check_bicrossed_equivalence,
     check_equivalence,
     cocycle_convolve,
     cocycle_inverse,
@@ -60,6 +60,7 @@ from .special import (
     MatchedPair,
     build_bicrossed,
     build_crossed,
+    check_bicrossed_equivalence,
     check_crossed,
     check_matched_pair,
     crossed_datum,

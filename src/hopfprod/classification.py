@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as iproduct
-from typing import TYPE_CHECKING
 
 from .fields import same_field
 from .linalg import (
@@ -28,7 +27,6 @@ from .linalg import (
     tensor_apply,
     tensor_vec,
     vec_add_into,
-    vec_scale,
 )
 from .reports import Report
 from .structures import (
@@ -36,7 +34,6 @@ from .structures import (
     FDHopf,
     UnitalCoalgebra,
     _add_term,
-    _counits,
     _scan,
     _tuple_label,
     convolution,
@@ -46,9 +43,6 @@ from .structures import (
     is_algebra_map,
 )
 from .unified import ExtendingDatum, _Ops, assemble_product
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .special import MatchedPair
 
 DEFAULT_COCYCLE_CAP = 10_000
 
@@ -82,28 +76,38 @@ def is_lazy_cocycle(u: LinMap, h: UnitalCoalgebra, a: FDBialgebra) -> bool:
     return True
 
 
+class NotALazyCocycleError(ValueError):
+    """A map handed in as a lazy cocycle is not one."""
+
+
 @dataclass
 class LazyCocycle:
     """A lazy cocycle with its H and A context attached.
 
-    :meth:`build` validates a map handed in from outside with
-    :func:`is_lazy_cocycle`.  The other constructors here do not re-check:
-    :func:`trivial_lazy_cocycle` and :func:`enumerate_cocycles` produce lazy
-    cocycles by construction, and :func:`cocycle_convolve` and
-    :func:`cocycle_inverse` rely on the group law, by which lazy cocycles
-    into a bialgebra are closed under convolution and those into a Hopf
-    algebra under the inverse ``S_A . u``.
+    The constructor validates the map with :func:`is_lazy_cocycle`.  The
+    operations of this module build their results through
+    :meth:`_unchecked` instead: :func:`trivial_lazy_cocycle` and
+    :func:`enumerate_cocycles` produce lazy cocycles by construction, and
+    :func:`cocycle_convolve` and :func:`cocycle_inverse` rely on the group
+    law, by which lazy cocycles into a bialgebra are closed under
+    convolution and those into a Hopf algebra under the inverse ``S_A . u``.
     """
 
     linmap: LinMap
     ext: UnitalCoalgebra
     base: FDBialgebra
 
+    def __post_init__(self):
+        if not is_lazy_cocycle(self.linmap, self.ext, self.base):
+            raise NotALazyCocycleError("map is not a lazy cocycle")
+
     @classmethod
-    def build(cls, linmap: LinMap, ext: UnitalCoalgebra, base: FDBialgebra) -> "LazyCocycle":
-        if not is_lazy_cocycle(linmap, ext, base):
-            raise ValueError("map is not a lazy cocycle")
-        return cls(linmap, ext, base)
+    def _unchecked(cls, linmap: LinMap, ext: UnitalCoalgebra,
+                   base: FDBialgebra) -> "LazyCocycle":
+        """A cocycle known to be lazy, built without validation."""
+        u = object.__new__(cls)
+        u.linmap, u.ext, u.base = linmap, ext, base
+        return u
 
     def __call__(self, v: dict) -> dict:
         return self.linmap.apply(v)
@@ -111,7 +115,7 @@ class LazyCocycle:
 
 def trivial_lazy_cocycle(h: UnitalCoalgebra, a: FDBialgebra) -> LazyCocycle:
     """unit_A . counit_H, the unit of the convolution group."""
-    return LazyCocycle(convolution_unit(h.coalg, a.algebra), h, a)
+    return LazyCocycle._unchecked(convolution_unit(h.coalg, a.algebra), h, a)
 
 
 def cocycle_convolve(u: LazyCocycle, v: LazyCocycle) -> LazyCocycle:
@@ -120,7 +124,7 @@ def cocycle_convolve(u: LazyCocycle, v: LazyCocycle) -> LazyCocycle:
     if u.ext != v.ext or u.base != v.base:
         raise ValueError("cocycles live over different (H, A) pairs")
     w = convolution(u.linmap, v.linmap, u.ext.coalg, u.base.algebra)
-    return LazyCocycle(w, u.ext, u.base)
+    return LazyCocycle._unchecked(w, u.ext, u.base)
 
 
 def cocycle_inverse(u: LazyCocycle) -> LazyCocycle:
@@ -128,7 +132,7 @@ def cocycle_inverse(u: LazyCocycle) -> LazyCocycle:
     validated again: the inverse of a lazy cocycle is a lazy cocycle."""
     if not isinstance(u.base, FDHopf):
         raise ValueError("convolution inverse needs an antipode on the base")
-    return LazyCocycle(compose(u.base.antipode, u.linmap), u.ext, u.base)
+    return LazyCocycle._unchecked(compose(u.base.antipode, u.linmap), u.ext, u.base)
 
 
 def enumerate_cocycles(h: UnitalCoalgebra, a: FDBialgebra,
@@ -161,7 +165,7 @@ def enumerate_cocycles(h: UnitalCoalgebra, a: FDBialgebra,
         for x, t in zip(others, targets):
             cols[x] = {t: field.one}
         u = LinMap(field, h.space, a.space, cols)
-        out.append(LazyCocycle(u, h, a))
+        out.append(LazyCocycle._unchecked(u, h, a))
     return out
 
 
@@ -407,68 +411,3 @@ def quotient_classes(data: list[ExtendingDatum],
         seen.update(cls)
         classes.append(cls)
     return classes
-
-
-def _scan_ract_kills(rep: Report, d: ExtendingDatum, u: LazyCocycle) -> bool:
-    """Record whether the right action of d kills u: h <| u(g) = counit(g) h."""
-    field, h = d.field, d.ext
-    ops = _Ops(d)
-    eps = _counits(h.coalg)
-    return _scan(rep, "ract-kills-cocycle", iproduct(range(h.dim), repeat=2),
-                 lambda hi, gi: ops.ract(hi, u.linmap.col(gi))
-                 == vec_scale(field, eps[gi], {hi: field.one}),
-                 _tuple_label(h.space.labels, h.space.labels))
-
-
-def check_bicrossed_equivalence(mp: "MatchedPair", mp2: "MatchedPair",
-                                u: LazyCocycle) -> Report:
-    """Equivalence of two matched pairs over the same Hopf algebras.
-
-    With both cocycles trivial the deformation conditions specialize to: the
-    right actions agree, the left action deforms by conjugation under u, the
-    would-be deformed cocycle collapses to the trivial one, and the right
-    action kills u.
-    """
-    from .special import matched_pair_datum  # special imports this module
-
-    a, h = mp.a, mp.h
-    if mp2.a != a or mp2.h != h:
-        raise ValueError("matched pairs must share both Hopf algebras")
-    if not isinstance(a, FDHopf) or not isinstance(h, FDHopf):
-        raise ValueError("bicrossed equivalence needs Hopf algebras on both sides")
-    if u.base != a or u.ext != h.unit_coalgebra():
-        raise ValueError("cocycle context does not match the matched pairs")
-    field = a.field
-    hc = h.coalgebra
-    eps_h = _counits(hc)
-    sa = a.antipode
-    um = u.linmap
-    hl, al = h.space.labels, a.space.labels
-    hr, ar = range(h.dim), range(a.dim)
-    rep = Report("bicrossed equivalence")
-
-    if mp2.ract != mp.ract:
-        rep.add("ract-equal", False, "right actions differ")
-        return rep
-    rep.add("ract-equal", True)
-
-    d = matched_pair_datum(mp)
-    deform = _Deformation(d, u)
-    ops = deform.ops
-    _scan(rep, "deformed-lact", iproduct(hr, ar),
-          lambda hi, ci: mp2.lact.bilin(hi, ci, a.dim) == deform.lact(hi, ci),
-          _tuple_label(hl, al))
-
-    def triviality(hi, gi):
-        got: dict = {}
-        for (h1, h2, h3), ch in hc.expand(hi, 3):
-            for (g1, g2), cg in hc.expand(gi, 2):
-                term = ops.amul(um.col(h1), ops.lact(h2, um.col(g1)),
-                                sa.apply(um.apply(h.mul(h3, g2))))
-                vec_add_into(field, got, term, field.mul(ch, cg))
-        eps = field.mul(eps_h[hi], eps_h[gi])
-        return got == vec_scale(field, eps, a.unit)
-
-    _scan(rep, "cocycle-triviality", iproduct(hr, hr), triviality, _tuple_label(hl, hl))
-    _scan_ract_kills(rep, d, u)
-    return rep

@@ -17,10 +17,10 @@ from .classification import (
     CapExceededError,
     DEFAULT_COCYCLE_CAP,
     LazyCocycle,
+    NotALazyCocycleError,
     NotGroupLikeError,
     check_equivalence,
     enumerate_cocycles,
-    is_lazy_cocycle,
 )
 from .corpus import EXAMPLE_NAMES, builtin_example
 from .factorization import (
@@ -165,10 +165,12 @@ def cmd_equiv(args) -> int:
         raise CliError(EXIT_MALFORMED, "supply --cocycle FILE or --search")
     if args.cocycle is not None:
         linmap = _load(args.cocycle, (LinMap,), "a cocycle document")
-        if not is_lazy_cocycle(linmap, d1.ext, d1.base):
+        try:
+            u = LazyCocycle(linmap, d1.ext, d1.base)
+        except NotALazyCocycleError:
             print("the supplied map is not a lazy cocycle")
             return EXIT_CHECKS_FAILED
-        result = check_equivalence(d1, d2, LazyCocycle(linmap, d1.ext, d1.base))
+        result = check_equivalence(d1, d2, u)
         _print_report(result.report)
         return EXIT_OK if result.ok else EXIT_CHECKS_FAILED
     try:

@@ -31,7 +31,7 @@ from .structures import (
     counit_all_ones,
     grouplike_delta,
 )
-from .unified import ExtendingDatum
+from .unified import MAP_SHAPES, ExtendingDatum
 
 
 class NotAGroupError(ValueError):
@@ -306,12 +306,13 @@ def group_algebra(g: GroupTable, field=QQ) -> FDHopf:
     return FDHopf(coalg, alg, antipode)
 
 
-def grouplike_coalgebra(labels, field=QQ, basepoint: int = 0) -> UnitalCoalgebra:
-    """The coalgebra with delta(x) = x (x) x on the given pointed label set."""
+def grouplike_coalgebra(labels, field=QQ) -> UnitalCoalgebra:
+    """The coalgebra with delta(x) = x (x) x on the given label set, pointed
+    at its first label."""
     space = BasedSpace(labels)
     coalg = FDCoalgebra(field, space, grouplike_delta(field, space),
                         counit_all_ones(field, space))
-    return UnitalCoalgebra(coalg, {basepoint: field.one})
+    return UnitalCoalgebra(coalg, {0: field.one})
 
 
 # ---------------------------------------------------------------------------
@@ -483,23 +484,15 @@ def lift_to_hopf(ges: GroupExtendingStructure, field=QQ) -> ExtendingDatum:
     """Linearize a set-level structure over group-like bases."""
     a_hopf = group_algebra(ges.group, field)
     h = grouplike_coalgebra(ges.x_labels, field)
-    nx, ng = ges.x_size, ges.group.order
-    hs, as_ = h.space, a_hopf.space
-    one = field.one
-    ract = LinMap(field, tensor_space(hs, as_), hs,
-                  {x * ng + a: {ges.ract[x][a]: one}
-                   for x in range(nx) for a in range(ng)})
-    lact = LinMap(field, tensor_space(hs, as_), as_,
-                  {x * ng + a: {ges.lact[x][a]: one}
-                   for x in range(nx) for a in range(ng)})
-    cocyc = LinMap(field, tensor_space(hs, hs), as_,
-                   {x * nx + y: {ges.cocyc[x][y]: one}
-                    for x in range(nx) for y in range(nx)})
-    star = LinMap(field, tensor_space(hs, hs), hs,
-                  {x * nx + y: {ges.star[x][y]: one}
-                   for x in range(nx) for y in range(nx)})
-    return ExtendingDatum(base=a_hopf, ext=h, dot=star,
-                          ract=ract, lact=lact, cocycle=cocyc)
+    spaces = {"a": a_hopf.space, "h": h.space}
+    tables = {"dot": ges.star, "ract": ges.ract, "lact": ges.lact, "cocycle": ges.cocyc}
+    maps = {}
+    for name, (left, right, target) in MAP_SHAPES.items():
+        table, n = tables[name], spaces[right].dim
+        maps[name] = LinMap(field, tensor_space(spaces[left], spaces[right]), spaces[target],
+                            {x * n + y: {table[x][y]: field.one}
+                             for x in range(spaces[left].dim) for y in range(n)})
+    return ExtendingDatum(base=a_hopf, ext=h, **maps)
 
 
 def group_unified_product(ges: GroupExtendingStructure) -> GroupTable:

@@ -14,7 +14,7 @@ import json
 from .classification import LazyCocycle
 from .fields import PrimeField, QQ
 from .groups import GroupTable
-from .linalg import BasedSpace, LinMap, tensor_space
+from .linalg import SCALAR_SPACE, BasedSpace, LinMap, tensor_space
 from .reports import Report
 from .special import CrossedDatum, MatchedPair
 from .structures import (
@@ -24,7 +24,7 @@ from .structures import (
     FDHopf,
     UnitalCoalgebra,
 )
-from .unified import ExtendingDatum
+from .unified import MAP_SHAPES, ExtendingDatum
 
 FORMAT_VERSION = "hopfprod/1"
 
@@ -155,8 +155,6 @@ def _coalgebra_from(field, obj):
         space = _space_from(obj["space"])
     except KeyError as exc:
         raise MalformedDocumentError("coalgebra payload lacks a space") from exc
-    from .linalg import SCALAR_SPACE
-
     delta = _entries_from(field, obj.get("delta", []), space,
                           tensor_space(space, space))
     epsilon = _entries_from(field, obj.get("epsilon", []), space, SCALAR_SPACE)
@@ -202,61 +200,73 @@ def _sub_bialgebra_from(field, obj):
         raise MalformedDocumentError(f"bad bialgebra block: {exc}") from exc
 
 
+def _unital_coalgebra_obj(field, h: UnitalCoalgebra):
+    return _coalgebra_obj(field, h.coalg, h.unit)
+
+
+def _unital_coalgebra_from(field, obj):
+    h = _coalgebra_from(field, obj)
+    if not isinstance(h, UnitalCoalgebra):
+        raise MalformedDocumentError("extending-datum needs a unit on H")
+    return h
+
+
+_BIALGEBRA = (_sub_bialgebra_obj, _sub_bialgebra_from)
+_UNITAL_COALGEBRA = (_unital_coalgebra_obj, _unital_coalgebra_from)
+
+# Each datum kind: its class, the payload keys of its factors A and H with
+# their (emit, parse) pair, and its structure maps, whose shapes come from
+# MAP_SHAPES.  Keys are read in the order listed.
+_DATUM_KINDS = {
+    "extending-datum": (ExtendingDatum, (("base", _BIALGEBRA), ("ext", _UNITAL_COALGEBRA)),
+                        ("dot", "ract", "lact", "cocycle")),
+    "matched-pair": (MatchedPair, (("a", _BIALGEBRA), ("h", _BIALGEBRA)), ("ract", "lact")),
+    "crossed-datum": (CrossedDatum, (("a", _BIALGEBRA), ("h", _BIALGEBRA)),
+                      ("lact", "cocycle")),
+}
+
+
+def _datum_payload(field, obj, factors, maps) -> dict:
+    payload = {key: emit(field, getattr(obj, key)) for key, (emit, _) in factors}
+    payload.update((name, _entries_obj(field, getattr(obj, name))) for name in maps)
+    return payload
+
+
+def _datum_from(field, payload, cls, factors, maps):
+    parts = {key: read(field, payload[key]) for key, (_, read) in factors}
+    a, h = parts.values()
+    spaces = {"a": a.space, "h": h.space}
+    for name in maps:
+        left, right, target = MAP_SHAPES[name]
+        parts[name] = _entries_from(field, payload[name],
+                                    tensor_space(spaces[left], spaces[right]),
+                                    spaces[target])
+    return cls(**parts)
+
+
+def _document(kind: str, field, payload: dict) -> dict:
+    return {"format": FORMAT_VERSION, "field": _field_obj(field), "kind": kind,
+            "payload": payload}
+
+
 def to_document(obj) -> dict:
     """The canonical dict form of any serializable object."""
     if isinstance(obj, Report):
-        return {"format": FORMAT_VERSION, "field": {"kind": "rational"},
-                "kind": "report", "payload": obj.to_obj()}
+        return _document("report", QQ, obj.to_obj())
     if isinstance(obj, GroupTable):
-        return {"format": FORMAT_VERSION, "field": {"kind": "rational"},
-                "kind": "group-table",
-                "payload": {"labels": list(obj.labels),
-                            "table": [list(row) for row in obj.table]}}
+        return _document("group-table", QQ,
+                         {"labels": list(obj.labels),
+                          "table": [list(row) for row in obj.table]})
     if isinstance(obj, UnitalCoalgebra):
-        field = obj.field
-        return {"format": FORMAT_VERSION, "field": _field_obj(field),
-                "kind": "coalgebra",
-                "payload": _coalgebra_obj(field, obj.coalg, obj.unit)}
+        return _document("coalgebra", obj.field, _unital_coalgebra_obj(obj.field, obj))
     if isinstance(obj, FDCoalgebra):
-        return {"format": FORMAT_VERSION, "field": _field_obj(obj.field),
-                "kind": "coalgebra",
-                "payload": _coalgebra_obj(obj.field, obj, None)}
+        return _document("coalgebra", obj.field, _coalgebra_obj(obj.field, obj, None))
     if isinstance(obj, FDBialgebra):
         kind = "hopf" if isinstance(obj, FDHopf) else "bialgebra"
-        return {"format": FORMAT_VERSION, "field": _field_obj(obj.field),
-                "kind": kind, "payload": _bialgebra_obj(obj.field, obj)}
-    if isinstance(obj, ExtendingDatum):
-        field = obj.field
-        return {"format": FORMAT_VERSION, "field": _field_obj(field),
-                "kind": "extending-datum",
-                "payload": {
-                    "base": _sub_bialgebra_obj(field, obj.base),
-                    "ext": _coalgebra_obj(field, obj.ext.coalg, obj.ext.unit),
-                    "dot": _entries_obj(field, obj.dot),
-                    "ract": _entries_obj(field, obj.ract),
-                    "lact": _entries_obj(field, obj.lact),
-                    "cocycle": _entries_obj(field, obj.cocycle),
-                }}
-    if isinstance(obj, MatchedPair):
-        field = obj.field
-        return {"format": FORMAT_VERSION, "field": _field_obj(field),
-                "kind": "matched-pair",
-                "payload": {
-                    "a": _sub_bialgebra_obj(field, obj.a),
-                    "h": _sub_bialgebra_obj(field, obj.h),
-                    "ract": _entries_obj(field, obj.ract),
-                    "lact": _entries_obj(field, obj.lact),
-                }}
-    if isinstance(obj, CrossedDatum):
-        field = obj.field
-        return {"format": FORMAT_VERSION, "field": _field_obj(field),
-                "kind": "crossed-datum",
-                "payload": {
-                    "a": _sub_bialgebra_obj(field, obj.a),
-                    "h": _sub_bialgebra_obj(field, obj.h),
-                    "lact": _entries_obj(field, obj.lact),
-                    "cocycle": _entries_obj(field, obj.cocycle),
-                }}
+        return _document(kind, obj.field, _bialgebra_obj(obj.field, obj))
+    for kind, (cls, factors, maps) in _DATUM_KINDS.items():
+        if isinstance(obj, cls):
+            return _document(kind, obj.field, _datum_payload(obj.field, obj, factors, maps))
     if isinstance(obj, LazyCocycle):
         obj = obj.linmap
         kind = "cocycle"
@@ -266,11 +276,10 @@ def to_document(obj) -> dict:
         kind = "linmap"
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
-    return {"format": FORMAT_VERSION, "field": _field_obj(obj.field),
-            "kind": kind,
-            "payload": {"domain": _space_obj(obj.domain),
-                        "codomain": _space_obj(obj.codomain),
-                        "entries": _entries_obj(obj.field, obj)}}
+    return _document(kind, obj.field,
+                     {"domain": _space_obj(obj.domain),
+                      "codomain": _space_obj(obj.codomain),
+                      "entries": _entries_obj(obj.field, obj)})
 
 
 def serialize(obj) -> bytes:
@@ -307,39 +316,8 @@ def parse(data: bytes):
             return _coalgebra_from(field, payload)
         if kind in ("bialgebra", "hopf"):
             return _bialgebra_from(field, payload, kind == "hopf")
-        if kind == "extending-datum":
-            base = _sub_bialgebra_from(field, payload["base"])
-            ext = _coalgebra_from(field, payload["ext"])
-            if not isinstance(ext, UnitalCoalgebra):
-                raise MalformedDocumentError("extending-datum needs a unit on H")
-            hs, as_ = ext.space, base.space
-            return ExtendingDatum(
-                base=base, ext=ext,
-                dot=_entries_from(field, payload["dot"], tensor_space(hs, hs), hs),
-                ract=_entries_from(field, payload["ract"], tensor_space(hs, as_), hs),
-                lact=_entries_from(field, payload["lact"], tensor_space(hs, as_), as_),
-                cocycle=_entries_from(field, payload["cocycle"],
-                                      tensor_space(hs, hs), as_),
-            )
-        if kind == "matched-pair":
-            a = _sub_bialgebra_from(field, payload["a"])
-            h = _sub_bialgebra_from(field, payload["h"])
-            hs, as_ = h.space, a.space
-            return MatchedPair(
-                a=a, h=h,
-                ract=_entries_from(field, payload["ract"], tensor_space(hs, as_), hs),
-                lact=_entries_from(field, payload["lact"], tensor_space(hs, as_), as_),
-            )
-        if kind == "crossed-datum":
-            a = _sub_bialgebra_from(field, payload["a"])
-            h = _sub_bialgebra_from(field, payload["h"])
-            hs, as_ = h.space, a.space
-            return CrossedDatum(
-                a=a, h=h,
-                lact=_entries_from(field, payload["lact"], tensor_space(hs, as_), as_),
-                cocycle=_entries_from(field, payload["cocycle"],
-                                      tensor_space(hs, hs), as_),
-            )
+        if isinstance(kind, str) and kind in _DATUM_KINDS:
+            return _datum_from(field, payload, *_DATUM_KINDS[kind])
         if kind in ("cocycle", "linmap"):
             domain = _space_from(payload["domain"])
             codomain = _space_from(payload["codomain"])

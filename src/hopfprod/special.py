@@ -6,6 +6,8 @@ crossed datum (left action plus cocycle) embeds with trivial right action.
 This module only checks the classical data and embeds them: the product is
 built by the one twisted-product engine, and the identities a classical
 datum shares with the engine are evaluated by the engine's own evaluators.
+Matched pairs are likewise deformed and compared through the deformation
+formulas of :mod:`hopfprod.classification`.
 The classical direct multiplication and antipode formulas live on as
 independent oracles in the test suite.
 """
@@ -14,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product as iproduct
 
-from .classification import LazyCocycle, _scan_ract_kills, deform_datum
+from .classification import LazyCocycle, _Deformation, deform_datum
 from .fields import same_field
 from .linalg import LinMap, basis_vec, tensor_vec, vec_add_into, vec_scale
 from .reports import Report
@@ -292,3 +294,59 @@ def deform_matched_pair(mp: MatchedPair, u: LazyCocycle) -> ExtendingDatum:
         raise ValueError(
             f"right action does not kill the cocycle at {kills.first_failure().witness}")
     return deform_datum(d, u)
+
+
+# ---------------------------------------------------------------------------
+# equivalence of matched pairs
+
+
+def _scan_ract_kills(rep: Report, d: ExtendingDatum, u: LazyCocycle) -> bool:
+    """Record whether the right action of d kills u: h <| u(g) = counit(g) h."""
+    field, h = d.field, d.ext
+    ops = _Ops(d)
+    eps = _counits(h.coalg)
+    return _scan(rep, "ract-kills-cocycle", iproduct(range(h.dim), repeat=2),
+                 lambda hi, gi: ops.ract(hi, u.linmap.col(gi))
+                 == vec_scale(field, eps[gi], {hi: field.one}),
+                 _tuple_label(h.space.labels, h.space.labels))
+
+
+def check_bicrossed_equivalence(mp: MatchedPair, mp2: MatchedPair,
+                                u: LazyCocycle) -> Report:
+    """Equivalence of two matched pairs over the same Hopf algebras.
+
+    This is :func:`~hopfprod.classification.check_equivalence` on the induced
+    data, whose cocycles are trivial: the right actions agree, the left
+    action deforms by u, the deformed cocycle is the trivial one, and the
+    right action kills u, so that the deformed dot is the multiplication of
+    H again.  Both deformations are evaluated by the shared formulas.
+    """
+    a, h = mp.a, mp.h
+    if mp2.a != a or mp2.h != h:
+        raise ValueError("matched pairs must share both Hopf algebras")
+    if not isinstance(a, FDHopf) or not isinstance(h, FDHopf):
+        raise ValueError("bicrossed equivalence needs Hopf algebras on both sides")
+    if u.base != a or u.ext != h.unit_coalgebra():
+        raise ValueError("cocycle context does not match the matched pairs")
+    field = a.field
+    eps_h = _counits(h.coalgebra)
+    hl, al = h.space.labels, a.space.labels
+    hr, ar = range(h.dim), range(a.dim)
+    rep = Report("bicrossed equivalence")
+
+    if mp2.ract != mp.ract:
+        rep.add("ract-equal", False, "right actions differ")
+        return rep
+    rep.add("ract-equal", True)
+
+    d = matched_pair_datum(mp)
+    deform = _Deformation(d, u)
+    _scan(rep, "deformed-lact", iproduct(hr, ar),
+          lambda hi, ci: mp2.lact.bilin(hi, ci, a.dim) == deform.lact(hi, ci),
+          _tuple_label(hl, al))
+    _scan(rep, "cocycle-triviality", iproduct(hr, hr),
+          lambda hi, gi: deform.cocycle(hi, gi, d.dot)
+          == vec_scale(field, field.mul(eps_h[hi], eps_h[gi]), a.unit),
+          _tuple_label(hl, hl))
+    _scan_ract_kills(rep, d, u)
+    return rep

@@ -54,6 +54,18 @@ CONDITION_NAMES = (
 )
 
 
+# The shape of each structure map of a datum, as (left factor, right factor,
+# codomain) with "h" for the coalgebra H and "a" for the base A.  The datum
+# constructor, the coalgebra-map rows, the lift of a set-level structure and
+# the document parser all read it.
+MAP_SHAPES = {
+    "dot": ("h", "h", "h"),
+    "ract": ("h", "a", "h"),
+    "lact": ("h", "a", "a"),
+    "cocycle": ("h", "h", "a"),
+}
+
+
 class DatumConditionError(ValueError):
     """A construction was refused because datum conditions fail."""
 
@@ -76,14 +88,10 @@ class ExtendingDatum:
 
     def __post_init__(self):
         same_field(self.base, self.ext, self.dot, self.ract, self.lact, self.cocycle)
-        na, nh = self.base.dim, self.ext.dim
-        shapes = {
-            "dot": (self.dot, nh * nh, nh),
-            "ract": (self.ract, nh * na, nh),
-            "lact": (self.lact, nh * na, na),
-            "cocycle": (self.cocycle, nh * nh, na),
-        }
-        for name, (m, dom, cod) in shapes.items():
+        dims = {"a": self.base.dim, "h": self.ext.dim}
+        for name, (left, right, target) in MAP_SHAPES.items():
+            m = getattr(self, name)
+            dom, cod = dims[left] * dims[right], dims[target]
             if m.domain.dim != dom or m.codomain.dim != cod:
                 raise ValueError(f"{name} has shape {m.domain.dim}->{m.codomain.dim}, "
                                  f"want {dom}->{cod}")
@@ -136,16 +144,18 @@ class _Ops:
         return out
 
 
-def _coalgebra_map_rows(rep: Report, hc, ac, ract=None, lact=None, cocycle=None,
-                        dot=None) -> None:
+def _coalgebra_map_rows(rep: Report, hc, ac, **maps) -> None:
     """Add a "<name>-coalgebra-map" row for each structure map given, in the
-    order ract, lact, cocycle, dot.  The maps are checked as they are, so one
-    of the wrong shape raises here, before a datum is formed from it."""
-    ha, hh = tensor_coalgebra(hc, ac), tensor_coalgebra(hc, hc)
-    for name, m, src, dst in (("ract", ract, ha, hc), ("lact", lact, ha, ac),
-                              ("cocycle", cocycle, hh, ac), ("dot", dot, hh, hc)):
-        if m is not None:
-            rep.add(f"{name}-coalgebra-map", is_coalgebra_map(m, src, dst))
+    order given, with its shape read from :data:`MAP_SHAPES`.  The maps are
+    checked as they are, so one of the wrong shape raises here, before a
+    datum is formed from it."""
+    coalgs, tensors = {"h": hc, "a": ac}, {}
+    for name, m in maps.items():
+        left, right, target = MAP_SHAPES[name]
+        if (left, right) not in tensors:
+            tensors[left, right] = tensor_coalgebra(coalgs[left], coalgs[right])
+        rep.add(f"{name}-coalgebra-map",
+                is_coalgebra_map(m, tensors[left, right], coalgs[target]))
 
 
 def validate_datum(d: ExtendingDatum) -> Report:

@@ -28,6 +28,7 @@ from hopfprod.linalg import (
     tensor_space,
     tensor_vec,
     vec_add_into,
+    vec_scale,
 )
 from hopfprod.reports import Report
 from hopfprod.structures import (
@@ -653,6 +654,50 @@ def certificate_rows_composed(d: ExtendingDatum, d2: ExtendingDatum, u, prod: FD
     return rows, phi, psi
 
 
+def cocycle_triviality_direct(mp: hp.MatchedPair, u):
+    """The "cocycle-triviality" row of ``check_bicrossed_equivalence`` from
+    the hand-written formula u(h1) (h2 |> u(g1)) S(u(h3 g2)) = eps(h) eps(g) 1_A.
+    It is the deformed cocycle of the matched pair's datum collapsed by
+    h <| u(g) = eps(g) h, so it agrees with the library whenever the right
+    action kills u.  Returns (passed, witness)."""
+    a, h, field = mp.a, mp.h, mp.field
+    hc, sa, um = h.coalgebra, a.antipode, u.linmap
+    eps = [hc.counit({i: field.one}) for i in range(h.dim)]
+
+    def holds(hi, gi):
+        got: dict = {}
+        for (h1, h2, h3), ch in hc.expand(hi, 3):
+            for (g1, g2), cg in hc.expand(gi, 2):
+                term = a.mul(a.mul(um.col(h1), mp.lact.bilin(h2, um.col(g1), a.dim)),
+                             sa.apply(um.apply(h.mul(h3, g2))))
+                vec_add_into(field, got, term, field.mul(ch, cg))
+        return got == vec_scale(field, field.mul(eps[hi], eps[gi]), a.unit)
+
+    rep = Report()
+    _scan(rep, "cocycle-triviality", iproduct(range(h.dim), repeat=2), holds,
+          _tuple_label(h.space.labels, h.space.labels))
+    return rep.items[0].passed, rep.items[0].witness
+
+
+def assert_bicrossed_report_agrees(mp: hp.MatchedPair, u, rep: Report):
+    """Hold a ``check_bicrossed_equivalence`` report against
+    :func:`cocycle_triviality_direct`: the same verdict always, and the same
+    "cocycle-triviality" row whenever "ract-kills-cocycle" passes.  Returns
+    (ract-kills-cocycle passed, direct verdict), or None for a report that
+    stopped at unequal right actions."""
+    rows = {it.condition: (it.passed, it.witness) for it in rep.items}
+    if "cocycle-triviality" not in rows:
+        return None
+    want = cocycle_triviality_direct(mp, u)
+    others = [it.passed for it in rep.items if it.condition != "cocycle-triviality"]
+    assert rep.ok == (all(others) and want[0]), "verdict differs from the direct formula"
+    kills = rows["ract-kills-cocycle"][0]
+    if kills:
+        assert rows["cocycle-triviality"] == want, \
+            f"cocycle-triviality differs from the direct formula ({want!r})"
+    return kills, want[0]
+
+
 def _rebind_everywhere(monkeypatch, original, replacement) -> None:
     """Put ``replacement`` under every loaded module name bound to
     ``original``, so that calls through any import of it reach the wrapper."""
@@ -667,12 +712,14 @@ def check_library_claims_on_every_call(monkeypatch) -> None:
     ``is_lazy_cocycle``, every cocycle a matched pair is deformed by against
     it too, every coset split against ``check_group_structure``, the rows
     of every equivalence certificate against :func:`certificate_rows_composed`,
+    every matched-pair equivalence against :func:`assert_bicrossed_report_agrees`,
     every recovered datum against :func:`recover_datum_composed`, and every
     solved antipode, or the side a failure names, against
     :func:`antipode_solve_two_systems`."""
     cls = hopfprod.classification
     convolve, inverse, certify = cls.cocycle_convolve, cls.cocycle_inverse, cls._certify
     deform, split = hopfprod.special.deform_matched_pair, hopfprod.groups.coset_extending_structure
+    bicrossed = hopfprod.special.check_bicrossed_equivalence
     recover = hopfprod.factorization.recover_datum
     antipode = hopfprod.structures.antipode_solve
 
@@ -706,6 +753,11 @@ def check_library_claims_on_every_call(monkeypatch) -> None:
             assert (result.certificate.phi, result.certificate.psi) == (phi, psi)
         return result
 
+    def checked_bicrossed(mp, mp2, u):
+        rep = bicrossed(mp, mp2, u)
+        assert_bicrossed_report_agrees(mp, u, rep)
+        return rep
+
     def checked_recover(fi):
         d = recover(fi)
         mismatch = d.components_equal(recover_datum_composed(fi))
@@ -728,6 +780,7 @@ def check_library_claims_on_every_call(monkeypatch) -> None:
     for original, replacement in ((convolve, returns_lazy(convolve)),
                                   (inverse, returns_lazy(inverse)),
                                   (deform, checked_deform), (split, checked_split),
-                                  (certify, checked_certify), (recover, checked_recover),
+                                  (certify, checked_certify), (bicrossed, checked_bicrossed),
+                                  (recover, checked_recover),
                                   (antipode, checked_antipode)):
         _rebind_everywhere(monkeypatch, original, replacement)

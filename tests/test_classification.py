@@ -1,14 +1,21 @@
+import random
+
 import pytest
 
-from helpers import product_projections, sweedler_bialgebra, with_column
+from helpers import (
+    assert_bicrossed_report_agrees,
+    product_projections,
+    sweedler_bialgebra,
+    with_column,
+)
 from hopfprod.classification import (
     CapExceededError,
     NotGroupLikeError,
-    check_bicrossed_equivalence,
     check_equivalence,
     cocycle_convolve,
     cocycle_inverse,
     LazyCocycle,
+    NotALazyCocycleError,
     enumerate_cocycles,
     is_lazy_cocycle,
     quotient_classes,
@@ -20,16 +27,18 @@ from hopfprod.corpus import (
     z2xz2_crossed_datum,
     z4_crossed_datum,
 )
-from hopfprod.fields import QQ
+from hopfprod.fields import QQ, PrimeField
 from hopfprod.groups import builtin_group, group_algebra, grouplike_coalgebra
-from hopfprod.linalg import LinMap, compose
+from hopfprod.linalg import LinMap, compose, tensor_space
 from hopfprod.special import (
+    MatchedPair,
+    check_bicrossed_equivalence,
     crossed_datum,
     deform_matched_pair,
     matched_pair_datum,
     trivial_matched_pair,
 )
-from hopfprod.structures import UnitalCoalgebra
+from hopfprod.structures import UnitalCoalgebra, attach_antipode
 from hopfprod.unified import build_unified_product
 
 
@@ -55,6 +64,16 @@ def test_map_to_a_sum_of_grouplikes_is_not_lazy():
     bad = LinMap(QQ, h.space, a.space,
                  {0: {0: QQ.one}, 1: {0: QQ.one, 1: QQ.one}})
     assert not is_lazy_cocycle(bad, h, a)
+
+
+def test_public_constructor_rejects_a_non_lazy_map():
+    a = group_algebra(builtin_group("c2"))
+    h = grouplike_coalgebra(("p", "q"), QQ)
+    bad = LinMap(QQ, h.space, a.space, {0: {0: QQ.one}, 1: {0: QQ.one, 1: QQ.one}})
+    with pytest.raises(NotALazyCocycleError, match="map is not a lazy cocycle"):
+        LazyCocycle(bad, h, a)
+    with pytest.raises(ValueError, match="cocycle shape does not match"):
+        LazyCocycle(LinMap(QQ, h.space, tensor_space(h.space, h.space), {}), h, a)
 
 
 def test_map_moving_the_basepoint_is_not_lazy():
@@ -90,8 +109,8 @@ def test_the_group_operations_are_held_against_is_lazy_cocycle():
     # on every call, so an unchecked non-lazy factor is caught there
     a = group_algebra(builtin_group("c2"))
     h = grouplike_coalgebra(("p", "q"), QQ)
-    bad = LazyCocycle(LinMap(QQ, h.space, a.space,
-                             {0: {0: QQ.one}, 1: {0: QQ.one, 1: QQ.one}}), h, a)
+    bad = LazyCocycle._unchecked(LinMap(QQ, h.space, a.space,
+                                        {0: {0: QQ.one}, 1: {0: QQ.one, 1: QQ.one}}), h, a)
     with pytest.raises(AssertionError, match="not a lazy cocycle"):
         cocycle_convolve(bad, trivial_lazy_cocycle(h, a))
     with pytest.raises(AssertionError, match="not a lazy cocycle"):
@@ -311,6 +330,62 @@ def test_bicrossed_equivalence_direct_product_deformed_by_central_map():
         target = next(iter(u.linmap.col(1)))
         verdicts[target] = check_bicrossed_equivalence(mp, mp, u).ok
     assert verdicts == {0: True, 1: False, 2: True, 3: False}
+
+
+def _one_entry_corruptions(m: LinMap):
+    """m with one column set to a basis vector, raised by 1 at one entry, or
+    zeroed."""
+    f = m.field
+    for k in range(m.domain.dim):
+        for j in range(m.codomain.dim):
+            yield with_column(m, k, {j: f.one})
+            col = dict(m.col(k))
+            col[j] = f.add(col.get(j, f.zero), f.one)
+            yield with_column(m, k, col)
+        yield with_column(m, k, {})
+
+
+def _bicrossed_equivalence_cases():
+    """The S3, transposed-S3 and C4 x C2 pairs over QQ and GF(5) and the
+    trivial pair of Sweedler's H4 and k[C2], each clean and under every
+    one-entry corruption of either action, with all their cocycles."""
+    c2 = builtin_group("c2")
+    pairs = []
+    for field in (QQ, PrimeField(5)):
+        pairs += [s3_matched_pair(field), s3_transposed_matched_pair(field),
+                  trivial_matched_pair(group_algebra(builtin_group("c4"), field),
+                                       group_algebra(c2, field))]
+    h4 = trivial_matched_pair(attach_antipode(sweedler_bialgebra(QQ)), group_algebra(c2, QQ))
+    h = h4.h.unit_coalgebra()
+    h4_cocycles = [trivial_lazy_cocycle(h, h4.a),
+                   LazyCocycle(LinMap(QQ, h.space, h4.a.space, {0: {0: QQ.one}, 1: {1: QQ.one}}),
+                               h, h4.a)]
+    for mp in pairs + [h4]:
+        cocycles = (h4_cocycles if mp is h4
+                    else enumerate_cocycles(mp.h.unit_coalgebra(), mp.a))
+        variants = [mp]
+        variants += [MatchedPair(mp.a, mp.h, r, mp.lact) for r in _one_entry_corruptions(mp.ract)]
+        variants += [MatchedPair(mp.a, mp.h, mp.ract, x) for x in _one_entry_corruptions(mp.lact)]
+        for bad in variants:
+            for u in cocycles:
+                yield bad, bad, u
+                yield bad, mp, u
+
+
+def test_bicrossed_equivalence_agrees_with_the_direct_triviality_formula():
+    # a seeded sample of the corruption set, covering every combination of
+    # the ract-kills-cocycle and direct cocycle-triviality verdicts
+    cases = list(_bicrossed_equivalence_cases())
+    seen = set()
+    for mp, mp2, u in random.Random(12).sample(cases, 1500):
+        rep = check_bicrossed_equivalence(mp, mp2, u)
+        outcome = assert_bicrossed_report_agrees(mp, u, rep)
+        if outcome is None:
+            assert not rep.ok and mp2.ract != mp.ract
+        else:
+            seen.add(outcome + (rep.ok,))
+    assert {(True, True, True), (True, False, False), (False, True, False),
+            (False, False, False)} <= seen
 
 
 # ---------------------------------------------------------------------------
@@ -553,7 +628,7 @@ def sweedler_base_datum(field):
     d = ExtendingDatum(base=a, ext=h, dot=dot, ract=ract,
                        lact=trivial_action_left(field, h.coalg, a.space),
                        cocycle=trivial_cocycle(field, h.coalg, a.unit, a.space))
-    u = LazyCocycle.build(LinMap(field, h.space, a.space, {0: {0: one}, 1: {1: one}}), h, a)
+    u = LazyCocycle(LinMap(field, h.space, a.space, {0: {0: one}, 1: {1: one}}), h, a)
     return d, u
 
 
@@ -616,9 +691,10 @@ def test_certificate_rows_match_the_composed_oracle_on_failing_certificates():
                      replace(d2, **{name: _with_one_entry_changed(getattr(d2, name), k)})))
                  for name in ("lact", "ract", "dot", "cocycle")
                  for k in range(0, getattr(d2, name).domain.dim, 3)]
-        runs += [(d, d2, LazyCocycle(with_column(u.linmap, k, {j: d.field.mul(two, x)
-                                                               for j, x in u.linmap.col(k).items()}),
-                                     h, d.base), prod, prod2)
+        runs += [(d, d2, LazyCocycle._unchecked(
+                     with_column(u.linmap, k, {j: d.field.mul(two, x)
+                                               for j, x in u.linmap.col(k).items()}),
+                     h, d.base), prod, prod2)
                  for k in range(h.dim)]
         for k in range(h.dim):
             delta = _with_one_entry_added(h.delta, k)
