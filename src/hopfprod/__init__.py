@@ -48,10 +48,7 @@ from .linalg import (
     NotInvertibleError,
     compose,
     invert,
-    rank,
-    tensor_map,
     tensor_space,
-    twist_map,
 )
 from .reports import CheckItem, Report
 from .serialize import MalformedDocumentError, load, parse, serialize

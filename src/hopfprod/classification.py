@@ -34,7 +34,6 @@ from .structures import (
     FDHopf,
     UnitalCoalgebra,
     _add_term,
-    _scan,
     _tuple_label,
     convolution,
     convolution_unit,
@@ -42,7 +41,7 @@ from .structures import (
     is_coalgebra_map,
     is_algebra_map,
 )
-from .unified import ExtendingDatum, _Ops, assemble_product
+from .unified import ExtendingDatum, _Ops, _scan_condition, assemble_product
 
 DEFAULT_COCYCLE_CAP = 10_000
 
@@ -272,19 +271,34 @@ class EquivalenceResult:
         return self.report.ok
 
 
+def _deformation_evaluators(d: ExtendingDatum, d2: ExtendingDatum, u: LazyCocycle) -> dict:
+    """The three deformation formulas as pointwise evaluators, in the shape
+    of :func:`~hopfprod.unified._condition_evaluators`: each holds where the
+    map of d2 is the deformation of the map of d by u.  The cocycle formula
+    reads the deformed dot from d2."""
+    a, h = d.base, d.ext
+    hl, al = h.space.labels, a.space.labels
+    hr, ar = range(h.dim), range(a.dim)
+    deform, ops2 = _Deformation(d, u), _Ops(d2)
+    return {
+        "deformed-lact": ((hr, ar), lambda hi, ci: ops2.lact(hi, ci) == deform.lact(hi, ci),
+                          _tuple_label(hl, al)),
+        "deformed-dot": ((hr, hr), lambda hi, gi: ops2.dot(hi, gi) == deform.dot(hi, gi),
+                         _tuple_label(hl, hl)),
+        "deformed-cocycle": ((hr, hr), lambda hi, gi: ops2.coc(hi, gi)
+                             == deform.cocycle(hi, gi, d2.dot), _tuple_label(hl, hl)),
+    }
+
+
 def _deformation_report(d: ExtendingDatum, d2: ExtendingDatum, u: LazyCocycle) -> Report:
     """The rows of :func:`check_equivalence` up to its certificate: the
     equality of right actions, then the three deformation formulas."""
     if d.base != d2.base or d.ext != d2.ext:
         raise ValueError("the two data must share the base and the coalgebra")
-    a = d.base
-    if not isinstance(a, FDHopf):
+    if not isinstance(d.base, FDHopf):
         raise ValueError("equivalence checking needs a Hopf base")
-    if u.ext != d.ext or u.base != a:
+    if u.ext != d.ext or u.base != d.base:
         raise ValueError("cocycle context does not match the data")
-    h = d.ext
-    hl, al = h.space.labels, a.space.labels
-    hr, ar = range(h.dim), range(a.dim)
     rep = Report("extending-structure equivalence")
 
     if d2.ract != d.ract:
@@ -292,16 +306,9 @@ def _deformation_report(d: ExtendingDatum, d2: ExtendingDatum, u: LazyCocycle) -
         return rep
     rep.add("ract-equal", True)
 
-    deform, ops2 = _Deformation(d, u), _Ops(d2)
-    ok = _scan(rep, "deformed-lact", iproduct(hr, ar),
-               lambda hi, ci: ops2.lact(hi, ci) == deform.lact(hi, ci),
-               _tuple_label(hl, al))
-    ok = _scan(rep, "deformed-dot", iproduct(hr, hr),
-               lambda hi, gi: ops2.dot(hi, gi) == deform.dot(hi, gi),
-               _tuple_label(hl, hl)) and ok
-    _scan(rep, "deformed-cocycle", iproduct(hr, hr),
-          lambda hi, gi: ops2.coc(hi, gi) == deform.cocycle(hi, gi, d2.dot),
-          _tuple_label(hl, hl))
+    evaluators = _deformation_evaluators(d, d2, u)
+    for name in evaluators:
+        _scan_condition(rep, evaluators, name)
     return rep
 
 

@@ -77,6 +77,9 @@ class GroupTable:
         self.order = n
         if len(self.labels) != n or any(len(row) != n for row in self.table):
             raise NotAGroupError("table is not square or labels are missing")
+        bad = [x for row in self.table for x in row if type(x) is not int or not 0 <= x < n]
+        if bad:
+            raise NotAGroupError(f"table entry {bad[0]!r} is not an element index")
         ident = None
         for e in range(n):
             if all(self.table[e][x] == x == self.table[x][e] for x in range(n)):

@@ -213,22 +213,6 @@ def compose(f: LinMap, g: LinMap) -> LinMap:
     return LinMap(field, g.domain, f.codomain, cols)
 
 
-def tensor_map(f: LinMap, g: LinMap) -> LinMap:
-    """(f (x) g)(e_i (x) e_j) = f(e_i) (x) g(e_j), row-major indexing."""
-    field = same_field(f, g)
-    dom = tensor_space(f.domain, g.domain)
-    cod = tensor_space(f.codomain, g.codomain)
-    gdim = g.domain.dim
-    cdim = g.codomain.dim
-    cols = {}
-    for i, fcol in f.cols.items():
-        for j, gcol in g.cols.items():
-            cols[i * gdim + j] = {
-                a * cdim + b: field.mul(x, y) for a, x in fcol for b, y in gcol
-            }
-    return LinMap(field, dom, cod, cols)
-
-
 def tensor_apply(f: LinMap, g: LinMap, v: dict) -> dict:
     """(f (x) g)(v), evaluated on the support of v without building f (x) g."""
     field = same_field(f, g)
@@ -246,15 +230,6 @@ def tensor_apply(f: LinMap, g: LinMap, v: dict) -> dict:
                 else:
                     out[k] = z
     return out
-
-
-def twist_map(field, a: BasedSpace, b: BasedSpace) -> LinMap:
-    """The flip a (x) b -> b (x) a."""
-    cols = {}
-    for i in range(a.dim):
-        for j in range(b.dim):
-            cols[i * b.dim + j] = {j * a.dim + i: field.one}
-    return LinMap(field, tensor_space(a, b), tensor_space(b, a), cols)
 
 
 # ---------------------------------------------------------------------------
@@ -331,11 +306,6 @@ def invert(f: LinMap) -> LinMap:
     if len(solver.pivots) < n:
         raise NotInvertibleError(len(solver.pivots), n)
     return solver.left_inverse
-
-
-def rank(f: LinMap) -> int:
-    """The number of pivots of the row echelon form of f."""
-    return len(_echelon(f.field, _rows_of(f), f.domain.dim))
 
 
 def solve_system(field, rows: list[dict], rhs: list, n_unknowns: int):

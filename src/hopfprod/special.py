@@ -4,21 +4,25 @@ A matched pair of bialgebras (mutual coalgebra actions satisfying the four
 compatibility laws) embeds as an extending datum with trivial cocycle; a
 crossed datum (left action plus cocycle) embeds with trivial right action.
 This module only checks the classical data and embeds them: the product is
-built by the one twisted-product engine, and the identities a classical
-datum shares with the engine are evaluated by the engine's own evaluators.
-Matched pairs are likewise deformed and compared through the deformation
-formulas of :mod:`hopfprod.classification`.
-The classical direct multiplication and antipode formulas live on as
-independent oracles in the test suite.
+built by the one twisted-product engine.  Apart from the unit
+normalizations, every identity of a classical datum is a row of the
+engine's evaluator tables on the induced datum, scanned under its classical
+name: the left module law of a matched pair is the twisted-module condition
+with trivial cocycle, and the symmetry of a crossed left action is the
+action symmetry with trivial right action.  Matched pairs are likewise
+deformed and compared through the deformation evaluators of
+:mod:`hopfprod.classification`, so this module evaluates no coproduct sum
+of its own.  The classical direct multiplication, antipode and
+compatibility formulas live on as independent oracles in the test suite.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as iproduct
 
-from .classification import LazyCocycle, _Deformation, deform_datum
+from .classification import LazyCocycle, _deformation_evaluators, deform_datum
 from .fields import same_field
-from .linalg import LinMap, basis_vec, tensor_vec, vec_add_into, vec_scale
+from .linalg import LinMap, vec_scale
 from .reports import Report
 from .structures import (
     FDBialgebra,
@@ -63,10 +67,10 @@ class MatchedPair:
 def check_matched_pair(mp: MatchedPair) -> Report:
     """Module-coalgebra axioms and the four mutual-action compatibilities.
 
-    The right module law, both multiplicativity laws and the action symmetry
-    are the engine's right-module, lact-multiplicative, ract-dot-compat and
-    action-symmetry conditions on the induced datum, whose dot is the
-    multiplication of H.
+    Both module laws, both multiplicativity laws and the action symmetry
+    are the engine's twisted-module, right-module, lact-multiplicative,
+    ract-dot-compat and action-symmetry conditions on the induced datum,
+    whose dot is the multiplication of H and whose cocycle is trivial.
     """
     a, h = mp.a, mp.h
     field = mp.field
@@ -83,9 +87,7 @@ def check_matched_pair(mp: MatchedPair) -> Report:
 
     _scan(rep, "left-module-unit", iproduct(ar),
           lambda j: ops.lact(h.unit, j) == {j: one}, _tuple_label(al))
-    _scan(rep, "left-module-law", iproduct(hr, hr, ar),
-          lambda g, i, j: ops.lact(h.mul(g, i), j) == ops.lact(g, ops.lact(i, j)),
-          _tuple_label(hl, hl, al))
+    _scan_condition(rep, shared, "twisted-module", "left-module-law")
     _scan(rep, "right-module-unit", iproduct(hr),
           lambda g: ops.ract(g, a.unit) == {g: one}, _tuple_label(hl))
     _scan_condition(rep, shared, "right-module", "right-module-law")
@@ -162,19 +164,19 @@ class CrossedDatum:
 
 
 def check_crossed(cd: CrossedDatum) -> Report:
-    """Normalizations, the twisted-module and cocycle laws, and the two
-    symmetry conditions that make the crossed product a bialgebra.  The
-    cocycle symmetry is the engine's condition on the induced datum."""
+    """Normalizations, the multiplicativity, twisted-module and cocycle laws,
+    and the two symmetry conditions that make the crossed product a
+    bialgebra.  All but the normalizations are the engine's conditions on
+    the induced datum, whose right action is trivial; the symmetry of the
+    left action is its action-symmetry."""
     a, h = cd.a, cd.h
     field = cd.field
-    hc = h.coalgebra
-    eps_h = _counits(hc)
-    adim = a.dim
+    eps_h = _counits(h.coalgebra)
     hl, al = h.space.labels, a.space.labels
-    hr, ar = range(h.dim), range(adim)
+    hr, ar = range(h.dim), range(a.dim)
     rep = Report("crossed datum")
 
-    _coalgebra_map_rows(rep, hc, a.coalgebra, lact=cd.lact, cocycle=cd.cocycle)
+    _coalgebra_map_rows(rep, h.coalgebra, a.coalgebra, lact=cd.lact, cocycle=cd.cocycle)
     d = crossed_datum(cd)
     ops = _Ops(d)
 
@@ -190,63 +192,11 @@ def check_crossed(cd: CrossedDatum) -> Report:
 
     _scan(rep, "cocycle-normalization", iproduct(hr), normal_coc, _tuple_label(hl))
 
-    def lact_multiplicative(g, i, j):
-        lhs = ops.lact(g, a.mul(i, j))
-        rhs: dict = {}
-        for (g1, g2), cg in hc.expand(g, 2):
-            term = a.mul(ops.lact(g1, i), ops.lact(g2, j))
-            vec_add_into(field, rhs, term, cg)
-        return lhs == rhs
-
-    _scan(rep, "lact-multiplicative", iproduct(hr, ar, ar), lact_multiplicative,
-          _tuple_label(hl, al, al))
-
-    def twisted_module(g, i, j):
-        lhs: dict = {}
-        rhs: dict = {}
-        for (g1, g2), cg in hc.expand(g, 2):
-            for (i1, i2), ci in hc.expand(i, 2):
-                c = field.mul(cg, ci)
-                vec_add_into(field, lhs,
-                             a.mul(ops.lact(g1, ops.lact(i1, j)), ops.coc(g2, i2)), c)
-                vec_add_into(field, rhs,
-                             a.mul(ops.coc(g1, i1), ops.lact(h.mul(g2, i2), j)), c)
-        return lhs == rhs
-
-    _scan(rep, "twisted-module", iproduct(hr, hr, ar), twisted_module,
-          _tuple_label(hl, hl, al))
-
-    def cocycle_condition(g, i, j):
-        lhs: dict = {}
-        rhs: dict = {}
-        for (g1, g2), cg in hc.expand(g, 2):
-            for (i1, i2), ci in hc.expand(i, 2):
-                for (j1, j2), cj in hc.expand(j, 2):
-                    c = field.mul(cg, field.mul(ci, cj))
-                    vec_add_into(field, lhs,
-                                 a.mul(ops.lact(g1, ops.coc(i1, j1)),
-                                       ops.coc(g2, h.mul(i2, j2))), c)
-            for (i1, i2), ci in hc.expand(i, 2):
-                vec_add_into(field, rhs, a.mul(ops.coc(g1, i1), ops.coc(h.mul(g2, i2), j)),
-                             field.mul(cg, ci))
-        return lhs == rhs
-
-    _scan(rep, "cocycle-condition", iproduct(hr, hr, hr), cocycle_condition,
-          _tuple_label(hl, hl, hl))
-
-    def lact_symmetry(g, j):
-        lhs: dict = {}
-        rhs: dict = {}
-        for (g1, g2), cg in hc.expand(g, 2):
-            vec_add_into(field, lhs,
-                         tensor_vec(field, basis_vec(field, g1), ops.lact(g2, j), adim), cg)
-            vec_add_into(field, rhs,
-                         tensor_vec(field, basis_vec(field, g2), ops.lact(g1, j), adim), cg)
-        return lhs == rhs
-
-    _scan(rep, "lact-symmetry", iproduct(hr, ar), lact_symmetry, _tuple_label(hl, al))
-
-    _scan_condition(rep, _condition_evaluators(d), "cocycle-symmetry")
+    shared = _condition_evaluators(d)
+    for name in ("lact-multiplicative", "twisted-module", "cocycle-condition"):
+        _scan_condition(rep, shared, name)
+    _scan_condition(rep, shared, "action-symmetry", "lact-symmetry")
+    _scan_condition(rep, shared, "cocycle-symmetry")
     return rep
 
 
@@ -328,10 +278,6 @@ def check_bicrossed_equivalence(mp: MatchedPair, mp2: MatchedPair,
         raise ValueError("bicrossed equivalence needs Hopf algebras on both sides")
     if u.base != a or u.ext != h.unit_coalgebra():
         raise ValueError("cocycle context does not match the matched pairs")
-    field = a.field
-    eps_h = _counits(h.coalgebra)
-    hl, al = h.space.labels, a.space.labels
-    hr, ar = range(h.dim), range(a.dim)
     rep = Report("bicrossed equivalence")
 
     if mp2.ract != mp.ract:
@@ -340,13 +286,8 @@ def check_bicrossed_equivalence(mp: MatchedPair, mp2: MatchedPair,
     rep.add("ract-equal", True)
 
     d = matched_pair_datum(mp)
-    deform = _Deformation(d, u)
-    _scan(rep, "deformed-lact", iproduct(hr, ar),
-          lambda hi, ci: mp2.lact.bilin(hi, ci, a.dim) == deform.lact(hi, ci),
-          _tuple_label(hl, al))
-    _scan(rep, "cocycle-triviality", iproduct(hr, hr),
-          lambda hi, gi: deform.cocycle(hi, gi, d.dot)
-          == vec_scale(field, field.mul(eps_h[hi], eps_h[gi]), a.unit),
-          _tuple_label(hl, hl))
+    deformed = _deformation_evaluators(d, matched_pair_datum(mp2), u)
+    _scan_condition(rep, deformed, "deformed-lact")
+    _scan_condition(rep, deformed, "deformed-cocycle", "cocycle-triviality")
     _scan_ract_kills(rep, d, u)
     return rep

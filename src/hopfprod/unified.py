@@ -324,8 +324,8 @@ def _condition_evaluators(d: ExtendingDatum) -> dict:
 
 
 def _scan_condition(rep: Report, evaluators: dict, name: str, row: str | None = None) -> None:
-    """Scan one evaluator of :func:`_condition_evaluators` into ``rep``, as
-    the row ``row`` (default: its own name)."""
+    """Scan one evaluator of a table shaped like :func:`_condition_evaluators`
+    into ``rep``, as the row ``row`` (default: its own name)."""
     ranges, holds, label = evaluators[name]
     _scan(rep, row or name, iproduct(*ranges), holds, label)
 

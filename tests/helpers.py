@@ -16,6 +16,7 @@ from hopfprod.fields import QQ, PrimeField
 from hopfprod.groups import GroupExtendingStructure
 from hopfprod.linalg import (
     SCALAR_SPACE,
+    BasedSpace,
     LinMap,
     NotInvertibleError,
     _rows_of,
@@ -24,7 +25,6 @@ from hopfprod.linalg import (
     compose,
     invert,
     solve_system,
-    tensor_map,
     tensor_space,
     tensor_vec,
     vec_add_into,
@@ -39,6 +39,8 @@ from hopfprod.structures import (
     NoAntipodeError,
     _scan,
     _tuple_label,
+    check_algebra,
+    check_coalgebra,
     convolution,
     convolution_unit,
     is_algebra_map,
@@ -197,6 +199,26 @@ def pair_bijection_is_isomorphism(ges: GroupExtendingStructure) -> bool:
     return True
 
 
+def tensor_map(f: LinMap, g: LinMap) -> LinMap:
+    """(f (x) g)(e_i (x) e_j) = f(e_i) (x) g(e_j), row-major indexing: the
+    composed form of the maps the library evaluates pointwise."""
+    field = f.field
+    gdim, cdim = g.domain.dim, g.codomain.dim
+    cols = {}
+    for i, fcol in f.cols.items():
+        for j, gcol in g.cols.items():
+            cols[i * gdim + j] = {a * cdim + b: field.mul(x, y) for a, x in fcol for b, y in gcol}
+    return LinMap(field, tensor_space(f.domain, g.domain),
+                  tensor_space(f.codomain, g.codomain), cols)
+
+
+def twist_map(field, a: BasedSpace, b: BasedSpace) -> LinMap:
+    """The flip a (x) b -> b (x) a."""
+    cols = {i * b.dim + j: {j * a.dim + i: field.one}
+            for i in range(a.dim) for j in range(b.dim)}
+    return LinMap(field, tensor_space(a, b), tensor_space(b, a), cols)
+
+
 def dense_from_linmap(m: LinMap):
     """A dense matrix M[j][i] with f(e_i) = sum_j M[j][i] e_j, for oracles."""
     rows = [[m.field.zero] * m.domain.dim for _ in range(m.codomain.dim)]
@@ -244,8 +266,8 @@ def preimage_direct(f: LinMap, v: dict):
 
 def rank_by_column_elimination(f: LinMap) -> int:
     """The rank of f by Gaussian elimination on its columns, independent of
-    the row echelon form that ``linalg`` reduces, as an oracle for
-    ``rank``, ``invert`` and ``PreimageSolver``."""
+    the row echelon form that ``linalg`` reduces, as an oracle for the
+    pivot count of ``PreimageSolver`` and for ``invert``."""
     field = f.field
     cols = [f.col(i) for i in range(f.domain.dim) if f.cols.get(i)]
     r = 0
@@ -290,6 +312,19 @@ def with_column(m: LinMap, index: int, col: dict) -> LinMap:
     cols = {k: m.col(k) for k in range(m.domain.dim)}
     cols[index] = col
     return LinMap(m.field, m.domain, m.codomain, cols)
+
+
+def one_entry_corruptions(m: LinMap):
+    """m with one column set to a basis vector, raised by 1 at one entry, or
+    zeroed."""
+    f = m.field
+    for k in range(m.domain.dim):
+        for j in range(m.codomain.dim):
+            yield with_column(m, k, {j: f.one})
+            col = dict(m.col(k))
+            col[j] = f.add(col.get(j, f.zero), f.one)
+            yield with_column(m, k, col)
+        yield with_column(m, k, {})
 
 
 def s3_pair_with_bad_lact() -> hp.MatchedPair:
@@ -698,6 +733,114 @@ def assert_bicrossed_report_agrees(mp: hp.MatchedPair, u, rep: Report):
     return kills, want[0]
 
 
+def crossed_rows_direct(cd: hp.CrossedDatum) -> list:
+    """The rows "lact-multiplicative", "twisted-module", "cocycle-condition"
+    and "lact-symmetry" of ``check_crossed`` from the hand-written crossed
+    formulas, as (condition, passed, witness):
+
+        g |> (i j)                     = (g1 |> i) (g2 |> j)
+        (g1 |> (i1 |> j)) f(g2, i2)    = f(g1, i1) ((g2 i2) |> j)
+        (g1 |> f(i1, j1)) f(g2, i2 j2) = f(g1, i1) f(g2 i2, j)
+        g1 (x) (g2 |> j)               = g2 (x) (g1 |> j)
+
+    They are the engine's conditions on the induced datum collapsed by its
+    trivial right action and the counit laws, so they agree with the library
+    whenever both factors are coalgebras and the left action and the cocycle
+    preserve counits."""
+    a, h, field = cd.a, cd.h, cd.field
+    hc, adim = h.coalgebra, a.dim
+    lact = lambda x, y: cd.lact.bilin(x, y, adim)
+    coc = lambda x, y: cd.cocycle.bilin(x, y, h.dim)
+
+    def lact_multiplicative(g, i, j):
+        rhs: dict = {}
+        for (g1, g2), cg in hc.expand(g, 2):
+            vec_add_into(field, rhs, a.mul(lact(g1, i), lact(g2, j)), cg)
+        return lact(g, a.mul(i, j)) == rhs
+
+    def twisted_module(g, i, j):
+        lhs: dict = {}
+        rhs: dict = {}
+        for (g1, g2), cg in hc.expand(g, 2):
+            for (i1, i2), ci in hc.expand(i, 2):
+                c = field.mul(cg, ci)
+                vec_add_into(field, lhs, a.mul(lact(g1, lact(i1, j)), coc(g2, i2)), c)
+                vec_add_into(field, rhs, a.mul(coc(g1, i1), lact(h.mul(g2, i2), j)), c)
+        return lhs == rhs
+
+    def cocycle_condition(g, i, j):
+        lhs: dict = {}
+        rhs: dict = {}
+        for (g1, g2), cg in hc.expand(g, 2):
+            for (i1, i2), ci in hc.expand(i, 2):
+                for (j1, j2), cj in hc.expand(j, 2):
+                    vec_add_into(field, lhs, a.mul(lact(g1, coc(i1, j1)),
+                                                   coc(g2, h.mul(i2, j2))),
+                                 field.mul(cg, field.mul(ci, cj)))
+                vec_add_into(field, rhs, a.mul(coc(g1, i1), coc(h.mul(g2, i2), j)),
+                             field.mul(cg, ci))
+        return lhs == rhs
+
+    def lact_symmetry(g, j):
+        lhs: dict = {}
+        rhs: dict = {}
+        for (g1, g2), cg in hc.expand(g, 2):
+            vec_add_into(field, lhs, tensor_vec(field, basis_vec(field, g1), lact(g2, j), adim), cg)
+            vec_add_into(field, rhs, tensor_vec(field, basis_vec(field, g2), lact(g1, j), adim), cg)
+        return lhs == rhs
+
+    hl, al = h.space.labels, a.space.labels
+    hr, ar = range(h.dim), range(adim)
+    rep = Report()
+    _scan(rep, "lact-multiplicative", iproduct(hr, ar, ar), lact_multiplicative,
+          _tuple_label(hl, al, al))
+    _scan(rep, "twisted-module", iproduct(hr, hr, ar), twisted_module, _tuple_label(hl, hl, al))
+    _scan(rep, "cocycle-condition", iproduct(hr, hr, hr), cocycle_condition,
+          _tuple_label(hl, hl, hl))
+    _scan(rep, "lact-symmetry", iproduct(hr, ar), lact_symmetry, _tuple_label(hl, al))
+    return [(it.condition, it.passed, it.witness) for it in rep.items]
+
+
+def left_module_law_direct(mp: hp.MatchedPair) -> list:
+    """The "left-module-law" row of ``check_matched_pair`` from the
+    hand-written law (g i) |> j = g |> (i |> j), as a one-row list of
+    (condition, passed, witness).  It is the engine's twisted-module
+    condition collapsed by the trivial cocycle, the counit laws and the unit
+    law of A, so it agrees with the library whenever both factors are
+    coalgebras, A is unital and both actions preserve counits."""
+    a, h = mp.a, mp.h
+    lact = lambda x, y: mp.lact.bilin(x, y, a.dim)
+    rep = Report()
+    _scan(rep, "left-module-law", iproduct(range(h.dim), range(h.dim), range(a.dim)),
+          lambda g, i, j: lact(h.mul(g, i), j) == lact(g, lact(i, j)),
+          _tuple_label(h.space.labels, h.space.labels, a.space.labels))
+    return [(it.condition, it.passed, it.witness) for it in rep.items]
+
+
+def assert_classical_report_agrees(a: FDBialgebra, h: FDBialgebra, rep: Report,
+                                   direct: list) -> bool:
+    """Hold a ``check_crossed`` or ``check_matched_pair`` report against the
+    hand-written rows ``direct`` it evaluates through the engine.  The two
+    agree when both factors pass ``check_coalgebra``, A passes
+    ``check_algebra`` and every "*-coalgebra-map" row passes, since the
+    engine's rows collapse to the hand-written ones by the counit laws, the
+    unit law of A and the counits the maps preserve.  With the factors
+    sound, the verdict is then also the one the hand-written rows give.
+    Returns whether the rows are identical."""
+    rows = [(it.condition, it.passed, it.witness) for it in rep.items]
+    names = {row[0] for row in direct}
+    same = [row for row in rows if row[0] in names] == direct
+    if not (check_coalgebra(a.coalgebra).ok and check_coalgebra(h.coalgebra).ok
+            and check_algebra(a.algebra).ok):
+        return same
+    others = [row[1] for row in rows if row[0] not in names]
+    assert rep.ok == all(others + [row[1] for row in direct]), \
+        "verdict differs from the hand-written formulas"
+    if all(row[1] for row in rows if row[0].endswith("-coalgebra-map")):
+        assert same, f"rows differ from the hand-written formulas ({direct!r})"
+    return same
+
+
 def _rebind_everywhere(monkeypatch, original, replacement) -> None:
     """Put ``replacement`` under every loaded module name bound to
     ``original``, so that calls through any import of it reach the wrapper."""
@@ -713,6 +856,8 @@ def check_library_claims_on_every_call(monkeypatch) -> None:
     it too, every coset split against ``check_group_structure``, the rows
     of every equivalence certificate against :func:`certificate_rows_composed`,
     every matched-pair equivalence against :func:`assert_bicrossed_report_agrees`,
+    every crossed-datum and matched-pair check against the hand-written rows
+    of :func:`crossed_rows_direct` and :func:`left_module_law_direct`,
     every recovered datum against :func:`recover_datum_composed`, and every
     solved antipode, or the side a failure names, against
     :func:`antipode_solve_two_systems`."""
@@ -720,6 +865,7 @@ def check_library_claims_on_every_call(monkeypatch) -> None:
     convolve, inverse, certify = cls.cocycle_convolve, cls.cocycle_inverse, cls._certify
     deform, split = hopfprod.special.deform_matched_pair, hopfprod.groups.coset_extending_structure
     bicrossed = hopfprod.special.check_bicrossed_equivalence
+    crossed, matched = hopfprod.special.check_crossed, hopfprod.special.check_matched_pair
     recover = hopfprod.factorization.recover_datum
     antipode = hopfprod.structures.antipode_solve
 
@@ -758,6 +904,16 @@ def check_library_claims_on_every_call(monkeypatch) -> None:
         assert_bicrossed_report_agrees(mp, u, rep)
         return rep
 
+    def checked_crossed(cd):
+        rep = crossed(cd)
+        assert_classical_report_agrees(cd.a, cd.h, rep, crossed_rows_direct(cd))
+        return rep
+
+    def checked_matched(mp):
+        rep = matched(mp)
+        assert_classical_report_agrees(mp.a, mp.h, rep, left_module_law_direct(mp))
+        return rep
+
     def checked_recover(fi):
         d = recover(fi)
         mismatch = d.components_equal(recover_datum_composed(fi))
@@ -781,6 +937,7 @@ def check_library_claims_on_every_call(monkeypatch) -> None:
                                   (inverse, returns_lazy(inverse)),
                                   (deform, checked_deform), (split, checked_split),
                                   (certify, checked_certify), (bicrossed, checked_bicrossed),
+                                  (crossed, checked_crossed), (matched, checked_matched),
                                   (recover, checked_recover),
                                   (antipode, checked_antipode)):
         _rebind_everywhere(monkeypatch, original, replacement)

@@ -4,8 +4,11 @@ import pytest
 
 from helpers import (
     assert_bicrossed_report_agrees,
+    one_entry_corruptions,
     product_projections,
     sweedler_bialgebra,
+    tensor_map,
+    twist_map,
     with_column,
 )
 from hopfprod.classification import (
@@ -213,8 +216,6 @@ def test_certificate_diagram_properties():
         _, deformed_proj_ext, deformed_coaction = product_projections(deformed_product)
         assert compose(base_proj_ext, cert.phi) == deformed_proj_ext
         # and with the coaction
-        from hopfprod.linalg import tensor_map
-
         ident_h = LinMap.identity(QQ, d.ext.space)
         assert compose(base_coaction, cert.phi) == \
             compose(tensor_map(cert.phi, ident_h), deformed_coaction)
@@ -332,19 +333,6 @@ def test_bicrossed_equivalence_direct_product_deformed_by_central_map():
     assert verdicts == {0: True, 1: False, 2: True, 3: False}
 
 
-def _one_entry_corruptions(m: LinMap):
-    """m with one column set to a basis vector, raised by 1 at one entry, or
-    zeroed."""
-    f = m.field
-    for k in range(m.domain.dim):
-        for j in range(m.codomain.dim):
-            yield with_column(m, k, {j: f.one})
-            col = dict(m.col(k))
-            col[j] = f.add(col.get(j, f.zero), f.one)
-            yield with_column(m, k, col)
-        yield with_column(m, k, {})
-
-
 def _bicrossed_equivalence_cases():
     """The S3, transposed-S3 and C4 x C2 pairs over QQ and GF(5) and the
     trivial pair of Sweedler's H4 and k[C2], each clean and under every
@@ -364,8 +352,8 @@ def _bicrossed_equivalence_cases():
         cocycles = (h4_cocycles if mp is h4
                     else enumerate_cocycles(mp.h.unit_coalgebra(), mp.a))
         variants = [mp]
-        variants += [MatchedPair(mp.a, mp.h, r, mp.lact) for r in _one_entry_corruptions(mp.ract)]
-        variants += [MatchedPair(mp.a, mp.h, mp.ract, x) for x in _one_entry_corruptions(mp.lact)]
+        variants += [MatchedPair(mp.a, mp.h, r, mp.lact) for r in one_entry_corruptions(mp.ract)]
+        variants += [MatchedPair(mp.a, mp.h, mp.ract, x) for x in one_entry_corruptions(mp.lact)]
         for bad in variants:
             for u in cocycles:
                 yield bad, bad, u
@@ -396,7 +384,6 @@ def composed_is_lazy_cocycle(u, h, a):
     """The lazy-cocycle test as composed maps: a unital coalgebra map with
     (id (x) u) . delta = (id (x) u) . twist . delta."""
     from hopfprod.structures import is_coalgebra_map
-    from hopfprod.linalg import tensor_map, twist_map
 
     if not is_coalgebra_map(u, h.coalg, a.coalgebra):
         return False

@@ -14,7 +14,7 @@ from hopfprod.factorization import (
 )
 from hopfprod.fields import QQ, PrimeField
 from hopfprod.groups import builtin_group, group_algebra
-from hopfprod.linalg import BasedSpace, LinMap, compose, invert, rank
+from hopfprod.linalg import BasedSpace, LinMap, PreimageSolver, compose, invert
 from hopfprod.serialize import serialize
 from hopfprod.special import matched_pair_datum
 from hopfprod.structures import (
@@ -55,7 +55,7 @@ def test_mult_map_direct_product_is_permutation():
     incl_h = basis_inclusion(("h0", "h1"), e, subs[1])
     fi = FactorizationInput.build(e, incl_a, incl_h)
     u = mult_map(fi)
-    assert rank(u) == 4
+    assert len(PreimageSolver(u).pivots) == 4
     for i in range(4):
         col = u.col(i)
         assert len(col) == 1 and set(col.values()) == {QQ.one}
@@ -69,7 +69,7 @@ def test_mult_map_s3_factorization_is_bijective():
     incl_h = basis_inclusion(("e", "t"), e, [0, 1])
     fi = FactorizationInput.build(e, incl_a, incl_h)
     u = mult_map(fi)
-    assert rank(u) == 6
+    assert len(PreimageSolver(u).pivots) == 6
     invert(u)  # must not raise
 
 
@@ -310,7 +310,7 @@ def test_factorization_with_a_unit_off_the_basis(field, tmp_path, capsys):
     u = mult_map(fi)
     assert is_algebra_map(u, p.carrier.algebra, e.algebra)
     assert is_coalgebra_map(u, p.carrier.coalgebra, e.coalgebra)
-    assert rank(u) == e.dim
+    assert len(PreimageSolver(u).pivots) == e.dim
     assert roundtrip_check(d).ok
     assert attach_antipode(p.carrier).antipode == compose(invert(u), compose(e.antipode, u))
 

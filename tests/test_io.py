@@ -571,6 +571,21 @@ def test_cli_non_integer_record_exits_two(tmp_path, capsys):
         assert "is not an integer" in err and err.count("\n") == 1
 
 
+def test_cli_group_table_entry_outside_the_group_exits_two(tmp_path, capsys):
+    path = tmp_path / "c4.json"
+    code, _, _ = run_cli(capsys, "example", "c4", "--out", str(path))
+    assert code == 0
+    doc = json.loads(path.read_bytes())
+    for entry in (6, -1, 1.0, True, "1"):
+        bad = copy.deepcopy(doc)
+        bad["payload"]["table"][1][2] = entry
+        path.write_text(json.dumps(bad))
+        code, _, err = run_cli(capsys, "verify", str(path))
+        assert code == 2, entry
+        assert "is not an element index" in err and err.count("\n") == 1
+        assert "Traceback" not in err
+
+
 def test_cli_repeated_record_exits_two(tmp_path, capsys):
     path = tmp_path / "repeated.json"
     for data in repeated_record_documents():

@@ -1,11 +1,14 @@
-"""The package's modules import each other only at module top level, and the
-import graph between them has no cycle."""
+"""Static checks of the source: the package's modules import each other only
+at module top level, the import graph between them has no cycle, the
+classical checkers evaluate no coproduct sum of their own, and every source
+file parses with the oldest Python grammar the package declares."""
 import ast
 from pathlib import Path
 
 import hopfprod
 
 PACKAGE_DIR = Path(hopfprod.__file__).parent
+TESTS_DIR = Path(__file__).parent
 
 
 def _intra_package_imports(tree: ast.Module):
@@ -59,3 +62,22 @@ def test_module_import_graph_is_acyclic():
 
     for module in sorted(graph):
         visit(module)
+
+
+def test_special_evaluates_no_coproduct_sum_of_its_own():
+    # every identity special.py checks is either a unit normalization or a
+    # row of the engine's evaluator tables
+    path = PACKAGE_DIR / "special.py"
+    calls = [node.lineno for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "expand"]
+    assert calls == []
+
+
+def test_source_parses_with_the_python_3_10_grammar():
+    # pyproject.toml declares Python >= 3.10; this catches 3.11+ syntax, not
+    # differences of the standard library
+    paths = sorted(PACKAGE_DIR.glob("*.py")) + sorted(TESTS_DIR.glob("*.py"))
+    assert len(paths) > 20
+    for path in paths:
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))

@@ -2,7 +2,14 @@ import random
 
 import pytest
 
-from helpers import dense_from_linmap, preimage_direct, random_linmap, rank_by_column_elimination
+from helpers import (
+    dense_from_linmap,
+    preimage_direct,
+    random_linmap,
+    rank_by_column_elimination,
+    tensor_map,
+    twist_map,
+)
 from hopfprod.fields import QQ, PrimeField
 from hopfprod.linalg import (
     BasedSpace,
@@ -13,11 +20,8 @@ from hopfprod.linalg import (
     basis_vec,
     compose,
     invert,
-    rank,
-    tensor_map,
     tensor_space,
     tensor_vec,
-    twist_map,
     vec_add_into,
 )
 
@@ -192,7 +196,6 @@ def test_rank_and_preimage_pivots_match_column_elimination():
                 for _ in range(6):
                     f = random_linmap(rng, field, dom, cod, density=0.4)
                     r = rank_by_column_elimination(f)
-                    assert rank(f) == r
                     solver = PreimageSolver(f)
                     assert len(solver.pivots) == r
                     assert solver.cokernel.codomain.dim == cod.dim - r

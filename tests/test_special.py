@@ -1,11 +1,17 @@
+import random
+
 import pytest
 
 from helpers import (
+    assert_classical_report_agrees,
     assert_mixed_relations,
     bicrossed_antipode_direct,
     bicrossed_mult_direct,
     check_mixed_relations_on_every_build,
     crossed_mult_direct,
+    crossed_rows_direct,
+    left_module_law_direct,
+    one_entry_corruptions,
     s3_pair_with_bad_lact,
     sweedler_bialgebra,
     with_column,
@@ -44,6 +50,7 @@ from hopfprod.structures import (
     FDHopf,
     antipode_solve,
     attach_antipode,
+    check_bialgebra,
     tensor_bialgebra,
     trivial_action_left,
     trivial_action_right,
@@ -147,6 +154,49 @@ def test_bicrossed_direct_formula_matches_engine():
             assert bicrossed_antipode_direct(mp, p.carrier) == p.carrier.antipode
         built += 1
     assert built == 13
+
+
+def _classical_corruption_cases():
+    """Every one-entry corruption of the left action and the cocycle of the
+    z4, Klein and trivial-H4 crossed data, and of either action of the S3,
+    transposed-S3 and trivial-H4 matched pairs, over QQ and GF(5)."""
+    for field in (QQ, PrimeField(5)):
+        h4 = sweedler_bialgebra(field)
+        for cd in (z4_crossed_datum(field), z2xz2_crossed_datum(field),
+                   CrossedDatum(h4, h4, trivial_action_left(field, h4.coalgebra, h4.space),
+                                trivial_cocycle(field, h4.coalgebra, h4.unit, h4.space))):
+            yield from (CrossedDatum(cd.a, cd.h, x, cd.cocycle)
+                        for x in one_entry_corruptions(cd.lact))
+            yield from (CrossedDatum(cd.a, cd.h, cd.lact, f)
+                        for f in one_entry_corruptions(cd.cocycle))
+        for mp in (s3_matched_pair(field), s3_transposed_matched_pair(field),
+                   trivial_matched_pair(h4, h4)):
+            yield from (MatchedPair(mp.a, mp.h, r, mp.lact)
+                        for r in one_entry_corruptions(mp.ract))
+            yield from (MatchedPair(mp.a, mp.h, mp.ract, x)
+                        for x in one_entry_corruptions(mp.lact))
+
+
+def test_classical_checkers_agree_with_the_hand_written_formulas():
+    # a seeded sample of the corruption set; each call also goes through the
+    # every-call wrapper.  Rows that differ from the hand-written ones occur,
+    # and only where a map fails to be a coalgebra map
+    cases = random.Random(13).sample(list(_classical_corruption_cases()), 200)
+    factors = {id(b): b for case in cases for b in (case.a, case.h)}
+    assert all(check_bialgebra(b).ok for b in factors.values())
+    seen = set()
+    for case in cases:
+        if isinstance(case, CrossedDatum):
+            rep, direct = check_crossed(case), crossed_rows_direct(case)
+        else:
+            rep, direct = check_matched_pair(case), left_module_law_direct(case)
+        same = assert_classical_report_agrees(case.a, case.h, rep, direct)
+        maps_ok = all(it.passed for it in rep.items
+                      if it.condition.endswith("-coalgebra-map"))
+        seen.add((type(case).__name__, maps_ok, same))
+    assert {(kind, True, True) for kind in ("CrossedDatum", "MatchedPair")} <= seen
+    assert {(kind, False, False) for kind in ("CrossedDatum", "MatchedPair")} <= seen
+    assert all(same for _, maps_ok, same in seen if maps_ok)
 
 
 def test_crossed_trivial_everything_gives_tensor_product():

@@ -3,7 +3,14 @@ from itertools import product as iproduct
 
 import pytest
 
-from helpers import convolution_direct, random_linmap, sweedler_bialgebra, with_column
+from helpers import (
+    convolution_direct,
+    random_linmap,
+    sweedler_bialgebra,
+    tensor_map,
+    twist_map,
+    with_column,
+)
 from hopfprod.fields import QQ, PrimeField
 from hopfprod.groups import builtin_group, group_algebra, grouplike_coalgebra
 from hopfprod.linalg import (
@@ -12,10 +19,8 @@ from hopfprod.linalg import (
     DimensionError,
     LinMap,
     compose,
-    tensor_map,
     tensor_space,
     tensor_vec,
-    twist_map,
 )
 from hopfprod.reports import Report
 from hopfprod.structures import (
