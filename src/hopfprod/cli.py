@@ -49,7 +49,6 @@ from .structures import (
     attach_antipode,
 )
 from .unified import (
-    DatumConditionError,
     ExtendingDatum,
     check_product_conditions,
     unified_product_of_checked,
@@ -265,9 +264,6 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(exc.message, file=sys.stderr)
         return exc.code
-    except DatumConditionError as exc:
-        _print_report(exc.report)
-        return EXIT_CHECKS_FAILED
     except ValueError as exc:
         # incompatible shapes, mixed fields, mismatched contexts
         print(str(exc), file=sys.stderr)

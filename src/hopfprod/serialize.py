@@ -292,7 +292,9 @@ def parse(data: bytes):
     """Parse a document back into the corresponding object."""
     try:
         doc = json.loads(data.decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers bad UTF-8, bad JSON and an integer literal over
+        # the interpreter's digit limit; RecursionError, nesting too deep
         raise MalformedDocumentError(f"not a JSON document: {exc}") from exc
     if not isinstance(doc, dict):
         raise MalformedDocumentError("top level is not an object")

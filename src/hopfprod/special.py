@@ -4,16 +4,15 @@ A matched pair of bialgebras (mutual coalgebra actions satisfying the four
 compatibility laws) embeds as an extending datum with trivial cocycle; a
 crossed datum (left action plus cocycle) embeds with trivial right action.
 This module only checks the classical data and embeds them: the product is
-built by the one twisted-product engine.  Apart from the unit
-normalizations, every identity of a classical datum is a row of the
-engine's evaluator tables on the induced datum, scanned under its classical
-name: the left module law of a matched pair is the twisted-module condition
-with trivial cocycle, and the symmetry of a crossed left action is the
-action symmetry with trivial right action.  Matched pairs are likewise
-deformed and compared through the deformation evaluators of
-:mod:`hopfprod.classification`, so this module evaluates no coproduct sum
-of its own.  The classical direct multiplication, antipode and
-compatibility formulas live on as independent oracles in the test suite.
+built by the one twisted-product engine.  Every identity of a classical
+datum is a row of the engine's evaluator tables on the induced datum under
+its classical name, or the conjunction of two such rows: the left module
+law of a matched pair is the twisted-module condition with trivial
+cocycle, and the normalization of a crossed left action joins two unit
+normalizations of :func:`~hopfprod.unified.validate_datum`.  Matched pairs
+are deformed and compared through :mod:`hopfprod.classification`; the only
+structure map this module evaluates itself is the right action, on a lazy
+cocycle.  The classical direct formulas are oracles in the test suite.
 """
 from __future__ import annotations
 
@@ -42,6 +41,7 @@ from .unified import (
     _Ops,
     _coalgebra_map_rows,
     _condition_evaluators,
+    _normalization_evaluators,
     _scan_condition,
     build_unified_product,
 )
@@ -70,34 +70,25 @@ def check_matched_pair(mp: MatchedPair) -> Report:
     Both module laws, both multiplicativity laws and the action symmetry
     are the engine's twisted-module, right-module, lact-multiplicative,
     ract-dot-compat and action-symmetry conditions on the induced datum,
-    whose dot is the multiplication of H and whose cocycle is trivial.
+    whose dot is the multiplication of H and whose cocycle is trivial; the
+    unit laws are rows of its unit normalizations.
     """
     a, h = mp.a, mp.h
-    field = mp.field
-    one = field.one
-    hc = h.coalgebra
-    eps_a, eps_h = _counits(a.coalgebra), _counits(hc)
     hl, al = h.space.labels, a.space.labels
-    hr, ar = range(h.dim), range(a.dim)
     rep = Report("matched pair")
 
-    _coalgebra_map_rows(rep, hc, a.coalgebra, ract=mp.ract, lact=mp.lact)
+    _coalgebra_map_rows(rep, h.coalgebra, a.coalgebra, ract=mp.ract, lact=mp.lact)
     d = matched_pair_datum(mp)
-    ops, shared = _Ops(d), _condition_evaluators(d)
+    shared, normal = _condition_evaluators(d), _normalization_evaluators(d)
 
-    _scan(rep, "left-module-unit", iproduct(ar),
-          lambda j: ops.lact(h.unit, j) == {j: one}, _tuple_label(al))
+    _scan_condition(rep, normal, "lact-normal-unit-left", "left-module-unit")
     _scan_condition(rep, shared, "twisted-module", "left-module-law")
-    _scan(rep, "right-module-unit", iproduct(hr),
-          lambda g: ops.ract(g, a.unit) == {g: one}, _tuple_label(hl))
+    _scan_condition(rep, normal, "ract-normal-unit-right", "right-module-unit")
     _scan_condition(rep, shared, "right-module", "right-module-law")
-
-    def unit_normalization(g, j):
-        return (ops.ract(h.unit, j) == vec_scale(field, eps_a[j], h.unit)
-                and ops.lact(g, a.unit) == vec_scale(field, eps_h[g], a.unit))
-
-    _scan(rep, "unit-normalization", iproduct(hr, ar), unit_normalization,
-          _tuple_label(hl, al))
+    ract_unit, lact_unit = (normal[name][1] for name in
+                            ("ract-normal-unit-left", "lact-normal-unit-right"))
+    _scan(rep, "unit-normalization", iproduct(range(h.dim), range(a.dim)),
+          lambda g, j: ract_unit(j) and lact_unit(g), _tuple_label(hl, al))
     _scan_condition(rep, shared, "lact-multiplicative")
     _scan_condition(rep, shared, "ract-dot-compat", "ract-multiplicative")
     _scan_condition(rep, shared, "action-symmetry")
@@ -166,31 +157,23 @@ class CrossedDatum:
 def check_crossed(cd: CrossedDatum) -> Report:
     """Normalizations, the multiplicativity, twisted-module and cocycle laws,
     and the two symmetry conditions that make the crossed product a
-    bialgebra.  All but the normalizations are the engine's conditions on
-    the induced datum, whose right action is trivial; the symmetry of the
-    left action is its action-symmetry."""
+    bialgebra, as the engine's rows on the induced datum, whose right action
+    is trivial: each normalization joins two unit normalizations, and the
+    symmetry of the left action is its action-symmetry."""
     a, h = cd.a, cd.h
-    field = cd.field
-    eps_h = _counits(h.coalgebra)
     hl, al = h.space.labels, a.space.labels
-    hr, ar = range(h.dim), range(a.dim)
     rep = Report("crossed datum")
 
     _coalgebra_map_rows(rep, h.coalgebra, a.coalgebra, lact=cd.lact, cocycle=cd.cocycle)
     d = crossed_datum(cd)
-    ops = _Ops(d)
-
-    def normal_lact(g, j):
-        return (ops.lact(g, a.unit) == vec_scale(field, eps_h[g], a.unit)
-                and ops.lact(h.unit, j) == {j: field.one})
-
-    _scan(rep, "lact-normalization", iproduct(hr, ar), normal_lact, _tuple_label(hl, al))
-
-    def normal_coc(g):
-        want = vec_scale(field, eps_h[g], a.unit)
-        return ops.coc(g, h.unit) == want and ops.coc(h.unit, g) == want
-
-    _scan(rep, "cocycle-normalization", iproduct(hr), normal_coc, _tuple_label(hl))
+    normal = _normalization_evaluators(d)
+    unit_right, unit_left, coc_right, coc_left = (normal[name][1] for name in (
+        "lact-normal-unit-right", "lact-normal-unit-left",
+        "cocycle-normal-right", "cocycle-normal-left"))
+    _scan(rep, "lact-normalization", iproduct(range(h.dim), range(a.dim)),
+          lambda g, j: unit_right(g) and unit_left(j), _tuple_label(hl, al))
+    _scan(rep, "cocycle-normalization", iproduct(range(h.dim)),
+          lambda g: coc_right(g) and coc_left(g), _tuple_label(hl))
 
     shared = _condition_evaluators(d)
     for name in ("lact-multiplicative", "twisted-module", "cocycle-condition"):

@@ -10,8 +10,11 @@ space A (x) H multiplies by
 
 with the tensor-product coalgebra structure.  :func:`check_product_conditions`
 evaluates the nine compatibility identities that are jointly equivalent to
-this product being a bialgebra; each is quantified over basis tuples so a
-failure always carries a witness, and no identity is derived from another.
+this product being a bialgebra, each over basis tuples so that a failure
+carries a witness.  Each identity is written once: comult-multiplicative is
+the coalgebra-map evaluator of :mod:`hopfprod.structures` on the dot, and
+the other eight come from five formulas.  The unit normalizations of
+:func:`validate_datum` are one table, which the classical checkers share.
 """
 from __future__ import annotations
 
@@ -20,6 +23,7 @@ from itertools import product as iproduct
 
 from .fields import same_field
 from .linalg import (
+    SCALAR_SPACE,
     LinMap,
     basis_vec,
     tensor_space,
@@ -36,7 +40,10 @@ from .structures import (
     is_coalgebra_antimap,
     is_coalgebra_map,
     tensor_coalgebra,
+    _coalgebra_map_halves,
     _counits,
+    _ground_coalgebra,
+    _is_coalgebra_map,
     _scan,
     _tuple_label,
 )
@@ -149,89 +156,74 @@ def _coalgebra_map_rows(rep: Report, hc, ac, **maps) -> None:
     order given, with its shape read from :data:`MAP_SHAPES`.  The maps are
     checked as they are, so one of the wrong shape raises here, before a
     datum is formed from it."""
-    coalgs, tensors = {"h": hc, "a": ac}, {}
+    coalgs = {"h": hc, "a": ac}
     for name, m in maps.items():
-        left, right, target = MAP_SHAPES[name]
-        if (left, right) not in tensors:
-            tensors[left, right] = tensor_coalgebra(coalgs[left], coalgs[right])
-        rep.add(f"{name}-coalgebra-map",
-                is_coalgebra_map(m, tensors[left, right], coalgs[target]))
+        left, right, target = (coalgs[k] for k in MAP_SHAPES[name])
+        rep.add(f"{name}-coalgebra-map", _is_coalgebra_map(m, left, right, target))
+
+
+def _normalization_evaluators(d: ExtendingDatum) -> dict:
+    """The eight unit normalizations of d as pointwise evaluators, in report
+    order, shaped like :func:`_condition_evaluators`."""
+    field = d.field
+    a, h = d.base, d.ext
+    ops = _Ops(d)
+    one, one_a, one_h = field.one, a.unit, h.unit
+    eps_h, eps_a = _counits(h.coalg), _counits(a.coalgebra)
+    hr, ar = (range(h.dim),), (range(a.dim),)
+    hl, al = _tuple_label(h.space.labels), _tuple_label(a.space.labels)
+    return {
+        "lact-normal-unit-right": (
+            hr, lambda i: ops.lact(i, one_a) == vec_scale(field, eps_h[i], one_a), hl),
+        "lact-normal-unit-left": (ar, lambda j: ops.lact(one_h, j) == {j: one}, al),
+        "ract-normal-unit-left": (
+            ar, lambda j: ops.ract(one_h, j) == vec_scale(field, eps_a[j], one_h), al),
+        "ract-normal-unit-right": (hr, lambda i: ops.ract(i, one_a) == {i: one}, hl),
+        "cocycle-normal-right": (
+            hr, lambda i: ops.coc(i, one_h) == vec_scale(field, eps_h[i], one_a), hl),
+        "cocycle-normal-left": (
+            hr, lambda i: ops.coc(one_h, i) == vec_scale(field, eps_h[i], one_a), hl),
+        "dot-unit-left": (hr, lambda i: ops.dot(one_h, i) == {i: one}, hl),
+        "dot-unit-right": (hr, lambda i: ops.dot(i, one_h) == {i: one}, hl),
+    }
 
 
 def validate_datum(d: ExtendingDatum) -> Report:
     """Unit/counit normalization and coalgebra-map property of all four maps."""
-    field = d.field
-    a, h = d.base, d.ext
-    ops = _Ops(d)
+    h = d.ext
     rep = Report("extending datum")
-    one, one_h = field.one, h.unit
-    eps_h, eps_a = _counits(h.coalg), _counits(a.coalgebra)
-    hl, al = _tuple_label(h.space.labels), _tuple_label(a.space.labels)
-
-    du = h.delta.apply(one_h)
-    ok = du == tensor_vec(field, one_h, one_h, h.dim) and h.coalg.counit(one_h) == one
-    rep.add("unit-h-grouplike", ok, None if ok else "1_H")
-
-    _coalgebra_map_rows(rep, h.coalg, a.coalgebra, ract=d.ract, lact=d.lact,
+    # 1_H is group-like exactly when k -> H, 1 -> 1_H is a coalgebra map
+    unit = LinMap(d.field, SCALAR_SPACE, h.space, {0: h.unit})
+    rep.add("unit-h-grouplike", is_coalgebra_map(unit, _ground_coalgebra(d.field), h.coalg),
+            "1_H")
+    _coalgebra_map_rows(rep, h.coalg, d.base.coalgebra, ract=d.ract, lact=d.lact,
                         cocycle=d.cocycle, dot=d.dot)
-
-    _scan(rep, "lact-normal-unit-right", iproduct(range(h.dim)),
-          lambda i: ops.lact(i, a.unit) == vec_scale(field, eps_h[i], a.unit), hl)
-    _scan(rep, "lact-normal-unit-left", iproduct(range(a.dim)),
-          lambda j: ops.lact(one_h, j) == {j: one}, al)
-    _scan(rep, "ract-normal-unit-left", iproduct(range(a.dim)),
-          lambda j: ops.ract(one_h, j) == vec_scale(field, eps_a[j], one_h), al)
-    _scan(rep, "ract-normal-unit-right", iproduct(range(h.dim)),
-          lambda i: ops.ract(i, a.unit) == {i: one}, hl)
-    _scan(rep, "cocycle-normal-right", iproduct(range(h.dim)),
-          lambda i: ops.coc(i, one_h) == vec_scale(field, eps_h[i], a.unit), hl)
-    _scan(rep, "cocycle-normal-left", iproduct(range(h.dim)),
-          lambda i: ops.coc(one_h, i) == vec_scale(field, eps_h[i], a.unit), hl)
-    _scan(rep, "dot-unit-left", iproduct(range(h.dim)),
-          lambda i: ops.dot(one_h, i) == {i: one}, hl)
-    _scan(rep, "dot-unit-right", iproduct(range(h.dim)),
-          lambda i: ops.dot(i, one_h) == {i: one}, hl)
+    normalizations = _normalization_evaluators(d)
+    for name in normalizations:
+        _scan_condition(rep, normalizations, name)
     return rep
 
 
 def _condition_evaluators(d: ExtendingDatum) -> dict:
     """The nine compatibility identities of d as pointwise evaluators, in
-    report order: name -> (index ranges, holds(*indices), witness label)."""
+    report order: name -> (index ranges, holds(*indices), witness label).
+
+    Associativity of the product, read on its H leg and on its A leg, gives
+    ``h_leg`` and ``a_leg``, each used twice: with ``(act, twist)`` = (f, .)
+    and j in H, and with (|>, <|) and j in A.  ``flip`` gives the symmetry
+    conditions with (left, right) = (., f) and (<|, |>)."""
     field = d.field
     a, h = d.base, d.ext
     ops = _Ops(d)
     hc, ac = h.coalg, a.coalgebra
-    eps_h = _counits(hc)
     hl, al = h.space.labels, a.space.labels
     hr, ar = range(h.dim), range(a.dim)
+    on_h, on_a = (hc, hr, hl), (ac, ar, al)  # the coalgebra, range and labels of j
     mul2 = field.mul
-
-    def mul3(x, y, z):
-        return mul2(x, mul2(y, z))
-
-    def comult_multiplicative(g, i):
-        prod = ops.dot(g, i)
-        lhs = hc.delta.apply(prod)
-        rhs: dict = {}
-        for (g1, g2), cg in hc.expand(g, 2):
-            for (i1, i2), ci in hc.expand(i, 2):
-                term = tensor_vec(field, ops.dot(g1, i1), ops.dot(g2, i2), h.dim)
-                vec_add_into(field, rhs, term, mul2(cg, ci))
-        if lhs != rhs:
-            return False
-        return hc.counit(prod) == mul2(eps_h[g], eps_h[i])
+    comult, counit = _coalgebra_map_halves(d.dot, hc, hc, hc)
 
     def right_module(g, i, j):
         return ops.ract(ops.ract(g, i), j) == ops.ract(g, a.mul(i, j))
-
-    def twisted_associativity(g, i, j):
-        lhs = ops.dot(ops.dot(g, i), j)
-        rhs: dict = {}
-        for (i1, i2), ci in hc.expand(i, 2):
-            for (j1, j2), cj in hc.expand(j, 2):
-                term = ops.dot(ops.ract(g, ops.coc(i1, j1)), ops.dot(i2, j2))
-                vec_add_into(field, rhs, term, mul2(ci, cj))
-        return lhs == rhs
 
     def lact_multiplicative(g, i, j):
         lhs = ops.lact(g, a.mul(i, j))
@@ -242,84 +234,65 @@ def _condition_evaluators(d: ExtendingDatum) -> dict:
                 vec_add_into(field, rhs, term, mul2(cg, ci))
         return lhs == rhs
 
-    def ract_dot_compat(g, i, j):
-        lhs = ops.ract(ops.dot(g, i), j)
-        rhs: dict = {}
-        for (i1, i2), ci in hc.expand(i, 2):
-            for (j1, j2), cj in ac.expand(j, 2):
-                term = ops.dot(ops.ract(g, ops.lact(i1, j1)), ops.ract(i2, j2))
-                vec_add_into(field, rhs, term, mul2(ci, cj))
-        return lhs == rhs
-
-    def twisted_module(g, i, j):
-        lhs: dict = {}
-        for (g1, g2), cg in hc.expand(g, 2):
-            for (i1, i2, i3), ci in hc.expand(i, 3):
-                for (j1, j2, j3), cj in ac.expand(j, 3):
-                    term = ops.amul(
-                        ops.lact(g1, ops.lact(i1, j1)),
-                        ops.coc(ops.ract(g2, ops.lact(i2, j2)), ops.ract(i3, j3)),
-                    )
-                    vec_add_into(field, lhs, term, mul3(cg, ci, cj))
-        rhs: dict = {}
-        for (g1, g2), cg in hc.expand(g, 2):
+    def h_leg(act, twist, jc, jr, jl):
+        """twist(g . i, j) = sum (g <| act(i1, j1)) . twist(i2, j2)"""
+        def holds(g, i, j):
+            lhs = twist(ops.dot(g, i), j)
+            rhs: dict = {}
             for (i1, i2), ci in hc.expand(i, 2):
-                term = ops.amul(ops.coc(g1, i1), ops.lact(ops.dot(g2, i2), j))
-                vec_add_into(field, rhs, term, mul2(cg, ci))
-        return lhs == rhs
+                for (j1, j2), cj in jc.expand(j, 2):
+                    term = ops.dot(ops.ract(g, act(i1, j1)), twist(i2, j2))
+                    vec_add_into(field, rhs, term, mul2(ci, cj))
+            return lhs == rhs
+        return (hr, hr, jr), holds, _tuple_label(hl, hl, jl)
 
-    def cocycle_condition(g, i, j):
-        lhs: dict = {}
-        for (g1, g2), cg in hc.expand(g, 2):
-            for (i1, i2, i3), ci in hc.expand(i, 3):
-                for (j1, j2, j3), cj in hc.expand(j, 3):
-                    term = ops.amul(
-                        ops.lact(g1, ops.coc(i1, j1)),
-                        ops.coc(ops.ract(g2, ops.coc(i2, j2)), ops.dot(i3, j3)),
-                    )
-                    vec_add_into(field, lhs, term, mul3(cg, ci, cj))
-        rhs: dict = {}
-        for (g1, g2), cg in hc.expand(g, 2):
-            for (i1, i2), ci in hc.expand(i, 2):
-                term = ops.amul(ops.coc(g1, i1), ops.coc(ops.dot(g2, i2), j))
-                vec_add_into(field, rhs, term, mul2(cg, ci))
-        return lhs == rhs
+    def a_leg(act, twist, jc, jr, jl):
+        """sum (g1 |> act(i1, j1)) f(g2 <| act(i2, j2), twist(i3, j3))
+        = sum f(g1, i1) act(g2 . i2, j)"""
+        def holds(g, i, j):
+            lhs: dict = {}
+            for (g1, g2), cg in hc.expand(g, 2):
+                for (i1, i2, i3), ci in hc.expand(i, 3):
+                    for (j1, j2, j3), cj in jc.expand(j, 3):
+                        term = ops.amul(
+                            ops.lact(g1, act(i1, j1)),
+                            ops.coc(ops.ract(g2, act(i2, j2)), twist(i3, j3)),
+                        )
+                        vec_add_into(field, lhs, term, mul2(cg, mul2(ci, cj)))
+            rhs: dict = {}
+            for (g1, g2), cg in hc.expand(g, 2):
+                for (i1, i2), ci in hc.expand(i, 2):
+                    term = ops.amul(ops.coc(g1, i1), act(ops.dot(g2, i2), j))
+                    vec_add_into(field, rhs, term, mul2(cg, ci))
+            return lhs == rhs
+        return (hr, hr, jr), holds, _tuple_label(hl, hl, jl)
 
-    def action_symmetry(g, j):
-        lhs: dict = {}
-        rhs: dict = {}
-        for (g1, g2), cg in hc.expand(g, 2):
-            for (j1, j2), cj in ac.expand(j, 2):
-                c = mul2(cg, cj)
-                vec_add_into(field, lhs, tensor_vec(
-                    field, ops.ract(g1, j1), ops.lact(g2, j2), a.dim), c)
-                vec_add_into(field, rhs, tensor_vec(
-                    field, ops.ract(g2, j2), ops.lact(g1, j1), a.dim), c)
-        return lhs == rhs
-
-    def cocycle_symmetry(g, i):
-        lhs: dict = {}
-        rhs: dict = {}
-        for (g1, g2), cg in hc.expand(g, 2):
-            for (i1, i2), ci in hc.expand(i, 2):
-                c = mul2(cg, ci)
-                vec_add_into(field, lhs, tensor_vec(
-                    field, ops.dot(g1, i1), ops.coc(g2, i2), a.dim), c)
-                vec_add_into(field, rhs, tensor_vec(
-                    field, ops.dot(g2, i2), ops.coc(g1, i1), a.dim), c)
-        return lhs == rhs
+    def flip(left, right, jc, jr, jl):
+        """sum left(g1, j1) (x) right(g2, j2) = sum left(g2, j2) (x) right(g1, j1),
+        where right lands in A"""
+        def holds(g, j):
+            lhs, rhs = {}, {}
+            for (g1, g2), cg in hc.expand(g, 2):
+                for (j1, j2), cj in jc.expand(j, 2):
+                    c = mul2(cg, cj)
+                    vec_add_into(field, lhs, tensor_vec(
+                        field, left(g1, j1), right(g2, j2), a.dim), c)
+                    vec_add_into(field, rhs, tensor_vec(
+                        field, left(g2, j2), right(g1, j1), a.dim), c)
+            return lhs == rhs
+        return (hr, jr), holds, _tuple_label(hl, jl)
 
     return {
-        "comult-multiplicative": ((hr, hr), comult_multiplicative, _tuple_label(hl, hl)),
+        "comult-multiplicative": ((hr, hr), lambda g, i: comult(g, i) and counit(g, i),
+                                  _tuple_label(hl, hl)),
         "right-module": ((hr, ar, ar), right_module, _tuple_label(hl, al, al)),
-        "twisted-associativity": ((hr, hr, hr), twisted_associativity,
-                                  _tuple_label(hl, hl, hl)),
+        "twisted-associativity": h_leg(ops.coc, ops.dot, *on_h),
         "lact-multiplicative": ((hr, ar, ar), lact_multiplicative, _tuple_label(hl, al, al)),
-        "ract-dot-compat": ((hr, hr, ar), ract_dot_compat, _tuple_label(hl, hl, al)),
-        "twisted-module": ((hr, hr, ar), twisted_module, _tuple_label(hl, hl, al)),
-        "cocycle-condition": ((hr, hr, hr), cocycle_condition, _tuple_label(hl, hl, hl)),
-        "action-symmetry": ((hr, ar), action_symmetry, _tuple_label(hl, al)),
-        "cocycle-symmetry": ((hr, hr), cocycle_symmetry, _tuple_label(hl, hl)),
+        "ract-dot-compat": h_leg(ops.lact, ops.ract, *on_a),
+        "twisted-module": a_leg(ops.lact, ops.ract, *on_a),
+        "cocycle-condition": a_leg(ops.coc, ops.dot, *on_h),
+        "action-symmetry": flip(ops.ract, ops.lact, *on_a),
+        "cocycle-symmetry": flip(ops.dot, ops.coc, *on_h),
     }
 
 

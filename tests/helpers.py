@@ -219,6 +219,15 @@ def twist_map(field, a: BasedSpace, b: BasedSpace) -> LinMap:
     return LinMap(field, tensor_space(a, b), tensor_space(b, a), cols)
 
 
+def oracle_is_coalgebra_map(f, src, dst, flip=False):
+    """delta_dst . f = (f (x) f) . delta_src, the factors swapped when
+    ``flip``, and counit_dst . f = counit_src, through the composed maps."""
+    rhs = compose(tensor_map(f, f), src.delta)
+    if flip:
+        rhs = compose(twist_map(f.field, dst.space, dst.space), rhs)
+    return compose(dst.delta, f) == rhs and compose(dst.epsilon, f) == src.epsilon
+
+
 def dense_from_linmap(m: LinMap):
     """A dense matrix M[j][i] with f(e_i) = sum_j M[j][i] e_j, for oracles."""
     rows = [[m.field.zero] * m.domain.dim for _ in range(m.codomain.dim)]
@@ -841,7 +850,7 @@ def assert_classical_report_agrees(a: FDBialgebra, h: FDBialgebra, rep: Report,
     return same
 
 
-def _rebind_everywhere(monkeypatch, original, replacement) -> None:
+def rebind_everywhere(monkeypatch, original, replacement) -> None:
     """Put ``replacement`` under every loaded module name bound to
     ``original``, so that calls through any import of it reach the wrapper."""
     name = original.__name__
@@ -940,4 +949,4 @@ def check_library_claims_on_every_call(monkeypatch) -> None:
                                   (crossed, checked_crossed), (matched, checked_matched),
                                   (recover, checked_recover),
                                   (antipode, checked_antipode)):
-        _rebind_everywhere(monkeypatch, original, replacement)
+        rebind_everywhere(monkeypatch, original, replacement)

@@ -159,6 +159,7 @@ def test_malformed_documents_rejected():
         b'{"format":"hopfprod/1","kind":"coalgebra","field":{"kind":"mod-p","p":"7"},"payload":{}}',
         b'{"format":"hopfprod/1","kind":"coalgebra","field":{"kind":"mod-p","p":7.0},"payload":{}}',
         b'{"format":"hopfprod/1","kind":"coalgebra","field":{"kind":"mod-p","p":true},"payload":{}}',
+        *hostile_json_documents(),
     ]
     for data in bad:
         with pytest.raises(MalformedDocumentError):
@@ -185,6 +186,16 @@ def test_malformed_documents_rejected():
     for data in repeated_record_documents():
         with pytest.raises(MalformedDocumentError, match="repeated index"):
             parse(data)
+
+
+def hostile_json_documents() -> list[bytes]:
+    """Documents the JSON decoder itself refuses: one nested 200,000 levels
+    deep, and a linmap with a numerator longer than the interpreter's limit
+    on the digits of an integer."""
+    numerator = b"1" * 5000
+    return [b"[" * 200_000 + b"]" * 200_000,
+            b'{"format":"hopfprod/1","kind":"linmap","field":{"kind":"rational"},'
+            b'"payload":{"entries":[[0,0,' + numerator + b',1]]}}']
 
 
 def z4_documents_with(edits) -> list[bytes]:
@@ -542,6 +553,46 @@ def test_cli_huge_modulus_exits_two(tmp_path, capsys):
     assert code == 2
     assert err.count("\n") == 1 and "Traceback" not in err
     assert "below 2**64" in err
+
+
+def test_cli_hostile_json_exits_two(tmp_path, capsys):
+    path = tmp_path / "hostile.json"
+    for data in hostile_json_documents():
+        path.write_bytes(data)
+        code, _, err = run_cli(capsys, "verify", str(path))
+        assert code == 2
+        assert "not a JSON document" in err and err.count("\n") == 1
+        assert "Traceback" not in err
+
+
+def test_cli_exit_paths(tmp_path, capsys):
+    def write(name, obj):
+        path = tmp_path / f"{name}.json"
+        path.write_bytes(serialize(obj))
+        return str(path)
+
+    d = a4_unified_datum()
+    c4 = group_algebra(builtin_group("c4"))
+    sub_a = LinMap(QQ, BasedSpace(("0", "2")), c4.space, {0: {0: QQ.one}, 1: {2: QQ.one}})
+    # delta(g + g^2) = g (x) g + g^2 (x) g^2 leaves the span of 1 and g + g^2
+    open_h = LinMap(QQ, BasedSpace(("u0", "u1")), c4.space,
+                    {0: {0: QQ.one}, 1: {1: QQ.one, 2: QQ.one}})
+    datum, h4 = write("d", d), write("h4", h4_trivial_datum())
+    zero = write("zero", LinMap.zero(QQ, d.ext.space, d.base.space))
+    ambient, sub_a, open_h = write("c4", c4), write("sub-a", sub_a), write("open-h", open_h)
+
+    code, _, err = run_cli(capsys, "equiv", datum, datum)
+    assert (code, err) == (2, "supply --cocycle FILE or --search\n")
+    code, out, _ = run_cli(capsys, "equiv", datum, datum, "--cocycle", zero)
+    assert (code, out) == (1, "the supplied map is not a lazy cocycle\n")
+    code, out, _ = run_cli(capsys, "equiv", h4, h4, "--search")
+    assert code == 3 and out.startswith("undecided: ")
+    code, _, err = run_cli(capsys, "factorize", ambient, "--sub-a", sub_a, "--sub-h", open_h)
+    assert code == 2 and "not closed under comultiplication" in err
+    code, _, err = run_cli(capsys, "factorize", sub_a, "--sub-a", sub_a, "--sub-h", sub_a)
+    assert code == 2 and "expected a bialgebra or hopf document" in err
+    code, _, err = run_cli(capsys, "verify", sub_a)
+    assert (code, err) == (2, "cannot verify an object of type LinMap\n")
 
 
 def test_cli_non_integer_modulus_exits_two(tmp_path, capsys):

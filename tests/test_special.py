@@ -56,7 +56,12 @@ from hopfprod.structures import (
     trivial_action_right,
     trivial_cocycle,
 )
-from hopfprod.unified import assemble_product, check_product_conditions, validate_datum
+from hopfprod.unified import (
+    DatumConditionError,
+    assemble_product,
+    check_product_conditions,
+    validate_datum,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -337,3 +342,14 @@ def test_deform_rejects_cocycle_not_killed_by_ract():
     assert nontrivial
     with pytest.raises(ValueError, match="does not kill"):
         deform_matched_pair(mp, nontrivial[0])
+
+
+def test_builders_refuse_a_failing_classical_datum():
+    for build, bad, first in (
+            (build_bicrossed, s3_pair_with_bad_lact(),
+             ("left-module-law", "((1 2),(1 2),(0 1 2))")),
+            (build_crossed, z4_crossed_with_bad_cocycle(), ("cocycle-normalization", "(1)"))):
+        with pytest.raises(DatumConditionError) as err:
+            build(bad)
+        item = err.value.report.first_failure()
+        assert (item.condition, item.witness) == first

@@ -5,6 +5,7 @@ import pytest
 
 from helpers import (
     convolution_direct,
+    oracle_is_coalgebra_map,
     random_linmap,
     sweedler_bialgebra,
     tensor_map,
@@ -376,13 +377,6 @@ def oracle_check_bialgebra(b):
     eps_unit = b.counit(b.unit)
     rep.add("counit-unit", eps_unit == field.one, "unit")
     return rep
-
-
-def oracle_is_coalgebra_map(f, src, dst, flip=False):
-    rhs = compose(tensor_map(f, f), src.delta)
-    if flip:
-        rhs = compose(twist_map(f.field, dst.space, dst.space), rhs)
-    return compose(dst.delta, f) == rhs and compose(dst.epsilon, f) == src.epsilon
 
 
 def oracle_is_algebra_map(f, src, dst, flip=False):

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -5,13 +6,25 @@ import pytest
 from helpers import (
     assert_mixed_relations,
     check_mixed_relations_on_every_build,
+    h4_datum_with_bad_lact,
     h4_datum_with_c2_cocycle,
     h4_trivial_datum,
+    one_entry_corruptions,
+    oracle_is_coalgebra_map,
     product_projections,
     random_group_structure,
+    rebind_everywhere,
+    scaled_h4_trivial_datum,
+    tensor_map,
     trivial_datum,
 )
-from hopfprod.corpus import a4_order2_ges, a4_unified_datum, s3_matched_pair
+import hopfprod.structures
+from hopfprod.corpus import (
+    a4_order2_ges,
+    a4_unified_datum,
+    s3_matched_pair,
+    z4_crossed_datum,
+)
 from hopfprod.fields import QQ, PrimeField
 from hopfprod.groups import (
     GroupExtendingStructure,
@@ -22,16 +35,28 @@ from hopfprod.groups import (
     small_corpus_names,
 )
 from hopfprod.linalg import LinMap, basis_vec, compose, tensor_vec
-from hopfprod.special import matched_pair_datum
+from hopfprod.reports import Report
+from hopfprod.special import (
+    CrossedDatum,
+    MatchedPair,
+    check_crossed,
+    check_matched_pair,
+    crossed_datum,
+    matched_pair_datum,
+)
 from hopfprod.structures import (
     check_bialgebra,
     is_algebra_map,
     is_coalgebra_map,
     tensor_bialgebra,
+    tensor_coalgebra,
 )
 from hopfprod.unified import (
     CONDITION_NAMES,
+    MAP_SHAPES,
     DatumConditionError,
+    _condition_evaluators,
+    _scan_condition,
     assemble_product,
     build_unified_product,
     check_product_conditions,
@@ -220,3 +245,99 @@ def test_mixed_relations_verified_on_build():
         d = h4_datum_with_c2_cocycle(field)
         assert validate_datum(d).ok
         assert_mixed_relations(d, assemble_product(d))
+
+
+def test_build_refuses_a_datum_that_fails_only_the_product_conditions():
+    d = h4_datum_with_bad_lact()
+    assert validate_datum(d).ok
+    with pytest.raises(DatumConditionError) as err:
+        build_unified_product(d)
+    first = err.value.report.first_failure()
+    assert (first.condition, first.witness) == ("lact-multiplicative", "(g,g,x)")
+
+
+def test_datum_checks_build_no_tensor_product_coalgebra(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("tensor_coalgebra called")
+
+    rebind_everywhere(monkeypatch, hopfprod.structures.tensor_coalgebra, refuse)
+    for d in (a4_unified_datum(), h4_trivial_datum(), h4_datum_with_bad_lact()):
+        validate_datum(d)
+        check_product_conditions(d)
+    assert check_matched_pair(s3_matched_pair()).ok
+    assert check_crossed(z4_crossed_datum()).ok
+
+
+def first_coalgebra_map_failure(m, src, dst):
+    """The label of the first basis element of src at which the composed
+    maps delta_dst . m and (m (x) m) . delta_src, or counit_dst . m and
+    counit_src, differ."""
+    sides = ((compose(dst.delta, m), compose(tensor_map(m, m), src.delta)),
+             (compose(dst.epsilon, m), src.epsilon))
+    return next(src.space.labels[i] for i in range(src.dim)
+                if any(lhs.col(i) != rhs.col(i) for lhs, rhs in sides))
+
+
+def composed_coalgebra_map_rows(hc, ac):
+    """A function of named structure maps that gives their
+    "<name>-coalgebra-map" rows by ``oracle_is_coalgebra_map`` on the
+    tensor-product coalgebra of their shape, over H = hc and A = ac."""
+    coalgs, verdicts = {"h": hc, "a": ac}, {}
+
+    def rows(**maps):
+        for name, m in maps.items():
+            if (name, m) not in verdicts:
+                left, right, target = (coalgs[k] for k in MAP_SHAPES[name])
+                verdicts[name, m] = oracle_is_coalgebra_map(
+                    m, tensor_coalgebra(left, right), target)
+        return [(f"{name}-coalgebra-map", verdicts[name, m], None)
+                for name, m in maps.items()]
+    return rows
+
+
+def test_coalgebra_map_rows_match_the_composed_oracle():
+    """Every "*-coalgebra-map" row of validate_datum, check_matched_pair and
+    check_crossed, and the comult-multiplicative condition, against
+    ``oracle_is_coalgebra_map(m, tensor_coalgebra(X, Y), Z)`` on the corpus
+    and the H4 data and their one-entry corruptions, over QQ and GF(5)."""
+    def rows(rep, names):
+        return [(it.condition, it.passed, it.witness) for it in rep.items
+                if it.condition in names]
+
+    def variants(obj, names):
+        """obj, then obj with one of its maps corrupted in one entry."""
+        yield obj
+        for name in names:
+            for m in one_entry_corruptions(getattr(obj, name)):
+                yield dataclasses.replace(obj, **{name: m})
+
+    verdicts = []
+    for field in (QQ, PrimeField(5)):
+        mp, cd = s3_matched_pair(field), z4_crossed_datum(field)
+        # over QQ, H4 in a basis whose coproducts carry coefficients other than 1
+        h4 = scaled_h4_trivial_datum() if field == QQ else h4_trivial_datum(field)
+        for d in (matched_pair_datum(mp), crossed_datum(cd), h4,
+                  h4_datum_with_c2_cocycle(field)):
+            hc = d.ext.coalg
+            composed = composed_coalgebra_map_rows(hc, d.base.coalgebra)
+            for d2 in variants(d, MAP_SHAPES):
+                want = composed(ract=d2.ract, lact=d2.lact, cocycle=d2.cocycle, dot=d2.dot)
+                assert rows(validate_datum(d2), {row[0] for row in want}) == want
+                verdicts += [row[1] for row in want]
+            hh = tensor_coalgebra(hc, hc)
+            for d2 in variants(d, ["dot"]):
+                rep = Report()
+                _scan_condition(rep, _condition_evaluators(d2), "comult-multiplicative")
+                ok = oracle_is_coalgebra_map(d2.dot, hh, hc)
+                witness = None if ok else first_coalgebra_map_failure(d2.dot, hh, hc)
+                assert rows(rep, {"comult-multiplicative"}) == \
+                    [("comult-multiplicative", ok, witness)]
+                verdicts.append(ok)
+        for check, obj, names in ((check_matched_pair, mp, ("ract", "lact")),
+                                  (check_crossed, cd, ("lact", "cocycle"))):
+            composed = composed_coalgebra_map_rows(obj.h.coalgebra, obj.a.coalgebra)
+            for obj2 in variants(obj, names):
+                want = composed(**{name: getattr(obj2, name) for name in names})
+                assert rows(check(obj2), {row[0] for row in want}) == want
+                verdicts += [row[1] for row in want]
+    assert verdicts.count(False) > 100 and verdicts.count(True) > 100
