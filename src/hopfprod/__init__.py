@@ -83,7 +83,6 @@ from .structures import (
     is_algebra_map,
     is_coalgebra_antimap,
     is_coalgebra_map,
-    tensor_bialgebra,
     tensor_coalgebra,
 )
 from .unified import (

@@ -108,9 +108,6 @@ class LazyCocycle:
         u.linmap, u.ext, u.base = linmap, ext, base
         return u
 
-    def __call__(self, v: dict) -> dict:
-        return self.linmap.apply(v)
-
 
 def trivial_lazy_cocycle(h: UnitalCoalgebra, a: FDBialgebra) -> LazyCocycle:
     """unit_A . counit_H, the unit of the convolution group."""

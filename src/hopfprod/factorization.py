@@ -198,24 +198,18 @@ def recover_datum(fi: FactorizationInput) -> ExtendingDatum:
 
 
 def transfer_structure(e: FDBialgebra, l: FDCoalgebra, u: LinMap) -> FDBialgebra:
-    """Pull the algebra structure of e back along a coalgebra isomorphism u.
-
-    The unique multiplication making u an isomorphism of bialgebras is
-    ``l . l' = u^-1(u(l) u(l'))``; when e carries an antipode the transferred
-    antipode is ``u^-1 . S . u``.
+    """Pull the algebra structure of e back along a coalgebra isomorphism u,
+    as :meth:`FactorizationInput.build` induces it on a subbialgebra:
+    ``l . l' = u^-1(u(l) u(l'))``, and ``u^-1 . S . u`` when e carries an
+    antipode.  Raises :class:`NotInvertibleError` unless u is bijective.
     """
     if not is_coalgebra_map(u, l, e.coalgebra):
         raise ValueError("u is not a coalgebra map")
-    u_inv = invert(u)
-    field = e.field
-    cols = _pull_back(_products(e.mul, u, u), u_inv.apply)
-    mult = LinMap(field, tensor_space(l.space, l.space), l.space, cols)
-    unit = u_inv.apply(e.unit)
-    alg = FDAlgebra(field, l.space, mult, unit, associative="yes")
-    if isinstance(e, FDHopf):
-        antipode = compose(u_inv, compose(e.antipode, u))
-        return FDHopf(l, alg, antipode)
-    return FDBialgebra(l, alg)
+    solver = PreimageSolver(u)
+    rank, dim = len(solver.pivots), max(l.dim, e.dim)
+    if rank < dim:  # the rank reaches the larger dimension only when u is bijective
+        raise NotInvertibleError(rank, dim)
+    return FactorizationInput._induce_bialgebra(e, u, solver)
 
 
 @dataclass

@@ -421,31 +421,21 @@ def coset_extending_structure(ambient: GroupTable, a_indices,
     sub, sub_idx = ambient.subgroup_table(a_indices)
     sub_pos = {g: k for k, g in enumerate(sub_idx)}
     n = ambient.order
-    coset_rep = [None] * n
     if reps is None:
-        found = []
-        for g in range(n):
-            if coset_rep[g] is not None:
-                continue
-            coset = sorted(ambient.table[a][g] for a in sub_idx)
-            # least element in index order, except that the subgroup's own
-            # coset is always represented by the identity (the basepoint)
-            rep = ambient.identity if ambient.identity in coset else coset[0]
-            found.append(rep)
-            for z in coset:
-                coset_rep[z] = rep
-    else:
-        found = sorted(set(reps))
-        if ambient.identity not in found:
-            raise ValueError("the representative set must contain the identity")
-        for rep in found:
-            for a in sub_idx:
-                z = ambient.table[a][rep]
-                if coset_rep[z] is not None:
-                    raise ValueError("two representatives share a right coset")
-                coset_rep[z] = rep
-        if any(r is None for r in coset_rep):
-            raise ValueError("the representatives do not cover every right coset")
+        reps = [ambient.identity] + [min(ambient.table[a][g] for a in sub_idx)
+                                     for g in range(n) if g not in sub_pos]
+    found = sorted(set(reps))
+    if ambient.identity not in found:
+        raise ValueError("the representative set must contain the identity")
+    coset_rep = [None] * n
+    for rep in found:
+        for a in sub_idx:
+            z = ambient.table[a][rep]
+            if coset_rep[z] is not None:
+                raise ValueError("two representatives share a right coset")
+            coset_rep[z] = rep
+    if any(r is None for r in coset_rep):
+        raise ValueError("the representatives do not cover every right coset")
     reps = [ambient.identity] + sorted(r for r in found if r != ambient.identity)
     rep_pos = {r: k for k, r in enumerate(reps)}
 

@@ -11,14 +11,14 @@ Checkers and the (anti)morphism predicates evaluate every identity pointwise
 over basis tuples, straight from the structure constants, and stop an axiom
 at its first failing tuple.  Tuples are scanned in row-major order, so the
 witness is the label of the first differing tensor-space index.  None of
-them builds a tensor-product coalgebra, a map out of ``E (x) E (x) E (x) E``
-or the dim**4-column ``tensor_algebra(E, E)``.  "m: X (x) Y -> Z is a
-coalgebra map" has one evaluator, :func:`_coalgebra_map_halves`, for the
-multiplication of a bialgebra, the maps of a datum and, with Y = k, a
-linear map.
+them builds a tensor-product coalgebra or a map out of ``E (x) E (x) E (x) E``.
+"m: X (x) Y -> Z is a coalgebra map" has one evaluator,
+:func:`_coalgebra_map_halves`, for the multiplication of a bialgebra, the
+maps of a datum and, with Y = k, a linear map.
 """
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import product as iproduct
 
 from .fields import same_field
@@ -30,7 +30,6 @@ from .linalg import (
     compose,
     solve_system,
     tensor_space,
-    tensor_vec,
     vec_add_into,
     vec_scale,
 )
@@ -290,7 +289,7 @@ class FDHopf(FDBialgebra):
 
 
 # ---------------------------------------------------------------------------
-# tensor constructions
+# the tensor-product coalgebra
 
 
 def tensor_coalgebra(c: FDCoalgebra, d: FDCoalgebra) -> FDCoalgebra:
@@ -311,32 +310,6 @@ def tensor_coalgebra(c: FDCoalgebra, d: FDCoalgebra) -> FDCoalgebra:
                      {i * n + j: {0: field.mul(x, y)}
                       for i, x in enumerate(_counits(c)) for j, y in enumerate(_counits(d))})
     return FDCoalgebra(field, space, delta, epsilon)
-
-
-def tensor_algebra(a: FDAlgebra, b: FDAlgebra) -> FDAlgebra:
-    """Componentwise multiplication on the tensor product space,
-    (x (x) y)(x' (x) y') = x x' (x) y y'."""
-    field = same_field(a, b)
-    space = tensor_space(a.space, b.space)
-    na, nb = a.dim, b.dim
-    cols = {}
-    for ik, xcol in a.mult.cols.items():
-        i, k = divmod(ik, na)
-        for jl, ycol in b.mult.cols.items():
-            j, l = divmod(jl, nb)
-            cols[(i * nb + j) * space.dim + k * nb + l] = {
-                p * nb + q: field.mul(x, y) for p, x in xcol for q, y in ycol}
-    mult = LinMap(field, tensor_space(space, space), space, cols)
-    unit = tensor_vec(field, a.unit, b.unit, b.dim)
-    flag = "yes" if a.associative == b.associative == "yes" else "unknown"
-    return FDAlgebra(field, space, mult, unit, associative=flag)
-
-
-def tensor_bialgebra(x: FDBialgebra, y: FDBialgebra) -> FDBialgebra:
-    return FDBialgebra(
-        tensor_coalgebra(x.coalgebra, y.coalgebra),
-        tensor_algebra(x.algebra, y.algebra),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -518,8 +491,10 @@ def _is_coalgebra_map(m: LinMap, x: FDCoalgebra, y: FDCoalgebra, z: FDCoalgebra,
                for a, b in iproduct(range(x.dim), range(y.dim)))
 
 
+@lru_cache(maxsize=None)
 def _ground_coalgebra(field) -> FDCoalgebra:
-    """The ground field k as a coalgebra: delta(1) = 1 (x) 1, counit(1) = 1."""
+    """The ground field k as a coalgebra: delta(1) = 1 (x) 1, counit(1) = 1,
+    built once per field."""
     return FDCoalgebra(field, SCALAR_SPACE, grouplike_delta(field, SCALAR_SPACE),
                        counit_all_ones(field, SCALAR_SPACE))
 

@@ -37,6 +37,8 @@ from .structures import (
     FDBialgebra,
     FDHopf,
     UnitalCoalgebra,
+    convolution,
+    convolution_unit,
     is_coalgebra_antimap,
     is_coalgebra_map,
     tensor_coalgebra,
@@ -424,19 +426,15 @@ def product_antipode(p: UnifiedProduct, s_h: LinMap) -> LinMap:
     field = d.field
     if not is_coalgebra_antimap(s_h, h.coalg, h.coalg):
         raise ValueError("s_h is not a coalgebra antimorphism")
-    ops = _Ops(d)
-    eps_h = _counits(h.coalg)
+    dot = FDAlgebra(field, h.space, d.dot, h.unit)
+    ident = LinMap.identity(field, h.space)
+    want = convolution_unit(h.coalg, dot)
+    left = convolution(ident, s_h, h.coalg, dot)
+    right = convolution(s_h, ident, h.coalg, dot)
     for i in range(h.dim):
-        want = vec_scale(field, eps_h[i], h.unit)
-        left: dict = {}
-        right: dict = {}
-        for (i1, i2), c in h.coalg.expand(i, 2):
-            vec_add_into(field, left, ops.dot(i1, s_h.col(i2)), c)
-            vec_add_into(field, right, ops.dot(s_h.col(i1), i2), c)
-        if left != want or right != want:
-            raise ValueError(
-                f"s_h is not a two-sided dot inverse at {h.space.labels[i]}"
-            )
+        if not left.col(i) == right.col(i) == want.col(i):
+            raise ValueError(f"s_h is not a two-sided dot inverse at {h.space.labels[i]}")
+    ops = _Ops(d)
     e = p.carrier
     nh = h.dim
     sa = a.antipode

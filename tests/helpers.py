@@ -219,6 +219,38 @@ def twist_map(field, a: BasedSpace, b: BasedSpace) -> LinMap:
     return LinMap(field, tensor_space(a, b), tensor_space(b, a), cols)
 
 
+def oracle_tensor_coalgebra_delta(c, d):
+    """(id (x) twist (x) id) . (delta_c (x) delta_d), composed."""
+    field = c.field
+    shuffle = tensor_map(
+        tensor_map(LinMap.identity(field, c.space), twist_map(field, c.space, d.space)),
+        LinMap.identity(field, d.space),
+    )
+    return compose(shuffle, tensor_map(c.delta, d.delta))
+
+
+def oracle_tensor_algebra_mult(a, b):
+    """(m_a (x) m_b) . (id (x) twist (x) id), composed."""
+    field = a.field
+    shuffle = tensor_map(
+        tensor_map(LinMap.identity(field, a.space), twist_map(field, b.space, a.space)),
+        LinMap.identity(field, b.space),
+    )
+    return compose(tensor_map(a.mult, b.mult), shuffle)
+
+
+def tensor_product_oracle(x: FDBialgebra, y: FDBialgebra) -> FDBialgebra:
+    """The tensor-product bialgebra x (x) y from the composed shuffles, as an
+    oracle for the product of the trivial datum."""
+    field = x.field
+    space = tensor_space(x.space, y.space)
+    coalg = FDCoalgebra(field, space, oracle_tensor_coalgebra_delta(x.coalgebra, y.coalgebra),
+                        tensor_map(x.epsilon, y.epsilon))
+    alg = FDAlgebra(field, space, oracle_tensor_algebra_mult(x.algebra, y.algebra),
+                    tensor_vec(field, x.unit, y.unit, y.dim))
+    return FDBialgebra(coalg, alg)
+
+
 def oracle_is_coalgebra_map(f, src, dst, flip=False):
     """delta_dst . f = (f (x) f) . delta_src, the factors swapped when
     ``flip``, and counit_dst . f = counit_src, through the composed maps."""

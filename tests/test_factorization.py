@@ -14,7 +14,14 @@ from hopfprod.factorization import (
 )
 from hopfprod.fields import QQ, PrimeField
 from hopfprod.groups import builtin_group, group_algebra
-from hopfprod.linalg import BasedSpace, LinMap, PreimageSolver, compose, invert
+from hopfprod.linalg import (
+    BasedSpace,
+    LinMap,
+    NotInvertibleError,
+    PreimageSolver,
+    compose,
+    invert,
+)
 from hopfprod.serialize import serialize
 from hopfprod.special import matched_pair_datum
 from hopfprod.structures import (
@@ -257,6 +264,16 @@ def test_transfer_requires_coalgebra_map():
                  {0: {0: QQ.one}, 1: {0: QQ.one, 1: QQ.one}})
     with pytest.raises(ValueError, match="coalgebra"):
         transfer_structure(e, e.coalgebra, bad)
+
+
+def test_transfer_requires_a_bijection():
+    # u collapses k[C2] onto its identity: a coalgebra map of rank 1
+    e = group_algebra(builtin_group("c2"))
+    u = LinMap(QQ, e.space, e.space, {0: {0: QQ.one}, 1: {0: QQ.one}})
+    assert is_coalgebra_map(u, e.coalgebra, e.coalgebra)
+    with pytest.raises(NotInvertibleError) as exc:
+        transfer_structure(e, e.coalgebra, u)
+    assert (exc.value.rank, exc.value.dim) == (1, 2)
 
 
 def test_roundtrip_corpus():

@@ -76,6 +76,26 @@ def test_coset_structure_full_subgroup_is_trivial():
     assert check_group_structure(ges).ok
 
 
+def test_coset_split_refuses_bad_representatives():
+    s3 = builtin_group("s3")
+    rotations = (0, 3, 4)
+    for reps, message in (([1, 2], "must contain the identity"),
+                          ([0, 3, 4], "share a right coset"),
+                          ([0], "do not cover")):
+        with pytest.raises(ValueError, match=message):
+            coset_extending_structure(s3, rotations, reps)
+
+
+def test_default_representatives_when_the_identity_is_not_index_zero():
+    # the identity "e" is index 1: it represents the subgroup's own coset,
+    # and every other coset is represented by its least index
+    g = GroupTable([[1, 0, 3, 2], [0, 1, 2, 3], [3, 2, 1, 0], [2, 3, 0, 1]],
+                   ["a", "e", "b", "c"])
+    assert g.identity == 1
+    assert coset_extending_structure(g, [1, 0]).rep_indices == (1, 2)
+    assert coset_extending_structure(g, [1, 2]).rep_indices == (1, 0)
+
+
 def test_s3_c3_split_is_bicrossed():
     ges = s3_c3_ges()
     assert ges.x_size == 2

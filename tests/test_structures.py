@@ -6,9 +6,13 @@ import pytest
 from helpers import (
     convolution_direct,
     oracle_is_coalgebra_map,
+    oracle_tensor_algebra_mult,
+    oracle_tensor_coalgebra_delta,
     random_linmap,
     sweedler_bialgebra,
     tensor_map,
+    tensor_product_oracle,
+    trivial_datum,
     twist_map,
     with_column,
 )
@@ -43,8 +47,6 @@ from hopfprod.structures import (
     is_algebra_map,
     is_coalgebra_antimap,
     is_coalgebra_map,
-    tensor_algebra,
-    tensor_bialgebra,
     tensor_coalgebra,
 )
 
@@ -88,8 +90,8 @@ def test_group_bialgebra_passes():
 
 
 def test_tensor_product_bialgebra_passes():
-    b = tensor_bialgebra(group_algebra(builtin_group("c2")),
-                         group_algebra(builtin_group("c3")))
+    b = tensor_product_oracle(group_algebra(builtin_group("c2")),
+                              group_algebra(builtin_group("c3")))
     assert check_bialgebra(b).ok
 
 
@@ -364,9 +366,9 @@ def oracle_check_bialgebra(b):
     rep.extend(oracle_check_coalgebra(b.coalgebra))
     rep.extend(oracle_check_algebra(b.algebra))
     pair_labels = tensor_space(b.space, b.space).labels
-    square = tensor_algebra(b.algebra, b.algebra)
+    square = oracle_tensor_algebra_mult(b.algebra, b.algebra)
     lhs = compose(b.delta, b.mult)
-    rhs = compose(square.mult, tensor_map(b.delta, b.delta))
+    rhs = compose(square, tensor_map(b.delta, b.delta))
     rep.add("comult-multiplicative", lhs == rhs, _first_difference(lhs, rhs, pair_labels))
     delta_unit = b.delta.apply(b.unit)
     want = tensor_vec(field, b.unit, b.unit, b.dim)
@@ -408,19 +410,9 @@ def oracle_fixtures():
         sweedler_bialgebra(),
         sweedler_bialgebra(F5),
         sweedler_bialgebra(PrimeField(3)),
-        tensor_bialgebra(c2, c3),
-        tensor_bialgebra(sweedler_bialgebra(), c2),
+        tensor_product_oracle(c2, c3),
+        tensor_product_oracle(sweedler_bialgebra(), c2),
     ]
-
-
-def oracle_tensor_coalgebra_delta(c, d):
-    """(id (x) twist (x) id) . (delta_c (x) delta_d), composed."""
-    field = c.field
-    shuffle = tensor_map(
-        tensor_map(LinMap.identity(field, c.space), twist_map(field, c.space, d.space)),
-        LinMap.identity(field, d.space),
-    )
-    return compose(shuffle, tensor_map(c.delta, d.delta))
 
 
 def test_tensor_coalgebra_matches_the_composed_shuffle():
@@ -437,29 +429,17 @@ def test_tensor_coalgebra_matches_the_composed_shuffle():
         assert serialize(got) == serialize(want)
 
 
-def oracle_tensor_algebra_mult(a, b):
-    """(m_a (x) m_b) . (id (x) twist (x) id), composed."""
-    field = a.field
-    shuffle = tensor_map(
-        tensor_map(LinMap.identity(field, a.space), twist_map(field, b.space, a.space)),
-        LinMap.identity(field, b.space),
-    )
-    return compose(tensor_map(a.mult, b.mult), shuffle)
-
-
 def test_tensor_algebra_matches_the_composed_shuffle():
+    # the tensor product is the unified product of the trivial datum
     from helpers import scaled_sweedler
     from hopfprod.serialize import serialize
+    from hopfprod.unified import assemble_product
 
     s3 = group_algebra(builtin_group("s3"))
     h4, h4_f5, scaled = sweedler_bialgebra(), sweedler_bialgebra(F5), scaled_sweedler()
     for x, y in [(h4, h4), (h4_f5, h4_f5), (s3, h4), (scaled, scaled)]:
-        got = tensor_algebra(x.algebra, y.algebra)
-        want = FDAlgebra(got.field, got.space, oracle_tensor_algebra_mult(x.algebra, y.algebra),
-                         got.unit)
-        assert got.mult == want.mult
-        assert serialize(tensor_bialgebra(x, y)) == serialize(
-            FDBialgebra(tensor_coalgebra(x.coalgebra, y.coalgebra), want))
+        assert serialize(assemble_product(trivial_datum(x, y))) == serialize(
+            tensor_product_oracle(x, y))
 
 
 def test_checkers_match_composed_map_oracle():
