@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from .fields import same_field
 from .linalg import (
+    DimensionError,
     LinMap,
     NotInvertibleError,
     PreimageSolver,
@@ -201,14 +202,16 @@ def transfer_structure(e: FDBialgebra, l: FDCoalgebra, u: LinMap) -> FDBialgebra
     """Pull the algebra structure of e back along a coalgebra isomorphism u,
     as :meth:`FactorizationInput.build` induces it on a subbialgebra:
     ``l . l' = u^-1(u(l) u(l'))``, and ``u^-1 . S . u`` when e carries an
-    antipode.  Raises :class:`NotInvertibleError` unless u is bijective.
+    antipode.  Raises :class:`DimensionError` unless u is square and
+    :class:`NotInvertibleError` unless it is bijective.
     """
     if not is_coalgebra_map(u, l, e.coalgebra):
         raise ValueError("u is not a coalgebra map")
+    if u.domain.dim != u.codomain.dim:
+        raise DimensionError("only square maps can be inverted")
     solver = PreimageSolver(u)
-    rank, dim = len(solver.pivots), max(l.dim, e.dim)
-    if rank < dim:  # the rank reaches the larger dimension only when u is bijective
-        raise NotInvertibleError(rank, dim)
+    if len(solver.pivots) < l.dim:
+        raise NotInvertibleError(len(solver.pivots), l.dim)
     return FactorizationInput._induce_bialgebra(e, u, solver)
 
 

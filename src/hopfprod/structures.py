@@ -18,7 +18,6 @@ maps of a datum and, with Y = k, a linear map.
 """
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import product as iproduct
 
 from .fields import same_field
@@ -491,10 +490,8 @@ def _is_coalgebra_map(m: LinMap, x: FDCoalgebra, y: FDCoalgebra, z: FDCoalgebra,
                for a, b in iproduct(range(x.dim), range(y.dim)))
 
 
-@lru_cache(maxsize=None)
 def _ground_coalgebra(field) -> FDCoalgebra:
-    """The ground field k as a coalgebra: delta(1) = 1 (x) 1, counit(1) = 1,
-    built once per field."""
+    """The ground field k as a coalgebra: delta(1) = 1 (x) 1, counit(1) = 1."""
     return FDCoalgebra(field, SCALAR_SPACE, grouplike_delta(field, SCALAR_SPACE),
                        counit_all_ones(field, SCALAR_SPACE))
 

@@ -16,6 +16,7 @@ from hopfprod.fields import QQ, PrimeField
 from hopfprod.groups import builtin_group, group_algebra
 from hopfprod.linalg import (
     BasedSpace,
+    DimensionError,
     LinMap,
     NotInvertibleError,
     PreimageSolver,
@@ -274,6 +275,15 @@ def test_transfer_requires_a_bijection():
     with pytest.raises(NotInvertibleError) as exc:
         transfer_structure(e, e.coalgebra, u)
     assert (exc.value.rank, exc.value.dim) == (1, 2)
+    # k[C1] -> k[C2] onto the identity and k[C2] -> k[C1] are coalgebra maps
+    # of full rank, but not square
+    k = group_algebra(builtin_group("c1"))
+    for target, src, cols in ((e, k, {0: {0: QQ.one}}),
+                              (k, e, {0: {0: QQ.one}, 1: {0: QQ.one}})):
+        u = LinMap(QQ, src.space, target.space, cols)
+        assert is_coalgebra_map(u, src.coalgebra, target.coalgebra)
+        with pytest.raises(DimensionError, match="^only square maps can be inverted$"):
+            transfer_structure(target, src.coalgebra, u)
 
 
 def test_roundtrip_corpus():
