@@ -6,6 +6,7 @@ the rationals or a prime field, with zero-tolerance exact arithmetic.
 """
 from .classification import (
     CapExceededError,
+    ContextError,
     EquivalenceCertificate,
     EquivalenceResult,
     LazyCocycle,

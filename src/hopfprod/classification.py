@@ -21,6 +21,7 @@ from itertools import product as iproduct
 
 from .fields import same_field
 from .linalg import (
+    DimensionError,
     LinMap,
     basis_vec,
     compose,
@@ -54,10 +55,15 @@ class NotGroupLikeError(ValueError):
     """Enumeration requested outside the group-like desk-scale regime."""
 
 
+class ContextError(ValueError):
+    """The objects handed in do not share the context the operation needs:
+    the same base and coalgebra, or a base with an antipode."""
+
+
 def is_lazy_cocycle(u: LinMap, h: UnitalCoalgebra, a: FDBialgebra) -> bool:
     """Unitary coalgebra map with h1 (x) u(h2) = h2 (x) u(h1)."""
     if u.domain.dim != h.dim or u.codomain.dim != a.dim:
-        raise ValueError("cocycle shape does not match H -> A")
+        raise DimensionError("cocycle shape does not match H -> A")
     if not is_coalgebra_map(u, h.coalg, a.coalgebra):
         return False
     if u.apply(h.unit) != a.unit:
@@ -118,7 +124,7 @@ def cocycle_convolve(u: LazyCocycle, v: LazyCocycle) -> LazyCocycle:
     """Convolution u * v.  Not validated again: the product of two lazy
     cocycles into a bialgebra is a lazy cocycle."""
     if u.ext != v.ext or u.base != v.base:
-        raise ValueError("cocycles live over different (H, A) pairs")
+        raise ContextError("cocycles live over different (H, A) pairs")
     w = convolution(u.linmap, v.linmap, u.ext.coalg, u.base.algebra)
     return LazyCocycle._unchecked(w, u.ext, u.base)
 
@@ -127,7 +133,7 @@ def cocycle_inverse(u: LazyCocycle) -> LazyCocycle:
     """Convolution inverse S_A . u; requires the base to be Hopf.  Not
     validated again: the inverse of a lazy cocycle is a lazy cocycle."""
     if not isinstance(u.base, FDHopf):
-        raise ValueError("convolution inverse needs an antipode on the base")
+        raise ContextError("convolution inverse needs an antipode on the base")
     return LazyCocycle._unchecked(compose(u.base.antipode, u.linmap), u.ext, u.base)
 
 
@@ -225,10 +231,10 @@ def deform_datum(d: ExtendingDatum, u: LazyCocycle) -> ExtendingDatum:
     The result is equivalent to d via u by construction.
     """
     if u.ext != d.ext or u.base != d.base:
-        raise ValueError("cocycle context does not match the datum")
+        raise ContextError("cocycle context does not match the datum")
     a = d.base
     if not isinstance(a, FDHopf):
-        raise ValueError("deformation needs a Hopf base")
+        raise ContextError("deformation needs a Hopf base")
     field = d.field
     h = d.ext
     deform = _Deformation(d, u)
@@ -291,11 +297,11 @@ def _deformation_report(d: ExtendingDatum, d2: ExtendingDatum, u: LazyCocycle) -
     """The rows of :func:`check_equivalence` up to its certificate: the
     equality of right actions, then the three deformation formulas."""
     if d.base != d2.base or d.ext != d2.ext:
-        raise ValueError("the two data must share the base and the coalgebra")
+        raise ContextError("the two data must share the base and the coalgebra")
     if not isinstance(d.base, FDHopf):
-        raise ValueError("equivalence checking needs a Hopf base")
+        raise ContextError("equivalence checking needs a Hopf base")
     if u.ext != d.ext or u.base != d.base:
-        raise ValueError("cocycle context does not match the data")
+        raise ContextError("cocycle context does not match the data")
     rep = Report("extending-structure equivalence")
 
     if d2.ract != d.ract:
@@ -386,7 +392,7 @@ def quotient_classes(data: list[ExtendingDatum],
     first = data[0]
     for d in data[1:]:
         if d.base != first.base or d.ext != first.ext or d.ract != first.ract:
-            raise ValueError("all data must share the base, coalgebra and right action")
+            raise ContextError("all data must share the base, coalgebra and right action")
     cocycles = enumerate_cocycles(first.ext, first.base, cap)
     products = [assemble_product(d) for d in data]
     n = len(data)

@@ -11,10 +11,12 @@ question is undecidable in the enumerable regime.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .classification import (
     CapExceededError,
+    ContextError,
     DEFAULT_COCYCLE_CAP,
     LazyCocycle,
     NotALazyCocycleError,
@@ -30,7 +32,8 @@ from .factorization import (
     recover_datum,
 )
 from .groups import BUILTIN_NAMES
-from .linalg import LinMap
+from .fields import FieldMismatchError
+from .linalg import DimensionError, LinMap
 from .reports import Report
 from .serialize import MalformedDocumentError, load, serialize
 from .special import (
@@ -210,7 +213,11 @@ def cmd_example(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The command parser, built once per process: parsing does not change
+    it, so in-process callers of :func:`main` share one.  Callers must not
+    change it either."""
     parser = argparse.ArgumentParser(
         prog="hopfprod",
         description="exact twisted products of finite-dimensional Hopf algebras",
@@ -264,8 +271,9 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(exc.message, file=sys.stderr)
         return exc.code
-    except ValueError as exc:
-        # incompatible shapes, mixed fields, mismatched contexts
+    except (DimensionError, FieldMismatchError, ContextError) as exc:
+        # well-formed documents that do not fit together: incompatible
+        # shapes, mixed fields, mismatched contexts
         print(str(exc), file=sys.stderr)
         return EXIT_MALFORMED
 

@@ -40,6 +40,8 @@ class Rationals:
         return hash("rational")
 
     def of(self, num, den=1):
+        if den == 1 and type(num) is int:
+            return num
         return _norm(Fraction(num, den))
 
     def add(self, a, b):

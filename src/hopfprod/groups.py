@@ -124,16 +124,21 @@ class GroupTable:
                         )
 
     def closure_of(self, gens) -> set[int]:
+        """The subgroup generated by ``gens``: the closure of the identity
+        and ``gens`` under right multiplication by each generator (a finite
+        sub-semigroup of a group is a subgroup)."""
+        gens = list(gens)
         seen = {self.identity, *gens}
         frontier = list(seen)
         while frontier:
             new = []
             for x in frontier:
-                for y in list(seen):
-                    for z in (self.table[x][y], self.table[y][x]):
-                        if z not in seen:
-                            seen.add(z)
-                            new.append(z)
+                row = self.table[x]
+                for g in gens:
+                    z = row[g]
+                    if z not in seen:
+                        seen.add(z)
+                        new.append(z)
             frontier = new
         return seen
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product as iproduct
 
-from .classification import LazyCocycle, _deformation_evaluators, deform_datum
+from .classification import ContextError, LazyCocycle, _deformation_evaluators, deform_datum
 from .fields import same_field
 from .linalg import LinMap, vec_scale
 from .reports import Report
@@ -218,9 +218,9 @@ def deform_matched_pair(mp: MatchedPair, u: LazyCocycle) -> ExtendingDatum:
     """
     a, h = mp.a, mp.h
     if not isinstance(a, FDHopf):
-        raise ValueError("deformation needs an antipode on the base")
+        raise ContextError("deformation needs an antipode on the base")
     if u.base != a or u.ext != h.unit_coalgebra():
-        raise ValueError("cocycle context does not match the matched pair")
+        raise ContextError("cocycle context does not match the matched pair")
     d = matched_pair_datum(mp)
     kills = Report()
     if not _scan_ract_kills(kills, d, u):
@@ -256,11 +256,11 @@ def check_bicrossed_equivalence(mp: MatchedPair, mp2: MatchedPair,
     """
     a, h = mp.a, mp.h
     if mp2.a != a or mp2.h != h:
-        raise ValueError("matched pairs must share both Hopf algebras")
+        raise ContextError("matched pairs must share both Hopf algebras")
     if not isinstance(a, FDHopf) or not isinstance(h, FDHopf):
-        raise ValueError("bicrossed equivalence needs Hopf algebras on both sides")
+        raise ContextError("bicrossed equivalence needs Hopf algebras on both sides")
     if u.base != a or u.ext != h.unit_coalgebra():
-        raise ValueError("cocycle context does not match the matched pairs")
+        raise ContextError("cocycle context does not match the matched pairs")
     rep = Report("bicrossed equivalence")
 
     if mp2.ract != mp.ract:

@@ -42,6 +42,7 @@ from .structures import (
     is_coalgebra_antimap,
     is_coalgebra_map,
     tensor_coalgebra,
+    _add_term,
     _coalgebra_map_halves,
     _counits,
     _ground_coalgebra,
@@ -206,6 +207,43 @@ def validate_datum(d: ExtendingDatum) -> Report:
     return rep
 
 
+def _prefix_tree(expansion) -> dict:
+    """An n-fold coproduct expansion [((i_1, ..., i_n), c), ...] as nested
+    dicts keyed by i_1, then i_2, ..., with the coefficient c at the leaf."""
+    root: dict = {}
+    for idx, c in expansion:
+        node = root
+        for k in idx[:-1]:
+            node = node.setdefault(k, {})
+        node[idx[-1]] = c
+    return root
+
+
+def _collapse(field, ops, left, right) -> list:
+    """sum c d op_1(l_1, r_1) (x) ... (x) op_n(l_n, r_n) over the terms
+    ((l_1, ..., l_n), c) of the expansion ``left`` and ((r_1, ..., r_n), d)
+    of ``right``, as a list of ((x_1, ..., x_n), coeff) over basis indices
+    with zeros dropped.  Terms are grouped by their leading indices, so each
+    op_k is evaluated once per distinct prefix pair and a zero leg prunes
+    every term below it."""
+    mul = field.mul
+    last = len(ops) - 1
+    acc: dict = {}
+
+    def walk(k, lnode, rnode, key, c):
+        op = ops[k]
+        for li, lsub in lnode.items():
+            for ri, rsub in rnode.items():
+                for x, cx in op(li, ri).items():
+                    if k == last:
+                        _add_term(field, acc, key + (x,), mul(mul(c, cx), mul(lsub, rsub)))
+                    else:
+                        walk(k + 1, lsub, rsub, key + (x,), mul(c, cx))
+
+    walk(0, _prefix_tree(left), _prefix_tree(right), (), field.one)
+    return list(acc.items())
+
+
 def _condition_evaluators(d: ExtendingDatum) -> dict:
     """The nine compatibility identities of d as pointwise evaluators, in
     report order: name -> (index ranges, holds(*indices), witness label).
@@ -237,35 +275,51 @@ def _condition_evaluators(d: ExtendingDatum) -> dict:
         return lhs == rhs
 
     def h_leg(act, twist, jc, jr, jl):
-        """twist(g . i, j) = sum (g <| act(i1, j1)) . twist(i2, j2)"""
+        """twist(g . i, j) = sum (g <| act(i1, j1)) . twist(i2, j2)
+
+        The sum over the coproducts of i and j is collapsed once per (i, j)
+        into basis terms c (x, z), then read for every g as (g <| x) . z."""
+        legs: dict = {}
+
         def holds(g, i, j):
-            lhs = twist(ops.dot(g, i), j)
+            terms = legs.get((i, j))
+            if terms is None:
+                terms = legs[i, j] = _collapse(field, (act, twist), hc.expand(i, 2),
+                                               jc.expand(j, 2))
             rhs: dict = {}
-            for (i1, i2), ci in hc.expand(i, 2):
-                for (j1, j2), cj in jc.expand(j, 2):
-                    term = ops.dot(ops.ract(g, act(i1, j1)), twist(i2, j2))
-                    vec_add_into(field, rhs, term, mul2(ci, cj))
-            return lhs == rhs
+            for (x, z), c in terms:
+                vec_add_into(field, rhs, ops.dot(ops.ract(g, x), z), c)
+            return twist(ops.dot(g, i), j) == rhs
         return (hr, hr, jr), holds, _tuple_label(hl, hl, jl)
 
     def a_leg(act, twist, jc, jr, jl):
         """sum (g1 |> act(i1, j1)) f(g2 <| act(i2, j2), twist(i3, j3))
-        = sum f(g1, i1) act(g2 . i2, j)"""
+        = sum f(g1, i1) act(g2 . i2, j)
+
+        The left sum over the coproducts of i and j is collapsed once per
+        (i, j) into basis terms c (x, y, z), read for every g as
+        (g1 |> x) f(g2 <| y, z).  The right sum over those of g and i is
+        collapsed into terms c (x, w), read as x act(w, j); j runs innermost,
+        so only the last (g, i) is kept."""
+        legs: dict = {}
+        right: list = [None, None]
+
         def holds(g, i, j):
+            terms = legs.get((i, j))
+            if terms is None:
+                terms = legs[i, j] = _collapse(field, (act, act, twist), hc.expand(i, 3),
+                                               jc.expand(j, 3))
+            if right[0] != (g, i):
+                right[:] = (g, i), _collapse(field, (ops.coc, ops.dot), hc.expand(g, 2),
+                                             hc.expand(i, 2))
             lhs: dict = {}
             for (g1, g2), cg in hc.expand(g, 2):
-                for (i1, i2, i3), ci in hc.expand(i, 3):
-                    for (j1, j2, j3), cj in jc.expand(j, 3):
-                        term = ops.amul(
-                            ops.lact(g1, act(i1, j1)),
-                            ops.coc(ops.ract(g2, act(i2, j2)), twist(i3, j3)),
-                        )
-                        vec_add_into(field, lhs, term, mul2(cg, mul2(ci, cj)))
+                for (x, y, z), c in terms:
+                    term = ops.amul(ops.lact(g1, x), ops.coc(ops.ract(g2, y), z))
+                    vec_add_into(field, lhs, term, mul2(cg, c))
             rhs: dict = {}
-            for (g1, g2), cg in hc.expand(g, 2):
-                for (i1, i2), ci in hc.expand(i, 2):
-                    term = ops.amul(ops.coc(g1, i1), act(ops.dot(g2, i2), j))
-                    vec_add_into(field, rhs, term, mul2(cg, ci))
+            for (x, w), c in right[1]:
+                vec_add_into(field, rhs, ops.amul(x, act(w, j)), c)
             return lhs == rhs
         return (hr, hr, jr), holds, _tuple_label(hl, hl, jl)
 

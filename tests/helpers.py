@@ -180,6 +180,50 @@ def trivial_datum(a: FDBialgebra, h: FDBialgebra) -> hp.ExtendingDatum:
     return hp.matched_pair_datum(hp.trivial_matched_pair(a, h))
 
 
+def drinfeld_double(group, field=QQ) -> FDBialgebra:
+    """The Drinfeld double D(k[G]) from its textbook presentation (Kassel,
+    *Quantum Groups*, IX.4), on the basis e(x, g) = p_x (x) g, index x n + g:
+
+    * e(x, g) e(y, h) = [x = g y g^-1] e(x, gh), with unit sum_x e(x, 1);
+    * delta e(x, g) = sum_{yz = x} e(y, g) (x) e(z, g), counit [x = 1].
+
+    It is not cocommutative unless G is abelian."""
+    n, t, inv, one = group.order, group.table, group.inverse, field.one
+    space = hp.BasedSpace(tuple(f"e({x},{y})" for x in group.labels for y in group.labels))
+    mult, delta = {}, {}
+    for x, s in iproduct(range(n), repeat=2):
+        for y, r in iproduct(range(n), repeat=2):
+            if x == t[t[s][y]][inv[s]]:
+                mult[(x * n + s) * n * n + y * n + r] = {x * n + t[s][r]: one}
+        delta[x * n + s] = {(y * n + s) * n * n + z * n + s: one
+                            for y, z in iproduct(range(n), repeat=2) if t[y][z] == x}
+    square = tensor_space(space, space)
+    epsilon = LinMap(field, space, SCALAR_SPACE,
+                     {group.identity * n + s: {0: one} for s in range(n)})
+    unit = {x * n + group.identity: one for x in range(n)}
+    return FDBialgebra(FDCoalgebra(field, space, LinMap(field, space, square, delta), epsilon),
+                       FDAlgebra(field, space, LinMap(field, square, space, mult), unit))
+
+
+def drinfeld_double_factors(group, field=QQ):
+    """D(k[G]) with the inclusions of A = k[G], g -> sum_x e(x, g), and of
+    H = k^G, p_x -> e(x, 1), the two factors it is the product of."""
+    double = drinfeld_double(group, field)
+    n, one = group.order, field.one
+    incl_a = LinMap(field, hp.BasedSpace(group.labels), double.space,
+                    {s: {x * n + s: one for x in range(n)} for s in range(n)})
+    incl_h = LinMap(field, hp.BasedSpace(tuple(f"p{x}" for x in group.labels)), double.space,
+                    {x: {x * n + group.identity: one} for x in range(n)})
+    return double, incl_a, incl_h
+
+
+def drinfeld_double_datum(group_name: str, field=QQ) -> ExtendingDatum:
+    """The extending datum recovered from D(k[G]) through k[G] and k^G."""
+    fi = hp.FactorizationInput.build(*drinfeld_double_factors(hp.builtin_group(group_name),
+                                                              field))
+    return hopfprod.factorization.recover_datum(fi)
+
+
 def pair_bijection_is_isomorphism(ges: GroupExtendingStructure) -> bool:
     """Does (a, x) -> a * x carry the twisted product onto the ambient group?"""
     ambient = ges.ambient
@@ -609,6 +653,65 @@ def antipode_solve_two_systems(b: FDBialgebra) -> LinMap:
     if convolution(ident, s, b.coalgebra, b.algebra) != target:
         raise NoAntipodeError("right")
     return s
+
+
+# ---------------------------------------------------------------------------
+# the four associativity rows of the nine conditions, summed term by term
+# over the full coproduct expansion of every tuple
+
+
+LEG_ROWS = ("twisted-associativity", "ract-dot-compat", "twisted-module", "cocycle-condition")
+
+
+def leg_rows_direct(d: ExtendingDatum) -> dict:
+    """name -> holds(g, i, j) for the rows of :data:`LEG_ROWS`, expanding
+    Delta(g) (x) Delta^2(i) (x) Delta^2(j) afresh for every tuple; the
+    engine collapses the sums that do not depend on g."""
+    field = d.field
+    a, h = d.base, d.ext
+    ops = _Ops(d)
+    hc, ac = h.coalg, a.coalgebra
+    mul2 = field.mul
+
+    def h_leg(act, twist, jc):
+        """twist(g . i, j) = sum (g <| act(i1, j1)) . twist(i2, j2)"""
+        def holds(g, i, j):
+            lhs = twist(ops.dot(g, i), j)
+            rhs: dict = {}
+            for (i1, i2), ci in hc.expand(i, 2):
+                for (j1, j2), cj in jc.expand(j, 2):
+                    term = ops.dot(ops.ract(g, act(i1, j1)), twist(i2, j2))
+                    vec_add_into(field, rhs, term, mul2(ci, cj))
+            return lhs == rhs
+        return holds
+
+    def a_leg(act, twist, jc):
+        """sum (g1 |> act(i1, j1)) f(g2 <| act(i2, j2), twist(i3, j3))
+        = sum f(g1, i1) act(g2 . i2, j)"""
+        def holds(g, i, j):
+            lhs: dict = {}
+            for (g1, g2), cg in hc.expand(g, 2):
+                for (i1, i2, i3), ci in hc.expand(i, 3):
+                    for (j1, j2, j3), cj in jc.expand(j, 3):
+                        term = ops.amul(
+                            ops.lact(g1, act(i1, j1)),
+                            ops.coc(ops.ract(g2, act(i2, j2)), twist(i3, j3)),
+                        )
+                        vec_add_into(field, lhs, term, mul2(cg, mul2(ci, cj)))
+            rhs: dict = {}
+            for (g1, g2), cg in hc.expand(g, 2):
+                for (i1, i2), ci in hc.expand(i, 2):
+                    term = ops.amul(ops.coc(g1, i1), act(ops.dot(g2, i2), j))
+                    vec_add_into(field, rhs, term, mul2(cg, ci))
+            return lhs == rhs
+        return holds
+
+    return {
+        "twisted-associativity": h_leg(ops.coc, ops.dot, hc),
+        "ract-dot-compat": h_leg(ops.lact, ops.ract, ac),
+        "twisted-module": a_leg(ops.lact, ops.ract, ac),
+        "cocycle-condition": a_leg(ops.coc, ops.dot, hc),
+    }
 
 
 # ---------------------------------------------------------------------------

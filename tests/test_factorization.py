@@ -1,6 +1,8 @@
+import time
+
 import pytest
 
-from helpers import recover_datum_composed, trivial_datum
+from helpers import drinfeld_double_factors, recover_datum_composed, trivial_datum
 from hopfprod.cli import main
 from hopfprod.corpus import a4_unified_datum, s3_matched_pair
 from hopfprod.factorization import (
@@ -29,8 +31,10 @@ from hopfprod.structures import (
     FDHopf,
     antipode_solve,
     attach_antipode,
+    check_bialgebra,
     is_algebra_map,
     is_coalgebra_map,
+    trivial_cocycle,
 )
 from hopfprod.unified import (
     CONDITION_NAMES,
@@ -349,3 +353,27 @@ def test_factorization_with_a_unit_off_the_basis(field, tmp_path, capsys):
     assert paths["datum"].read_bytes() == serialize(d)
     assert main(["build", str(paths["datum"]), "--out", str(paths["built"])]) == 0
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["QQ", "GF5"])
+def test_drinfeld_double_of_s3_factorizes_through_its_two_halves(field):
+    """D(k[S3]) (dim 36, not cocommutative) factorizes through A = k[S3] and
+    H = k^S3; the recovered datum has a trivial cocycle and passes the
+    normalizations and the nine conditions, which take well under a
+    second."""
+    s3 = builtin_group("s3")
+    double, incl_a, incl_h = drinfeld_double_factors(s3, field)
+    assert check_bialgebra(double).ok
+    fi = FactorizationInput.build(double, incl_a, incl_h)
+    ga = group_algebra(s3, field)
+    assert (fi.base.mult, fi.base.delta) == (ga.mult, ga.delta)
+    hc = fi.ext.coalg
+    assert any(sorted(hc.expand(i, 2)) != sorted(((j, k), c) for (k, j), c in hc.expand(i, 2))
+               for i in range(hc.dim)), "k^S3 should not be cocommutative"
+    d = recover_datum(fi)
+    assert d.cocycle == trivial_cocycle(field, hc, d.base.unit, d.base.space)
+    assert validate_datum(d).ok
+    start = time.perf_counter()
+    rep = check_product_conditions(d)
+    assert rep.ok, rep.first_failure()
+    assert time.perf_counter() - start < 1

@@ -111,6 +111,10 @@ def assert_normal(x, want: Fraction):
 def test_rationals_of_is_normal(num, den):
     assert_normal(QQ.of(num, den), Fraction(num, den))
     assert_normal(QQ.of(num), Fraction(num))
+    # an integral record is returned as it is, with no Fraction built
+    assert QQ.of(num) is num and QQ.of(num, 1) is num
+    assert_normal(QQ.of(Fraction(num, den)), Fraction(num, den))
+    assert_normal(QQ.of(num * den, den), Fraction(num))
 
 
 @PROPERTY

@@ -4,6 +4,7 @@ from helpers import pair_bijection_is_isomorphism
 from hopfprod.corpus import a4_order2_ges, s3_c3_ges, z4_c2_ges
 from hopfprod.fields import QQ, PrimeField
 from hopfprod.groups import (
+    BUILTIN_NAMES,
     GroupExtendingStructure,
     GroupTable,
     NotAGroupError,
@@ -253,3 +254,25 @@ def test_grouplike_coalgebra_basics():
     six = grouplike_coalgebra(tuple("abcdef"))
     assert six.dim == 6 and check_coalgebra(six.coalg).ok
     assert six.unit == {0: QQ.one}
+
+
+def test_closure_of_matches_a_brute_force_closure():
+    """closure_of on every pair of elements of every builtin group of order
+    at most 24 is the least set holding the identity and the pair that is
+    closed under products and inverses."""
+    def brute_force(g, gens):
+        seen = {g.identity, *gens}
+        while True:
+            more = {g.table[x][y] for x in seen for y in seen} | {g.inverse[x] for x in seen}
+            if more <= seen:
+                return seen
+            seen |= more
+
+    groups = [builtin_group(name) for name in BUILTIN_NAMES]
+    groups = [g for g in groups if g.order <= 24]
+    assert max(g.order for g in groups) == 24
+    for g in groups:
+        for x in range(g.order):
+            for y in range(g.order):
+                assert g.closure_of([x, y]) == brute_force(g, [x, y]), (g.labels[x], g.labels[y])
+        assert g.closure_of([]) == {g.identity}

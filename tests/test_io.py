@@ -517,6 +517,60 @@ def test_cli_incompatible_data_exit_two(tmp_path, capsys):
     assert "share" in err
 
 
+def test_cli_datum_without_an_antipode_on_the_base_exits_two(tmp_path, capsys):
+    # a lazy cocycle over Sweedler's H4 acting on itself, whose base carries
+    # no antipode: equivalence needs one, so the data do not fit the command
+    from hopfprod.structures import convolution_unit
+
+    d = h4_trivial_datum()
+    pd, pc = tmp_path / "d.json", tmp_path / "u.json"
+    pd.write_bytes(serialize(d))
+    pc.write_bytes(serialize(convolution_unit(d.ext.coalg, d.base.algebra)))
+    code, out, err = run_cli(capsys, "equiv", str(pd), str(pd), "--cocycle", str(pc))
+    assert (code, out, err) == (2, "", "equivalence checking needs a Hopf base\n")
+
+
+def test_cli_mixed_fields_exit_two(tmp_path, capsys):
+    # each document is well formed, but they live over different fields
+    ph, pa = tmp_path / "h.json", tmp_path / "a.json"
+    ph.write_bytes(serialize(grouplike_coalgebra(("p", "q"))))
+    pa.write_bytes(serialize(group_algebra(builtin_group("c2"), PrimeField(5))))
+    code, out, err = run_cli(capsys, "enum-cocycles", str(ph), str(pa))
+    assert (code, out) == (2, "")
+    assert err.startswith("mixed ground fields")
+
+
+def test_cli_cocycle_of_the_wrong_shape_exits_two(tmp_path, capsys):
+    d = a4_unified_datum()
+    pd, pc = tmp_path / "d.json", tmp_path / "u.json"
+    pd.write_bytes(serialize(d))
+    pc.write_bytes(serialize(LinMap.identity(QQ, d.base.space)))
+    code, out, err = run_cli(capsys, "equiv", str(pd), str(pd), "--cocycle", str(pc))
+    assert (code, out, err) == (2, "", "cocycle shape does not match H -> A\n")
+
+
+def test_cli_does_not_report_an_engine_error_as_malformed_input(tmp_path, capsys,
+                                                                 monkeypatch):
+    def broken(d):
+        raise ValueError("engine bug")
+
+    monkeypatch.setattr(hopfprod.cli, "check_product_conditions", broken)
+    src = tmp_path / "d.json"
+    src.write_bytes(serialize(a4_unified_datum()))
+    with pytest.raises(ValueError, match="engine bug"):
+        main(["verify", str(src)])
+
+
+def test_cli_parser_is_built_once_and_keeps_no_state(tmp_path, capsys):
+    assert hopfprod.cli.make_parser() is hopfprod.cli.make_parser()
+    src, out = tmp_path / "d.json", tmp_path / "p.json"
+    src.write_bytes(serialize(s3_matched_pair()))
+    assert run_cli(capsys, "build", str(src), "--out", str(out)) == (0, "", "")
+    # a later call without --out writes to stdout: no option carries over
+    code, stdout, _ = run_cli(capsys, "build", str(src))
+    assert code == 0 and stdout.encode() == out.read_bytes()
+
+
 def test_cli_build_checks_each_datum_once(tmp_path, capsys, monkeypatch):
     calls = {"validate_datum": 0, "check_product_conditions": 0}
     for name in calls:

@@ -1,14 +1,18 @@
 import dataclasses
 import random
+from itertools import product as iproduct
 
 import pytest
 
 from helpers import (
+    LEG_ROWS,
     assert_mixed_relations,
     check_mixed_relations_on_every_build,
+    drinfeld_double_datum,
     h4_datum_with_bad_lact,
     h4_datum_with_c2_cocycle,
     h4_trivial_datum,
+    leg_rows_direct,
     one_entry_corruptions,
     oracle_is_coalgebra_map,
     product_projections,
@@ -18,6 +22,7 @@ from helpers import (
     tensor_map,
     tensor_product_oracle,
     trivial_datum,
+    with_column,
 )
 import hopfprod.structures
 from hopfprod.corpus import (
@@ -37,6 +42,7 @@ from hopfprod.groups import (
 )
 from hopfprod.linalg import LinMap, basis_vec, compose, tensor_vec
 from hopfprod.reports import Report
+from hopfprod.serialize import serialize
 from hopfprod.special import (
     CrossedDatum,
     MatchedPair,
@@ -342,3 +348,70 @@ def test_coalgebra_map_rows_match_the_composed_oracle():
                 assert rows(check(obj2), {row[0] for row in want}) == want
                 verdicts += [row[1] for row in want]
     assert verdicts.count(False) > 100 and verdicts.count(True) > 100
+
+
+def leg_test_data():
+    """(datum, corruptions per map) for data with multi-term coproducts on H,
+    on A or on neither: the doubles D(k[C2]) and D(k[C3]), H4 (x) H4 over
+    QQ, GF(5) and in the scaled QQ basis, H4 over k[C2] with a nontrivial
+    cocycle and with a nontrivial left action too, and the corpus data.
+    The oracle expands 243 terms per tuple of D(k[C3]), so that double gets
+    fewer corruptions."""
+    f5 = PrimeField(5)
+    return [(drinfeld_double_datum("c2", QQ), 4), (drinfeld_double_datum("c2", f5), 4),
+            (drinfeld_double_datum("c3", QQ), 1), (drinfeld_double_datum("c3", f5), 1),
+            (h4_trivial_datum(QQ), 4), (h4_trivial_datum(f5), 4),
+            (scaled_h4_trivial_datum(), 4),
+            (h4_datum_with_c2_cocycle(QQ), 4), (h4_datum_with_c2_cocycle(f5), 4),
+            (twisted_h4_datum(QQ), 4), (twisted_h4_datum(f5), 4),
+            (a4_unified_datum(), 4), (matched_pair_datum(s3_matched_pair()), 4),
+            (crossed_datum(z4_crossed_datum()), 4)]
+
+
+def twisted_h4_datum(field):
+    """:func:`h4_datum_with_c2_cocycle` with x |> 1 = s as well: a cocycle
+    and a left action that are both nontrivial on the non-cocommutative H4,
+    so that the order of the legs of Delta(g) shows in twisted-module and
+    cocycle-condition."""
+    d = h4_datum_with_c2_cocycle(field)
+    return dataclasses.replace(d, lact=with_column(d.lact, 2 * 2 + 0, {1: field.one}))
+
+
+def with_corruptions(d, rng, per_map):
+    """d, then up to ``per_map`` seeded one-entry corruptions of each of its
+    four structure maps."""
+    yield d
+    for name in MAP_SHAPES:
+        variants = list(one_entry_corruptions(getattr(d, name)))
+        for m in rng.sample(variants, min(per_map, len(variants))):
+            yield dataclasses.replace(d, **{name: m})
+
+
+def test_collapsed_leg_rows_agree_with_the_expanded_oracle_on_every_tuple():
+    """Each of the four associativity rows gives the verdict of
+    :func:`leg_rows_direct` on every tuple, in scan order and in a shuffled
+    order that revisits the collapsed sums out of turn."""
+    rng = random.Random(18)
+    verdicts = []
+    for d, per_map in leg_test_data():
+        for d2 in with_corruptions(d, rng, per_map):
+            direct = leg_rows_direct(d2)
+            for name in LEG_ROWS:
+                ranges, holds, _ = _condition_evaluators(d2)[name]
+                tuples = list(iproduct(*ranges))
+                want = {t: direct[name](*t) for t in tuples}
+                assert [holds(*t) for t in tuples] == [want[t] for t in tuples], name
+                rng.shuffle(tuples)
+                holds = _condition_evaluators(d2)[name][1]
+                assert [holds(*t) for t in tuples] == [want[t] for t in tuples], name
+                verdicts += want.values()
+    assert verdicts.count(False) > 1000 and verdicts.count(True) > 1000
+
+
+def test_two_condition_checks_on_one_datum_give_equal_reports():
+    rng = random.Random(5)
+    for d, _ in leg_test_data():
+        for d2 in with_corruptions(d, rng, 1):
+            first, second = check_product_conditions(d2), check_product_conditions(d2)
+            assert first.items == second.items
+            assert serialize(first) == serialize(second)
