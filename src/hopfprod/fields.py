@@ -44,8 +44,12 @@ class Rationals:
             return num
         return _norm(Fraction(num, den))
 
+    # add and mul inline _norm: they are the hot path of every evaluator
     def add(self, a, b):
-        return _norm(a + b)
+        x = a + b
+        if type(x) is int or x.denominator != 1:
+            return x
+        return x.numerator
 
     def sub(self, a, b):
         return _norm(a - b)
@@ -54,7 +58,10 @@ class Rationals:
         return -a
 
     def mul(self, a, b):
-        return _norm(a * b)
+        x = a * b
+        if type(x) is int or x.denominator != 1:
+            return x
+        return x.numerator
 
     def inv(self, a):
         if a == 0:
@@ -105,6 +112,8 @@ class PrimeField:
             raise ValueError(f"modulus {p} is not prime")
         self.p = p
         self.name = f"mod {p}"
+        self.zero = 0
+        self.one = 1
 
     def __repr__(self):
         return f"GF({self.p})"
@@ -114,14 +123,6 @@ class PrimeField:
 
     def __hash__(self):
         return hash(("mod", self.p))
-
-    @property
-    def zero(self):
-        return 0
-
-    @property
-    def one(self):
-        return 1
 
     def of(self, num, den=1):
         return num * pow(den, -1, self.p) % self.p if den != 1 else num % self.p

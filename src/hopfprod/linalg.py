@@ -9,10 +9,12 @@ convention is normative for file I/O as well.
 
 Bilinear maps are linear maps out of a tensor-product domain.
 :meth:`LinMap.bilin` is the one evaluator for them: each argument is a basis
-index or a sparse vector, a pair of indices reads the stored column without
-field arithmetic, and any other pair is expanded bilinearly in one loop,
-with no intermediate tensor vector.  :func:`tensor_apply` likewise applies
-``f (x) g`` to one vector without building the map ``f (x) g``.
+index or a sparse vector.  A one-term vector counts as its index with a
+coefficient, so a pair of indices or one-term vectors reads one stored
+column, scaled only when the product of the coefficients is not one; any
+other pair is expanded bilinearly in one loop, with no intermediate tensor
+vector.  :func:`tensor_apply` likewise applies ``f (x) g`` to one vector
+without building the map ``f (x) g``.
 """
 from __future__ import annotations
 
@@ -153,13 +155,33 @@ class LinMap:
     def bilin(self, v, w, right_dim: int) -> dict:
         """Apply to v (x) w, where the domain splits as left (x) right.
 
-        Each argument is a basis index or a sparse vector.  Two indices give
-        the stored column; otherwise every pair of terms adds its scaled
-        column to the result, a basis index counting with coefficient one.
+        Each argument is a basis index or a sparse vector.  A one-term
+        vector {k: c} counts as the index k with coefficient c, so two such
+        arguments give one stored column, scaled by the product of their
+        coefficients unless it is one; a scaled entry is zero only when a
+        coefficient is.  Otherwise every pair of terms adds its scaled column
+        to the result, a basis index counting with coefficient one.
         """
+        c = None
+        if not isinstance(v, int):
+            if len(v) != 1:
+                return self._bilin_terms(v, w, right_dim)
+            (v, c), = v.items()
+        if not isinstance(w, int):
+            if len(w) != 1:
+                return self._bilin_terms(v if c is None else {v: c}, w, right_dim)
+            (w, y), = w.items()
+            c = y if c is None else self.field.mul(c, y)
+        col = self.cols.get(v * right_dim + w, ())
+        if c is None or c == self.field.one:
+            return dict(col)
+        # a field product is reduced, so it is falsy exactly when it is zero
+        mul = self.field.mul
+        return {k: z for k, m in col if (z := mul(c, m))}
+
+    def _bilin_terms(self, v, w, right_dim: int) -> dict:
+        """:meth:`bilin` summed pair of terms by pair of terms."""
         cols = self.cols
-        if isinstance(v, int) and isinstance(w, int):
-            return dict(cols.get(v * right_dim + w, ()))
         f = self.field
         left = ((v, None),) if isinstance(v, int) else v.items()
         right = ((w, None),) if isinstance(w, int) else tuple(w.items())

@@ -127,31 +127,25 @@ class ExtendingDatum:
 
 class _Ops:
     """Pointwise evaluators for the structure maps of a datum.  Each argument
-    is a basis index or a sparse vector, as :meth:`LinMap.bilin` takes it."""
+    is a basis index or a sparse vector, as :meth:`LinMap.bilin` takes it.
+    The ``bilin`` of each map, and of the multiplication of A, is bound once
+    per datum, so each evaluation is one call into it."""
 
     def __init__(self, d: ExtendingDatum):
-        self.d = d
-        self.field = d.field
-        self.adim = d.base.dim
-        self.hdim = d.ext.dim
+        adim, hdim = self.adim, self.hdim = d.base.dim, d.ext.dim
+        ract, lact, coc, dot = d.ract.bilin, d.lact.bilin, d.cocycle.bilin, d.dot.bilin
+        mul = d.base.mult.bilin
+        self.ract = lambda hv, av: ract(hv, av, adim)
+        self.lact = lambda hv, av: lact(hv, av, adim)
+        self.coc = lambda hv, gv: coc(hv, gv, hdim)
+        self.dot = lambda hv, gv: dot(hv, gv, hdim)
 
-    def ract(self, hv, av):
-        return self.d.ract.bilin(hv, av, self.adim)
-
-    def lact(self, hv, av):
-        return self.d.lact.bilin(hv, av, self.adim)
-
-    def coc(self, hv, gv):
-        return self.d.cocycle.bilin(hv, gv, self.hdim)
-
-    def dot(self, hv, gv):
-        return self.d.dot.bilin(hv, gv, self.hdim)
-
-    def amul(self, *vs):
-        out = vs[0]
-        for v in vs[1:]:
-            out = self.d.base.mul(out, v)
-        return out
+        def amul(*vs):
+            out = vs[0]
+            for v in vs[1:]:
+                out = mul(out, v, adim)
+            return out
+        self.amul = amul
 
 
 def _coalgebra_map_rows(rep: Report, hc, ac, **maps) -> None:
@@ -207,6 +201,24 @@ def validate_datum(d: ExtendingDatum) -> Report:
     return rep
 
 
+class _Memo(dict):
+    """A dict that fills a missing key k with ``fn(*k)`` on its first lookup.
+
+    The evaluators of one check keep their memos in these, keyed by basis
+    indices, so each distinct value is computed once per check; callers
+    read the stored vectors and never change them."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(*key)
+        return value
+
+
 def _prefix_tree(expansion) -> dict:
     """An n-fold coproduct expansion [((i_1, ..., i_n), c), ...] as nested
     dicts keyed by i_1, then i_2, ..., with the coefficient c at the leaf."""
@@ -219,13 +231,20 @@ def _prefix_tree(expansion) -> dict:
     return root
 
 
+def _prefix_trees(c) -> _Memo:
+    """(i, n) -> the :func:`_prefix_tree` of the n-fold expansion of e_i in
+    the coalgebra c, each built on first use."""
+    return _Memo(lambda i, n: _prefix_tree(c.expand(i, n)))
+
+
 def _collapse(field, ops, left, right) -> list:
     """sum c d op_1(l_1, r_1) (x) ... (x) op_n(l_n, r_n) over the terms
-    ((l_1, ..., l_n), c) of the expansion ``left`` and ((r_1, ..., r_n), d)
-    of ``right``, as a list of ((x_1, ..., x_n), coeff) over basis indices
-    with zeros dropped.  Terms are grouped by their leading indices, so each
-    op_k is evaluated once per distinct prefix pair and a zero leg prunes
-    every term below it."""
+    ((l_1, ..., l_n), c) of the expansion whose :func:`_prefix_tree` is
+    ``left`` and ((r_1, ..., r_n), d) of the one whose tree is ``right``, as
+    a list of ((x_1, ..., x_n), coeff) over basis indices with zeros
+    dropped.  Terms are grouped by their leading indices, so each op_k is
+    evaluated once per distinct prefix pair and a zero leg prunes every term
+    below it."""
     mul = field.mul
     last = len(ops) - 1
     acc: dict = {}
@@ -240,7 +259,7 @@ def _collapse(field, ops, left, right) -> list:
                     else:
                         walk(k + 1, lsub, rsub, key + (x,), mul(c, cx))
 
-    walk(0, _prefix_tree(left), _prefix_tree(right), (), field.one)
+    walk(0, left, right, (), field.one)
     return list(acc.items())
 
 
@@ -251,22 +270,29 @@ def _condition_evaluators(d: ExtendingDatum) -> dict:
     Associativity of the product, read on its H leg and on its A leg, gives
     ``h_leg`` and ``a_leg``, each used twice: with ``(act, twist)`` = (f, .)
     and j in H, and with (|>, <|) and j in A.  ``flip`` gives the symmetry
-    conditions with (left, right) = (., f) and (<|, |>)."""
+    conditions with (left, right) = (., f) and (<|, |>).
+
+    Values that recur across tuples are memoized on basis keys for the life
+    of the table.  Both uses of a leg share g . i and (g <| x) . z for
+    ``h_leg``, and the left summand sum (g1 |> x) f(g2 <| y, z) and the
+    collapsed right sum over the coproducts of g and i for ``a_leg``; each
+    use of ``a_leg`` keeps its own products x act(w, j)."""
     field = d.field
     a, h = d.base, d.ext
     ops = _Ops(d)
     hc, ac = h.coalg, a.coalgebra
     hl, al = h.space.labels, a.space.labels
     hr, ar = range(h.dim), range(a.dim)
-    on_h, on_a = (hc, hr, hl), (ac, ar, al)  # the coalgebra, range and labels of j
+    htree, atree = _prefix_trees(hc), _prefix_trees(ac)
+    on_h, on_a = (htree, hr, hl), (atree, ar, al)  # the prefix trees, range and labels of j
     mul2 = field.mul
     comult, counit = _coalgebra_map_halves(d.dot, hc, hc, hc)
 
     def right_module(g, i, j):
-        return ops.ract(ops.ract(g, i), j) == ops.ract(g, a.mul(i, j))
+        return ops.ract(ops.ract(g, i), j) == ops.ract(g, ops.amul(i, j))
 
     def lact_multiplicative(g, i, j):
-        lhs = ops.lact(g, a.mul(i, j))
+        lhs = ops.lact(g, ops.amul(i, j))
         rhs: dict = {}
         for (g1, g2), cg in hc.expand(g, 2):
             for (i1, i2), ci in ac.expand(i, 2):
@@ -274,52 +300,53 @@ def _condition_evaluators(d: ExtendingDatum) -> dict:
                 vec_add_into(field, rhs, term, mul2(cg, ci))
         return lhs == rhs
 
-    def h_leg(act, twist, jc, jr, jl):
+    def a_left_summand(g, x, y, z):
+        """sum (g1 |> x) f(g2 <| y, z)"""
+        out: dict = {}
+        for (g1, g2), cg in hc.expand(g, 2):
+            vec_add_into(field, out, ops.amul(ops.lact(g1, x), ops.coc(ops.ract(g2, y), z)),
+                         cg)
+        return out
+
+    dots = _Memo(ops.dot)
+    h_right = _Memo(lambda g, x, z: ops.dot(ops.ract(g, x), z))
+    a_left = _Memo(a_left_summand)
+    a_right = _Memo(lambda g, i: _collapse(field, (ops.coc, ops.dot), htree[g, 2],
+                                           htree[i, 2]))
+
+    def h_leg(act, twist, jtree, jr, jl):
         """twist(g . i, j) = sum (g <| act(i1, j1)) . twist(i2, j2)
 
         The sum over the coproducts of i and j is collapsed once per (i, j)
         into basis terms c (x, z), then read for every g as (g <| x) . z."""
-        legs: dict = {}
+        legs = _Memo(lambda i, j: _collapse(field, (act, twist), htree[i, 2], jtree[j, 2]))
 
         def holds(g, i, j):
-            terms = legs.get((i, j))
-            if terms is None:
-                terms = legs[i, j] = _collapse(field, (act, twist), hc.expand(i, 2),
-                                               jc.expand(j, 2))
             rhs: dict = {}
-            for (x, z), c in terms:
-                vec_add_into(field, rhs, ops.dot(ops.ract(g, x), z), c)
-            return twist(ops.dot(g, i), j) == rhs
+            for (x, z), c in legs[i, j]:
+                vec_add_into(field, rhs, h_right[g, x, z], c)
+            return twist(dots[g, i], j) == rhs
         return (hr, hr, jr), holds, _tuple_label(hl, hl, jl)
 
-    def a_leg(act, twist, jc, jr, jl):
+    def a_leg(act, twist, jtree, jr, jl):
         """sum (g1 |> act(i1, j1)) f(g2 <| act(i2, j2), twist(i3, j3))
         = sum f(g1, i1) act(g2 . i2, j)
 
         The left sum over the coproducts of i and j is collapsed once per
         (i, j) into basis terms c (x, y, z), read for every g as
         (g1 |> x) f(g2 <| y, z).  The right sum over those of g and i is
-        collapsed into terms c (x, w), read as x act(w, j); j runs innermost,
-        so only the last (g, i) is kept."""
-        legs: dict = {}
-        right: list = [None, None]
+        collapsed into terms c (x, w), read as x act(w, j)."""
+        legs = _Memo(lambda i, j: _collapse(field, (act, act, twist), htree[i, 3],
+                                            jtree[j, 3]))
+        products = _Memo(lambda x, w, j: ops.amul(x, act(w, j)))
 
         def holds(g, i, j):
-            terms = legs.get((i, j))
-            if terms is None:
-                terms = legs[i, j] = _collapse(field, (act, act, twist), hc.expand(i, 3),
-                                               jc.expand(j, 3))
-            if right[0] != (g, i):
-                right[:] = (g, i), _collapse(field, (ops.coc, ops.dot), hc.expand(g, 2),
-                                             hc.expand(i, 2))
             lhs: dict = {}
-            for (g1, g2), cg in hc.expand(g, 2):
-                for (x, y, z), c in terms:
-                    term = ops.amul(ops.lact(g1, x), ops.coc(ops.ract(g2, y), z))
-                    vec_add_into(field, lhs, term, mul2(cg, c))
+            for (x, y, z), c in legs[i, j]:
+                vec_add_into(field, lhs, a_left[g, x, y, z], c)
             rhs: dict = {}
-            for (x, w), c in right[1]:
-                vec_add_into(field, rhs, ops.amul(x, act(w, j)), c)
+            for (x, w), c in a_right[g, i]:
+                vec_add_into(field, rhs, products[x, w, j], c)
             return lhs == rhs
         return (hr, hr, jr), holds, _tuple_label(hl, hl, jl)
 
@@ -347,8 +374,8 @@ def _condition_evaluators(d: ExtendingDatum) -> dict:
         "ract-dot-compat": h_leg(ops.lact, ops.ract, *on_a),
         "twisted-module": a_leg(ops.lact, ops.ract, *on_a),
         "cocycle-condition": a_leg(ops.coc, ops.dot, *on_h),
-        "action-symmetry": flip(ops.ract, ops.lact, *on_a),
-        "cocycle-symmetry": flip(ops.dot, ops.coc, *on_h),
+        "action-symmetry": flip(ops.ract, ops.lact, ac, ar, al),
+        "cocycle-symmetry": flip(ops.dot, ops.coc, hc, hr, hl),
     }
 
 
@@ -372,12 +399,12 @@ def assemble_product(d: ExtendingDatum) -> FDBialgebra:
     """Build the product carrier from the raw formulas, without any checks.
 
     The multiplication is the twisted formula, the coalgebra is the tensor
-    product of coalgebras, the unit is 1_A (x) 1_H.  The A-free factors
-    L = h1 |> c1, C = f(h2 <| c2, g1) and R = (h3 <| c3) . g2 are evaluated
-    once per (h, c, g); each column is then the sum of (a L) C (x) R, in that
-    order, so that a non-associative A is multiplied as the formula says.
-    Used by the checked builder and, directly, by the independent
-    axiom-verification tests.
+    product of coalgebras, the unit is 1_A (x) 1_H.  For each (h, c) the sum
+    of (h1 |> c1) (x) (h2 <| c2) (x) (h3 <| c3) is collapsed once into basis
+    terms k (l, y, z), and e_a l is formed once per a.  Each column is then
+    the sum of k (e_a l) f(y, g1) (x) z . g2, in that order, so that a
+    non-associative A is multiplied as the formula says.  Used by the checked
+    builder and, directly, by the independent axiom-verification tests.
     """
     field = d.field
     a, h = d.base, d.ext
@@ -386,23 +413,27 @@ def assemble_product(d: ExtendingDatum) -> FDBialgebra:
     na, nh = a.dim, h.dim
     space = tensor_space(a.space, h.space)
     mul = field.mul
+    atree = [_prefix_tree(ac.expand(ci, 3)) for ci in range(na)]
     cols = {}
-    for hi, ci, gi in iproduct(range(nh), range(na), range(nh)):
-        terms = []
-        for (h1, h2, h3), ch in hc.expand(hi, 3):
-            for (c1, c2, c3), cc in ac.expand(ci, 3):
-                for (g1, g2), cg in hc.expand(gi, 2):
-                    terms.append((ops.lact(h1, c1),
-                                  ops.coc(ops.ract(h2, c2), g1),
-                                  ops.dot(ops.ract(h3, c3), g2),
-                                  mul(ch, mul(cc, cg))))
-        for ai in range(na):
-            col: dict = {}
-            for left, coc, right, c in terms:
-                vec_add_into(field, col,
-                             tensor_vec(field, ops.amul(ai, left, coc), right, nh), c)
-            if col:
-                cols[(ai * nh + hi) * (na * nh) + (ci * nh + gi)] = col
+    for hi in range(nh):
+        htree = _prefix_tree(hc.expand(hi, 3))
+        for ci in range(na):
+            terms = _collapse(field, (ops.lact, ops.ract, ops.ract), htree, atree[ci])
+            left = [[ops.amul(ai, l) for (l, _, _), _ in terms] for ai in range(na)]
+            for gi in range(nh):
+                factors = []
+                for t, ((_, y, z), k) in enumerate(terms):
+                    for (g1, g2), cg in hc.expand(gi, 2):
+                        coc, right = ops.coc(y, g1), ops.dot(z, g2)
+                        if coc and right:
+                            factors.append((t, coc, right, mul(k, cg)))
+                for ai in range(na):
+                    col: dict = {}
+                    for t, coc, right, k in factors:
+                        vec_add_into(field, col, tensor_vec(
+                            field, ops.amul(left[ai][t], coc), right, nh), k)
+                    if col:
+                        cols[(ai * nh + hi) * (na * nh) + (ci * nh + gi)] = col
     mult = LinMap(field, tensor_space(space, space), space, cols)
     unit = tensor_vec(field, a.unit, h.unit, nh)
     coalg = tensor_coalgebra(a.coalgebra, h.coalg)

@@ -1,6 +1,7 @@
 """Shared fixtures and independent oracles for the test suite."""
 from __future__ import annotations
 
+import functools
 import sys
 from itertools import product as iproduct
 
@@ -302,6 +303,27 @@ def oracle_is_coalgebra_map(f, src, dst, flip=False):
     if flip:
         rhs = compose(twist_map(f.field, dst.space, dst.space), rhs)
     return compose(dst.delta, f) == rhs and compose(dst.epsilon, f) == src.epsilon
+
+
+def bilin_direct(m: LinMap, v, w, right_dim: int) -> dict:
+    """m applied to v (x) w with every pair of terms adding its scaled
+    column, a basis index counting with coefficient one: the general loop of
+    :meth:`LinMap.bilin`, as the oracle of its one-term path."""
+    f = m.field
+    left = ((v, None),) if isinstance(v, int) else v.items()
+    right = ((w, None),) if isinstance(w, int) else tuple(w.items())
+    out = {}
+    for i, x in left:
+        base = i * right_dim
+        for j, y in right:
+            c = y if x is None else x if y is None else f.mul(x, y)
+            for k, z in m.cols.get(base + j, ()):
+                s = f.add(out.get(k, f.zero), z if c is None else f.mul(c, z))
+                if f.is_zero(s):
+                    out.pop(k, None)
+                else:
+                    out[k] = s
+    return out
 
 
 def dense_from_linmap(m: LinMap):
@@ -714,6 +736,43 @@ def leg_rows_direct(d: ExtendingDatum) -> dict:
     }
 
 
+def assemble_product_direct(d: ExtendingDatum) -> FDBialgebra:
+    """The product carrier with the legs h1 |> c1, f(h2 <| c2, g1) and
+    (h3 <| c3) . g2 evaluated afresh for every term of
+    Delta^2(h) (x) Delta^2(c) (x) Delta(g), and each column the sum of
+    (e_a L) C (x) R over them: the oracle of ``unified.assemble_product``,
+    which collapses the sum once per (h, c)."""
+    field = d.field
+    a, h = d.base, d.ext
+    ops = _Ops(d)
+    hc, ac = h.coalg, a.coalgebra
+    na, nh = a.dim, h.dim
+    space = tensor_space(a.space, h.space)
+    mul = field.mul
+    cols = {}
+    for hi, ci, gi in iproduct(range(nh), range(na), range(nh)):
+        terms = []
+        for (h1, h2, h3), ch in hc.expand(hi, 3):
+            for (c1, c2, c3), cc in ac.expand(ci, 3):
+                for (g1, g2), cg in hc.expand(gi, 2):
+                    terms.append((ops.lact(h1, c1),
+                                  ops.coc(ops.ract(h2, c2), g1),
+                                  ops.dot(ops.ract(h3, c3), g2),
+                                  mul(ch, mul(cc, cg))))
+        for ai in range(na):
+            col: dict = {}
+            for left, coc, right, c in terms:
+                vec_add_into(field, col,
+                             tensor_vec(field, ops.amul(ai, left, coc), right, nh), c)
+            if col:
+                cols[(ai * nh + hi) * (na * nh) + (ci * nh + gi)] = col
+    mult = LinMap(field, tensor_space(space, space), space, cols)
+    unit = tensor_vec(field, a.unit, h.unit, nh)
+    coalg = FDCoalgebra(field, space, oracle_tensor_coalgebra_delta(ac, hc),
+                        tensor_map(ac.epsilon, hc.epsilon))
+    return FDBialgebra(coalg, FDAlgebra(field, space, mult, unit, associative="yes"))
+
+
 # ---------------------------------------------------------------------------
 # the mixed-product identities of the twisted product, re-derived on the
 # assembled carrier
@@ -1002,9 +1061,10 @@ def check_library_claims_on_every_call(monkeypatch) -> None:
     every matched-pair equivalence against :func:`assert_bicrossed_report_agrees`,
     every crossed-datum and matched-pair check against the hand-written rows
     of :func:`crossed_rows_direct` and :func:`left_module_law_direct`,
-    every recovered datum against :func:`recover_datum_composed`, and every
+    every recovered datum against :func:`recover_datum_composed`, every
     solved antipode, or the side a failure names, against
-    :func:`antipode_solve_two_systems`."""
+    :func:`antipode_solve_two_systems`, and every assembled product carrier
+    against :func:`assemble_product_direct`."""
     cls = hopfprod.classification
     convolve, inverse, certify = cls.cocycle_convolve, cls.cocycle_inverse, cls._certify
     deform, split = hopfprod.special.deform_matched_pair, hopfprod.groups.coset_extending_structure
@@ -1012,6 +1072,7 @@ def check_library_claims_on_every_call(monkeypatch) -> None:
     crossed, matched = hopfprod.special.check_crossed, hopfprod.special.check_matched_pair
     recover = hopfprod.factorization.recover_datum
     antipode = hopfprod.structures.antipode_solve
+    assemble = hopfprod.unified.assemble_product
 
     def assert_lazy(u):
         assert cls.is_lazy_cocycle(u.linmap, u.ext, u.base), "not a lazy cocycle"
@@ -1077,11 +1138,20 @@ def check_library_claims_on_every_call(monkeypatch) -> None:
         assert s == want, f"antipode differs from the two-system oracle ({want!r})"
         return s
 
+    @functools.wraps(assemble)
+    def checked_assemble(d):
+        carrier = assemble(d)
+        want = assemble_product_direct(d)
+        assert carrier.mult == want.mult, "product differs from the direct loop"
+        assert carrier.unit == want.unit and carrier.coalgebra == want.coalgebra
+        return carrier
+
     for original, replacement in ((convolve, returns_lazy(convolve)),
                                   (inverse, returns_lazy(inverse)),
                                   (deform, checked_deform), (split, checked_split),
                                   (certify, checked_certify), (bicrossed, checked_bicrossed),
                                   (crossed, checked_crossed), (matched, checked_matched),
                                   (recover, checked_recover),
-                                  (antipode, checked_antipode)):
+                                  (antipode, checked_antipode),
+                                  (assemble, checked_assemble)):
         rebind_everywhere(monkeypatch, original, replacement)

@@ -4,17 +4,21 @@ Everything is exact (zero tolerance); the only numeric bounds are wall-clock
 budgets, asserted where stated.  Run with ``pytest -s tests/test_acceptance.py``
 to see the per-criterion lines.
 """
+import inspect
 import random
 import time
 
 from helpers import (
+    assemble_product_direct,
     bicrossed_antipode_direct,
+    drinfeld_double_datum,
     pair_bijection_is_isomorphism,
     perturb_group_structure,
     random_group_structure,
     strip_provenance,
 )
 import hopfprod as hp
+import hopfprod.unified
 from hopfprod.classification import deform_datum
 from hopfprod.cli import main as cli_main
 from hopfprod.corpus import (
@@ -26,7 +30,7 @@ from hopfprod.corpus import (
     z4_c2_ges,
     z4_crossed_datum,
 )
-from hopfprod.fields import QQ
+from hopfprod.fields import QQ, PrimeField
 from hopfprod.groups import builtin_permutations, small_corpus_names
 from hopfprod.serialize import parse, serialize
 from hopfprod.special import (
@@ -375,3 +379,23 @@ def test_criterion_8_io_determinism_and_exit_codes(tmp_path, capsys):
         crit.check(one.read_bytes() == two.read_bytes(),
                    f"example {name} is not deterministic")
     crit.finish()
+
+
+def test_criterion_9_drinfeld_double_assembly():
+    crit = Criterion(9, "D(k[S3]) over QQ and GF(5): the collapsed assembly equals "
+                        "the direct loop, in under 0.4 s for both fields")
+    # the engine itself, not the oracle check every call carries in the tests
+    assemble = inspect.unwrap(hopfprod.unified.assemble_product)
+    engine_s = 0.0
+    for field in (QQ, PrimeField(5)):
+        d = drinfeld_double_datum("s3", field)
+        start = time.monotonic()
+        got = assemble(d)
+        engine_s += time.monotonic() - start
+        want = assemble_product_direct(d)
+        crit.check(got.mult == want.mult, f"{field!r}: multiplication differs")
+        crit.check(got.unit == want.unit and got.coalgebra == want.coalgebra,
+                   f"{field!r}: unit or coalgebra differs")
+        crit.check(len(got.mult.cols) == 216, f"{field!r}: {len(got.mult.cols)} columns")
+    crit.check(engine_s < 0.4, f"assembly took {engine_s:.2f}s")
+    crit.finish(budget=15)

@@ -146,3 +146,15 @@ def test_rationals_fixed_points():
         QQ.of(1, 0)
     with pytest.raises(ZeroDivisionError):
         QQ.inv(QQ.zero)
+
+
+def test_prime_field_constants_are_plain_attributes():
+    """zero and one are stored values, read without a call, and the field is
+    equal to, and hashes like, any other descriptor of the same prime."""
+    f7 = PrimeField(7)
+    for name in ("zero", "one"):
+        assert name in vars(f7) and not isinstance(getattr(PrimeField, name, None), property)
+    assert (f7.zero, f7.one) == (0, 1)
+    assert type(f7.zero) is int and type(f7.one) is int
+    assert f7 == PrimeField(7) and hash(f7) == hash(PrimeField(7)) == hash(("mod", 7))
+    assert f7 != PrimeField(5) and f7 != QQ

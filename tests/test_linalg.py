@@ -1,8 +1,11 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import (
+    bilin_direct,
     dense_from_linmap,
     preimage_direct,
     random_linmap,
@@ -102,6 +105,75 @@ def test_bilin_agrees_with_apply_on_every_index_vector_mix():
                     assert got == m.apply(tensor_vec(field, as_vec(v), as_vec(w), S2.dim))
                     got[0] = field.one  # the result never aliases a stored column
             assert m.cols == stored
+
+
+FIELDS = {"QQ": QQ, "GF(7)": PrimeField(7)}
+
+
+def nonzero(field):
+    """Nonzero values of the field: over QQ one, integers and fractions."""
+    if field == QQ:
+        return st.sampled_from([1, -1, 3, Fraction(1, 2), Fraction(-5, 3)])
+    return st.integers(1, 6)
+
+
+@st.composite
+def bilin_cases(draw):
+    """(map, v, w, cancels) with v and w each a basis index, a one-term
+    vector or a vector of several terms.  One case in four duplicates the
+    columns of two left indices and takes v as their difference, so that
+    every sum cancels."""
+    field = FIELDS[draw(st.sampled_from(sorted(FIELDS)))]
+    value = nonzero(field)
+    m = random_linmap(random.Random(draw(st.integers(0, 2**16))), field,
+                      tensor_space(S3, S2), S4, density=0.6)
+    cols = {i: {k: draw(value) for k, _ in col} for i, col in m.cols.items()}
+
+    def arg(space):
+        kind = draw(st.sampled_from(["index", "one-term", "terms"]))
+        if kind == "index":
+            return draw(st.integers(0, space.dim - 1))
+        keys = draw(st.lists(st.integers(0, space.dim - 1), unique=True,
+                             min_size=1 if kind == "one-term" else 2,
+                             max_size=1 if kind == "one-term" else space.dim))
+        return {k: draw(value) for k in keys}
+
+    v, w = arg(S3), arg(S2)
+    cancels = draw(st.integers(0, 3)) == 0
+    if cancels:
+        i1, i2 = draw(st.lists(st.integers(0, S3.dim - 1), unique=True, min_size=2,
+                               max_size=2))
+        for j in range(S2.dim):
+            cols[i2 * S2.dim + j] = dict(cols.get(i1 * S2.dim + j, {}))
+        c = draw(value)
+        v = {i1: c, i2: field.neg(c)}
+    return LinMap(field, m.domain, m.codomain, cols), v, w, cancels
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(bilin_cases())
+def test_bilin_agrees_with_the_general_loop(case):
+    m, v, w, cancels = case
+    stored = dict(m.cols)
+    got = m.bilin(v, w, S2.dim)
+    assert got == bilin_direct(m, v, w, S2.dim)
+    if cancels:
+        assert got == {}
+    assert all(not m.field.is_zero(x) for x in got.values())
+    got[0] = m.field.one  # the result never aliases a stored column
+    assert m.cols == stored
+
+
+def test_bilin_one_term_path_scales_and_cancels():
+    f7 = PrimeField(7)
+    m = LinMap(f7, tensor_space(S2, S2), S3, {1: {0: 3, 2: 5}})
+    assert m.bilin(0, 1, 2) == m.bilin({0: 1}, {1: 1}, 2) == {0: 3, 2: 5}
+    assert m.bilin({0: 2}, {1: 4}, 2) == {0: 3, 2: 5}  # 2 * 4 = 1 mod 7
+    assert m.bilin({0: 3}, 1, 2) == {0: 2, 2: 1}
+    assert m.bilin({0: 0}, 1, 2) == m.bilin(0, {1: 7}, 2) == {}
+    q = LinMap(QQ, tensor_space(S2, S2), S3, {1: {0: Fraction(2, 3), 2: -1}})
+    assert q.bilin({0: Fraction(3, 2)}, 1, 2) == {0: 1, 2: Fraction(-3, 2)}
+    assert type(q.bilin({0: Fraction(3, 2)}, 1, 2)[0]) is int
 
 
 def test_compose_dimension_mismatch():
