@@ -95,6 +95,7 @@ from .unified import (
     build_unified_product,
     check_product_conditions,
     product_antipode,
+    solve_product_antipode,
     validate_datum,
 )
 

@@ -49,11 +49,11 @@ from .structures import (
     FDHopf,
     NoAntipodeError,
     UnitalCoalgebra,
-    attach_antipode,
 )
 from .unified import (
     ExtendingDatum,
     check_product_conditions,
+    solve_product_antipode,
     unified_product_of_checked,
     validate_datum,
 )
@@ -133,12 +133,12 @@ def cmd_build(args) -> int:
     if not rep.ok:
         _print_report(rep)
         return EXIT_CHECKS_FAILED
-    carrier = unified_product_of_checked(datum).carrier
-    if not isinstance(carrier, FDHopf):
-        try:
-            carrier = attach_antipode(carrier)
-        except NoAntipodeError:
-            pass
+    product = unified_product_of_checked(datum)
+    carrier = product.carrier
+    try:
+        carrier = FDHopf(carrier.coalgebra, carrier.algebra, solve_product_antipode(product))
+    except NoAntipodeError:
+        pass
     _emit(carrier, args.out)
     return EXIT_OK
 

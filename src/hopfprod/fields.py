@@ -66,6 +66,8 @@ class Rationals:
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
+        if a == 1 or a == -1:  # its own inverse, as a plain int
+            return int(a)
         return _norm(Fraction(1, a))  # not 1 / a, which is a float for an int
 
     def is_zero(self, a):

@@ -115,17 +115,29 @@ class LinMap:
         self.codomain = codomain
         norm = {}
         ndom, ncod = domain.dim, codomain.dim
+        is_zero = field.is_zero
         for i, col in cols.items():
             if not 0 <= i < ndom:
                 raise DimensionError(f"domain index {i} out of range")
-            entries = tuple(
-                sorted((j, v) for j, v in col.items() if not field.is_zero(v))
-            )
-            for j, _ in entries:
-                if not 0 <= j < ncod:
-                    raise DimensionError(f"codomain index {j} out of range")
-            if entries:
-                norm[i] = entries
+            if len(col) == 1:
+                entries = tuple(col.items())
+                (lo, v), = entries
+                if is_zero(v):
+                    continue
+                hi = lo
+            else:
+                entries = sorted(col.items())
+                if any(map(is_zero, col.values())):
+                    entries = [(j, v) for j, v in entries if not is_zero(v)]
+                if not entries:
+                    continue
+                entries = tuple(entries)
+                lo, hi = entries[0][0], entries[-1][0]
+            # sorted, so only the ends can lie outside the codomain
+            if lo < 0 or hi >= ncod:
+                j = next(j for j, _ in entries if not 0 <= j < ncod)
+                raise DimensionError(f"codomain index {j} out of range")
+            norm[i] = entries
         self.cols = norm
         self._hash = None
 

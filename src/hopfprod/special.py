@@ -29,7 +29,6 @@ from .structures import (
     _counits,
     _scan,
     _tuple_label,
-    attach_antipode,
     trivial_action_left,
     trivial_action_right,
     trivial_cocycle,
@@ -44,6 +43,7 @@ from .unified import (
     _normalization_evaluators,
     _scan_condition,
     build_unified_product,
+    solve_product_antipode,
 )
 
 
@@ -118,7 +118,9 @@ def build_bicrossed(mp: MatchedPair) -> UnifiedProduct:
         raise DatumConditionError(rep)
     product = build_unified_product(matched_pair_datum(mp))
     if isinstance(mp.a, FDHopf) and isinstance(mp.h, FDHopf):
-        product.carrier = attach_antipode(product.carrier)
+        carrier = product.carrier
+        product.carrier = FDHopf(carrier.coalgebra, carrier.algebra,
+                                 solve_product_antipode(product))
     return product
 
 

@@ -575,9 +575,46 @@ def convolution_unit(src: FDCoalgebra, dst: FDAlgebra) -> LinMap:
     return compose(dst.unit_map(), src.epsilon)
 
 
+def left_convolution_inverse(j: LinMap, src: FDCoalgebra, dst: FDAlgebra) -> LinMap | None:
+    """Solve X * j = unit . counit exactly for X: src -> dst, with the
+    matrix entries of X as unknowns, where j: src -> dst is a coalgebra map.
+    Free unknowns are set to zero; None when the system is inconsistent.
+
+    Row (k, r) reads sum X[t, i] c j[s, l] mult((t, s) -> r) over the terms
+    c e_i (x) e_l of delta(e_k); no solution is checked here."""
+    field = same_field(j, src, dst)
+    n, nc = dst.dim, src.dim
+    mult = dst.mult.cols
+    target = convolution_unit(src, dst)
+    rows, rhs = [], []
+    for k in range(nc):
+        want = target.col(k)
+        out_rows = {}
+        for (i, l), c in src.expand(k, 2):
+            for s, y in j.cols.get(l, ()):
+                cy = field.mul(c, y)
+                for t in range(n):
+                    key = t * nc + i
+                    for r, m in mult.get(t * n + s, ()):
+                        row = out_rows.setdefault(r, {})
+                        row[key] = field.add(row.get(key, field.zero), field.mul(cy, m))
+        for r in set(out_rows) | set(want):
+            rows.append(out_rows.get(r, {}))
+            rhs.append(want.get(r, field.zero))
+    sol, _ = solve_system(field, rows, rhs, n * nc)
+    if sol is None:
+        return None
+    cols: dict[int, dict] = {}
+    for key, v in sol.items():
+        t, i = divmod(key, nc)
+        cols.setdefault(i, {})[t] = v
+    return LinMap(field, src.space, dst.space, cols)
+
+
 def antipode_solve(b: FDBialgebra) -> LinMap:
     """Solve the convolution system S * id = unit . counit for the antipode
-    exactly, with the matrix entries of S as unknowns.
+    exactly, with the matrix entries of S as unknowns: the
+    :func:`left_convolution_inverse` of the identity.
 
     One system suffices: in a bialgebra a left convolution inverse L of the
     identity equals the antipode S whenever S exists, since
@@ -586,38 +623,26 @@ def antipode_solve(b: FDBialgebra) -> LinMap:
     side: "left" when the system is inconsistent, "right" when its solution
     is no right inverse.
     """
-    field = b.field
-    n = b.dim
-    target = convolution_unit(b.coalgebra, b.algebra)
-    rows, rhs = [], []
-    for k in range(n):
-        want = target.col(k)
-        out_rows = {}
-        for (i, j), c in b.expand(k, 2):
-            # sum_t S[t,i] * c * mult((t,j) -> r)
-            for t in range(n):
-                for r, m in b.mult.cols.get(t * n + j, ()):
-                    key = t * n + i
-                    row = out_rows.setdefault(r, {})
-                    row[key] = field.add(row.get(key, field.zero), field.mul(c, m))
-        for r in set(out_rows) | set(want):
-            rows.append(out_rows.get(r, {}))
-            rhs.append(want.get(r, field.zero))
-    sol, _ = solve_system(field, rows, rhs, n * n)
-    if sol is None:
+    s = left_convolution_inverse(LinMap.identity(b.field, b.space), b.coalgebra, b.algebra)
+    if s is None:
         raise NoAntipodeError("left")
-    cols: dict[int, dict] = {}
-    for key, v in sol.items():
-        t, i = divmod(key, n)
-        cols.setdefault(i, {})[t] = v
-    s = LinMap(field, b.space, b.space, cols)
     # verify rather than trust the elimination
-    ident = LinMap.identity(field, b.space)
-    if convolution(s, ident, b.coalgebra, b.algebra) != target:
-        raise NoAntipodeError("left")
-    if convolution(ident, s, b.coalgebra, b.algebra) != target:
-        raise NoAntipodeError("right")
+    side = _antipode_failure(s, b)
+    if side is not None:
+        raise NoAntipodeError(side)
     return s
+
+
+def _antipode_failure(s: LinMap, b: FDBialgebra) -> str | None:
+    """The first side, "left" then "right", on which s is no convolution
+    inverse of the identity of b; None when s is its antipode."""
+    ident = LinMap.identity(b.field, b.space)
+    target = convolution_unit(b.coalgebra, b.algebra)
+    if convolution(s, ident, b.coalgebra, b.algebra) != target:
+        return "left"
+    if convolution(ident, s, b.coalgebra, b.algebra) != target:
+        return "right"
+    return None
 
 
 def attach_antipode(b: FDBialgebra) -> FDHopf:

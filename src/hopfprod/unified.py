@@ -37,12 +37,15 @@ from .structures import (
     FDBialgebra,
     FDHopf,
     UnitalCoalgebra,
+    antipode_solve,
     convolution,
     convolution_unit,
     is_coalgebra_antimap,
     is_coalgebra_map,
+    left_convolution_inverse,
     tensor_coalgebra,
     _add_term,
+    _antipode_failure,
     _coalgebra_map_halves,
     _counits,
     _ground_coalgebra,
@@ -242,25 +245,43 @@ def _collapse(field, ops, left, right) -> list:
     ((l_1, ..., l_n), c) of the expansion whose :func:`_prefix_tree` is
     ``left`` and ((r_1, ..., r_n), d) of the one whose tree is ``right``, as
     a list of ((x_1, ..., x_n), coeff) over basis indices with zeros
-    dropped.  Terms are grouped by their leading indices, so each op_k is
-    evaluated once per distinct prefix pair and a zero leg prunes every term
-    below it."""
-    mul = field.mul
-    last = len(ops) - 1
+    dropped.  Each op_k is a :class:`_Memo` of a map on basis pairs.  Terms
+    are grouped by their leading indices, so each op_k is read once per
+    distinct prefix pair and a zero leg prunes every term below it."""
     acc: dict = {}
-
-    def walk(k, lnode, rnode, key, c):
-        op = ops[k]
-        for li, lsub in lnode.items():
-            for ri, rsub in rnode.items():
-                for x, cx in op(li, ri).items():
-                    if k == last:
-                        _add_term(field, acc, key + (x,), mul(mul(c, cx), mul(lsub, rsub)))
-                    else:
-                        walk(k + 1, lsub, rsub, key + (x,), mul(c, cx))
-
-    walk(0, left, right, (), field.one)
+    _collapse_into(field, ops, 0, acc, left, right, (), field.one)
     return list(acc.items())
+
+
+def _collapse_into(field, ops, k, acc, lnode, rnode, key, c) -> None:
+    """Add to ``acc`` the terms of :func:`_collapse` below one pair of
+    prefix-tree nodes at depth k, whose legs above have basis indices
+    ``key`` and coefficient c.  A plain recursive function, so a collapse
+    leaves no reference cycle behind."""
+    mul = field.mul
+    op, last = ops[k], k == len(ops) - 1
+    for li, lsub in lnode.items():
+        for ri, rsub in rnode.items():
+            for x, cx in op[li, ri].items():
+                if last:
+                    _add_term(field, acc, key + (x,), mul(mul(c, cx), mul(lsub, rsub)))
+                else:
+                    _collapse_into(field, ops, k + 1, acc, lsub, rsub, key + (x,), mul(c, cx))
+
+
+def _gather(field, terms, memo, k) -> dict:
+    """sum c memo[t, k] over the terms (t, c): a :func:`_collapse` list, or
+    the items of a sparse vector, so that a map memoized on basis pairs is
+    applied to the vector in its first slot.  A single term with coefficient
+    one is its memo entry itself, which the caller only reads."""
+    if len(terms) == 1:
+        (t, c), = terms
+        if c == field.one:
+            return memo[t, k]
+    out: dict = {}
+    for t, c in terms:
+        vec_add_into(field, out, memo[t, k], c)
+    return out
 
 
 def _condition_evaluators(d: ExtendingDatum) -> dict:
@@ -272,11 +293,22 @@ def _condition_evaluators(d: ExtendingDatum) -> dict:
     and j in H, and with (|>, <|) and j in A.  ``flip`` gives the symmetry
     conditions with (left, right) = (., f) and (<|, |>).
 
-    Values that recur across tuples are memoized on basis keys for the life
-    of the table.  Both uses of a leg share g . i and (g <| x) . z for
-    ``h_leg``, and the left summand sum (g1 |> x) f(g2 <| y, z) and the
-    collapsed right sum over the coproducts of g and i for ``a_leg``; each
-    use of ``a_leg`` keeps its own products x act(w, j)."""
+    Values that recur across tuples and rows are memoized on basis keys for
+    the life of the table.  Each structure map, and the product of A, is
+    evaluated once per basis pair; a map applied to a vector is the sum of
+    its memoized basis values (:func:`_gather`).  Each sum over coproducts
+    is collapsed once into basis terms (:func:`_collapse`):
+
+    * sum f(g1, i1) (x) g2 . i2 is the twist sum of twisted-associativity
+      and the right sum of both ``a_leg`` rows;
+    * sum (g1 |> i1) (x) (g2 <| i2) is the twist sum of ract-dot-compat and
+      the right sum of lact-multiplicative;
+    * the products x (w |> j) are read by twisted-module and
+      lact-multiplicative, and the products i j in A by right-module and
+      lact-multiplicative;
+    * both uses of ``h_leg`` share (g <| x) . z, and both uses of ``a_leg``
+      the left summand sum (g1 |> x) f(g2 <| y, z).
+    """
     field = d.field
     a, h = d.base, d.ext
     ops = _Ops(d)
@@ -284,70 +316,67 @@ def _condition_evaluators(d: ExtendingDatum) -> dict:
     hl, al = h.space.labels, a.space.labels
     hr, ar = range(h.dim), range(a.dim)
     htree, atree = _prefix_trees(hc), _prefix_trees(ac)
-    on_h, on_a = (htree, hr, hl), (atree, ar, al)  # the prefix trees, range and labels of j
     mul2 = field.mul
     comult, counit = _coalgebra_map_halves(d.dot, hc, hc, hc)
 
-    def right_module(g, i, j):
-        return ops.ract(ops.ract(g, i), j) == ops.ract(g, ops.amul(i, j))
+    ract, lact, coc, dot, amul = (_Memo(op) for op in (ops.ract, ops.lact, ops.coc, ops.dot,
+                                                        ops.amul))
+    # keyed (a, h), so that g <| v and g |> v gather a vector v over A
+    ract_a = _Memo(lambda x, g: ract[g, x])
+    lact_a = _Memo(lambda x, g: lact[g, x])
 
-    def lact_multiplicative(g, i, j):
-        lhs = ops.lact(g, ops.amul(i, j))
-        rhs: dict = {}
-        for (g1, g2), cg in hc.expand(g, 2):
-            for (i1, i2), ci in ac.expand(i, 2):
-                term = ops.amul(ops.lact(g1, i1), ops.lact(ops.ract(g2, i2), j))
-                vec_add_into(field, rhs, term, mul2(cg, ci))
-        return lhs == rhs
-
-    def a_left_summand(g, x, y, z):
+    def a_left_summand(xyz, g):
         """sum (g1 |> x) f(g2 <| y, z)"""
+        x, y, z = xyz
         out: dict = {}
         for (g1, g2), cg in hc.expand(g, 2):
-            vec_add_into(field, out, ops.amul(ops.lact(g1, x), ops.coc(ops.ract(g2, y), z)),
-                         cg)
+            right = _gather(field, ract[g2, y].items(), coc, z)
+            vec_add_into(field, out, ops.amul(lact[g1, x], right), cg)
         return out
 
-    dots = _Memo(ops.dot)
-    h_right = _Memo(lambda g, x, z: ops.dot(ops.ract(g, x), z))
+    def products(act):
+        """(x, w), j -> x act(w, j)"""
+        return _Memo(lambda xw, j: ops.amul(xw[0], act[xw[1], j]))
+
+    h_right = _Memo(lambda xz, g: _gather(field, ract[g, xz[0]].items(), dot, xz[1]))
     a_left = _Memo(a_left_summand)
-    a_right = _Memo(lambda g, i: _collapse(field, (ops.coc, ops.dot), htree[g, 2],
-                                           htree[i, 2]))
+    coc_dot = _Memo(lambda g, i: _collapse(field, (coc, dot), htree[g, 2], htree[i, 2]))
+    lact_ract = _Memo(lambda g, i: _collapse(field, (lact, ract), htree[g, 2], atree[i, 2]))
+    lact_products = products(lact)
 
-    def h_leg(act, twist, jtree, jr, jl):
-        """twist(g . i, j) = sum (g <| act(i1, j1)) . twist(i2, j2)
+    def right_module(g, i, j):
+        return (_gather(field, ract[g, i].items(), ract, j)
+                == _gather(field, amul[i, j].items(), ract_a, g))
 
-        The sum over the coproducts of i and j is collapsed once per (i, j)
-        into basis terms c (x, z), then read for every g as (g <| x) . z."""
-        legs = _Memo(lambda i, j: _collapse(field, (act, twist), htree[i, 2], jtree[j, 2]))
+    def lact_multiplicative(g, i, j):
+        """g |> i j = sum (g1 |> i1) ((g2 <| i2) |> j)"""
+        return (_gather(field, amul[i, j].items(), lact_a, g)
+                == _gather(field, lact_ract[g, i], lact_products, j))
 
+    def h_leg(twist, legs, jr, jl):
+        """twist(g . i, j) = sum (g <| act(i1, j1)) . twist(i2, j2), where
+        ``legs[i, j]`` is the sum of act(i1, j1) (x) twist(i2, j2) collapsed
+        into basis terms c (x, z), read for every g as (g <| x) . z."""
         def holds(g, i, j):
-            rhs: dict = {}
-            for (x, z), c in legs[i, j]:
-                vec_add_into(field, rhs, h_right[g, x, z], c)
-            return twist(dots[g, i], j) == rhs
+            return (_gather(field, dot[g, i].items(), twist, j)
+                    == _gather(field, legs[i, j], h_right, g))
         return (hr, hr, jr), holds, _tuple_label(hl, hl, jl)
 
-    def a_leg(act, twist, jtree, jr, jl):
+    def a_leg(act, twist, jtree, jr, jl, right):
         """sum (g1 |> act(i1, j1)) f(g2 <| act(i2, j2), twist(i3, j3))
         = sum f(g1, i1) act(g2 . i2, j)
 
         The left sum over the coproducts of i and j is collapsed once per
         (i, j) into basis terms c (x, y, z), read for every g as
-        (g1 |> x) f(g2 <| y, z).  The right sum over those of g and i is
-        collapsed into terms c (x, w), read as x act(w, j)."""
+        (g1 |> x) f(g2 <| y, z).  The right sum is read from the terms
+        c (x, w) of f(g1, i1) (x) g2 . i2 as ``right[(x, w), j]`` =
+        x act(w, j)."""
         legs = _Memo(lambda i, j: _collapse(field, (act, act, twist), htree[i, 3],
                                             jtree[j, 3]))
-        products = _Memo(lambda x, w, j: ops.amul(x, act(w, j)))
 
         def holds(g, i, j):
-            lhs: dict = {}
-            for (x, y, z), c in legs[i, j]:
-                vec_add_into(field, lhs, a_left[g, x, y, z], c)
-            rhs: dict = {}
-            for (x, w), c in a_right[g, i]:
-                vec_add_into(field, rhs, products[x, w, j], c)
-            return lhs == rhs
+            return (_gather(field, legs[i, j], a_left, g)
+                    == _gather(field, coc_dot[g, i], right, j))
         return (hr, hr, jr), holds, _tuple_label(hl, hl, jl)
 
     def flip(left, right, jc, jr, jl):
@@ -359,9 +388,9 @@ def _condition_evaluators(d: ExtendingDatum) -> dict:
                 for (j1, j2), cj in jc.expand(j, 2):
                     c = mul2(cg, cj)
                     vec_add_into(field, lhs, tensor_vec(
-                        field, left(g1, j1), right(g2, j2), a.dim), c)
+                        field, left[g1, j1], right[g2, j2], a.dim), c)
                     vec_add_into(field, rhs, tensor_vec(
-                        field, left(g2, j2), right(g1, j1), a.dim), c)
+                        field, left[g2, j2], right[g1, j1], a.dim), c)
             return lhs == rhs
         return (hr, jr), holds, _tuple_label(hl, jl)
 
@@ -369,13 +398,13 @@ def _condition_evaluators(d: ExtendingDatum) -> dict:
         "comult-multiplicative": ((hr, hr), lambda g, i: comult(g, i) and counit(g, i),
                                   _tuple_label(hl, hl)),
         "right-module": ((hr, ar, ar), right_module, _tuple_label(hl, al, al)),
-        "twisted-associativity": h_leg(ops.coc, ops.dot, *on_h),
+        "twisted-associativity": h_leg(dot, coc_dot, hr, hl),
         "lact-multiplicative": ((hr, ar, ar), lact_multiplicative, _tuple_label(hl, al, al)),
-        "ract-dot-compat": h_leg(ops.lact, ops.ract, *on_a),
-        "twisted-module": a_leg(ops.lact, ops.ract, *on_a),
-        "cocycle-condition": a_leg(ops.coc, ops.dot, *on_h),
-        "action-symmetry": flip(ops.ract, ops.lact, ac, ar, al),
-        "cocycle-symmetry": flip(ops.dot, ops.coc, hc, hr, hl),
+        "ract-dot-compat": h_leg(ract, lact_ract, ar, al),
+        "twisted-module": a_leg(lact, ract, atree, ar, al, lact_products),
+        "cocycle-condition": a_leg(coc, dot, htree, hr, hl, products(coc)),
+        "action-symmetry": flip(ract, lact, ac, ar, al),
+        "cocycle-symmetry": flip(dot, coc, hc, hr, hl),
     }
 
 
@@ -414,11 +443,12 @@ def assemble_product(d: ExtendingDatum) -> FDBialgebra:
     space = tensor_space(a.space, h.space)
     mul = field.mul
     atree = [_prefix_tree(ac.expand(ci, 3)) for ci in range(na)]
+    lact, ract = _Memo(ops.lact), _Memo(ops.ract)
     cols = {}
     for hi in range(nh):
         htree = _prefix_tree(hc.expand(hi, 3))
         for ci in range(na):
-            terms = _collapse(field, (ops.lact, ops.ract, ops.ract), htree, atree[ci])
+            terms = _collapse(field, (lact, ract, ract), htree, atree[ci])
             left = [[ops.amul(ai, l) for (l, _, _), _ in terms] for ai in range(na)]
             for gi in range(nh):
                 factors = []
@@ -534,3 +564,35 @@ def product_antipode(p: UnifiedProduct, s_h: LinMap) -> LinMap:
             if col:
                 cols[ai * nh + gi] = col
     return LinMap(field, e.space, e.space, cols)
+
+
+def solve_product_antipode(p: UnifiedProduct) -> LinMap:
+    """The antipode of the product of a checked datum, solved on 1 (x) H.
+
+    The map a (x) h -> (a (x) 1)(1 (x) h) is bijective, A (x) 1 is a
+    sub-bialgebra and an antipode reverses products, so
+    S(a (x) h) = S(1 (x) h) (S_A(a) (x) 1): only X = S j, for the coalgebra
+    map j: h -> 1 (x) h, is unknown.  X is solved as the left convolution
+    inverse of j, with dim E dim H unknowns instead of dim E ** 2; it is
+    unique when S exists, since X = X * (j * S j) = (X * j) * S j = S j.
+    The assembled S is then checked on both sides.  When the base carries
+    no antipode, the restricted system is inconsistent or a check fails,
+    :func:`antipode_solve` of the carrier decides, so the map returned and
+    the side a :class:`NoAntipodeError` names are those of the full system.
+    """
+    d, e = p.datum, p.carrier
+    if isinstance(d.base, FDHopf):
+        x = left_convolution_inverse(p.incl_ext, d.ext.coalg, e.algebra)
+        if x is not None:
+            nh, sa = d.ext.dim, d.base.antipode
+            cols = {}
+            for ai in range(d.base.dim):
+                right = p.incl_base.apply(sa.col(ai))
+                for hi in range(nh):
+                    col = e.mul(x.col(hi), right)
+                    if col:
+                        cols[ai * nh + hi] = col
+            s = LinMap(d.field, e.space, e.space, cols)
+            if _antipode_failure(s, e) is None:
+                return s
+    return antipode_solve(e)

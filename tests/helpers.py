@@ -678,22 +678,38 @@ def antipode_solve_two_systems(b: FDBialgebra) -> LinMap:
 
 
 # ---------------------------------------------------------------------------
-# the four associativity rows of the nine conditions, summed term by term
-# over the full coproduct expansion of every tuple
+# the rows of the nine conditions that read memoized values, summed term by
+# term over the full coproduct expansion of every tuple
 
 
-LEG_ROWS = ("twisted-associativity", "ract-dot-compat", "twisted-module", "cocycle-condition")
+LEG_ROWS = ("right-module", "twisted-associativity", "lact-multiplicative", "ract-dot-compat",
+            "twisted-module", "cocycle-condition", "action-symmetry", "cocycle-symmetry")
 
 
 def leg_rows_direct(d: ExtendingDatum) -> dict:
-    """name -> holds(g, i, j) for the rows of :data:`LEG_ROWS`, expanding
-    Delta(g) (x) Delta^2(i) (x) Delta^2(j) afresh for every tuple; the
-    engine collapses the sums that do not depend on g."""
+    """name -> holds(*tuple) for the rows of :data:`LEG_ROWS`, expanding
+    Delta(g) (x) Delta^2(i) (x) Delta^2(j) afresh for every tuple and
+    evaluating every map and product afresh; the engine memoizes the maps on
+    basis pairs, collapses the sums that do not depend on g and shares
+    them, and the products, between rows."""
     field = d.field
     a, h = d.base, d.ext
     ops = _Ops(d)
     hc, ac = h.coalg, a.coalgebra
     mul2 = field.mul
+
+    def right_module(g, i, j):
+        return ops.ract(ops.ract(g, i), j) == ops.ract(g, ops.amul(i, j))
+
+    def lact_multiplicative(g, i, j):
+        """g |> i j = sum (g1 |> i1) ((g2 <| i2) |> j)"""
+        lhs = ops.lact(g, ops.amul(i, j))
+        rhs: dict = {}
+        for (g1, g2), cg in hc.expand(g, 2):
+            for (i1, i2), ci in ac.expand(i, 2):
+                term = ops.amul(ops.lact(g1, i1), ops.lact(ops.ract(g2, i2), j))
+                vec_add_into(field, rhs, term, mul2(cg, ci))
+        return lhs == rhs
 
     def h_leg(act, twist, jc):
         """twist(g . i, j) = sum (g <| act(i1, j1)) . twist(i2, j2)"""
@@ -704,6 +720,21 @@ def leg_rows_direct(d: ExtendingDatum) -> dict:
                 for (j1, j2), cj in jc.expand(j, 2):
                     term = ops.dot(ops.ract(g, act(i1, j1)), twist(i2, j2))
                     vec_add_into(field, rhs, term, mul2(ci, cj))
+            return lhs == rhs
+        return holds
+
+    def flip(left, right, jc):
+        """sum left(g1, j1) (x) right(g2, j2) = sum left(g2, j2) (x) right(g1, j1)"""
+        def holds(g, j):
+            lhs: dict = {}
+            rhs: dict = {}
+            for (g1, g2), cg in hc.expand(g, 2):
+                for (j1, j2), cj in jc.expand(j, 2):
+                    c = mul2(cg, cj)
+                    vec_add_into(field, lhs, tensor_vec(field, left(g1, j1), right(g2, j2),
+                                                        a.dim), c)
+                    vec_add_into(field, rhs, tensor_vec(field, left(g2, j2), right(g1, j1),
+                                                        a.dim), c)
             return lhs == rhs
         return holds
 
@@ -729,10 +760,14 @@ def leg_rows_direct(d: ExtendingDatum) -> dict:
         return holds
 
     return {
+        "right-module": right_module,
         "twisted-associativity": h_leg(ops.coc, ops.dot, hc),
+        "lact-multiplicative": lact_multiplicative,
         "ract-dot-compat": h_leg(ops.lact, ops.ract, ac),
         "twisted-module": a_leg(ops.lact, ops.ract, ac),
         "cocycle-condition": a_leg(ops.coc, ops.dot, hc),
+        "action-symmetry": flip(ops.ract, ops.lact, ac),
+        "cocycle-symmetry": flip(ops.dot, ops.coc, hc),
     }
 
 
@@ -1063,8 +1098,10 @@ def check_library_claims_on_every_call(monkeypatch) -> None:
     of :func:`crossed_rows_direct` and :func:`left_module_law_direct`,
     every recovered datum against :func:`recover_datum_composed`, every
     solved antipode, or the side a failure names, against
-    :func:`antipode_solve_two_systems`, and every assembled product carrier
-    against :func:`assemble_product_direct`."""
+    :func:`antipode_solve_two_systems`, every product antipode solved on
+    1 (x) H against ``antipode_solve`` of the carrier (the same map, or the
+    same side of :class:`NoAntipodeError`), and every assembled product
+    carrier against :func:`assemble_product_direct`."""
     cls = hopfprod.classification
     convolve, inverse, certify = cls.cocycle_convolve, cls.cocycle_inverse, cls._certify
     deform, split = hopfprod.special.deform_matched_pair, hopfprod.groups.coset_extending_structure
@@ -1072,6 +1109,7 @@ def check_library_claims_on_every_call(monkeypatch) -> None:
     crossed, matched = hopfprod.special.check_crossed, hopfprod.special.check_matched_pair
     recover = hopfprod.factorization.recover_datum
     antipode = hopfprod.structures.antipode_solve
+    product_antipode = hopfprod.unified.solve_product_antipode
     assemble = hopfprod.unified.assemble_product
 
     def assert_lazy(u):
@@ -1138,6 +1176,20 @@ def check_library_claims_on_every_call(monkeypatch) -> None:
         assert s == want, f"antipode differs from the two-system oracle ({want!r})"
         return s
 
+    @functools.wraps(product_antipode)
+    def checked_product_antipode(p):
+        try:
+            want = antipode(p.carrier)
+        except NoAntipodeError as exc:
+            want = exc.side
+        try:
+            s = product_antipode(p)
+        except NoAntipodeError as exc:
+            assert exc.side == want, f"no {exc.side} inverse, the full solve gives {want!r}"
+            raise
+        assert s == want, f"product antipode differs from the full solve ({want!r})"
+        return s
+
     @functools.wraps(assemble)
     def checked_assemble(d):
         carrier = assemble(d)
@@ -1153,5 +1205,6 @@ def check_library_claims_on_every_call(monkeypatch) -> None:
                                   (crossed, checked_crossed), (matched, checked_matched),
                                   (recover, checked_recover),
                                   (antipode, checked_antipode),
+                                  (product_antipode, checked_product_antipode),
                                   (assemble, checked_assemble)):
         rebind_everywhere(monkeypatch, original, replacement)

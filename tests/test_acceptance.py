@@ -4,6 +4,7 @@ Everything is exact (zero tolerance); the only numeric bounds are wall-clock
 budgets, asserted where stated.  Run with ``pytest -s tests/test_acceptance.py``
 to see the per-criterion lines.
 """
+import dataclasses
 import inspect
 import random
 import time
@@ -19,6 +20,7 @@ from helpers import (
 )
 import hopfprod as hp
 import hopfprod.unified
+from hopfprod.structures import antipode_solve, attach_antipode
 from hopfprod.classification import deform_datum
 from hopfprod.cli import main as cli_main
 from hopfprod.corpus import (
@@ -398,4 +400,26 @@ def test_criterion_9_drinfeld_double_assembly():
                    f"{field!r}: unit or coalgebra differs")
         crit.check(len(got.mult.cols) == 216, f"{field!r}: {len(got.mult.cols)} columns")
     crit.check(engine_s < 0.4, f"assembly took {engine_s:.2f}s")
+    crit.finish(budget=15)
+
+
+def test_criterion_10_drinfeld_double_antipode(monkeypatch):
+    crit = Criterion(10, "D(k[S3]) over QQ and GF(5) with a Hopf base: the product antipode "
+                         "solved on 1 (x) H equals the full solve, in under 0.1 s for both "
+                         "fields")
+    # the engine itself, not the oracle check every call carries in the tests
+    solve = inspect.unwrap(hopfprod.unified.solve_product_antipode)
+    fallbacks = []
+    monkeypatch.setattr(hopfprod.unified, "antipode_solve", fallbacks.append)
+    engine_s = 0.0
+    for field in (QQ, PrimeField(5)):
+        d = drinfeld_double_datum("s3", field)
+        d = dataclasses.replace(d, base=attach_antipode(d.base))
+        p = hp.build_unified_product(d)
+        start = time.monotonic()
+        got = solve(p)
+        engine_s += time.monotonic() - start
+        crit.check(got == antipode_solve(p.carrier), f"{field!r}: antipode differs")
+    crit.check(not fallbacks, "the restricted system fell back to the full solve")
+    crit.check(engine_s < 0.1, f"antipode took {engine_s:.3f}s")
     crit.finish(budget=15)

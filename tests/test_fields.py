@@ -28,6 +28,13 @@ def test_rational_field_axioms_random():
             assert QQ.mul(a, QQ.inv(a)) == QQ.one
 
 
+def test_rational_inverse_of_plus_or_minus_one_is_a_plain_int():
+    for a in (1, -1):
+        assert QQ.inv(a) == a and type(QQ.inv(a)) is int
+    assert type(QQ.inv(Fraction(-1, 3))) is int and QQ.inv(Fraction(-1, 3)) == -3
+    assert QQ.inv(-2) == Fraction(-1, 2)
+
+
 def test_prime_field_arithmetic():
     f7 = PrimeField(7)
     assert f7.add(5, 4) == 2

@@ -286,6 +286,42 @@ def test_linmap_rejects_out_of_range_indices():
         LinMap(QQ, S2, S2, {0: {7: QQ.one}})
 
 
+def normalized_direct(field, ncod: int, cols: dict):
+    """The columns a LinMap stores for ``cols``, entry by entry: zeros
+    dropped, then sorted, then every codomain index checked in that order;
+    the message of the DimensionError it raises, if any."""
+    norm = {}
+    for i, col in cols.items():
+        entries = tuple(sorted((j, v) for j, v in col.items() if not field.is_zero(v)))
+        for j, _ in entries:
+            if not 0 <= j < ncod:
+                return f"codomain index {j} out of range"
+        if entries:
+            norm[i] = entries
+    return norm
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([QQ, PrimeField(7)]),
+       st.dictionaries(st.integers(0, 3), st.dictionaries(
+           st.integers(-2, 5),
+           st.one_of(st.integers(-8, 8), st.sampled_from([Fraction(1, 2), Fraction(-2, 3)])),
+           max_size=5), max_size=4))
+def test_linmap_columns_match_the_entrywise_normalization(field, cols):
+    """Sorted once, with only the ends checked and zeros filtered only when
+    present, a column gives what the entry-by-entry loop gives, and an
+    index outside the codomain is named as that loop names it; over GF(7)
+    the values include unreduced ones such as 7 and -1."""
+    if field != QQ:
+        cols = {i: {j: int(v) for j, v in col.items()} for i, col in cols.items()}
+    want = normalized_direct(field, 3, cols)
+    try:
+        got = LinMap(field, S4, S3, cols).cols
+    except DimensionError as exc:
+        got = str(exc)
+    assert got == want
+
+
 def random_vector(rng, field, dim, density=0.5) -> dict:
     return {j: field.of(rng.randrange(1, 5), rng.randrange(1, 4))
             for j in range(dim) if rng.random() < density}

@@ -19,12 +19,14 @@ from helpers import (
     random_group_structure,
     rebind_everywhere,
     scaled_h4_trivial_datum,
+    sweedler_bialgebra,
     tensor_map,
     tensor_product_oracle,
     trivial_datum,
     with_column,
 )
 import hopfprod.structures
+import hopfprod.unified
 from hopfprod.corpus import (
     a4_order2_ges,
     a4_unified_datum,
@@ -52,9 +54,14 @@ from hopfprod.special import (
     matched_pair_datum,
 )
 from hopfprod.structures import (
+    FDHopf,
+    NoAntipodeError,
+    antipode_solve,
+    attach_antipode,
     check_bialgebra,
     is_algebra_map,
     is_coalgebra_map,
+    left_convolution_inverse,
     tensor_coalgebra,
 )
 from hopfprod.unified import (
@@ -67,6 +74,7 @@ from hopfprod.unified import (
     build_unified_product,
     check_product_conditions,
     product_antipode,
+    solve_product_antipode,
     validate_datum,
 )
 
@@ -228,6 +236,86 @@ def test_product_antipode_rejects_bad_inputs():
     assert str(exc.value) == "s_h is not a two-sided dot inverse at (1 2)"
 
 
+def full_solves(monkeypatch) -> list:
+    """From now on record each carrier the product antipode hands to the
+    full solve of ``antipode_solve``."""
+    full, carriers = hopfprod.unified.antipode_solve, []
+
+    def recorded(b):
+        carriers.append(b)
+        return full(b)
+    monkeypatch.setattr(hopfprod.unified, "antipode_solve", recorded)
+    return carriers
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=repr)
+def test_product_antipode_is_solved_on_one_tensor_h(field, monkeypatch):
+    """On a Hopf base the restricted system decides: X = S j for
+    j: h -> 1 (x) h, and S(a (x) h) = X(h) (S_A(a) (x) 1).  The data include
+    H4 over H4, whose coproducts have several terms and whose antipode has
+    order four."""
+    carriers = full_solves(monkeypatch)
+    h4 = sweedler_bialgebra(field)
+    for d in (matched_pair_datum(s3_matched_pair(field)), crossed_datum(z4_crossed_datum(field)),
+              a4_unified_datum(field), trivial_datum(attach_antipode(h4), h4)):
+        p = build_unified_product(d)
+        s = solve_product_antipode(p)
+        e = p.carrier
+        assert s == antipode_solve(e)
+        assert left_convolution_inverse(p.incl_ext, d.ext.coalg, e.algebra) == \
+            compose(s, p.incl_ext)
+        assert compose(s, p.incl_base) == compose(p.incl_base, d.base.antipode)
+    assert carriers == []
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=repr)
+def test_product_antipode_without_base_antipode_is_the_full_solve(field, monkeypatch):
+    """The datum recovered from D(k[S3]) has a bialgebra base, so the
+    product antipode is the full solve of the carrier."""
+    carriers = full_solves(monkeypatch)
+    d = drinfeld_double_datum("s3", field)
+    assert not isinstance(d.base, FDHopf)
+    p = build_unified_product(d)
+    assert solve_product_antipode(p) == antipode_solve(p.carrier)
+    assert carriers == [p.carrier]
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=repr)
+def test_product_antipode_with_a_corrupted_base_antipode_is_the_full_solve(field, monkeypatch):
+    """A base antipode off by one entry makes the assembled S fail its
+    convolution check, and the full solve gives the true antipode."""
+    carriers = full_solves(monkeypatch)
+    d = a4_unified_datum(field)
+    want = solve_product_antipode(build_unified_product(d))
+    base = d.base
+    corruptions = [bad for bad in one_entry_corruptions(base.antipode) if bad != base.antipode]
+    for bad in corruptions:
+        d2 = dataclasses.replace(d, base=FDHopf(base.coalgebra, base.algebra, bad))
+        assert solve_product_antipode(build_unified_product(d2)) == want
+    assert len(carriers) == len(corruptions)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=repr)
+def test_product_of_the_idempotent_star_monoid_has_no_antipode(field, monkeypatch):
+    """The idempotent star tx * tx = tx passes every condition, so its
+    product is a bialgebra, the monoid bialgebra of a monoid that is no
+    group.  The restricted system is inconsistent, and the full solve
+    refuses it on the left."""
+    carriers = full_solves(monkeypatch)
+    ges = GroupExtendingStructure(
+        group=builtin_group("c2"), x_labels=("1x", "tx"),
+        ract=((0, 0), (1, 1)), lact=((0, 1), (0, 1)),
+        cocyc=((0, 0), (0, 0)), star=((0, 1), (1, 1)),
+    )
+    d = lift_to_hopf(ges, field)
+    p = build_unified_product(d)
+    assert left_convolution_inverse(p.incl_ext, d.ext.coalg, p.carrier.algebra) is None
+    with pytest.raises(NoAntipodeError) as exc:
+        solve_product_antipode(p)
+    assert exc.value.side == "left"
+    assert carriers == [p.carrier]
+
+
 def test_mixed_relations_verified_on_build():
     # mixed products against unit components collapse to the short closed
     # forms; the oracle re-multiplies the built carrier to check them on A4,
@@ -387,24 +475,34 @@ def with_corruptions(d, rng, per_map):
             yield dataclasses.replace(d, **{name: m})
 
 
+def first_difference(calls, got, want):
+    return next(call for call, x, y in zip(calls, got, want) if x != y)
+
+
 def test_collapsed_leg_rows_agree_with_the_expanded_oracle_on_every_tuple():
-    """Each of the four associativity rows gives the verdict of
-    :func:`leg_rows_direct` on every tuple, in scan order and in a shuffled
-    order that revisits the collapsed sums out of turn."""
+    """Each row of :data:`LEG_ROWS` gives the verdict of
+    :func:`leg_rows_direct` on every tuple: first row by row in scan order
+    through one table, as the condition check reads it, then through a
+    fresh table with the tuples of all rows shuffled together, so that one
+    row reads the collapsed legs and products another row stored, out of
+    turn."""
     rng = random.Random(18)
     verdicts = []
     for d, per_map in leg_test_data():
         for d2 in with_corruptions(d, rng, per_map):
             direct = leg_rows_direct(d2)
-            for name in LEG_ROWS:
-                ranges, holds, _ = _condition_evaluators(d2)[name]
-                tuples = list(iproduct(*ranges))
-                want = {t: direct[name](*t) for t in tuples}
-                assert [holds(*t) for t in tuples] == [want[t] for t in tuples], name
-                rng.shuffle(tuples)
-                holds = _condition_evaluators(d2)[name][1]
-                assert [holds(*t) for t in tuples] == [want[t] for t in tuples], name
-                verdicts += want.values()
+            table = _condition_evaluators(d2)
+            calls = [(name, t) for name in LEG_ROWS for t in iproduct(*table[name][0])]
+            want = [direct[name](*t) for name, t in calls]
+            got = [table[name][1](*t) for name, t in calls]
+            assert got == want, first_difference(calls, got, want)
+            order = list(range(len(calls)))
+            rng.shuffle(order)
+            table = _condition_evaluators(d2)
+            shuffled = {k: table[calls[k][0]][1](*calls[k][1]) for k in order}
+            got = [shuffled[k] for k in range(len(calls))]
+            assert got == want, first_difference(calls, got, want)
+            verdicts += want
     assert verdicts.count(False) > 1000 and verdicts.count(True) > 1000
 
 
