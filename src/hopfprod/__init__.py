@@ -24,10 +24,8 @@ from .factorization import (
     FactorizationInput,
     FactorizationInputError,
     NotAFactorizationError,
-    RoundtripResult,
     mult_map,
     recover_datum,
-    roundtrip_check,
     transfer_structure,
 )
 from .fields import QQ, FieldMismatchError, PrimeField, Rationals
@@ -38,7 +36,6 @@ from .groups import (
     check_group_structure,
     coset_extending_structure,
     group_algebra,
-    group_unified_product,
     grouplike_coalgebra,
     lift_to_hopf,
 )
@@ -80,9 +77,7 @@ from .structures import (
     convolution,
     convolution_unit,
     grouplike_indices,
-    is_algebra_antimap,
     is_algebra_map,
-    is_coalgebra_antimap,
     is_coalgebra_map,
     tensor_coalgebra,
 )
@@ -94,7 +89,6 @@ from .unified import (
     assemble_product,
     build_unified_product,
     check_product_conditions,
-    product_antipode,
     solve_product_antipode,
     validate_datum,
 )

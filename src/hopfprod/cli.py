@@ -213,6 +213,14 @@ def cmd_example(args) -> int:
     return EXIT_OK
 
 
+def cap(text: str) -> int:
+    """A ``--max-cocycles`` value: an integer of at least 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 @functools.cache
 def make_parser() -> argparse.ArgumentParser:
     """The command parser, built once per process: parsing does not change
@@ -246,13 +254,13 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("datum2")
     p.add_argument("--cocycle")
     p.add_argument("--search", action="store_true")
-    p.add_argument("--max-cocycles", type=int, default=DEFAULT_COCYCLE_CAP)
+    p.add_argument("--max-cocycles", type=cap, default=DEFAULT_COCYCLE_CAP)
     p.set_defaults(func=cmd_equiv)
 
     p = sub.add_parser("enum-cocycles", help="list all lazy cocycles H -> A")
     p.add_argument("ext")
     p.add_argument("base")
-    p.add_argument("--max-cocycles", type=int, default=DEFAULT_COCYCLE_CAP)
+    p.add_argument("--max-cocycles", type=cap, default=DEFAULT_COCYCLE_CAP)
     p.set_defaults(func=cmd_enum_cocycles)
 
     p = sub.add_parser("example", help="emit a built-in corpus object")

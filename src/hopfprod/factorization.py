@@ -32,7 +32,7 @@ from .structures import (
     _counits,
     is_coalgebra_map,
 )
-from .unified import ExtendingDatum, build_unified_product
+from .unified import ExtendingDatum
 
 
 def _pull_back(family, back):
@@ -215,20 +215,3 @@ def transfer_structure(e: FDBialgebra, l: FDCoalgebra, u: LinMap) -> FDBialgebra
     return FactorizationInput._induce_bialgebra(e, u, solver)
 
 
-@dataclass
-class RoundtripResult:
-    ok: bool
-    mismatch: str | None = None
-
-    def __bool__(self):
-        return self.ok
-
-
-def roundtrip_check(d: ExtendingDatum) -> RoundtripResult:
-    """Build the product of d, refactor it through its own inclusions, and
-    compare the recovered datum with d component for component."""
-    p = build_unified_product(d)
-    fi = FactorizationInput.build(p.carrier, p.incl_base, p.incl_ext)
-    recovered = recover_datum(fi)
-    mismatch = recovered.components_equal(d)
-    return RoundtripResult(mismatch is None, mismatch)

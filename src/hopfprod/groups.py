@@ -9,8 +9,8 @@ listings, serialized fixtures).
 A :class:`GroupExtendingStructure` is the set-level shadow of an extending
 datum: a base group G, a pointed set X, two actions, a cocycle and a star
 multiplication on X.  Lifting it linearly over group-like bases produces an
-:class:`~hopfprod.unified.ExtendingDatum`, and the set-level product
-``G x X`` matches the linear product entry for entry (checked in the tests).
+:class:`~hopfprod.unified.ExtendingDatum`, whose product matches the
+set-level product on ``G x X`` entry for entry (an oracle of the tests).
 """
 from __future__ import annotations
 
@@ -491,31 +491,3 @@ def lift_to_hopf(ges: GroupExtendingStructure, field=QQ) -> ExtendingDatum:
                             {x * n + y: {table[x][y]: field.one}
                              for x in range(spaces[left].dim) for y in range(n)})
     return ExtendingDatum(base=a_hopf, ext=h, **maps)
-
-
-def group_unified_product(ges: GroupExtendingStructure) -> GroupTable:
-    """The product group on G x X with the twisted multiplication.
-
-    (a, x) (b, y) = (a . (x |> b) . f(x <| b, y), (x <| b) * y), indexed
-    row-major so index (a, x) = a * |X| + x matches the tensor convention.
-    """
-    g = ges.group
-    nx = ges.x_size
-    mul = g.mult
-    n = g.order * nx
-    table = [[0] * n for _ in range(n)]
-    for a in range(g.order):
-        for x in range(nx):
-            row = table[a * nx + x]
-            for b in range(g.order):
-                xb_g = ges.lact[x][b]
-                xb_x = ges.ract[x][b]
-                for y in range(nx):
-                    out_a = mul(mul(a, xb_g), ges.cocyc[xb_x][y])
-                    out_x = ges.star[xb_x][y]
-                    row[b * nx + y] = out_a * nx + out_x
-    labels = [f"({ga},{lx})" for ga in g.labels for lx in ges.x_labels]
-    try:
-        return GroupTable(table, labels)
-    except NotAGroupError as exc:
-        raise NotAGroupError(f"twisted product is not a group: {exc}") from exc

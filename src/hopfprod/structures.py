@@ -7,7 +7,7 @@ produces the joint n-fold expansion used by the compatibility checkers.
 
 Axiom checkers return :class:`~hopfprod.reports.Report` objects that name
 each failing axiom together with a witness basis element, never bare booleans.
-Checkers and the (anti)morphism predicates evaluate every identity pointwise
+Checkers and the morphism predicates evaluate every identity pointwise
 over basis tuples, straight from the structure constants, and stop an axiom
 at its first failing tuple.  Tuples are scanned in row-major order, so the
 witness is the label of the first differing tensor-space index.  None of
@@ -18,6 +18,7 @@ maps of a datum and, with Y = k, a linear map.
 """
 from __future__ import annotations
 
+import functools
 from itertools import product as iproduct
 
 from .fields import same_field
@@ -442,17 +443,15 @@ def _check_shape(f: LinMap, src_dim: int, dst_dim: int, what: str):
         raise ValueError(f"map shape does not match the given {what}")
 
 
-def _coalgebra_map_halves(m: LinMap, x: FDCoalgebra, y: FDCoalgebra, z: FDCoalgebra,
-                          anti: bool = False):
+def _coalgebra_map_halves(m: LinMap, x: FDCoalgebra, y: FDCoalgebra, z: FDCoalgebra):
     """The two halves of "m: X (x) Y -> Z is a coalgebra map" as pointwise
     evaluators ``(comult, counit)`` at basis elements (a, b):
 
         delta_Z m(a, b)  = sum m(a1, b1) (x) m(a2, b2)
         counit_Z m(a, b) = counit(a) counit(b)
 
-    With ``anti`` the first takes delta_Z m(a, b) with its legs swapped, as
-    for an antimap.  A linear map X -> Z is the case Y = k.  Raises
-    ``ValueError`` unless m maps X (x) Y to Z."""
+    A linear map X -> Z is the case Y = k.  Raises ``ValueError`` unless m
+    maps X (x) Y to Z."""
     _check_shape(m, x.dim * y.dim, z.dim, "coalgebras")
     field = same_field(m, x, y, z)
     mul = field.mul
@@ -464,7 +463,7 @@ def _coalgebra_map_halves(m: LinMap, x: FDCoalgebra, y: FDCoalgebra, z: FDCoalge
         lhs, rhs = {}, {}
         for r, c in mc.get(a * ny + b, ()):
             for (r1, r2), e in cop_z[r]:
-                _add_term(field, lhs, (r2, r1) if anti else (r1, r2), mul(c, e))
+                _add_term(field, lhs, (r1, r2), mul(c, e))
         for (a1, a2), s in cop_x[a]:
             for (b1, b2), t in cop_y[b]:
                 st = mul(s, t)
@@ -482,16 +481,16 @@ def _coalgebra_map_halves(m: LinMap, x: FDCoalgebra, y: FDCoalgebra, z: FDCoalge
     return comult, counit
 
 
-def _is_coalgebra_map(m: LinMap, x: FDCoalgebra, y: FDCoalgebra, z: FDCoalgebra,
-                      anti: bool = False) -> bool:
+def _is_coalgebra_map(m: LinMap, x: FDCoalgebra, y: FDCoalgebra, z: FDCoalgebra) -> bool:
     """Both halves of :func:`_coalgebra_map_halves` at every (a, b)."""
-    comult, counit = _coalgebra_map_halves(m, x, y, z, anti)
+    comult, counit = _coalgebra_map_halves(m, x, y, z)
     return all(comult(a, b) and counit(a, b)
                for a, b in iproduct(range(x.dim), range(y.dim)))
 
 
+@functools.cache
 def _ground_coalgebra(field) -> FDCoalgebra:
-    """The ground field k as a coalgebra: delta(1) = 1 (x) 1, counit(1) = 1."""
+    """k as a coalgebra, delta(1) = 1 (x) 1 and counit(1) = 1, built once per field."""
     return FDCoalgebra(field, SCALAR_SPACE, grouplike_delta(field, SCALAR_SPACE),
                        counit_all_ones(field, SCALAR_SPACE))
 
@@ -501,14 +500,8 @@ def is_coalgebra_map(f: LinMap, src: FDCoalgebra, dst: FDCoalgebra) -> bool:
     return _is_coalgebra_map(f, src, _ground_coalgebra(src.field), dst)
 
 
-def is_coalgebra_antimap(f: LinMap, src: FDCoalgebra, dst: FDCoalgebra) -> bool:
-    """Like :func:`is_coalgebra_map` but with the tensor factors swapped."""
-    return _is_coalgebra_map(f, src, _ground_coalgebra(src.field), dst, anti=True)
-
-
-def _algebra_morphism(f: LinMap, src: FDAlgebra, dst: FDAlgebra, flip: bool) -> bool:
-    """f . m_src = m_dst . (f (x) f), with the factors swapped before f (x) f
-    when ``flip``, and f(1_src) = 1_dst."""
+def is_algebra_map(f: LinMap, src: FDAlgebra, dst: FDAlgebra) -> bool:
+    """f . m_src = m_dst . (f (x) f) and f(1_src) = 1_dst."""
     _check_shape(f, src.dim, dst.dim, "algebras")
     field = same_field(f, src, dst)
     mul = field.mul
@@ -519,23 +512,14 @@ def _algebra_morphism(f: LinMap, src: FDAlgebra, dst: FDAlgebra, flip: bool) -> 
         for r, x in m_src.get(i * n + j, ()):
             for s, y in f.cols.get(r, ()):
                 _add_term(field, lhs, s, mul(x, y))
-        left, right = (j, i) if flip else (i, j)
-        for r1, u in f.cols.get(left, ()):
-            for r2, v in f.cols.get(right, ()):
+        for r1, u in f.cols.get(i, ()):
+            for r2, v in f.cols.get(j, ()):
                 uv = mul(u, v)
                 for s, y in m_dst.get(r1 * nd + r2, ()):
                     _add_term(field, rhs, s, mul(uv, y))
         if lhs != rhs:
             return False
     return f.apply(src.unit) == dst.unit
-
-
-def is_algebra_map(f: LinMap, src: FDAlgebra, dst: FDAlgebra) -> bool:
-    return _algebra_morphism(f, src, dst, flip=False)
-
-
-def is_algebra_antimap(f: LinMap, src: FDAlgebra, dst: FDAlgebra) -> bool:
-    return _algebra_morphism(f, src, dst, flip=True)
 
 
 def grouplike_indices(c: FDCoalgebra) -> list[int]:

@@ -38,9 +38,6 @@ from .structures import (
     FDHopf,
     UnitalCoalgebra,
     antipode_solve,
-    convolution,
-    convolution_unit,
-    is_coalgebra_antimap,
     is_coalgebra_map,
     left_convolution_inverse,
     tensor_coalgebra,
@@ -524,46 +521,6 @@ def unified_product_of_checked(d: ExtendingDatum) -> UnifiedProduct:
                       {i: tensor_vec(field, a.unit, basis_vec(field, i), nh)
                        for i in range(h.dim)})
     return UnifiedProduct(carrier, d, incl_base, incl_ext)
-
-
-def product_antipode(p: UnifiedProduct, s_h: LinMap) -> LinMap:
-    """Antipode of the product from the base antipode and a dot-inverse on H.
-
-    Preconditions: the base is a Hopf algebra; ``s_h`` is a coalgebra
-    antimorphism of H and a two-sided convolution inverse of the identity for
-    the dot (h1 . s_h(h2) = s_h(h1) . h2 = counit(h) 1_H).  These are checked
-    and violations are rejected by name.
-    """
-    d = p.datum
-    a, h = d.base, d.ext
-    if not isinstance(a, FDHopf):
-        raise ValueError("base bialgebra has no antipode")
-    field = d.field
-    if not is_coalgebra_antimap(s_h, h.coalg, h.coalg):
-        raise ValueError("s_h is not a coalgebra antimorphism")
-    dot = FDAlgebra(field, h.space, d.dot, h.unit)
-    ident = LinMap.identity(field, h.space)
-    want = convolution_unit(h.coalg, dot)
-    left = convolution(ident, s_h, h.coalg, dot)
-    right = convolution(s_h, ident, h.coalg, dot)
-    for i in range(h.dim):
-        if not left.col(i) == right.col(i) == want.col(i):
-            raise ValueError(f"s_h is not a two-sided dot inverse at {h.space.labels[i]}")
-    ops = _Ops(d)
-    e = p.carrier
-    nh = h.dim
-    sa = a.antipode
-    cols = {}
-    for ai in range(a.dim):
-        for gi in range(nh):
-            w: dict = {}
-            for (g1, g2, g3), c in h.coalg.expand(gi, 3):
-                left = sa.apply(ops.coc(s_h.col(g2), g3))
-                vec_add_into(field, w, tensor_vec(field, left, s_h.col(g1), nh), c)
-            col = e.mul(w, tensor_vec(field, sa.col(ai), h.unit, nh))
-            if col:
-                cols[ai * nh + gi] = col
-    return LinMap(field, e.space, e.space, cols)
 
 
 def solve_product_antipode(p: UnifiedProduct) -> LinMap:

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import functools
 import sys
+from dataclasses import dataclass
 from itertools import product as iproduct
 
 import hopfprod as hp
@@ -14,7 +15,7 @@ import hopfprod.structures
 import hopfprod.unified
 from hopfprod.corpus import s3_matched_pair, z4_crossed_datum
 from hopfprod.fields import QQ, PrimeField
-from hopfprod.groups import GroupExtendingStructure
+from hopfprod.groups import GroupExtendingStructure, GroupTable, NotAGroupError
 from hopfprod.linalg import (
     SCALAR_SPACE,
     BasedSpace,
@@ -225,10 +226,39 @@ def drinfeld_double_datum(group_name: str, field=QQ) -> ExtendingDatum:
     return hopfprod.factorization.recover_datum(fi)
 
 
+def group_unified_product(ges: GroupExtendingStructure) -> GroupTable:
+    """The product group on G x X with the twisted multiplication, at set
+    level: the oracle of the linear product of ``lift_to_hopf(ges)``.
+
+    (a, x) (b, y) = (a . (x |> b) . f(x <| b, y), (x <| b) * y), indexed
+    row-major so index (a, x) = a * |X| + x matches the tensor convention.
+    """
+    g = ges.group
+    nx = ges.x_size
+    mul = g.mult
+    n = g.order * nx
+    table = [[0] * n for _ in range(n)]
+    for a in range(g.order):
+        for x in range(nx):
+            row = table[a * nx + x]
+            for b in range(g.order):
+                xb_g = ges.lact[x][b]
+                xb_x = ges.ract[x][b]
+                for y in range(nx):
+                    out_a = mul(mul(a, xb_g), ges.cocyc[xb_x][y])
+                    out_x = ges.star[xb_x][y]
+                    row[b * nx + y] = out_a * nx + out_x
+    labels = [f"({ga},{lx})" for ga in g.labels for lx in ges.x_labels]
+    try:
+        return GroupTable(table, labels)
+    except NotAGroupError as exc:
+        raise NotAGroupError(f"twisted product is not a group: {exc}") from exc
+
+
 def pair_bijection_is_isomorphism(ges: GroupExtendingStructure) -> bool:
     """Does (a, x) -> a * x carry the twisted product onto the ambient group?"""
     ambient = ges.ambient
-    product = hp.group_unified_product(ges)
+    product = group_unified_product(ges)
     nx = ges.x_size
     to_ambient = []
     for a_sub in ges.sub_indices:
@@ -303,6 +333,25 @@ def oracle_is_coalgebra_map(f, src, dst, flip=False):
     if flip:
         rhs = compose(twist_map(f.field, dst.space, dst.space), rhs)
     return compose(dst.delta, f) == rhs and compose(dst.epsilon, f) == src.epsilon
+
+
+def oracle_is_algebra_map(f, src, dst, flip=False):
+    """f . m_src = m_dst . (f (x) f), the factors swapped before f (x) f when
+    ``flip``, and f(1_src) = 1_dst, through the composed maps."""
+    ff = tensor_map(f, f)
+    if flip:
+        ff = compose(ff, twist_map(f.field, src.space, src.space))
+    return compose(f, src.mult) == compose(dst.mult, ff) and f.apply(src.unit) == dst.unit
+
+
+def is_coalgebra_antimap(f, src, dst) -> bool:
+    """delta_dst . f = twist . (f (x) f) . delta_src and the counits agree."""
+    return oracle_is_coalgebra_map(f, src, dst, flip=True)
+
+
+def is_algebra_antimap(f, src, dst) -> bool:
+    """f . m_src = m_dst . (f (x) f) . twist and f(1_src) = 1_dst."""
+    return oracle_is_algebra_map(f, src, dst, flip=True)
 
 
 def bilin_direct(m: LinMap, v, w, right_dim: int) -> dict:
@@ -582,6 +631,24 @@ def product_projections(p: UnifiedProduct):
 # the recovered datum and the antipode through composed maps and two systems
 
 
+@dataclass
+class RoundtripResult:
+    ok: bool
+    mismatch: str | None = None
+
+    def __bool__(self):
+        return self.ok
+
+
+def roundtrip_check(d: ExtendingDatum) -> RoundtripResult:
+    """Build the product of d, refactor it through its own inclusions, and
+    compare the recovered datum with d component for component."""
+    p = hp.build_unified_product(d)
+    fi = hp.FactorizationInput.build(p.carrier, p.incl_base, p.incl_ext)
+    mismatch = hp.recover_datum(fi).components_equal(d)
+    return RoundtripResult(mismatch is None, mismatch)
+
+
 def recover_datum_composed(fi) -> ExtendingDatum:
     """``factorization.recover_datum`` through the maps mu and nu and the
     composites ``(id (x) eps_H) . mu`` and so on, as its oracle."""
@@ -620,6 +687,49 @@ def recover_datum_composed(fi) -> ExtendingDatum:
     dot = compose(tensor_map(a.epsilon, ident_h), nu)
     return ExtendingDatum(base=a, ext=h, dot=dot, ract=ract, lact=lact,
                           cocycle=cocycle)
+
+
+def product_antipode(p: UnifiedProduct, s_h: LinMap) -> LinMap:
+    """The antipode of the product by its closed formula, from the base
+    antipode and a dot-inverse s_h on H:
+
+        S(a (x) g) = sum (S_A f(S_H(g2), g3) (x) S_H(g1)) (S_A(a) (x) 1)
+
+    Preconditions: the base is a Hopf algebra; ``s_h`` is a coalgebra
+    antimap of H and a two-sided convolution inverse of the identity for
+    the dot (h1 . s_h(h2) = s_h(h1) . h2 = counit(h) 1_H).  These are checked
+    and violations are rejected by name.
+    """
+    d = p.datum
+    a, h = d.base, d.ext
+    if not isinstance(a, FDHopf):
+        raise ValueError("base bialgebra has no antipode")
+    field = d.field
+    if not is_coalgebra_antimap(s_h, h.coalg, h.coalg):
+        raise ValueError("s_h is not a coalgebra antimorphism")
+    dot = FDAlgebra(field, h.space, d.dot, h.unit)
+    ident = LinMap.identity(field, h.space)
+    want = convolution_unit(h.coalg, dot)
+    left = convolution(ident, s_h, h.coalg, dot)
+    right = convolution(s_h, ident, h.coalg, dot)
+    for i in range(h.dim):
+        if not left.col(i) == right.col(i) == want.col(i):
+            raise ValueError(f"s_h is not a two-sided dot inverse at {h.space.labels[i]}")
+    ops = _Ops(d)
+    e = p.carrier
+    nh = h.dim
+    sa = a.antipode
+    cols = {}
+    for ai in range(a.dim):
+        for gi in range(nh):
+            w: dict = {}
+            for (g1, g2, g3), c in h.coalg.expand(gi, 3):
+                left = sa.apply(ops.coc(s_h.col(g2), g3))
+                vec_add_into(field, w, tensor_vec(field, left, s_h.col(g1), nh), c)
+            col = e.mul(w, tensor_vec(field, sa.col(ai), h.unit, nh))
+            if col:
+                cols[ai * nh + gi] = col
+    return LinMap(field, e.space, e.space, cols)
 
 
 def antipode_solve_two_systems(b: FDBialgebra) -> LinMap:
@@ -1109,7 +1219,7 @@ def check_library_claims_on_every_call(monkeypatch) -> None:
     crossed, matched = hopfprod.special.check_crossed, hopfprod.special.check_matched_pair
     recover = hopfprod.factorization.recover_datum
     antipode = hopfprod.structures.antipode_solve
-    product_antipode = hopfprod.unified.solve_product_antipode
+    solve_product = hopfprod.unified.solve_product_antipode
     assemble = hopfprod.unified.assemble_product
 
     def assert_lazy(u):
@@ -1176,14 +1286,14 @@ def check_library_claims_on_every_call(monkeypatch) -> None:
         assert s == want, f"antipode differs from the two-system oracle ({want!r})"
         return s
 
-    @functools.wraps(product_antipode)
-    def checked_product_antipode(p):
+    @functools.wraps(solve_product)
+    def checked_solve_product(p):
         try:
             want = antipode(p.carrier)
         except NoAntipodeError as exc:
             want = exc.side
         try:
-            s = product_antipode(p)
+            s = solve_product(p)
         except NoAntipodeError as exc:
             assert exc.side == want, f"no {exc.side} inverse, the full solve gives {want!r}"
             raise
@@ -1205,6 +1315,6 @@ def check_library_claims_on_every_call(monkeypatch) -> None:
                                   (crossed, checked_crossed), (matched, checked_matched),
                                   (recover, checked_recover),
                                   (antipode, checked_antipode),
-                                  (product_antipode, checked_product_antipode),
+                                  (solve_product, checked_solve_product),
                                   (assemble, checked_assemble)):
         rebind_everywhere(monkeypatch, original, replacement)

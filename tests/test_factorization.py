@@ -2,7 +2,12 @@ import time
 
 import pytest
 
-from helpers import drinfeld_double_factors, recover_datum_composed, trivial_datum
+from helpers import (
+    drinfeld_double_factors,
+    recover_datum_composed,
+    roundtrip_check,
+    trivial_datum,
+)
 from hopfprod.cli import main
 from hopfprod.corpus import a4_unified_datum, s3_matched_pair
 from hopfprod.factorization import (
@@ -11,7 +16,6 @@ from hopfprod.factorization import (
     NotAFactorizationError,
     mult_map,
     recover_datum,
-    roundtrip_check,
     transfer_structure,
 )
 from hopfprod.fields import QQ, PrimeField

@@ -1,6 +1,6 @@
 import pytest
 
-from helpers import pair_bijection_is_isomorphism
+from helpers import group_unified_product, pair_bijection_is_isomorphism
 from hopfprod.corpus import a4_order2_ges, s3_c3_ges, z4_c2_ges
 from hopfprod.fields import QQ, PrimeField
 from hopfprod.groups import (
@@ -13,7 +13,6 @@ from hopfprod.groups import (
     check_group_structure,
     coset_extending_structure,
     group_algebra,
-    group_unified_product,
     lift_to_hopf,
     small_corpus_names,
 )

@@ -466,6 +466,39 @@ def test_cli_enum_cocycles_and_cap(tmp_path, capsys):
     assert code == 3
 
 
+def assert_cli_rejects_usage(capsys, *argv, message):
+    """The parser refuses argv as malformed input: exit 2, nothing on stdout."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    out = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out.out == "" and message in out.err
+
+
+def test_cli_enum_cocycles_negative_cap_exits_two(tmp_path, capsys):
+    ph, pa = tmp_path / "h.json", tmp_path / "a.json"
+    ph.write_bytes(serialize(grouplike_coalgebra(("p", "q", "r"))))
+    pa.write_bytes(serialize(group_algebra(builtin_group("c2"))))
+    assert_cli_rejects_usage(capsys, "enum-cocycles", str(ph), str(pa), "--max-cocycles", "-1",
+                             message="--max-cocycles: must be at least 0, got -1")
+    code, out, _ = run_cli(capsys, "enum-cocycles", str(ph), str(pa), "--max-cocycles", "0")
+    assert code == 3 and out == "4 candidate cocycles exceed the cap 0\n"
+
+
+def test_cli_equiv_negative_cap_exits_two(tmp_path, capsys):
+    path = tmp_path / "a4.json"
+    path.write_bytes(serialize(a4_unified_datum()))
+    assert_cli_rejects_usage(capsys, "equiv", str(path), str(path), "--search",
+                             "--max-cocycles", "-1",
+                             message="--max-cocycles: must be at least 0, got -1")
+    assert_cli_rejects_usage(capsys, "equiv", str(path), str(path), "--max-cocycles", "x",
+                             message="--max-cocycles: invalid cap value: 'x'")
+    code, out, _ = run_cli(capsys, "equiv", str(path), str(path), "--search",
+                           "--max-cocycles", "0")
+    assert code == 3
+    assert out == "undecided: 32 candidate cocycles exceed the cap 0\n"
+
+
 def test_cli_enum_cocycles_outside_the_group_like_regime_exits_three(tmp_path, capsys):
     from helpers import sweedler_bialgebra
 

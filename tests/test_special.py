@@ -10,6 +10,7 @@ from helpers import (
     check_mixed_relations_on_every_build,
     crossed_mult_direct,
     crossed_rows_direct,
+    group_unified_product,
     left_module_law_direct,
     one_entry_corruptions,
     s3_pair_with_bad_lact,
@@ -32,7 +33,7 @@ from hopfprod.corpus import (
     z4_crossed_datum,
 )
 from hopfprod.fields import QQ, PrimeField
-from hopfprod.groups import builtin_group, group_algebra, group_unified_product
+from hopfprod.groups import builtin_group, group_algebra
 from hopfprod.linalg import LinMap, basis_vec
 from hopfprod.serialize import serialize
 from hopfprod.special import (

@@ -14,7 +14,9 @@ from helpers import (
     h4_trivial_datum,
     leg_rows_direct,
     one_entry_corruptions,
+    oracle_is_algebra_map,
     oracle_is_coalgebra_map,
+    product_antipode,
     product_projections,
     random_group_structure,
     rebind_everywhere,
@@ -73,7 +75,6 @@ from hopfprod.unified import (
     assemble_product,
     build_unified_product,
     check_product_conditions,
-    product_antipode,
     solve_product_antipode,
     validate_datum,
 )
@@ -278,6 +279,19 @@ def test_product_antipode_without_base_antipode_is_the_full_solve(field, monkeyp
     p = build_unified_product(d)
     assert solve_product_antipode(p) == antipode_solve(p.carrier)
     assert carriers == [p.carrier]
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=repr)
+def test_product_antipode_of_the_double_is_an_antimap(field):
+    """The antipode of D(k[S3]), a product whose coproducts have several
+    terms, reverses products and coproducts."""
+    p = build_unified_product(drinfeld_double_datum("s3", field))
+    e, s = p.carrier, solve_product_antipode(p)
+    assert oracle_is_algebra_map(s, e.algebra, e.algebra, flip=True)
+    assert oracle_is_coalgebra_map(s, e.coalgebra, e.coalgebra, flip=True)
+    # neither factor of D(k[S3]) is commutative and cocommutative at once
+    assert not oracle_is_algebra_map(s, e.algebra, e.algebra)
+    assert not oracle_is_coalgebra_map(s, e.coalgebra, e.coalgebra)
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=repr)
