@@ -85,7 +85,7 @@ class NotALazyCocycleError(ValueError):
     """A map handed in as a lazy cocycle is not one."""
 
 
-@dataclass
+@dataclass(slots=True)
 class LazyCocycle:
     """A lazy cocycle with its H and A context attached.
 
@@ -161,11 +161,12 @@ def enumerate_cocycles(h: UnitalCoalgebra, a: FDBialgebra,
     if count > cap:
         raise CapExceededError(f"{count} candidate cocycles exceed the cap {cap}")
     others = [i for i in range(h.dim) if i != basepoint]
+    # every candidate shares these |A| one-entry columns
+    points = [((t, field.one),) for t in range(a.dim)]
     out = []
-    for targets in iproduct(range(a.dim), repeat=len(others)):
-        cols = {basepoint: {unit_idx[0]: field.one}}
-        for x, t in zip(others, targets):
-            cols[x] = {t: field.one}
+    for targets in iproduct(points, repeat=len(others)):
+        cols = {basepoint: points[unit_idx[0]]}
+        cols.update(zip(others, targets))
         u = LinMap(field, h.space, a.space, cols)
         out.append(LazyCocycle._unchecked(u, h, a))
     return out

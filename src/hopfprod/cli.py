@@ -6,12 +6,14 @@ a human-readable table followed by a machine-readable document after the
 
 Exit codes: 0 all checks passed, 1 checks failed (a valid run with a
 negative answer), 2 malformed input, 3 enumeration cap exceeded or the
-question is undecidable in the enumerable regime.
+question is undecidable in the enumerable regime, 141 standard output
+closed before everything was written (as in ``hopfprod ... | head -1``).
 """
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 
 from .classification import (
@@ -62,6 +64,8 @@ EXIT_OK = 0
 EXIT_CHECKS_FAILED = 1
 EXIT_MALFORMED = 2
 EXIT_UNDECIDED = 3
+# 128 + SIGPIPE: the status a shell reports for a writer stopped by a closed pipe
+_EXIT_BROKEN_PIPE = 141
 
 
 class CliError(Exception):
@@ -275,7 +279,16 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader has gone away: point stdout at the null device, so that
+        # what is still buffered, and the flush at exit, cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return _EXIT_BROKEN_PIPE
     except CliError as exc:
         print(exc.message, file=sys.stderr)
         return exc.code

@@ -157,7 +157,15 @@ QQ = Rationals()
 
 
 def same_field(*objs):
-    """Return the common field of the given carriers, or raise."""
+    """Return the common field of the given carriers, or raise.  Carriers
+    that all hold one field object are answered by identity alone."""
+    if objs:
+        field = objs[0].field
+        for obj in objs:
+            if obj.field is not field:
+                break
+        else:
+            return field
     fields = {obj.field for obj in objs}
     if len(fields) != 1:
         raise FieldMismatchError(f"mixed ground fields: {sorted(map(repr, fields))}")

@@ -7,6 +7,14 @@ stored zeros.  Tensor products use the row-major convention throughout: the
 pair ``(i, j)`` over ``A (x) B`` sits at flat index ``i * dim(B) + j``.  That
 convention is normative for file I/O as well.
 
+A result column that is exactly a stored one-entry column of an operand,
+times one, is that same tuple: :func:`compose` shares column j of f where
+column i of g is ``((j, 1),)``, and :func:`~hopfprod.structures.convolution`
+shares a column of the multiplication the same way.  Stored columns are
+never mutated, so sharing them is safe, and :class:`LinMap` accepts such a
+one-entry tuple in place of a dict.  Every other column is summed term by
+term from the stored tuples into a dict.
+
 Bilinear maps are linear maps out of a tensor-product domain.
 :meth:`LinMap.bilin` is the one evaluator for them: each argument is a basis
 index or a sparse vector.  A one-term vector counts as its index with a
@@ -109,7 +117,12 @@ class LinMap:
     __slots__ = ("field", "domain", "codomain", "cols", "_hash")
 
     def __init__(self, field, domain: BasedSpace, codomain: BasedSpace, cols):
-        """``cols`` maps domain index -> {codomain index: value}; zeros dropped."""
+        """``cols`` maps domain index -> column; zeros dropped.
+
+        A column is a dict {codomain index: value}, or a stored one-entry
+        column ``((j, v),)`` of some map, which is kept as the same tuple.
+        Either way a zero value leaves the column out and an index out of
+        range raises :class:`DimensionError`."""
         self.field = field
         self.domain = domain
         self.codomain = codomain
@@ -120,7 +133,7 @@ class LinMap:
             if not 0 <= i < ndom:
                 raise DimensionError(f"domain index {i} out of range")
             if len(col) == 1:
-                entries = tuple(col.items())
+                entries = col if type(col) is tuple else tuple(col.items())
                 (lo, v), = entries
                 if is_zero(v):
                     continue
@@ -239,11 +252,26 @@ def compose(f: LinMap, g: LinMap) -> LinMap:
         raise DimensionError(
             f"cannot compose: {g.codomain.dim} -> {f.domain.dim} mismatch"
         )
+    fcols = f.cols
+    one, zero, add, mul, is_zero = field.one, field.zero, field.add, field.mul, field.is_zero
     cols = {}
-    for i in g.cols:
-        img = f.apply(g.col(i))
-        if img:
-            cols[i] = img
+    for i, gcol in g.cols.items():
+        if len(gcol) == 1:
+            (j, c), = gcol
+            fcol = fcols.get(j, ())
+            if c == one and len(fcol) == 1:
+                cols[i] = fcol
+                continue
+        acc = {}
+        for j, c in gcol:
+            for k, m in fcols.get(j, ()):
+                z = add(acc.get(k, zero), mul(c, m))
+                if is_zero(z):
+                    acc.pop(k, None)
+                else:
+                    acc[k] = z
+        if acc:
+            cols[i] = acc
     return LinMap(field, g.domain, f.codomain, cols)
 
 

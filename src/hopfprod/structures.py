@@ -30,7 +30,6 @@ from .linalg import (
     compose,
     solve_system,
     tensor_space,
-    vec_add_into,
     vec_scale,
 )
 from .reports import Report
@@ -102,7 +101,7 @@ class FDCoalgebra:
         return out
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, FDCoalgebra)
             and self.field == other.field
             and self.delta == other.delta
@@ -144,7 +143,7 @@ class UnitalCoalgebra:
         return self.coalg.epsilon
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, UnitalCoalgebra)
             and self.coalg == other.coalg
             and self.unit == other.unit
@@ -187,7 +186,7 @@ class FDAlgebra:
         return LinMap(self.field, SCALAR_SPACE, self.space, {0: self.unit})
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, FDAlgebra)
             and self.field == other.field
             and self.mult == other.mult
@@ -252,7 +251,7 @@ class FDBialgebra:
         return UnitalCoalgebra(self.coalgebra, self.unit)
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, FDBialgebra)
             and self.coalgebra == other.coalgebra
             and self.algebra == other.algebra
@@ -275,7 +274,7 @@ class FDHopf(FDBialgebra):
             raise ValueError("antipode has the wrong shape")
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, FDHopf)
             and FDBialgebra.__eq__(self, other)
             and self.antipode == other.antipode
@@ -537,20 +536,46 @@ def grouplike_indices(c: FDCoalgebra) -> list[int]:
 def convolution(f: LinMap, g: LinMap, src: FDCoalgebra, dst: FDAlgebra) -> LinMap:
     """The convolution product m_dst . (f (x) g) . delta_src, evaluated
     pointwise: (f * g)(e_i) = sum f(e_i1) g(e_i2) over the cached
-    comultiplication of e_i, with no map out of a tensor square.  Raises
-    :class:`DimensionError` unless both factors map src to dst."""
+    comultiplication of e_i, with no map out of a tensor square.  The
+    operand and product columns are read as stored; where Δ(e_i) is one
+    term c e_i1 (x) e_i2 and c, f(e_i1) and g(e_i2) are each one entry with
+    coefficient one, the result column is the stored product column, shared
+    when it is one entry.  Raises :class:`DimensionError` unless both
+    factors map src to dst."""
     field = same_field(f, g, src, dst)
+    sdim, n = src.dim, dst.dim
     for h in (f, g):
-        if h.domain.dim != src.dim or h.codomain.dim != dst.dim:
+        if h.domain.dim != sdim or h.codomain.dim != n:
             raise DimensionError(
                 f"convolution factor {h.domain.dim} -> {h.codomain.dim} does not "
-                f"map the coalgebra ({src.dim}) to the algebra ({dst.dim})")
+                f"map the coalgebra ({sdim}) to the algebra ({n})")
+    fcols, gcols, mcols = f.cols, g.cols, dst.mult.cols
+    one, zero, add, mul, is_zero = field.one, field.zero, field.add, field.mul, field.is_zero
     cols = {}
-    for i in range(src.dim):
+    for i in range(sdim):
+        terms = src.expand(i, 2)
+        if len(terms) == 1:
+            (i1, i2), c = terms[0]
+            x, y = fcols.get(i1, ()), gcols.get(i2, ())
+            if len(x) == 1 and len(y) == 1 and c == one == x[0][1] == y[0][1]:
+                col = mcols.get(x[0][0] * n + y[0][0], ())
+                if len(col) == 1:
+                    cols[i] = col
+                    continue
         acc: dict = {}
-        for (i1, i2), c in src.expand(i, 2):
-            vec_add_into(field, acc, dst.mul(f.col(i1), g.col(i2)), c)
-        cols[i] = acc
+        for (i1, i2), c in terms:
+            for j1, a in fcols.get(i1, ()):
+                ca, base = mul(c, a), j1 * n
+                for j2, b in gcols.get(i2, ()):
+                    cab = mul(ca, b)
+                    for k, m in mcols.get(base + j2, ()):
+                        z = add(acc.get(k, zero), mul(cab, m))
+                        if is_zero(z):
+                            acc.pop(k, None)
+                        else:
+                            acc[k] = z
+        if acc:
+            cols[i] = acc
     return LinMap(field, src.delta.domain, dst.mult.codomain, cols)
 
 

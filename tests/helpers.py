@@ -10,6 +10,7 @@ import hopfprod as hp
 import hopfprod.classification
 import hopfprod.factorization
 import hopfprod.groups
+import hopfprod.linalg
 import hopfprod.special
 import hopfprod.structures
 import hopfprod.unified
@@ -382,6 +383,25 @@ def dense_from_linmap(m: LinMap):
         for j, v in m.col(i).items():
             rows[j][i] = v
     return rows
+
+
+def dense_compose_direct(f: LinMap, g: LinMap):
+    """The dense matrix of f after g, each entry summed from the dense
+    matrices of f and g, as the oracle of ``linalg.compose``."""
+    field = f.field
+    fm, gm = dense_from_linmap(f), dense_from_linmap(g)
+    # a stored value is never zero and the matrices are filled with the
+    # plain 0 of both fields, so an entry is nonzero exactly when truthy
+    grows = [[(i, y) for i, y in enumerate(row) if y] for row in gm]
+    out = []
+    for frow in fm:
+        row = [field.zero] * g.domain.dim
+        for k, x in enumerate(frow):
+            if x:
+                for i, y in grows[k]:
+                    row[i] = field.add(row[i], field.mul(x, y))
+        out.append(row)
+    return out
 
 
 def convolution_direct(f: LinMap, g: LinMap, src: FDCoalgebra, dst: FDAlgebra) -> LinMap:
@@ -1210,8 +1230,10 @@ def check_library_claims_on_every_call(monkeypatch) -> None:
     solved antipode, or the side a failure names, against
     :func:`antipode_solve_two_systems`, every product antipode solved on
     1 (x) H against ``antipode_solve`` of the carrier (the same map, or the
-    same side of :class:`NoAntipodeError`), and every assembled product
-    carrier against :func:`assemble_product_direct`."""
+    same side of :class:`NoAntipodeError`), every assembled product
+    carrier against :func:`assemble_product_direct`, every convolution
+    against :func:`convolution_direct` and every composite against
+    :func:`dense_compose_direct`."""
     cls = hopfprod.classification
     convolve, inverse, certify = cls.cocycle_convolve, cls.cocycle_inverse, cls._certify
     deform, split = hopfprod.special.deform_matched_pair, hopfprod.groups.coset_extending_structure
@@ -1221,6 +1243,7 @@ def check_library_claims_on_every_call(monkeypatch) -> None:
     antipode = hopfprod.structures.antipode_solve
     solve_product = hopfprod.unified.solve_product_antipode
     assemble = hopfprod.unified.assemble_product
+    convolve_maps, compose_maps = hopfprod.structures.convolution, hopfprod.linalg.compose
 
     def assert_lazy(u):
         assert cls.is_lazy_cocycle(u.linmap, u.ext, u.base), "not a lazy cocycle"
@@ -1308,6 +1331,21 @@ def check_library_claims_on_every_call(monkeypatch) -> None:
         assert carrier.unit == want.unit and carrier.coalgebra == want.coalgebra
         return carrier
 
+    @functools.wraps(convolve_maps)
+    def checked_convolution(f, g, src, dst):
+        w = convolve_maps(f, g, src, dst)
+        want = convolution_direct(f, g, src, dst)
+        assert w == want, f"convolution differs from the composed maps ({want!r})"
+        return w
+
+    @functools.wraps(compose_maps)
+    def checked_compose(f, g):
+        fg = compose_maps(f, g)
+        assert dense_from_linmap(fg) == dense_compose_direct(f, g), \
+            "composite differs from the dense product"
+        assert (fg.domain, fg.codomain) == (g.domain, f.codomain)
+        return fg
+
     for original, replacement in ((convolve, returns_lazy(convolve)),
                                   (inverse, returns_lazy(inverse)),
                                   (deform, checked_deform), (split, checked_split),
@@ -1316,5 +1354,7 @@ def check_library_claims_on_every_call(monkeypatch) -> None:
                                   (recover, checked_recover),
                                   (antipode, checked_antipode),
                                   (solve_product, checked_solve_product),
-                                  (assemble, checked_assemble)):
+                                  (assemble, checked_assemble),
+                                  (convolve_maps, checked_convolution),
+                                  (compose_maps, checked_compose)):
         rebind_everywhere(monkeypatch, original, replacement)

@@ -105,6 +105,9 @@ def test_convolution_unit_neutral_and_inverse():
         v = cocycle_inverse(u)
         assert cocycle_convolve(u, v).linmap == unit.linmap
         assert cocycle_convolve(v, u).linmap == unit.linmap
+        # S_A . u shares the stored columns of S_A
+        assert all(v.linmap.cols[i] is a.antipode.cols[col[0][0]]
+                   for i, col in u.linmap.cols.items())
 
 
 def test_the_group_operations_are_held_against_is_lazy_cocycle():
@@ -132,6 +135,7 @@ def test_convolution_is_pointwise_product_on_grouplikes():
                 ui = next(iter(u.linmap.col(i)))
                 vi = next(iter(v.linmap.col(i)))
                 assert w.linmap.col(i) == {g.table[ui][vi]: QQ.one}
+                assert w.linmap.cols[i] is a.mult.cols[ui * a.dim + vi]
 
 
 def test_cocycle_group_table_isomorphic_to_s3():
@@ -156,6 +160,8 @@ def test_enumeration_counts_and_caps():
     assert len(enumerate_cocycles(grouplike_coalgebra(("p", "q"), QQ), a2)) == 2
     cands = enumerate_cocycles(grouplike_coalgebra(("p", "q", "r"), QQ), a2)
     assert len(cands) == 4
+    # the candidates share one stored column per basis element of A
+    assert len({id(col) for u in cands for col in u.linmap.cols.values()}) == a2.dim
     for u in cands:
         for v in cands:
             assert any(cocycle_convolve(u, v).linmap == w.linmap for w in cands)

@@ -93,8 +93,15 @@ def test_field_equality_and_mismatch():
             self.field = field
 
     assert same_field(Carrier(QQ), Carrier(QQ)) == QQ
-    with pytest.raises(FieldMismatchError):
+    # distinct but equal field objects are one field
+    f5, twin = PrimeField(5), PrimeField(5)
+    assert same_field(Carrier(f5), Carrier(twin), Carrier(f5)) == f5
+    with pytest.raises(FieldMismatchError,
+                       match=r"^mixed ground fields: \['GF\(5\)', 'QQ'\]$"):
         same_field(Carrier(QQ), Carrier(PrimeField(5)))
+    with pytest.raises(FieldMismatchError,
+                       match=r"^mixed ground fields: \['GF\(5\)', 'GF\(7\)'\]$"):
+        same_field(Carrier(f5), Carrier(f5), Carrier(PrimeField(7)))
 
 
 # ---------------------------------------------------------------------------

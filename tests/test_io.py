@@ -1,7 +1,10 @@
 import copy
 import json
+import os
 import pathlib
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -592,6 +595,39 @@ def test_cli_does_not_report_an_engine_error_as_malformed_input(tmp_path, capsys
     src.write_bytes(serialize(a4_unified_datum()))
     with pytest.raises(ValueError, match="engine bug"):
         main(["verify", str(src)])
+
+
+def closed_pipe() -> int:
+    """The write end of a pipe whose reader has gone away: a write that
+    reaches it raises BrokenPipeError."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    return write_end
+
+
+def test_cli_closed_stdout_exits_141_without_a_traceback(tmp_path, capsys, monkeypatch):
+    a4 = tmp_path / "a4.json"
+    a4.write_bytes(serialize(a4_unified_datum()))
+    for argv in (["equiv", str(a4), str(a4), "--search"], ["verify", str(a4)],
+                 ["example", "a4-unified"]):
+        with open(closed_pipe(), "w") as stdout:
+            monkeypatch.setattr(sys, "stdout", stdout)
+            assert main(argv) == 141
+            # stdout now writes to the null device, so the flush at exit is quiet
+            assert os.path.samestat(os.fstat(stdout.fileno()), os.stat(os.devnull))
+            print("more output", flush=True)
+    assert capsys.readouterr().err == ""
+
+
+def test_cli_stdout_closed_before_the_first_write_exits_quietly():
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(hopfprod.cli.__file__).parents[1]))
+    stdout = closed_pipe()
+    try:
+        proc = subprocess.run([sys.executable, "-m", "hopfprod.cli", "example", "a4-unified"],
+                              stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(stdout)
+    assert (proc.returncode, proc.stderr) == (141, b"")
 
 
 def test_cli_parser_is_built_once_and_keeps_no_state(tmp_path, capsys):

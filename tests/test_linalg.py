@@ -76,6 +76,18 @@ def test_compose_matches_dense_matrix_product_oracle():
         assert got == expected
 
 
+def test_compose_shares_one_entry_columns_and_sums_the_rest():
+    f = LinMap(QQ, S3, S4, {0: {1: 1}, 1: {2: 5}, 2: {0: 1, 3: 2}})
+    g = LinMap(QQ, S4, S3, {0: {0: 1}, 1: {1: 1}, 2: {2: 1}, 3: {0: 2, 1: 3}})
+    fg = compose(f, g)
+    # column i of g is ((j, 1),) and column j of f one entry: the same tuple
+    assert fg.cols[0] is f.cols[0] and fg.cols[1] is f.cols[1]
+    assert fg.cols[2] == f.cols[2] and fg.col(3) == {1: 2, 2: 15}
+    cancel = LinMap(QQ, S2, S3, {0: {0: 1, 1: Fraction(-1, 5)}, 1: {1: 1}})
+    f2 = LinMap(QQ, S3, S4, {0: {3: 1}, 1: {3: 5}})
+    assert compose(f2, cancel).cols == {1: ((3, 5),)}
+
+
 def test_compose_associative_randomized():
     rng = random.Random(5)
     for _ in range(10):
@@ -286,6 +298,27 @@ def test_linmap_rejects_out_of_range_indices():
         LinMap(QQ, S2, S2, {0: {7: QQ.one}})
 
 
+def test_linmap_keeps_a_stored_one_entry_column():
+    """A one-entry tuple is kept as that tuple, and gives the map the dict
+    gives; with a zero value or an index out of range it is dropped or
+    refused just as the dict is."""
+    for field, v in ((QQ, Fraction(1, 3)), (PrimeField(7), 4)):
+        col = ((2, v),)
+        m = LinMap(field, S2, S3, {0: col, 1: {0: 1}})
+        d = LinMap(field, S2, S3, {0: {2: v}, 1: {0: 1}})
+        assert m.cols[0] is col
+        assert m == d and hash(m) == hash(d) and m.col(0) == {2: v}
+        assert LinMap(field, S2, S3, {0: ((1, field.zero),)}).cols == {}
+        for j in (3, -1):
+            with pytest.raises(DimensionError) as from_dict:
+                LinMap(field, S2, S3, {0: {j: v}})
+            with pytest.raises(DimensionError) as from_tuple:
+                LinMap(field, S2, S3, {0: ((j, v),)})
+            assert str(from_tuple.value) == str(from_dict.value) == \
+                f"codomain index {j} out of range"
+    assert LinMap(PrimeField(7), S2, S3, {0: ((1, 7),)}).cols == {}
+
+
 def normalized_direct(field, ncod: int, cols: dict):
     """The columns a LinMap stores for ``cols``, entry by entry: zeros
     dropped, then sorted, then every codomain index checked in that order;
@@ -310,16 +343,21 @@ def normalized_direct(field, ncod: int, cols: dict):
 def test_linmap_columns_match_the_entrywise_normalization(field, cols):
     """Sorted once, with only the ends checked and zeros filtered only when
     present, a column gives what the entry-by-entry loop gives, and an
-    index outside the codomain is named as that loop names it; over GF(7)
-    the values include unreduced ones such as 7 and -1."""
+    index outside the codomain is named as that loop names it, whether a
+    one-entry column comes as a dict or as a stored tuple; over GF(7) the
+    values include unreduced ones such as 7 and -1."""
     if field != QQ:
         cols = {i: {j: int(v) for j, v in col.items()} for i, col in cols.items()}
     want = normalized_direct(field, 3, cols)
-    try:
-        got = LinMap(field, S4, S3, cols).cols
-    except DimensionError as exc:
-        got = str(exc)
-    assert got == want
+    # a one-entry column handed in as a stored tuple normalizes the same way
+    as_tuples = {i: tuple(col.items()) if len(col) == 1 else col
+                 for i, col in cols.items()}
+    for given_cols in (cols, as_tuples):
+        try:
+            got = LinMap(field, S4, S3, given_cols).cols
+        except DimensionError as exc:
+            got = str(exc)
+        assert got == want
 
 
 def random_vector(rng, field, dim, density=0.5) -> dict:

@@ -1,7 +1,10 @@
+import functools
 import random
+from fractions import Fraction
 from itertools import product as iproduct
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import (
     convolution_direct,
@@ -34,7 +37,9 @@ from hopfprod.structures import (
     FDAlgebra,
     FDBialgebra,
     FDCoalgebra,
+    FDHopf,
     NoAntipodeError,
+    UnitalCoalgebra,
     _counits,
     antipode_solve,
     check_algebra,
@@ -174,6 +179,8 @@ def test_convolution_of_set_maps_is_pointwise_product():
     # pointwise product oracle, evaluated per group-like
     assert w.col(0) == {g.table[0][1]: QQ.one}
     assert w.col(1) == {g.table[3][2]: QQ.one}
+    # each column is the stored product column itself
+    assert w.cols[0] is h.mult.cols[0 * 6 + 1] and w.cols[1] is h.mult.cols[3 * 6 + 2]
 
 
 def test_convolution_is_associative_on_random_maps():
@@ -213,6 +220,71 @@ def test_convolution_matches_the_composed_maps():
                 got = convolution(f, g, src, dst)
                 assert got == convolution_direct(f, g, src, dst)
                 assert (got.domain, got.codomain) == (src.space, dst.space)
+
+
+@functools.cache
+def convolution_bialgebras(field):
+    """H4 and H4 (x) k[C2], each with its antipode, and k[S3]: sources with
+    multi-term comultiplications and non-commutative targets."""
+    h4 = sweedler_bialgebra(field)
+    h4c2 = tensor_product_oracle(h4, group_algebra(builtin_group("c2"), field))
+    hopf = [FDHopf(b.coalgebra, b.algebra, antipode_solve(b)) for b in (h4, h4c2)]
+    return hopf + [group_algebra(builtin_group("s3"), field)]
+
+
+def convolution_values(field):
+    if field == QQ:
+        return st.sampled_from([1, -1, 2, Fraction(1, 2), Fraction(-5, 3)])
+    return st.integers(1, 6)
+
+
+@st.composite
+def convolution_cases(draw):
+    """(f, g, src, dst, want) over QQ or GF(7), where want is None or the
+    known convolution.  A factor's columns are each empty, one entry with
+    coefficient one, one scaled entry or several entries.  One case in four
+    is (c id) * S on a Hopf algebra, c times the unit: every column where
+    the counit vanishes cancels to empty."""
+    field = draw(st.sampled_from([QQ, PrimeField(7)]))
+    value = convolution_values(field)
+    hopf = convolution_bialgebras(field)
+    if draw(st.integers(0, 3)) == 0:
+        b = draw(st.sampled_from(hopf[:2]))
+        c = draw(value)
+        scaled = LinMap(field, b.space, b.space, {i: {i: c} for i in range(b.dim)})
+        want = LinMap(field, b.space, b.space,
+                      {i: {r: field.mul(c, x) for r, x in col}
+                       for i, col in convolution_unit(b.coalgebra, b.algebra).cols.items()})
+        return scaled, b.antipode, b.coalgebra, b.algebra, want
+    src = draw(st.sampled_from(hopf[:2])).coalgebra
+    dst = draw(st.sampled_from(hopf)).algebra
+
+    def factor():
+        cols = {}
+        for i in range(src.dim):
+            kind = draw(st.sampled_from(["empty", "one", "scaled", "terms"]))
+            if kind == "empty":
+                continue
+            rows = draw(st.lists(st.integers(0, dst.dim - 1), unique=True,
+                                 min_size=1 if kind != "terms" else 2,
+                                 max_size=1 if kind != "terms" else 4))
+            cols[i] = {r: field.one if kind == "one" else draw(value) for r in rows}
+        return LinMap(field, src.space, dst.space, cols)
+
+    return factor(), factor(), src, dst, None
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(convolution_cases())
+def test_convolution_agrees_with_the_composed_maps_on_drawn_factors(case):
+    f, g, src, dst, want = case
+    got = convolution(f, g, src, dst)
+    direct = convolution_direct(f, g, src, dst)
+    assert got == direct and hash(got) == hash(direct)
+    if want is not None:
+        assert got == want
+        assert set(got.cols) == {i for i, e in enumerate(_counits(src))
+                                 if not src.field.is_zero(e)}
 
 
 def test_convolution_rejects_a_factor_of_the_wrong_shape():
@@ -540,6 +612,30 @@ def test_linmap_equality_stays_structural():
             col[j] = field.add(col.get(j, field.zero), field.one)
             other = with_column(m, i, col)
             assert other != m and m != other
+
+
+def test_structure_equality_is_structural_after_the_identity_test(monkeypatch):
+    s3, twin, c6 = (group_algebra(builtin_group(n)) for n in ("s3", "s3", "c6"))
+    h4 = sweedler_bialgebra()
+    c4 = group_algebra(builtin_group("c4"))
+    pairs = [  # (x, a distinct object equal to x, an object not equal to x)
+        (c4.coalgebra, group_algebra(builtin_group("c4")).coalgebra, h4.coalgebra),
+        (s3.algebra, twin.algebra, c6.algebra),
+        (s3.unit_coalgebra(), twin.unit_coalgebra(),
+         UnitalCoalgebra(s3.coalgebra, {1: QQ.one})),
+        (FDBialgebra(s3.coalgebra, s3.algebra), FDBialgebra(twin.coalgebra, twin.algebra),
+         FDBialgebra(c6.coalgebra, c6.algebra)),
+        (s3, twin, FDHopf(s3.coalgebra, s3.algebra, LinMap.identity(QQ, s3.space))),
+    ]
+    for x, same, other in pairs:
+        assert same is not x and x == same and same == x and hash(x) == hash(same)
+        assert x != other and other != x
+    # an object is equal to itself without comparing a single structure map
+    def refuse(self, other):
+        raise AssertionError("structure maps compared")
+    monkeypatch.setattr(LinMap, "__eq__", refuse)
+    for x, _, _ in pairs:
+        assert x == x
 
 
 def test_counit_and_coproduct_tables_read_the_structure_maps():
