@@ -10,8 +10,10 @@ each failing axiom together with a witness basis element, never bare booleans.
 Checkers and the morphism predicates evaluate every identity pointwise
 over basis tuples, straight from the structure constants, and stop an axiom
 at its first failing tuple.  Tuples are scanned in row-major order, so the
-witness is the label of the first differing tensor-space index.  None of
-them builds a tensor-product coalgebra or a map out of ``E (x) E (x) E (x) E``.
+witness is the label of the first differing tensor-space index.  Where both
+sides of an identity are one term, or zero, or rows of stored columns, they
+are compared as stored, without summing either.  None of them builds a
+tensor-product coalgebra or a map out of ``E (x) E (x) E (x) E``.
 "m: X (x) Y -> Z is a coalgebra map" has one evaluator,
 :func:`_coalgebra_map_halves`, for the multiplication of a bialgebra, the
 maps of a datum and, with Y = k, a linear map.
@@ -294,16 +296,22 @@ class FDHopf(FDBialgebra):
 def tensor_coalgebra(c: FDCoalgebra, d: FDCoalgebra) -> FDCoalgebra:
     """The tensor-product coalgebra: (c (x) d)_(1..2) pairs componentwise,
     delta(x (x) y) = (x1 (x) y1) (x) (x2 (x) y2), and the counit is
-    counit(x) counit(y)."""
+    counit(x) counit(y).  Where delta(x) and delta(y) are one term each,
+    the column is handed to :class:`LinMap` as a one-entry tuple."""
     field = same_field(c, d)
     space = tensor_space(c.space, d.space)
-    n = d.dim
+    n, mul = d.dim, field.mul
     cols = {}
     for i in range(c.dim):
+        ci = c.expand(i, 2)
         for j in range(n):
-            cols[i * n + j] = {(a1 * n + b1) * space.dim + a2 * n + b2: field.mul(x, y)
-                               for (a1, a2), x in c.expand(i, 2)
-                               for (b1, b2), y in d.expand(j, 2)}
+            dj = d.expand(j, 2)
+            if len(ci) == len(dj) == 1:
+                ((a1, a2), x), ((b1, b2), y) = ci[0], dj[0]
+                cols[i * n + j] = (((a1 * n + b1) * space.dim + a2 * n + b2, mul(x, y)),)
+                continue
+            cols[i * n + j] = {(a1 * n + b1) * space.dim + a2 * n + b2: mul(x, y)
+                               for (a1, a2), x in ci for (b1, b2), y in dj}
     delta = LinMap(field, space, tensor_space(space, space), cols)
     epsilon = LinMap(field, space, SCALAR_SPACE,
                      {i * n + j: {0: field.mul(x, y)}
@@ -384,11 +392,39 @@ def check_coalgebra(c: FDCoalgebra) -> Report:
 
 
 def check_algebra(a: FDAlgebra) -> Report:
+    """Verify associativity and both unit laws, with witnesses.
+
+    Associativity is compared a row at a time where it can be.  For a pair
+    (i, j) where e_i e_j and every e_j e_k is 1 e_r or 0, the row
+    ((e_i e_j) e_k)_k is a tuple of stored columns, and so is
+    (e_i (e_j e_k))_k; the row holds exactly when the two tuples are equal.
+    Rows of any other form, and rows that differ, are scanned triple by
+    triple, so the witness is the first failing triple in row-major order
+    either way."""
     field = a.field
-    mul = field.mul
+    mul, one = field.mul, field.one
     n, m = a.dim, a.mult.cols
     labels = a.space.labels
     rep = Report("algebra axioms")
+    # table[r][k] is the stored column of e_r e_k; index n stands for 0
+    zero_row = ((),) * (n + 1)
+    table = [tuple(m.get(r * n + k, ()) for k in range(n)) + ((),) for r in range(n)]
+    table.append(zero_row)
+
+    def point(col):
+        """r where the column is 1 e_r, n where it is zero, None otherwise"""
+        if not col:
+            return n
+        if len(col) == 1 and col[0][1] == one:
+            return col[0][0]
+        return None
+
+    points = [[point(col) for col in table[j][:n]] + [n] for j in range(n)]
+    right = [None if None in pts else pts for pts in points]
+
+    def row_holds(i, j):
+        r, s = points[i][j], right[j]
+        return r is not None and s is not None and table[r] == tuple(map(table[i].__getitem__, s))
 
     def associative(i, j, k):
         lhs, rhs = {}, {}
@@ -409,7 +445,9 @@ def check_algebra(a: FDAlgebra) -> Report:
             return acc == {i: field.one}
         return holds
 
-    _scan(rep, "associativity", iproduct(range(n), repeat=3), associative,
+    triples = ((i, j, k) for i, j in iproduct(range(n), repeat=2) if not row_holds(i, j)
+               for k in range(n))
+    _scan(rep, "associativity", triples, associative,
           lambda i, j, k: f"(({labels[i]},{labels[j]}),{labels[k]})")
     basis = [(i,) for i in range(n)]
     _scan(rep, "unit-left", basis, unit_law(True), labels.__getitem__)
@@ -449,31 +487,56 @@ def _coalgebra_map_halves(m: LinMap, x: FDCoalgebra, y: FDCoalgebra, z: FDCoalge
         delta_Z m(a, b)  = sum m(a1, b1) (x) m(a2, b2)
         counit_Z m(a, b) = counit(a) counit(b)
 
-    A linear map X -> Z is the case Y = k.  Raises ``ValueError`` unless m
-    maps X (x) Y to Z."""
+    A linear map X -> Z is the case Y = k.  Where delta(a) and delta(b) are
+    one term each, the right side is s t m(a1, b1) (x) m(a2, b2), which is
+    zero exactly when a factor is and has one term exactly when both do;
+    when the left side is zero or one term too, the two are compared by
+    index and coefficient, without summing either.  Otherwise a pair of
+    terms whose m(a1, b1) or m(a2, b2) is zero adds nothing and is skipped.
+    Raises ``ValueError`` unless m maps X (x) Y to Z."""
     _check_shape(m, x.dim * y.dim, z.dim, "coalgebras")
     field = same_field(m, x, y, z)
-    mul = field.mul
+    mul, one = field.mul, field.one
     ny, mc = y.dim, m.cols
     cop_x, cop_y, cop_z = ([c.expand(i, 2) for i in range(c.dim)] for c in (x, y, z))
     eps_x, eps_y, eps_z = _counits(x), _counits(y), _counits(z)
 
     def comult(a, b):
+        col, ca, cb = mc.get(a * ny + b, ()), cop_x[a], cop_y[b]
+        if len(ca) == len(cb) == 1:
+            ((a1, a2), s), ((b1, b2), t) = ca[0], cb[0]
+            u, v = mc.get(a1 * ny + b1, ()), mc.get(a2 * ny + b2, ())
+            if not col:
+                return not (u and v)
+            if len(col) == 1 and len(cop_z[col[0][0]]) == 1:
+                if len(u) != 1 or len(v) != 1:
+                    return False
+                (_, c), (rr, e), (r1, uc), (r2, vc) = col[0], cop_z[col[0][0]][0], u[0], v[0]
+                return rr == (r1, r2) and (c == e == s == t == uc == vc == one
+                                           or mul(c, e) == mul(mul(s, t), mul(uc, vc)))
         lhs, rhs = {}, {}
-        for r, c in mc.get(a * ny + b, ()):
+        for r, c in col:
             for (r1, r2), e in cop_z[r]:
                 _add_term(field, lhs, (r1, r2), mul(c, e))
         for (a1, a2), s in cop_x[a]:
             for (b1, b2), t in cop_y[b]:
+                left = mc.get(a1 * ny + b1)
+                right = left and mc.get(a2 * ny + b2)
+                if not right:
+                    continue
                 st = mul(s, t)
-                for r1, u in mc.get(a1 * ny + b1, ()):
-                    for r2, v in mc.get(a2 * ny + b2, ()):
+                for r1, u in left:
+                    for r2, v in right:
                         _add_term(field, rhs, (r1, r2), mul(st, mul(u, v)))
         return lhs == rhs
 
     def counit(a, b):
+        col = mc.get(a * ny + b, ())
+        if len(col) == 1:
+            (r, c), = col
+            return mul(eps_z[r], c) == mul(eps_x[a], eps_y[b])
         acc = field.zero
-        for r, c in mc.get(a * ny + b, ()):
+        for r, c in col:
             acc = field.add(acc, mul(eps_z[r], c))
         return acc == mul(eps_x[a], eps_y[b])
 
@@ -500,19 +563,35 @@ def is_coalgebra_map(f: LinMap, src: FDCoalgebra, dst: FDCoalgebra) -> bool:
 
 
 def is_algebra_map(f: LinMap, src: FDAlgebra, dst: FDAlgebra) -> bool:
-    """f . m_src = m_dst . (f (x) f) and f(1_src) = 1_dst."""
+    """f . m_src = m_dst . (f (x) f) and f(1_src) = 1_dst.
+
+    Where m_src(e_i e_j) has at most one entry and f(e_i), f(e_j) one each,
+    the two sides at (i, j) are x f(e_r) and u v m_dst(e_r1 e_r2); when each
+    of those columns is one term or zero, they are compared by index and
+    coefficient, without summing either."""
     _check_shape(f, src.dim, dst.dim, "algebras")
     field = same_field(f, src, dst)
     mul = field.mul
     n, nd = src.dim, dst.dim
-    m_src, m_dst = src.mult.cols, dst.mult.cols
+    m_src, m_dst, fc = src.mult.cols, dst.mult.cols, f.cols
     for i, j in iproduct(range(n), repeat=2):
+        col, fi, fj = m_src.get(i * n + j, ()), fc.get(i, ()), fc.get(j, ())
+        if len(col) <= 1 and len(fi) == len(fj) == 1:
+            (r1, u), (r2, v) = fi[0], fj[0]
+            left = fc.get(col[0][0], ()) if col else ()
+            right = m_dst.get(r1 * nd + r2, ())
+            if len(left) <= 1 and len(right) <= 1:
+                if len(left) != len(right) or left and (
+                        left[0][0] != right[0][0]
+                        or mul(col[0][1], left[0][1]) != mul(mul(u, v), right[0][1])):
+                    return False
+                continue
         lhs, rhs = {}, {}
-        for r, x in m_src.get(i * n + j, ()):
-            for s, y in f.cols.get(r, ()):
+        for r, x in col:
+            for s, y in fc.get(r, ()):
                 _add_term(field, lhs, s, mul(x, y))
-        for r1, u in f.cols.get(i, ()):
-            for r2, v in f.cols.get(j, ()):
+        for r1, u in fi:
+            for r2, v in fj:
                 uv = mul(u, v)
                 for s, y in m_dst.get(r1 * nd + r2, ()):
                     _add_term(field, rhs, s, mul(uv, y))

@@ -26,7 +26,6 @@ from .linalg import (
     SCALAR_SPACE,
     LinMap,
     basis_vec,
-    tensor_space,
     tensor_vec,
     vec_add_into,
     vec_scale,
@@ -425,46 +424,69 @@ def assemble_product(d: ExtendingDatum) -> FDBialgebra:
     """Build the product carrier from the raw formulas, without any checks.
 
     The multiplication is the twisted formula, the coalgebra is the tensor
-    product of coalgebras, the unit is 1_A (x) 1_H.  For each (h, c) the sum
+    product of coalgebras, the unit is 1_A (x) 1_H, and the E (x) E space is
+    built once, for the codomain of the comultiplication and the domain of
+    the multiplication.  Each structure map, and the product of A, is
+    evaluated once per basis pair (:class:`_Memo`).  For each (h, c) the sum
     of (h1 |> c1) (x) (h2 <| c2) (x) (h3 <| c3) is collapsed once into basis
-    terms k (l, y, z), and e_a l is formed once per a.  Each column is then
-    the sum of k (e_a l) f(y, g1) (x) z . g2, in that order, so that a
-    non-associative A is multiplied as the formula says.  Used by the checked
-    builder and, directly, by the independent axiom-verification tests.
+    terms k (l, y, z), and sum f(y, g1) (x) z . g2 once per (y, z, g) into
+    terms c (p, w); (e_a e_l) e_p is formed once per basis triple, in that
+    order, so that a non-associative A is multiplied as the formula says.
+    Column (a, h, c, g) is the sum of k c ((e_a e_l) e_p) (x) e_w.  Where
+    both sums are one term with coefficient one and (e_a e_l) e_p is one
+    term, the column is handed to :class:`LinMap` as a one-entry tuple.
+    Used by the checked builder and, directly, by the independent
+    axiom-verification tests.
     """
     field = d.field
     a, h = d.base, d.ext
     ops = _Ops(d)
-    hc, ac = h.coalg, a.coalgebra
     na, nh = a.dim, h.dim
-    space = tensor_space(a.space, h.space)
-    mul = field.mul
-    atree = [_prefix_tree(ac.expand(ci, 3)) for ci in range(na)]
-    lact, ract = _Memo(ops.lact), _Memo(ops.ract)
+    one, mul = field.one, field.mul
+    coalg = tensor_coalgebra(a.coalgebra, h.coalg)
+    htree, atree = _prefix_trees(h.coalg), _prefix_trees(a.coalgebra)
+    lact, ract, coc, dot, amul = (_Memo(op) for op in (ops.lact, ops.ract, ops.coc, ops.dot,
+                                                        ops.amul))
+    triple = _Memo(lambda ai, l, p: _gather(field, amul[ai, l].items(), amul, p))
+    right = _Memo(lambda y, z, g: _collapse(field, (coc, dot), {y: {z: one}}, htree[g, 2]))
+
+    def column(ai, sums):
+        col: dict = {}
+        for l, k, pairs in sums:
+            for (p, w), c in pairs:
+                kc = mul(k, c)
+                for x, v in triple[ai, l, p].items():
+                    _add_term(field, col, x * nh + w, mul(kc, v))
+        return col
+
     cols = {}
     for hi in range(nh):
-        htree = _prefix_tree(hc.expand(hi, 3))
         for ci in range(na):
-            terms = _collapse(field, (lact, ract, ract), htree, atree[ci])
-            left = [[ops.amul(ai, l) for (l, _, _), _ in terms] for ai in range(na)]
+            terms = _collapse(field, (lact, ract, ract), htree[hi, 3], atree[ci, 3])
             for gi in range(nh):
-                factors = []
-                for t, ((_, y, z), k) in enumerate(terms):
-                    for (g1, g2), cg in hc.expand(gi, 2):
-                        coc, right = ops.coc(y, g1), ops.dot(z, g2)
-                        if coc and right:
-                            factors.append((t, coc, right, mul(k, cg)))
+                sums = [(l, k, pairs) for (l, y, z), k in terms if (pairs := right[y, z, gi])]
+                if not sums:
+                    continue
+                shared = None
+                if len(sums) == 1:
+                    (l, k, pairs), = sums
+                    if k == one and len(pairs) == 1 and pairs[0][1] == one:
+                        shared = l, pairs[0][0]
                 for ai in range(na):
-                    col: dict = {}
-                    for t, coc, right, k in factors:
-                        vec_add_into(field, col, tensor_vec(
-                            field, ops.amul(left[ai][t], coc), right, nh), k)
+                    flat = (ai * nh + hi) * (na * nh) + (ci * nh + gi)
+                    if shared:
+                        l, (p, w) = shared
+                        prod = triple[ai, l, p]
+                        if len(prod) == 1:
+                            (x, v), = prod.items()
+                            cols[flat] = ((x * nh + w, v),)
+                            continue
+                    col = column(ai, sums)
                     if col:
-                        cols[(ai * nh + hi) * (na * nh) + (ci * nh + gi)] = col
-    mult = LinMap(field, tensor_space(space, space), space, cols)
+                        cols[flat] = col
+    mult = LinMap(field, coalg.delta.codomain, coalg.space, cols)
     unit = tensor_vec(field, a.unit, h.unit, nh)
-    coalg = tensor_coalgebra(a.coalgebra, h.coalg)
-    alg = FDAlgebra(field, space, mult, unit, associative="yes")
+    alg = FDAlgebra(field, coalg.space, mult, unit, associative="yes")
     return FDBialgebra(coalg, alg)
 
 

@@ -41,10 +41,23 @@ from hopfprod.serialize import (
     parse,
     serialize,
 )
-from hopfprod.special import matched_pair_datum, trivial_matched_pair
-from hopfprod.unified import CONDITION_NAMES, validate_datum
+from hopfprod.special import crossed_datum, matched_pair_datum, trivial_matched_pair
+from hopfprod.structures import FDHopf
+from hopfprod.unified import (
+    CONDITION_NAMES,
+    build_unified_product,
+    solve_product_antipode,
+    validate_datum,
+)
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+
+def built_product(datum):
+    """What ``hopfprod build`` emits for a datum: the checked product carrier
+    with its solved antipode."""
+    p = build_unified_product(datum)
+    return FDHopf(p.carrier.coalgebra, p.carrier.algebra, solve_product_antipode(p))
 
 
 def golden_objects():
@@ -58,6 +71,9 @@ def golden_objects():
         "c4-group.json": builtin_group("c4"),
         "s3-cocycle.json": enumerate_cocycles(mp.h.unit_coalgebra(), mp.a)[1],
         "trivial-datum-report.json": validate_datum(matched_pair_datum(mp)),
+        "build-a4-unified.json": built_product(a4_unified_datum()),
+        "build-z4-crossed.json": built_product(crossed_datum(z4_crossed_datum())),
+        "build-s3-bicrossed.json": built_product(matched_pair_datum(mp)),
     }
 
 
@@ -347,16 +363,17 @@ def test_cli_verify_malformed_input(tmp_path, capsys):
 
 
 def test_cli_build_emits_parseable_hopf(tmp_path, capsys):
-    src = tmp_path / "mp.json"
-    src.write_bytes(serialize(s3_matched_pair()))
-    out_path = tmp_path / "prod.json"
-    code, _, _ = run_cli(capsys, "build", str(src), "--out", str(out_path))
-    assert code == 0
-    built = parse(out_path.read_bytes())
-    from hopfprod.structures import FDHopf
-
-    assert isinstance(built, FDHopf)
-    assert built.dim == 6
+    """The products of the named examples match their golden documents byte
+    for byte and parse as Hopf algebras."""
+    for name, dim in (("s3-bicrossed", 6), ("z4-crossed", 4), ("a4-unified", 12)):
+        src, out_path = tmp_path / f"{name}.json", tmp_path / f"{name}-product.json"
+        assert run_cli(capsys, "example", name, "--out", str(src))[0] == 0
+        code, _, _ = run_cli(capsys, "build", str(src), "--out", str(out_path))
+        assert code == 0
+        data = out_path.read_bytes()
+        assert data == (GOLDEN / f"build-{name}.json").read_bytes(), name
+        built = parse(data)
+        assert isinstance(built, FDHopf) and built.dim == dim, name
 
 
 def test_cli_factorize_z4(tmp_path, capsys):

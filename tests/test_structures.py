@@ -550,6 +550,91 @@ def test_checkers_match_oracle_on_every_one_entry_corruption():
                     "counit-multiplicative", "counit-unit"}
 
 
+@functools.cache
+def drawn_bases(field):
+    """k[C2], k[C3], k[C4] and k[S3], whose products and coproducts are one
+    term each, and H4, whose are not."""
+    groups = [group_algebra(builtin_group(n), field) for n in ("c2", "c3", "c4", "s3")]
+    return groups + [sweedler_bialgebra(field)]
+
+
+def drawn_column(draw, field, dim, kinds):
+    """A column of one drawn kind: zero, one entry with coefficient one, one
+    entry with coefficient -1 or 2, or two entries."""
+    kind = draw(st.sampled_from(kinds))
+    if kind == "zero":
+        return {}
+    rows = draw(st.lists(st.integers(0, dim - 1), unique=True,
+                         min_size=1 + (kind == "terms"), max_size=1 + (kind == "terms")))
+    scale = st.sampled_from([field.neg(field.one), field.of(2)])
+    return {r: field.one if kind == "one" else draw(scale) for r in rows}
+
+
+@st.composite
+def drawn_bialgebras(draw, field=None, base=None):
+    """``base``, or one of :func:`drawn_bases` over ``field`` (drawn from QQ
+    and GF(7) when not given), with up to three product columns replaced:
+    moved to another basis element (a group table with one entry changed,
+    mostly non-associative), scaled by -1 or 2, zeroed or given two
+    entries.  One case in four also replaces every coproduct by 1 (x) 1, so
+    that a product is multiplicative at every pair except at a zeroed
+    column, and one in four by a drawn term c e_p (x) e_q; in both, the two
+    legs of a product are other columns than the product."""
+    if field is None:
+        field = draw(st.sampled_from([QQ, PrimeField(7)]))
+    b = base or draw(st.sampled_from(drawn_bases(field)))
+    n = b.dim
+    cols = {k: b.mult.col(k) for k in range(n * n)}
+    for _ in range(draw(st.integers(0, 3))):
+        cols[draw(st.integers(0, n * n - 1))] = drawn_column(
+            draw, field, n, ["one", "scaled", "zero", "terms"])
+    coalg = b.coalgebra
+    kind = draw(st.sampled_from(["base", "base", "unit", "drawn"]))
+    if kind != "base":
+        (u,) = b.unit
+        delta = LinMap(field, b.space, b.delta.codomain,
+                       {i: {u * n + u: field.one} if kind == "unit"
+                        else drawn_column(draw, field, n * n, ["one", "scaled"])
+                        for i in range(n)})
+        coalg = FDCoalgebra(field, b.space, delta, b.epsilon)
+    mult = LinMap(field, b.mult.domain, b.space, cols)
+    return FDBialgebra(coalg, FDAlgebra(field, b.space, mult, b.unit))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(drawn_bialgebras())
+def test_checker_rows_and_witnesses_match_the_oracle_on_drawn_products(b):
+    assert rows(check_algebra(b.algebra)) == rows(oracle_check_algebra(b.algebra))
+    assert rows(check_bialgebra(b)) == rows(oracle_check_bialgebra(b))
+
+
+@st.composite
+def drawn_algebra_maps(draw):
+    """(f, src, dst) for two :func:`drawn_bialgebras`, src drawn from a base
+    and dst from the same base or another, where f is the identity (when
+    the dimensions agree), with at most one column replaced, or has drawn
+    columns: all with coefficient one, all scaled, or of every kind."""
+    field = draw(st.sampled_from([QQ, PrimeField(7)]))
+    base = draw(st.sampled_from(drawn_bases(field)))
+    src = draw(drawn_bialgebras(field, base))
+    dst = draw(drawn_bialgebras(field, draw(st.sampled_from([base, *drawn_bases(field)]))))
+    if src.dim == dst.dim and draw(st.booleans()):
+        cols = {i: {i: field.one} for i in range(src.dim)}
+        if draw(st.booleans()):
+            cols[draw(st.integers(0, src.dim - 1))] = drawn_column(
+                draw, field, dst.dim, ["one", "scaled", "zero"])
+    else:
+        kinds = draw(st.sampled_from([["one"], ["scaled"], ["one", "scaled", "zero", "terms"]]))
+        cols = {i: drawn_column(draw, field, dst.dim, kinds) for i in range(src.dim)}
+    return LinMap(field, src.space, dst.space, cols), src, dst
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(drawn_algebra_maps())
+def test_predicates_match_the_oracle_on_drawn_maps(case):
+    assert_predicates_match_oracle(*case)
+
+
 def set_map(field, src, dst, targets):
     return LinMap(field, src.space, dst.space,
                   {i: {t: field.one} for i, t in enumerate(targets)})
