@@ -2,13 +2,15 @@
 
 A lazy cocycle is a unitary coalgebra map ``u: H -> A`` whose comultiplication
 components commute past it: ``h1 (x) u(h2) = h2 (x) u(h1)``.  Under
-convolution these form a group; deforming one extending datum by a lazy
-cocycle gives another with the same right action, and two data are equivalent
-exactly when such a cocycle transforms one into the other.  The equivalence
-is realized by ``phi(a (x) h) = a u(h1) (x) h2`` from the deformed product to
-the original one, a bijective bialgebra map that is also a left A-module and
-right H-comodule map; :func:`check_equivalence` verifies all of that and
-hands back the certificate.
+convolution these form a group, which acts from the left on the extending
+data with a given right action: deforming by u and then by v is deforming by
+``v * u``.  Two data are equivalent exactly when a cocycle deforms one into
+the other, so a class is an orbit.  The equivalence is realized by
+``phi(a (x) h) = a u(h1) (x) h2`` from the deformed product to the original
+one, a bijective bialgebra map that is also a left A-module and right
+H-comodule map; :func:`check_equivalence` verifies all of that and hands back
+the certificate, and :func:`quotient_classes` certifies every datum it joins
+to an orbit, at the cost of (classes x cocycles) deformations.
 
 Enumeration of cocycles is only available at group-like desk scale, where
 cocycles are exactly the pointed maps from the basis of H to the group-like
@@ -42,7 +44,7 @@ from .structures import (
     is_coalgebra_map,
     is_algebra_map,
 )
-from .unified import ExtendingDatum, _Ops, _scan_condition, assemble_product
+from .unified import ExtendingDatum, _base_inclusion, _Ops, _scan_condition, assemble_product
 
 DEFAULT_COCYCLE_CAP = 10_000
 
@@ -323,34 +325,31 @@ def _certify(rep: Report, d: ExtendingDatum, d2: ExtendingDatum, u: LazyCocycle,
     is evaluated one basis column at a time, never through a composite map."""
     field = d.field
     a, h = d.base, d.ext
-    sa = a.antipode
-    um = u.linmap
     hdim = h.dim
-    phi_cols = {}
-    psi_cols = {}
-    for ai in range(a.dim):
-        for hi in range(hdim):
-            fcol: dict = {}
-            gcol: dict = {}
+
+    def twist(w: LinMap, src, dst) -> LinMap:
+        """a (x) h -> a w(h1) (x) h2."""
+        cols = {}
+        for ai, hi in iproduct(range(a.dim), range(hdim)):
+            col: dict = {}
             for (h1, h2), ch in h.coalg.expand(hi, 2):
-                e2 = basis_vec(field, h2)
-                vec_add_into(field, fcol, tensor_vec(
-                    field, a.mul(ai, um.col(h1)), e2, hdim), ch)
-                vec_add_into(field, gcol, tensor_vec(
-                    field, a.mul(ai, sa.apply(um.col(h1))), e2, hdim), ch)
-            phi_cols[ai * hdim + hi] = fcol
-            psi_cols[ai * hdim + hi] = gcol
-    phi = LinMap(field, prod2.space, prod.space, phi_cols)
-    psi = LinMap(field, prod.space, prod2.space, psi_cols)
+                vec_add_into(field, col, tensor_vec(
+                    field, a.mul(ai, w.col(h1)), basis_vec(field, h2), hdim), ch)
+            cols[ai * hdim + hi] = col
+        return LinMap(field, src, dst, cols)
+
+    # S_A . u composed, not cocycle_inverse: u need not be lazy here
+    phi = twist(u.linmap, prod2.space, prod.space)
+    psi = twist(compose(a.antipode, u.linmap), prod.space, prod2.space)
 
     rep.add("phi-algebra-map", is_algebra_map(phi, prod2.algebra, prod.algebra))
     rep.add("phi-coalgebra-map", is_coalgebra_map(phi, prod2.coalgebra, prod.coalgebra))
 
     # phi(a x) = a phi(x), with a in A included as a (x) 1_H
     basis, bv = range(phi.domain.dim), lambda i: basis_vec(field, i)
-    incl = [tensor_vec(field, bv(ai), h.unit, hdim) for ai in range(a.dim)]
+    incl = _base_inclusion(d, prod.space)
     rep.add("phi-left-module", all(phi.apply(prod2.mul(c, x)) == prod.mul(c, phi.col(x))
-                                   for c in incl for x in basis))
+                                   for c in map(incl.col, range(a.dim)) for x in basis))
 
     # (id_A (x) delta_H) phi = (phi (x) id_H) (id_A (x) delta_H)
     ident_a, ident_h = LinMap.identity(field, a.space), LinMap.identity(field, h.space)
@@ -383,10 +382,15 @@ def quotient_classes(data: list[ExtendingDatum],
                      cap: int = DEFAULT_COCYCLE_CAP) -> list[list[int]]:
     """Partition data sharing (A, H, ract) into deformation-equivalence classes.
 
-    Works by exhausting the enumerable cocycles, so it is gated to the
-    group-like regime.  Symmetry and transitivity of the relation are
-    asserted, not assumed.  Each datum's product is assembled once and
-    shared by all the certificates it takes part in.
+    A class is an orbit of the lazy-cocycle group, which acts by
+    ``deform_datum`` from the left: deforming by u, then by v, is deforming
+    by ``cocycle_convolve(v, u)``.  The first datum not yet classified is
+    deformed by each enumerated cocycle u until every datum has a class; a
+    datum whose dot, left action and cocycle it hits joins only when the
+    rows and certificate of ``check_equivalence`` pass for u, so every join
+    is certified.  Each product is assembled once; the cost is at most
+    (classes x cocycles) deformations and one certificate per hit, not
+    (data^2 x cocycles) reports.  Enumeration gates this to group-like data.
     """
     if not data:
         return []
@@ -396,29 +400,25 @@ def quotient_classes(data: list[ExtendingDatum],
             raise ContextError("all data must share the base, coalgebra and right action")
     cocycles = enumerate_cocycles(first.ext, first.base, cap)
     products = [assemble_product(d) for d in data]
-    n = len(data)
-
-    def equivalent(i, j, u):
-        rep = _deformation_report(data[i], data[j], u)
-        return rep.ok and _certify(rep, data[i], data[j], u, products[i], products[j]).ok
-
-    related = [[any(equivalent(i, j, u) for u in cocycles) for j in range(n)]
-               for i in range(n)]
-    for i in range(n):
-        if not related[i][i]:
-            raise AssertionError("equivalence relation is not reflexive")
-        for j in range(n):
-            if related[i][j] != related[j][i]:
-                raise AssertionError("equivalence relation is not symmetric")
-            for k in range(n):
-                if related[i][j] and related[j][k] and not related[i][k]:
-                    raise AssertionError("equivalence relation is not transitive")
-    seen = set()
-    classes = []
-    for i in range(n):
-        if i in seen:
-            continue
-        cls = [j for j in range(n) if related[i][j]]
-        seen.update(cls)
-        classes.append(cls)
+    if not isinstance(first.base, FDHopf):
+        raise ContextError("equivalence checking needs a Hopf base")
+    by_maps: dict = {}
+    for j, d in enumerate(data):
+        by_maps.setdefault((d.dot, d.lact, d.cocycle), []).append(j)
+    left, classes = set(range(len(data))), []
+    while left:
+        i = min(left)
+        left.discard(i)
+        d, cls = data[i], [i]
+        for u in cocycles:
+            if not left:
+                break
+            e = deform_datum(d, u)
+            for j in by_maps.get((e.dot, e.lact, e.cocycle), ()):
+                if j in left:
+                    rep = _deformation_report(d, data[j], u)
+                    if rep.ok and _certify(rep, d, data[j], u, products[i], products[j]).ok:
+                        left.discard(j)
+                        cls.append(j)
+        classes.append(sorted(cls))
     return classes

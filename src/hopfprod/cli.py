@@ -169,6 +169,8 @@ def cmd_equiv(args) -> int:
     d2 = _load(args.datum2, (ExtendingDatum,), "an extending datum")
     if args.cocycle is None and not args.search:
         raise CliError(EXIT_MALFORMED, "supply --cocycle FILE or --search")
+    if args.cocycle is not None and args.search:
+        raise CliError(EXIT_MALFORMED, "supply --cocycle FILE or --search, not both")
     if args.cocycle is not None:
         linmap = _load(args.cocycle, (LinMap,), "a cocycle document")
         try:

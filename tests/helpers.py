@@ -225,6 +225,13 @@ def drinfeld_double_datum(group_name: str, field=QQ) -> ExtendingDatum:
     return hopfprod.factorization.recover_datum(fi)
 
 
+def s4_over_s3_datum() -> ExtendingDatum:
+    """The split of S4 along a copy of S3: A = k[S3], four cosets, 216 cocycles."""
+    s4 = hp.builtin_group("s4")
+    return hp.lift_to_hopf(hp.coset_extending_structure(
+        s4, next(idx for idx in s4.all_subgroups() if len(idx) == 6)))
+
+
 def group_unified_product(ges: GroupExtendingStructure) -> GroupTable:
     """The product group on G x X with the twisted multiplication, at set
     level: the oracle of the linear product of ``lift_to_hopf(ges)``.
@@ -1056,6 +1063,40 @@ def certificate_rows_composed(d: ExtendingDatum, d2: ExtendingDatum, u, prod: FD
     return rows, phi, psi
 
 
+def quotient_classes_pairwise(data: list[ExtendingDatum], cap: int, assemble,
+                              certify) -> list[list[int]]:
+    """The partition of ``classification.quotient_classes`` from the relation
+    itself: i ~ j when, for some enumerated cocycle u, the rows and the
+    certificate of ``check_equivalence(data[i], data[j], u)`` pass, on
+    products built by ``assemble`` and certified by ``certify``.  Every
+    ordered pair meets every cocycle, reflexivity, symmetry and transitivity
+    are asserted on the whole relation, and each class is the row of its
+    least member."""
+    if not data:
+        return []
+    cocycles = hopfprod.classification.enumerate_cocycles(data[0].ext, data[0].base, cap)
+    products = [assemble(d) for d in data]
+    n = len(data)
+
+    def equivalent(i, j, u):
+        rep = hopfprod.classification._deformation_report(data[i], data[j], u)
+        return rep.ok and certify(rep, data[i], data[j], u, products[i], products[j]).ok
+
+    related = [[any(equivalent(i, j, u) for u in cocycles) for j in range(n)]
+               for i in range(n)]
+    for i, j, k in iproduct(range(n), repeat=3):
+        assert related[i][i], f"equivalence relation is not reflexive at {i}"
+        assert related[i][j] == related[j][i], f"not symmetric at {(i, j)}"
+        assert not (related[i][j] and related[j][k]) or related[i][k], \
+            f"not transitive at {(i, j, k)}"
+    classes, seen = [], set()
+    for i in range(n):
+        if i not in seen:
+            classes.append([j for j in range(n) if related[i][j]])
+            seen.update(classes[-1])
+    return classes
+
+
 def cocycle_triviality_direct(mp: hp.MatchedPair, u):
     """The "cocycle-triviality" row of ``check_bicrossed_equivalence`` from
     the hand-written formula u(h1) (h2 |> u(g1)) S(u(h3 g2)) = eps(h) eps(g) 1_A.
@@ -1222,6 +1263,7 @@ def check_library_claims_on_every_call(monkeypatch) -> None:
     ``is_lazy_cocycle``, every cocycle a matched pair is deformed by against
     it too, every coset split against ``check_group_structure``, the rows
     of every equivalence certificate against :func:`certificate_rows_composed`,
+    every partition into classes against :func:`quotient_classes_pairwise`,
     every matched-pair equivalence against :func:`assert_bicrossed_report_agrees`,
     every crossed-datum and matched-pair check against the hand-written rows
     of :func:`crossed_rows_direct` and :func:`left_module_law_direct`,
@@ -1235,6 +1277,7 @@ def check_library_claims_on_every_call(monkeypatch) -> None:
     :func:`dense_compose_direct`."""
     cls = hopfprod.classification
     convolve, inverse, certify = cls.cocycle_convolve, cls.cocycle_inverse, cls._certify
+    quotient = cls.quotient_classes
     deform, split = hopfprod.special.deform_matched_pair, hopfprod.groups.coset_extending_structure
     bicrossed = hopfprod.special.check_bicrossed_equivalence
     crossed, matched = hopfprod.special.check_crossed, hopfprod.special.check_matched_pair
@@ -1265,6 +1308,7 @@ def check_library_claims_on_every_call(monkeypatch) -> None:
         assert report.ok, f"coset split fails {report.first_failure()}"
         return ges
 
+    @functools.wraps(certify)
     def checked_certify(rep, d, d2, u, prod, prod2):
         start = len(rep.items)
         result = certify(rep, d, d2, u, prod, prod2)
@@ -1273,6 +1317,13 @@ def check_library_claims_on_every_call(monkeypatch) -> None:
         if result.certificate is not None:
             assert (result.certificate.phi, result.certificate.psi) == (phi, psi)
         return result
+
+    @functools.wraps(quotient)
+    def checked_quotient(data, cap=cls.DEFAULT_COCYCLE_CAP):
+        classes = quotient(data, cap)
+        want = quotient_classes_pairwise(data, cap, assemble, certify)
+        assert classes == want, f"classes differ from the pairwise relation ({want!r})"
+        return classes
 
     def checked_bicrossed(mp, mp2, u):
         rep = bicrossed(mp, mp2, u)
@@ -1348,7 +1399,8 @@ def check_library_claims_on_every_call(monkeypatch) -> None:
     for original, replacement in ((convolve, returns_lazy(convolve)),
                                   (inverse, returns_lazy(inverse)),
                                   (deform, checked_deform), (split, checked_split),
-                                  (certify, checked_certify), (bicrossed, checked_bicrossed),
+                                  (certify, checked_certify), (quotient, checked_quotient),
+                                  (bicrossed, checked_bicrossed),
                                   (crossed, checked_crossed), (matched, checked_matched),
                                   (recover, checked_recover),
                                   (antipode, checked_antipode),

@@ -21,9 +21,11 @@ from helpers import (
     random_group_structure,
     rebind_everywhere,
     roundtrip_check,
+    s4_over_s3_datum,
     strip_provenance,
 )
 import hopfprod as hp
+import hopfprod.classification
 import hopfprod.linalg
 import hopfprod.structures
 import hopfprod.unified
@@ -468,3 +470,25 @@ def test_criterion_11_drinfeld_double_s4_build(monkeypatch, tmp_path):
                f"product document differs ({len(data)} bytes)")
     crit.check(engine_s < 9, f"build took {engine_s:.1f}s")
     crit.finish(budget=30)
+
+
+def test_criterion_12_quotient_classes_orbit(monkeypatch):
+    crit = Criterion(12, "quotient_classes of 12 deformations of one datum of S4 over S3 "
+                         "(216 cocycles): one class, in under 1 s of engine time")
+    d = s4_over_s3_datum()
+    cands = hp.enumerate_cocycles(d.ext, d.base)
+    crit.check(len(cands) == 216, f"expected 216 cocycles, got {len(cands)}")
+    data = [deform_datum(d, u) for u in cands[::18]]
+    # the engine itself: the pairwise oracle the tests hold every call
+    # against takes seconds here
+    checked = (hp.quotient_classes, hopfprod.classification._certify,
+               hopfprod.unified.assemble_product, hopfprod.linalg.compose)
+    with monkeypatch.context() as engine_only:
+        for wrapped in checked:
+            rebind_everywhere(engine_only, wrapped, inspect.unwrap(wrapped))
+        start = time.monotonic()
+        classes = hp.quotient_classes(data)
+        engine_s = time.monotonic() - start
+    crit.check(classes == [list(range(12))], f"expected one class, got {classes}")
+    crit.check(engine_s < 1, f"quotient_classes took {engine_s:.2f}s")
+    crit.finish(budget=15)

@@ -6,6 +6,7 @@ from helpers import (
     assert_bicrossed_report_agrees,
     one_entry_corruptions,
     product_projections,
+    s4_over_s3_datum,
     sweedler_bialgebra,
     tensor_map,
     twist_map,
@@ -294,6 +295,75 @@ def test_quotient_classes_separate_z4_from_klein():
     dk = crossed_datum(z2xz2_crossed_datum())
     classes = quotient_classes([dz, dk])
     assert classes == [[0], [1]]
+
+
+def test_deformation_is_a_left_action_on_a_non_abelian_base():
+    # deforming by u and then by v is deforming by v * u; over the
+    # non-abelian k[S3] some drawn pair with u * v != v * u tells the two
+    # orders apart
+    from hopfprod.classification import deform_datum
+
+    d = s4_over_s3_datum()
+    cands = enumerate_cocycles(d.ext, d.base)
+    assert len(cands) == 216
+    rng = random.Random(26)
+    told_apart = 0
+    for _ in range(12):
+        u, v = rng.sample(cands, 2)
+        twice = deform_datum(deform_datum(d, u), v)
+        assert twice.components_equal(deform_datum(d, cocycle_convolve(v, u))) is None
+        uv = cocycle_convolve(u, v)
+        if uv.linmap != cocycle_convolve(v, u).linmap:
+            told_apart += twice.components_equal(deform_datum(d, uv)) is not None
+    assert told_apart >= 1
+
+
+def test_every_quotient_call_is_held_against_the_pairwise_relation(monkeypatch):
+    # the autouse fixture wraps each binding of quotient_classes and holds
+    # its partition against the pairwise oracle: count the oracle's calls,
+    # then hand it a wrong partition
+    import helpers
+    import hopfprod
+    import hopfprod.classification
+
+    pairwise = helpers.quotient_classes_pairwise
+    calls = []
+    monkeypatch.setattr(helpers, "quotient_classes_pairwise",
+                        lambda *args: calls.append(args[0]) or pairwise(*args))
+    dz = crossed_datum(z4_crossed_datum())
+    dk = crossed_datum(z2xz2_crossed_datum())
+    for quotient in (quotient_classes, hopfprod.quotient_classes,
+                     hopfprod.classification.quotient_classes):
+        assert quotient([dz, dk, dz]) == [[0, 2], [1]]
+    assert len(calls) == 3
+    monkeypatch.setattr(helpers, "quotient_classes_pairwise", lambda *args: [[0, 1, 2]])
+    with pytest.raises(AssertionError, match="differ from the pairwise relation"):
+        quotient_classes([dz, dk, dz])
+
+
+def test_quotient_classes_leaves_a_hit_whose_certificate_fails(monkeypatch):
+    # a deformation hits data[2], but its certificate is made to fail: it is
+    # not joined, nothing is raised, and it starts a class of its own
+    import inspect
+
+    import hopfprod.classification
+    from hopfprod.classification import EquivalenceResult, deform_datum
+
+    mp = s3_matched_pair()
+    d = matched_pair_datum(mp)
+    cands = enumerate_cocycles(d.ext, d.base)
+    data = [d, deform_datum(d, cands[1]), deform_datum(d, cands[2])]
+    certify = inspect.unwrap(hopfprod.classification._certify)
+
+    def refusing(rep, d1, d2, u, prod, prod2):
+        if d2 is not data[2]:
+            return certify(rep, d1, d2, u, prod, prod2)
+        rep.add("phi-bijective", False)
+        return EquivalenceResult(rep, None)
+
+    monkeypatch.setattr(hopfprod.classification, "_certify", refusing)
+    orbits = inspect.unwrap(quotient_classes)
+    assert orbits(data) == [[0, 1], [2]]
 
 
 def test_bicrossed_equivalence_trivial_case():

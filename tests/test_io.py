@@ -427,6 +427,18 @@ def test_cli_equiv_with_search_and_cocycle(tmp_path, capsys):
     assert "equivalent via cocycle" in out
 
 
+def test_cli_equiv_refuses_cocycle_with_search(tmp_path, capsys):
+    path, pc = tmp_path / "a4.json", tmp_path / "u.json"
+    d = a4_unified_datum()
+    path.write_bytes(serialize(d))
+    pc.write_bytes(serialize(enumerate_cocycles(d.ext, d.base)[0]))
+    code, out, err = run_cli(capsys, "equiv", str(path), str(path), "--cocycle", str(pc),
+                             "--search")
+    assert (code, out, err) == (2, "", "supply --cocycle FILE or --search, not both\n")
+    code, out, err = run_cli(capsys, "equiv", str(path), str(path))
+    assert (code, out, err) == (2, "", "supply --cocycle FILE or --search\n")
+
+
 def test_cli_equiv_search_negative(tmp_path, capsys):
     from hopfprod.special import crossed_datum
     from hopfprod.corpus import z2xz2_crossed_datum
