@@ -3,14 +3,15 @@
 A lazy cocycle is a unitary coalgebra map ``u: H -> A`` whose comultiplication
 components commute past it: ``h1 (x) u(h2) = h2 (x) u(h1)``.  Under
 convolution these form a group, which acts from the left on the extending
-data with a given right action: deforming by u and then by v is deforming by
+data with a given right action, by conjugation in the convolution algebras
+over H (x) A and H (x) H: deforming by u and then by v is deforming by
 ``v * u``.  Two data are equivalent exactly when a cocycle deforms one into
 the other, so a class is an orbit.  The equivalence is realized by
 ``phi(a (x) h) = a u(h1) (x) h2`` from the deformed product to the original
 one, a bijective bialgebra map that is also a left A-module and right
 H-comodule map; :func:`check_equivalence` verifies all of that and hands back
 the certificate, and :func:`quotient_classes` certifies every datum it joins
-to an orbit, at the cost of (classes x cocycles) deformations.
+to an orbit.
 
 Enumeration of cocycles is only available at group-like desk scale, where
 cocycles are exactly the pointed maps from the basis of H to the group-like
@@ -18,6 +19,7 @@ basis of A; everywhere else callers must supply the cocycle themselves.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import product as iproduct
 
@@ -30,19 +32,23 @@ from .linalg import (
     tensor_apply,
     tensor_vec,
     vec_add_into,
+    vec_scale,
 )
 from .reports import Report
 from .structures import (
     FDBialgebra,
+    FDCoalgebra,
     FDHopf,
     UnitalCoalgebra,
     _add_term,
+    _counits,
     _tuple_label,
     convolution,
     convolution_unit,
     grouplike_indices,
     is_coalgebra_map,
     is_algebra_map,
+    tensor_coalgebra,
 )
 from .unified import ExtendingDatum, _base_inclusion, _Ops, _scan_condition, assemble_product
 
@@ -174,81 +180,61 @@ def enumerate_cocycles(h: UnitalCoalgebra, a: FDBialgebra,
     return out
 
 
-class _Deformation:
-    """The deformation of a datum d by a lazy cocycle u, evaluated at basis
-    elements h, g of H and c of A, with S the antipode of A:
+def _through_u(d: ExtendingDatum, u: LazyCocycle, m: LinMap) -> LinMap:
+    """(h, g) -> sum m(h <| u(g1), g2) for a map m out of H (x) H: the
+    deformed dot for m the dot of d, and the cocycle f'' that the deformed
+    cocycle convolves for m the cocycle of d."""
+    field, hdim, ract = d.field, d.ext.dim, _Ops(d).ract
+    cols = {}
+    for hi, gi in iproduct(range(hdim), repeat=2):
+        col: dict = {}
+        for (g1, g2), cg in d.ext.coalg.expand(gi, 2):
+            vec_add_into(field, col, m.bilin(ract(hi, u.linmap.col(g1)), g2, hdim), cg)
+        cols[hi * hdim + gi] = col
+    return LinMap(field, d.dot.domain, m.codomain, cols)
 
-        h |>' c  = u(h1) (h2 |> c1) S(u(h3 <| c2))
-        h .' g   = (h <| u(g1)) . g2
-        f'(h, g) = u(h1) (h2 |> u(g1)) f(h3 <| u(g2), g3) S(u(h4 .' g4))
 
-    The right action never moves.  The cocycle formula reads the deformed
-    dot from the map it is handed, so a datum can be held against it with
-    its own dot.
-    """
+def _deformed_maps(d: ExtendingDatum, u: LazyCocycle,
+                   dot: LinMap | None = None) -> tuple[LinMap, LinMap, LinMap]:
+    """The deformed (dot, lact, cocycle) of d by u, with S the antipode of A:
 
-    def __init__(self, d: ExtendingDatum, u: LazyCocycle):
-        self.ops = _Ops(d)
-        self.field = d.field
-        self.hc, self.ac = d.ext.coalg, d.base.coalgebra
-        self.u = u.linmap.col
-        self.su = lambda v: d.base.antipode.apply(u.linmap.apply(v))
+        .'  = sum (h <| u(g1)) . g2
+        |>' = (u (x) counit_A) * |> * (S u <|)                  over H (x) A
+        f'  = (u (x) counit_H) * |>(id (x) u) * f'' * (S u .')  over H (x) H
 
-    def lact(self, hi: int, ci: int) -> dict:
-        ops, u, field = self.ops, self.u, self.field
-        out: dict = {}
-        for (h1, h2, h3), ch in self.hc.expand(hi, 3):
-            for (c1, c2), cc in self.ac.expand(ci, 2):
-                term = ops.amul(u(h1), ops.lact(h2, c1), self.su(ops.ract(h3, c2)))
-                vec_add_into(field, out, term, field.mul(ch, cc))
-        return out
+    where f''(h, g) = sum f(h <| u(g1), g2) and each * is the convolution
+    over the tensor-product coalgebra named, nested to the left so that A
+    multiplies in the order written.  The last factor of f' reads ``dot``,
+    by default the deformed dot.  The right action never moves."""
+    a, h, field, ucol = d.base, d.ext, d.field, u.linmap.col
+    su = compose(a.antipode, u.linmap)
 
-    def dot(self, hi: int, gi: int) -> dict:
-        ops = self.ops
-        out: dict = {}
-        for (g1, g2), cg in self.hc.expand(gi, 2):
-            term = ops.dot(ops.ract(hi, self.u(g1)), g2)
-            vec_add_into(self.field, out, term, cg)
-        return out
+    def convolve(c: FDCoalgebra, *maps: LinMap) -> LinMap:
+        """(u (x) counit_c) * maps[0] * maps[1] * ..., over H (x) c."""
+        src = tensor_coalgebra(h.coalg, c)
+        first = LinMap(field, src.space, a.space,
+                       {hi * c.dim + xi: vec_scale(field, e, ucol(hi))
+                        for hi in range(h.dim) for xi, e in enumerate(_counits(c))})
+        return functools.reduce(lambda f, g: convolution(f, g, src, a.algebra), maps, first)
 
-    def cocycle(self, hi: int, gi: int, dot: LinMap) -> dict:
-        ops, u, field = self.ops, self.u, self.field
-        out: dict = {}
-        for (h1, h2, h3, h4), ch in self.hc.expand(hi, 4):
-            for (g1, g2, g3, g4), cg in self.hc.expand(gi, 4):
-                term = ops.amul(
-                    u(h1),
-                    ops.lact(h2, u(g1)),
-                    ops.coc(ops.ract(h3, u(g2)), g3),
-                    self.su(dot.bilin(h4, g4, ops.hdim)),
-                )
-                vec_add_into(field, out, term, field.mul(ch, cg))
-        return out
+    deformed_dot = _through_u(d, u, d.dot)
+    lact_u = LinMap(field, d.dot.domain, a.space,
+                    {hi * h.dim + gi: d.lact.bilin(hi, ucol(gi), a.dim)
+                     for hi, gi in iproduct(range(h.dim), repeat=2)})
+    return (deformed_dot, convolve(a.coalgebra, d.lact, compose(su, d.ract)),
+            convolve(h.coalg, lact_u, _through_u(d, u, d.cocycle),
+                     compose(su, deformed_dot if dot is None else dot)))
 
 
 def deform_datum(d: ExtendingDatum, u: LazyCocycle) -> ExtendingDatum:
-    """Deform an arbitrary datum by a lazy cocycle.
-
-    The dot deforms first, then the left action and the cocycle (whose
-    formula references the deformed dot).  The right action never moves.
-    The result is equivalent to d via u by construction.
-    """
+    """Deform an arbitrary datum by a lazy cocycle (:func:`_deformed_maps`);
+    the result is equivalent to d via u by construction."""
     if u.ext != d.ext or u.base != d.base:
         raise ContextError("cocycle context does not match the datum")
-    a = d.base
-    if not isinstance(a, FDHopf):
+    if not isinstance(d.base, FDHopf):
         raise ContextError("deformation needs a Hopf base")
-    field = d.field
-    h = d.ext
-    deform = _Deformation(d, u)
-    hr, ar = range(h.dim), range(a.dim)
-    dot = LinMap(field, d.dot.domain, h.space,
-                 {hi * h.dim + gi: deform.dot(hi, gi) for hi in hr for gi in hr})
-    lact = LinMap(field, d.lact.domain, a.space,
-                  {hi * a.dim + ci: deform.lact(hi, ci) for hi in hr for ci in ar})
-    cocycle = LinMap(field, d.cocycle.domain, a.space,
-                     {hi * h.dim + gi: deform.cocycle(hi, gi, dot) for hi in hr for gi in hr})
-    return ExtendingDatum(base=a, ext=h, dot=dot, ract=d.ract,
+    dot, lact, cocycle = _deformed_maps(d, u)
+    return ExtendingDatum(base=d.base, ext=d.ext, dot=dot, ract=d.ract,
                           lact=lact, cocycle=cocycle)
 
 
@@ -282,27 +268,31 @@ def _deformation_evaluators(d: ExtendingDatum, d2: ExtendingDatum, u: LazyCocycl
     of :func:`~hopfprod.unified._condition_evaluators`: each holds where the
     map of d2 is the deformation of the map of d by u.  The cocycle formula
     reads the deformed dot from d2."""
-    a, h = d.base, d.ext
-    hl, al = h.space.labels, a.space.labels
-    hr, ar = range(h.dim), range(a.dim)
-    deform, ops2 = _Deformation(d, u), _Ops(d2)
-    return {
-        "deformed-lact": ((hr, ar), lambda hi, ci: ops2.lact(hi, ci) == deform.lact(hi, ci),
-                          _tuple_label(hl, al)),
-        "deformed-dot": ((hr, hr), lambda hi, gi: ops2.dot(hi, gi) == deform.dot(hi, gi),
-                         _tuple_label(hl, hl)),
-        "deformed-cocycle": ((hr, hr), lambda hi, gi: ops2.coc(hi, gi)
-                             == deform.cocycle(hi, gi, d2.dot), _tuple_label(hl, hl)),
-    }
+    hl, al = d.ext.space.labels, d.base.space.labels
+    dot, lact, cocycle = _deformed_maps(d, u, d2.dot)
+
+    def row(mine: LinMap, theirs: LinMap, left, right):
+        n = len(right)
+        holds = lambda i, j: mine.col(i * n + j) == theirs.col(i * n + j)
+        return (range(len(left)), range(n)), holds, _tuple_label(left, right)
+
+    return {"deformed-lact": row(lact, d2.lact, hl, al), "deformed-dot": row(dot, d2.dot, hl, hl),
+            "deformed-cocycle": row(cocycle, d2.cocycle, hl, hl)}
+
+
+def _require_shared_context(d: ExtendingDatum, d2: ExtendingDatum) -> None:
+    """Raise :class:`ContextError` unless d and d2 share the base and the
+    coalgebra, and the base is Hopf."""
+    if d.base != d2.base or d.ext != d2.ext:
+        raise ContextError("the two data must share the base and the coalgebra")
+    if not isinstance(d.base, FDHopf):
+        raise ContextError("equivalence checking needs a Hopf base")
 
 
 def _deformation_report(d: ExtendingDatum, d2: ExtendingDatum, u: LazyCocycle) -> Report:
     """The rows of :func:`check_equivalence` up to its certificate: the
     equality of right actions, then the three deformation formulas."""
-    if d.base != d2.base or d.ext != d2.ext:
-        raise ContextError("the two data must share the base and the coalgebra")
-    if not isinstance(d.base, FDHopf):
-        raise ContextError("equivalence checking needs a Hopf base")
+    _require_shared_context(d, d2)
     if u.ext != d.ext or u.base != d.base:
         raise ContextError("cocycle context does not match the data")
     rep = Report("extending-structure equivalence")
@@ -378,18 +368,28 @@ def check_equivalence(d: ExtendingDatum, d2: ExtendingDatum,
     return _certify(rep, d, d2, u, assemble_product(d), assemble_product(d2))
 
 
+def _dot_hits(d: ExtendingDatum, d2: ExtendingDatum, cocycles: list[LazyCocycle]):
+    """Each (k, u) of ``enumerate(cocycles)`` whose u deforms the dot of d
+    into the dot of d2: the only u ``check_equivalence(d, d2, u)`` can pass.
+    The shared context is checked first, as that check does it."""
+    _require_shared_context(d, d2)
+    for k, u in enumerate(cocycles):
+        if _through_u(d, u, d.dot) == d2.dot:
+            yield k, u
+
+
 def quotient_classes(data: list[ExtendingDatum],
                      cap: int = DEFAULT_COCYCLE_CAP) -> list[list[int]]:
     """Partition data sharing (A, H, ract) into deformation-equivalence classes.
 
     A class is an orbit of the lazy-cocycle group, which acts by
     ``deform_datum`` from the left: deforming by u, then by v, is deforming
-    by ``cocycle_convolve(v, u)``.  The first datum not yet classified is
-    deformed by each enumerated cocycle u until every datum has a class; a
-    datum whose dot, left action and cocycle it hits joins only when the
-    rows and certificate of ``check_equivalence`` pass for u, so every join
-    is certified.  Each product is assembled once; the cost is at most
-    (classes x cocycles) deformations and one certificate per hit, not
+    by ``cocycle_convolve(v, u)``.  The dot of the first datum not yet
+    classified is deformed by each enumerated cocycle u until every datum
+    has a class; a datum whose dot it hits joins only when the rows and
+    certificate of ``check_equivalence`` pass for u, so every join is
+    certified.  Each product is assembled once; the cost is at most (classes
+    x cocycles) deformed dots and one report and certificate per hit, not
     (data^2 x cocycles) reports.  Enumeration gates this to group-like data.
     """
     if not data:
@@ -402,9 +402,9 @@ def quotient_classes(data: list[ExtendingDatum],
     products = [assemble_product(d) for d in data]
     if not isinstance(first.base, FDHopf):
         raise ContextError("equivalence checking needs a Hopf base")
-    by_maps: dict = {}
+    by_dot: dict = {}
     for j, d in enumerate(data):
-        by_maps.setdefault((d.dot, d.lact, d.cocycle), []).append(j)
+        by_dot.setdefault(d.dot, []).append(j)
     left, classes = set(range(len(data))), []
     while left:
         i = min(left)
@@ -413,8 +413,7 @@ def quotient_classes(data: list[ExtendingDatum],
         for u in cocycles:
             if not left:
                 break
-            e = deform_datum(d, u)
-            for j in by_maps.get((e.dot, e.lact, e.cocycle), ()):
+            for j in by_dot.get(_through_u(d, u, d.dot), ()):
                 if j in left:
                     rep = _deformation_report(d, data[j], u)
                     if rep.ok and _certify(rep, d, data[j], u, products[i], products[j]).ok:

@@ -23,6 +23,7 @@ from .classification import (
     LazyCocycle,
     NotALazyCocycleError,
     NotGroupLikeError,
+    _dot_hits,
     check_equivalence,
     enumerate_cocycles,
 )
@@ -186,7 +187,7 @@ def cmd_equiv(args) -> int:
     except (NotGroupLikeError, CapExceededError) as exc:
         print(f"undecided: {exc}")
         return EXIT_UNDECIDED
-    for k, u in enumerate(candidates):
+    for k, u in _dot_hits(d1, d2, candidates):
         result = check_equivalence(d1, d2, u)
         if result.ok:
             print(f"equivalent via cocycle {k} of {len(candidates)}")

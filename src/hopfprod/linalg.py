@@ -5,7 +5,8 @@ as a sorted tuple of ``(codomain index, value)`` pairs with no zeros.  Sparse
 vectors elsewhere in the package are plain dicts ``{index: value}`` with no
 stored zeros.  Tensor products use the row-major convention throughout: the
 pair ``(i, j)`` over ``A (x) B`` sits at flat index ``i * dim(B) + j``.  That
-convention is normative for file I/O as well.
+convention is normative for file I/O as well.  :func:`tensor_space` builds
+each product space once per pair of factor spaces, and reuses it after.
 
 A result column that is exactly a stored one-entry column of an operand,
 times one, is that same tuple: :func:`compose` shares column j of f where
@@ -45,13 +46,15 @@ class NotInvertibleError(ValueError):
 class BasedSpace:
     """A finite-dimensional space with a distinguished ordered basis."""
 
-    __slots__ = ("labels", "_hash")
+    __slots__ = ("labels", "_hash", "_products")
 
     def __init__(self, labels):
         self.labels = tuple(labels)
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("basis labels must be distinct")
         self._hash = hash(self.labels)
+        # tensor_space(self, b) for each b it was built for
+        self._products: dict = {}
 
     @property
     def dim(self) -> int:
@@ -71,10 +74,13 @@ SCALAR_SPACE = BasedSpace(("1",))
 
 
 def tensor_space(a: BasedSpace, b: BasedSpace) -> BasedSpace:
-    """Tensor product space, row-major: label (i, j) at index i*dim(b)+j."""
-    return BasedSpace(
-        tuple(f"({la},{lb})" for la in a.labels for lb in b.labels)
-    )
+    """Tensor product space, row-major: label (i, j) at index i*dim(b)+j;
+    ``a`` keeps the space it built for ``b``, or any space with b's labels."""
+    space = a._products.get(b)
+    if space is None:
+        space = a._products[b] = BasedSpace(
+            tuple(f"({la},{lb})" for la in a.labels for lb in b.labels))
+    return space
 
 
 # ---------------------------------------------------------------------------

@@ -283,12 +283,17 @@ def pair_bijection_is_isomorphism(ges: GroupExtendingStructure) -> bool:
 def tensor_map(f: LinMap, g: LinMap) -> LinMap:
     """(f (x) g)(e_i (x) e_j) = f(e_i) (x) g(e_j), row-major indexing: the
     composed form of the maps the library evaluates pointwise."""
-    field = f.field
+    field, mul = f.field, f.field.mul
     gdim, cdim = g.domain.dim, g.codomain.dim
     cols = {}
     for i, fcol in f.cols.items():
         for j, gcol in g.cols.items():
-            cols[i * gdim + j] = {a * cdim + b: field.mul(x, y) for a, x in fcol for b, y in gcol}
+            if len(fcol) == len(gcol) == 1:
+                # one entry, handed over as the one-entry tuple LinMap keeps
+                (a, x), (b, y) = fcol[0], gcol[0]
+                cols[i * gdim + j] = ((a * cdim + b, mul(x, y)),)
+            else:
+                cols[i * gdim + j] = {a * cdim + b: mul(x, y) for a, x in fcol for b, y in gcol}
     return LinMap(field, tensor_space(f.domain, g.domain),
                   tensor_space(f.codomain, g.codomain), cols)
 
@@ -390,21 +395,31 @@ def dense_from_linmap(m: LinMap):
     return rows
 
 
+def matrix_rows(m: LinMap) -> list:
+    """The nonzero entries of each row of the matrix of m, as (column,
+    value) pairs in column order: the rows of :func:`dense_from_linmap`
+    with the zeros left out (a stored value is never zero)."""
+    rows = [[] for _ in range(m.codomain.dim)]
+    for i, col in sorted(m.cols.items()):
+        for j, v in col:
+            rows[j].append((i, v))
+    return rows
+
+
 def dense_compose_direct(f: LinMap, g: LinMap):
-    """The dense matrix of f after g, each entry summed from the dense
-    matrices of f and g, as the oracle of ``linalg.compose``."""
+    """The dense matrix of f after g, each entry summed over the row of f
+    and the column of g in index order, as the oracle of
+    ``linalg.compose``.  Only the nonzero entries of both factors are
+    visited, so the cost follows their entries and the size of the result,
+    not the size of the factors' dense matrices."""
     field = f.field
-    fm, gm = dense_from_linmap(f), dense_from_linmap(g)
-    # a stored value is never zero and the matrices are filled with the
-    # plain 0 of both fields, so an entry is nonzero exactly when truthy
-    grows = [[(i, y) for i, y in enumerate(row) if y] for row in gm]
+    grows = matrix_rows(g)
     out = []
-    for frow in fm:
+    for frow in matrix_rows(f):
         row = [field.zero] * g.domain.dim
-        for k, x in enumerate(frow):
-            if x:
-                for i, y in grows[k]:
-                    row[i] = field.add(row[i], field.mul(x, y))
+        for k, x in frow:
+            for i, y in grows[k]:
+                row[i] = field.add(row[i], field.mul(x, y))
         out.append(row)
     return out
 
@@ -1063,6 +1078,70 @@ def certificate_rows_composed(d: ExtendingDatum, d2: ExtendingDatum, u, prod: FD
     return rows, phi, psi
 
 
+def deform_datum_direct(d: ExtendingDatum, u) -> ExtendingDatum:
+    """The deformation of d by the lazy cocycle u from the hand-expanded
+    formulas, evaluated at basis elements h, g of H and c of A, with S the
+    antipode of A and products in A taken from the left:
+
+        h |>' c  = u(h1) (h2 |> c1) S(u(h3 <| c2))
+        h .' g   = (h <| u(g1)) . g2
+        f'(h, g) = u(h1) (h2 |> u(g1)) f(h3 <| u(g2), g3) S(u(h4 .' g4))
+
+    Each term expands delta^3(h) (x) delta^2(c), or delta^4(h) (x)
+    delta^4(g), in full; the factors of f' are computed once per tuple of
+    legs they read.  This is the oracle of ``classification.deform_datum``,
+    which convolves maps over tensor-product coalgebras instead."""
+    a, h, field = d.base, d.ext, d.field
+    ops, hc, ac = _Ops(d), h.coalg, a.coalgebra
+    uc = u.linmap.col
+    su = lambda v: a.antipode.apply(u.linmap.apply(v))
+
+    def lact(hi, ci):
+        out: dict = {}
+        for (h1, h2, h3), ch in hc.expand(hi, 3):
+            for (c1, c2), cc in ac.expand(ci, 2):
+                term = ops.amul(uc(h1), ops.lact(h2, c1), su(ops.ract(h3, c2)))
+                vec_add_into(field, out, term, field.mul(ch, cc))
+        return out
+
+    def dot(hi, gi):
+        out: dict = {}
+        for (g1, g2), cg in hc.expand(gi, 2):
+            vec_add_into(field, out, ops.dot(ops.ract(hi, uc(g1)), g2), cg)
+        return out
+
+    hr, ar = range(h.dim), range(a.dim)
+    new_dot = LinMap(field, d.dot.domain, h.space,
+                     {hi * h.dim + gi: dot(hi, gi) for hi in hr for gi in hr})
+
+    @functools.cache
+    def head(h1, h2, g1):
+        return ops.amul(uc(h1), ops.lact(h2, uc(g1)))
+
+    @functools.cache
+    def middle(h3, g2, g3):
+        return ops.coc(ops.ract(h3, uc(g2)), g3)
+
+    @functools.cache
+    def last(h4, g4):
+        return su(new_dot.bilin(h4, g4, h.dim))
+
+    def cocycle(hi, gi):
+        out: dict = {}
+        for (h1, h2, h3, h4), ch in hc.expand(hi, 4):
+            for (g1, g2, g3, g4), cg in hc.expand(gi, 4):
+                term = ops.amul(head(h1, h2, g1), middle(h3, g2, g3), last(h4, g4))
+                vec_add_into(field, out, term, field.mul(ch, cg))
+        return out
+
+    return ExtendingDatum(
+        base=a, ext=h, dot=new_dot, ract=d.ract,
+        lact=LinMap(field, d.lact.domain, a.space,
+                    {hi * a.dim + ci: lact(hi, ci) for hi in hr for ci in ar}),
+        cocycle=LinMap(field, d.cocycle.domain, a.space,
+                       {hi * h.dim + gi: cocycle(hi, gi) for hi in hr for gi in hr}))
+
+
 def quotient_classes_pairwise(data: list[ExtendingDatum], cap: int, assemble,
                               certify) -> list[list[int]]:
     """The partition of ``classification.quotient_classes`` from the relation
@@ -1267,6 +1346,7 @@ def check_library_claims_on_every_call(monkeypatch) -> None:
     every matched-pair equivalence against :func:`assert_bicrossed_report_agrees`,
     every crossed-datum and matched-pair check against the hand-written rows
     of :func:`crossed_rows_direct` and :func:`left_module_law_direct`,
+    every deformed datum against :func:`deform_datum_direct`,
     every recovered datum against :func:`recover_datum_composed`, every
     solved antipode, or the side a failure names, against
     :func:`antipode_solve_two_systems`, every product antipode solved on
@@ -1278,7 +1358,8 @@ def check_library_claims_on_every_call(monkeypatch) -> None:
     cls = hopfprod.classification
     convolve, inverse, certify = cls.cocycle_convolve, cls.cocycle_inverse, cls._certify
     quotient = cls.quotient_classes
-    deform, split = hopfprod.special.deform_matched_pair, hopfprod.groups.coset_extending_structure
+    deform, deform_pair = cls.deform_datum, hopfprod.special.deform_matched_pair
+    split = hopfprod.groups.coset_extending_structure
     bicrossed = hopfprod.special.check_bicrossed_equivalence
     crossed, matched = hopfprod.special.check_crossed, hopfprod.special.check_matched_pair
     recover = hopfprod.factorization.recover_datum
@@ -1297,10 +1378,17 @@ def check_library_claims_on_every_call(monkeypatch) -> None:
             return w
         return checked
 
-    def checked_deform(mp, u):
-        d = deform(mp, u)
+    def checked_deform_pair(mp, u):
+        d = deform_pair(mp, u)
         assert_lazy(u)
         return d
+
+    @functools.wraps(deform)
+    def checked_deform(d, u):
+        e = deform(d, u)
+        mismatch = e.components_equal(deform_datum_direct(d, u))
+        assert mismatch is None, f"deformed {mismatch} differs from the hand-expanded formulas"
+        return e
 
     def checked_split(*args, **kwargs):
         ges = split(*args, **kwargs)
@@ -1398,7 +1486,8 @@ def check_library_claims_on_every_call(monkeypatch) -> None:
 
     for original, replacement in ((convolve, returns_lazy(convolve)),
                                   (inverse, returns_lazy(inverse)),
-                                  (deform, checked_deform), (split, checked_split),
+                                  (deform_pair, checked_deform_pair), (deform, checked_deform),
+                                  (split, checked_split),
                                   (certify, checked_certify), (quotient, checked_quotient),
                                   (bicrossed, checked_bicrossed),
                                   (crossed, checked_crossed), (matched, checked_matched),

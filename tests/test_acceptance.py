@@ -492,3 +492,35 @@ def test_criterion_12_quotient_classes_orbit(monkeypatch):
     crit.check(classes == [list(range(12))], f"expected one class, got {classes}")
     crit.check(engine_s < 1, f"quotient_classes took {engine_s:.2f}s")
     crit.finish(budget=15)
+
+
+def test_criterion_13_equiv_of_a_double_by_the_trivial_cocycle(monkeypatch, tmp_path, capsys):
+    crit = Criterion(13, "hopfprod equiv D D --cocycle <trivial> on D(k[S3]) and D(k[D4]) over "
+                         "QQ and GF(5): exit 0 with every row passing, in under 3 s of engine "
+                         "time for the four runs")
+    # the engine itself: the certificate's composed oracle and the dense
+    # products behind the checked convolutions take seconds per run here
+    checked = (hopfprod.classification._certify, hopfprod.unified.assemble_product,
+               hopfprod.structures.convolution, hopfprod.linalg.compose)
+    engine_s = 0.0
+    for name, field in ((n, f) for n in ("s3", "d4") for f in (QQ, PrimeField(5))):
+        d = drinfeld_double_datum(name, field)
+        d = dataclasses.replace(d, base=attach_antipode(d.base))
+        datum, cocycle = tmp_path / f"d-{name}.json", tmp_path / f"u-{name}.json"
+        datum.write_bytes(serialize(d))
+        cocycle.write_bytes(serialize(hp.trivial_lazy_cocycle(d.ext, d.base)))
+        with monkeypatch.context() as engine_only:
+            for wrapped in checked:
+                rebind_everywhere(engine_only, wrapped, inspect.unwrap(wrapped))
+            start = time.monotonic()
+            code = cli_main(["equiv", str(datum), str(datum), "--cocycle", str(cocycle)])
+            engine_s += time.monotonic() - start
+        out = capsys.readouterr().out
+        checks = parse(out.split("-- machine --\n", 1)[1].encode()).items
+        crit.check(code == 0, f"{name} over {field!r}: equiv exits {code}")
+        crit.check([it.condition for it in checks if it.passed] == [
+            "ract-equal", "deformed-lact", "deformed-dot", "deformed-cocycle",
+            "phi-algebra-map", "phi-coalgebra-map", "phi-left-module", "phi-right-comodule",
+            "phi-bijective"], f"{name} over {field!r}: rows {checks}")
+    crit.check(engine_s < 3, f"the four runs took {engine_s:.1f}s")
+    crit.finish(budget=30)

@@ -808,3 +808,116 @@ def test_lazy_cocycle_verdict_matches_the_composed_maps():
                 m = random_linmap(rng, field, h.space, a.space, density=0.3)
                 assert is_lazy_cocycle(m, h, a) == composed_is_lazy_cocycle(m, h, a)
     assert True in verdicts and False in verdicts
+
+
+def test_every_deform_datum_call_is_held_against_the_hand_expanded_formulas(monkeypatch):
+    # the autouse fixture wraps each binding of deform_datum, including the
+    # one deform_matched_pair calls: count the oracle's calls, then hand it
+    # a wrong deformation
+    import helpers
+    import hopfprod.classification
+    from hopfprod.classification import deform_datum
+    from hopfprod.corpus import a4_unified_datum
+
+    direct = helpers.deform_datum_direct
+    calls = []
+    monkeypatch.setattr(helpers, "deform_datum_direct",
+                        lambda d, u: calls.append(u) or direct(d, u))
+    d = a4_unified_datum()
+    u = enumerate_cocycles(d.ext, d.base)[1]
+    for deform in (deform_datum, hopfprod.classification.deform_datum):
+        assert deform(d, u).components_equal(d) == "dot"
+    mp = s3_matched_pair()
+    v = enumerate_cocycles(mp.h.unit_coalgebra(), mp.a)[1]
+    deform_matched_pair(mp, v)
+    assert calls == [u, u, v]
+    monkeypatch.setattr(helpers, "deform_datum_direct",
+                        lambda d, u: direct(d, trivial_lazy_cocycle(d.ext, d.base)))
+    with pytest.raises(AssertionError, match="differs from the hand-expanded formulas"):
+        deform_datum(d, u)
+
+
+def character_cocycle(dd, chars, target):
+    """u(p_x) = sum_chi chi(x) g_chi on the double's factors H = k^G and
+    A = k[G], where ``target`` names the basis element g_chi of A for each
+    character chi, listed as sign vectors on the elements of G."""
+    field = dd.field
+    cols = {}
+    for x in range(dd.ext.dim):
+        col: dict = {}
+        for chi, t in zip(chars, target):
+            col[t] = field.add(col.get(t, field.zero), field.of(chi[x]))
+        cols[x] = col
+    return LazyCocycle(LinMap(field, dd.ext.space, dd.base.space, cols), dd.ext, dd.base)
+
+
+def test_character_cocycles_deform_the_double_of_c2xc2_as_the_formulas_do(monkeypatch):
+    # H = k^G and A = k[G] for G = C2 x C2 over GF(3), neither of them
+    # group-like on the other's side: every pointed map chi -> g_chi from
+    # the characters to G gives a lazy cocycle, 64 in all; six of them,
+    # five of which move the cocycle, are deformed by the engine alone and
+    # held against the hand-expanded formulas once each
+    import inspect
+    from dataclasses import replace
+    from itertools import product as iproduct
+
+    import hopfprod.classification
+    import hopfprod.linalg
+    import hopfprod.structures
+    from helpers import deform_datum_direct, drinfeld_double_datum, rebind_everywhere
+
+    deform_datum = inspect.unwrap(hopfprod.classification.deform_datum)
+    for wrapped in (hopfprod.structures.convolution, hopfprod.linalg.compose):
+        rebind_everywhere(monkeypatch, wrapped, inspect.unwrap(wrapped))
+
+    f3 = PrimeField(3)
+    dd = drinfeld_double_datum("c2xc2", f3)
+    dd = replace(dd, base=attach_antipode(dd.base))
+    g = builtin_group("c2xc2")
+    n = g.order
+    chars = [s for s in iproduct((1, -1), repeat=n)
+             if all(s[g.table[x][y]] == s[x] * s[y] for x in range(n) for y in range(n))]
+    assert len(chars) == 4 and chars[0] == (1,) * n
+    targets = [t for t in iproduct(range(n), repeat=n) if t[0] == g.identity]
+    assert len(targets) == 64
+    moved = 0
+    for target in targets[::11]:
+        u = character_cocycle(dd, chars, target)
+        e = deform_datum(dd, u)
+        assert e.components_equal(deform_datum_direct(dd, u)) is None, target
+        assert (e.dot, e.lact, e.ract) == (dd.dot, dd.lact, dd.ract)
+        moved += e.cocycle != dd.cocycle
+    assert moved == 5
+
+
+def test_deformation_matches_the_hand_expanded_formulas_on_drawn_maps():
+    # the convolution form equals the hand-expanded sums whenever H is
+    # counital and coassociative and A is counital, whatever the maps: H is
+    # Sweedler's H4, which is not cocommutative, A carries H4's coalgebra
+    # with a drawn multiplication that is not associative and a drawn map in
+    # place of the antipode, and u and the four structure maps are drawn
+    # too, none of them lazy, multiplicative or normalized
+    import inspect
+    import random
+
+    import hopfprod.classification
+    from helpers import deform_datum_direct, random_linmap
+    from hopfprod.structures import FDAlgebra, FDHopf, check_algebra
+    from hopfprod.unified import ExtendingDatum
+
+    deform = inspect.unwrap(hopfprod.classification.deform_datum)
+    rng = random.Random(27)
+    for field in (QQ, PrimeField(5)):
+        h4 = sweedler_bialgebra(field)
+        h = UnitalCoalgebra(h4.coalgebra, h4.unit)
+        square = tensor_space(h4.space, h4.space)
+        for _ in range(3):
+            draw = lambda dom, cod: random_linmap(rng, field, dom, cod, density=0.4)
+            algebra = FDAlgebra(field, h4.space, draw(square, h4.space), h4.unit)
+            assert not check_algebra(algebra).items[0].passed  # associativity fails
+            a = FDHopf(h4.coalgebra, algebra, draw(h4.space, h4.space))
+            d = ExtendingDatum(base=a, ext=h, dot=draw(square, h4.space),
+                               ract=draw(square, h4.space), lact=draw(square, a.space),
+                               cocycle=draw(square, a.space))
+            u = LazyCocycle._unchecked(draw(h4.space, a.space), h, a)
+            assert deform(d, u).components_equal(deform_datum_direct(d, u)) is None

@@ -21,7 +21,7 @@ from helpers import (
 )
 import hopfprod.cli
 import hopfprod.unified
-from hopfprod.classification import enumerate_cocycles
+from hopfprod.classification import check_equivalence, enumerate_cocycles
 from hopfprod.cli import main
 from hopfprod.corpus import (
     a4_order2_ges,
@@ -62,6 +62,11 @@ def built_product(datum):
 
 def golden_objects():
     mp = s3_matched_pair()
+    a4 = a4_unified_datum()
+    a4_cocycle = enumerate_cocycles(a4.ext, a4.base)[1]
+    a4_cocycle_map = CocycleMap(a4_cocycle.linmap.field, a4_cocycle.linmap.domain,
+                                a4_cocycle.linmap.codomain,
+                                {i: dict(col) for i, col in a4_cocycle.linmap.cols.items()})
     return {
         "trivial-coalgebra.json": grouplike_coalgebra(("1",)),
         "s3-hopf.json": group_algebra(builtin_group("s3")),
@@ -74,6 +79,11 @@ def golden_objects():
         "build-a4-unified.json": built_product(a4_unified_datum()),
         "build-z4-crossed.json": built_product(crossed_datum(z4_crossed_datum())),
         "build-s3-bicrossed.json": built_product(matched_pair_datum(mp)),
+        # the third line of `hopfprod enum-cocycles` on the a4-unified factors
+        "a4-unified-cocycle-1.json": a4_cocycle_map,
+        # the machine section of `hopfprod equiv a4-unified.json
+        # a4-unified.json --cocycle a4-unified-cocycle-1.json`
+        "equiv-a4-unified-cocycle-1.json": check_equivalence(a4, a4, a4_cocycle).report,
     }
 
 
@@ -580,6 +590,72 @@ def test_cli_incompatible_data_exit_two(tmp_path, capsys):
     code, _, err = run_cli(capsys, "equiv", str(d1), str(d2), "--search")
     assert code == 2
     assert "share" in err
+
+
+def test_cli_equiv_search_checks_the_context_before_any_candidate(tmp_path, capsys,
+                                                                  monkeypatch):
+    # the search passes over a candidate by its deformed dot alone, so the
+    # shared context is checked on its own first: a second datum with
+    # another base or coalgebra, or data over a base without an antipode,
+    # exit 2 before any candidate reaches check_equivalence
+    import dataclasses
+
+    from hopfprod.structures import FDBialgebra, UnitalCoalgebra
+
+    checked = []
+    monkeypatch.setattr(hopfprod.cli, "check_equivalence", lambda *args: checked.append(args))
+    d = a4_unified_datum()
+    bialgebra = FDBialgebra(d.base.coalgebra, d.base.algebra)
+    no_antipode = dataclasses.replace(d, base=bialgebra)
+    moved_unit = dataclasses.replace(d, ext=UnitalCoalgebra(d.ext.coalg, {1: QQ.one}))
+    paths = {}
+    for name, datum in (("d", d), ("no-antipode", no_antipode), ("moved-unit", moved_unit)):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_bytes(serialize(datum))
+    share = "the two data must share the base and the coalgebra\n"
+    for first, second, err in (("d", "no-antipode", share), ("no-antipode", "d", share),
+                               ("d", "moved-unit", share), ("moved-unit", "d", share),
+                               ("no-antipode", "no-antipode",
+                                "equivalence checking needs a Hopf base\n")):
+        got = run_cli(capsys, "equiv", str(paths[first]), str(paths[second]), "--search")
+        assert got == (2, "", err), (first, second)
+    assert checked == []
+
+
+def test_cli_equiv_search_names_the_first_cocycle_that_passes(tmp_path, capsys):
+    # passing over the candidates whose deformed dot misses keeps the
+    # index: it is the first k for which check_equivalence passes, found
+    # here by trying every candidate, and the report printed is its report
+    from hopfprod.classification import deform_datum
+
+    d = a4_unified_datum()
+    cocycles = enumerate_cocycles(d.ext, d.base)
+    p1 = tmp_path / "d1.json"
+    p1.write_bytes(serialize(d))
+    for k in (0, 5, 17, 31):
+        d2 = deform_datum(d, cocycles[k])
+        p2 = tmp_path / f"d2-{k}.json"
+        p2.write_bytes(serialize(d2))
+        first = next(j for j, u in enumerate(cocycles) if check_equivalence(d, d2, u).ok)
+        code, out, err = run_cli(capsys, "equiv", str(p1), str(p2), "--search")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[0] == f"equivalent via cocycle {first} of 32"
+        report = check_equivalence(d, d2, cocycles[first]).report
+        assert out.split("-- machine --\n", 1)[1].encode() == serialize(report)
+
+
+def test_cli_labels_that_collide_in_a_product_space_exit_two(tmp_path, capsys):
+    # tensor_space formats the labels of each product space when it first
+    # builds it, so labels "a" and "a,a", whose products "(a,a,a)" collide,
+    # are refused as the document is read
+    ph, pa = tmp_path / "h.json", tmp_path / "a.json"
+    doc = json.loads(serialize(grouplike_coalgebra(("x", "y"))))
+    doc["payload"]["space"]["labels"] = ["a", "a,a"]
+    ph.write_text(json.dumps(doc))
+    pa.write_bytes(serialize(group_algebra(builtin_group("c2"))))
+    code, out, err = run_cli(capsys, "enum-cocycles", str(ph), str(pa))
+    assert (code, out) == (2, "")
+    assert err == f"{ph}: bad coalgebra payload: basis labels must be distinct\n"
 
 
 def test_cli_datum_without_an_antipode_on_the_base_exits_two(tmp_path, capsys):

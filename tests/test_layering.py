@@ -1,7 +1,8 @@
 """Static checks of the source: the package's modules import each other only
 at module top level, the import graph between them has no cycle, the
-classical checkers evaluate no coproduct sum of their own, and every source
-file parses with the oldest Python grammar the package declares."""
+classical checkers evaluate no coproduct sum of their own, the deformation
+expands no coproduct beyond the first, and every source file parses with the
+oldest Python grammar the package declares."""
 import ast
 from pathlib import Path
 
@@ -81,3 +82,18 @@ def test_source_parses_with_the_python_3_10_grammar():
     assert len(paths) > 20
     for path in paths:
         ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+
+
+def test_classification_expands_no_coproduct_beyond_the_first():
+    # the deformation formulas are convolutions over tensor-product
+    # coalgebras, which read delta once per factor; no n-fold expansion
+    # with n > 2 is written out by hand
+    path = PACKAGE_DIR / "classification.py"
+    calls = [node for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "expand"]
+    assert calls
+    for node in calls:
+        n = node.args[1] if len(node.args) > 1 else None
+        assert isinstance(n, ast.Constant) and n.value <= 2, \
+            f"classification.py:{node.lineno} expands to {ast.unparse(n) if n else '?'}"
