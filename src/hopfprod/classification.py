@@ -13,6 +13,14 @@ H-comodule map; :func:`check_equivalence` verifies all of that and hands back
 the certificate, and :func:`quotient_classes` certifies every datum it joins
 to an orbit.
 
+Deformation and certification read structure constants as stored columns.
+Where a coproduct is one term with coefficient one and the columns it meets
+(u, the right action, the counit) are basis vectors, a column of the
+deformed maps or of phi is a stored column of the datum, shared as it is, or
+the one entry it gives; every other column is summed term by term.  The
+tensor-product coalgebras the convolutions run over are built once per
+pair of factors (:func:`~hopfprod.structures.tensor_coalgebra`).
+
 Enumeration of cocycles is only available at group-like desk scale, where
 cocycles are exactly the pointed maps from the basis of H to the group-like
 basis of A; everywhere else callers must supply the cocycle themselves.
@@ -27,6 +35,7 @@ from .fields import same_field
 from .linalg import (
     DimensionError,
     LinMap,
+    _unit_index,
     basis_vec,
     compose,
     tensor_apply,
@@ -42,6 +51,7 @@ from .structures import (
     UnitalCoalgebra,
     _add_term,
     _counits,
+    _one_term,
     _tuple_label,
     convolution,
     convolution_unit,
@@ -183,10 +193,19 @@ def enumerate_cocycles(h: UnitalCoalgebra, a: FDBialgebra,
 def _through_u(d: ExtendingDatum, u: LazyCocycle, m: LinMap) -> LinMap:
     """(h, g) -> sum m(h <| u(g1), g2) for a map m out of H (x) H: the
     deformed dot for m the dot of d, and the cocycle f'' that the deformed
-    cocycle convolves for m the cocycle of d."""
-    field, hdim, ract = d.field, d.ext.dim, _Ops(d).ract
+    cocycle convolves for m the cocycle of d.  Where delta(g) is the one
+    term g1 (x) g2 and u(g1) and h <| u(g1) are basis vectors, the column
+    is m's stored column at (h <| u(g1), g2), shared as it is."""
+    field, hdim, adim, ract = d.field, d.ext.dim, d.base.dim, _Ops(d).ract
+    one, ucols, rcols, mcols = field.one, u.linmap.cols, d.ract.cols, m.cols
     cols = {}
     for hi, gi in iproduct(range(hdim), repeat=2):
+        split = _one_term(d.ext.coalg, gi)
+        t = None if split is None else _unit_index(ucols.get(split[0], ()), one)
+        r = None if t is None else _unit_index(rcols.get(hi * adim + t, ()), one)
+        if r is not None:
+            cols[hi * hdim + gi] = mcols.get(r * hdim + split[1], ())
+            continue
         col: dict = {}
         for (g1, g2), cg in d.ext.coalg.expand(gi, 2):
             vec_add_into(field, col, m.bilin(ract(hi, u.linmap.col(g1)), g2, hdim), cg)
@@ -206,20 +225,30 @@ def _deformed_maps(d: ExtendingDatum, u: LazyCocycle,
     over the tensor-product coalgebra named, nested to the left so that A
     multiplies in the order written.  The last factor of f' reads ``dot``,
     by default the deformed dot.  The right action never moves."""
-    a, h, field, ucol = d.base, d.ext, d.field, u.linmap.col
+    a, h, field, ucols = d.base, d.ext, d.field, u.linmap.cols
+    one = field.one
     su = compose(a.antipode, u.linmap)
 
     def convolve(c: FDCoalgebra, *maps: LinMap) -> LinMap:
-        """(u (x) counit_c) * maps[0] * maps[1] * ..., over H (x) c."""
+        """(u (x) counit_c) * maps[0] * maps[1] * ..., over H (x) c; where
+        the counit is one, the first factor shares u's stored column."""
         src = tensor_coalgebra(h.coalg, c)
         first = LinMap(field, src.space, a.space,
-                       {hi * c.dim + xi: vec_scale(field, e, ucol(hi))
+                       {hi * c.dim + xi: ucols.get(hi, ()) if e == one
+                        else vec_scale(field, e, u.linmap.col(hi))
                         for hi in range(h.dim) for xi, e in enumerate(_counits(c))})
         return functools.reduce(lambda f, g: convolution(f, g, src, a.algebra), maps, first)
 
+    def acted(hi: int, gi: int):
+        """h |> u(g): the stored column of |> where u(g) is a basis vector."""
+        t = _unit_index(ucols.get(gi, ()), one)
+        if t is None:
+            return d.lact.bilin(hi, u.linmap.col(gi), a.dim)
+        return d.lact.cols.get(hi * a.dim + t, ())
+
     deformed_dot = _through_u(d, u, d.dot)
     lact_u = LinMap(field, d.dot.domain, a.space,
-                    {hi * h.dim + gi: d.lact.bilin(hi, ucol(gi), a.dim)
+                    {hi * h.dim + gi: acted(hi, gi)
                      for hi, gi in iproduct(range(h.dim), repeat=2)})
     return (deformed_dot, convolve(a.coalgebra, d.lact, compose(su, d.ract)),
             convolve(h.coalg, lact_u, _through_u(d, u, d.cocycle),
@@ -308,29 +337,42 @@ def _deformation_report(d: ExtendingDatum, d2: ExtendingDatum, u: LazyCocycle) -
     return rep
 
 
+def _twist(d: ExtendingDatum, w: LinMap, src, dst) -> LinMap:
+    """a (x) h -> a w(h1) (x) h2, from the space ``src`` of A (x) H to
+    ``dst``.  Where delta(h) is the one term h1 (x) h2, w(h1) a basis
+    vector and a w(h1) one entry (x, c), the column is the one entry
+    (x (x) h2, c)."""
+    field, a, h = d.field, d.base, d.ext
+    one, hdim, wcols, mcols = field.one, h.dim, w.cols, a.mult.cols
+    cols = {}
+    for ai, hi in iproduct(range(a.dim), range(hdim)):
+        split = _one_term(h.coalg, hi)
+        if split is not None:
+            t = _unit_index(wcols.get(split[0], ()), one)
+            prod = () if t is None else mcols.get(ai * a.dim + t, ())
+            if len(prod) == 1:
+                cols[ai * hdim + hi] = ((prod[0][0] * hdim + split[1], prod[0][1]),)
+                continue
+        col: dict = {}
+        for (h1, h2), ch in h.coalg.expand(hi, 2):
+            vec_add_into(field, col, tensor_vec(
+                field, a.mul(ai, w.col(h1)), basis_vec(field, h2), hdim), ch)
+        cols[ai * hdim + hi] = col
+    return LinMap(field, src, dst, cols)
+
+
 def _certify(rep: Report, d: ExtendingDatum, d2: ExtendingDatum, u: LazyCocycle,
              prod: FDBialgebra, prod2: FDBialgebra) -> EquivalenceResult:
     """Build phi: A (x)' H -> A (x) H between the products ``prod2`` of d2
-    and ``prod`` of d, and add the rows that verify it to ``rep``.  Each row
-    is evaluated one basis column at a time, never through a composite map."""
+    and ``prod`` of d (:func:`_twist`), and add the rows that verify it to
+    ``rep``.  Each row is evaluated one basis column at a time, never
+    through a composite map."""
     field = d.field
     a, h = d.base, d.ext
-    hdim = h.dim
-
-    def twist(w: LinMap, src, dst) -> LinMap:
-        """a (x) h -> a w(h1) (x) h2."""
-        cols = {}
-        for ai, hi in iproduct(range(a.dim), range(hdim)):
-            col: dict = {}
-            for (h1, h2), ch in h.coalg.expand(hi, 2):
-                vec_add_into(field, col, tensor_vec(
-                    field, a.mul(ai, w.col(h1)), basis_vec(field, h2), hdim), ch)
-            cols[ai * hdim + hi] = col
-        return LinMap(field, src, dst, cols)
 
     # S_A . u composed, not cocycle_inverse: u need not be lazy here
-    phi = twist(u.linmap, prod2.space, prod.space)
-    psi = twist(compose(a.antipode, u.linmap), prod.space, prod2.space)
+    phi = _twist(d, u.linmap, prod2.space, prod.space)
+    psi = _twist(d, compose(a.antipode, u.linmap), prod.space, prod2.space)
 
     rep.add("phi-algebra-map", is_algebra_map(phi, prod2.algebra, prod.algebra))
     rep.add("phi-coalgebra-map", is_coalgebra_map(phi, prod2.coalgebra, prod.coalgebra))

@@ -12,9 +12,10 @@ A result column that is exactly a stored one-entry column of an operand,
 times one, is that same tuple: :func:`compose` shares column j of f where
 column i of g is ``((j, 1),)``, and :func:`~hopfprod.structures.convolution`
 shares a column of the multiplication the same way.  Stored columns are
-never mutated, so sharing them is safe, and :class:`LinMap` accepts such a
-one-entry tuple in place of a dict.  Every other column is summed term by
-term from the stored tuples into a dict.
+never mutated, so sharing them is safe, and :class:`LinMap` accepts a
+stored column, a tuple of ``(index, value)`` pairs, in place of a dict.
+Every other column is summed term by term from the stored tuples into a
+dict.
 
 Bilinear maps are linear maps out of a tensor-product domain.
 :meth:`LinMap.bilin` is the one evaluator for them: each argument is a basis
@@ -117,6 +118,13 @@ def basis_vec(field, i: int) -> dict:
     return {i: field.one}
 
 
+def _unit_index(col: tuple, one):
+    """j where the stored column ``col`` is ``((j, 1),)``, else None."""
+    if len(col) == 1 and col[0][1] == one:
+        return col[0][0]
+    return None
+
+
 class LinMap:
     """An exact linear map between based spaces, stored column-sparse."""
 
@@ -125,10 +133,12 @@ class LinMap:
     def __init__(self, field, domain: BasedSpace, codomain: BasedSpace, cols):
         """``cols`` maps domain index -> column; zeros dropped.
 
-        A column is a dict {codomain index: value}, or a stored one-entry
-        column ``((j, v),)`` of some map, which is kept as the same tuple.
-        Either way a zero value leaves the column out and an index out of
-        range raises :class:`DimensionError`."""
+        A column is a dict {codomain index: value}, or a tuple of
+        ``(j, v)`` pairs such as a stored column of some map.  A one-entry
+        tuple is kept as the same tuple; any other tuple is read as its
+        dict, and a codomain index it repeats raises :class:`ValueError`.
+        Either way a zero value leaves the column out, as does an empty
+        column, and an index out of range raises :class:`DimensionError`."""
         self.field = field
         self.domain = domain
         self.codomain = codomain
@@ -145,6 +155,10 @@ class LinMap:
                     continue
                 hi = lo
             else:
+                if type(col) is tuple:
+                    pairs, col = col, dict(col)
+                    if len(col) != len(pairs):
+                        raise ValueError(f"column {i} repeats a codomain index")
                 entries = sorted(col.items())
                 if any(map(is_zero, col.values())):
                     entries = [(j, v) for j, v in entries if not is_zero(v)]

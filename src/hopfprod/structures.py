@@ -17,6 +17,11 @@ tensor-product coalgebra or a map out of ``E (x) E (x) E (x) E``.
 "m: X (x) Y -> Z is a coalgebra map" has one evaluator,
 :func:`_coalgebra_map_halves`, for the multiplication of a bialgebra, the
 maps of a datum and, with Y = k, a linear map.
+
+Maps are read as stored columns: :func:`convolution` shares a stored
+product column where both operands are basis vectors, and
+:func:`tensor_coalgebra` is built once per pair of factor objects and hands
+one-term coproducts over as one-entry tuples.
 """
 from __future__ import annotations
 
@@ -59,6 +64,8 @@ class FDCoalgebra:
             raise ValueError("counit has the wrong shape")
         self._expand_cache: dict[tuple[int, int], list] = {}
         self._counit_table: tuple | None = None
+        # tensor_coalgebra(self, d) for each d it was built for, by id(d)
+        self._tensors: dict[int, tuple] = {}
 
     @property
     def dim(self) -> int:
@@ -297,7 +304,18 @@ def tensor_coalgebra(c: FDCoalgebra, d: FDCoalgebra) -> FDCoalgebra:
     """The tensor-product coalgebra: (c (x) d)_(1..2) pairs componentwise,
     delta(x (x) y) = (x1 (x) y1) (x) (x2 (x) y2), and the counit is
     counit(x) counit(y).  Where delta(x) and delta(y) are one term each,
-    the column is handed to :class:`LinMap` as a one-entry tuple."""
+    the column is handed to :class:`LinMap` as a one-entry tuple.
+
+    Built once per pair of factor objects: ``c`` keeps the coalgebra it
+    built for ``d`` under ``id(d)``, together with ``d`` itself, so that
+    the id is not reused while the entry lives; where ``d`` is ``c`` the
+    entry leaves it out, since the id of ``c`` is not reused while ``c``
+    lives and holding it would make ``c`` refer to itself.  The key is the
+    object, not its structure, because equal coalgebras may carry other
+    labels."""
+    hit = c._tensors.get(id(d))
+    if hit is not None:
+        return hit[1]
     field = same_field(c, d)
     space = tensor_space(c.space, d.space)
     n, mul = d.dim, field.mul
@@ -316,7 +334,9 @@ def tensor_coalgebra(c: FDCoalgebra, d: FDCoalgebra) -> FDCoalgebra:
     epsilon = LinMap(field, space, SCALAR_SPACE,
                      {i * n + j: {0: field.mul(x, y)}
                       for i, x in enumerate(_counits(c)) for j, y in enumerate(_counits(d))})
-    return FDCoalgebra(field, space, delta, epsilon)
+    out = FDCoalgebra(field, space, delta, epsilon)
+    c._tensors[id(d)] = (None if d is c else d, out)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -330,6 +350,15 @@ def _add_term(field, acc: dict, key, x):
         acc.pop(key, None)
     else:
         acc[key] = y
+
+
+def _one_term(c: FDCoalgebra, i: int):
+    """(i1, i2) where delta(e_i) is the one term e_i1 (x) e_i2 with
+    coefficient one, as on a group-like; else None."""
+    terms = c.expand(i, 2)
+    if len(terms) == 1 and terms[0][1] == c.field.one:
+        return terms[0][0]
+    return None
 
 
 def _counits(c: FDCoalgebra) -> tuple:

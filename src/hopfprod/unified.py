@@ -15,6 +15,13 @@ carries a witness.  Each identity is written once: comult-multiplicative is
 the coalgebra-map evaluator of :mod:`hopfprod.structures` on the dot, and
 the other eight come from five formulas.  The unit normalizations of
 :func:`validate_datum` are one table, which the classical checkers share.
+
+Assembly and the conditions read structure maps as stored columns, memoized
+on basis pairs, and collapse each sum that does not depend on every index
+once (:func:`_collapse`).  Where a coproduct is one term with coefficient
+one and the columns it meets are one entry, as on group-like data, the
+assembly reads the term from the stored columns, and a one-term column
+goes to :class:`~hopfprod.linalg.LinMap` as a one-entry tuple.
 """
 from __future__ import annotations
 
@@ -46,6 +53,7 @@ from .structures import (
     _counits,
     _ground_coalgebra,
     _is_coalgebra_map,
+    _one_term,
     _scan,
     _tuple_label,
 )
@@ -448,7 +456,19 @@ def assemble_product(d: ExtendingDatum) -> FDBialgebra:
     lact, ract, coc, dot, amul = (_Memo(op) for op in (ops.lact, ops.ract, ops.coc, ops.dot,
                                                         ops.amul))
     triple = _Memo(lambda ai, l, p: _gather(field, amul[ai, l].items(), amul, p))
-    right = _Memo(lambda y, z, g: _collapse(field, (coc, dot), {y: {z: one}}, htree[g, 2]))
+    ccols, dcols = d.cocycle.cols, d.dot.cols
+
+    def right_sum(y, z, g):
+        """sum f(y, g1) (x) z . g2 as basis terms; where delta(g) is one
+        term with coefficient one and both columns are one entry, that one
+        term, read from the stored columns."""
+        split = _one_term(h.coalg, g)
+        if split is not None:
+            fcol, dcol = ccols.get(y * nh + split[0], ()), dcols.get(z * nh + split[1], ())
+            if len(fcol) == 1 and len(dcol) == 1:
+                return [((fcol[0][0], dcol[0][0]), mul(fcol[0][1], dcol[0][1]))]
+        return _collapse(field, (coc, dot), {y: {z: one}}, htree[g, 2])
+    right = _Memo(right_sum)
 
     def column(ai, sums):
         col: dict = {}

@@ -280,14 +280,21 @@ def pair_bijection_is_isomorphism(ges: GroupExtendingStructure) -> bool:
     return True
 
 
-def tensor_map(f: LinMap, g: LinMap) -> LinMap:
+def tensor_map(f: LinMap, g: LinMap, only=None) -> LinMap:
     """(f (x) g)(e_i (x) e_j) = f(e_i) (x) g(e_j), row-major indexing: the
-    composed form of the maps the library evaluates pointwise."""
+    composed form of the maps the library evaluates pointwise.  With
+    ``only``, a set of flat domain indices, just those columns are built
+    and every other one is left zero."""
     field, mul = f.field, f.field.mul
     gdim, cdim = g.domain.dim, g.codomain.dim
+    if only is None:
+        pairs = ((i, j) for i in f.cols for j in g.cols)
+    else:
+        pairs = (divmod(k, gdim) for k in sorted(only))
     cols = {}
-    for i, fcol in f.cols.items():
-        for j, gcol in g.cols.items():
+    for i, j in pairs:
+        fcol, gcol = f.cols.get(i), g.cols.get(j)
+        if fcol and gcol:
             if len(fcol) == len(gcol) == 1:
                 # one entry, handed over as the one-entry tuple LinMap keeps
                 (a, x), (b, y) = fcol[0], gcol[0]
@@ -426,8 +433,11 @@ def dense_compose_direct(f: LinMap, g: LinMap):
 
 def convolution_direct(f: LinMap, g: LinMap, src: FDCoalgebra, dst: FDAlgebra) -> LinMap:
     """The convolution m_dst . (f (x) g) . delta_src through the composed
-    maps, as an oracle for the pointwise ``structures.convolution``."""
-    return compose(dst.mult, compose(tensor_map(f, g), src.delta))
+    maps, as an oracle for the pointwise ``structures.convolution``.  f (x) g
+    is built only on the columns delta_src reaches, the only ones the
+    composite reads."""
+    reached = {k for col in src.delta.cols.values() for k, _ in col}
+    return compose(dst.mult, compose(tensor_map(f, g, reached), src.delta))
 
 
 def preimage_direct(f: LinMap, v: dict):

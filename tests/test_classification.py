@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import (
     assert_bicrossed_report_agrees,
@@ -34,6 +35,7 @@ from hopfprod.corpus import (
 from hopfprod.fields import QQ, PrimeField
 from hopfprod.groups import builtin_group, group_algebra, grouplike_coalgebra
 from hopfprod.linalg import LinMap, compose, tensor_space
+from hopfprod.reports import Report
 from hopfprod.special import (
     MatchedPair,
     check_bicrossed_equivalence,
@@ -921,3 +923,104 @@ def test_deformation_matches_the_hand_expanded_formulas_on_drawn_maps():
                                cocycle=draw(square, a.space))
             u = LazyCocycle._unchecked(draw(h4.space, a.space), h, a)
             assert deform(d, u).components_equal(deform_datum_direct(d, u)) is None
+
+
+# How a drawn column meets the one-entry precondition of a fast path: a basis
+# vector meets it; coefficient 2 or -1, two terms and zero each break it.
+COLUMN_KINDS = ("basis", "basis", "basis", "scaled", "two-term", "zero")
+
+
+@st.composite
+def stored_column_data(draw):
+    """A datum over QQ or GF(5) whose maps, the multiplication and antipode
+    of A, and a map u: H -> A are drawn column by column from
+    :data:`COLUMN_KINDS`.  H and the coalgebra of A are each group-like on
+    two or three points, where every coproduct is one term with coefficient
+    one; group-like on two points rescaled to the basis e_0, 2 e_1, whose
+    coproduct of 2 e_1 is one term with coefficient 1/2 and counit 2; or
+    Sweedler's H4, whose counit kills x and gx."""
+    from helpers import rescaled_bialgebra
+    from hopfprod.structures import FDAlgebra, FDHopf
+    from hopfprod.unified import ExtendingDatum
+
+    field = draw(st.sampled_from((QQ, PrimeField(5))))
+    one = field.one
+
+    def coalgebra(kind, prefix):
+        if kind == "h4":
+            return sweedler_bialgebra(field).coalgebra
+        if kind == "scaled":
+            return rescaled_bialgebra(group_algebra(builtin_group("c2"), field),
+                                      (one, field.of(2)), (f"{prefix}0", f"{prefix}1")).coalgebra
+        return grouplike_coalgebra([f"{prefix}{k}" for k in range(kind)], field).coalg
+
+    def column(cod: int) -> dict:
+        kind = draw(st.sampled_from(COLUMN_KINDS))
+        j = draw(st.integers(0, cod - 1))
+        if kind == "basis":
+            return {j: one}
+        if kind == "scaled":
+            return {j: field.of(draw(st.sampled_from((2, -1))))}
+        if kind == "two-term":
+            return {j: one, (j + 1) % cod: one}
+        return {}
+
+    def linmap(dom, cod) -> LinMap:
+        return LinMap(field, dom, cod, {i: column(cod.dim) for i in range(dom.dim)})
+
+    hc = coalgebra(draw(st.sampled_from((2, 3, "scaled", "h4"))), "h")
+    ac = coalgebra(draw(st.sampled_from((2, "scaled", "h4"))), "a")
+    hh, ha = tensor_space(hc.space, hc.space), tensor_space(hc.space, ac.space)
+    a = FDHopf(ac, FDAlgebra(field, ac.space, linmap(tensor_space(ac.space, ac.space), ac.space),
+                             {0: one}), linmap(ac.space, ac.space))
+    h = UnitalCoalgebra(hc, {0: one})
+    d = ExtendingDatum(base=a, ext=h, dot=linmap(hh, hc.space), ract=linmap(ha, hc.space),
+                       lact=linmap(ha, ac.space), cocycle=linmap(hh, ac.space))
+    return d, LazyCocycle._unchecked(linmap(hc.space, ac.space), h, a)
+
+
+def through_u_direct(d, u, m: LinMap) -> LinMap:
+    """(h, g) -> sum m(h <| u(g1), g2), every term through the general
+    bilinear loop: the oracle of ``classification._through_u``."""
+    from helpers import bilin_direct
+    from hopfprod.linalg import vec_add_into
+
+    field, hdim, adim = d.field, d.ext.dim, d.base.dim
+    cols = {}
+    for hi in range(hdim):
+        for gi in range(hdim):
+            col: dict = {}
+            for (g1, g2), c in d.ext.coalg.expand(gi, 2):
+                acted = bilin_direct(d.ract, hi, u.linmap.col(g1), adim)
+                vec_add_into(field, col, bilin_direct(m, acted, g2, hdim), c)
+            cols[hi * hdim + gi] = col
+    return LinMap(field, d.dot.domain, m.codomain, cols)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(stored_column_data())
+def test_stored_column_paths_match_the_loops_and_the_oracles(data):
+    # each fast path reads stored one-entry columns only where the structure
+    # constants allow; wherever a drawn column breaks that, the loop runs,
+    # and both must give what the hand-expanded and composed oracles give
+    import inspect
+
+    import hopfprod.classification as cls
+    import hopfprod.unified as uni
+    from helpers import certificate_rows_composed, deform_datum_direct
+
+    d, u = data
+    e = inspect.unwrap(cls.deform_datum)(d, u)
+    assert e.components_equal(deform_datum_direct(d, u)) is None
+    for m in (d.dot, d.cocycle):
+        assert cls._through_u(d, u, m) == through_u_direct(d, u, m)
+
+    # phi and psi, and the rows the certificate adds; each assembly, and so
+    # its stored second sum, is held against assemble_product_direct
+    prod, prod2 = uni.assemble_product(d), uni.assemble_product(e)
+    rows, phi, psi = certificate_rows_composed(d, e, u, prod, prod2)
+    assert cls._twist(d, u.linmap, prod2.space, prod.space) == phi
+    assert cls._twist(d, compose(d.base.antipode, u.linmap), prod.space, prod2.space) == psi
+    rep = Report("certificate")
+    cls._certify(rep, d, e, u, prod, prod2)
+    assert [(it.condition, it.passed, it.witness) for it in rep.items] == rows

@@ -21,7 +21,7 @@ from helpers import (
 )
 import hopfprod.cli
 import hopfprod.unified
-from hopfprod.classification import check_equivalence, enumerate_cocycles
+from hopfprod.classification import check_equivalence, deform_datum, enumerate_cocycles
 from hopfprod.cli import main
 from hopfprod.corpus import (
     a4_order2_ges,
@@ -84,6 +84,10 @@ def golden_objects():
         # the machine section of `hopfprod equiv a4-unified.json
         # a4-unified.json --cocycle a4-unified-cocycle-1.json`
         "equiv-a4-unified-cocycle-1.json": check_equivalence(a4, a4, a4_cocycle).report,
+        # a4-unified deformed by that cocycle, which moves the dot: `hopfprod
+        # equiv a4-unified.json a4-unified-deformed-1.json --cocycle
+        # a4-unified-cocycle-1.json` passes every row
+        "a4-unified-deformed-1.json": deform_datum(a4, a4_cocycle),
     }
 
 
@@ -103,7 +107,7 @@ def test_parse_serialize_roundtrip_object_equality():
         back = parse(serialize(obj))
         if isinstance(obj, Report):
             assert back.to_obj() == obj.to_obj()
-        elif name == "a4-datum.json":
+        elif name in ("a4-datum.json", "a4-unified-deformed-1.json"):
             assert back.components_equal(obj) is None
         elif name == "s3-matched-pair.json":
             assert (back.a, back.h, back.ract, back.lact) == \

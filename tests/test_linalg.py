@@ -319,6 +319,21 @@ def test_linmap_keeps_a_stored_one_entry_column():
     assert LinMap(PrimeField(7), S2, S3, {0: ((1, 7),)}).cols == {}
 
 
+def test_linmap_takes_a_stored_column_of_any_length():
+    """A tuple of (index, value) pairs of any length reads as its dict: an
+    empty one leaves the column out, a longer one is sorted with its zeros
+    dropped, an index out of range is refused, and a repeated index, which
+    the dict would silently merge, raises ValueError."""
+    assert LinMap(QQ, S2, S3, {0: (), 1: {0: 1}}).cols == {1: ((0, 1),)}
+    m = LinMap(QQ, S2, S3, {0: ((2, 3), (0, Fraction(1, 2)), (1, 0))})
+    assert m.cols == {0: ((0, Fraction(1, 2)), (2, 3))}
+    assert m == LinMap(QQ, S2, S3, {0: {2: 3, 0: Fraction(1, 2)}})
+    with pytest.raises(DimensionError, match="codomain index 3 out of range"):
+        LinMap(QQ, S2, S3, {0: ((0, 1), (3, 1))})
+    with pytest.raises(ValueError, match="column 1 repeats a codomain index"):
+        LinMap(QQ, S2, S3, {1: ((0, 1), (0, 2))})
+
+
 def normalized_direct(field, ncod: int, cols: dict):
     """The columns a LinMap stores for ``cols``, entry by entry: zeros
     dropped, then sorted, then every codomain index checked in that order;
@@ -344,14 +359,13 @@ def test_linmap_columns_match_the_entrywise_normalization(field, cols):
     """Sorted once, with only the ends checked and zeros filtered only when
     present, a column gives what the entry-by-entry loop gives, and an
     index outside the codomain is named as that loop names it, whether a
-    one-entry column comes as a dict or as a stored tuple; over GF(7) the
-    values include unreduced ones such as 7 and -1."""
+    column comes as a dict or as a tuple of pairs; over GF(7) the values
+    include unreduced ones such as 7 and -1."""
     if field != QQ:
         cols = {i: {j: int(v) for j, v in col.items()} for i, col in cols.items()}
     want = normalized_direct(field, 3, cols)
-    # a one-entry column handed in as a stored tuple normalizes the same way
-    as_tuples = {i: tuple(col.items()) if len(col) == 1 else col
-                 for i, col in cols.items()}
+    # a column handed in as a tuple of pairs, unsorted, normalizes the same way
+    as_tuples = {i: tuple(reversed(col.items())) for i, col in cols.items()}
     for given_cols in (cols, as_tuples):
         try:
             got = LinMap(field, S4, S3, given_cols).cols

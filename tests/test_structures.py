@@ -494,6 +494,46 @@ def test_tensor_coalgebra_matches_the_composed_shuffle():
         assert serialize(got) == serialize(want)
 
 
+def test_tensor_coalgebra_is_built_once_per_right_factor_object():
+    """The same right factor gets the same coalgebra, byte-identical to a
+    fresh build; a right factor equal as a coalgebra but with other labels
+    gets its own, with its labels; and the left factor keeps each right
+    factor it built for alive, so that no other object takes its id.  A
+    coalgebra tensored with itself keeps no reference to itself, so it is
+    freed without the cycle collector."""
+    import gc
+    import weakref
+
+    from hopfprod.serialize import serialize
+
+    for field in (QQ, PrimeField(5)):
+        c = sweedler_bialgebra(field).coalgebra
+        d, other = (grouplike_coalgebra(labels, field).coalg for labels in (("x", "y"), ("p", "q")))
+        assert d == other and d.space != other.space
+        got = tensor_coalgebra(c, d)
+        assert tensor_coalgebra(c, d) is got
+        fresh = tensor_coalgebra(FDCoalgebra(field, c.space, c.delta, c.epsilon), d)
+        assert fresh is not got and serialize(fresh) == serialize(got)
+        theirs = tensor_coalgebra(c, other)
+        assert theirs is not got and theirs.space.labels[:2] == ("(1,p)", "(1,q)")
+        assert got.space.labels[:2] == ("(1,x)", "(1,y)")
+        alive = weakref.ref(d)
+        del d
+        gc.collect()
+        assert alive() is not None
+        own = FDCoalgebra(field, c.space, c.delta, c.epsilon)
+        square = tensor_coalgebra(own, own)
+        assert tensor_coalgebra(own, own) is square
+        assert serialize(square) == serialize(tensor_coalgebra(c, c))
+        alive = weakref.ref(own)
+        gc.disable()
+        try:
+            del own
+            assert alive() is None
+        finally:
+            gc.enable()
+
+
 def test_tensor_algebra_matches_the_composed_shuffle():
     # the tensor product is the unified product of the trivial datum
     from helpers import scaled_sweedler
