@@ -14,12 +14,10 @@ the certificate, and :func:`quotient_classes` certifies every datum it joins
 to an orbit.
 
 Deformation and certification read structure constants as stored columns.
-Where a coproduct is one term with coefficient one and the columns it meets
-(u, the right action, the counit) are basis vectors, a column of the
-deformed maps or of phi is a stored column of the datum, shared as it is, or
-the one entry it gives; every other column is summed term by term.  The
-tensor-product coalgebras the convolutions run over are built once per
-pair of factors (:func:`~hopfprod.structures.tensor_coalgebra`).
+Where delta_H and the maps a result reads are index tables (``LinMap.points``),
+as on group-like data, each column is a stored column of the datum, shared,
+or the one entry the tables give; otherwise it is summed term by term.  The
+tensor coalgebras the convolutions run over are built once per pair.
 
 Enumeration of cocycles is only available at group-like desk scale, where
 cocycles are exactly the pointed maps from the basis of H to the group-like
@@ -35,7 +33,6 @@ from .fields import same_field
 from .linalg import (
     DimensionError,
     LinMap,
-    _unit_index,
     basis_vec,
     compose,
     tensor_apply,
@@ -51,7 +48,6 @@ from .structures import (
     UnitalCoalgebra,
     _add_term,
     _counits,
-    _one_term,
     _tuple_label,
     convolution,
     convolution_unit,
@@ -193,19 +189,17 @@ def enumerate_cocycles(h: UnitalCoalgebra, a: FDBialgebra,
 def _through_u(d: ExtendingDatum, u: LazyCocycle, m: LinMap) -> LinMap:
     """(h, g) -> sum m(h <| u(g1), g2) for a map m out of H (x) H: the
     deformed dot for m the dot of d, and the cocycle f'' that the deformed
-    cocycle convolves for m the cocycle of d.  Where delta(g) is the one
-    term g1 (x) g2 and u(g1) and h <| u(g1) are basis vectors, the column
-    is m's stored column at (h <| u(g1), g2), shared as it is."""
-    field, hdim, adim, ract = d.field, d.ext.dim, d.base.dim, _Ops(d).ract
-    one, ucols, rcols, mcols = field.one, u.linmap.cols, d.ract.cols, m.cols
+    cocycle convolves for m the cocycle of d.  Where delta_H, u and <| are
+    index tables, the column is m's stored column at (h <| u(g1), g2),
+    shared as it is."""
+    field, hdim, adim, ract, mcols = d.field, d.ext.dim, d.base.dim, _Ops(d).ract, m.cols
+    dp, up, rp = d.ext.coalg.delta.points, u.linmap.points, d.ract.points
+    if dp is not None and up is not None and rp is not None:
+        return LinMap(field, d.dot.domain, m.codomain,
+                      {hi * hdim + gi: col for hi in range(hdim) for gi, k in enumerate(dp)
+                       if (col := mcols.get(rp[hi * adim + up[k // hdim]] * hdim + k % hdim))})
     cols = {}
     for hi, gi in iproduct(range(hdim), repeat=2):
-        split = _one_term(d.ext.coalg, gi)
-        t = None if split is None else _unit_index(ucols.get(split[0], ()), one)
-        r = None if t is None else _unit_index(rcols.get(hi * adim + t, ()), one)
-        if r is not None:
-            cols[hi * hdim + gi] = mcols.get(r * hdim + split[1], ())
-            continue
         col: dict = {}
         for (g1, g2), cg in d.ext.coalg.expand(gi, 2):
             vec_add_into(field, col, m.bilin(ract(hi, u.linmap.col(g1)), g2, hdim), cg)
@@ -239,16 +233,12 @@ def _deformed_maps(d: ExtendingDatum, u: LazyCocycle,
                         for hi in range(h.dim) for xi, e in enumerate(_counits(c))})
         return functools.reduce(lambda f, g: convolution(f, g, src, a.algebra), maps, first)
 
-    def acted(hi: int, gi: int):
-        """h |> u(g): the stored column of |> where u(g) is a basis vector."""
-        t = _unit_index(ucols.get(gi, ()), one)
-        if t is None:
-            return d.lact.bilin(hi, u.linmap.col(gi), a.dim)
-        return d.lact.cols.get(hi * a.dim + t, ())
-
     deformed_dot = _through_u(d, u, d.dot)
+    # h |> u(g): where u is an index table, the stored column of |>
+    up, lcols = u.linmap.points, d.lact.cols
     lact_u = LinMap(field, d.dot.domain, a.space,
-                    {hi * h.dim + gi: acted(hi, gi)
+                    {hi * h.dim + gi: lcols.get(hi * a.dim + up[gi], ()) if up is not None
+                     else d.lact.bilin(hi, u.linmap.col(gi), a.dim)
                      for hi, gi in iproduct(range(h.dim), repeat=2)})
     return (deformed_dot, convolve(a.coalgebra, d.lact, compose(su, d.ract)),
             convolve(h.coalg, lact_u, _through_u(d, u, d.cocycle),
@@ -339,20 +329,16 @@ def _deformation_report(d: ExtendingDatum, d2: ExtendingDatum, u: LazyCocycle) -
 
 def _twist(d: ExtendingDatum, w: LinMap, src, dst) -> LinMap:
     """a (x) h -> a w(h1) (x) h2, from the space ``src`` of A (x) H to
-    ``dst``.  Where delta(h) is the one term h1 (x) h2, w(h1) a basis
-    vector and a w(h1) one entry (x, c), the column is the one entry
-    (x (x) h2, c)."""
-    field, a, h = d.field, d.base, d.ext
-    one, hdim, wcols, mcols = field.one, h.dim, w.cols, a.mult.cols
+    ``dst``.  Where delta_H, w and the product of A are index tables, the
+    column is the one entry a w(h1) (x) h2 with coefficient one."""
+    field, a, h, hdim = d.field, d.base, d.ext, d.ext.dim
+    dp, wp, mp = h.coalg.delta.points, w.points, a.mult.points
+    if dp is not None and wp is not None and mp is not None:
+        return LinMap(field, src, dst, {
+            ai * hdim + hi: ((mp[ai * a.dim + wp[k // hdim]] * hdim + k % hdim, field.one),)
+            for ai in range(a.dim) for hi, k in enumerate(dp)})
     cols = {}
     for ai, hi in iproduct(range(a.dim), range(hdim)):
-        split = _one_term(h.coalg, hi)
-        if split is not None:
-            t = _unit_index(wcols.get(split[0], ()), one)
-            prod = () if t is None else mcols.get(ai * a.dim + t, ())
-            if len(prod) == 1:
-                cols[ai * hdim + hi] = ((prod[0][0] * hdim + split[1], prod[0][1]),)
-                continue
         col: dict = {}
         for (h1, h2), ch in h.coalg.expand(hi, 2):
             vec_add_into(field, col, tensor_vec(
@@ -420,8 +406,7 @@ def _dot_hits(d: ExtendingDatum, d2: ExtendingDatum, cocycles: list[LazyCocycle]
             yield k, u
 
 
-def quotient_classes(data: list[ExtendingDatum],
-                     cap: int = DEFAULT_COCYCLE_CAP) -> list[list[int]]:
+def quotient_classes(data: list[ExtendingDatum]) -> list[list[int]]:
     """Partition data sharing (A, H, ract) into deformation-equivalence classes.
 
     A class is an orbit of the lazy-cocycle group, which acts by
@@ -440,7 +425,7 @@ def quotient_classes(data: list[ExtendingDatum],
     for d in data[1:]:
         if d.base != first.base or d.ext != first.ext or d.ract != first.ract:
             raise ContextError("all data must share the base, coalgebra and right action")
-    cocycles = enumerate_cocycles(first.ext, first.base, cap)
+    cocycles = enumerate_cocycles(first.ext, first.base)
     products = [assemble_product(d) for d in data]
     if not isinstance(first.base, FDHopf):
         raise ContextError("equivalence checking needs a Hopf base")

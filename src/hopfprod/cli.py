@@ -92,8 +92,11 @@ def _load(path, want=None, what="input"):
 def _emit(obj, out_path=None):
     data = serialize(obj)
     if out_path:
-        with open(out_path, "wb") as fh:
-            fh.write(data)
+        try:
+            with open(out_path, "wb") as fh:
+                fh.write(data)
+        except OSError as exc:
+            raise CliError(EXIT_MALFORMED, f"{out_path}: {exc}")
     else:
         sys.stdout.buffer.write(data)
 

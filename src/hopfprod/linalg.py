@@ -8,14 +8,12 @@ pair ``(i, j)`` over ``A (x) B`` sits at flat index ``i * dim(B) + j``.  That
 convention is normative for file I/O as well.  :func:`tensor_space` builds
 each product space once per pair of factor spaces, and reuses it after.
 
-A result column that is exactly a stored one-entry column of an operand,
-times one, is that same tuple: :func:`compose` shares column j of f where
-column i of g is ``((j, 1),)``, and :func:`~hopfprod.structures.convolution`
-shares a column of the multiplication the same way.  Stored columns are
-never mutated, so sharing them is safe, and :class:`LinMap` accepts a
-stored column, a tuple of ``(index, value)`` pairs, in place of a dict.
-Every other column is summed term by term from the stored tuples into a
-dict.
+A map sending each basis vector to a basis vector is an index table, and
+:attr:`LinMap.points` is the one test for it.  Where every operand is one,
+a result is built from the tables over shared stored columns (:func:`compose`
+takes f's column at ``points(g)[i]`` as column i); otherwise it is summed
+term by term.  Stored columns are never mutated, so sharing them is safe,
+and :class:`LinMap` accepts one, a tuple of ``(index, value)`` pairs.
 
 Bilinear maps are linear maps out of a tensor-product domain.
 :meth:`LinMap.bilin` is the one evaluator for them: each argument is a basis
@@ -118,17 +116,13 @@ def basis_vec(field, i: int) -> dict:
     return {i: field.one}
 
 
-def _unit_index(col: tuple, one):
-    """j where the stored column ``col`` is ``((j, 1),)``, else None."""
-    if len(col) == 1 and col[0][1] == one:
-        return col[0][0]
-    return None
+_UNREAD = object()  # LinMap.points not yet read
 
 
 class LinMap:
     """An exact linear map between based spaces, stored column-sparse."""
 
-    __slots__ = ("field", "domain", "codomain", "cols", "_hash")
+    __slots__ = ("field", "domain", "codomain", "cols", "_hash", "_points")
 
     def __init__(self, field, domain: BasedSpace, codomain: BasedSpace, cols):
         """``cols`` maps domain index -> column; zeros dropped.
@@ -173,6 +167,7 @@ class LinMap:
             norm[i] = entries
         self.cols = norm
         self._hash = None
+        self._points = _UNREAD
 
     @classmethod
     def identity(cls, field, space: BasedSpace) -> LinMap:
@@ -181,6 +176,18 @@ class LinMap:
     @classmethod
     def zero(cls, field, domain: BasedSpace, codomain: BasedSpace) -> LinMap:
         return cls(field, domain, codomain, {})
+
+    @property
+    def points(self) -> tuple | None:
+        """The j of each domain index whose stored column is ``((j, 1),)``,
+        where every column is; else None, a missing column included.  An
+        empty domain gives ``()``, so test ``is not None``.  Read once."""
+        if self._points is _UNREAD:
+            cols, one = self.cols, self.field.one
+            table = len(cols) == self.domain.dim and all(
+                len(c) == 1 and c[0][1] == one for c in cols.values())
+            self._points = tuple(cols[i][0][0] for i in range(len(cols))) if table else None
+        return self._points
 
     def col(self, i: int) -> dict:
         return dict(self.cols.get(i, ()))
@@ -266,22 +273,22 @@ class LinMap:
 
 
 def compose(f: LinMap, g: LinMap) -> LinMap:
-    """The composite f after g.  Requires dim(codomain g) == dim(domain f)."""
+    """The composite f after g.  Requires dim(codomain g) == dim(domain f).
+
+    Where g is an index table (:attr:`LinMap.points`), column i of the
+    composite is f's stored column at ``points(g)[i]``, shared as it is."""
     field = same_field(f, g)
     if g.codomain.dim != f.domain.dim:
         raise DimensionError(
             f"cannot compose: {g.codomain.dim} -> {f.domain.dim} mismatch"
         )
-    fcols = f.cols
-    one, zero, add, mul, is_zero = field.one, field.zero, field.add, field.mul, field.is_zero
+    fcols, gp = f.cols, g.points
+    if gp is not None:
+        return LinMap(field, g.domain, f.codomain,
+                      {i: col for i, j in enumerate(gp) if (col := fcols.get(j))})
+    zero, add, mul, is_zero = field.zero, field.add, field.mul, field.is_zero
     cols = {}
     for i, gcol in g.cols.items():
-        if len(gcol) == 1:
-            (j, c), = gcol
-            fcol = fcols.get(j, ())
-            if c == one and len(fcol) == 1:
-                cols[i] = fcol
-                continue
         acc = {}
         for j, c in gcol:
             for k, m in fcols.get(j, ()):

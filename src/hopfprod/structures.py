@@ -18,10 +18,11 @@ tensor-product coalgebra or a map out of ``E (x) E (x) E (x) E``.
 :func:`_coalgebra_map_halves`, for the multiplication of a bialgebra, the
 maps of a datum and, with Y = k, a linear map.
 
-Maps are read as stored columns: :func:`convolution` shares a stored
-product column where both operands are basis vectors, and
-:func:`tensor_coalgebra` is built once per pair of factor objects and hands
-one-term coproducts over as one-entry tuples.
+Maps are read as stored columns.  Where the coproduct and both operands
+are index tables (:attr:`~hopfprod.linalg.LinMap.points`), each column of
+:func:`convolution` is a stored product column, shared; otherwise every
+column is summed term by term.  :func:`tensor_coalgebra` is built once per
+pair of factor objects.
 """
 from __future__ import annotations
 
@@ -303,8 +304,8 @@ class FDHopf(FDBialgebra):
 def tensor_coalgebra(c: FDCoalgebra, d: FDCoalgebra) -> FDCoalgebra:
     """The tensor-product coalgebra: (c (x) d)_(1..2) pairs componentwise,
     delta(x (x) y) = (x1 (x) y1) (x) (x2 (x) y2), and the counit is
-    counit(x) counit(y).  Where delta(x) and delta(y) are one term each,
-    the column is handed to :class:`LinMap` as a one-entry tuple.
+    counit(x) counit(y).  Its coproduct is an index table
+    (:attr:`~hopfprod.linalg.LinMap.points`) where both factors' are.
 
     Built once per pair of factor objects: ``c`` keeps the coalgebra it
     built for ``d`` under ``id(d)``, together with ``d`` itself, so that
@@ -324,10 +325,6 @@ def tensor_coalgebra(c: FDCoalgebra, d: FDCoalgebra) -> FDCoalgebra:
         ci = c.expand(i, 2)
         for j in range(n):
             dj = d.expand(j, 2)
-            if len(ci) == len(dj) == 1:
-                ((a1, a2), x), ((b1, b2), y) = ci[0], dj[0]
-                cols[i * n + j] = (((a1 * n + b1) * space.dim + a2 * n + b2, mul(x, y)),)
-                continue
             cols[i * n + j] = {(a1 * n + b1) * space.dim + a2 * n + b2: mul(x, y)
                                for (a1, a2), x in ci for (b1, b2), y in dj}
     delta = LinMap(field, space, tensor_space(space, space), cols)
@@ -350,15 +347,6 @@ def _add_term(field, acc: dict, key, x):
         acc.pop(key, None)
     else:
         acc[key] = y
-
-
-def _one_term(c: FDCoalgebra, i: int):
-    """(i1, i2) where delta(e_i) is the one term e_i1 (x) e_i2 with
-    coefficient one, as on a group-like; else None."""
-    terms = c.expand(i, 2)
-    if len(terms) == 1 and terms[0][1] == c.field.one:
-        return terms[0][0]
-    return None
 
 
 def _counits(c: FDCoalgebra) -> tuple:
@@ -645,11 +633,10 @@ def convolution(f: LinMap, g: LinMap, src: FDCoalgebra, dst: FDAlgebra) -> LinMa
     """The convolution product m_dst . (f (x) g) . delta_src, evaluated
     pointwise: (f * g)(e_i) = sum f(e_i1) g(e_i2) over the cached
     comultiplication of e_i, with no map out of a tensor square.  The
-    operand and product columns are read as stored; where Δ(e_i) is one
-    term c e_i1 (x) e_i2 and c, f(e_i1) and g(e_i2) are each one entry with
-    coefficient one, the result column is the stored product column, shared
-    when it is one entry.  Raises :class:`DimensionError` unless both
-    factors map src to dst."""
+    operand and product columns are read as stored; where delta_src, f and
+    g are index tables (:attr:`~hopfprod.linalg.LinMap.points`), column i
+    is the stored product column at (f(e_i1), g(e_i2)), shared as it is.
+    Raises :class:`DimensionError` unless both factors map src to dst."""
     field = same_field(f, g, src, dst)
     sdim, n = src.dim, dst.dim
     for h in (f, g):
@@ -658,20 +645,16 @@ def convolution(f: LinMap, g: LinMap, src: FDCoalgebra, dst: FDAlgebra) -> LinMa
                 f"convolution factor {h.domain.dim} -> {h.codomain.dim} does not "
                 f"map the coalgebra ({sdim}) to the algebra ({n})")
     fcols, gcols, mcols = f.cols, g.cols, dst.mult.cols
-    one, zero, add, mul, is_zero = field.one, field.zero, field.add, field.mul, field.is_zero
+    dp, fp, gp = src.delta.points, f.points, g.points
+    if dp is not None and fp is not None and gp is not None:
+        return LinMap(field, src.delta.domain, dst.mult.codomain,
+                      {i: col for i, k in enumerate(dp)
+                       if (col := mcols.get(fp[k // sdim] * n + gp[k % sdim]))})
+    zero, add, mul, is_zero = field.zero, field.add, field.mul, field.is_zero
     cols = {}
     for i in range(sdim):
-        terms = src.expand(i, 2)
-        if len(terms) == 1:
-            (i1, i2), c = terms[0]
-            x, y = fcols.get(i1, ()), gcols.get(i2, ())
-            if len(x) == 1 and len(y) == 1 and c == one == x[0][1] == y[0][1]:
-                col = mcols.get(x[0][0] * n + y[0][0], ())
-                if len(col) == 1:
-                    cols[i] = col
-                    continue
         acc: dict = {}
-        for (i1, i2), c in terms:
+        for (i1, i2), c in src.expand(i, 2):
             for j1, a in fcols.get(i1, ()):
                 ca, base = mul(c, a), j1 * n
                 for j2, b in gcols.get(i2, ()):

@@ -18,10 +18,9 @@ the other eight come from five formulas.  The unit normalizations of
 
 Assembly and the conditions read structure maps as stored columns, memoized
 on basis pairs, and collapse each sum that does not depend on every index
-once (:func:`_collapse`).  Where a coproduct is one term with coefficient
-one and the columns it meets are one entry, as on group-like data, the
-assembly reads the term from the stored columns, and a one-term column
-goes to :class:`~hopfprod.linalg.LinMap` as a one-entry tuple.
+once (:func:`_collapse`).  Where delta_H, the cocycle and the dot are index
+tables (``LinMap.points``), as on group-like data, the assembly reads its
+second sum from them, and a one-term column goes to ``LinMap`` as is.
 """
 from __future__ import annotations
 
@@ -53,7 +52,6 @@ from .structures import (
     _counits,
     _ground_coalgebra,
     _is_coalgebra_map,
-    _one_term,
     _scan,
     _tuple_label,
 )
@@ -440,9 +438,10 @@ def assemble_product(d: ExtendingDatum) -> FDBialgebra:
     terms k (l, y, z), and sum f(y, g1) (x) z . g2 once per (y, z, g) into
     terms c (p, w); (e_a e_l) e_p is formed once per basis triple, in that
     order, so that a non-associative A is multiplied as the formula says.
-    Column (a, h, c, g) is the sum of k c ((e_a e_l) e_p) (x) e_w.  Where
-    both sums are one term with coefficient one and (e_a e_l) e_p is one
-    term, the column is handed to :class:`LinMap` as a one-entry tuple.
+    Column (a, h, c, g) is the sum of k c ((e_a e_l) e_p) (x) e_w.  The
+    second sum is read from the index tables of delta_H, f and the dot where
+    all three are; where both sums and (e_a e_l) e_p are one term with
+    coefficient one, the column goes to :class:`LinMap` as a one-entry tuple.
     Used by the checked builder and, directly, by the independent
     axiom-verification tests.
     """
@@ -456,19 +455,12 @@ def assemble_product(d: ExtendingDatum) -> FDBialgebra:
     lact, ract, coc, dot, amul = (_Memo(op) for op in (ops.lact, ops.ract, ops.coc, ops.dot,
                                                         ops.amul))
     triple = _Memo(lambda ai, l, p: _gather(field, amul[ai, l].items(), amul, p))
-    ccols, dcols = d.cocycle.cols, d.dot.cols
-
-    def right_sum(y, z, g):
-        """sum f(y, g1) (x) z . g2 as basis terms; where delta(g) is one
-        term with coefficient one and both columns are one entry, that one
-        term, read from the stored columns."""
-        split = _one_term(h.coalg, g)
-        if split is not None:
-            fcol, dcol = ccols.get(y * nh + split[0], ()), dcols.get(z * nh + split[1], ())
-            if len(fcol) == 1 and len(dcol) == 1:
-                return [((fcol[0][0], dcol[0][0]), mul(fcol[0][1], dcol[0][1]))]
-        return _collapse(field, (coc, dot), {y: {z: one}}, htree[g, 2])
-    right = _Memo(right_sum)
+    # sum f(y, g1) (x) z . g2 as basis terms, once per (y, z, g)
+    hp, fp, dp = h.coalg.delta.points, d.cocycle.points, d.dot.points
+    if hp is not None and fp is not None and dp is not None:
+        right = _Memo(lambda y, z, g: [((fp[y * nh + hp[g] // nh], dp[z * nh + hp[g] % nh]), one)])
+    else:
+        right = _Memo(lambda y, z, g: _collapse(field, (coc, dot), {y: {z: one}}, htree[g, 2]))
 
     def column(ai, sums):
         col: dict = {}

@@ -1152,7 +1152,7 @@ def deform_datum_direct(d: ExtendingDatum, u) -> ExtendingDatum:
                        {hi * h.dim + gi: cocycle(hi, gi) for hi in hr for gi in hr}))
 
 
-def quotient_classes_pairwise(data: list[ExtendingDatum], cap: int, assemble,
+def quotient_classes_pairwise(data: list[ExtendingDatum], assemble,
                               certify) -> list[list[int]]:
     """The partition of ``classification.quotient_classes`` from the relation
     itself: i ~ j when, for some enumerated cocycle u, the rows and the
@@ -1163,7 +1163,7 @@ def quotient_classes_pairwise(data: list[ExtendingDatum], cap: int, assemble,
     least member."""
     if not data:
         return []
-    cocycles = hopfprod.classification.enumerate_cocycles(data[0].ext, data[0].base, cap)
+    cocycles = hopfprod.classification.enumerate_cocycles(data[0].ext, data[0].base)
     products = [assemble(d) for d in data]
     n = len(data)
 
@@ -1417,9 +1417,9 @@ def check_library_claims_on_every_call(monkeypatch) -> None:
         return result
 
     @functools.wraps(quotient)
-    def checked_quotient(data, cap=cls.DEFAULT_COCYCLE_CAP):
-        classes = quotient(data, cap)
-        want = quotient_classes_pairwise(data, cap, assemble, certify)
+    def checked_quotient(data):
+        classes = quotient(data)
+        want = quotient_classes_pairwise(data, assemble, certify)
         assert classes == want, f"classes differ from the pairwise relation ({want!r})"
         return classes
 

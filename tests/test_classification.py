@@ -925,20 +925,21 @@ def test_deformation_matches_the_hand_expanded_formulas_on_drawn_maps():
             assert deform(d, u).components_equal(deform_datum_direct(d, u)) is None
 
 
-# How a drawn column meets the one-entry precondition of a fast path: a basis
-# vector meets it; coefficient 2 or -1, two terms and zero each break it.
-COLUMN_KINDS = ("basis", "basis", "basis", "scaled", "two-term", "zero")
+# How a drawn map meets the index-table precondition of a fast path: a
+# table of basis vectors meets it; one column scaled by 2 or -1, of two
+# terms or zero breaks it.
+MAP_KINDS = ("table", "table", "table", "scaled", "two-term", "zero")
 
 
 @st.composite
 def stored_column_data(draw):
     """A datum over QQ or GF(5) whose maps, the multiplication and antipode
-    of A, and a map u: H -> A are drawn column by column from
-    :data:`COLUMN_KINDS`.  H and the coalgebra of A are each group-like on
-    two or three points, where every coproduct is one term with coefficient
-    one; group-like on two points rescaled to the basis e_0, 2 e_1, whose
-    coproduct of 2 e_1 is one term with coefficient 1/2 and counit 2; or
-    Sweedler's H4, whose counit kills x and gx."""
+    of A, and a map u: H -> A are each drawn whole from :data:`MAP_KINDS`:
+    an index table, or an index table with one column broken.  H and the
+    coalgebra of A are each group-like on two or three points, where the
+    coproduct is an index table; group-like on two points rescaled to the
+    basis e_0, 2 e_1, whose coproduct of 2 e_1 is one term with coefficient
+    1/2 and counit 2; or Sweedler's H4, whose counit kills x and gx."""
     from helpers import rescaled_bialgebra
     from hopfprod.structures import FDAlgebra, FDHopf
     from hopfprod.unified import ExtendingDatum
@@ -954,19 +955,19 @@ def stored_column_data(draw):
                                       (one, field.of(2)), (f"{prefix}0", f"{prefix}1")).coalgebra
         return grouplike_coalgebra([f"{prefix}{k}" for k in range(kind)], field).coalg
 
-    def column(cod: int) -> dict:
-        kind = draw(st.sampled_from(COLUMN_KINDS))
-        j = draw(st.integers(0, cod - 1))
-        if kind == "basis":
-            return {j: one}
-        if kind == "scaled":
-            return {j: field.of(draw(st.sampled_from((2, -1))))}
-        if kind == "two-term":
-            return {j: one, (j + 1) % cod: one}
-        return {}
-
     def linmap(dom, cod) -> LinMap:
-        return LinMap(field, dom, cod, {i: column(cod.dim) for i in range(dom.dim)})
+        n = cod.dim
+        points = draw(st.lists(st.integers(0, n - 1), min_size=dom.dim, max_size=dom.dim))
+        cols = {i: {j: one} for i, j in enumerate(points)}
+        kind, i = draw(st.sampled_from(MAP_KINDS)), draw(st.integers(0, dom.dim - 1))
+        j = points[i]
+        if kind == "scaled":
+            cols[i] = {j: field.of(draw(st.sampled_from((2, -1))))}
+        elif kind == "two-term":
+            cols[i] = {j: one, (j + 1) % n: one}
+        elif kind == "zero":
+            del cols[i]
+        return LinMap(field, dom, cod, cols)
 
     hc = coalgebra(draw(st.sampled_from((2, 3, "scaled", "h4"))), "h")
     ac = coalgebra(draw(st.sampled_from((2, "scaled", "h4"))), "a")
@@ -997,30 +998,59 @@ def through_u_direct(d, u, m: LinMap) -> LinMap:
     return LinMap(field, d.dot.domain, m.codomain, cols)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(stored_column_data())
-def test_stored_column_paths_match_the_loops_and_the_oracles(data):
-    # each fast path reads stored one-entry columns only where the structure
-    # constants allow; wherever a drawn column breaks that, the loop runs,
-    # and both must give what the hand-expanded and composed oracles give
+def test_stored_column_paths_match_the_loops_and_the_oracles(monkeypatch):
+    # each site builds its result from the index tables of the maps it
+    # reads where all of them are tables, and runs its loop otherwise; both
+    # must give what the hand-expanded and composed oracles give, and each
+    # of the two runs at least once at every site over the examples
     import inspect
 
     import hopfprod.classification as cls
     import hopfprod.unified as uni
     from helpers import certificate_rows_composed, deform_datum_direct
 
-    d, u = data
-    e = inspect.unwrap(cls.deform_datum)(d, u)
-    assert e.components_equal(deform_datum_direct(d, u)) is None
-    for m in (d.dot, d.cocycle):
-        assert cls._through_u(d, u, m) == through_u_direct(d, u, m)
+    seen = set()
 
-    # phi and psi, and the rows the certificate adds; each assembly, and so
-    # its stored second sum, is held against assemble_product_direct
-    prod, prod2 = uni.assemble_product(d), uni.assemble_product(e)
-    rows, phi, psi = certificate_rows_composed(d, e, u, prod, prod2)
-    assert cls._twist(d, u.linmap, prod2.space, prod.space) == phi
-    assert cls._twist(d, compose(d.base.antipode, u.linmap), prod.space, prod2.space) == psi
-    rep = Report("certificate")
-    cls._certify(rep, d, e, u, prod, prod2)
-    assert [(it.condition, it.passed, it.witness) for it in rep.items] == rows
+    def tables(site, *maps):
+        seen.add((site, all(m.points is not None for m in maps)))
+
+    def spy(name, fn, operands):
+        def spied(*args):
+            tables(name, *operands(*args))
+            return fn(*args)
+        return spied
+
+    monkeypatch.setattr(cls, "compose", spy("compose", cls.compose, lambda f, g: (g,)))
+    monkeypatch.setattr(cls, "convolution", spy("convolution", cls.convolution,
+                                                lambda f, g, src, dst: (src.delta, f, g)))
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(stored_column_data())
+    def check(data):
+        d, u = data
+        delta = d.ext.coalg.delta
+        e = inspect.unwrap(cls.deform_datum)(d, u)
+        assert e.components_equal(deform_datum_direct(d, u)) is None
+        tables("lact-through-u", u.linmap)
+        tables("through-u", delta, u.linmap, d.ract)
+        for m in (d.dot, d.cocycle):
+            assert cls._through_u(d, u, m) == through_u_direct(d, u, m)
+
+        # phi and psi, and the rows the certificate adds; each assembly, and
+        # so its second sum, is held against assemble_product_direct
+        prod, prod2 = uni.assemble_product(d), uni.assemble_product(e)
+        for x in (d, e):
+            tables("second-sum", delta, x.cocycle, x.dot)
+        rows, phi, psi = certificate_rows_composed(d, e, u, prod, prod2)
+        su = compose(d.base.antipode, u.linmap)
+        for w in (u.linmap, su):
+            tables("twist", delta, w, d.base.mult)
+        assert cls._twist(d, u.linmap, prod2.space, prod.space) == phi
+        assert cls._twist(d, su, prod.space, prod2.space) == psi
+        rep = Report("certificate")
+        cls._certify(rep, d, e, u, prod, prod2)
+        assert [(it.condition, it.passed, it.witness) for it in rep.items] == rows
+
+    check()
+    sites = ("compose", "convolution", "through-u", "lact-through-u", "twist", "second-sum")
+    assert seen == {(site, ran) for site in sites for ran in (True, False)}

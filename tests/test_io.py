@@ -422,6 +422,25 @@ def test_cli_factorize_singular_exits_one(tmp_path, capsys):
     assert "rank deficit 2" in out
 
 
+def test_cli_output_path_that_cannot_be_written_exits_two(tmp_path, capsys):
+    # example, build and factorize write through one emitter: a missing
+    # directory is an input the run cannot use, named on one stderr line
+    e = group_algebra(builtin_group("c4"))
+    incl_a = LinMap(QQ, BasedSpace(("0", "2")), e.space, {0: {0: QQ.one}, 1: {2: QQ.one}})
+    incl_h = LinMap(QQ, BasedSpace(("0", "1")), e.space, {0: {0: QQ.one}, 1: {1: QQ.one}})
+    for name, obj in (("e.json", e), ("a.json", incl_a), ("h.json", incl_h)):
+        (tmp_path / name).write_bytes(serialize(obj))
+    assert run_cli(capsys, "example", "a4-unified", "--out", str(tmp_path / "d.json"))[0] == 0
+    missing = str(tmp_path / "missing" / "x.json")
+    for argv in (("example", "a4-unified"), ("build", str(tmp_path / "d.json")),
+                 ("factorize", str(tmp_path / "e.json"), "--sub-a", str(tmp_path / "a.json"),
+                  "--sub-h", str(tmp_path / "h.json"))):
+        code, out, err = run_cli(capsys, *argv, "--out", missing)
+        assert (code, out) == (2, ""), argv
+        assert err.count("\n") == 1 and err.startswith(f"{missing}: ") and "Traceback" not in err
+    assert not (tmp_path / "missing").exists()
+
+
 def test_cli_equiv_with_search_and_cocycle(tmp_path, capsys):
     mp = s3_matched_pair()
     d = matched_pair_datum(mp)

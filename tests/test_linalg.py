@@ -80,12 +80,32 @@ def test_compose_shares_one_entry_columns_and_sums_the_rest():
     f = LinMap(QQ, S3, S4, {0: {1: 1}, 1: {2: 5}, 2: {0: 1, 3: 2}})
     g = LinMap(QQ, S4, S3, {0: {0: 1}, 1: {1: 1}, 2: {2: 1}, 3: {0: 2, 1: 3}})
     fg = compose(f, g)
-    # column i of g is ((j, 1),) and column j of f one entry: the same tuple
-    assert fg.cols[0] is f.cols[0] and fg.cols[1] is f.cols[1]
+    assert fg.cols[0] == f.cols[0] and fg.cols[1] == f.cols[1]
     assert fg.cols[2] == f.cols[2] and fg.col(3) == {1: 2, 2: 15}
+    # g an index table: column i is f's stored column at g(i), a one-entry
+    # column the same tuple
+    table = LinMap(QQ, S4, S3, {0: {0: 1}, 1: {1: 1}, 2: {2: 1}, 3: {0: 1}})
+    assert table.points == (0, 1, 2, 0) and g.points is None
+    ft = compose(f, table)
+    assert ft.cols[0] is f.cols[0] and ft.cols[1] is f.cols[1] and ft.cols[3] is f.cols[0]
+    assert ft.cols[2] == f.cols[2]
     cancel = LinMap(QQ, S2, S3, {0: {0: 1, 1: Fraction(-1, 5)}, 1: {1: 1}})
     f2 = LinMap(QQ, S3, S4, {0: {3: 1}, 1: {3: 5}})
     assert compose(f2, cancel).cols == {1: ((3, 5),)}
+
+
+def test_points_is_the_index_table_of_a_map_sending_basis_to_basis():
+    two = BasedSpace(("a", "b"))
+    empty = BasedSpace(())
+    assert LinMap(QQ, S3, two, {0: {1: 1}, 1: {0: 1}, 2: {1: 1}}).points == (1, 0, 1)
+    assert LinMap(QQ, S3, two, {0: {1: 1}, 1: {0: 2}, 2: {1: 1}}).points is None
+    assert LinMap(QQ, S3, two, {0: {1: 1}, 1: {0: 1, 1: 1}, 2: {1: 1}}).points is None
+    assert LinMap(QQ, S3, two, {0: {1: 1}, 2: {1: 1}}).points is None
+    assert LinMap(QQ, empty, two, {}).points == ()
+    # read once: the same tuple on every read
+    f5 = PrimeField(5)
+    m = LinMap(f5, S2, two, {0: ((1, f5.one),), 1: {0: f5.one}})
+    assert m.points == (1, 0) and m.points is m.points
 
 
 def test_compose_associative_randomized():

@@ -287,6 +287,26 @@ def test_convolution_agrees_with_the_composed_maps_on_drawn_factors(case):
                                  if not src.field.is_zero(e)}
 
 
+def test_convolution_of_index_tables_shares_the_product_columns():
+    # delta, f and g index tables: column i is the stored product column at
+    # (f(e_i1), g(e_i2)), the same tuple.  This delta sends e_i to two
+    # different legs, which no counital coalgebra does, so a reading that
+    # confuses the legs gives another column
+    one = QQ.one
+    s3 = group_algebra(builtin_group("s3"))
+    x = BasedSpace(("p", "q", "r"))
+    legs = ((0, 1), (1, 2), (2, 0))
+    delta = LinMap(QQ, x, tensor_space(x, x),
+                   {i: {l * 3 + r: one} for i, (l, r) in enumerate(legs)})
+    src = FDCoalgebra(QQ, x, delta, LinMap(QQ, x, SCALAR_SPACE, {i: {0: one} for i in range(3)}))
+    f = LinMap(QQ, x, s3.space, {0: {1: one}, 1: {2: one}, 2: {3: one}})
+    g = LinMap(QQ, x, s3.space, {0: {4: one}, 1: {5: one}, 2: {0: one}})
+    w = convolution(f, g, src, s3.algebra)
+    assert w == convolution_direct(f, g, src, s3.algebra)
+    mcols = s3.algebra.mult.cols
+    assert all(w.cols[i] is mcols[f.points[l] * 6 + g.points[r]] for i, (l, r) in enumerate(legs))
+
+
 def test_convolution_rejects_a_factor_of_the_wrong_shape():
     h = group_algebra(builtin_group("c3"))
     ident = LinMap.identity(QQ, h.space)
