@@ -13,11 +13,14 @@ H-comodule map; :func:`check_equivalence` verifies all of that and hands back
 the certificate, and :func:`quotient_classes` certifies every datum it joins
 to an orbit.
 
-Deformation and certification read structure constants as stored columns.
-Where delta_H and the maps a result reads are index tables (``LinMap.points``),
-as on group-like data, each column is a stored column of the datum, shared,
-or the one entry the tables give; otherwise it is summed term by term.  The
-tensor coalgebras the convolutions run over are built once per pair.
+phi, its inverse psi and the map ``T(h (x) g) = sum (h <| u(g1)) (x) g2``,
+through which the deformation composes the dot and the cocycle, are one
+twist, :func:`_twist`.  Deformation and certification read structure
+constants as stored columns.  Where delta_H and the maps a result reads are
+index tables (``LinMap.points``), as on group-like data, each column is a
+stored column of the datum, shared, or the one entry the tables give;
+otherwise it is summed term by term.  The tensor coalgebras the
+convolutions run over are built once per pair.
 
 Enumeration of cocycles is only available at group-like desk scale, where
 cocycles are exactly the pointed maps from the basis of H to the group-like
@@ -56,7 +59,7 @@ from .structures import (
     is_algebra_map,
     tensor_coalgebra,
 )
-from .unified import ExtendingDatum, _base_inclusion, _Ops, _scan_condition, assemble_product
+from .unified import ExtendingDatum, _base_inclusion, _scan_condition, assemble_product
 
 DEFAULT_COCYCLE_CAP = 10_000
 
@@ -186,39 +189,42 @@ def enumerate_cocycles(h: UnitalCoalgebra, a: FDBialgebra,
     return out
 
 
-def _through_u(d: ExtendingDatum, u: LazyCocycle, m: LinMap) -> LinMap:
-    """(h, g) -> sum m(h <| u(g1), g2) for a map m out of H (x) H: the
-    deformed dot for m the dot of d, and the cocycle f'' that the deformed
-    cocycle convolves for m the cocycle of d.  Where delta_H, u and <| are
-    index tables, the column is m's stored column at (h <| u(g1), g2),
-    shared as it is."""
-    field, hdim, adim, ract, mcols = d.field, d.ext.dim, d.base.dim, _Ops(d).ract, m.cols
-    dp, up, rp = d.ext.coalg.delta.points, u.linmap.points, d.ract.points
-    if dp is not None and up is not None and rp is not None:
-        return LinMap(field, d.dot.domain, m.codomain,
-                      {hi * hdim + gi: col for hi in range(hdim) for gi, k in enumerate(dp)
-                       if (col := mcols.get(rp[hi * adim + up[k // hdim]] * hdim + k % hdim))})
+def _twist(op: LinMap, w: LinMap, hc: FDCoalgebra, src, dst) -> LinMap:
+    """x (x) h -> sum op(x, w(h1)) (x) h2 for op: X (x) A -> X and w: H -> A,
+    from the space ``src`` of X (x) H to ``dst``.  With op the product of A
+    it is the certificate phi for w = u and its inverse psi for w = S u; with
+    op the right action <| and w = u it is the map T through which the
+    deformation reads .' = dot T and f'' = f T.  Where delta_H, w and op are
+    index tables, so is the result."""
+    field, hdim, adim, xdim = op.field, hc.dim, w.codomain.dim, op.codomain.dim
+    dp, wp, opp = hc.delta.points, w.points, op.points
+    if dp is not None and wp is not None and opp is not None:
+        return LinMap(field, src, dst, {
+            x * hdim + hi: ((opp[x * adim + wp[k // hdim]] * hdim + k % hdim, field.one),)
+            for x in range(xdim) for hi, k in enumerate(dp)})
     cols = {}
-    for hi, gi in iproduct(range(hdim), repeat=2):
+    for x, hi in iproduct(range(xdim), range(hdim)):
         col: dict = {}
-        for (g1, g2), cg in d.ext.coalg.expand(gi, 2):
-            vec_add_into(field, col, m.bilin(ract(hi, u.linmap.col(g1)), g2, hdim), cg)
-        cols[hi * hdim + gi] = col
-    return LinMap(field, d.dot.domain, m.codomain, cols)
+        for (h1, h2), ch in hc.expand(hi, 2):
+            vec_add_into(field, col, tensor_vec(
+                field, op.bilin(x, w.col(h1), adim), basis_vec(field, h2), hdim), ch)
+        cols[x * hdim + hi] = col
+    return LinMap(field, src, dst, cols)
 
 
 def _deformed_maps(d: ExtendingDatum, u: LazyCocycle,
                    dot: LinMap | None = None) -> tuple[LinMap, LinMap, LinMap]:
     """The deformed (dot, lact, cocycle) of d by u, with S the antipode of A:
 
-        .'  = sum (h <| u(g1)) . g2
-        |>' = (u (x) counit_A) * |> * (S u <|)                  over H (x) A
-        f'  = (u (x) counit_H) * |>(id (x) u) * f'' * (S u .')  over H (x) H
+        .'  = dot T
+        |>' = (u (x) counit_A) * |> * (S u <|)                 over H (x) A
+        f'  = (u (x) counit_H) * |>(id (x) u) * f T * (S u .')  over H (x) H
 
-    where f''(h, g) = sum f(h <| u(g1), g2) and each * is the convolution
-    over the tensor-product coalgebra named, nested to the left so that A
-    multiplies in the order written.  The last factor of f' reads ``dot``,
-    by default the deformed dot.  The right action never moves."""
+    where T(h (x) g) = sum (h <| u(g1)) (x) g2 (:func:`_twist`) and each *
+    is the convolution over the tensor-product coalgebra named, nested to the
+    left so that A multiplies in the order written.  The last factor of f'
+    reads ``dot``, by default the deformed dot.  The right action never
+    moves."""
     a, h, field, ucols = d.base, d.ext, d.field, u.linmap.cols
     one = field.one
     su = compose(a.antipode, u.linmap)
@@ -233,7 +239,8 @@ def _deformed_maps(d: ExtendingDatum, u: LazyCocycle,
                         for hi in range(h.dim) for xi, e in enumerate(_counits(c))})
         return functools.reduce(lambda f, g: convolution(f, g, src, a.algebra), maps, first)
 
-    deformed_dot = _through_u(d, u, d.dot)
+    t = _twist(d.ract, u.linmap, h.coalg, d.dot.domain, d.dot.domain)
+    deformed_dot = compose(d.dot, t)
     # h |> u(g): where u is an index table, the stored column of |>
     up, lcols = u.linmap.points, d.lact.cols
     lact_u = LinMap(field, d.dot.domain, a.space,
@@ -241,7 +248,7 @@ def _deformed_maps(d: ExtendingDatum, u: LazyCocycle,
                      else d.lact.bilin(hi, u.linmap.col(gi), a.dim)
                      for hi, gi in iproduct(range(h.dim), repeat=2)})
     return (deformed_dot, convolve(a.coalgebra, d.lact, compose(su, d.ract)),
-            convolve(h.coalg, lact_u, _through_u(d, u, d.cocycle),
+            convolve(h.coalg, lact_u, compose(d.cocycle, t),
                      compose(su, deformed_dot if dot is None else dot)))
 
 
@@ -327,26 +334,6 @@ def _deformation_report(d: ExtendingDatum, d2: ExtendingDatum, u: LazyCocycle) -
     return rep
 
 
-def _twist(d: ExtendingDatum, w: LinMap, src, dst) -> LinMap:
-    """a (x) h -> a w(h1) (x) h2, from the space ``src`` of A (x) H to
-    ``dst``.  Where delta_H, w and the product of A are index tables, the
-    column is the one entry a w(h1) (x) h2 with coefficient one."""
-    field, a, h, hdim = d.field, d.base, d.ext, d.ext.dim
-    dp, wp, mp = h.coalg.delta.points, w.points, a.mult.points
-    if dp is not None and wp is not None and mp is not None:
-        return LinMap(field, src, dst, {
-            ai * hdim + hi: ((mp[ai * a.dim + wp[k // hdim]] * hdim + k % hdim, field.one),)
-            for ai in range(a.dim) for hi, k in enumerate(dp)})
-    cols = {}
-    for ai, hi in iproduct(range(a.dim), range(hdim)):
-        col: dict = {}
-        for (h1, h2), ch in h.coalg.expand(hi, 2):
-            vec_add_into(field, col, tensor_vec(
-                field, a.mul(ai, w.col(h1)), basis_vec(field, h2), hdim), ch)
-        cols[ai * hdim + hi] = col
-    return LinMap(field, src, dst, cols)
-
-
 def _certify(rep: Report, d: ExtendingDatum, d2: ExtendingDatum, u: LazyCocycle,
              prod: FDBialgebra, prod2: FDBialgebra) -> EquivalenceResult:
     """Build phi: A (x)' H -> A (x) H between the products ``prod2`` of d2
@@ -357,8 +344,8 @@ def _certify(rep: Report, d: ExtendingDatum, d2: ExtendingDatum, u: LazyCocycle,
     a, h = d.base, d.ext
 
     # S_A . u composed, not cocycle_inverse: u need not be lazy here
-    phi = _twist(d, u.linmap, prod2.space, prod.space)
-    psi = _twist(d, compose(a.antipode, u.linmap), prod.space, prod2.space)
+    phi = _twist(a.mult, u.linmap, h.coalg, prod2.space, prod.space)
+    psi = _twist(a.mult, compose(a.antipode, u.linmap), h.coalg, prod.space, prod2.space)
 
     rep.add("phi-algebra-map", is_algebra_map(phi, prod2.algebra, prod.algebra))
     rep.add("phi-coalgebra-map", is_coalgebra_map(phi, prod2.coalgebra, prod.coalgebra))
@@ -402,7 +389,8 @@ def _dot_hits(d: ExtendingDatum, d2: ExtendingDatum, cocycles: list[LazyCocycle]
     The shared context is checked first, as that check does it."""
     _require_shared_context(d, d2)
     for k, u in enumerate(cocycles):
-        if _through_u(d, u, d.dot) == d2.dot:
+        t = _twist(d.ract, u.linmap, d.ext.coalg, d.dot.domain, d.dot.domain)
+        if compose(d.dot, t) == d2.dot:
             yield k, u
 
 
@@ -440,7 +428,8 @@ def quotient_classes(data: list[ExtendingDatum]) -> list[list[int]]:
         for u in cocycles:
             if not left:
                 break
-            for j in by_dot.get(_through_u(d, u, d.dot), ()):
+            t = _twist(d.ract, u.linmap, d.ext.coalg, d.dot.domain, d.dot.domain)
+            for j in by_dot.get(compose(d.dot, t), ()):
                 if j in left:
                     rep = _deformation_report(d, data[j], u)
                     if rep.ok and _certify(rep, d, data[j], u, products[i], products[j]).ok:

@@ -136,7 +136,7 @@ class FactorizationInput:
         if unit is None:
             raise FactorizationInputError(
                 "the unit of the ambient bialgebra is not in the subbialgebra")
-        alg = FDAlgebra(field, incl.domain, mult, unit, associative="yes")
+        alg = FDAlgebra(field, incl.domain, mult, unit)
         bialg = FDBialgebra(coalg, alg)
         if isinstance(ambient, FDHopf):
             s_cols = _pull_back(((i, ambient.antipode.apply(incl.col(i))) for i in range(n)),

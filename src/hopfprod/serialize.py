@@ -179,7 +179,7 @@ def _bialgebra_from(field, obj, want_hopf: bool):
     space = coalg.space
     mult = _entries_from(field, obj.get("mult", []), tensor_space(space, space), space)
     unit = _vector_from(field, obj.get("unit", []), space.dim)
-    alg = FDAlgebra(field, space, mult, unit, associative="yes")
+    alg = FDAlgebra(field, space, mult, unit)
     if want_hopf or "antipode" in obj:
         if "antipode" not in obj:
             raise MalformedDocumentError("hopf document lacks an antipode")

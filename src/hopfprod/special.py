@@ -37,7 +37,6 @@ from .unified import (
     DatumConditionError,
     ExtendingDatum,
     UnifiedProduct,
-    _Ops,
     _coalgebra_map_rows,
     _condition_evaluators,
     _normalization_evaluators,
@@ -238,10 +237,9 @@ def deform_matched_pair(mp: MatchedPair, u: LazyCocycle) -> ExtendingDatum:
 def _scan_ract_kills(rep: Report, d: ExtendingDatum, u: LazyCocycle) -> bool:
     """Record whether the right action of d kills u: h <| u(g) = counit(g) h."""
     field, h = d.field, d.ext
-    ops = _Ops(d)
     eps = _counits(h.coalg)
     return _scan(rep, "ract-kills-cocycle", iproduct(range(h.dim), repeat=2),
-                 lambda hi, gi: ops.ract(hi, u.linmap.col(gi))
+                 lambda hi, gi: d.ract.bilin(hi, u.linmap.col(gi), d.base.dim)
                  == vec_scale(field, eps[gi], {hi: field.one}),
                  _tuple_label(h.space.labels, h.space.labels))
 

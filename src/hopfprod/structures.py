@@ -10,9 +10,11 @@ each failing axiom together with a witness basis element, never bare booleans.
 Checkers and the morphism predicates evaluate every identity pointwise
 over basis tuples, straight from the structure constants, and stop an axiom
 at its first failing tuple.  Tuples are scanned in row-major order, so the
-witness is the label of the first differing tensor-space index.  Where both
-sides of an identity are one term, or zero, or rows of stored columns, they
-are compared as stored, without summing either.  None of them builds a
+witness is the label of the first differing tensor-space index.  Where
+every map an identity reads is an index table
+(:attr:`~hopfprod.linalg.LinMap.points`), the morphism predicates compare
+the indices of its two sides; :func:`check_algebra` compares associativity
+a row of stored columns at a time where it can.  None of them builds a
 tensor-product coalgebra or a map out of ``E (x) E (x) E (x) E``.
 "m: X (x) Y -> Z is a coalgebra map" has one evaluator,
 :func:`_coalgebra_map_halves`, for the multiplication of a bialgebra, the
@@ -504,56 +506,46 @@ def _coalgebra_map_halves(m: LinMap, x: FDCoalgebra, y: FDCoalgebra, z: FDCoalge
         delta_Z m(a, b)  = sum m(a1, b1) (x) m(a2, b2)
         counit_Z m(a, b) = counit(a) counit(b)
 
-    A linear map X -> Z is the case Y = k.  Where delta(a) and delta(b) are
-    one term each, the right side is s t m(a1, b1) (x) m(a2, b2), which is
-    zero exactly when a factor is and has one term exactly when both do;
-    when the left side is zero or one term too, the two are compared by
-    index and coefficient, without summing either.  Otherwise a pair of
-    terms whose m(a1, b1) or m(a2, b2) is zero adds nothing and is skipped.
-    Raises ``ValueError`` unless m maps X (x) Y to Z."""
+    A linear map X -> Z is the case Y = k.  Where delta_X, delta_Y, delta_Z
+    and m are index tables (:attr:`~hopfprod.linalg.LinMap.points`), each
+    side of the comult half is one basis tensor, and the half compares
+    their indices.  Otherwise a pair of terms whose m(a1, b1) or m(a2, b2)
+    is zero adds nothing and is skipped.  Raises ``ValueError`` unless m
+    maps X (x) Y to Z."""
     _check_shape(m, x.dim * y.dim, z.dim, "coalgebras")
     field = same_field(m, x, y, z)
-    mul, one = field.mul, field.one
-    ny, mc = y.dim, m.cols
-    cop_x, cop_y, cop_z = ([c.expand(i, 2) for i in range(c.dim)] for c in (x, y, z))
+    mul = field.mul
+    nx, ny, nz, mc = x.dim, y.dim, z.dim, m.cols
     eps_x, eps_y, eps_z = _counits(x), _counits(y), _counits(z)
+    xp, yp, zp, mp = x.delta.points, y.delta.points, z.delta.points, m.points
+    if xp is not None and yp is not None and zp is not None and mp is not None:
 
-    def comult(a, b):
-        col, ca, cb = mc.get(a * ny + b, ()), cop_x[a], cop_y[b]
-        if len(ca) == len(cb) == 1:
-            ((a1, a2), s), ((b1, b2), t) = ca[0], cb[0]
-            u, v = mc.get(a1 * ny + b1, ()), mc.get(a2 * ny + b2, ())
-            if not col:
-                return not (u and v)
-            if len(col) == 1 and len(cop_z[col[0][0]]) == 1:
-                if len(u) != 1 or len(v) != 1:
-                    return False
-                (_, c), (rr, e), (r1, uc), (r2, vc) = col[0], cop_z[col[0][0]][0], u[0], v[0]
-                return rr == (r1, r2) and (c == e == s == t == uc == vc == one
-                                           or mul(c, e) == mul(mul(s, t), mul(uc, vc)))
-        lhs, rhs = {}, {}
-        for r, c in col:
-            for (r1, r2), e in cop_z[r]:
-                _add_term(field, lhs, (r1, r2), mul(c, e))
-        for (a1, a2), s in cop_x[a]:
-            for (b1, b2), t in cop_y[b]:
-                left = mc.get(a1 * ny + b1)
-                right = left and mc.get(a2 * ny + b2)
-                if not right:
-                    continue
-                st = mul(s, t)
-                for r1, u in left:
-                    for r2, v in right:
-                        _add_term(field, rhs, (r1, r2), mul(st, mul(u, v)))
-        return lhs == rhs
+        def comult(a, b):
+            (a1, a2), (b1, b2) = divmod(xp[a], nx), divmod(yp[b], ny)
+            return zp[mp[a * ny + b]] == mp[a1 * ny + b1] * nz + mp[a2 * ny + b2]
+    else:
+        cop_x, cop_y, cop_z = ([c.expand(i, 2) for i in range(c.dim)] for c in (x, y, z))
+
+        def comult(a, b):
+            lhs, rhs = {}, {}
+            for r, c in mc.get(a * ny + b, ()):
+                for (r1, r2), e in cop_z[r]:
+                    _add_term(field, lhs, (r1, r2), mul(c, e))
+            for (a1, a2), s in cop_x[a]:
+                for (b1, b2), t in cop_y[b]:
+                    left = mc.get(a1 * ny + b1)
+                    right = left and mc.get(a2 * ny + b2)
+                    if not right:
+                        continue
+                    st = mul(s, t)
+                    for r1, u in left:
+                        for r2, v in right:
+                            _add_term(field, rhs, (r1, r2), mul(st, mul(u, v)))
+            return lhs == rhs
 
     def counit(a, b):
-        col = mc.get(a * ny + b, ())
-        if len(col) == 1:
-            (r, c), = col
-            return mul(eps_z[r], c) == mul(eps_x[a], eps_y[b])
         acc = field.zero
-        for r, c in col:
+        for r, c in mc.get(a * ny + b, ()):
             acc = field.add(acc, mul(eps_z[r], c))
         return acc == mul(eps_x[a], eps_y[b])
 
@@ -582,38 +574,30 @@ def is_coalgebra_map(f: LinMap, src: FDCoalgebra, dst: FDCoalgebra) -> bool:
 def is_algebra_map(f: LinMap, src: FDAlgebra, dst: FDAlgebra) -> bool:
     """f . m_src = m_dst . (f (x) f) and f(1_src) = 1_dst.
 
-    Where m_src(e_i e_j) has at most one entry and f(e_i), f(e_j) one each,
-    the two sides at (i, j) are x f(e_r) and u v m_dst(e_r1 e_r2); when each
-    of those columns is one term or zero, they are compared by index and
-    coefficient, without summing either."""
+    Where f and both products are index tables
+    (:attr:`~hopfprod.linalg.LinMap.points`), the two sides at each pair are
+    one basis vector each, and their indices are compared."""
     _check_shape(f, src.dim, dst.dim, "algebras")
     field = same_field(f, src, dst)
-    mul = field.mul
     n, nd = src.dim, dst.dim
-    m_src, m_dst, fc = src.mult.cols, dst.mult.cols, f.cols
-    for i, j in iproduct(range(n), repeat=2):
-        col, fi, fj = m_src.get(i * n + j, ()), fc.get(i, ()), fc.get(j, ())
-        if len(col) <= 1 and len(fi) == len(fj) == 1:
-            (r1, u), (r2, v) = fi[0], fj[0]
-            left = fc.get(col[0][0], ()) if col else ()
-            right = m_dst.get(r1 * nd + r2, ())
-            if len(left) <= 1 and len(right) <= 1:
-                if len(left) != len(right) or left and (
-                        left[0][0] != right[0][0]
-                        or mul(col[0][1], left[0][1]) != mul(mul(u, v), right[0][1])):
-                    return False
-                continue
-        lhs, rhs = {}, {}
-        for r, x in col:
-            for s, y in fc.get(r, ()):
-                _add_term(field, lhs, s, mul(x, y))
-        for r1, u in fi:
-            for r2, v in fj:
-                uv = mul(u, v)
-                for s, y in m_dst.get(r1 * nd + r2, ()):
-                    _add_term(field, rhs, s, mul(uv, y))
-        if lhs != rhs:
+    fp, sp, dp = f.points, src.mult.points, dst.mult.points
+    if fp is not None and sp is not None and dp is not None:
+        if any(fp[sk] != dp[fp[k // n] * nd + fp[k % n]] for k, sk in enumerate(sp)):
             return False
+    else:
+        mul, m_src, m_dst, fc = field.mul, src.mult.cols, dst.mult.cols, f.cols
+        for i, j in iproduct(range(n), repeat=2):
+            lhs, rhs = {}, {}
+            for r, x in m_src.get(i * n + j, ()):
+                for s, y in fc.get(r, ()):
+                    _add_term(field, lhs, s, mul(x, y))
+            for r1, u in fc.get(i, ()):
+                for r2, v in fc.get(j, ()):
+                    uv = mul(u, v)
+                    for s, y in m_dst.get(r1 * nd + r2, ()):
+                        _add_term(field, rhs, s, mul(uv, y))
+            if lhs != rhs:
+                return False
     return f.apply(src.unit) == dst.unit
 
 

@@ -144,13 +144,7 @@ class _Ops:
         self.lact = lambda hv, av: lact(hv, av, adim)
         self.coc = lambda hv, gv: coc(hv, gv, hdim)
         self.dot = lambda hv, gv: dot(hv, gv, hdim)
-
-        def amul(*vs):
-            out = vs[0]
-            for v in vs[1:]:
-                out = mul(out, v, adim)
-            return out
-        self.amul = amul
+        self.amul = lambda av, bv: mul(av, bv, adim)
 
 
 def _coalgebra_map_rows(rep: Report, hc, ac, **maps) -> None:
@@ -498,7 +492,7 @@ def assemble_product(d: ExtendingDatum) -> FDBialgebra:
                         cols[flat] = col
     mult = LinMap(field, coalg.delta.codomain, coalg.space, cols)
     unit = tensor_vec(field, a.unit, h.unit, nh)
-    alg = FDAlgebra(field, coalg.space, mult, unit, associative="yes")
+    alg = FDAlgebra(field, coalg.space, mult, unit)
     return FDBialgebra(coalg, alg)
 
 

@@ -958,7 +958,7 @@ def assemble_product_direct(d: ExtendingDatum) -> FDBialgebra:
             col: dict = {}
             for left, coc, right, c in terms:
                 vec_add_into(field, col,
-                             tensor_vec(field, ops.amul(ai, left, coc), right, nh), c)
+                             tensor_vec(field, ops.amul(ops.amul(ai, left), coc), right, nh), c)
             if col:
                 cols[(ai * nh + hi) * (na * nh) + (ci * nh + gi)] = col
     mult = LinMap(field, tensor_space(space, space), space, cols)
@@ -1110,7 +1110,7 @@ def deform_datum_direct(d: ExtendingDatum, u) -> ExtendingDatum:
         out: dict = {}
         for (h1, h2, h3), ch in hc.expand(hi, 3):
             for (c1, c2), cc in ac.expand(ci, 2):
-                term = ops.amul(uc(h1), ops.lact(h2, c1), su(ops.ract(h3, c2)))
+                term = ops.amul(ops.amul(uc(h1), ops.lact(h2, c1)), su(ops.ract(h3, c2)))
                 vec_add_into(field, out, term, field.mul(ch, cc))
         return out
 
@@ -1140,7 +1140,7 @@ def deform_datum_direct(d: ExtendingDatum, u) -> ExtendingDatum:
         out: dict = {}
         for (h1, h2, h3, h4), ch in hc.expand(hi, 4):
             for (g1, g2, g3, g4), cg in hc.expand(gi, 4):
-                term = ops.amul(head(h1, h2, g1), middle(h3, g2, g3), last(h4, g4))
+                term = ops.amul(ops.amul(head(h1, h2, g1), middle(h3, g2, g3)), last(h4, g4))
                 vec_add_into(field, out, term, field.mul(ch, cg))
         return out
 

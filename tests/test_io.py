@@ -88,6 +88,9 @@ def golden_objects():
         # equiv a4-unified.json a4-unified-deformed-1.json --cocycle
         # a4-unified-cocycle-1.json` passes every row
         "a4-unified-deformed-1.json": deform_datum(a4, a4_cocycle),
+        # the machine section of that passing `hopfprod equiv`: all nine rows
+        "equiv-a4-unified-deformed-1.json": check_equivalence(
+            a4, deform_datum(a4, a4_cocycle), a4_cocycle).report,
     }
 
 
@@ -177,6 +180,21 @@ def test_prime_field_document_roundtrip():
     assert json.loads(data)["field"] == {"kind": "mod-p", "p": 5}
     assert parse(data) == h
     assert serialize(parse(data)) == data
+
+
+def test_parsed_algebra_claims_no_associativity_nothing_checked():
+    # k[C3] with e1 e2 moved from e0 to e1 is not associative; its parsed
+    # document must not claim it is
+    from hopfprod.structures import FDAlgebra, FDBialgebra, check_algebra
+
+    c3 = group_algebra(builtin_group("c3"))
+    cols = {k: c3.mult.col(k) for k in range(9)}
+    cols[1 * 3 + 2] = {1: QQ.one}
+    broken = FDAlgebra(QQ, c3.space, LinMap(QQ, c3.mult.domain, c3.space, cols), c3.unit)
+    assert not check_algebra(broken).ok
+    parsed = parse(serialize(FDBialgebra(c3.coalgebra, broken)))
+    assert parsed.algebra == broken
+    assert "associative=yes" not in repr(parsed.algebra)
 
 
 def test_malformed_documents_rejected():
