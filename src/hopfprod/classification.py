@@ -298,8 +298,8 @@ def _deformation_evaluators(d: ExtendingDatum, d2: ExtendingDatum, u: LazyCocycl
     dot, lact, cocycle = _deformed_maps(d, u, d2.dot)
 
     def row(mine: LinMap, theirs: LinMap, left, right):
-        n = len(right)
-        holds = lambda i, j: mine.col(i * n + j) == theirs.col(i * n + j)
+        n, mine, theirs = len(right), mine.cols, theirs.cols
+        holds = lambda i, j: mine.get(i * n + j) == theirs.get(i * n + j)
         return (range(len(left)), range(n)), holds, _tuple_label(left, right)
 
     return {"deformed-lact": row(lact, d2.lact, hl, al), "deformed-dot": row(dot, d2.dot, hl, hl),
@@ -414,9 +414,9 @@ def quotient_classes(data: list[ExtendingDatum]) -> list[list[int]]:
         if d.base != first.base or d.ext != first.ext or d.ract != first.ract:
             raise ContextError("all data must share the base, coalgebra and right action")
     cocycles = enumerate_cocycles(first.ext, first.base)
-    products = [assemble_product(d) for d in data]
     if not isinstance(first.base, FDHopf):
         raise ContextError("equivalence checking needs a Hopf base")
+    products = [assemble_product(d) for d in data]
     by_dot: dict = {}
     for j, d in enumerate(data):
         by_dot.setdefault(d.dot, []).append(j)

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 from .fields import same_field
 from .linalg import (
-    DimensionError,
     LinMap,
     NotInvertibleError,
     PreimageSolver,
+    _bijection_solver,
     compose,
     invert,
     tensor_space,
@@ -207,11 +207,6 @@ def transfer_structure(e: FDBialgebra, l: FDCoalgebra, u: LinMap) -> FDBialgebra
     """
     if not is_coalgebra_map(u, l, e.coalgebra):
         raise ValueError("u is not a coalgebra map")
-    if u.domain.dim != u.codomain.dim:
-        raise DimensionError("only square maps can be inverted")
-    solver = PreimageSolver(u)
-    if len(solver.pivots) < l.dim:
-        raise NotInvertibleError(len(solver.pivots), l.dim)
-    return FactorizationInput._induce_bialgebra(e, u, solver)
+    return FactorizationInput._induce_bialgebra(e, u, _bijection_solver(u))
 
 

@@ -15,14 +15,14 @@ takes f's column at ``points(g)[i]`` as column i); otherwise it is summed
 term by term.  Stored columns are never mutated, so sharing them is safe,
 and :class:`LinMap` accepts one, a tuple of ``(index, value)`` pairs.
 
-Bilinear maps are linear maps out of a tensor-product domain.
-:meth:`LinMap.bilin` is the one evaluator for them: each argument is a basis
-index or a sparse vector.  A one-term vector counts as its index with a
-coefficient, so a pair of indices or one-term vectors reads one stored
-column, scaled only when the product of the coefficients is not one; any
-other pair is expanded bilinearly in one loop, with no intermediate tensor
-vector.  :func:`tensor_apply` likewise applies ``f (x) g`` to one vector
-without building the map ``f (x) g``.
+Bilinear maps are linear maps out of a tensor-product domain.  A pair of
+basis indices is read as the stored column at ``i * dim(right) + j``, and
+:meth:`LinMap.bilin` takes vectors: a one-term vector counts as its index
+with a coefficient, so a pair of them reads one stored column, scaled only
+when the product of the coefficients is not one; any other pair is expanded
+bilinearly in one loop.  :func:`tensor_apply` likewise applies ``f (x) g``
+to one vector without building the map ``f (x) g``.  Stored columns are
+canonical, so maps compare, and hash, by their ``cols`` as stored.
 """
 from __future__ import annotations
 
@@ -250,22 +250,16 @@ class LinMap:
                         out[k] = z
         return out
 
-    def entrywise_key(self):
-        return (self.domain.dim, self.codomain.dim, tuple(sorted(self.cols.items())))
-
     def __eq__(self, other):
-        """Exact structural equality; spaces compared by dimension only."""
-        if self is other:
-            return True
-        return (
-            isinstance(other, LinMap)
-            and self.field == other.field
-            and self.entrywise_key() == other.entrywise_key()
-        )
+        """Exact equality of the stored columns; spaces compared by dimension only."""
+        return self is other or (
+            isinstance(other, LinMap) and self.field == other.field
+            and self.domain.dim == other.domain.dim
+            and self.codomain.dim == other.codomain.dim and self.cols == other.cols)
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash(self.entrywise_key())
+            self._hash = hash((self.domain.dim, self.codomain.dim, frozenset(self.cols.items())))
         return self._hash
 
     def __repr__(self):
@@ -383,18 +377,23 @@ def _rref(field, rows: list[dict], width: int):
     return pivots
 
 
-def invert(f: LinMap) -> LinMap:
-    """Exact inverse of a square map; raises NotInvertibleError with the rank.
-
-    A bijective map is injective, so the left inverse of its
-    :class:`PreimageSolver` is its inverse."""
+def _bijection_solver(f: LinMap) -> PreimageSolver:
+    """The :class:`PreimageSolver` of a bijective map.  Raises
+    :class:`DimensionError` unless f is square and
+    :class:`NotInvertibleError`, with the rank, unless it is bijective."""
     n = f.domain.dim
     if f.codomain.dim != n:
         raise DimensionError("only square maps can be inverted")
     solver = PreimageSolver(f)
     if len(solver.pivots) < n:
         raise NotInvertibleError(len(solver.pivots), n)
-    return solver.left_inverse
+    return solver
+
+
+def invert(f: LinMap) -> LinMap:
+    """Exact inverse of a square map, raising as :func:`_bijection_solver`
+    does: the left inverse of its solver, as a bijective map is injective."""
+    return _bijection_solver(f).left_inverse
 
 
 def solve_system(field, rows: list[dict], rhs: list, n_unknowns: int):

@@ -16,11 +16,12 @@ the coalgebra-map evaluator of :mod:`hopfprod.structures` on the dot, and
 the other eight come from five formulas.  The unit normalizations of
 :func:`validate_datum` are one table, which the classical checkers share.
 
-Assembly and the conditions read structure maps as stored columns, memoized
-on basis pairs, and collapse each sum that does not depend on every index
-once (:func:`_collapse`).  Where delta_H, the cocycle and the dot are index
-tables (``LinMap.points``), as on group-like data, the assembly reads its
-second sum from them, and a one-term column goes to ``LinMap`` as is.
+Assembly and the conditions read structure maps at basis pairs as stored
+columns, memoized (:func:`_pair_columns`), and collapse each sum that does
+not depend on every index once (:func:`_collapse`); only a vector argument
+goes through ``LinMap.bilin``.  Where delta_H, the cocycle and the dot are
+index tables (``LinMap.points``), as on group-like data, the assembly reads
+its second sum from them, and a one-term column goes to ``LinMap`` as is.
 """
 from __future__ import annotations
 
@@ -130,23 +131,6 @@ class ExtendingDatum:
         return None
 
 
-class _Ops:
-    """Pointwise evaluators for the structure maps of a datum.  Each argument
-    is a basis index or a sparse vector, as :meth:`LinMap.bilin` takes it.
-    The ``bilin`` of each map, and of the multiplication of A, is bound once
-    per datum, so each evaluation is one call into it."""
-
-    def __init__(self, d: ExtendingDatum):
-        adim, hdim = self.adim, self.hdim = d.base.dim, d.ext.dim
-        ract, lact, coc, dot = d.ract.bilin, d.lact.bilin, d.cocycle.bilin, d.dot.bilin
-        mul = d.base.mult.bilin
-        self.ract = lambda hv, av: ract(hv, av, adim)
-        self.lact = lambda hv, av: lact(hv, av, adim)
-        self.coc = lambda hv, gv: coc(hv, gv, hdim)
-        self.dot = lambda hv, gv: dot(hv, gv, hdim)
-        self.amul = lambda av, bv: mul(av, bv, adim)
-
-
 def _coalgebra_map_rows(rep: Report, hc, ac, **maps) -> None:
     """Add a "<name>-coalgebra-map" row for each structure map given, in the
     order given, with its shape read from :data:`MAP_SHAPES`.  The maps are
@@ -163,24 +147,24 @@ def _normalization_evaluators(d: ExtendingDatum) -> dict:
     order, shaped like :func:`_condition_evaluators`."""
     field = d.field
     a, h = d.base, d.ext
-    ops = _Ops(d)
-    one, one_a, one_h = field.one, a.unit, h.unit
+    lact, ract, coc, dot = d.lact.bilin, d.ract.bilin, d.cocycle.bilin, d.dot.bilin
+    adim, hdim, one, one_a, one_h = a.dim, h.dim, field.one, a.unit, h.unit
     eps_h, eps_a = _counits(h.coalg), _counits(a.coalgebra)
     hr, ar = (range(h.dim),), (range(a.dim),)
     hl, al = _tuple_label(h.space.labels), _tuple_label(a.space.labels)
     return {
         "lact-normal-unit-right": (
-            hr, lambda i: ops.lact(i, one_a) == vec_scale(field, eps_h[i], one_a), hl),
-        "lact-normal-unit-left": (ar, lambda j: ops.lact(one_h, j) == {j: one}, al),
+            hr, lambda i: lact(i, one_a, adim) == vec_scale(field, eps_h[i], one_a), hl),
+        "lact-normal-unit-left": (ar, lambda j: lact(one_h, j, adim) == {j: one}, al),
         "ract-normal-unit-left": (
-            ar, lambda j: ops.ract(one_h, j) == vec_scale(field, eps_a[j], one_h), al),
-        "ract-normal-unit-right": (hr, lambda i: ops.ract(i, one_a) == {i: one}, hl),
+            ar, lambda j: ract(one_h, j, adim) == vec_scale(field, eps_a[j], one_h), al),
+        "ract-normal-unit-right": (hr, lambda i: ract(i, one_a, adim) == {i: one}, hl),
         "cocycle-normal-right": (
-            hr, lambda i: ops.coc(i, one_h) == vec_scale(field, eps_h[i], one_a), hl),
+            hr, lambda i: coc(i, one_h, hdim) == vec_scale(field, eps_h[i], one_a), hl),
         "cocycle-normal-left": (
-            hr, lambda i: ops.coc(one_h, i) == vec_scale(field, eps_h[i], one_a), hl),
-        "dot-unit-left": (hr, lambda i: ops.dot(one_h, i) == {i: one}, hl),
-        "dot-unit-right": (hr, lambda i: ops.dot(i, one_h) == {i: one}, hl),
+            hr, lambda i: coc(one_h, i, hdim) == vec_scale(field, eps_h[i], one_a), hl),
+        "dot-unit-left": (hr, lambda i: dot(one_h, i, hdim) == {i: one}, hl),
+        "dot-unit-right": (hr, lambda i: dot(i, one_h, hdim) == {i: one}, hl),
     }
 
 
@@ -216,6 +200,17 @@ class _Memo(dict):
     def __missing__(self, key):
         value = self[key] = self.fn(*key)
         return value
+
+
+def _pair_columns(d: ExtendingDatum) -> tuple:
+    """|>, <|, f and . of d and the product of A, each as a :class:`_Memo`
+    (i, j) -> its stored column at e_i (x) e_j, as a dict."""
+    def columns(m: LinMap, n: int) -> _Memo:
+        cols = m.cols
+        return _Memo(lambda i, j: dict(cols.get(i * n + j, ())))
+    na, nh = d.base.dim, d.ext.dim
+    return (columns(d.lact, na), columns(d.ract, na), columns(d.cocycle, nh),
+            columns(d.dot, nh), columns(d.base.mult, na))
 
 
 def _prefix_tree(expansion) -> dict:
@@ -291,9 +286,10 @@ def _condition_evaluators(d: ExtendingDatum) -> dict:
 
     Values that recur across tuples and rows are memoized on basis keys for
     the life of the table.  Each structure map, and the product of A, is
-    evaluated once per basis pair; a map applied to a vector is the sum of
-    its memoized basis values (:func:`_gather`).  Each sum over coproducts
-    is collapsed once into basis terms (:func:`_collapse`):
+    read as its stored column once per basis pair (:func:`_pair_columns`),
+    and applied to a vector as the sum of those columns (:func:`_gather`).
+    Each sum over coproducts is collapsed once into basis terms
+    (:func:`_collapse`):
 
     * sum f(g1, i1) (x) g2 . i2 is the twist sum of twisted-associativity
       and the right sum of both ``a_leg`` rows;
@@ -307,16 +303,15 @@ def _condition_evaluators(d: ExtendingDatum) -> dict:
     """
     field = d.field
     a, h = d.base, d.ext
-    ops = _Ops(d)
     hc, ac = h.coalg, a.coalgebra
     hl, al = h.space.labels, a.space.labels
     hr, ar = range(h.dim), range(a.dim)
     htree, atree = _prefix_trees(hc), _prefix_trees(ac)
-    mul2 = field.mul
+    # the product of A where a factor is a vector, bound once
+    mul2, amul_v, na = field.mul, a.mult.bilin, a.dim
     comult, counit = _coalgebra_map_halves(d.dot, hc, hc, hc)
 
-    ract, lact, coc, dot, amul = (_Memo(op) for op in (ops.ract, ops.lact, ops.coc, ops.dot,
-                                                        ops.amul))
+    lact, ract, coc, dot, amul = _pair_columns(d)
     # keyed (a, h), so that g <| v and g |> v gather a vector v over A
     ract_a = _Memo(lambda x, g: ract[g, x])
     lact_a = _Memo(lambda x, g: lact[g, x])
@@ -327,12 +322,12 @@ def _condition_evaluators(d: ExtendingDatum) -> dict:
         out: dict = {}
         for (g1, g2), cg in hc.expand(g, 2):
             right = _gather(field, ract[g2, y].items(), coc, z)
-            vec_add_into(field, out, ops.amul(lact[g1, x], right), cg)
+            vec_add_into(field, out, amul_v(lact[g1, x], right, na), cg)
         return out
 
     def products(act):
         """(x, w), j -> x act(w, j)"""
-        return _Memo(lambda xw, j: ops.amul(xw[0], act[xw[1], j]))
+        return _Memo(lambda xw, j: amul_v(xw[0], act[xw[1], j], na))
 
     h_right = _Memo(lambda xz, g: _gather(field, ract[g, xz[0]].items(), dot, xz[1]))
     a_left = _Memo(a_left_summand)
@@ -426,28 +421,27 @@ def assemble_product(d: ExtendingDatum) -> FDBialgebra:
     The multiplication is the twisted formula, the coalgebra is the tensor
     product of coalgebras, the unit is 1_A (x) 1_H, and the E (x) E space is
     built once, for the codomain of the comultiplication and the domain of
-    the multiplication.  Each structure map, and the product of A, is
-    evaluated once per basis pair (:class:`_Memo`).  For each (h, c) the sum
-    of (h1 |> c1) (x) (h2 <| c2) (x) (h3 <| c3) is collapsed once into basis
-    terms k (l, y, z), and sum f(y, g1) (x) z . g2 once per (y, z, g) into
-    terms c (p, w); (e_a e_l) e_p is formed once per basis triple, in that
-    order, so that a non-associative A is multiplied as the formula says.
-    Column (a, h, c, g) is the sum of k c ((e_a e_l) e_p) (x) e_w.  The
-    second sum is read from the index tables of delta_H, f and the dot where
-    all three are; where both sums and (e_a e_l) e_p are one term with
-    coefficient one, the column goes to :class:`LinMap` as a one-entry tuple.
+    the multiplication.  Each structure map, and the product of A, is read
+    as its stored column once per basis pair (:func:`_pair_columns`).  For
+    each (h, c) the sum of (h1 |> c1) (x) (h2 <| c2) (x) (h3 <| c3) is
+    collapsed once into basis terms k (l, y, z), and sum f(y, g1) (x) z . g2
+    once per (y, z, g) into terms c (p, w); (e_a e_l) e_p is formed once per
+    basis triple, in that order, so that a non-associative A is multiplied as
+    the formula says.  Column (a, h, c, g) is the sum of
+    k c ((e_a e_l) e_p) (x) e_w.  The second sum is read from the index
+    tables of delta_H, f and the dot where all three are; where both sums and
+    (e_a e_l) e_p are one term with coefficient one, the column goes to
+    :class:`LinMap` as a one-entry tuple.
     Used by the checked builder and, directly, by the independent
     axiom-verification tests.
     """
     field = d.field
     a, h = d.base, d.ext
-    ops = _Ops(d)
     na, nh = a.dim, h.dim
     one, mul = field.one, field.mul
     coalg = tensor_coalgebra(a.coalgebra, h.coalg)
     htree, atree = _prefix_trees(h.coalg), _prefix_trees(a.coalgebra)
-    lact, ract, coc, dot, amul = (_Memo(op) for op in (ops.lact, ops.ract, ops.coc, ops.dot,
-                                                        ops.amul))
+    lact, ract, coc, dot, amul = _pair_columns(d)
     triple = _Memo(lambda ai, l, p: _gather(field, amul[ai, l].items(), amul, p))
     # sum f(y, g1) (x) z . g2 as basis terms, once per (y, z, g)
     hp, fp, dp = h.coalg.delta.points, d.cocycle.points, d.dot.points

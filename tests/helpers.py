@@ -50,7 +50,7 @@ from hopfprod.structures import (
     trivial_action_right,
     trivial_cocycle,
 )
-from hopfprod.unified import ExtendingDatum, UnifiedProduct, _Ops, _base_inclusion
+from hopfprod.unified import ExtendingDatum, UnifiedProduct, _base_inclusion
 
 
 def random_group_structure(rng, group, x_size) -> GroupExtendingStructure:
@@ -142,6 +142,19 @@ def sweedler_bialgebra(field=QQ) -> FDBialgebra:
     coalg = FDCoalgebra(field, space, delta, epsilon)
     alg = FDAlgebra(field, space, mult, {0: one}, associative="yes")
     return FDBialgebra(coalg, alg)
+
+
+def idempotent_monoid_bialgebra(field=QQ) -> FDBialgebra:
+    """k{e, z} with z * z = z: the monoid bialgebra of a monoid that is no
+    group.  Group-like on its basis, and it has no antipode."""
+    one = field.one
+    space = hp.BasedSpace(("e", "z"))
+    delta = LinMap(field, space, tensor_space(space, space), {0: {0: one}, 1: {3: one}})
+    epsilon = LinMap(field, space, SCALAR_SPACE, {0: {0: one}, 1: {0: one}})
+    mult = LinMap(field, tensor_space(space, space), space,
+                  {0: {0: one}, 1: {1: one}, 2: {1: one}, 3: {1: one}})
+    return FDBialgebra(FDCoalgebra(field, space, delta, epsilon),
+                       FDAlgebra(field, space, mult, {0: one}))
 
 
 def rescaled_bialgebra(b: FDBialgebra, scales, labels) -> FDBialgebra:
@@ -391,6 +404,22 @@ def bilin_direct(m: LinMap, v, w, right_dim: int) -> dict:
                 else:
                     out[k] = s
     return out
+
+
+class DatumOps:
+    """The structure maps of a datum and the product of its base as
+    two-argument evaluators, each argument a basis index or a sparse vector,
+    every one evaluated by :func:`bilin_direct`: the oracles read no
+    structure map through the engine's own bilinear evaluation."""
+
+    def __init__(self, d: ExtendingDatum):
+        adim, hdim = d.base.dim, d.ext.dim
+
+        def bind(m: LinMap, n: int):
+            return lambda v, w: bilin_direct(m, v, w, n)
+        self.ract, self.lact = bind(d.ract, adim), bind(d.lact, adim)
+        self.coc, self.dot = bind(d.cocycle, hdim), bind(d.dot, hdim)
+        self.amul = bind(d.base.mult, adim)
 
 
 def dense_from_linmap(m: LinMap):
@@ -765,7 +794,7 @@ def product_antipode(p: UnifiedProduct, s_h: LinMap) -> LinMap:
     for i in range(h.dim):
         if not left.col(i) == right.col(i) == want.col(i):
             raise ValueError(f"s_h is not a two-sided dot inverse at {h.space.labels[i]}")
-    ops = _Ops(d)
+    ops = DatumOps(d)
     e = p.carrier
     nh = h.dim
     sa = a.antipode
@@ -854,7 +883,7 @@ def leg_rows_direct(d: ExtendingDatum) -> dict:
     them, and the products, between rows."""
     field = d.field
     a, h = d.base, d.ext
-    ops = _Ops(d)
+    ops = DatumOps(d)
     hc, ac = h.coalg, a.coalgebra
     mul2 = field.mul
 
@@ -939,7 +968,7 @@ def assemble_product_direct(d: ExtendingDatum) -> FDBialgebra:
     which collapses the sum once per (h, c)."""
     field = d.field
     a, h = d.base, d.ext
-    ops = _Ops(d)
+    ops = DatumOps(d)
     hc, ac = h.coalg, a.coalgebra
     na, nh = a.dim, h.dim
     space = tensor_space(a.space, h.space)
@@ -977,7 +1006,7 @@ def mixed_relations(d: ExtendingDatum, e: FDBialgebra) -> Report:
     """Products against unit components collapse to short forms; verify them."""
     field = d.field
     a, h = d.base, d.ext
-    ops = _Ops(d)
+    ops = DatumOps(d)
     hc, ac = h.coalg, a.coalgebra
     bv = lambda i: basis_vec(field, i)
     one_h, one_a = h.unit, a.unit
@@ -1102,7 +1131,7 @@ def deform_datum_direct(d: ExtendingDatum, u) -> ExtendingDatum:
     legs they read.  This is the oracle of ``classification.deform_datum``,
     which convolves maps over tensor-product coalgebras instead."""
     a, h, field = d.base, d.ext, d.field
-    ops, hc, ac = _Ops(d), h.coalg, a.coalgebra
+    ops, hc, ac = DatumOps(d), h.coalg, a.coalgebra
     uc = u.linmap.col
     su = lambda v: a.antipode.apply(u.linmap.apply(v))
 
@@ -1134,7 +1163,7 @@ def deform_datum_direct(d: ExtendingDatum, u) -> ExtendingDatum:
 
     @functools.cache
     def last(h4, g4):
-        return su(new_dot.bilin(h4, g4, h.dim))
+        return su(bilin_direct(new_dot, h4, g4, h.dim))
 
     def cocycle(hi, gi):
         out: dict = {}

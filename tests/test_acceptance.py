@@ -276,20 +276,20 @@ def test_criterion_7_classification_suite():
             cocycles = hp.enumerate_cocycles(h, a)
             tag = f"{name}, |X|={x_size}"
             crit.check(len(cocycles) == a.dim ** (x_size - 1), f"{tag}: count")
-            index = {u.linmap.entrywise_key(): k for k, u in enumerate(cocycles)}
+            index = {u.linmap: k for k, u in enumerate(cocycles)}
             table = []
             for u in cocycles:
                 row = []
                 for v in cocycles:
                     w = hp.cocycle_convolve(u, v)
-                    key = w.linmap.entrywise_key()
+                    key = w.linmap
                     if key not in index:
                         crit.check(False, f"{tag}: convolution escapes the set")
                         return crit.finish()
                     row.append(index[key])
                 table.append(row)
             n = len(cocycles)
-            trivial_idx = index[hp.trivial_lazy_cocycle(h, a).linmap.entrywise_key()]
+            trivial_idx = index[hp.trivial_lazy_cocycle(h, a).linmap]
             crit.check(all(table[trivial_idx][k] == k == table[k][trivial_idx]
                            for k in range(n)), f"{tag}: unit law")
             assoc = all(table[table[i][j]][k] == table[i][table[j][k]]
@@ -297,7 +297,7 @@ def test_criterion_7_classification_suite():
             crit.check(assoc, f"{tag}: associativity")
             for k, u in enumerate(cocycles):
                 v = hp.cocycle_inverse(u)
-                kk = index[v.linmap.entrywise_key()]
+                kk = index[v.linmap]
                 crit.check(table[k][kk] == trivial_idx == table[kk][k],
                            f"{tag}: inverse law")
     # every successful equivalence yields a fully verified certificate

@@ -1,23 +1,29 @@
+import dataclasses
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (
     assert_bicrossed_report_agrees,
+    idempotent_monoid_bialgebra,
     one_entry_corruptions,
     product_projections,
     s4_over_s3_datum,
     sweedler_bialgebra,
     tensor_map,
+    trivial_datum,
     twist_map,
     with_column,
 )
 from hopfprod.classification import (
     CapExceededError,
+    ContextError,
     NotGroupLikeError,
     check_equivalence,
     cocycle_convolve,
+    deform_datum,
     cocycle_inverse,
     LazyCocycle,
     NotALazyCocycleError,
@@ -44,7 +50,7 @@ from hopfprod.special import (
     matched_pair_datum,
     trivial_matched_pair,
 )
-from hopfprod.structures import UnitalCoalgebra, attach_antipode
+from hopfprod.structures import FDAlgebra, FDBialgebra, UnitalCoalgebra, attach_antipode
 from hopfprod.unified import build_unified_product
 
 
@@ -297,6 +303,84 @@ def test_quotient_classes_separate_z4_from_klein():
     dk = crossed_datum(z2xz2_crossed_datum())
     classes = quotient_classes([dz, dk])
     assert classes == [[0], [1]]
+
+
+def test_quotient_classes_joins_a_dot_whose_columns_were_inserted_in_another_order():
+    d = crossed_datum(z4_crossed_datum())
+    dot = d.dot
+    reordered = LinMap(dot.field, dot.domain, dot.codomain, dict(reversed(dot.cols.items())))
+    assert list(reordered.cols) == list(reversed(dot.cols))
+    assert quotient_classes([d, dataclasses.replace(d, dot=reordered)]) == [[0, 1]]
+
+
+def _monoid_datum():
+    """A datum over the monoid bialgebra k{e, z}, which has no antipode."""
+    return trivial_datum(idempotent_monoid_bialgebra(), group_algebra(builtin_group("c1")))
+
+
+def test_quotient_classes_refuses_a_base_without_antipode_before_assembling(monkeypatch):
+    import hopfprod.classification
+
+    def refuse(d):
+        raise AssertionError("assemble_product called")
+
+    monkeypatch.setattr(hopfprod.classification, "assemble_product", refuse)
+    with pytest.raises(ContextError, match="^equivalence checking needs a Hopf base$"):
+        quotient_classes([_monoid_datum()])
+    # a coalgebra that is not group-like is named first, antipode or not
+    d = trivial_datum(idempotent_monoid_bialgebra(), sweedler_bialgebra())
+    with pytest.raises(NotGroupLikeError, match="^H is not group-like on its basis$"):
+        quotient_classes([d])
+
+
+def _unit(d):
+    return trivial_lazy_cocycle(d.ext, d.base)
+
+
+def _z4():
+    return crossed_datum(z4_crossed_datum())
+
+
+def _s3():
+    return matched_pair_datum(s3_matched_pair())
+
+
+def _unit_off_the_basis(name):
+    """(H, A) over which the unit of H, or of A, is not a basis vector."""
+    h, a = grouplike_coalgebra(("p", "q"), QQ), group_algebra(builtin_group("c2"))
+    if name == "h":
+        return UnitalCoalgebra(h.coalg, {0: QQ.one, 1: QQ.one}), a
+    return h, FDBialgebra(a.coalgebra, FDAlgebra(QQ, a.space, a.mult, {0: QQ.of(2)}))
+
+
+@pytest.mark.parametrize("call, exc, message", [
+    pytest.param(lambda: cocycle_convolve(_unit(_z4()), _unit(_s3())), ContextError,
+                 "cocycles live over different (H, A) pairs", id="convolve-contexts"),
+    pytest.param(lambda: cocycle_inverse(_unit(_monoid_datum())), ContextError,
+                 "convolution inverse needs an antipode on the base", id="inverse-no-antipode"),
+    pytest.param(lambda: enumerate_cocycles(*_unit_off_the_basis("h")), NotGroupLikeError,
+                 "the unit of H is not a basis vector", id="enumerate-unit-of-h"),
+    pytest.param(lambda: enumerate_cocycles(*_unit_off_the_basis("a")), NotGroupLikeError,
+                 "the unit of A is not a basis vector", id="enumerate-unit-of-a"),
+    pytest.param(lambda: deform_datum(_z4(), _unit(_s3())), ContextError,
+                 "cocycle context does not match the datum", id="deform-context"),
+    pytest.param(lambda: deform_datum(_monoid_datum(), _unit(_monoid_datum())), ContextError,
+                 "deformation needs a Hopf base", id="deform-no-antipode"),
+    pytest.param(lambda: check_equivalence(_z4(), _z4(), _unit(_s3())), ContextError,
+                 "cocycle context does not match the data", id="equivalence-context"),
+    pytest.param(lambda: quotient_classes([_z4(), _s3()]), ContextError,
+                 "all data must share the base, coalgebra and right action",
+                 id="classes-context"),
+    pytest.param(lambda: quotient_classes([_monoid_datum()]), ContextError,
+                 "equivalence checking needs a Hopf base", id="classes-no-antipode"),
+])
+def test_each_refusal_raises_its_error_with_its_message(call, exc, message):
+    with pytest.raises(exc, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_quotient_classes_of_no_data_is_empty():
+    assert quotient_classes([]) == []
 
 
 def test_deformation_is_a_left_action_on_a_non_abelian_base():

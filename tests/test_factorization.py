@@ -1,4 +1,5 @@
 import inspect
+import re
 import time
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 import hopfprod.unified
 from helpers import (
     drinfeld_double_factors,
+    idempotent_monoid_bialgebra,
     rebind_everywhere,
     recover_datum_composed,
     roundtrip_check,
@@ -209,6 +211,31 @@ def test_input_validation_errors():
     no_unit = basis_inclusion(("t",), e, [1])
     with pytest.raises(FactorizationInputError, match="unit"):
         FactorizationInput.build(e, LinMap.identity(QQ, e.space), no_unit)
+
+
+def _refused_inclusions(name):
+    """(ambient, incl_a, incl_h) that FactorizationInput.build refuses."""
+    if name == "unit":
+        # z spans a sub-bialgebra of k{e, z} but for its unit e
+        m = idempotent_monoid_bialgebra()
+        return (m, basis_inclusion(("z",), m, (1,)),
+                LinMap.identity(QQ, m.space))
+    e = group_algebra(builtin_group("c2"))
+    ident = LinMap.identity(QQ, e.space)
+    if name == "codomain":
+        return e, basis_inclusion(("1",), group_algebra(builtin_group("c3")), (0,)), ident
+    # both basis vectors of the subcoalgebra sent to the unit
+    return e, ident, basis_inclusion(("p", "q"), e, (0, 0))
+
+
+@pytest.mark.parametrize("name, message", [
+    ("codomain", "inclusions must land in the ambient space"),
+    ("not-injective", "the subcoalgebra inclusion is not injective"),
+    ("unit", "the unit of the ambient bialgebra is not in the subbialgebra"),
+])
+def test_build_refuses_inclusions_with_its_message(name, message):
+    with pytest.raises(FactorizationInputError, match=f"^{re.escape(message)}$"):
+        FactorizationInput.build(*_refused_inclusions(name))
 
 
 def test_non_basis_aligned_subcoalgebra_that_is_not_closed():

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from helpers import (
     h4_datum_with_bad_lact,
     h4_trivial_datum,
+    idempotent_monoid_bialgebra,
     s3_pair_with_bad_lact,
     scaled_h4_datum_with_bad_lact,
     scaled_h4_trivial_datum,
@@ -406,6 +407,21 @@ def test_cli_build_emits_parseable_hopf(tmp_path, capsys):
         assert data == (GOLDEN / f"build-{name}.json").read_bytes(), name
         built = parse(data)
         assert isinstance(built, FDHopf) and built.dim == dim, name
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=repr)
+def test_cli_build_of_a_product_without_antipode_emits_a_bialgebra(field, tmp_path, capsys):
+    """k{e, z} with z z = z, over k: the product is that monoid bialgebra,
+    which has no antipode, so the build writes a bialgebra and exits 0."""
+    a = idempotent_monoid_bialgebra(field)
+    d = matched_pair_datum(trivial_matched_pair(a, group_algebra(builtin_group("c1"), field)))
+    src, out_path = tmp_path / "monoid.json", tmp_path / "monoid-product.json"
+    src.write_bytes(serialize(d))
+    code, out, err = run_cli(capsys, "build", str(src), "--out", str(out_path))
+    assert (code, out, err) == (0, "", "")
+    doc = json.loads(out_path.read_bytes())
+    assert doc["kind"] == "bialgebra"
+    assert parse(out_path.read_bytes()).algebra.mult == a.algebra.mult
 
 
 def test_cli_factorize_z4(tmp_path, capsys):

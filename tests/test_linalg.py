@@ -292,6 +292,13 @@ def test_invert_fails_iff_rank_deficient():
             assert exc.rank == r
 
 
+@pytest.mark.parametrize("dom, cod", [(S2, S3), (S3, S2)], ids=["2->3", "3->2"])
+def test_invert_refuses_a_map_that_is_not_square(dom, cod):
+    f = LinMap(QQ, dom, cod, {i: {i: QQ.one} for i in range(2)})
+    with pytest.raises(DimensionError, match="^only square maps can be inverted$"):
+        invert(f)
+
+
 def test_rank_and_preimage_pivots_match_column_elimination():
     rng = random.Random(11)
     for field in (QQ, PrimeField(5)):
@@ -316,6 +323,22 @@ def test_linmap_rejects_out_of_range_indices():
         LinMap(QQ, S2, S2, {5: {0: QQ.one}})
     with pytest.raises(DimensionError):
         LinMap(QQ, S2, S2, {0: {7: QQ.one}})
+
+
+def test_equality_and_hash_do_not_depend_on_the_order_columns_were_inserted_in():
+    cols = {0: {1: QQ.one, 3: Fraction(1, 2)}, 1: {0: QQ.one}, 2: {2: QQ.of(5)},
+            3: {0: QQ.one, 1: QQ.one}}
+    m = LinMap(QQ, S4, S4, cols)
+    r = LinMap(QQ, S4, S4, dict(reversed(cols.items())))
+    assert list(m.cols) == [0, 1, 2, 3] and list(r.cols) == [3, 2, 1, 0]
+    assert m == r and r == m and hash(m) == hash(r)
+    assert {m: "m"}[r] == "m" and {r: "r"}[m] == "r"
+    assert len({m, r}) == 1
+    # the same domain indices with another value are another map
+    other = LinMap(QQ, S4, S4, {**cols, 2: {2: QQ.of(6)}})
+    assert other != m and m != other
+    # and the same columns between spaces of other dimensions too
+    assert LinMap(QQ, S4, BasedSpace("abcde"), cols) != m
 
 
 def test_linmap_keeps_a_stored_one_entry_column():

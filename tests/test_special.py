@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -11,6 +12,7 @@ from helpers import (
     crossed_mult_direct,
     crossed_rows_direct,
     group_unified_product,
+    idempotent_monoid_bialgebra,
     left_module_law_direct,
     one_entry_corruptions,
     s3_pair_with_bad_lact,
@@ -20,6 +22,7 @@ from helpers import (
     z4_crossed_with_bad_cocycle,
 )
 from hopfprod.classification import (
+    ContextError,
     check_equivalence,
     enumerate_cocycles,
     trivial_lazy_cocycle,
@@ -41,6 +44,7 @@ from hopfprod.special import (
     MatchedPair,
     build_bicrossed,
     build_crossed,
+    check_bicrossed_equivalence,
     check_crossed,
     check_matched_pair,
     crossed_datum,
@@ -354,3 +358,40 @@ def test_builders_refuse_a_failing_classical_datum():
             build(bad)
         item = err.value.report.first_failure()
         assert (item.condition, item.witness) == first
+
+
+def _monoid_pair():
+    """A matched pair over the monoid bialgebra k{e, z}, which has no antipode."""
+    return trivial_matched_pair(idempotent_monoid_bialgebra(), group_algebra(builtin_group("c1")))
+
+
+def _foreign_unit():
+    """A cocycle over (k[C2], k[C2]), the context of no matched pair below."""
+    d = crossed_datum(z4_crossed_datum())
+    return trivial_lazy_cocycle(d.ext, d.base)
+
+
+def _c2_pair():
+    c2 = group_algebra(builtin_group("c2"))
+    return trivial_matched_pair(c2, c2)
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: deform_matched_pair(_monoid_pair(), _foreign_unit()),
+                 "deformation needs an antipode on the base", id="deform-no-antipode"),
+    pytest.param(lambda: deform_matched_pair(s3_matched_pair(), _foreign_unit()),
+                 "cocycle context does not match the matched pair", id="deform-context"),
+    pytest.param(lambda: check_bicrossed_equivalence(s3_matched_pair(), _c2_pair(),
+                                                     _foreign_unit()),
+                 "matched pairs must share both Hopf algebras", id="equivalence-pairs"),
+    pytest.param(lambda: check_bicrossed_equivalence(_monoid_pair(), _monoid_pair(),
+                                                     _foreign_unit()),
+                 "bicrossed equivalence needs Hopf algebras on both sides",
+                 id="equivalence-no-antipode"),
+    pytest.param(lambda: check_bicrossed_equivalence(s3_matched_pair(), s3_matched_pair(),
+                                                     _foreign_unit()),
+                 "cocycle context does not match the matched pairs", id="equivalence-context"),
+])
+def test_each_refusal_raises_a_context_error_with_its_message(call, message):
+    with pytest.raises(ContextError, match=f"^{re.escape(message)}$"):
+        call()

@@ -365,6 +365,20 @@ def test_build_refuses_a_datum_that_fails_only_the_product_conditions():
     assert (first.condition, first.witness) == ("lact-multiplicative", "(g,g,x)")
 
 
+@pytest.mark.parametrize("datum, name, failing", [
+    (lambda: crossed_datum(z4_crossed_datum()), "dot",
+     "dot-coalgebra-map, dot-unit-left, dot-unit-right"),
+    (h4_trivial_datum, "lact",
+     "lact-coalgebra-map, lact-normal-unit-right, lact-normal-unit-left"),
+], ids=["z4-dot", "h4-lact"])
+def test_build_refuses_a_datum_that_fails_validation(datum, name, failing):
+    """Column 0 of the map dropped: the unit normalizations on it fail."""
+    d = datum()
+    d = dataclasses.replace(d, **{name: with_column(getattr(d, name), 0, {})})
+    with pytest.raises(DatumConditionError, match=f"^datum conditions fail: {failing}$"):
+        build_unified_product(d)
+
+
 def test_datum_checks_build_no_tensor_product_coalgebra(monkeypatch):
     def refuse(*args):
         raise AssertionError("tensor_coalgebra called")
