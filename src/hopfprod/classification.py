@@ -161,6 +161,7 @@ def enumerate_cocycles(h: UnitalCoalgebra, a: FDBialgebra,
     H must have an all-group-like basis with the unit a basis vector, and A
     an all-group-like basis; the candidates are then the maps sending the
     basepoint to 1_A and every other basis element anywhere in A's basis.
+    Their columns are the shared ``((t, 1),)`` of t < dim A, stored form.
     """
     field = same_field(h, a)
     if grouplike_indices(h.coalg) != list(range(h.dim)):
@@ -184,7 +185,7 @@ def enumerate_cocycles(h: UnitalCoalgebra, a: FDBialgebra,
     for targets in iproduct(points, repeat=len(others)):
         cols = {basepoint: points[unit_idx[0]]}
         cols.update(zip(others, targets))
-        u = LinMap(field, h.space, a.space, cols)
+        u = LinMap._of(field, h.space, a.space, cols)
         out.append(LazyCocycle._unchecked(u, h, a))
     return out
 
@@ -195,13 +196,16 @@ def _twist(op: LinMap, w: LinMap, hc: FDCoalgebra, src, dst) -> LinMap:
     it is the certificate phi for w = u and its inverse psi for w = S u; with
     op the right action <| and w = u it is the map T through which the
     deformation reads .' = dot T and f'' = f T.  Where delta_H, w and op are
-    index tables, so is the result."""
+    index tables, so is the result, built with its points: each entry is read
+    from validated tables, so it is in range, and its value is one."""
     field, hdim, adim, xdim = op.field, hc.dim, w.codomain.dim, op.codomain.dim
     dp, wp, opp = hc.delta.points, w.points, op.points
     if dp is not None and wp is not None and opp is not None:
-        return LinMap(field, src, dst, {
-            x * hdim + hi: ((opp[x * adim + wp[k // hdim]] * hdim + k % hdim, field.one),)
-            for x in range(xdim) for hi, k in enumerate(dp)})
+        points = tuple(opp[x * adim + wp[k // hdim]] * hdim + k % hdim
+                       for x in range(xdim) for k in dp)
+        one = field.one
+        return LinMap._of(field, src, dst, {i: ((j, one),) for i, j in enumerate(points)},
+                          points)
     cols = {}
     for x, hi in iproduct(range(xdim), range(hdim)):
         col: dict = {}
@@ -226,27 +230,39 @@ def _deformed_maps(d: ExtendingDatum, u: LazyCocycle,
     reads ``dot``, by default the deformed dot.  The right action never
     moves."""
     a, h, field, ucols = d.base, d.ext, d.field, u.linmap.cols
-    one = field.one
+    one, hdim, adim = field.one, h.dim, a.dim
     su = compose(a.antipode, u.linmap)
 
     def convolve(c: FDCoalgebra, *maps: LinMap) -> LinMap:
         """(u (x) counit_c) * maps[0] * maps[1] * ..., over H (x) c; where
-        the counit is one, the first factor shares u's stored column."""
-        src = tensor_coalgebra(h.coalg, c)
-        first = LinMap(field, src.space, a.space,
-                       {hi * c.dim + xi: ucols.get(hi, ()) if e == one
-                        else vec_scale(field, e, u.linmap.col(hi))
-                        for hi in range(h.dim) for xi, e in enumerate(_counits(c))})
+        the counit is one, the first factor shares u's stored column, and
+        where it is one everywhere, every column is one of the validated u."""
+        src, cdim, counits = tensor_coalgebra(h.coalg, c), c.dim, _counits(c)
+        if all(e == one for e in counits):
+            first = LinMap._of(field, src.space, a.space,
+                               {hi * cdim + xi: col for hi, col in ucols.items()
+                                for xi in range(cdim)})
+        else:
+            first = LinMap(field, src.space, a.space,
+                           {hi * cdim + xi: ucols.get(hi, ()) if e == one
+                            else vec_scale(field, e, u.linmap.col(hi))
+                            for hi in range(hdim) for xi, e in enumerate(counits)})
         return functools.reduce(lambda f, g: convolution(f, g, src, a.algebra), maps, first)
 
     t = _twist(d.ract, u.linmap, h.coalg, d.dot.domain, d.dot.domain)
     deformed_dot = compose(d.dot, t)
-    # h |> u(g): where u is an index table, the stored column of |>
+    # h |> u(g): where u is an index table, the stored column of the
+    # validated |>, so it needs no check again
     up, lcols = u.linmap.points, d.lact.cols
-    lact_u = LinMap(field, d.dot.domain, a.space,
-                    {hi * h.dim + gi: lcols.get(hi * a.dim + up[gi], ()) if up is not None
-                     else d.lact.bilin(hi, u.linmap.col(gi), a.dim)
-                     for hi, gi in iproduct(range(h.dim), repeat=2)})
+    if up is not None:
+        lact_u = LinMap._of(field, d.dot.domain, a.space,
+                            {hi * hdim + gi: col
+                             for hi, gi in iproduct(range(hdim), repeat=2)
+                             if (col := lcols.get(hi * adim + up[gi]))})
+    else:
+        lact_u = LinMap(field, d.dot.domain, a.space,
+                        {hi * hdim + gi: d.lact.bilin(hi, u.linmap.col(gi), adim)
+                         for hi, gi in iproduct(range(hdim), repeat=2)})
     return (deformed_dot, convolve(a.coalgebra, d.lact, compose(su, d.ract)),
             convolve(h.coalg, lact_u, compose(d.cocycle, t),
                      compose(su, deformed_dot if dot is None else dot)))

@@ -15,6 +15,16 @@ takes f's column at ``points(g)[i]`` as column i); otherwise it is summed
 term by term.  Stored columns are never mutated, so sharing them is safe,
 and :class:`LinMap` accepts one, a tuple of ``(index, value)`` pairs.
 
+One constructor validates: ``LinMap(...)`` reads every column it is handed,
+drops zeros, sorts, and refuses a repeated or out-of-range index; the
+parser and every summing loop build through it.  The private
+``LinMap._of`` stores columns as they are and takes ``points`` where the
+caller has them.  Only the index-table branches call it, whose columns are
+stored columns of validated maps or one-entry tuples read from validated
+tables: :func:`compose`, ``structures.convolution``,
+``classification._twist`` and ``enumerate_cocycles``, and the u (x) counit
+and |>(id (x) u) factors of the deformation where every column is stored.
+
 Bilinear maps are linear maps out of a tensor-product domain.  A pair of
 basis indices is read as the stored column at ``i * dim(right) + j``, and
 :meth:`LinMap.bilin` takes vectors: a one-term vector counts as its index
@@ -45,19 +55,17 @@ class NotInvertibleError(ValueError):
 class BasedSpace:
     """A finite-dimensional space with a distinguished ordered basis."""
 
-    __slots__ = ("labels", "_hash", "_products")
+    __slots__ = ("labels", "dim", "_hash", "_products")
 
     def __init__(self, labels):
         self.labels = tuple(labels)
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("basis labels must be distinct")
+        # the labels are an immutable tuple, so their count is stored once
+        self.dim = len(self.labels)
         self._hash = hash(self.labels)
         # tensor_space(self, b) for each b it was built for
         self._products: dict = {}
-
-    @property
-    def dim(self) -> int:
-        return len(self.labels)
 
     def __eq__(self, other):
         return isinstance(other, BasedSpace) and self.labels == other.labels
@@ -170,6 +178,24 @@ class LinMap:
         self._points = _UNREAD
 
     @classmethod
+    def _of(cls, field, domain: BasedSpace, codomain: BasedSpace, cols: dict,
+            points=_UNREAD) -> LinMap:
+        """A map over ``cols`` as they are, without the checks of
+        :class:`LinMap`: each column must already be stored form, a nonempty
+        sorted tuple of in-range ``(j, v)`` pairs with no zero v, as the
+        stored columns of a validated map are.  ``points``, where given, must
+        be what :attr:`points` would read.  Only the index-table branches
+        call it; everything else goes through :class:`LinMap`."""
+        self = object.__new__(cls)
+        self.field = field
+        self.domain = domain
+        self.codomain = codomain
+        self.cols = cols
+        self._hash = None
+        self._points = points
+        return self
+
+    @classmethod
     def identity(cls, field, space: BasedSpace) -> LinMap:
         return cls(field, space, space, {i: {i: field.one} for i in range(space.dim)})
 
@@ -270,7 +296,8 @@ def compose(f: LinMap, g: LinMap) -> LinMap:
     """The composite f after g.  Requires dim(codomain g) == dim(domain f).
 
     Where g is an index table (:attr:`LinMap.points`), column i of the
-    composite is f's stored column at ``points(g)[i]``, shared as it is."""
+    composite is f's stored column at ``points(g)[i]``, shared as it is.
+    Stored columns of the validated f need no check again (``LinMap._of``)."""
     field = same_field(f, g)
     if g.codomain.dim != f.domain.dim:
         raise DimensionError(
@@ -278,8 +305,8 @@ def compose(f: LinMap, g: LinMap) -> LinMap:
         )
     fcols, gp = f.cols, g.points
     if gp is not None:
-        return LinMap(field, g.domain, f.codomain,
-                      {i: col for i, j in enumerate(gp) if (col := fcols.get(j))})
+        return LinMap._of(field, g.domain, f.codomain,
+                          {i: col for i, j in enumerate(gp) if (col := fcols.get(j))})
     zero, add, mul, is_zero = field.zero, field.add, field.mul, field.is_zero
     cols = {}
     for i, gcol in g.cols.items():

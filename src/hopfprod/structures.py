@@ -144,7 +144,7 @@ class UnitalCoalgebra:
 
     @property
     def dim(self):
-        return self.coalg.dim
+        return self.coalg.space.dim
 
     @property
     def delta(self):
@@ -192,7 +192,7 @@ class FDAlgebra:
         return self.space.dim
 
     def mul(self, v: dict, w: dict) -> dict:
-        return self.mult.bilin(v, w, self.dim)
+        return self.mult.bilin(v, w, self.space.dim)
 
     def unit_map(self) -> LinMap:
         return LinMap(self.field, SCALAR_SPACE, self.space, {0: self.unit})
@@ -232,7 +232,7 @@ class FDBialgebra:
 
     @property
     def dim(self):
-        return self.coalgebra.dim
+        return self.coalgebra.space.dim
 
     @property
     def delta(self):
@@ -619,7 +619,8 @@ def convolution(f: LinMap, g: LinMap, src: FDCoalgebra, dst: FDAlgebra) -> LinMa
     comultiplication of e_i, with no map out of a tensor square.  The
     operand and product columns are read as stored; where delta_src, f and
     g are index tables (:attr:`~hopfprod.linalg.LinMap.points`), column i
-    is the stored product column at (f(e_i1), g(e_i2)), shared as it is.
+    is the stored product column at (f(e_i1), g(e_i2)), shared as it is; a
+    stored column of the validated product needs no check again.
     Raises :class:`DimensionError` unless both factors map src to dst."""
     field = same_field(f, g, src, dst)
     sdim, n = src.dim, dst.dim
@@ -631,9 +632,9 @@ def convolution(f: LinMap, g: LinMap, src: FDCoalgebra, dst: FDAlgebra) -> LinMa
     fcols, gcols, mcols = f.cols, g.cols, dst.mult.cols
     dp, fp, gp = src.delta.points, f.points, g.points
     if dp is not None and fp is not None and gp is not None:
-        return LinMap(field, src.delta.domain, dst.mult.codomain,
-                      {i: col for i, k in enumerate(dp)
-                       if (col := mcols.get(fp[k // sdim] * n + gp[k % sdim]))})
+        return LinMap._of(field, src.delta.domain, dst.mult.codomain,
+                          {i: col for i, k in enumerate(dp)
+                           if (col := mcols.get(fp[k // sdim] * n + gp[k % sdim]))})
     zero, add, mul, is_zero = field.zero, field.add, field.mul, field.is_zero
     cols = {}
     for i in range(sdim):

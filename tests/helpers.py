@@ -1392,8 +1392,10 @@ def check_library_claims_on_every_call(monkeypatch) -> None:
     1 (x) H against ``antipode_solve`` of the carrier (the same map, or the
     same side of :class:`NoAntipodeError`), every assembled product
     carrier against :func:`assemble_product_direct`, every convolution
-    against :func:`convolution_direct` and every composite against
-    :func:`dense_compose_direct`."""
+    against :func:`convolution_direct`, every composite against
+    :func:`dense_compose_direct`, and every map built by the unchecked
+    ``LinMap._of`` against the same columns through the checking
+    ``LinMap(...)``: equal ``cols``, and equal ``points`` where given."""
     cls = hopfprod.classification
     convolve, inverse, certify = cls.cocycle_convolve, cls.cocycle_inverse, cls._certify
     quotient = cls.quotient_classes
@@ -1406,6 +1408,7 @@ def check_library_claims_on_every_call(monkeypatch) -> None:
     solve_product = hopfprod.unified.solve_product_antipode
     assemble = hopfprod.unified.assemble_product
     convolve_maps, compose_maps = hopfprod.structures.convolution, hopfprod.linalg.compose
+    unchecked, unread = LinMap._of.__func__, hopfprod.linalg._UNREAD
 
     def assert_lazy(u):
         assert cls.is_lazy_cocycle(u.linmap, u.ext, u.base), "not a lazy cocycle"
@@ -1523,6 +1526,15 @@ def check_library_claims_on_every_call(monkeypatch) -> None:
         assert (fg.domain, fg.codomain) == (g.domain, f.codomain)
         return fg
 
+    def checked_of(owner, field, domain, codomain, cols, points=unread):
+        m = unchecked(owner, field, domain, codomain, cols, points)
+        want = LinMap(field, domain, codomain, cols)
+        assert m.cols == want.cols, "unchecked columns are not in stored form"
+        if points is not unread:
+            assert points == want.points, f"points {points!r} differ from {want.points!r}"
+        return m
+
+    monkeypatch.setattr(LinMap, "_of", classmethod(checked_of))
     for original, replacement in ((convolve, returns_lazy(convolve)),
                                   (inverse, returns_lazy(inverse)),
                                   (deform_pair, checked_deform_pair), (deform, checked_deform),
