@@ -510,8 +510,9 @@ def _coalgebra_map_halves(m: LinMap, x: FDCoalgebra, y: FDCoalgebra, z: FDCoalge
     and m are index tables (:attr:`~hopfprod.linalg.LinMap.points`), each
     side of the comult half is one basis tensor, and the half compares
     their indices.  Otherwise a pair of terms whose m(a1, b1) or m(a2, b2)
-    is zero adds nothing and is skipped.  Raises ``ValueError`` unless m
-    maps X (x) Y to Z."""
+    is zero adds nothing and is skipped.  Where m is an index table, the
+    counit half reads counit_Z at the point of m.  Raises ``ValueError``
+    unless m maps X (x) Y to Z."""
     _check_shape(m, x.dim * y.dim, z.dim, "coalgebras")
     field = same_field(m, x, y, z)
     mul = field.mul
@@ -543,11 +544,17 @@ def _coalgebra_map_halves(m: LinMap, x: FDCoalgebra, y: FDCoalgebra, z: FDCoalge
                             _add_term(field, rhs, (r1, r2), mul(st, mul(u, v)))
             return lhs == rhs
 
-    def counit(a, b):
-        acc = field.zero
-        for r, c in mc.get(a * ny + b, ()):
-            acc = field.add(acc, mul(eps_z[r], c))
-        return acc == mul(eps_x[a], eps_y[b])
+    if mp is not None:
+
+        def counit(a, b):
+            return eps_z[mp[a * ny + b]] == mul(eps_x[a], eps_y[b])
+    else:
+
+        def counit(a, b):
+            acc = field.zero
+            for r, c in mc.get(a * ny + b, ()):
+                acc = field.add(acc, mul(eps_z[r], c))
+            return acc == mul(eps_x[a], eps_y[b])
 
     return comult, counit
 

@@ -16,12 +16,15 @@ the coalgebra-map evaluator of :mod:`hopfprod.structures` on the dot, and
 the other eight come from five formulas.  The unit normalizations of
 :func:`validate_datum` are one table, which the classical checkers share.
 
-Assembly and the conditions read structure maps at basis pairs as stored
-columns, memoized (:func:`_pair_columns`), and collapse each sum that does
-not depend on every index once (:func:`_collapse`); only a vector argument
-goes through ``LinMap.bilin``.  Where delta_H, the cocycle and the dot are
-index tables (``LinMap.points``), as on group-like data, the assembly reads
-its second sum from them, and a one-term column goes to ``LinMap`` as is.
+Where both coproducts, the four maps of the datum and the product of A are
+index tables (``LinMap.points``), as on group-like data, :func:`_tables`
+reads their points once.  The eight conditions after comult-multiplicative
+then compare two indices per tuple (:func:`_table_rows`), and each column
+of the product is one entry read from the tables (:func:`_table_product`).
+Otherwise assembly and the conditions read structure maps at basis pairs as
+stored columns, memoized (:func:`_pair_columns`), and collapse each sum
+that does not depend on every index once (:func:`_collapse`); only a vector
+argument goes through ``LinMap.bilin``.
 """
 from __future__ import annotations
 
@@ -263,21 +266,117 @@ def _collapse_into(field, ops, k, acc, lnode, rnode, key, c) -> None:
 def _gather(field, terms, memo, k) -> dict:
     """sum c memo[t, k] over the terms (t, c): a :func:`_collapse` list, or
     the items of a sparse vector, so that a map memoized on basis pairs is
-    applied to the vector in its first slot.  A single term with coefficient
-    one is its memo entry itself, which the caller only reads."""
-    if len(terms) == 1:
-        (t, c), = terms
-        if c == field.one:
-            return memo[t, k]
+    applied to the vector in its first slot."""
     out: dict = {}
     for t, c in terms:
         vec_add_into(field, out, memo[t, k], c)
     return out
 
 
+def _tables(d: ExtendingDatum):
+    """The points of d where every map the product reads is an index table
+    (:attr:`~hopfprod.linalg.LinMap.points`), as on group-like data; else
+    None.
+
+    Returns (Delta_H, Delta_A, Delta^2_H, Delta^2_A, |>, <|, f, ., m_A):
+    ``Delta[x]`` is the pair (x1, x2) and ``Delta^2[x]`` the triple
+    (x1, x2, x3), split on the left leg as :meth:`FDCoalgebra.expand` does;
+    each map is a list of rows, ``m[x][y]`` the point of m at (x, y)."""
+    a, h = d.base, d.ext
+    na, nh = a.dim, h.dim
+    points = [m.points for m in (h.coalg.delta, a.coalgebra.delta, d.lact, d.ract,
+                                 d.cocycle, d.dot, a.mult)]
+    if None in points:
+        return None
+    hp, ap, *maps = points
+    hd, ad = [divmod(k, nh) for k in hp], [divmod(k, na) for k in ap]
+    # every map is read with its left factor first: H for the four of d, A for m_A
+    rows = ([p[x * n:x * n + n] for x in range(left)]
+            for p, left, n in zip(maps, (nh, nh, nh, nh, na), (na, na, nh, nh, na)))
+    return (hd, ad, [hd[x1] + (x2,) for x1, x2 in hd], [ad[x1] + (x2,) for x1, x2 in ad],
+            *rows)
+
+
 def _condition_evaluators(d: ExtendingDatum) -> dict:
     """The nine compatibility identities of d as pointwise evaluators, in
     report order: name -> (index ranges, holds(*indices), witness label).
+
+    comult-multiplicative is the coalgebra-map evaluator of the dot.  The
+    other eight are :func:`_table_rows` where :func:`_tables` gives the
+    points of d, and :func:`_vector_rows` otherwise; both give the same
+    verdict at every tuple."""
+    a, h = d.base, d.ext
+    hc = h.coalg
+    comult, counit = _coalgebra_map_halves(d.dot, hc, hc, hc)
+    tables = _tables(d)
+    rows = _table_rows(tables) if tables is not None else _vector_rows(d)
+    rows["comult-multiplicative"] = lambda g, i: comult(g, i) and counit(g, i)
+    # each tuple position ranges over the basis of H ("h") or of A ("a")
+    bases = {"h": (range(h.dim), h.space.labels), "a": (range(a.dim), a.space.labels)}
+    shapes = ("hh", "haa", "hhh", "haa", "hha", "hha", "hhh", "ha", "hh")
+    out = {}
+    for name, shape in zip(CONDITION_NAMES, shapes):
+        ranges, labels = zip(*(bases[k] for k in shape))
+        out[name] = ranges, rows[name], _tuple_label(*labels)
+    return out
+
+
+def _table_rows(t) -> dict:
+    """The eight rows of :func:`_condition_evaluators` after
+    comult-multiplicative, read from the points ``t`` of :func:`_tables`.
+    Every sum is one term, so each side of a row is one basis vector and
+    the row compares the two indices; each formula is the one its
+    counterpart in :func:`_vector_rows` states."""
+    hd, ad, hd3, ad3, lact, ract, coc, dot, amul = t
+
+    def right_module(g, i, j):
+        """(g <| i) <| j = g <| i j"""
+        return ract[ract[g][i]][j] == ract[g][amul[i][j]]
+
+    def lact_multiplicative(g, i, j):
+        """g |> i j = (g1 |> i1) ((g2 <| i2) |> j)"""
+        (g1, g2), (i1, i2) = hd[g], ad[i]
+        return lact[g][amul[i][j]] == amul[lact[g1][i1]][lact[ract[g2][i2]][j]]
+
+    def h_leg(act, twist, jd):
+        """twist(g . i, j) = (g <| act(i1, j1)) . twist(i2, j2)"""
+        def holds(g, i, j):
+            (i1, i2), (j1, j2) = hd[i], jd[j]
+            return twist[dot[g][i]][j] == dot[ract[g][act[i1][j1]]][twist[i2][j2]]
+        return holds
+
+    def a_leg(act, twist, jd3):
+        """(g1 |> act(i1, j1)) f(g2 <| act(i2, j2), twist(i3, j3))
+        = f(g1, i1) act(g2 . i2, j), with i1, i2 the legs of Delta(i) on
+        the right and i1, i2, i3 those of Delta^2(i) on the left"""
+        def holds(g, i, j):
+            (g1, g2), (i1, i2, i3), (j1, j2, j3), (k1, k2) = hd[g], hd3[i], jd3[j], hd[i]
+            return (amul[lact[g1][act[i1][j1]]][coc[ract[g2][act[i2][j2]]][twist[i3][j3]]]
+                    == amul[coc[g1][k1]][act[dot[g2][k2]][j]])
+        return holds
+
+    def flip(left, right, jd):
+        """left(g1, j1) (x) right(g2, j2) = left(g2, j2) (x) right(g1, j1)"""
+        def holds(g, j):
+            (g1, g2), (j1, j2) = hd[g], jd[j]
+            return left[g1][j1] == left[g2][j2] and right[g2][j2] == right[g1][j1]
+        return holds
+
+    return {
+        "right-module": right_module,
+        "twisted-associativity": h_leg(coc, dot, hd),
+        "lact-multiplicative": lact_multiplicative,
+        "ract-dot-compat": h_leg(lact, ract, ad),
+        "twisted-module": a_leg(lact, ract, ad3),
+        "cocycle-condition": a_leg(coc, dot, hd3),
+        "action-symmetry": flip(ract, lact, ad),
+        "cocycle-symmetry": flip(dot, coc, hd),
+    }
+
+
+def _vector_rows(d: ExtendingDatum) -> dict:
+    """The eight rows of :func:`_condition_evaluators` after
+    comult-multiplicative, each side a sparse vector.
 
     Associativity of the product, read on its H leg and on its A leg, gives
     ``h_leg`` and ``a_leg``, each used twice: with ``(act, twist)`` = (f, .)
@@ -304,12 +403,9 @@ def _condition_evaluators(d: ExtendingDatum) -> dict:
     field = d.field
     a, h = d.base, d.ext
     hc, ac = h.coalg, a.coalgebra
-    hl, al = h.space.labels, a.space.labels
-    hr, ar = range(h.dim), range(a.dim)
     htree, atree = _prefix_trees(hc), _prefix_trees(ac)
     # the product of A where a factor is a vector, bound once
     mul2, amul_v, na = field.mul, a.mult.bilin, a.dim
-    comult, counit = _coalgebra_map_halves(d.dot, hc, hc, hc)
 
     lact, ract, coc, dot, amul = _pair_columns(d)
     # keyed (a, h), so that g <| v and g |> v gather a vector v over A
@@ -344,16 +440,16 @@ def _condition_evaluators(d: ExtendingDatum) -> dict:
         return (_gather(field, amul[i, j].items(), lact_a, g)
                 == _gather(field, lact_ract[g, i], lact_products, j))
 
-    def h_leg(twist, legs, jr, jl):
+    def h_leg(twist, legs):
         """twist(g . i, j) = sum (g <| act(i1, j1)) . twist(i2, j2), where
         ``legs[i, j]`` is the sum of act(i1, j1) (x) twist(i2, j2) collapsed
         into basis terms c (x, z), read for every g as (g <| x) . z."""
         def holds(g, i, j):
             return (_gather(field, dot[g, i].items(), twist, j)
                     == _gather(field, legs[i, j], h_right, g))
-        return (hr, hr, jr), holds, _tuple_label(hl, hl, jl)
+        return holds
 
-    def a_leg(act, twist, jtree, jr, jl, right):
+    def a_leg(act, twist, jtree, right):
         """sum (g1 |> act(i1, j1)) f(g2 <| act(i2, j2), twist(i3, j3))
         = sum f(g1, i1) act(g2 . i2, j)
 
@@ -368,9 +464,9 @@ def _condition_evaluators(d: ExtendingDatum) -> dict:
         def holds(g, i, j):
             return (_gather(field, legs[i, j], a_left, g)
                     == _gather(field, coc_dot[g, i], right, j))
-        return (hr, hr, jr), holds, _tuple_label(hl, hl, jl)
+        return holds
 
-    def flip(left, right, jc, jr, jl):
+    def flip(left, right, jc):
         """sum left(g1, j1) (x) right(g2, j2) = sum left(g2, j2) (x) right(g1, j1),
         where right lands in A"""
         def holds(g, j):
@@ -383,19 +479,17 @@ def _condition_evaluators(d: ExtendingDatum) -> dict:
                     vec_add_into(field, rhs, tensor_vec(
                         field, left[g2, j2], right[g1, j1], a.dim), c)
             return lhs == rhs
-        return (hr, jr), holds, _tuple_label(hl, jl)
+        return holds
 
     return {
-        "comult-multiplicative": ((hr, hr), lambda g, i: comult(g, i) and counit(g, i),
-                                  _tuple_label(hl, hl)),
-        "right-module": ((hr, ar, ar), right_module, _tuple_label(hl, al, al)),
-        "twisted-associativity": h_leg(dot, coc_dot, hr, hl),
-        "lact-multiplicative": ((hr, ar, ar), lact_multiplicative, _tuple_label(hl, al, al)),
-        "ract-dot-compat": h_leg(ract, lact_ract, ar, al),
-        "twisted-module": a_leg(lact, ract, atree, ar, al, lact_products),
-        "cocycle-condition": a_leg(coc, dot, htree, hr, hl, products(coc)),
-        "action-symmetry": flip(ract, lact, ac, ar, al),
-        "cocycle-symmetry": flip(dot, coc, hc, hr, hl),
+        "right-module": right_module,
+        "twisted-associativity": h_leg(dot, coc_dot),
+        "lact-multiplicative": lact_multiplicative,
+        "ract-dot-compat": h_leg(ract, lact_ract),
+        "twisted-module": a_leg(lact, ract, atree, lact_products),
+        "cocycle-condition": a_leg(coc, dot, htree, products(coc)),
+        "action-symmetry": flip(ract, lact, ac),
+        "cocycle-symmetry": flip(dot, coc, hc),
     }
 
 
@@ -421,34 +515,65 @@ def assemble_product(d: ExtendingDatum) -> FDBialgebra:
     The multiplication is the twisted formula, the coalgebra is the tensor
     product of coalgebras, the unit is 1_A (x) 1_H, and the E (x) E space is
     built once, for the codomain of the comultiplication and the domain of
-    the multiplication.  Each structure map, and the product of A, is read
-    as its stored column once per basis pair (:func:`_pair_columns`).  For
-    each (h, c) the sum of (h1 |> c1) (x) (h2 <| c2) (x) (h3 <| c3) is
-    collapsed once into basis terms k (l, y, z), and sum f(y, g1) (x) z . g2
-    once per (y, z, g) into terms c (p, w); (e_a e_l) e_p is formed once per
-    basis triple, in that order, so that a non-associative A is multiplied as
-    the formula says.  Column (a, h, c, g) is the sum of
-    k c ((e_a e_l) e_p) (x) e_w.  The second sum is read from the index
-    tables of delta_H, f and the dot where all three are; where both sums and
-    (e_a e_l) e_p are one term with coefficient one, the column goes to
-    :class:`LinMap` as a one-entry tuple.
+    the multiplication.  Column (a, h, c, g) of the multiplication is
+    ((e_a l) p) (x) w summed over l (x) p (x) w = sum (h1 |> c1) (x)
+    f(h2 <| c2, g1) (x) (h3 <| c3) . g2; the products are taken in that
+    order, so that a non-associative A is multiplied as the formula says.
+    It is read from the points of d where :func:`_tables` gives them
+    (:func:`_table_product`), and summed otherwise (:func:`_summed_product`).
     Used by the checked builder and, directly, by the independent
     axiom-verification tests.
     """
     field = d.field
     a, h = d.base, d.ext
+    coalg = tensor_coalgebra(a.coalgebra, h.coalg)
+    tables = _tables(d)
+    if tables is not None:
+        mult = _table_product(field, coalg, tables, a.dim, h.dim)
+    else:
+        mult = _summed_product(d, coalg)
+    unit = tensor_vec(field, a.unit, h.unit, h.dim)
+    alg = FDAlgebra(field, coalg.space, mult, unit)
+    return FDBialgebra(coalg, alg)
+
+
+def _table_product(field, coalg, t, na: int, nh: int) -> LinMap:
+    """The multiplication of :func:`assemble_product` on the points ``t`` of
+    :func:`_tables`: column (a, h, c, g) is the single entry
+    ((a l) p) dim H + w, with l = h1 |> c1, p = f(h2 <| c2, g1) and
+    w = (h3 <| c3) . g2.  The one-entry columns are shared, one per index
+    of E, and go to ``LinMap._of`` with their points."""
+    hd, _, hd3, ad3, lact, ract, coc, dot, amul = t
+    # (l, p, w) for each (h, c, g), in that order
+    legs = [(lact[h1][c1], coc[ract[h2][c2]][g1], dot[ract[h3][c3]][g2])
+            for h1, h2, h3 in hd3 for c1, c2, c3 in ad3 for g1, g2 in hd]
+    points = tuple(amul[amul[x][l]][p] * nh + w for x in range(na) for l, p, w in legs)
+    one = field.one
+    stored = [((k, one),) for k in range(na * nh)]
+    return LinMap._of(field, coalg.delta.codomain, coalg.space,
+                      {i: stored[k] for i, k in enumerate(points)}, points)
+
+
+def _summed_product(d: ExtendingDatum, coalg) -> LinMap:
+    """The multiplication of :func:`assemble_product` summed term by term.
+
+    Each structure map, and the product of A, is read as its stored column
+    once per basis pair (:func:`_pair_columns`).  For each (h, c) the sum of
+    (h1 |> c1) (x) (h2 <| c2) (x) (h3 <| c3) is collapsed once into basis
+    terms k (l, y, z), and sum f(y, g1) (x) z . g2 once per (y, z, g) into
+    terms c (p, w); (e_a e_l) e_p is formed once per basis triple.  Column
+    (a, h, c, g) is the sum of k c ((e_a e_l) e_p) (x) e_w; where both sums
+    and (e_a e_l) e_p are one term with coefficient one, the column goes to
+    :class:`LinMap` as a one-entry tuple."""
+    field = d.field
+    a, h = d.base, d.ext
     na, nh = a.dim, h.dim
     one, mul = field.one, field.mul
-    coalg = tensor_coalgebra(a.coalgebra, h.coalg)
     htree, atree = _prefix_trees(h.coalg), _prefix_trees(a.coalgebra)
     lact, ract, coc, dot, amul = _pair_columns(d)
     triple = _Memo(lambda ai, l, p: _gather(field, amul[ai, l].items(), amul, p))
     # sum f(y, g1) (x) z . g2 as basis terms, once per (y, z, g)
-    hp, fp, dp = h.coalg.delta.points, d.cocycle.points, d.dot.points
-    if hp is not None and fp is not None and dp is not None:
-        right = _Memo(lambda y, z, g: [((fp[y * nh + hp[g] // nh], dp[z * nh + hp[g] % nh]), one)])
-    else:
-        right = _Memo(lambda y, z, g: _collapse(field, (coc, dot), {y: {z: one}}, htree[g, 2]))
+    right = _Memo(lambda y, z, g: _collapse(field, (coc, dot), {y: {z: one}}, htree[g, 2]))
 
     def column(ai, sums):
         col: dict = {}
@@ -484,10 +609,7 @@ def assemble_product(d: ExtendingDatum) -> FDBialgebra:
                     col = column(ai, sums)
                     if col:
                         cols[flat] = col
-    mult = LinMap(field, coalg.delta.codomain, coalg.space, cols)
-    unit = tensor_vec(field, a.unit, h.unit, nh)
-    alg = FDAlgebra(field, coalg.space, mult, unit)
-    return FDBialgebra(coalg, alg)
+    return LinMap(field, coalg.delta.codomain, coalg.space, cols)
 
 
 @dataclass

@@ -1,6 +1,7 @@
 """Shared fixtures and independent oracles for the test suite."""
 from __future__ import annotations
 
+import dataclasses
 import functools
 import sys
 from dataclasses import dataclass
@@ -14,7 +15,7 @@ import hopfprod.linalg
 import hopfprod.special
 import hopfprod.structures
 import hopfprod.unified
-from hopfprod.corpus import s3_matched_pair, z4_crossed_datum
+from hopfprod.corpus import a4_unified_datum, s3_matched_pair, z4_crossed_datum
 from hopfprod.fields import QQ, PrimeField
 from hopfprod.groups import GroupExtendingStructure, GroupTable, NotAGroupError
 from hopfprod.linalg import (
@@ -566,6 +567,14 @@ def s3_pair_with_bad_lact() -> hp.MatchedPair:
     """The S3 matched pair with (1 2) |> (0 1 2) sent to the unit."""
     mp = s3_matched_pair()
     return hp.MatchedPair(mp.a, mp.h, mp.ract, with_column(mp.lact, 1 * 3 + 1, {0: QQ.one}))
+
+
+def a4_unified_with_bad_ract() -> hp.ExtendingDatum:
+    """a4-unified with (1 2 3) <| (0 1)(2 3) sent to (0 2)(1 3) where it is
+    (0 2 3): the right action is still an index table, the datum still
+    validates, and six of the nine conditions fail."""
+    d = a4_unified_datum()
+    return dataclasses.replace(d, ract=with_column(d.ract, 1 * 2 + 1, {5: QQ.one}))
 
 
 def h4_trivial_datum(field=PrimeField(5)) -> hp.ExtendingDatum:

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (
+    a4_unified_with_bad_ract,
     h4_datum_with_bad_lact,
     h4_trivial_datum,
     idempotent_monoid_bialgebra,
@@ -65,6 +66,7 @@ def golden_objects():
     mp = s3_matched_pair()
     a4 = a4_unified_datum()
     a4_cocycle = enumerate_cocycles(a4.ext, a4.base)[1]
+    bad_ract = a4_unified_with_bad_ract()
     a4_cocycle_map = CocycleMap(a4_cocycle.linmap.field, a4_cocycle.linmap.domain,
                                 a4_cocycle.linmap.codomain,
                                 {i: dict(col) for i, col in a4_cocycle.linmap.cols.items()})
@@ -92,6 +94,10 @@ def golden_objects():
         # the machine section of that passing `hopfprod equiv`: all nine rows
         "equiv-a4-unified-deformed-1.json": check_equivalence(
             a4, deform_datum(a4, a4_cocycle), a4_cocycle).report,
+        # a4-unified with one point of <| retargeted, and the machine section
+        # of `hopfprod verify` on it: six conditions fail, each at a witness
+        "a4-unified-bad-ract.json": bad_ract,
+        "verify-a4-unified-bad-ract.json": hopfprod.cli._datum_report(bad_ract)[0],
     }
 
 
@@ -111,7 +117,7 @@ def test_parse_serialize_roundtrip_object_equality():
         back = parse(serialize(obj))
         if isinstance(obj, Report):
             assert back.to_obj() == obj.to_obj()
-        elif name in ("a4-datum.json", "a4-unified-deformed-1.json"):
+        elif name in ("a4-datum.json", "a4-unified-deformed-1.json", "a4-unified-bad-ract.json"):
             assert back.components_equal(obj) is None
         elif name == "s3-matched-pair.json":
             assert (back.a, back.h, back.ract, back.lact) == \
@@ -353,9 +359,10 @@ def test_cli_verify_corrupted_datum_names_condition(tmp_path, capsys):
 def pinned_verify_inputs():
     """The named examples, the trivial H4 (x) H4 datum over GF(5) and over
     QQ in a basis with non-integral structure constants, and one-entry
-    corruptions of them."""
+    corruptions of them and of a4-unified."""
     return {"s3-bicrossed": (s3_matched_pair(), 0), "z4-crossed": (z4_crossed_datum(), 0),
             "s3-bicrossed-bad-lact": (s3_pair_with_bad_lact(), 1),
+            "a4-unified-bad-ract": (a4_unified_with_bad_ract(), 1),
             "z4-crossed-bad-cocycle": (z4_crossed_with_bad_cocycle(), 1),
             "h4xh4-gf5": (h4_trivial_datum(), 0),
             "h4xh4-gf5-bad-lact": (h4_datum_with_bad_lact(), 1),

@@ -44,7 +44,7 @@ from hopfprod.groups import (
     lift_to_hopf,
     small_corpus_names,
 )
-from hopfprod.linalg import LinMap, basis_vec, compose, tensor_vec
+from hopfprod.linalg import BasedSpace, LinMap, basis_vec, compose, tensor_space, tensor_vec
 from hopfprod.reports import Report
 from hopfprod.serialize import serialize
 from hopfprod.special import (
@@ -56,11 +56,16 @@ from hopfprod.special import (
     matched_pair_datum,
 )
 from hopfprod.structures import (
+    FDAlgebra,
+    FDBialgebra,
+    FDCoalgebra,
     FDHopf,
     NoAntipodeError,
     antipode_solve,
+    UnitalCoalgebra,
     attach_antipode,
     check_bialgebra,
+    counit_all_ones,
     is_algebra_map,
     is_coalgebra_map,
     left_convolution_inverse,
@@ -68,10 +73,12 @@ from hopfprod.structures import (
 )
 from hopfprod.unified import (
     CONDITION_NAMES,
+    ExtendingDatum,
     MAP_SHAPES,
     DatumConditionError,
     _condition_evaluators,
     _scan_condition,
+    _tables,
     assemble_product,
     build_unified_product,
     check_product_conditions,
@@ -472,7 +479,8 @@ def leg_test_data():
     QQ, GF(5) and in the scaled QQ basis, H4 over k[C2] with a nontrivial
     cocycle and with a nontrivial left action too, and the corpus data.
     The oracle expands 243 terms per tuple of D(k[C3]), so that double gets
-    fewer corruptions."""
+    fewer corruptions.  Then :func:`table_test_data`, whose coproducts are
+    index tables that split a point into two different legs."""
     f5 = PrimeField(5)
     return [(drinfeld_double_datum("c2", QQ), 4), (drinfeld_double_datum("c2", f5), 4),
             (drinfeld_double_datum("c3", QQ), 1), (drinfeld_double_datum("c3", f5), 1),
@@ -481,7 +489,65 @@ def leg_test_data():
             (h4_datum_with_c2_cocycle(QQ), 4), (h4_datum_with_c2_cocycle(f5), 4),
             (twisted_h4_datum(QQ), 4), (twisted_h4_datum(f5), 4),
             (a4_unified_datum(), 4), (matched_pair_datum(s3_matched_pair()), 4),
-            (crossed_datum(z4_crossed_datum()), 4)]
+            (crossed_datum(z4_crossed_datum()), 4)] + [(d, 2) for d in table_test_data()]
+
+
+# How table_datum splits a point x of H or of A: "diagonal" is the group-like
+# x (x) x; "left" (e_0 (x) e_x) and "right" (e_x (x) e_0) are coassociative
+# and not diagonal; "drawn" sends x to two drawn points and is in general not
+# coassociative, so that Delta^2 split on the left leg and on the right differ.
+SPLITS = {"diagonal": lambda rng, n, x: (x, x), "left": lambda rng, n, x: (0, x),
+          "right": lambda rng, n, x: (x, 0),
+          "drawn": lambda rng, n, x: (rng.randrange(n), rng.randrange(n))}
+
+
+def table_datum(rng, field, h_split, a_split, nh=3, na=3):
+    """A datum over H on nh points and A on na points whose coproducts split
+    as :data:`SPLITS` names, with counits all one, and whose four maps and
+    product of A are drawn index tables.  The unit e_0 of H and of A is
+    pinned as the unit normalizations ask, so that more tuples hold."""
+    one = field.one
+    hs = BasedSpace(tuple(f"h{k}" for k in range(nh)))
+    sa = BasedSpace(tuple(f"a{k}" for k in range(na)))
+
+    def coalgebra(space, split):
+        n = space.dim
+        legs = [SPLITS[split](rng, n, x) for x in range(n)]
+        delta = LinMap(field, space, tensor_space(space, space),
+                       {x: {l * n + r: one} for x, (l, r) in enumerate(legs)})
+        return FDCoalgebra(field, space, delta, counit_all_ones(field, space))
+
+    def drawn(left, right, cod, pin):
+        """x (x) y -> pin(x, y), or a drawn point where that is None"""
+        cols = {}
+        for x, y in iproduct(range(left.dim), range(right.dim)):
+            k = pin(x, y)
+            cols[x * right.dim + y] = {rng.randrange(cod.dim) if k is None else k: one}
+        return LinMap(field, tensor_space(left, right), cod, cols)
+
+    def unit_pins(x, y):
+        return y if x == 0 else x if y == 0 else None
+
+    mult = drawn(sa, sa, sa, unit_pins)
+    base = FDBialgebra(coalgebra(sa, a_split), FDAlgebra(field, sa, mult, {0: one}))
+    ext = UnitalCoalgebra(coalgebra(hs, h_split), {0: one})
+    return ExtendingDatum(
+        base, ext, dot=drawn(hs, hs, hs, unit_pins),
+        ract=drawn(hs, sa, hs, lambda x, y: x if y == 0 else 0 if x == 0 else None),
+        lact=drawn(hs, sa, sa, lambda x, y: y if x == 0 else 0 if y == 0 else None),
+        cocycle=drawn(hs, hs, sa, lambda x, y: 0 if 0 in (x, y) else None))
+
+
+def table_test_data():
+    """Index-table data whose coproducts are not diagonal, on H, on A and on
+    both, over QQ and GF(5): on a group-like coproduct the two legs of a
+    point are equal, so reading one leg for the other does not show."""
+    rng = random.Random(7)
+    splits = [("left", "diagonal"), ("diagonal", "left"), ("right", "right"),
+              ("left", "right"), ("drawn", "diagonal"), ("diagonal", "drawn"),
+              ("drawn", "drawn")]
+    return [table_datum(rng, field, h_split, a_split)
+            for field in (QQ, PrimeField(5)) for h_split, a_split in splits for _ in range(2)]
 
 
 def twisted_h4_datum(field):
@@ -541,3 +607,39 @@ def test_two_condition_checks_on_one_datum_give_equal_reports():
             first, second = check_product_conditions(d2), check_product_conditions(d2)
             assert first.items == second.items
             assert serialize(first) == serialize(second)
+
+
+def test_table_data_assemble_as_the_direct_loop():
+    """The assembly reads the points of :func:`table_test_data` and of their
+    one-entry corruptions that stay tables; the autouse fixture holds each
+    carrier against ``assemble_product_direct``, which reads every leg of
+    every coproduct afresh."""
+    rng = random.Random(9)
+    tables = 0
+    for d in table_test_data():
+        assert _tables(d) is not None
+        for d2 in with_corruptions(d, rng, 3):
+            tables += _tables(d2) is not None
+            assemble_product(d2)
+    assert tables > 100
+
+
+def test_group_like_data_are_checked_and_assembled_on_their_tables(monkeypatch):
+    """a4-unified is read from its index tables, and H4 (x) H4, whose
+    coproducts have several terms, is summed."""
+    summed = []
+    for name in ("_vector_rows", "_summed_product"):
+        original = getattr(hopfprod.unified, name)
+
+        def recorded(*args, original=original, name=name):
+            summed.append(name)
+            return original(*args)
+        monkeypatch.setattr(hopfprod.unified, name, recorded)
+    a4, h4 = a4_unified_datum(), h4_trivial_datum()
+    assert _tables(a4) is not None and _tables(h4) is None
+    assert check_product_conditions(a4).ok
+    assemble_product(a4)
+    assert summed == []
+    assert check_product_conditions(h4).ok
+    assemble_product(h4)
+    assert summed == ["_vector_rows", "_summed_product"]
