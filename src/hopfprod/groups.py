@@ -298,16 +298,10 @@ def small_corpus_names() -> tuple[str, ...]:
 def group_algebra(g: GroupTable, field=QQ) -> FDHopf:
     """The group algebra: group-like basis, table multiplication, inverse antipode."""
     space = BasedSpace(g.labels)
-    n = g.order
-    mult = LinMap(
-        field,
-        tensor_space(space, space),
-        space,
-        {i * n + j: {g.table[i][j]: field.one} for i in range(n) for j in range(n)},
-    )
+    mult = LinMap._from_points(field, tensor_space(space, space), space,
+                               [z for row in g.table for z in row])
     unit = {g.identity: field.one}
-    antipode = LinMap(field, space, space,
-                      {i: {g.inverse[i]: field.one} for i in range(n)})
+    antipode = LinMap._from_points(field, space, space, g.inverse)
     coalg = FDCoalgebra(field, space, grouplike_delta(field, space),
                         counit_all_ones(field, space))
     alg = FDAlgebra(field, space, mult, unit, associative="yes")
@@ -486,8 +480,9 @@ def lift_to_hopf(ges: GroupExtendingStructure, field=QQ) -> ExtendingDatum:
     tables = {"dot": ges.star, "ract": ges.ract, "lact": ges.lact, "cocycle": ges.cocyc}
     maps = {}
     for name, (left, right, target) in MAP_SHAPES.items():
+        # the structure is not validated, so its rows are read over both ranges
         table, n = tables[name], spaces[right].dim
-        maps[name] = LinMap(field, tensor_space(spaces[left], spaces[right]), spaces[target],
-                            {x * n + y: {table[x][y]: field.one}
-                             for x in range(spaces[left].dim) for y in range(n)})
+        maps[name] = LinMap._from_points(
+            field, tensor_space(spaces[left], spaces[right]), spaces[target],
+            [table[x][y] for x in range(spaces[left].dim) for y in range(n)])
     return ExtendingDatum(base=a_hopf, ext=h, **maps)

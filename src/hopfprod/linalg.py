@@ -22,8 +22,16 @@ parser and every summing loop build through it.  The private
 caller has them.  Only the index-table branches call it, whose columns are
 stored columns of validated maps or one-entry tuples read from validated
 tables: :func:`compose`, ``structures.convolution``,
-``classification._twist`` and ``enumerate_cocycles``, and the u (x) counit
-and |>(id (x) u) factors of the deformation where every column is stored.
+``classification._twist`` and ``enumerate_cocycles``, the u (x) counit
+and |>(id (x) u) factors of the deformation where every column is stored,
+and L and K of the :class:`PreimageSolver` of an injective index table,
+which reads them off the table with no elimination.  An index table built
+from its points goes through the private ``LinMap._from_points``, which
+checks each point as ``LinMap(...)`` checks a column and shares one
+``((j, 1),)`` column per codomain index: the group algebra, the group-like
+coproduct and counit, the lift of a set-level structure, the assembly on
+index tables and the coproduct of ``structures.tensor_coalgebra`` where
+both factors' are tables.
 
 Bilinear maps are linear maps out of a tensor-product domain.  A pair of
 basis indices is read as the stored column at ``i * dim(right) + j``, and
@@ -185,7 +193,9 @@ class LinMap:
         sorted tuple of in-range ``(j, v)`` pairs with no zero v, as the
         stored columns of a validated map are.  ``points``, where given, must
         be what :attr:`points` would read.  Only the index-table branches
-        call it; everything else goes through :class:`LinMap`."""
+        call it (the sites the module docstring lists, and
+        :meth:`_from_points` once its points are checked); everything else
+        goes through :class:`LinMap`."""
         self = object.__new__(cls)
         self.field = field
         self.domain = domain
@@ -194,6 +204,26 @@ class LinMap:
         self._hash = None
         self._points = points
         return self
+
+    @classmethod
+    def _from_points(cls, field, domain: BasedSpace, codomain: BasedSpace,
+                     points) -> LinMap:
+        """The index table sending e_i to e_{points[i]}, one point per domain
+        index.  Each point is checked as :class:`LinMap` checks a column, with
+        its :class:`DimensionError` at the first one out of range; a wrong
+        count raises too.  One ``((j, 1),)`` column is shared per codomain
+        index, and the points are stored (``LinMap._of``)."""
+        points = tuple(points)
+        ndom, ncod = domain.dim, codomain.dim
+        if len(points) != ndom:
+            raise DimensionError(f"{len(points)} points for a domain of dimension {ndom}")
+        if points and (min(points) < 0 or max(points) >= ncod):
+            j = next(j for j in points if not 0 <= j < ncod)
+            raise DimensionError(f"codomain index {j} out of range")
+        one = field.one
+        stored = {j: ((j, one),) for j in set(points)}
+        return cls._of(field, domain, codomain, dict(enumerate(map(stored.__getitem__, points))),
+                       points)
 
     @classmethod
     def identity(cls, field, space: BasedSpace) -> LinMap:
@@ -462,12 +492,24 @@ class PreimageSolver:
     the image of f to its preimage with every free unknown zero (``L f = id``
     when f is injective), and a cokernel ``K`` whose kernel is exactly the
     image of f.  A preimage is then one apply of each.
+
+    An injective index table (:attr:`LinMap.points`) needs no reduction: its
+    pivots are (i, f(i)), L sends e_{f(i)} to e_i, and K sends each row
+    outside the image to its own free index, in increasing order, as the
+    reduction leaves them.  A preimage is then read through the inverse
+    table, term by term.
     """
 
     def __init__(self, f: LinMap):
         self.f = f
         field = self.field = f.field
         n = f.domain.dim
+        fp = f.points
+        # the inverse table of an injective index table, else None
+        self._inverse = None
+        if fp is not None and len(set(fp)) == n:
+            self._read_table(fp)
+            return
         rows = _rows_of(f)
         for r, row in enumerate(rows):
             row[n + r] = field.one
@@ -491,8 +533,35 @@ class PreimageSolver:
                                BasedSpace(str(r) for r in free), coker)
         self._ident = LinMap.identity(field, f.codomain)
 
+    def _read_table(self, fp: tuple):
+        """Pivots, L and K of the injective index table with points ``fp``,
+        read off the table: each stored column is a shared one-entry tuple."""
+        f, field = self.f, self.field
+        one, ncod = field.one, f.codomain.dim
+        self._inverse = inverse = {j: i for i, j in enumerate(fp)}
+        self.pivots = list(enumerate(fp))
+        free = [r for r in range(ncod) if r not in inverse]
+        left = {j: ((i, one),) for i, j in enumerate(fp)}
+        self.left_inverse = LinMap._of(field, f.codomain, f.domain, left,
+                                       tuple(map(inverse.__getitem__, range(ncod)))
+                                       if not free else None)
+        self.cokernel = LinMap._of(field, f.codomain, BasedSpace(str(r) for r in free),
+                                   {r: ((k, one),) for k, r in enumerate(free)})
+
     def preimage(self, v: dict):
         """A preimage of v under f, or None if v is outside the image."""
+        inverse = self._inverse
+        if inverse is not None:
+            field, ncod, out = self.field, self.f.codomain.dim, {}
+            for j, c in v.items():
+                if field.is_zero(c):
+                    continue
+                i = inverse.get(j)
+                if i is not None:
+                    out[i] = c
+                elif 0 <= j < ncod:
+                    return None
+            return out
         if self.cokernel.apply(v):
             return None
         return self.left_inverse.apply(v)
@@ -502,8 +571,21 @@ class PreimageSolver:
 
         v lies in im f (x) im f iff ``(K (x) id) v`` and ``(id (x) K) v``
         vanish, and its preimage is then ``(L (x) L) v``; all three are
-        evaluated on the support of v.
+        evaluated on the support of v, or read through the inverse table.
         """
+        inverse = self._inverse
+        if inverse is not None:
+            field, ncod, ndom, out = self.field, self.f.codomain.dim, self.f.domain.dim, {}
+            for p, c in v.items():
+                if field.is_zero(c):
+                    continue
+                i, j = divmod(p, ncod)
+                a, b = inverse.get(i), inverse.get(j)
+                if a is not None and b is not None:
+                    out[a * ndom + b] = c
+                elif 0 <= i < ncod and 0 <= j < ncod:
+                    return None
+            return out
         ident, k, l = self._ident, self.cokernel, self.left_inverse
         if tensor_apply(k, ident, v) or tensor_apply(ident, k, v):
             return None

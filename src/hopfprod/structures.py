@@ -12,19 +12,23 @@ over basis tuples, straight from the structure constants, and stop an axiom
 at its first failing tuple.  Tuples are scanned in row-major order, so the
 witness is the label of the first differing tensor-space index.  Where
 every map an identity reads is an index table
-(:attr:`~hopfprod.linalg.LinMap.points`), the morphism predicates compare
-the indices of its two sides; :func:`check_algebra` compares associativity
-a row of stored columns at a time where it can.  None of them builds a
-tensor-product coalgebra or a map out of ``E (x) E (x) E (x) E``.
-"m: X (x) Y -> Z is a coalgebra map" has one evaluator,
-:func:`_coalgebra_map_halves`, for the multiplication of a bialgebra, the
-maps of a datum and, with Y = k, a linear map.
+(:attr:`~hopfprod.linalg.LinMap.points`), the checkers and the morphism
+predicates compare the indices of its two sides: :func:`check_coalgebra`
+the legs of the coproduct, :func:`check_algebra` rows sliced from the
+points of the product (elsewhere a row of stored columns at a time where
+it can).  None of them builds a tensor-product coalgebra or a map out of
+``E (x) E (x) E (x) E``.  "m: X (x) Y -> Z is a coalgebra map" has one
+evaluator, :func:`_coalgebra_map_halves`, for the multiplication of a
+bialgebra, the maps of a datum and, with Y = k, a linear map.
 
 Maps are read as stored columns.  Where the coproduct and both operands
 are index tables (:attr:`~hopfprod.linalg.LinMap.points`), each column of
 :func:`convolution` is a stored product column, shared; otherwise every
-column is summed term by term.  :func:`tensor_coalgebra` is built once per
-pair of factor objects.
+column is summed term by term.  :func:`left_convolution_inverse` reads its
+solution off the tables where every right multiplication it needs
+permutes the basis, and eliminates otherwise.  :func:`tensor_coalgebra` is
+built once per pair of factor objects, its coproduct from the points of
+the factors' where both are tables.
 """
 from __future__ import annotations
 
@@ -321,15 +325,22 @@ def tensor_coalgebra(c: FDCoalgebra, d: FDCoalgebra) -> FDCoalgebra:
         return hit[1]
     field = same_field(c, d)
     space = tensor_space(c.space, d.space)
-    n, mul = d.dim, field.mul
-    cols = {}
-    for i in range(c.dim):
-        ci = c.expand(i, 2)
-        for j in range(n):
-            dj = d.expand(j, 2)
-            cols[i * n + j] = {(a1 * n + b1) * space.dim + a2 * n + b2: mul(x, y)
-                               for (a1, a2), x in ci for (b1, b2), y in dj}
-    delta = LinMap(field, space, tensor_space(space, space), cols)
+    n, nn, mul = d.dim, space.dim, field.mul
+    cp, dp = c.delta.points, d.delta.points
+    if cp is not None and dp is not None:
+        cd, dd = [divmod(k, c.dim) for k in cp], [divmod(k, n) for k in dp]
+        delta = LinMap._from_points(field, space, tensor_space(space, space),
+                                    [(a1 * n + b1) * nn + a2 * n + b2
+                                     for a1, a2 in cd for b1, b2 in dd])
+    else:
+        cols = {}
+        for i in range(c.dim):
+            ci = c.expand(i, 2)
+            for j in range(n):
+                dj = d.expand(j, 2)
+                cols[i * n + j] = {(a1 * n + b1) * nn + a2 * n + b2: mul(x, y)
+                                   for (a1, a2), x in ci for (b1, b2), y in dj}
+        delta = LinMap(field, space, tensor_space(space, space), cols)
     epsilon = LinMap(field, space, SCALAR_SPACE,
                      {i * n + j: {0: field.mul(x, y)}
                       for i, x in enumerate(_counits(c)) for j, y in enumerate(_counits(d))})
@@ -379,29 +390,49 @@ def _tuple_label(*labels):
 
 
 def check_coalgebra(c: FDCoalgebra) -> Report:
-    """Verify coassociativity and both counit laws, with witnesses."""
+    """Verify coassociativity and both counit laws, with witnesses.
+
+    Where delta is an index table (:attr:`~hopfprod.linalg.LinMap.points`),
+    each law compares the index legs: with delta(i) = (a, b), coassociativity
+    compares delta(a) + (b,) with (a,) + delta(b), counit-left holds iff
+    b = i and counit(a) = 1, and counit-right is the mirror case."""
     field = c.field
-    mul = field.mul
-    cop, eps = [c.expand(i, 2) for i in range(c.dim)], _counits(c)
+    mul, one = field.mul, field.one
+    eps = _counits(c)
     basis = [(i,) for i in range(c.dim)]
     rep = Report("coalgebra axioms")
+    points = c.delta.points
+    if points is not None:
+        legs = [divmod(k, c.dim) for k in points]
 
-    def coassociative(i):
-        lhs, rhs = {}, {}
-        for (a, b), x in cop[i]:
-            for (a1, a2), y in cop[a]:
-                _add_term(field, lhs, (a1, a2, b), mul(x, y))
-            for (b1, b2), y in cop[b]:
-                _add_term(field, rhs, (a, b1, b2), mul(x, y))
-        return lhs == rhs
+        def coassociative(i):
+            a, b = legs[i]
+            return legs[a] + (b,) == (a,) + legs[b]
 
-    def counit_law(left):
-        def holds(i):
-            acc = {}
+        def counit_law(left):
+            def holds(i):
+                a, b = legs[i]
+                return (b == i and eps[a] == one) if left else (a == i and eps[b] == one)
+            return holds
+    else:
+        cop = [c.expand(i, 2) for i in range(c.dim)]
+
+        def coassociative(i):
+            lhs, rhs = {}, {}
             for (a, b), x in cop[i]:
-                _add_term(field, acc, b if left else a, mul(eps[a if left else b], x))
-            return acc == {i: field.one}
-        return holds
+                for (a1, a2), y in cop[a]:
+                    _add_term(field, lhs, (a1, a2, b), mul(x, y))
+                for (b1, b2), y in cop[b]:
+                    _add_term(field, rhs, (a, b1, b2), mul(x, y))
+            return lhs == rhs
+
+        def counit_law(left):
+            def holds(i):
+                acc = {}
+                for (a, b), x in cop[i]:
+                    _add_term(field, acc, b if left else a, mul(eps[a if left else b], x))
+                return acc == {i: one}
+            return holds
 
     label = c.space.labels.__getitem__
     _scan(rep, "coassociativity", basis, coassociative, label)
@@ -419,31 +450,44 @@ def check_algebra(a: FDAlgebra) -> Report:
     (e_i (e_j e_k))_k; the row holds exactly when the two tuples are equal.
     Rows of any other form, and rows that differ, are scanned triple by
     triple, so the witness is the first failing triple in row-major order
-    either way."""
+    either way.  Where the product is an index table
+    (:attr:`~hopfprod.linalg.LinMap.points`), the rows are slices of its
+    points and every row is of that form, and a unit 1 e_u is checked on
+    the row of u."""
     field = a.field
     mul, one = field.mul, field.one
     n, m = a.dim, a.mult.cols
     labels = a.space.labels
     rep = Report("algebra axioms")
-    # table[r][k] is the stored column of e_r e_k; index n stands for 0
-    zero_row = ((),) * (n + 1)
-    table = [tuple(m.get(r * n + k, ()) for k in range(n)) + ((),) for r in range(n)]
-    table.append(zero_row)
+    mp = a.mult.points
+    if mp is not None:
+        # rows[r][k] is the point of e_r e_k
+        rows = [mp[r * n:r * n + n] for r in range(n)]
 
-    def point(col):
-        """r where the column is 1 e_r, n where it is zero, None otherwise"""
-        if not col:
-            return n
-        if len(col) == 1 and col[0][1] == one:
-            return col[0][0]
-        return None
+        def row_holds(i, j):
+            row = rows[i]
+            return rows[row[j]] == tuple(map(row.__getitem__, rows[j]))
+    else:
+        # table[r][k] is the stored column of e_r e_k; index n stands for 0
+        zero_row = ((),) * (n + 1)
+        table = [tuple(m.get(r * n + k, ()) for k in range(n)) + ((),) for r in range(n)]
+        table.append(zero_row)
 
-    points = [[point(col) for col in table[j][:n]] + [n] for j in range(n)]
-    right = [None if None in pts else pts for pts in points]
+        def point(col):
+            """r where the column is 1 e_r, n where it is zero, None otherwise"""
+            if not col:
+                return n
+            if len(col) == 1 and col[0][1] == one:
+                return col[0][0]
+            return None
 
-    def row_holds(i, j):
-        r, s = points[i][j], right[j]
-        return r is not None and s is not None and table[r] == tuple(map(table[i].__getitem__, s))
+        points = [[point(col) for col in table[j][:n]] + [n] for j in range(n)]
+        right = [None if None in pts else pts for pts in points]
+
+        def row_holds(i, j):
+            r, s = points[i][j], right[j]
+            return (r is not None and s is not None
+                    and table[r] == tuple(map(table[i].__getitem__, s)))
 
     def associative(i, j, k):
         lhs, rhs = {}, {}
@@ -456,6 +500,11 @@ def check_algebra(a: FDAlgebra) -> Report:
         return lhs == rhs
 
     def unit_law(left):
+        if mp is not None and list(a.unit.values()) == [one]:
+            # the unit is 1 e_u: e_u e_i is e_i, read off the row of u
+            (u,) = a.unit
+            return (lambda i: rows[u][i] == i) if left else (lambda i: rows[i][u] == i)
+
         def holds(i):
             acc = {}
             for u, x in a.unit.items():
@@ -673,11 +722,32 @@ def left_convolution_inverse(j: LinMap, src: FDCoalgebra, dst: FDAlgebra) -> Lin
     Free unknowns are set to zero; None when the system is inconsistent.
 
     Row (k, r) reads sum X[t, i] c j[s, l] mult((t, s) -> r) over the terms
-    c e_i (x) e_l of delta(e_k); no solution is checked here."""
+    c e_i (x) e_l of delta(e_k); no solution is checked here.
+
+    Where delta_src, j and the product are index tables
+    (:attr:`~hopfprod.linalg.LinMap.points`) and right multiplication by
+    each s = j(e_l) a row reads permutes the basis, the rows of k read
+    X(e_i) = sum_r counit(e_k) 1_r e_t over the t with e_t e_s = e_r: column
+    i is read off the inverse permutation, rows that give one column two
+    values are inconsistent, and a column no row reads stays zero, as the
+    elimination leaves it.  Otherwise the system is eliminated."""
     field = same_field(j, src, dst)
     n, nc = dst.dim, src.dim
     mult = dst.mult.cols
     target = convolution_unit(src, dst)
+    dp, jp, mp = src.delta.points, j.points, dst.mult.points
+    if dp is not None and jp is not None and mp is not None:
+        legs = [divmod(p, nc) for p in dp]
+        # t s -> t, for each s = j(e_l) that a row reads
+        right = {s: {mp[t * n + s]: t for t in range(n)} for s in {jp[l] for _, l in legs}}
+        if all(len(inverse) == n for inverse in right.values()):
+            cols = {}
+            for k, (i, l) in enumerate(legs):
+                inverse = right[jp[l]]
+                col = {inverse[r]: w for r, w in target.cols.get(k, ())}
+                if cols.setdefault(i, col) != col:
+                    return None
+            return LinMap(field, src.space, dst.space, {i: col for i, col in cols.items() if col})
     rows, rhs = [], []
     for k in range(nc):
         want = target.col(k)
@@ -747,13 +817,13 @@ def attach_antipode(b: FDBialgebra) -> FDHopf:
 
 
 def counit_all_ones(field, space: BasedSpace) -> LinMap:
-    return LinMap(field, space, SCALAR_SPACE, {i: {0: field.one} for i in range(space.dim)})
+    return LinMap._from_points(field, space, SCALAR_SPACE, (0,) * space.dim)
 
 
 def grouplike_delta(field, space: BasedSpace) -> LinMap:
     n = space.dim
-    return LinMap(field, space, tensor_space(space, space),
-                  {i: {i * n + i: field.one} for i in range(n)})
+    return LinMap._from_points(field, space, tensor_space(space, space),
+                               [i * n + i for i in range(n)])
 
 
 def trivial_action_right(field, h_space, a_coalg: FDCoalgebra) -> LinMap:

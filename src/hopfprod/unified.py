@@ -14,7 +14,8 @@ this product being a bialgebra, each over basis tuples so that a failure
 carries a witness.  Each identity is written once: comult-multiplicative is
 the coalgebra-map evaluator of :mod:`hopfprod.structures` on the dot, and
 the other eight come from five formulas.  The unit normalizations of
-:func:`validate_datum` are one table, which the classical checkers share.
+:func:`validate_datum` are one table, which the classical checkers share;
+on index tables with units ``1 e_u`` each compares a point with an index.
 
 Where both coproducts, the four maps of the datum and the product of A are
 index tables (``LinMap.points``), as on group-like data, :func:`_tables`
@@ -147,14 +148,35 @@ def _coalgebra_map_rows(rep: Report, hc, ac, **maps) -> None:
 
 def _normalization_evaluators(d: ExtendingDatum) -> dict:
     """The eight unit normalizations of d as pointwise evaluators, in report
-    order, shaped like :func:`_condition_evaluators`."""
+    order, shaped like :func:`_condition_evaluators`.
+
+    Where the four maps are index tables (``LinMap.points``) and both units
+    are ``1 e_u``, each side is one basis vector, or the counit times one:
+    a row compares the point of its map with an index, and, where the other
+    side is scaled by a counit, asks that counit times one be one."""
     field = d.field
     a, h = d.base, d.ext
-    lact, ract, coc, dot = d.lact.bilin, d.ract.bilin, d.cocycle.bilin, d.dot.bilin
     adim, hdim, one, one_a, one_h = a.dim, h.dim, field.one, a.unit, h.unit
     eps_h, eps_a = _counits(h.coalg), _counits(a.coalgebra)
     hr, ar = (range(h.dim),), (range(a.dim),)
     hl, al = _tuple_label(h.space.labels), _tuple_label(a.space.labels)
+    points = [m.points for m in (d.lact, d.ract, d.cocycle, d.dot)]
+    if None not in points and list(one_a.values()) == [one] == list(one_h.values()):
+        lp, rp, cp, dp = points
+        (ua,), (uh,) = one_a, one_h
+        # counit(x) 1 = 1 at each x, as vec_scale and the comparison read it
+        unit_h, unit_a = ([field.mul(e, one) == one for e in eps] for eps in (eps_h, eps_a))
+        return {
+            "lact-normal-unit-right": (hr, lambda i: unit_h[i] and lp[i * adim + ua] == ua, hl),
+            "lact-normal-unit-left": (ar, lambda j: lp[uh * adim + j] == j, al),
+            "ract-normal-unit-left": (ar, lambda j: unit_a[j] and rp[uh * adim + j] == uh, al),
+            "ract-normal-unit-right": (hr, lambda i: rp[i * adim + ua] == i, hl),
+            "cocycle-normal-right": (hr, lambda i: unit_h[i] and cp[i * hdim + uh] == ua, hl),
+            "cocycle-normal-left": (hr, lambda i: unit_h[i] and cp[uh * hdim + i] == ua, hl),
+            "dot-unit-left": (hr, lambda i: dp[uh * hdim + i] == i, hl),
+            "dot-unit-right": (hr, lambda i: dp[i * hdim + uh] == i, hl),
+        }
+    lact, ract, coc, dot = d.lact.bilin, d.ract.bilin, d.cocycle.bilin, d.dot.bilin
     return {
         "lact-normal-unit-right": (
             hr, lambda i: lact(i, one_a, adim) == vec_scale(field, eps_h[i], one_a), hl),
@@ -541,17 +563,15 @@ def _table_product(field, coalg, t, na: int, nh: int) -> LinMap:
     """The multiplication of :func:`assemble_product` on the points ``t`` of
     :func:`_tables`: column (a, h, c, g) is the single entry
     ((a l) p) dim H + w, with l = h1 |> c1, p = f(h2 <| c2, g1) and
-    w = (h3 <| c3) . g2.  The one-entry columns are shared, one per index
-    of E, and go to ``LinMap._of`` with their points."""
+    w = (h3 <| c3) . g2, and the points make the table
+    (``LinMap._from_points``)."""
     hd, _, hd3, ad3, lact, ract, coc, dot, amul = t
     # (l, p, w) for each (h, c, g), in that order
     legs = [(lact[h1][c1], coc[ract[h2][c2]][g1], dot[ract[h3][c3]][g2])
             for h1, h2, h3 in hd3 for c1, c2, c3 in ad3 for g1, g2 in hd]
-    points = tuple(amul[amul[x][l]][p] * nh + w for x in range(na) for l, p, w in legs)
-    one = field.one
-    stored = [((k, one),) for k in range(na * nh)]
-    return LinMap._of(field, coalg.delta.codomain, coalg.space,
-                      {i: stored[k] for i, k in enumerate(points)}, points)
+    return LinMap._from_points(field, coalg.delta.codomain, coalg.space,
+                               [amul[amul[x][l]][p] * nh + w for x in range(na)
+                                for l, p, w in legs])
 
 
 def _summed_product(d: ExtendingDatum, coalg) -> LinMap:

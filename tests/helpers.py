@@ -21,6 +21,7 @@ from hopfprod.groups import GroupExtendingStructure, GroupTable, NotAGroupError
 from hopfprod.linalg import (
     SCALAR_SPACE,
     BasedSpace,
+    DimensionError,
     LinMap,
     NotInvertibleError,
     _rows_of,
@@ -1402,9 +1403,12 @@ def check_library_claims_on_every_call(monkeypatch) -> None:
     same side of :class:`NoAntipodeError`), every assembled product
     carrier against :func:`assemble_product_direct`, every convolution
     against :func:`convolution_direct`, every composite against
-    :func:`dense_compose_direct`, and every map built by the unchecked
+    :func:`dense_compose_direct`, every map built by the unchecked
     ``LinMap._of`` against the same columns through the checking
-    ``LinMap(...)``: equal ``cols``, and equal ``points`` where given."""
+    ``LinMap(...)``: equal ``cols``, and equal ``points`` where given, and
+    every index table built by ``LinMap._from_points`` against its points
+    through ``LinMap(...)``: equal ``cols`` and ``points``, or the same
+    :class:`DimensionError`."""
     cls = hopfprod.classification
     convolve, inverse, certify = cls.cocycle_convolve, cls.cocycle_inverse, cls._certify
     quotient = cls.quotient_classes
@@ -1418,6 +1422,8 @@ def check_library_claims_on_every_call(monkeypatch) -> None:
     assemble = hopfprod.unified.assemble_product
     convolve_maps, compose_maps = hopfprod.structures.convolution, hopfprod.linalg.compose
     unchecked, unread = LinMap._of.__func__, hopfprod.linalg._UNREAD
+    # read as LinMap.points was when the check began, should a test patch it
+    from_points, points_of = LinMap._from_points.__func__, LinMap.points.fget
 
     def assert_lazy(u):
         assert cls.is_lazy_cocycle(u.linmap, u.ext, u.base), "not a lazy cocycle"
@@ -1537,13 +1543,38 @@ def check_library_claims_on_every_call(monkeypatch) -> None:
 
     def checked_of(owner, field, domain, codomain, cols, points=unread):
         m = unchecked(owner, field, domain, codomain, cols, points)
-        want = LinMap(field, domain, codomain, cols)
+        try:
+            want = LinMap(field, domain, codomain, cols)
+        except ValueError as exc:  # DimensionError included
+            raise AssertionError(f"LinMap(...) refuses the unchecked columns: {exc}") from exc
         assert m.cols == want.cols, "unchecked columns are not in stored form"
         if points is not unread:
-            assert points == want.points, f"points {points!r} differ from {want.points!r}"
+            assert points == points_of(want), \
+                f"points {points!r} differ from {points_of(want)!r}"
+        return m
+
+    def checked_from_points(owner, field, domain, codomain, points):
+        points = tuple(points)
+        try:
+            want = LinMap(field, domain, codomain,
+                          {i: {j: field.one} for i, j in enumerate(points)})
+        except DimensionError as exc:
+            want = exc
+        try:
+            m = from_points(owner, field, domain, codomain, points)
+        except DimensionError as exc:
+            # a wrong count raises, whatever LinMap(...) makes of the points
+            assert len(points) != domain.dim or str(exc) == str(want), \
+                f"{exc} where LinMap(...) gives {want!r}"
+            raise
+        assert len(points) == domain.dim, "a wrong count of points was accepted"
+        assert not isinstance(want, DimensionError), f"accepted where LinMap(...) gives {want!r}"
+        assert m.cols == want.cols, "the table's columns differ from LinMap(...)"
+        assert m._points == points == points_of(want)
         return m
 
     monkeypatch.setattr(LinMap, "_of", classmethod(checked_of))
+    monkeypatch.setattr(LinMap, "_from_points", classmethod(checked_from_points))
     for original, replacement in ((convolve, returns_lazy(convolve)),
                                   (inverse, returns_lazy(inverse)),
                                   (deform_pair, checked_deform_pair), (deform, checked_deform),

@@ -275,3 +275,29 @@ def test_closure_of_matches_a_brute_force_closure():
             for y in range(g.order):
                 assert g.closure_of([x, y]) == brute_force(g, [x, y]), (g.labels[x], g.labels[y])
         assert g.closure_of([]) == {g.identity}
+
+
+@pytest.mark.parametrize("name, row, col, value, message", [
+    ("ract", 1, 1, 2, "codomain index 2 out of range"),
+    ("star", 1, 0, 5, "codomain index 5 out of range"),
+    ("lact", 1, 1, -1, "codomain index -1 out of range"),
+    ("cocyc", 1, 1, 2, "codomain index 2 out of range"),
+])
+def test_lift_of_a_structure_with_an_entry_out_of_range_raises(name, row, col, value, message):
+    """A set-level structure is not validated, so an entry outside X or G
+    reaches the lift, which refuses it with the DimensionError of the first
+    bad entry, as ``LinMap(...)`` words it; a later bad entry is not named."""
+    from hopfprod.linalg import DimensionError
+
+    ges = z4_c2_ges()
+    table = [list(r) for r in getattr(ges, name)]
+    table[row][col] = value
+    maps = {key: getattr(ges, key) for key in ("ract", "lact", "cocyc", "star")}
+    maps[name] = tuple(map(tuple, table))
+    # a second bad entry in the last map the lift reads
+    if name != "cocyc":
+        maps["cocyc"] = ((0, 0), (0, 7))
+    bad = GroupExtendingStructure(group=ges.group, x_labels=ges.x_labels, **maps)
+    with pytest.raises(DimensionError) as exc:
+        lift_to_hopf(bad)
+    assert str(exc.value) == message

@@ -66,6 +66,8 @@ def golden_objects():
     mp = s3_matched_pair()
     a4 = a4_unified_datum()
     a4_cocycle = enumerate_cocycles(a4.ext, a4.base)[1]
+    a4_product = build_unified_product(a4)
+    incl_h = a4_product.incl_ext
     bad_ract = a4_unified_with_bad_ract()
     a4_cocycle_map = CocycleMap(a4_cocycle.linmap.field, a4_cocycle.linmap.domain,
                                 a4_cocycle.linmap.codomain,
@@ -98,6 +100,16 @@ def golden_objects():
         # of `hopfprod verify` on it: six conditions fail, each at a witness
         "a4-unified-bad-ract.json": bad_ract,
         "verify-a4-unified-bad-ract.json": hopfprod.cli._datum_report(bad_ract)[0],
+        # the inclusions a -> a (x) 1 and h -> 1 (x) h of a4-unified's factors
+        # into its product: `hopfprod factorize` of the built product through
+        # them gives back a4-unified byte for byte
+        "a4-unified-incl-a.json": a4_product.incl_base,
+        "a4-unified-incl-h.json": a4_product.incl_ext,
+        # h -> 1 (x) h with its last point sent where the one before goes:
+        # `hopfprod factorize` refuses it as not injective, exit 2
+        "a4-unified-incl-h-repeated.json": LinMap(
+            QQ, incl_h.domain, incl_h.codomain,
+            {i: incl_h.col(min(i, incl_h.domain.dim - 2)) for i in range(incl_h.domain.dim)}),
     }
 
 
@@ -448,6 +460,24 @@ def test_cli_factorize_z4(tmp_path, capsys):
     d = parse(out_path.read_bytes())
     # coset oracle: the cocycle at (1, 1) is the subgroup element "2"
     assert d.cocycle.col(3) == {1: QQ.one}
+
+
+def test_cli_factorize_a4_unified_product_through_its_golden_inclusions(tmp_path, capsys):
+    """The built a4-unified product, factorized through the committed
+    inclusions of its factors, is a4-unified byte for byte; an inclusion
+    with a repeated point is refused as not injective, exit 2."""
+    out_path = tmp_path / "datum.json"
+    code, out, err = run_cli(capsys, "factorize", str(GOLDEN / "build-a4-unified.json"),
+                             "--sub-a", str(GOLDEN / "a4-unified-incl-a.json"),
+                             "--sub-h", str(GOLDEN / "a4-unified-incl-h.json"),
+                             "--out", str(out_path))
+    assert (code, out, err) == (0, "", "")
+    assert out_path.read_bytes() == serialize(a4_unified_datum())
+    code, out, err = run_cli(capsys, "factorize", str(GOLDEN / "build-a4-unified.json"),
+                             "--sub-a", str(GOLDEN / "a4-unified-incl-a.json"),
+                             "--sub-h", str(GOLDEN / "a4-unified-incl-h-repeated.json"))
+    assert (code, out) == (2, "")
+    assert err == "the subcoalgebra inclusion is not injective\n"
 
 
 def test_cli_factorize_singular_exits_one(tmp_path, capsys):

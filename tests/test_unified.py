@@ -44,7 +44,16 @@ from hopfprod.groups import (
     lift_to_hopf,
     small_corpus_names,
 )
-from hopfprod.linalg import BasedSpace, LinMap, basis_vec, compose, tensor_space, tensor_vec
+from hopfprod.linalg import (
+    SCALAR_SPACE,
+    BasedSpace,
+    LinMap,
+    PreimageSolver,
+    basis_vec,
+    compose,
+    tensor_space,
+    tensor_vec,
+)
 from hopfprod.reports import Report
 from hopfprod.serialize import serialize
 from hopfprod.special import (
@@ -64,7 +73,9 @@ from hopfprod.structures import (
     antipode_solve,
     UnitalCoalgebra,
     attach_antipode,
+    check_algebra,
     check_bialgebra,
+    check_coalgebra,
     counit_all_ones,
     is_algebra_map,
     is_coalgebra_map,
@@ -643,3 +654,137 @@ def test_group_like_data_are_checked_and_assembled_on_their_tables(monkeypatch):
     assert check_product_conditions(h4).ok
     assemble_product(h4)
     assert summed == ["_vector_rows", "_summed_product"]
+
+
+def on_loops(fn, *args):
+    """fn(*args) with every ``LinMap.points`` read as None, so that each
+    checker, predicate, solver and ``tensor_coalgebra`` takes its loop."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(LinMap, "points", property(lambda self: None))
+        return fn(*args)
+
+
+def drawn_table_bialgebra(rng, field, n):
+    """Index tables on n points for the coproduct and the product, drawn
+    freely, with counits drawn among 0, 1 and 2 and the unit 1 e_u, 2 e_u or
+    e_0 + e_u: the classical checkers fail most rows of it, each at a witness."""
+    space = BasedSpace(tuple(f"p{k}" for k in range(n)))
+    square = tensor_space(space, space)
+    delta = LinMap(field, space, square, {i: {rng.randrange(n * n): field.one} for i in range(n)})
+    eps = LinMap(field, space, SCALAR_SPACE,
+                 {i: {0: field.of(rng.choice((0, 1, 1, 2)))} for i in range(n)})
+    mult = LinMap(field, square, space, {k: {rng.randrange(n): field.one} for k in range(n * n)})
+    u = rng.randrange(n)
+    unit = rng.choice(({u: field.one}, {u: field.of(2)}, {0: field.one, u: field.one}))
+    return FDBialgebra(FDCoalgebra(field, space, delta, eps), FDAlgebra(field, space, mult, unit))
+
+
+def with_drawn_counits(rng, d):
+    """d with the counits of H and of A drawn among 0, 1 and 2 per point,
+    so that a unit normalization scaled by a counit can fail on it."""
+    field = d.field
+
+    def drawn(c):
+        eps = LinMap(field, c.space, SCALAR_SPACE,
+                     {i: {0: field.of(rng.choice((0, 1, 1, 2)))} for i in range(c.dim)})
+        return FDCoalgebra(field, c.space, c.delta, eps)
+    return dataclasses.replace(d, base=FDBialgebra(drawn(d.base.coalgebra), d.base.algebra),
+                               ext=UnitalCoalgebra(drawn(d.ext.coalg), d.ext.unit))
+
+
+def fresh(c):
+    """c as a new coalgebra object, so that ``tensor_coalgebra`` builds
+    afresh what it keeps per pair of factor objects."""
+    return FDCoalgebra(c.field, c.space, c.delta, c.epsilon)
+
+
+def report_rows(rep):
+    return [(it.condition, it.passed, it.witness) for it in rep.items]
+
+
+def test_checkers_on_index_tables_match_their_loops():
+    """The table paths of the classical checkers, of the rows of
+    ``validate_datum`` and of ``tensor_coalgebra`` give what their loops
+    give, rows and witnesses: on the non-diagonal :func:`table_test_data`
+    and their corruptions, on those data with drawn counits, on random
+    group-like data and on freely drawn table bialgebras."""
+    rng = random.Random(11)
+    data = [d2 for d in table_test_data() for d2 in with_corruptions(d, rng, 2)]
+    data += [with_drawn_counits(rng, d) for d in table_test_data()]
+    for field in (QQ, PrimeField(5), PrimeField(7)):
+        for name, nx in (("c2", 3), ("c3", 2), ("s3", 2)):
+            data.append(lift_to_hopf(random_group_structure(rng, builtin_group(name), nx), field))
+    bialgebras, failed = [], 0
+    for d in data:
+        want, got = on_loops(validate_datum, d), validate_datum(d)
+        assert report_rows(got) == report_rows(want)
+        failed += not got.ok
+        for c, e in ((d.base.coalgebra, d.ext.coalg), (d.ext.coalg, d.ext.coalg)):
+            table, loop = tensor_coalgebra(fresh(c), fresh(e)), on_loops(
+                tensor_coalgebra, fresh(c), fresh(e))
+            assert table.delta.points is not None
+            assert (table.delta.cols, table.epsilon.cols) == (loop.delta.cols, loop.epsilon.cols)
+        bialgebras.append(assemble_product(d))
+    bialgebras += [drawn_table_bialgebra(rng, field, n)
+                   for field in (QQ, PrimeField(5)) for n in (1, 2, 3, 4) for _ in range(25)]
+    rows = []
+    for b in bialgebras:
+        for check, arg in ((check_coalgebra, b.coalgebra), (check_algebra, b.algebra),
+                           (check_bialgebra, b)):
+            got = report_rows(check(arg))
+            assert got == report_rows(on_loops(check, arg)), check.__name__
+            rows += got
+    assert failed > 20
+    assert sum(not ok for _, ok, _ in rows) > 500 and sum(ok for _, ok, _ in rows) > 500
+
+
+def test_solvers_on_index_tables_match_their_loops():
+    """``PreimageSolver`` and ``left_convolution_inverse`` read off index
+    tables what their eliminations give: the pivots, L and K with K's
+    labels, the preimages (vectors with stored zeros, outside the image and
+    out of range included) and the convolution inverses, None included.
+    The tables include non-injective maps and products whose right
+    multiplications do not permute the basis, which take the eliminations."""
+    rng = random.Random(12)
+    seen = set()
+    for field in (QQ, PrimeField(5)):
+        values = [field.zero, field.one, field.of(2), field.of(3)]
+        for _ in range(60):
+            n, ncod = rng.randrange(1, 4), rng.randrange(1, 6)
+            dom, cod = (BasedSpace(tuple(f"{p}{k}" for k in range(m)))
+                        for p, m in (("d", n), ("c", ncod)))
+            points = ([rng.randrange(ncod) for _ in range(n)] if n > ncod or rng.random() < 0.3
+                      else rng.sample(range(ncod), n))
+            f = LinMap(field, dom, cod, {i: {j: field.one} for i, j in enumerate(points)})
+            solver, loop = PreimageSolver(f), on_loops(PreimageSolver, f)
+            injective = len(set(points)) == n
+            seen.add(("preimage", injective))
+            assert solver.pivots == loop.pivots
+            for m, w in ((solver.left_inverse, loop.left_inverse),
+                         (solver.cokernel, loop.cokernel)):
+                assert (m.cols, m.domain.labels, m.codomain.labels) == \
+                    (w.cols, w.domain.labels, w.codomain.labels)
+            for _ in range(8):
+                v = {rng.randrange(ncod + 1): rng.choice(values) for _ in range(rng.randrange(4))}
+                vv = {rng.randrange(ncod * ncod + 1): rng.choice(values)
+                      for _ in range(rng.randrange(4))}
+                assert solver.preimage(v) == on_loops(loop.preimage, v)
+                assert solver.pair_preimage(vv) == on_loops(loop.pair_preimage, vv)
+        for _ in range(150):
+            b = drawn_table_bialgebra(rng, field, rng.randrange(1, 4))
+            if rng.random() < 0.4:
+                dst = group_algebra(builtin_group(rng.choice(("c2", "c3", "s3"))), field).algebra
+            else:
+                dst = b.algebra
+            src = b.coalgebra
+            j = LinMap(field, src.space, dst.space,
+                       {i: {rng.randrange(dst.dim): field.one} for i in range(src.dim)})
+            got = left_convolution_inverse(j, src, dst)
+            assert got == on_loops(left_convolution_inverse, j, src, dst)
+            n, mp = dst.dim, dst.mult.points
+            permutes = all(len({mp[t * n + s] for t in range(n)}) == n
+                           for s in {j.points[p % src.dim] for p in src.delta.points})
+            seen.add(("inverse", permutes, got is None))
+    assert seen == {("preimage", True), ("preimage", False), ("inverse", True, True),
+                    ("inverse", True, False), ("inverse", False, True),
+                    ("inverse", False, False)}
