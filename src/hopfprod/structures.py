@@ -13,13 +13,19 @@ at its first failing tuple.  Tuples are scanned in row-major order, so the
 witness is the label of the first differing tensor-space index.  Where
 every map an identity reads is an index table
 (:attr:`~hopfprod.linalg.LinMap.points`), the checkers and the morphism
-predicates compare the indices of its two sides: :func:`check_coalgebra`
-the legs of the coproduct, :func:`check_algebra` rows sliced from the
-points of the product (elsewhere a row of stored columns at a time where
-it can).  None of them builds a tensor-product coalgebra or a map out of
-``E (x) E (x) E (x) E``.  "m: X (x) Y -> Z is a coalgebra map" has one
-evaluator, :func:`_coalgebra_map_halves`, for the multiplication of a
-bialgebra, the maps of a datum and, with Y = k, a linear map.
+predicates compare the indices of its two sides: :func:`check_algebra`
+reads rows sliced from the points of the product (elsewhere a row of
+stored columns at a time where it can).  None of them builds a
+tensor-product coalgebra or a map out of ``E (x) E (x) E (x) E``.
+"m: X (x) Y -> Z is a coalgebra map" has one evaluator,
+:func:`_coalgebra_map_halves`, for the multiplication of a bialgebra, the
+maps of a datum and, with Y = k, a linear map.
+
+Between group-like coalgebras (:func:`_grouplike`), the set level of
+Agore and Militaru's "Extending structures I", an index table is a
+coalgebra map: delta m(x) = m(x) (x) m(x) = (m (x) m) delta(x), and the
+counit is one on both sides.  The rows this decides, and the coalgebra
+axioms there, are :func:`_decided` once per check, not scanned.
 
 Maps are read as stored columns.  Where the coproduct and both operands
 are index tables (:attr:`~hopfprod.linalg.LinMap.points`), each column of
@@ -371,14 +377,33 @@ def _counits(c: FDCoalgebra) -> tuple:
     return c._counit_table
 
 
+@functools.cache
+def _grouplike_points(n: int) -> tuple:
+    """The points of delta and counit of the group-like coalgebra on n points."""
+    return tuple(i * n + i for i in range(n)), (0,) * n
+
+
+def _grouplike(c: FDCoalgebra) -> bool:
+    """Whether c is group-like: delta is the diagonal index table and the
+    counit is one at every basis index.  The points of both are read on
+    every call (:attr:`~hopfprod.linalg.LinMap.points`)."""
+    return (c.delta.points, c.epsilon.points) == _grouplike_points(c.dim)
+
+
+def _decided(*tup) -> bool:
+    """A row that holds identically: true anywhere, and passed unscanned."""
+    return True
+
+
 def _scan(rep: Report, name: str, tuples, holds, label) -> bool:
     """Record whether ``holds`` is true on every tuple, in the given order;
     a failure is witnessed by ``label`` of the first tuple where it is not.
-    Returns the verdict."""
-    for tup in tuples:
-        if not holds(*tup):
-            rep.add(name, False, label(*tup))
-            return False
+    A :func:`_decided` row passes unscanned.  Returns the verdict."""
+    if holds is not _decided:
+        for tup in tuples:
+            if not holds(*tup):
+                rep.add(name, False, label(*tup))
+                return False
     rep.add(name, True)
     return True
 
@@ -392,29 +417,16 @@ def _tuple_label(*labels):
 def check_coalgebra(c: FDCoalgebra) -> Report:
     """Verify coassociativity and both counit laws, with witnesses.
 
-    Where delta is an index table (:attr:`~hopfprod.linalg.LinMap.points`),
-    each law compares the index legs: with delta(i) = (a, b), coassociativity
-    compares delta(a) + (b,) with (a,) + delta(b), counit-left holds iff
-    b = i and counit(a) = 1, and counit-right is the mirror case."""
-    field = c.field
-    mul, one = field.mul, field.one
-    eps = _counits(c)
+    On a group-like c (:func:`_grouplike`) all three are :func:`_decided`:
+    with delta(x) = x (x) x and counit(x) = 1, both sides of
+    coassociativity are x (x) x (x) x, and of each counit law x."""
     basis = [(i,) for i in range(c.dim)]
     rep = Report("coalgebra axioms")
-    points = c.delta.points
-    if points is not None:
-        legs = [divmod(k, c.dim) for k in points]
-
-        def coassociative(i):
-            a, b = legs[i]
-            return legs[a] + (b,) == (a,) + legs[b]
-
-        def counit_law(left):
-            def holds(i):
-                a, b = legs[i]
-                return (b == i and eps[a] == one) if left else (a == i and eps[b] == one)
-            return holds
+    if _grouplike(c):
+        laws = (_decided,) * 3
     else:
+        field, eps = c.field, _counits(c)
+        mul, one = field.mul, field.one
         cop = [c.expand(i, 2) for i in range(c.dim)]
 
         def coassociative(i):
@@ -433,11 +445,11 @@ def check_coalgebra(c: FDCoalgebra) -> Report:
                     _add_term(field, acc, b if left else a, mul(eps[a if left else b], x))
                 return acc == {i: one}
             return holds
+        laws = (coassociative, counit_law(True), counit_law(False))
 
     label = c.space.labels.__getitem__
-    _scan(rep, "coassociativity", basis, coassociative, label)
-    _scan(rep, "counit-left", basis, counit_law(True), label)
-    _scan(rep, "counit-right", basis, counit_law(False), label)
+    for name, holds in zip(("coassociativity", "counit-left", "counit-right"), laws):
+        _scan(rep, name, basis, holds, label)
     return rep
 
 
@@ -524,21 +536,27 @@ def check_algebra(a: FDAlgebra) -> Report:
 
 
 def check_bialgebra(b: FDBialgebra) -> Report:
-    """Coalgebra axioms, algebra axioms, and the four compatibility laws."""
-    labels = b.space.labels
-    pairs = list(iproduct(range(b.dim), repeat=2))
+    """Coalgebra axioms, algebra axioms, and the four compatibility laws.
+
+    A product that is an index table on a group-like E (:func:`_grouplike`)
+    is a coalgebra map, so comult- and counit-multiplicative are
+    :func:`_decided` there; the two unit rows are evaluated."""
+    n, labels = b.dim, b.space.labels
     pair_label = _tuple_label(labels, labels)  # as tensor_space names it
     rep = Report("bialgebra axioms")
     rep.extend(check_coalgebra(b.coalgebra))
     rep.extend(check_algebra(b.algebra))
 
     # multiplication and unit are coalgebra maps E (x) E -> E and k -> E
-    comult, counit = _coalgebra_map_halves(b.mult, b.coalgebra, b.coalgebra, b.coalgebra)
+    if _grouplike(b.coalgebra) and b.mult.points is not None:
+        comult = counit = _decided
+    else:
+        comult, counit = _coalgebra_map_halves(b.mult, b.coalgebra, b.coalgebra, b.coalgebra)
     k = _ground_coalgebra(b.field)
     unit_comult, unit_counit = _coalgebra_map_halves(b.algebra.unit_map(), k, k, b.coalgebra)
-    _scan(rep, "comult-multiplicative", pairs, comult, pair_label)
+    _scan(rep, "comult-multiplicative", iproduct(range(n), repeat=2), comult, pair_label)
     rep.add("comult-unit", unit_comult(0, 0), "unit")
-    _scan(rep, "counit-multiplicative", pairs, counit, pair_label)
+    _scan(rep, "counit-multiplicative", iproduct(range(n), repeat=2), counit, pair_label)
     rep.add("counit-unit", unit_counit(0, 0), "unit")
     return rep
 
@@ -555,43 +573,36 @@ def _coalgebra_map_halves(m: LinMap, x: FDCoalgebra, y: FDCoalgebra, z: FDCoalge
         delta_Z m(a, b)  = sum m(a1, b1) (x) m(a2, b2)
         counit_Z m(a, b) = counit(a) counit(b)
 
-    A linear map X -> Z is the case Y = k.  Where delta_X, delta_Y, delta_Z
-    and m are index tables (:attr:`~hopfprod.linalg.LinMap.points`), each
-    side of the comult half is one basis tensor, and the half compares
-    their indices.  Otherwise a pair of terms whose m(a1, b1) or m(a2, b2)
-    is zero adds nothing and is skipped.  Where m is an index table, the
-    counit half reads counit_Z at the point of m.  Raises ``ValueError``
-    unless m maps X (x) Y to Z."""
+    A linear map X -> Z is the case Y = k.  A pair of terms whose
+    m(a1, b1) or m(a2, b2) is zero adds nothing and is skipped.  Where m is
+    an index table (:attr:`~hopfprod.linalg.LinMap.points`), the counit
+    half reads counit_Z at the point of m: the identity of H4 is such a
+    table between coalgebras that are not group-like.  Raises
+    ``ValueError`` unless m maps X (x) Y to Z."""
     _check_shape(m, x.dim * y.dim, z.dim, "coalgebras")
     field = same_field(m, x, y, z)
     mul = field.mul
-    nx, ny, nz, mc = x.dim, y.dim, z.dim, m.cols
+    ny, mc, mp = y.dim, m.cols, m.points
     eps_x, eps_y, eps_z = _counits(x), _counits(y), _counits(z)
-    xp, yp, zp, mp = x.delta.points, y.delta.points, z.delta.points, m.points
-    if xp is not None and yp is not None and zp is not None and mp is not None:
+    # Z is read only at values of m, so its coproduct is expanded on demand
+    cop_x, cop_y = ([c.expand(i, 2) for i in range(c.dim)] for c in (x, y))
 
-        def comult(a, b):
-            (a1, a2), (b1, b2) = divmod(xp[a], nx), divmod(yp[b], ny)
-            return zp[mp[a * ny + b]] == mp[a1 * ny + b1] * nz + mp[a2 * ny + b2]
-    else:
-        cop_x, cop_y, cop_z = ([c.expand(i, 2) for i in range(c.dim)] for c in (x, y, z))
-
-        def comult(a, b):
-            lhs, rhs = {}, {}
-            for r, c in mc.get(a * ny + b, ()):
-                for (r1, r2), e in cop_z[r]:
-                    _add_term(field, lhs, (r1, r2), mul(c, e))
-            for (a1, a2), s in cop_x[a]:
-                for (b1, b2), t in cop_y[b]:
-                    left = mc.get(a1 * ny + b1)
-                    right = left and mc.get(a2 * ny + b2)
-                    if not right:
-                        continue
-                    st = mul(s, t)
-                    for r1, u in left:
-                        for r2, v in right:
-                            _add_term(field, rhs, (r1, r2), mul(st, mul(u, v)))
-            return lhs == rhs
+    def comult(a, b):
+        lhs, rhs = {}, {}
+        for r, c in mc.get(a * ny + b, ()):
+            for (r1, r2), e in z.expand(r, 2):
+                _add_term(field, lhs, (r1, r2), mul(c, e))
+        for (a1, a2), s in cop_x[a]:
+            for (b1, b2), t in cop_y[b]:
+                left = mc.get(a1 * ny + b1)
+                right = left and mc.get(a2 * ny + b2)
+                if not right:
+                    continue
+                st = mul(s, t)
+                for r1, u in left:
+                    for r2, v in right:
+                        _add_term(field, rhs, (r1, r2), mul(st, mul(u, v)))
+        return lhs == rhs
 
     if mp is not None:
 
@@ -609,7 +620,13 @@ def _coalgebra_map_halves(m: LinMap, x: FDCoalgebra, y: FDCoalgebra, z: FDCoalge
 
 
 def _is_coalgebra_map(m: LinMap, x: FDCoalgebra, y: FDCoalgebra, z: FDCoalgebra) -> bool:
-    """Both halves of :func:`_coalgebra_map_halves` at every (a, b)."""
+    """Both halves of :func:`_coalgebra_map_halves` at every (a, b); True
+    unscanned where m is an index table and X, Y, Z are group-like:
+    delta_Z m(a, b) = m(a, b) (x) m(a, b), and the counit is one both sides."""
+    _check_shape(m, x.dim * y.dim, z.dim, "coalgebras")
+    same_field(m, x, y, z)
+    if m.points is not None and _grouplike(x) and _grouplike(y) and _grouplike(z):
+        return True
     comult, counit = _coalgebra_map_halves(m, x, y, z)
     return all(comult(a, b) and counit(a, b)
                for a, b in iproduct(range(x.dim), range(y.dim)))

@@ -17,11 +17,14 @@ the other eight come from five formulas.  The unit normalizations of
 :func:`validate_datum` are one table, which the classical checkers share;
 on index tables with units ``1 e_u`` each compares a point with an index.
 
-Where both coproducts, the four maps of the datum and the product of A are
-index tables (``LinMap.points``), as on group-like data, :func:`_tables`
-reads their points once.  The eight conditions after comult-multiplicative
-then compare two indices per tuple (:func:`_table_rows`), and each column
-of the product is one entry read from the tables (:func:`_table_product`).
+On group-like H and A (``structures._grouplike``) each coproduct leg of x
+is x, so index tables are coalgebra maps and both symmetry conditions
+compare a tensor with itself: those rows are decided once per check.
+Where the four maps of the datum and the product of A are index tables
+(``LinMap.points``) too, :func:`_tables` reads their points once; the six
+other conditions then compare two indices per tuple (:func:`_table_rows`),
+and each column of the product is one entry read from the tables
+(:func:`_table_product`).
 Otherwise assembly and the conditions read structure maps at basis pairs as
 stored columns, memoized (:func:`_pair_columns`), and collapse each sum
 that does not depend on every index once (:func:`_collapse`); only a vector
@@ -55,7 +58,9 @@ from .structures import (
     _antipode_failure,
     _coalgebra_map_halves,
     _counits,
+    _decided,
     _ground_coalgebra,
+    _grouplike,
     _is_coalgebra_map,
     _scan,
     _tuple_label,
@@ -296,27 +301,22 @@ def _gather(field, terms, memo, k) -> dict:
 
 
 def _tables(d: ExtendingDatum):
-    """The points of d where every map the product reads is an index table
-    (:attr:`~hopfprod.linalg.LinMap.points`), as on group-like data; else
-    None.
+    """The points of d where H and A are group-like and every map the
+    product reads is an index table (:attr:`~hopfprod.linalg.LinMap.points`);
+    else None.
 
-    Returns (Delta_H, Delta_A, Delta^2_H, Delta^2_A, |>, <|, f, ., m_A):
-    ``Delta[x]`` is the pair (x1, x2) and ``Delta^2[x]`` the triple
-    (x1, x2, x3), split on the left leg as :meth:`FDCoalgebra.expand` does;
-    each map is a list of rows, ``m[x][y]`` the point of m at (x, y)."""
+    Returns [|>, <|, f, ., m_A], each a list of rows, ``m[x][y]`` the point
+    of m at (x, y); no coproduct leg is kept, since each is x itself."""
     a, h = d.base, d.ext
+    if not (_grouplike(h.coalg) and _grouplike(a.coalgebra)):
+        return None
     na, nh = a.dim, h.dim
-    points = [m.points for m in (h.coalg.delta, a.coalgebra.delta, d.lact, d.ract,
-                                 d.cocycle, d.dot, a.mult)]
+    points = [m.points for m in (d.lact, d.ract, d.cocycle, d.dot, a.mult)]
     if None in points:
         return None
-    hp, ap, *maps = points
-    hd, ad = [divmod(k, nh) for k in hp], [divmod(k, na) for k in ap]
     # every map is read with its left factor first: H for the four of d, A for m_A
-    rows = ([p[x * n:x * n + n] for x in range(left)]
-            for p, left, n in zip(maps, (nh, nh, nh, nh, na), (na, na, nh, nh, na)))
-    return (hd, ad, [hd[x1] + (x2,) for x1, x2 in hd], [ad[x1] + (x2,) for x1, x2 in ad],
-            *rows)
+    return [[p[x * n:x * n + n] for x in range(left)]
+            for p, left, n in zip(points, (nh, nh, nh, nh, na), (na, na, nh, nh, na))]
 
 
 def _condition_evaluators(d: ExtendingDatum) -> dict:
@@ -324,15 +324,25 @@ def _condition_evaluators(d: ExtendingDatum) -> dict:
     report order: name -> (index ranges, holds(*indices), witness label).
 
     comult-multiplicative is the coalgebra-map evaluator of the dot.  The
-    other eight are :func:`_table_rows` where :func:`_tables` gives the
-    points of d, and :func:`_vector_rows` otherwise; both give the same
-    verdict at every tuple."""
+    others are :func:`_table_rows` where :func:`_tables` gives the points of
+    d, and :func:`_vector_rows` otherwise, with the same verdicts.  On
+    group-like H, delta(g) = g (x) g: cocycle-symmetry compares
+    (g . j) (x) f(g, j) with itself, and an index-table dot is a coalgebra
+    map; on group-like A too, action-symmetry compares (g <| j) (x) (g |> j)
+    with itself.  Those rows are :func:`_decided`."""
     a, h = d.base, d.ext
     hc = h.coalg
-    comult, counit = _coalgebra_map_halves(d.dot, hc, hc, hc)
     tables = _tables(d)
     rows = _table_rows(tables) if tables is not None else _vector_rows(d)
-    rows["comult-multiplicative"] = lambda g, i: comult(g, i) and counit(g, i)
+    if _grouplike(hc):
+        rows["cocycle-symmetry"] = _decided
+        if _grouplike(a.coalgebra):
+            rows["action-symmetry"] = _decided
+    if _grouplike(hc) and d.dot.points is not None:
+        rows["comult-multiplicative"] = _decided
+    else:
+        comult, counit = _coalgebra_map_halves(d.dot, hc, hc, hc)
+        rows["comult-multiplicative"] = lambda g, i: comult(g, i) and counit(g, i)
     # each tuple position ranges over the basis of H ("h") or of A ("a")
     bases = {"h": (range(h.dim), h.space.labels), "a": (range(a.dim), a.space.labels)}
     shapes = ("hh", "haa", "hhh", "haa", "hha", "hha", "hhh", "ha", "hh")
@@ -344,55 +354,42 @@ def _condition_evaluators(d: ExtendingDatum) -> dict:
 
 
 def _table_rows(t) -> dict:
-    """The eight rows of :func:`_condition_evaluators` after
-    comult-multiplicative, read from the points ``t`` of :func:`_tables`.
-    Every sum is one term, so each side of a row is one basis vector and
-    the row compares the two indices; each formula is the one its
-    counterpart in :func:`_vector_rows` states."""
-    hd, ad, hd3, ad3, lact, ract, coc, dot, amul = t
+    """The six rows of :func:`_condition_evaluators` that group-like data do
+    not decide, read from the points ``t`` of :func:`_tables`.  Every leg
+    of a coproduct is x itself, so each side of a row is one basis vector
+    and the row compares the two indices; each formula is its counterpart
+    in :func:`_vector_rows` with every leg read as x."""
+    lact, ract, coc, dot, amul = t
 
     def right_module(g, i, j):
         """(g <| i) <| j = g <| i j"""
         return ract[ract[g][i]][j] == ract[g][amul[i][j]]
 
     def lact_multiplicative(g, i, j):
-        """g |> i j = (g1 |> i1) ((g2 <| i2) |> j)"""
-        (g1, g2), (i1, i2) = hd[g], ad[i]
-        return lact[g][amul[i][j]] == amul[lact[g1][i1]][lact[ract[g2][i2]][j]]
+        """g |> i j = (g |> i) ((g <| i) |> j)"""
+        return lact[g][amul[i][j]] == amul[lact[g][i]][lact[ract[g][i]][j]]
 
-    def h_leg(act, twist, jd):
-        """twist(g . i, j) = (g <| act(i1, j1)) . twist(i2, j2)"""
+    def h_leg(act, twist):
+        """twist(g . i, j) = (g <| act(i, j)) . twist(i, j)"""
         def holds(g, i, j):
-            (i1, i2), (j1, j2) = hd[i], jd[j]
-            return twist[dot[g][i]][j] == dot[ract[g][act[i1][j1]]][twist[i2][j2]]
+            return twist[dot[g][i]][j] == dot[ract[g][act[i][j]]][twist[i][j]]
         return holds
 
-    def a_leg(act, twist, jd3):
-        """(g1 |> act(i1, j1)) f(g2 <| act(i2, j2), twist(i3, j3))
-        = f(g1, i1) act(g2 . i2, j), with i1, i2 the legs of Delta(i) on
-        the right and i1, i2, i3 those of Delta^2(i) on the left"""
+    def a_leg(act, twist):
+        """(g |> act(i, j)) f(g <| act(i, j), twist(i, j)) = f(g, i) act(g . i, j)"""
         def holds(g, i, j):
-            (g1, g2), (i1, i2, i3), (j1, j2, j3), (k1, k2) = hd[g], hd3[i], jd3[j], hd[i]
-            return (amul[lact[g1][act[i1][j1]]][coc[ract[g2][act[i2][j2]]][twist[i3][j3]]]
-                    == amul[coc[g1][k1]][act[dot[g2][k2]][j]])
-        return holds
-
-    def flip(left, right, jd):
-        """left(g1, j1) (x) right(g2, j2) = left(g2, j2) (x) right(g1, j1)"""
-        def holds(g, j):
-            (g1, g2), (j1, j2) = hd[g], jd[j]
-            return left[g1][j1] == left[g2][j2] and right[g2][j2] == right[g1][j1]
+            x = act[i][j]
+            return (amul[lact[g][x]][coc[ract[g][x]][twist[i][j]]]
+                    == amul[coc[g][i]][act[dot[g][i]][j]])
         return holds
 
     return {
         "right-module": right_module,
-        "twisted-associativity": h_leg(coc, dot, hd),
+        "twisted-associativity": h_leg(coc, dot),
         "lact-multiplicative": lact_multiplicative,
-        "ract-dot-compat": h_leg(lact, ract, ad),
-        "twisted-module": a_leg(lact, ract, ad3),
-        "cocycle-condition": a_leg(coc, dot, hd3),
-        "action-symmetry": flip(ract, lact, ad),
-        "cocycle-symmetry": flip(dot, coc, hd),
+        "ract-dot-compat": h_leg(lact, ract),
+        "twisted-module": a_leg(lact, ract),
+        "cocycle-condition": a_leg(coc, dot),
     }
 
 
@@ -561,14 +558,14 @@ def assemble_product(d: ExtendingDatum) -> FDBialgebra:
 
 def _table_product(field, coalg, t, na: int, nh: int) -> LinMap:
     """The multiplication of :func:`assemble_product` on the points ``t`` of
-    :func:`_tables`: column (a, h, c, g) is the single entry
-    ((a l) p) dim H + w, with l = h1 |> c1, p = f(h2 <| c2, g1) and
-    w = (h3 <| c3) . g2, and the points make the table
+    :func:`_tables`, where every leg of h, c and g is itself: column
+    (a, h, c, g) is the single entry ((a l) p) dim H + w, with l = h |> c,
+    p = f(h <| c, g) and w = (h <| c) . g, and the points make the table
     (``LinMap._from_points``)."""
-    hd, _, hd3, ad3, lact, ract, coc, dot, amul = t
+    lact, ract, coc, dot, amul = t
     # (l, p, w) for each (h, c, g), in that order
-    legs = [(lact[h1][c1], coc[ract[h2][c2]][g1], dot[ract[h3][c3]][g2])
-            for h1, h2, h3 in hd3 for c1, c2, c3 in ad3 for g1, g2 in hd]
+    legs = [(lact[h][c], coc[ract[h][c]][g], dot[ract[h][c]][g])
+            for h in range(nh) for c in range(na) for g in range(nh)]
     return LinMap._from_points(field, coalg.delta.codomain, coalg.space,
                                [amul[amul[x][l]][p] * nh + w for x in range(na)
                                 for l, p, w in legs])

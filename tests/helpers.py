@@ -42,6 +42,7 @@ from hopfprod.structures import (
     FDCoalgebra,
     FDHopf,
     NoAntipodeError,
+    UnitalCoalgebra,
     _scan,
     _tuple_label,
     check_algebra,
@@ -377,6 +378,70 @@ def oracle_is_algebra_map(f, src, dst, flip=False):
     return compose(f, src.mult) == compose(dst.mult, ff) and f.apply(src.unit) == dst.unit
 
 
+# ---------------------------------------------------------------------------
+# the composed-map formulation of every axiom, kept as an oracle: each side
+# of an identity is built as a whole linear map and the two maps compared
+
+
+def _first_difference(f: LinMap, g: LinMap, labels):
+    """Label of the first domain basis index where two maps differ."""
+    if f == g:
+        return None
+    for i in range(len(labels)):
+        if f.col(i) != g.col(i):
+            return labels[i]
+    return "shape"
+
+
+def oracle_check_coalgebra(c):
+    ident = LinMap.identity(c.field, c.space)
+    rep = Report("coalgebra axioms")
+    lhs = compose(tensor_map(c.delta, ident), c.delta)
+    rhs = compose(tensor_map(ident, c.delta), c.delta)
+    rep.add("coassociativity", lhs == rhs, _first_difference(lhs, rhs, c.space.labels))
+    left = compose(tensor_map(c.epsilon, ident), c.delta)
+    rep.add("counit-left", left == ident, _first_difference(left, ident, c.space.labels))
+    right = compose(tensor_map(ident, c.epsilon), c.delta)
+    rep.add("counit-right", right == ident, _first_difference(right, ident, c.space.labels))
+    return rep
+
+
+def oracle_check_algebra(a):
+    ident = LinMap.identity(a.field, a.space)
+    rep = Report("algebra axioms")
+    lhs = compose(a.mult, tensor_map(a.mult, ident))
+    rhs = compose(a.mult, tensor_map(ident, a.mult))
+    labels3 = tensor_space(tensor_space(a.space, a.space), a.space).labels
+    rep.add("associativity", lhs == rhs, _first_difference(lhs, rhs, labels3))
+    eta = a.unit_map()
+    left = compose(a.mult, tensor_map(eta, ident))
+    rep.add("unit-left", left == ident, _first_difference(left, ident, a.space.labels))
+    right = compose(a.mult, tensor_map(ident, eta))
+    rep.add("unit-right", right == ident, _first_difference(right, ident, a.space.labels))
+    return rep
+
+
+def oracle_check_bialgebra(b):
+    field = b.field
+    rep = Report("bialgebra axioms")
+    rep.extend(oracle_check_coalgebra(b.coalgebra))
+    rep.extend(oracle_check_algebra(b.algebra))
+    pair_labels = tensor_space(b.space, b.space).labels
+    square = oracle_tensor_algebra_mult(b.algebra, b.algebra)
+    lhs = compose(b.delta, b.mult)
+    rhs = compose(square, tensor_map(b.delta, b.delta))
+    rep.add("comult-multiplicative", lhs == rhs, _first_difference(lhs, rhs, pair_labels))
+    delta_unit = b.delta.apply(b.unit)
+    want = tensor_vec(field, b.unit, b.unit, b.dim)
+    rep.add("comult-unit", delta_unit == want, "unit")
+    lhs = compose(b.epsilon, b.mult)
+    rhs = tensor_map(b.epsilon, b.epsilon)
+    rep.add("counit-multiplicative", lhs == rhs, _first_difference(lhs, rhs, pair_labels))
+    eps_unit = b.counit(b.unit)
+    rep.add("counit-unit", eps_unit == field.one, "unit")
+    return rep
+
+
 def is_coalgebra_antimap(f, src, dst) -> bool:
     """delta_dst . f = twist . (f (x) f) . delta_src and the counits agree."""
     return oracle_is_coalgebra_map(f, src, dst, flip=True)
@@ -576,6 +641,34 @@ def a4_unified_with_bad_ract() -> hp.ExtendingDatum:
     validates, and six of the nine conditions fail."""
     d = a4_unified_datum()
     return dataclasses.replace(d, ract=with_column(d.ract, 1 * 2 + 1, {5: QQ.one}))
+
+
+def with_coalgebra_column(c: FDCoalgebra, which: str, index: int, col: dict) -> FDCoalgebra:
+    """c with column ``index`` of its coproduct (``which`` = "delta") or of
+    its counit ("epsilon") replaced by ``col``."""
+    maps = {"delta": c.delta, "epsilon": c.epsilon}
+    maps[which] = with_column(maps[which], index, col)
+    return FDCoalgebra(c.field, c.space, maps["delta"], maps["epsilon"])
+
+
+def a4_unified_look_alikes() -> dict:
+    """a4-unified with one point of a coproduct or of a counit changed, so
+    that H or A is no longer group-like while every map stays an index
+    table: Delta_H(x1) = x1 (x) x2, counit_H(x2) = 2, and Delta_A(s) =
+    s (x) 1 for the generator s of A.  Each names its `hopfprod verify`
+    document; none of them validates."""
+    d = a4_unified_datum()
+    h, a = d.ext.coalg, d.base.coalgebra
+    base = d.base
+    bad_a = with_coalgebra_column(a, "delta", 1, {1 * a.dim + 0: QQ.one})
+    return {
+        "a4-unified-delta-h-x1-x2": dataclasses.replace(d, ext=UnitalCoalgebra(
+            with_coalgebra_column(h, "delta", 1, {1 * h.dim + 2: QQ.one}), d.ext.unit)),
+        "a4-unified-counit-h-x2-2": dataclasses.replace(d, ext=UnitalCoalgebra(
+            with_coalgebra_column(h, "epsilon", 2, {0: QQ.of(2)}), d.ext.unit)),
+        "a4-unified-delta-a-off-diagonal": dataclasses.replace(
+            d, base=FDHopf(bad_a, base.algebra, base.antipode)),
+    }
 
 
 def h4_trivial_datum(field=PrimeField(5)) -> hp.ExtendingDatum:

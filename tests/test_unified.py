@@ -6,6 +6,8 @@ import pytest
 
 from helpers import (
     LEG_ROWS,
+    a4_unified_look_alikes,
+    assemble_product_direct,
     assert_mixed_relations,
     check_mixed_relations_on_every_build,
     drinfeld_double_datum,
@@ -14,6 +16,8 @@ from helpers import (
     h4_trivial_datum,
     leg_rows_direct,
     one_entry_corruptions,
+    oracle_check_bialgebra,
+    oracle_check_coalgebra,
     oracle_is_algebra_map,
     oracle_is_coalgebra_map,
     product_antipode,
@@ -25,10 +29,12 @@ from helpers import (
     tensor_map,
     tensor_product_oracle,
     trivial_datum,
+    with_coalgebra_column,
     with_column,
 )
 import hopfprod.structures
 import hopfprod.unified
+from hopfprod.classification import check_equivalence, deform_datum, enumerate_cocycles
 from hopfprod.corpus import (
     a4_order2_ges,
     a4_unified_datum,
@@ -53,6 +59,7 @@ from hopfprod.linalg import (
     compose,
     tensor_space,
     tensor_vec,
+    vec_scale,
 )
 from hopfprod.reports import Report
 from hopfprod.serialize import serialize
@@ -72,6 +79,10 @@ from hopfprod.structures import (
     NoAntipodeError,
     antipode_solve,
     UnitalCoalgebra,
+    _coalgebra_map_halves,
+    _decided,
+    _ground_coalgebra,
+    _grouplike,
     attach_antipode,
     check_algebra,
     check_bialgebra,
@@ -491,7 +502,8 @@ def leg_test_data():
     cocycle and with a nontrivial left action too, and the corpus data.
     The oracle expands 243 terms per tuple of D(k[C3]), so that double gets
     fewer corruptions.  Then :func:`table_test_data`, whose coproducts are
-    index tables that split a point into two different legs."""
+    index tables that split a point into two different legs, and
+    :func:`grouplike_table_data`, whose rows are read from their tables."""
     f5 = PrimeField(5)
     return [(drinfeld_double_datum("c2", QQ), 4), (drinfeld_double_datum("c2", f5), 4),
             (drinfeld_double_datum("c3", QQ), 1), (drinfeld_double_datum("c3", f5), 1),
@@ -500,7 +512,8 @@ def leg_test_data():
             (h4_datum_with_c2_cocycle(QQ), 4), (h4_datum_with_c2_cocycle(f5), 4),
             (twisted_h4_datum(QQ), 4), (twisted_h4_datum(f5), 4),
             (a4_unified_datum(), 4), (matched_pair_datum(s3_matched_pair()), 4),
-            (crossed_datum(z4_crossed_datum()), 4)] + [(d, 2) for d in table_test_data()]
+            (crossed_datum(z4_crossed_datum()), 4)] + [
+                (d, 2) for d in table_test_data() + grouplike_table_data()]
 
 
 # How table_datum splits a point x of H or of A: "diagonal" is the group-like
@@ -551,8 +564,8 @@ def table_datum(rng, field, h_split, a_split, nh=3, na=3):
 
 def table_test_data():
     """Index-table data whose coproducts are not diagonal, on H, on A and on
-    both, over QQ and GF(5): on a group-like coproduct the two legs of a
-    point are equal, so reading one leg for the other does not show."""
+    both, over QQ and GF(5): look-alikes of group-like data, which are not
+    group-like and so take the loops, where each leg is read as it is."""
     rng = random.Random(7)
     splits = [("left", "diagonal"), ("diagonal", "left"), ("right", "right"),
               ("left", "right"), ("drawn", "diagonal"), ("diagonal", "drawn"),
@@ -620,16 +633,31 @@ def test_two_condition_checks_on_one_datum_give_equal_reports():
             assert serialize(first) == serialize(second)
 
 
+def grouplike_table_data():
+    """:func:`table_datum` with diagonal splits: group-like H and A on three
+    points whose four maps and product of A are drawn index tables, over QQ
+    and GF(5); the product of A is in general not associative."""
+    rng = random.Random(8)
+    return [table_datum(rng, field, "diagonal", "diagonal")
+            for field in (QQ, PrimeField(5)) for _ in range(6)]
+
+
 def test_table_data_assemble_as_the_direct_loop():
-    """The assembly reads the points of :func:`table_test_data` and of their
-    one-entry corruptions that stay tables; the autouse fixture holds each
-    carrier against ``assemble_product_direct``, which reads every leg of
-    every coproduct afresh."""
+    """The non-diagonal :func:`table_test_data` are not group-like, so the
+    assembly sums them (``_tables`` gives None) into the product
+    ``assemble_product_direct`` gives.  Group-like data with drawn tables,
+    and their one-entry corruptions that stay tables, are read from their
+    points; the autouse fixture holds each of those carriers against
+    ``assemble_product_direct``, which reads every leg of every coproduct
+    afresh."""
+    for d in table_test_data():
+        assert _tables(d) is None
+        assert assemble_product(d).mult == assemble_product_direct(d).mult
     rng = random.Random(9)
     tables = 0
-    for d in table_test_data():
+    for d in grouplike_table_data():
         assert _tables(d) is not None
-        for d2 in with_corruptions(d, rng, 3):
+        for d2 in with_corruptions(d, rng, 8):
             tables += _tables(d2) is not None
             assemble_product(d2)
     assert tables > 100
@@ -710,7 +738,7 @@ def test_checkers_on_index_tables_match_their_loops():
     group-like data and on freely drawn table bialgebras."""
     rng = random.Random(11)
     data = [d2 for d in table_test_data() for d2 in with_corruptions(d, rng, 2)]
-    data += [with_drawn_counits(rng, d) for d in table_test_data()]
+    data += [with_drawn_counits(rng, d) for d in table_test_data()] + grouplike_table_data()
     for field in (QQ, PrimeField(5), PrimeField(7)):
         for name, nx in (("c2", 3), ("c3", 2), ("s3", 2)):
             data.append(lift_to_hopf(random_group_structure(rng, builtin_group(name), nx), field))
@@ -788,3 +816,172 @@ def test_solvers_on_index_tables_match_their_loops():
     assert seen == {("preimage", True), ("preimage", False), ("inverse", True, True),
                     ("inverse", True, False), ("inverse", False, True),
                     ("inverse", False, False)}
+
+
+# The rows decided once per check on group-like data, by the scan that
+# passes them (the coalgebra axioms, the two multiplicative rows of a
+# bialgebra and three of the nine conditions), and by the coalgebra-map
+# predicate (the rows of validate_datum, check_matched_pair, check_crossed
+# and the certificate's phi-coalgebra-map).
+DECIDED_SCANS = {"coassociativity", "counit-left", "counit-right", "comult-multiplicative",
+                 "counit-multiplicative", "cocycle-symmetry", "action-symmetry"}
+DECIDED_SYMMETRY = ("cocycle-symmetry", "action-symmetry")
+
+
+def decided_row_data(rng):
+    """The corpus data and random lifts of set-level structures over QQ,
+    GF(5) and GF(7), on which the rows are decided, then look-alikes that
+    must take the loops: a4-unified and the lifts with one point of Delta_H
+    or Delta_A off the diagonal, with one counit of 0 or 2, or with one
+    column of a map scaled to 2 e_j; drawn index tables on non-diagonal and
+    on group-like coproducts; and the H4 data."""
+    f5, f7 = PrimeField(5), PrimeField(7)
+    data = [a4_unified_datum(), a4_unified_datum(f5), matched_pair_datum(s3_matched_pair(f5)),
+            crossed_datum(z4_crossed_datum())]
+    data += [lift_to_hopf(random_group_structure(rng, builtin_group(name), nx), field)
+             for field in (QQ, f5, f7) for name, nx in (("c2", 3), ("c3", 2), ("s3", 2))]
+    look_alikes = list(a4_unified_look_alikes().values())
+    for d in data:
+        field = d.field
+        for which, c in (("ext", d.ext.coalg), ("base", d.base.coalgebra)):
+            x, y = rng.sample(range(c.dim), 2)
+            for part, col in (("delta", {x * c.dim + y: field.one}), ("epsilon", {}),
+                              ("epsilon", {0: field.of(2)})):
+                c2 = with_coalgebra_column(c, part, x, col)
+                look_alikes.append(dataclasses.replace(d, **{which: (
+                    UnitalCoalgebra(c2, d.ext.unit) if which == "ext"
+                    else FDBialgebra(c2, d.base.algebra))}))
+        name = rng.choice(list(MAP_SHAPES))
+        m = getattr(d, name)
+        k = rng.randrange(m.domain.dim)
+        (j,) = m.col(k)
+        look_alikes.append(dataclasses.replace(d, **{name: with_column(m, k, {j: field.of(2)})}))
+    look_alikes += table_test_data()[::3] + grouplike_table_data()[::3]
+    look_alikes += [h4_trivial_datum(), scaled_h4_trivial_datum(), h4_datum_with_c2_cocycle(),
+                    twisted_h4_datum(PrimeField(5))]
+    return data, look_alikes
+
+
+def bialgebra_look_alikes(e, rng):
+    """e, then e with one point of its coproduct off the diagonal, with one
+    counit of 0 or 2, and with one column of its product scaled by 2."""
+    yield e
+    field, c = e.field, e.coalgebra
+    x, y = rng.sample(range(e.dim), 2)
+    for part, col in (("delta", {x * e.dim + y: field.one}), ("epsilon", {}),
+                      ("epsilon", {0: field.of(2)})):
+        yield FDBialgebra(with_coalgebra_column(c, part, x, col), e.algebra)
+    k = rng.randrange(e.dim * e.dim)
+    mult = with_column(e.mult, k, vec_scale(field, field.of(2), e.mult.col(k)))
+    yield FDBialgebra(c, FDAlgebra(field, e.space, mult, e.unit))
+
+
+def first_failing_tuple(evaluators, name):
+    """The witness label of the first tuple, in scan order, at which the
+    evaluator ``evaluators[name]`` is false; None when there is none."""
+    ranges, holds, label = evaluators[name]
+    return next((label(*t) for t in iproduct(*ranges) if not holds(*t)), None)
+
+
+def test_decided_rows_match_the_oracles_and_their_loops():
+    """Every row decided on group-like data gives the verdict and witness of
+    its composed-map oracle and of its loop, run with ``LinMap.points`` read
+    as None: on the data of :func:`decided_row_data` and their coalgebras,
+    on the products of the corpus data, of the lifts over QQ and of every
+    sixth look-alike, and on the look-alikes of the first of those
+    products (:func:`bialgebra_look_alikes`).  The oracles
+    are ``oracle_check_coalgebra``, ``oracle_check_bialgebra``,
+    ``oracle_is_coalgebra_map`` on the tensor-product coalgebra, and the
+    expanded :func:`leg_rows_direct` for the two symmetry rows."""
+    rng = random.Random(38)
+    verdicts = {}
+    data, look_alikes = decided_row_data(rng)
+    for d in data + look_alikes:
+        hc, ac = d.ext.coalg, d.base.coalgebra
+        for c in (hc, ac):
+            got = report_rows(check_coalgebra(c))
+            assert got == report_rows(oracle_check_coalgebra(c))
+            assert got == report_rows(on_loops(check_coalgebra, c))
+        rep = validate_datum(d)
+        assert report_rows(rep) == report_rows(on_loops(validate_datum, d))
+        unit = LinMap(d.field, SCALAR_SPACE, hc.space, {0: d.ext.unit})
+        ok = oracle_is_coalgebra_map(unit, _ground_coalgebra(d.field), hc)
+        map_rows = [("unit-h-grouplike", ok, None if ok else "1_H")]
+        map_rows += composed_coalgebra_map_rows(hc, ac)(
+            ract=d.ract, lact=d.lact, cocycle=d.cocycle, dot=d.dot)
+        assert report_rows(rep)[:len(map_rows)] == map_rows
+        rep = check_product_conditions(d)
+        assert report_rows(rep) == report_rows(on_loops(check_product_conditions, d))
+        ok = oracle_is_coalgebra_map(d.dot, tensor_coalgebra(hc, hc), hc)
+        want = [("comult-multiplicative", ok,
+                 None if ok else first_coalgebra_map_failure(d.dot, tensor_coalgebra(hc, hc), hc))]
+        direct = leg_rows_direct(d)
+        table = {name: (ranges, direct[name], label)
+                 for name, (ranges, _, label) in _condition_evaluators(d).items()
+                 if name in DECIDED_SYMMETRY}
+        for name in DECIDED_SYMMETRY:
+            witness = first_failing_tuple(table, name)
+            want.append((name, witness is None, witness))
+        rows = {row[0]: row for row in report_rows(rep)}
+        assert [rows[name] for name, _, _ in want] == want
+        for row in want + map_rows:
+            verdicts.setdefault(row[0], set()).add(row[1])
+    for d in data[:7] + look_alikes[::6]:
+        e = assemble_product(d)
+        for e2 in bialgebra_look_alikes(e, rng) if d is data[0] else [e]:
+            for check, oracle, arg in ((check_coalgebra, oracle_check_coalgebra, e2.coalgebra),
+                                       (check_bialgebra, oracle_check_bialgebra, e2)):
+                got = report_rows(check(arg))
+                assert got == report_rows(oracle(arg))
+                assert got == report_rows(on_loops(check, arg))
+            for name, passed, _ in got:
+                verdicts.setdefault(f"bialgebra {name}", set()).add(passed)
+    a4 = a4_unified_datum()
+    for u in enumerate_cocycles(a4.ext, a4.base)[:3]:
+        for d2 in (a4, deform_datum(a4, u)):
+            rep = check_equivalence(a4, d2, u).report
+            assert report_rows(rep) == report_rows(on_loops(
+                lambda: check_equivalence(a4, d2, u).report))
+            verdicts.setdefault("phi", set()).add(rep.ok)
+    assert sum(_grouplike(d.ext.coalg) and _grouplike(d.base.coalgebra) for d in data) == 13
+    assert all(seen == {True, False} for seen in verdicts.values()), verdicts
+
+
+def test_decided_rows_are_scanned_on_their_loops(monkeypatch):
+    """On group-like data no decided row is scanned, and the only map whose
+    coalgebra-map halves are read is the unit of the product; with
+    ``LinMap.points`` read as None nothing is group-like, and every decided
+    row is scanned again and every map's halves read.  A spy on ``_scan``
+    records the rows whose evaluator is not ``_decided``, and one on
+    ``_coalgebra_map_halves`` the maps it is given."""
+    scan, halves = hopfprod.structures._scan, _coalgebra_map_halves
+    scanned, maps = set(), []
+
+    def scan_spy(rep, name, tuples, holds, label):
+        if holds is not _decided:
+            scanned.add(name)
+        return scan(rep, name, tuples, holds, label)
+
+    def halves_spy(m, *coalgebras):
+        maps.append(m)
+        return halves(m, *coalgebras)
+    rebind_everywhere(monkeypatch, scan, scan_spy)
+    rebind_everywhere(monkeypatch, halves, halves_spy)
+    for d in (a4_unified_datum(), crossed_datum(z4_crossed_datum(PrimeField(5))),
+              matched_pair_datum(s3_matched_pair())):
+        e = assemble_product(d)
+
+        def run():
+            scanned.clear()
+            maps.clear()
+            for rep in (validate_datum(d), check_product_conditions(d), check_bialgebra(e)):
+                assert rep.ok
+            return set(scanned), list(maps)
+        names, read = run()
+        assert not names & DECIDED_SCANS
+        assert [m.codomain.labels for m in read] == [e.space.labels]
+        names, read = on_loops(run)
+        assert DECIDED_SCANS <= names
+        for m in (d.ract, d.lact, d.cocycle, d.dot, e.mult):
+            assert any(x is m for x in read)
+        assert any(x.domain.dim == 1 and x.codomain.labels == d.ext.space.labels for x in read)
