@@ -11,6 +11,8 @@ datum: a base group G, a pointed set X, two actions, a cocycle and a star
 multiplication on X.  Lifting it linearly over group-like bases produces an
 :class:`~hopfprod.unified.ExtendingDatum`, whose product matches the
 set-level product on ``G x X`` entry for entry (an oracle of the tests).
+Lifts over one :class:`GroupTable` object share the two factors k[G] and
+H, which the object keeps for as long as it lives (:func:`lift_to_hopf`).
 """
 from __future__ import annotations
 
@@ -99,6 +101,10 @@ class GroupTable:
         self.inverse = tuple(inverse)
         self._check_associativity()
         self._hash = None
+        # the factors lift_to_hopf shares over this object: k[G] by field,
+        # H by (field, X labels), the oldest H dropped past _SHARED_EXTENSIONS
+        self._algebras: dict = {}
+        self._extensions: dict = {}
 
     def _check_associativity(self):
         # Light's test: associativity on all triples follows from associativity
@@ -472,10 +478,39 @@ def coset_extending_structure(ambient: GroupTable, a_indices,
     )
 
 
+# how many group-like H one group object keeps for lift_to_hopf
+_SHARED_EXTENSIONS = 4
+
+
 def lift_to_hopf(ges: GroupExtendingStructure, field=QQ) -> ExtendingDatum:
-    """Linearize a set-level structure over group-like bases."""
-    a_hopf = group_algebra(ges.group, field)
-    h = grouplike_coalgebra(ges.x_labels, field)
+    """Linearize a set-level structure over group-like bases.
+
+    Lifts over one group object share their two factors: ``ges.group``
+    keeps k[G] (:func:`group_algebra`) per field and H
+    (:func:`grouplike_coalgebra`) per field and X labels, at most
+    :data:`_SHARED_EXTENSIONS` of those, dropping the oldest first.  So the
+    caches on the factors (the tensor coalgebra A (x) H, the spaces and
+    labels of A (x) A, H (x) A and E (x) E, counits, expansions and points)
+    are built once per group object too.  They live as long as the group
+    object, or until their H is dropped; a builtin group lives as long as
+    the process.  Only the four maps are built for each datum, and every
+    check reads the datum in full.  Nothing changes a factor once built."""
+    g = ges.group
+    a_hopf = g._algebras.get(field)
+    if a_hopf is None:
+        a_hopf = g._algebras[field] = group_algebra(g, field)
+    key = field, tuple(ges.x_labels)
+    extensions = g._extensions
+    h = extensions.get(key)
+    if h is None:
+        h = grouplike_coalgebra(ges.x_labels, field)
+        if len(extensions) == _SHARED_EXTENSIONS:
+            # the oldest H goes, with the tensor coalgebra and space k[G] keeps for it
+            oldest = next(iter(extensions))
+            old, base = extensions.pop(oldest), g._algebras[oldest[0]]
+            base.coalgebra._tensors.pop(id(old.coalg), None)
+            base.space._products.pop(old.space, None)
+        extensions[key] = h
     spaces = {"a": a_hopf.space, "h": h.space}
     tables = {"dot": ges.star, "ract": ges.ract, "lact": ges.lact, "cocycle": ges.cocyc}
     maps = {}

@@ -7,11 +7,12 @@ and as a machine-readable JSON section.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class CheckItem:
+class CheckItem(NamedTuple):
+    """One named row of a report: a 3-tuple (condition, passed, witness)."""
+
     condition: str
     passed: bool
     witness: str | None = None

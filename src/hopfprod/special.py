@@ -39,6 +39,7 @@ from .unified import (
     UnifiedProduct,
     _coalgebra_map_rows,
     _condition_evaluators,
+    _grouplike_factors,
     _normalization_evaluators,
     _scan_condition,
     build_unified_product,
@@ -76,9 +77,10 @@ def check_matched_pair(mp: MatchedPair) -> Report:
     hl, al = h.space.labels, a.space.labels
     rep = Report("matched pair")
 
-    _coalgebra_map_rows(rep, h.coalgebra, a.coalgebra, ract=mp.ract, lact=mp.lact)
+    grouplike = _grouplike_factors(h.coalgebra, a.coalgebra)
+    _coalgebra_map_rows(rep, h.coalgebra, a.coalgebra, grouplike, ract=mp.ract, lact=mp.lact)
     d = matched_pair_datum(mp)
-    shared, normal = _condition_evaluators(d), _normalization_evaluators(d)
+    shared, normal = _condition_evaluators(d, grouplike), _normalization_evaluators(d)
 
     _scan_condition(rep, normal, "lact-normal-unit-left", "left-module-unit")
     _scan_condition(rep, shared, "twisted-module", "left-module-law")
@@ -165,7 +167,9 @@ def check_crossed(cd: CrossedDatum) -> Report:
     hl, al = h.space.labels, a.space.labels
     rep = Report("crossed datum")
 
-    _coalgebra_map_rows(rep, h.coalgebra, a.coalgebra, lact=cd.lact, cocycle=cd.cocycle)
+    grouplike = _grouplike_factors(h.coalgebra, a.coalgebra)
+    _coalgebra_map_rows(rep, h.coalgebra, a.coalgebra, grouplike, lact=cd.lact,
+                        cocycle=cd.cocycle)
     d = crossed_datum(cd)
     normal = _normalization_evaluators(d)
     unit_right, unit_left, coc_right, coc_left = (normal[name][1] for name in (
@@ -176,7 +180,7 @@ def check_crossed(cd: CrossedDatum) -> Report:
     _scan(rep, "cocycle-normalization", iproduct(range(h.dim)),
           lambda g: coc_right(g) and coc_left(g), _tuple_label(hl))
 
-    shared = _condition_evaluators(d)
+    shared = _condition_evaluators(d, grouplike)
     for name in ("lact-multiplicative", "twisted-module", "cocycle-condition"):
         _scan_condition(rep, shared, name)
     _scan_condition(rep, shared, "action-symmetry", "lact-symmetry")

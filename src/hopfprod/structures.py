@@ -420,9 +420,14 @@ def check_coalgebra(c: FDCoalgebra) -> Report:
     On a group-like c (:func:`_grouplike`) all three are :func:`_decided`:
     with delta(x) = x (x) x and counit(x) = 1, both sides of
     coassociativity are x (x) x (x) x, and of each counit law x."""
+    return _check_coalgebra(c, _grouplike(c))
+
+
+def _check_coalgebra(c: FDCoalgebra, grouplike: bool) -> Report:
+    """:func:`check_coalgebra`, told whether c is group-like."""
     basis = [(i,) for i in range(c.dim)]
     rep = Report("coalgebra axioms")
-    if _grouplike(c):
+    if grouplike:
         laws = (_decided,) * 3
     else:
         field, eps = c.field, _counits(c)
@@ -544,11 +549,12 @@ def check_bialgebra(b: FDBialgebra) -> Report:
     n, labels = b.dim, b.space.labels
     pair_label = _tuple_label(labels, labels)  # as tensor_space names it
     rep = Report("bialgebra axioms")
-    rep.extend(check_coalgebra(b.coalgebra))
+    grouplike = _grouplike(b.coalgebra)
+    rep.extend(_check_coalgebra(b.coalgebra, grouplike))
     rep.extend(check_algebra(b.algebra))
 
     # multiplication and unit are coalgebra maps E (x) E -> E and k -> E
-    if _grouplike(b.coalgebra) and b.mult.points is not None:
+    if grouplike and b.mult.points is not None:
         comult = counit = _decided
     else:
         comult, counit = _coalgebra_map_halves(b.mult, b.coalgebra, b.coalgebra, b.coalgebra)
@@ -619,13 +625,18 @@ def _coalgebra_map_halves(m: LinMap, x: FDCoalgebra, y: FDCoalgebra, z: FDCoalge
     return comult, counit
 
 
-def _is_coalgebra_map(m: LinMap, x: FDCoalgebra, y: FDCoalgebra, z: FDCoalgebra) -> bool:
+def _is_coalgebra_map(m: LinMap, x: FDCoalgebra, y: FDCoalgebra, z: FDCoalgebra,
+                      grouplike: bool | None = None) -> bool:
     """Both halves of :func:`_coalgebra_map_halves` at every (a, b); True
     unscanned where m is an index table and X, Y, Z are group-like:
-    delta_Z m(a, b) = m(a, b) (x) m(a, b), and the counit is one both sides."""
+    delta_Z m(a, b) = m(a, b) (x) m(a, b), and the counit is one both sides.
+    ``grouplike`` says whether X, Y and Z all are, where a check has decided
+    it once (:func:`_grouplike`); None asks here."""
     _check_shape(m, x.dim * y.dim, z.dim, "coalgebras")
     same_field(m, x, y, z)
-    if m.points is not None and _grouplike(x) and _grouplike(y) and _grouplike(z):
+    if grouplike is None:
+        grouplike = _grouplike(x) and _grouplike(y) and _grouplike(z)
+    if m.points is not None and grouplike:
         return True
     comult, counit = _coalgebra_map_halves(m, x, y, z)
     return all(comult(a, b) and counit(a, b)

@@ -51,7 +51,6 @@ from .structures import (
     FDHopf,
     UnitalCoalgebra,
     antipode_solve,
-    is_coalgebra_map,
     left_convolution_inverse,
     tensor_coalgebra,
     _add_term,
@@ -140,15 +139,24 @@ class ExtendingDatum:
         return None
 
 
-def _coalgebra_map_rows(rep: Report, hc, ac, **maps) -> None:
+def _grouplike_factors(hc, ac) -> tuple[bool, bool]:
+    """Whether the coalgebras H and A are group-like
+    (``structures._grouplike``): decided once per check, and passed to
+    every evaluator of that check that asks."""
+    return _grouplike(hc), _grouplike(ac)
+
+
+def _coalgebra_map_rows(rep: Report, hc, ac, grouplike, **maps) -> None:
     """Add a "<name>-coalgebra-map" row for each structure map given, in the
-    order given, with its shape read from :data:`MAP_SHAPES`.  The maps are
-    checked as they are, so one of the wrong shape raises here, before a
-    datum is formed from it."""
-    coalgs = {"h": hc, "a": ac}
+    order given, with its shape read from :data:`MAP_SHAPES`; ``grouplike``
+    is :func:`_grouplike_factors` of H and A.  The maps are checked as they
+    are, so one of the wrong shape raises here, before a datum is formed
+    from it."""
+    coalgs = {"h": (hc, grouplike[0]), "a": (ac, grouplike[1])}
     for name, m in maps.items():
-        left, right, target = (coalgs[k] for k in MAP_SHAPES[name])
-        rep.add(f"{name}-coalgebra-map", _is_coalgebra_map(m, left, right, target))
+        (left, gl), (right, gr), (target, gt) = (coalgs[k] for k in MAP_SHAPES[name])
+        rep.add(f"{name}-coalgebra-map",
+                _is_coalgebra_map(m, left, right, target, gl and gr and gt))
 
 
 def _normalization_evaluators(d: ExtendingDatum) -> dict:
@@ -202,11 +210,13 @@ def validate_datum(d: ExtendingDatum) -> Report:
     """Unit/counit normalization and coalgebra-map property of all four maps."""
     h = d.ext
     rep = Report("extending datum")
-    # 1_H is group-like exactly when k -> H, 1 -> 1_H is a coalgebra map
+    grouplike = _grouplike_factors(h.coalg, d.base.coalgebra)
+    # 1_H is group-like exactly when k -> H, 1 -> 1_H is a coalgebra map;
+    # k is group-like by construction
     unit = LinMap(d.field, SCALAR_SPACE, h.space, {0: h.unit})
-    rep.add("unit-h-grouplike", is_coalgebra_map(unit, _ground_coalgebra(d.field), h.coalg),
-            "1_H")
-    _coalgebra_map_rows(rep, h.coalg, d.base.coalgebra, ract=d.ract, lact=d.lact,
+    k = _ground_coalgebra(d.field)
+    rep.add("unit-h-grouplike", _is_coalgebra_map(unit, k, k, h.coalg, grouplike[0]), "1_H")
+    _coalgebra_map_rows(rep, h.coalg, d.base.coalgebra, grouplike, ract=d.ract, lact=d.lact,
                         cocycle=d.cocycle, dot=d.dot)
     normalizations = _normalization_evaluators(d)
     for name in normalizations:
@@ -300,15 +310,15 @@ def _gather(field, terms, memo, k) -> dict:
     return out
 
 
-def _tables(d: ExtendingDatum):
-    """The points of d where H and A are group-like and every map the
-    product reads is an index table (:attr:`~hopfprod.linalg.LinMap.points`);
-    else None.
+def _tables(d: ExtendingDatum, grouplike):
+    """The points of d where H and A are group-like (``grouplike``, their
+    :func:`_grouplike_factors`) and every map the product reads is an index
+    table (:attr:`~hopfprod.linalg.LinMap.points`); else None.
 
     Returns [|>, <|, f, ., m_A], each a list of rows, ``m[x][y]`` the point
     of m at (x, y); no coproduct leg is kept, since each is x itself."""
     a, h = d.base, d.ext
-    if not (_grouplike(h.coalg) and _grouplike(a.coalgebra)):
+    if not all(grouplike):
         return None
     na, nh = a.dim, h.dim
     points = [m.points for m in (d.lact, d.ract, d.cocycle, d.dot, a.mult)]
@@ -319,9 +329,10 @@ def _tables(d: ExtendingDatum):
             for p, left, n in zip(points, (nh, nh, nh, nh, na), (na, na, nh, nh, na))]
 
 
-def _condition_evaluators(d: ExtendingDatum) -> dict:
+def _condition_evaluators(d: ExtendingDatum, grouplike) -> dict:
     """The nine compatibility identities of d as pointwise evaluators, in
-    report order: name -> (index ranges, holds(*indices), witness label).
+    report order: name -> (index ranges, holds(*indices), witness label);
+    ``grouplike`` is :func:`_grouplike_factors` of H and A.
 
     comult-multiplicative is the coalgebra-map evaluator of the dot.  The
     others are :func:`_table_rows` where :func:`_tables` gives the points of
@@ -332,13 +343,14 @@ def _condition_evaluators(d: ExtendingDatum) -> dict:
     with itself.  Those rows are :func:`_decided`."""
     a, h = d.base, d.ext
     hc = h.coalg
-    tables = _tables(d)
+    gh, ga = grouplike
+    tables = _tables(d, grouplike)
     rows = _table_rows(tables) if tables is not None else _vector_rows(d)
-    if _grouplike(hc):
+    if gh:
         rows["cocycle-symmetry"] = _decided
-        if _grouplike(a.coalgebra):
+        if ga:
             rows["action-symmetry"] = _decided
-    if _grouplike(hc) and d.dot.points is not None:
+    if gh and d.dot.points is not None:
         rows["comult-multiplicative"] = _decided
     else:
         comult, counit = _coalgebra_map_halves(d.dot, hc, hc, hc)
@@ -522,7 +534,7 @@ def _scan_condition(rep: Report, evaluators: dict, name: str, row: str | None = 
 def check_product_conditions(d: ExtendingDatum) -> Report:
     """The nine compatibility identities, each over all basis tuples."""
     rep = Report("product compatibility")
-    evaluators = _condition_evaluators(d)
+    evaluators = _condition_evaluators(d, _grouplike_factors(d.ext.coalg, d.base.coalgebra))
     for name in evaluators:
         _scan_condition(rep, evaluators, name)
     return rep
@@ -546,7 +558,7 @@ def assemble_product(d: ExtendingDatum) -> FDBialgebra:
     field = d.field
     a, h = d.base, d.ext
     coalg = tensor_coalgebra(a.coalgebra, h.coalg)
-    tables = _tables(d)
+    tables = _tables(d, _grouplike_factors(h.coalg, a.coalgebra))
     if tables is not None:
         mult = _table_product(field, coalg, tables, a.dim, h.dim)
     else:

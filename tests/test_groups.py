@@ -1,6 +1,10 @@
+import gc
+import random
+import weakref
+
 import pytest
 
-from helpers import group_unified_product, pair_bijection_is_isomorphism
+from helpers import group_unified_product, pair_bijection_is_isomorphism, random_group_structure
 from hopfprod.corpus import a4_order2_ges, s3_c3_ges, z4_c2_ges
 from hopfprod.fields import QQ, PrimeField
 from hopfprod.groups import (
@@ -17,7 +21,7 @@ from hopfprod.groups import (
     small_corpus_names,
 )
 from hopfprod.structures import check_bialgebra
-from hopfprod.unified import check_product_conditions, validate_datum
+from hopfprod.unified import assemble_product, check_product_conditions, validate_datum
 
 EXPECTED_ORDERS = {"c1": 1, "c7": 7, "c12": 12, "c2xc2": 4, "s3": 6,
                    "d4": 8, "q8": 8, "a4": 12, "s4": 24}
@@ -301,3 +305,70 @@ def test_lift_of_a_structure_with_an_entry_out_of_range_raises(name, row, col, v
     with pytest.raises(DimensionError) as exc:
         lift_to_hopf(bad)
     assert str(exc.value) == message
+
+
+def test_lifts_over_one_group_object_share_its_factors():
+    """Lifts over one group object, one X and one field share k[G] and H by
+    identity, and with them the tensor coalgebra of the product; the four
+    maps are built afresh for each lift."""
+    ges = a4_order2_ges()
+    other = random_group_structure(random.Random(1), ges.group, ges.x_size)
+    other = GroupExtendingStructure(group=ges.group, x_labels=ges.x_labels, ract=other.ract,
+                                    lact=other.lact, cocyc=other.cocyc, star=other.star)
+    for field in (QQ, PrimeField(5)):
+        d1, d2, d3 = lift_to_hopf(ges, field), lift_to_hopf(ges, field), lift_to_hopf(other, field)
+        assert d1.base is d2.base is d3.base and d1.ext is d2.ext is d3.ext
+        assert d1.dot == d2.dot and d1.dot is not d2.dot
+        assert assemble_product(d1).coalgebra is assemble_product(d3).coalgebra
+
+
+def test_factors_are_shared_by_group_object_field_and_x_labels_only():
+    """Another field, other X labels, or another group object with an equal
+    table but other labels each get factors of their own, with their own
+    field and labels."""
+    ges = s3_c3_ges()
+    d = lift_to_hopf(ges, QQ)
+    for field in (PrimeField(5), PrimeField(7)):
+        d2 = lift_to_hopf(ges, field)
+        assert d2.base is not d.base and d2.ext is not d.ext
+        assert d2.base.field == d2.ext.field == field
+    relabelled = GroupExtendingStructure(
+        group=ges.group, x_labels=("u", "v"), ract=ges.ract, lact=ges.lact,
+        cocyc=ges.cocyc, star=ges.star)
+    d2 = lift_to_hopf(relabelled, QQ)
+    assert d2.base is d.base and d2.ext is not d.ext
+    assert d2.ext.space.labels == ("u", "v")
+    twin = GroupTable(ges.group.table, [f"g{k}" for k in range(ges.group.order)])
+    assert twin == ges.group
+    d2 = lift_to_hopf(GroupExtendingStructure(
+        group=twin, x_labels=ges.x_labels, ract=ges.ract, lact=ges.lact,
+        cocyc=ges.cocyc, star=ges.star), QQ)
+    assert d2.base is not d.base and d2.ext is not d.ext
+    assert d2.base.space.labels == twin.labels and d.base.space.labels == ges.group.labels
+
+
+def test_a_group_object_keeps_a_bounded_number_of_extensions():
+    """Lifting over 20 X label sets keeps at most _SHARED_EXTENSIONS H on the
+    group object, and k[G] keeps a tensor coalgebra and a product space only
+    for those: a dropped H is freed."""
+    from hopfprod.groups import _SHARED_EXTENSIONS
+
+    g = builtin_group("c3")
+    base = random_group_structure(random.Random(2), g, 2)
+    group = GroupTable(g.table, g.labels)
+    dropped = []
+    for k in range(20):
+        ges = GroupExtendingStructure(group=group, x_labels=(f"p{k}", f"q{k}"), ract=base.ract,
+                                      lact=base.lact, cocyc=base.cocyc, star=base.star)
+        d = lift_to_hopf(ges)
+        assemble_product(d)
+        dropped.append(weakref.ref(d.ext.coalg))
+        assert len(group._extensions) == min(k + 1, _SHARED_EXTENSIONS)
+        assert len(d.base.coalgebra._tensors) == min(k + 1, _SHARED_EXTENSIONS)
+        kept = [key[1] for key in group._extensions]
+        # A (x) H for each H kept, besides A (x) A and what the tests build
+        assert [s.labels for s in d.base.space._products if s.dim == 2] == kept
+    del d
+    gc.collect()
+    assert [ref() is None for ref in dropped] == [True] * 16 + [False] * 4
+    assert kept == [(f"p{k}", f"q{k}") for k in range(16, 20)]

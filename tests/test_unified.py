@@ -16,6 +16,7 @@ from helpers import (
     h4_trivial_datum,
     leg_rows_direct,
     one_entry_corruptions,
+    perturb_group_structure,
     oracle_check_bialgebra,
     oracle_check_coalgebra,
     oracle_is_algebra_map,
@@ -47,6 +48,7 @@ from hopfprod.groups import (
     builtin_group,
     coset_extending_structure,
     group_algebra,
+    grouplike_coalgebra,
     lift_to_hopf,
     small_corpus_names,
 )
@@ -99,6 +101,7 @@ from hopfprod.unified import (
     MAP_SHAPES,
     DatumConditionError,
     _condition_evaluators,
+    _grouplike_factors,
     _scan_condition,
     _tables,
     assemble_product,
@@ -116,6 +119,11 @@ def mixed_relations_on_every_build(monkeypatch):
 
 def failing(report):
     return {item.condition for item in report.failures()}
+
+
+def grouplike_of(d):
+    """Whether H and A of d are group-like, as a check decides it once."""
+    return _grouplike_factors(d.ext.coalg, d.base.coalgebra)
 
 
 def test_trivial_datum_all_checks_pass():
@@ -479,7 +487,8 @@ def test_coalgebra_map_rows_match_the_composed_oracle():
             hh = tensor_coalgebra(hc, hc)
             for d2 in variants(d, ["dot"]):
                 rep = Report()
-                _scan_condition(rep, _condition_evaluators(d2), "comult-multiplicative")
+                _scan_condition(rep, _condition_evaluators(d2, grouplike_of(d2)),
+                                "comult-multiplicative")
                 ok = oracle_is_coalgebra_map(d2.dot, hh, hc)
                 witness = None if ok else first_coalgebra_map_failure(d2.dot, hh, hc)
                 assert rows(rep, {"comult-multiplicative"}) == \
@@ -609,14 +618,14 @@ def test_collapsed_leg_rows_agree_with_the_expanded_oracle_on_every_tuple():
     for d, per_map in leg_test_data():
         for d2 in with_corruptions(d, rng, per_map):
             direct = leg_rows_direct(d2)
-            table = _condition_evaluators(d2)
+            table = _condition_evaluators(d2, grouplike_of(d2))
             calls = [(name, t) for name in LEG_ROWS for t in iproduct(*table[name][0])]
             want = [direct[name](*t) for name, t in calls]
             got = [table[name][1](*t) for name, t in calls]
             assert got == want, first_difference(calls, got, want)
             order = list(range(len(calls)))
             rng.shuffle(order)
-            table = _condition_evaluators(d2)
+            table = _condition_evaluators(d2, grouplike_of(d2))
             shuffled = {k: table[calls[k][0]][1](*calls[k][1]) for k in order}
             got = [shuffled[k] for k in range(len(calls))]
             assert got == want, first_difference(calls, got, want)
@@ -651,14 +660,14 @@ def test_table_data_assemble_as_the_direct_loop():
     ``assemble_product_direct``, which reads every leg of every coproduct
     afresh."""
     for d in table_test_data():
-        assert _tables(d) is None
+        assert _tables(d, grouplike_of(d)) is None
         assert assemble_product(d).mult == assemble_product_direct(d).mult
     rng = random.Random(9)
     tables = 0
     for d in grouplike_table_data():
-        assert _tables(d) is not None
+        assert _tables(d, grouplike_of(d)) is not None
         for d2 in with_corruptions(d, rng, 8):
-            tables += _tables(d2) is not None
+            tables += _tables(d2, grouplike_of(d2)) is not None
             assemble_product(d2)
     assert tables > 100
 
@@ -675,7 +684,8 @@ def test_group_like_data_are_checked_and_assembled_on_their_tables(monkeypatch):
             return original(*args)
         monkeypatch.setattr(hopfprod.unified, name, recorded)
     a4, h4 = a4_unified_datum(), h4_trivial_datum()
-    assert _tables(a4) is not None and _tables(h4) is None
+    assert _tables(a4, grouplike_of(a4)) is not None
+    assert _tables(h4, grouplike_of(h4)) is None
     assert check_product_conditions(a4).ok
     assemble_product(a4)
     assert summed == []
@@ -917,7 +927,8 @@ def test_decided_rows_match_the_oracles_and_their_loops():
                  None if ok else first_coalgebra_map_failure(d.dot, tensor_coalgebra(hc, hc), hc))]
         direct = leg_rows_direct(d)
         table = {name: (ranges, direct[name], label)
-                 for name, (ranges, _, label) in _condition_evaluators(d).items()
+                 for name, (ranges, _, label)
+                 in _condition_evaluators(d, grouplike_of(d)).items()
                  if name in DECIDED_SYMMETRY}
         for name in DECIDED_SYMMETRY:
             witness = first_failing_tuple(table, name)
@@ -985,3 +996,57 @@ def test_decided_rows_are_scanned_on_their_loops(monkeypatch):
         for m in (d.ract, d.lact, d.cocycle, d.dot, e.mult):
             assert any(x is m for x in read)
         assert any(x.domain.dim == 1 and x.codomain.labels == d.ext.space.labels for x in read)
+
+
+def fresh_lift(ges, field):
+    """ges linearized over new factors, each map built through ``LinMap(...)``
+    from its table: the lift of a structure as if nothing were shared."""
+    a, h = group_algebra(ges.group, field), grouplike_coalgebra(ges.x_labels, field)
+    spaces = {"a": a.space, "h": h.space}
+    tables = {"dot": ges.star, "ract": ges.ract, "lact": ges.lact, "cocycle": ges.cocyc}
+    maps = {}
+    for name, (left, right, target) in MAP_SHAPES.items():
+        n = spaces[right].dim
+        maps[name] = LinMap(field, tensor_space(spaces[left], spaces[right]), spaces[target],
+                            {x * n + y: {z: field.one} for x, row in enumerate(tables[name])
+                             for y, z in enumerate(row)})
+    return ExtendingDatum(base=a, ext=h, **maps)
+
+
+def lift_outputs(d):
+    """The canonical bytes of the three reports of a datum and of its product."""
+    e = assemble_product(d)
+    return [serialize(rep) for rep in (validate_datum(d), check_product_conditions(d),
+                                       check_bialgebra(e))] + [serialize(e)]
+
+
+def test_lifts_over_shared_factors_give_what_fresh_factors_give():
+    """Over QQ, GF(5) and GF(7), coset splits, their one-entry perturbations
+    (over the split's group object) and random structures over the builtin
+    groups are lifted over the factors their group object shares, and give
+    byte for byte the reports and product of the same datum over new
+    factors (:func:`fresh_lift`), as they are and with ``LinMap.points``
+    read as None."""
+    rng = random.Random(39)
+    count, failing = 0, 0
+    for field in (QQ, PrimeField(5), PrimeField(7)):
+        structures = []
+        for name in ("s3", "c4", "c2xc2", "d4", "a4"):
+            g = builtin_group(name)
+            for sub in g.all_subgroups():
+                if len(sub) <= 4 and g.order // len(sub) <= 4:
+                    split = coset_extending_structure(g, sub)
+                    structures += [split] + [perturb_group_structure(rng, split)
+                                             for _ in range(2)]
+        structures += [random_group_structure(rng, builtin_group(name), nx)
+                       for name, nx in (("c2", 3), ("c3", 2), ("c2xc2", 2)) for _ in range(3)]
+        for ges in structures:
+            shared, fresh = lift_to_hopf(ges, field), fresh_lift(ges, field)
+            assert shared.base is lift_to_hopf(ges, field).base
+            assert shared.components_equal(fresh) is None
+            want = lift_outputs(fresh)
+            assert lift_outputs(shared) == want
+            assert on_loops(lift_outputs, shared) == on_loops(lift_outputs, fresh_lift(ges, field))
+            count += 1
+            failing += b'"ok":false' in want[1]
+    assert count == 252 and 100 < failing < count
