@@ -51,10 +51,10 @@ from .structures import (
     UnitalCoalgebra,
     _add_term,
     _counits,
+    _grouplike,
     _tuple_label,
     convolution,
     convolution_unit,
-    grouplike_indices,
     is_coalgebra_map,
     is_algebra_map,
     tensor_coalgebra,
@@ -158,15 +158,16 @@ def enumerate_cocycles(h: UnitalCoalgebra, a: FDBialgebra,
                        cap: int = DEFAULT_COCYCLE_CAP) -> list[LazyCocycle]:
     """All lazy cocycles in the group-like regime: pointed basis maps.
 
-    H must have an all-group-like basis with the unit a basis vector, and A
-    an all-group-like basis; the candidates are then the maps sending the
-    basepoint to 1_A and every other basis element anywhere in A's basis.
+    H must be group-like (:func:`~hopfprod.structures._grouplike`) with the
+    unit a basis vector, and A group-like; the candidates are then the maps
+    sending the basepoint to 1_A and every other basis element anywhere in
+    A's basis.
     Their columns are the shared ``((t, 1),)`` of t < dim A, stored form.
     """
     field = same_field(h, a)
-    if grouplike_indices(h.coalg) != list(range(h.dim)):
+    if not _grouplike(h.coalg):
         raise NotGroupLikeError("H is not group-like on its basis")
-    if grouplike_indices(a.coalgebra) != list(range(a.dim)):
+    if not _grouplike(a.coalgebra):
         raise NotGroupLikeError("A is not group-like on its basis")
     base_idx = [i for i, c in h.unit.items() if c == field.one]
     if len(h.unit) != 1 or len(base_idx) != 1:

@@ -580,15 +580,12 @@ def _coalgebra_map_halves(m: LinMap, x: FDCoalgebra, y: FDCoalgebra, z: FDCoalge
         counit_Z m(a, b) = counit(a) counit(b)
 
     A linear map X -> Z is the case Y = k.  A pair of terms whose
-    m(a1, b1) or m(a2, b2) is zero adds nothing and is skipped.  Where m is
-    an index table (:attr:`~hopfprod.linalg.LinMap.points`), the counit
-    half reads counit_Z at the point of m: the identity of H4 is such a
-    table between coalgebras that are not group-like.  Raises
+    m(a1, b1) or m(a2, b2) is zero adds nothing and is skipped.  Raises
     ``ValueError`` unless m maps X (x) Y to Z."""
     _check_shape(m, x.dim * y.dim, z.dim, "coalgebras")
     field = same_field(m, x, y, z)
     mul = field.mul
-    ny, mc, mp = y.dim, m.cols, m.points
+    ny, mc = y.dim, m.cols
     eps_x, eps_y, eps_z = _counits(x), _counits(y), _counits(z)
     # Z is read only at values of m, so its coproduct is expanded on demand
     cop_x, cop_y = ([c.expand(i, 2) for i in range(c.dim)] for c in (x, y))
@@ -610,17 +607,11 @@ def _coalgebra_map_halves(m: LinMap, x: FDCoalgebra, y: FDCoalgebra, z: FDCoalge
                         _add_term(field, rhs, (r1, r2), mul(st, mul(u, v)))
         return lhs == rhs
 
-    if mp is not None:
-
-        def counit(a, b):
-            return eps_z[mp[a * ny + b]] == mul(eps_x[a], eps_y[b])
-    else:
-
-        def counit(a, b):
-            acc = field.zero
-            for r, c in mc.get(a * ny + b, ()):
-                acc = field.add(acc, mul(eps_z[r], c))
-            return acc == mul(eps_x[a], eps_y[b])
+    def counit(a, b):
+        acc = field.zero
+        for r, c in mc.get(a * ny + b, ()):
+            acc = field.add(acc, mul(eps_z[r], c))
+        return acc == mul(eps_x[a], eps_y[b])
 
     return comult, counit
 

@@ -77,6 +77,11 @@ CONDITION_NAMES = (
     "cocycle-symmetry",
 )
 
+# The basis each tuple position of a condition ranges over, "h" for H and
+# "a" for A, aligned with CONDITION_NAMES; the evaluator table and the
+# set-level check read it.
+CONDITION_SHAPES = ("hh", "haa", "hhh", "haa", "hha", "hha", "hhh", "ha", "hh")
+
 
 # The shape of each structure map of a datum, as (left factor, right factor,
 # codomain) with "h" for the coalgebra H and "a" for the base A.  The datum
@@ -357,9 +362,8 @@ def _condition_evaluators(d: ExtendingDatum, grouplike) -> dict:
         rows["comult-multiplicative"] = lambda g, i: comult(g, i) and counit(g, i)
     # each tuple position ranges over the basis of H ("h") or of A ("a")
     bases = {"h": (range(h.dim), h.space.labels), "a": (range(a.dim), a.space.labels)}
-    shapes = ("hh", "haa", "hhh", "haa", "hha", "hha", "hhh", "ha", "hh")
     out = {}
-    for name, shape in zip(CONDITION_NAMES, shapes):
+    for name, shape in zip(CONDITION_NAMES, CONDITION_SHAPES):
         ranges, labels = zip(*(bases[k] for k in shape))
         out[name] = ranges, rows[name], _tuple_label(*labels)
     return out

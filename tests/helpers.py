@@ -120,6 +120,66 @@ def perturb_group_structure(rng, ges: GroupExtendingStructure) -> GroupExtending
     )
 
 
+def check_group_structure_direct(ges: GroupExtendingStructure) -> Report:
+    """The set-level conditions written out by hand, the independent oracle
+    of ``groups.check_group_structure``: the same title, rows, order and
+    witnesses.
+
+    On group-like bases the two tensor-symmetry conditions hold identically,
+    so the battery below is normalization plus the six specialized identities.
+    """
+    g = ges.group
+    nx, ng = ges.x_size, g.order
+    e, base = g.identity, 0
+    rep = Report("set-level extending structure")
+    mul = g.mult
+    xs, gs = range(nx), range(ng)
+    xl, gl = ges.x_labels, g.labels
+
+    def normal(x, a):
+        return (ges.lact[x][e] == e and ges.ract[x][e] == x
+                and ges.lact[base][a] == a and ges.ract[base][a] == base
+                and ges.cocyc[x][base] == e and ges.cocyc[base][x] == e
+                and ges.star[x][base] == x and ges.star[base][x] == x)
+
+    _scan(rep, "unit-normalization", iproduct(xs, gs), normal, _tuple_label(xl, gl))
+    _scan(rep, "right-module", iproduct(xs, gs, gs),
+          lambda x, a, b: ges.ract[ges.ract[x][a]][b] == ges.ract[x][mul(a, b)],
+          _tuple_label(xl, gl, gl))
+    _scan(rep, "twisted-associativity", iproduct(xs, xs, xs),
+          lambda x, y, z: ges.star[ges.star[x][y]][z]
+          == ges.star[ges.ract[x][ges.cocyc[y][z]]][ges.star[y][z]],
+          _tuple_label(xl, xl, xl))
+    _scan(rep, "lact-multiplicative", iproduct(xs, gs, gs),
+          lambda x, a, b: ges.lact[x][mul(a, b)]
+          == mul(ges.lact[x][a], ges.lact[ges.ract[x][a]][b]),
+          _tuple_label(xl, gl, gl))
+    _scan(rep, "ract-dot-compat", iproduct(xs, xs, gs),
+          lambda x, y, a: ges.ract[ges.star[x][y]][a]
+          == ges.star[ges.ract[x][ges.lact[y][a]]][ges.ract[y][a]],
+          _tuple_label(xl, xl, gl))
+
+    def twisted_module(x, y, a):
+        ya = ges.lact[y][a]
+        lhs = mul(ges.lact[x][ya], ges.cocyc[ges.ract[x][ya]][ges.ract[y][a]])
+        return lhs == mul(ges.cocyc[x][y], ges.lact[ges.star[x][y]][a])
+
+    _scan(rep, "twisted-module", iproduct(xs, xs, gs), twisted_module,
+          _tuple_label(xl, xl, gl))
+
+    def cocycle_condition(x, y, z):
+        fyz = ges.cocyc[y][z]
+        lhs = mul(ges.lact[x][fyz], ges.cocyc[ges.ract[x][fyz]][ges.star[y][z]])
+        return lhs == mul(ges.cocyc[x][y], ges.cocyc[ges.star[x][y]][z])
+
+    _scan(rep, "cocycle-condition", iproduct(xs, xs, xs), cocycle_condition,
+          _tuple_label(xl, xl, xl))
+
+    rep.add("action-symmetry", True)  # identical tensor legs on group-like bases
+    rep.add("cocycle-symmetry", True)
+    return rep
+
+
 def sweedler_bialgebra(field=QQ) -> FDBialgebra:
     """The four-dimensional bialgebra with basis 1, g, x, gx where g*g = 1,
     x*x = 0, x*g = -g*x, delta(g) = g (x) g, delta(x) = x (x) 1 + g (x) x.
@@ -1482,7 +1542,8 @@ def rebind_everywhere(monkeypatch, original, replacement) -> None:
 def check_library_claims_on_every_call(monkeypatch) -> None:
     """From now on hold every cocycle product and inverse against
     ``is_lazy_cocycle``, every cocycle a matched pair is deformed by against
-    it too, every coset split against ``check_group_structure``, the rows
+    it too, every coset split against ``check_group_structure`` and the same
+    rows of :func:`check_group_structure_direct`, the rows
     of every equivalence certificate against :func:`certificate_rows_composed`,
     every partition into classes against :func:`quotient_classes_pairwise`,
     every matched-pair equivalence against :func:`assert_bicrossed_report_agrees`,
@@ -1544,6 +1605,7 @@ def check_library_claims_on_every_call(monkeypatch) -> None:
         ges = split(*args, **kwargs)
         report = hopfprod.groups.check_group_structure(ges)
         assert report.ok, f"coset split fails {report.first_failure()}"
+        assert report.items == check_group_structure_direct(ges).items
         return ges
 
     @functools.wraps(certify)

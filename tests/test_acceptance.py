@@ -13,6 +13,7 @@ import time
 from helpers import (
     assemble_product_direct,
     bicrossed_antipode_direct,
+    check_group_structure_direct,
     drinfeld_double_datum,
     group_unified_product,
     pair_bijection_is_isomorphism,
@@ -99,10 +100,12 @@ def test_criterion_1_condition_oracle_equivalence():
                    f"sample {k}: normalization must hold by construction")
         conditions_ok = hp.check_product_conditions(datum).ok
         bialgebra_ok = hp.check_bialgebra(hp.assemble_product(datum)).ok
-        setlevel_ok = hp.check_group_structure(ges).ok
+        setlevel = hp.check_group_structure(ges)
+        crit.check(setlevel.items == check_group_structure_direct(ges).items,
+                   f"sample {k}: set-level rows differ from the hand-written oracle")
         crit.check(conditions_ok == bialgebra_ok,
                    f"sample {k}: conditions={conditions_ok} bialgebra={bialgebra_ok}")
-        crit.check(setlevel_ok == conditions_ok,
+        crit.check(setlevel.ok == conditions_ok,
                    f"sample {k}: set-level battery disagrees")
         valid_count += conditions_ok
     crit.check(0 < valid_count < total, "sample mix is degenerate")
@@ -216,7 +219,10 @@ def test_criterion_5_group_functoriality():
     crit.check(len(a4_idx) == 12, "embedded A4 has the wrong order")
     ges = hp.coset_extending_structure(a6, a4_idx)
     crit.check(ges.x_size == 30, f"expected 30 representatives, got {ges.x_size}")
-    crit.check(hp.check_group_structure(ges).ok, "A6 split fails the conditions")
+    setlevel = hp.check_group_structure(ges)
+    crit.check(setlevel.ok, "A6 split fails the conditions")
+    crit.check(setlevel.items == check_group_structure_direct(ges).items,
+               "A6 split: set-level rows differ from the hand-written oracle")
     crit.check(pair_bijection_is_isomorphism(ges),
                "A6 is not reproduced by the set-level product")
     crit.finish(budget=120)

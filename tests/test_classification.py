@@ -187,6 +187,36 @@ def test_enumeration_rejects_non_grouplike():
         enumerate_cocycles(grouplike_coalgebra(("p", "q"), QQ), b)
 
 
+def _grouplike_look_alike(side, defect):
+    """(H, A) over two points with one defect planted in the coalgebra of H
+    or of A, the rest group-like: an epsilon of 2, a delta point off the
+    diagonal, or a delta column 2 e_j."""
+    from hopfprod.structures import FDCoalgebra
+
+    h, a = grouplike_coalgebra(("p", "q"), QQ), group_algebra(builtin_group("c2"))
+    c = h.coalg if side == "h" else a.coalgebra
+    delta, eps = c.delta, c.epsilon
+    if defect == "eps-2":
+        eps = with_column(eps, 1, {0: QQ.of(2)})
+    elif defect == "delta-off-diagonal":
+        delta = with_column(delta, 1, {1 * c.dim + 0: QQ.one})
+    else:
+        delta = with_column(delta, 1, {1 * c.dim + 1: QQ.of(2)})
+    c = FDCoalgebra(QQ, c.space, delta, eps)
+    if side == "h":
+        return UnitalCoalgebra(c, h.unit), a
+    return h, FDBialgebra(c, a.algebra)
+
+
+@pytest.mark.parametrize("side", ["h", "a"])
+@pytest.mark.parametrize("defect", ["eps-2", "delta-off-diagonal", "delta-2e"])
+def test_enumeration_rejects_one_point_off_group_like(side, defect):
+    h, a = _grouplike_look_alike(side, defect)
+    name = side.upper()
+    with pytest.raises(NotGroupLikeError, match=f"^{name} is not group-like on its basis$"):
+        enumerate_cocycles(h, a)
+
+
 def test_self_equivalence_via_trivial_cocycle_is_identity():
     d = matched_pair_datum(s3_matched_pair())
     u = trivial_lazy_cocycle(d.ext, d.base)

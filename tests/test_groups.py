@@ -4,7 +4,13 @@ import weakref
 
 import pytest
 
-from helpers import group_unified_product, pair_bijection_is_isomorphism, random_group_structure
+from helpers import (
+    check_group_structure_direct,
+    group_unified_product,
+    pair_bijection_is_isomorphism,
+    perturb_group_structure,
+    random_group_structure,
+)
 from hopfprod.corpus import a4_order2_ges, s3_c3_ges, z4_c2_ges
 from hopfprod.fields import QQ, PrimeField
 from hopfprod.groups import (
@@ -372,3 +378,36 @@ def test_a_group_object_keeps_a_bounded_number_of_extensions():
     gc.collect()
     assert [ref() is None for ref in dropped] == [True] * 16 + [False] * 4
     assert kept == [(f"p{k}", f"q{k}") for k in range(16, 20)]
+
+
+def test_set_level_check_gives_the_rows_of_the_hand_written_oracle():
+    """check_group_structure, which scans the engine's table rows, gives the
+    title, rows and witnesses of check_group_structure_direct, the formulas
+    written out by hand: on the coset splits of every small builtin group,
+    two one-entry perturbations of each, random structures, and those with
+    x . basepoint moved off x.  Each of the seven scanned rows fails on
+    some of them."""
+    rng = random.Random(40)
+    structures = []
+    for name in small_corpus_names():
+        g = builtin_group(name)
+        for sub in g.all_subgroups():
+            split = coset_extending_structure(g, sub)
+            structures += [split] + [perturb_group_structure(rng, split) for _ in range(2)]
+    for name in ("c1", "c2", "c3", "c4", "c2xc2", "s3"):
+        for nx in range(1, 5):
+            ges = random_group_structure(rng, builtin_group(name), nx)
+            structures.append(ges)
+            if nx > 1:
+                star = (ges.star[0], (0,) + ges.star[1][1:]) + ges.star[2:]
+                structures.append(GroupExtendingStructure(
+                    group=ges.group, x_labels=ges.x_labels, ract=ges.ract, lact=ges.lact,
+                    cocyc=ges.cocyc, star=star))
+    failing = set()
+    for ges in structures:
+        report = check_group_structure(ges)
+        assert report.to_obj() == check_group_structure_direct(ges).to_obj()
+        failing.update(item.condition for item in report.failures())
+    assert failing == {"unit-normalization", "right-module", "twisted-associativity",
+                       "lact-multiplicative", "ract-dot-compat", "twisted-module",
+                       "cocycle-condition"}

@@ -1,8 +1,9 @@
 """Static checks of the source: the package's modules import each other only
 at module top level, the import graph between them has no cycle, the
 classical checkers evaluate no coproduct sum of their own, the deformation
-expands no coproduct beyond the first, and every source file parses with the
-oldest Python grammar the package declares."""
+expands no coproduct beyond the first, the set-level oracle of the tests
+reads nothing of the engine it checks, and every source file parses with
+the oldest Python grammar the package declares."""
 import ast
 from pathlib import Path
 
@@ -97,3 +98,15 @@ def test_classification_expands_no_coproduct_beyond_the_first():
         n = node.args[1] if len(node.args) > 1 else None
         assert isinstance(n, ast.Constant) and n.value <= 2, \
             f"classification.py:{node.lineno} expands to {ast.unparse(n) if n else '?'}"
+
+
+def test_set_level_oracle_names_nothing_of_the_engine():
+    # check_group_structure scans the engine's table rows; its oracle in the
+    # tests writes the formulas out itself and reaches no engine entry point
+    tree = ast.parse((TESTS_DIR / "helpers.py").read_text())
+    oracle, = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+               and node.name == "check_group_structure_direct"]
+    names = {node.id for node in ast.walk(oracle) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(oracle) if isinstance(node, ast.Attribute)}
+    engine = {"_table_rows", "_condition_evaluators", "lift_to_hopf", "check_product_conditions"}
+    assert "_scan" in names and not names & engine

@@ -767,9 +767,10 @@ def table_algebra_maps(draw):
 
 
 def test_table_branches_of_the_predicates_match_the_composed_oracles():
-    # where every map a predicate reads is an index table it compares
-    # indices, and runs its loop otherwise; both must agree with the
-    # composed maps at every pair, and each runs in each predicate
+    # is_algebra_map compares indices where every map it reads is an index
+    # table, and runs its loop otherwise; the coalgebra-map halves sum on
+    # tables and elsewhere alike.  Each must agree with the composed maps at
+    # every pair, on tables and off them
     from hopfprod.structures import _coalgebra_map_halves
 
     seen = set()
