@@ -76,7 +76,6 @@ from .structures import (
     check_coalgebra,
     convolution,
     convolution_unit,
-    grouplike_indices,
     is_algebra_map,
     is_coalgebra_map,
     tensor_coalgebra,

@@ -157,9 +157,6 @@ class GroupTable:
             frontier = new
         return seen
 
-    def mult(self, x: int, y: int) -> int:
-        return self.table[x][y]
-
     def is_subgroup(self, indices) -> bool:
         s = set(indices)
         if self.identity not in s:

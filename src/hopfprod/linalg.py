@@ -17,27 +17,27 @@ and :class:`LinMap` accepts one, a tuple of ``(index, value)`` pairs.
 
 One constructor validates: ``LinMap(...)`` reads every column it is handed,
 drops zeros, sorts, and refuses a repeated or out-of-range index; the
-parser and every summing loop build through it.  The private
-``LinMap._of`` stores columns as they are and takes ``points`` where the
-caller has them.  Only the index-table branches call it, whose columns are
-stored columns of validated maps or one-entry tuples read from validated
-tables: :func:`compose`, ``structures.convolution``,
-``classification._twist`` and ``enumerate_cocycles``, the u (x) counit
-and |>(id (x) u) factors of the deformation where every column is stored,
-and L and K of the :class:`PreimageSolver` of an injective index table,
-which reads them off the table with no elimination.  An index table built
-from its points goes through the private ``LinMap._from_points``, which
-checks each point as ``LinMap(...)`` checks a column and shares one
-``((j, 1),)`` column per codomain index: the group algebra, the group-like
-coproduct and counit, the lift of a set-level structure, the assembly on
-index tables and the coproduct of ``structures.tensor_coalgebra`` where
-both factors' are tables.
+parser and every summing loop build through it.  Two private constructors
+do not, and their callers are exactly the ones named here
+(``tests/test_layering.py`` pins them).  ``LinMap._of`` stores columns as
+they are and takes ``points`` where the caller has them.  Only the
+index-table branches call it, whose columns are stored columns of validated
+maps or one-entry tuples read from validated tables: :func:`compose`,
+``structures.convolution``, ``classification._twist`` and
+``enumerate_cocycles``, ``classification._deformed_maps`` and its
+``convolve`` (the |>(id (x) u) and u (x) counit factors of the deformation
+where every column is stored), :meth:`PreimageSolver._read_table` (L and K
+of an injective index table, read off the table with no elimination) and
+:meth:`LinMap._from_points`.  An index table built from its points goes
+through ``LinMap._from_points``, which checks each point as ``LinMap(...)``
+checks a column and shares one ``((j, 1),)`` column per codomain index:
+``groups.group_algebra`` and ``lift_to_hopf``, the group-like counit and
+coproduct ``structures.counit_all_ones`` and ``grouplike_delta``, and the
+assembly on index tables, ``unified._table_product``.
 
 Bilinear maps are linear maps out of a tensor-product domain.  A pair of
 basis indices is read as the stored column at ``i * dim(right) + j``, and
-:meth:`LinMap.bilin` takes vectors: a one-term vector counts as its index
-with a coefficient, so a pair of them reads one stored column, scaled only
-when the product of the coefficients is not one; any other pair is expanded
+:meth:`LinMap.bilin` takes basis indices or vectors and expands them
 bilinearly in one loop.  :func:`tensor_apply` likewise applies ``f (x) g``
 to one vector without building the map ``f (x) g``.  Stored columns are
 canonical, so maps compare, and hash, by their ``cols`` as stored.
@@ -263,32 +263,10 @@ class LinMap:
     def bilin(self, v, w, right_dim: int) -> dict:
         """Apply to v (x) w, where the domain splits as left (x) right.
 
-        Each argument is a basis index or a sparse vector.  A one-term
-        vector {k: c} counts as the index k with coefficient c, so two such
-        arguments give one stored column, scaled by the product of their
-        coefficients unless it is one; a scaled entry is zero only when a
-        coefficient is.  Otherwise every pair of terms adds its scaled column
-        to the result, a basis index counting with coefficient one.
+        Each argument is a basis index, counting with coefficient one, or a
+        sparse vector; every pair of terms adds its scaled column to the
+        result, so a pair of indices reads one stored column unscaled.
         """
-        c = None
-        if not isinstance(v, int):
-            if len(v) != 1:
-                return self._bilin_terms(v, w, right_dim)
-            (v, c), = v.items()
-        if not isinstance(w, int):
-            if len(w) != 1:
-                return self._bilin_terms(v if c is None else {v: c}, w, right_dim)
-            (w, y), = w.items()
-            c = y if c is None else self.field.mul(c, y)
-        col = self.cols.get(v * right_dim + w, ())
-        if c is None or c == self.field.one:
-            return dict(col)
-        # a field product is reduced, so it is falsy exactly when it is zero
-        mul = self.field.mul
-        return {k: z for k, m in col if (z := mul(c, m))}
-
-    def _bilin_terms(self, v, w, right_dim: int) -> dict:
-        """:meth:`bilin` summed pair of terms by pair of terms."""
         cols = self.cols
         f = self.field
         left = ((v, None),) if isinstance(v, int) else v.items()

@@ -33,8 +33,8 @@ are index tables (:attr:`~hopfprod.linalg.LinMap.points`), each column of
 column is summed term by term.  :func:`left_convolution_inverse` reads its
 solution off the tables where every right multiplication it needs
 permutes the basis, and eliminates otherwise.  :func:`tensor_coalgebra` is
-built once per pair of factor objects, its coproduct from the points of
-the factors' where both are tables.
+built once per pair of factor objects; a tensor product of group-like
+coalgebras is group-like (the set level again), and is built as such.
 """
 from __future__ import annotations
 
@@ -316,8 +316,8 @@ class FDHopf(FDBialgebra):
 def tensor_coalgebra(c: FDCoalgebra, d: FDCoalgebra) -> FDCoalgebra:
     """The tensor-product coalgebra: (c (x) d)_(1..2) pairs componentwise,
     delta(x (x) y) = (x1 (x) y1) (x) (x2 (x) y2), and the counit is
-    counit(x) counit(y).  Its coproduct is an index table
-    (:attr:`~hopfprod.linalg.LinMap.points`) where both factors' are.
+    counit(x) counit(y).  A tensor product of group-like coalgebras
+    (:func:`_grouplike`) is group-like, and is built as such.
 
     Built once per pair of factor objects: ``c`` keeps the coalgebra it
     built for ``d`` under ``id(d)``, together with ``d`` itself, so that
@@ -331,14 +331,10 @@ def tensor_coalgebra(c: FDCoalgebra, d: FDCoalgebra) -> FDCoalgebra:
         return hit[1]
     field = same_field(c, d)
     space = tensor_space(c.space, d.space)
-    n, nn, mul = d.dim, space.dim, field.mul
-    cp, dp = c.delta.points, d.delta.points
-    if cp is not None and dp is not None:
-        cd, dd = [divmod(k, c.dim) for k in cp], [divmod(k, n) for k in dp]
-        delta = LinMap._from_points(field, space, tensor_space(space, space),
-                                    [(a1 * n + b1) * nn + a2 * n + b2
-                                     for a1, a2 in cd for b1, b2 in dd])
+    if _grouplike(c) and _grouplike(d):
+        delta, epsilon = grouplike_delta(field, space), counit_all_ones(field, space)
     else:
+        n, nn, mul = d.dim, space.dim, field.mul
         cols = {}
         for i in range(c.dim):
             ci = c.expand(i, 2)
@@ -347,9 +343,9 @@ def tensor_coalgebra(c: FDCoalgebra, d: FDCoalgebra) -> FDCoalgebra:
                 cols[i * n + j] = {(a1 * n + b1) * nn + a2 * n + b2: mul(x, y)
                                    for (a1, a2), x in ci for (b1, b2), y in dj}
         delta = LinMap(field, space, tensor_space(space, space), cols)
-    epsilon = LinMap(field, space, SCALAR_SPACE,
-                     {i * n + j: {0: field.mul(x, y)}
-                      for i, x in enumerate(_counits(c)) for j, y in enumerate(_counits(d))})
+        epsilon = LinMap(field, space, SCALAR_SPACE,
+                         {i * n + j: {0: mul(x, y)}
+                          for i, x in enumerate(_counits(c)) for j, y in enumerate(_counits(d))})
     out = FDCoalgebra(field, space, delta, epsilon)
     c._tensors[id(d)] = (None if d is c else d, out)
     return out
@@ -674,14 +670,6 @@ def is_algebra_map(f: LinMap, src: FDAlgebra, dst: FDAlgebra) -> bool:
             if lhs != rhs:
                 return False
     return f.apply(src.unit) == dst.unit
-
-
-def grouplike_indices(c: FDCoalgebra) -> list[int]:
-    """Basis indices i with delta(e_i) = e_i (x) e_i and counit 1."""
-    one = c.field.one
-    eps = _counits(c)
-    return [i for i in range(c.dim)
-            if c.delta.col(i) == {i * c.dim + i: one} and eps[i] == one]
 
 
 # ---------------------------------------------------------------------------

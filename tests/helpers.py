@@ -132,7 +132,7 @@ def check_group_structure_direct(ges: GroupExtendingStructure) -> Report:
     nx, ng = ges.x_size, g.order
     e, base = g.identity, 0
     rep = Report("set-level extending structure")
-    mul = g.mult
+    table = g.table
     xs, gs = range(nx), range(ng)
     xl, gl = ges.x_labels, g.labels
 
@@ -144,15 +144,15 @@ def check_group_structure_direct(ges: GroupExtendingStructure) -> Report:
 
     _scan(rep, "unit-normalization", iproduct(xs, gs), normal, _tuple_label(xl, gl))
     _scan(rep, "right-module", iproduct(xs, gs, gs),
-          lambda x, a, b: ges.ract[ges.ract[x][a]][b] == ges.ract[x][mul(a, b)],
+          lambda x, a, b: ges.ract[ges.ract[x][a]][b] == ges.ract[x][table[a][b]],
           _tuple_label(xl, gl, gl))
     _scan(rep, "twisted-associativity", iproduct(xs, xs, xs),
           lambda x, y, z: ges.star[ges.star[x][y]][z]
           == ges.star[ges.ract[x][ges.cocyc[y][z]]][ges.star[y][z]],
           _tuple_label(xl, xl, xl))
     _scan(rep, "lact-multiplicative", iproduct(xs, gs, gs),
-          lambda x, a, b: ges.lact[x][mul(a, b)]
-          == mul(ges.lact[x][a], ges.lact[ges.ract[x][a]][b]),
+          lambda x, a, b: ges.lact[x][table[a][b]]
+          == table[ges.lact[x][a]][ges.lact[ges.ract[x][a]][b]],
           _tuple_label(xl, gl, gl))
     _scan(rep, "ract-dot-compat", iproduct(xs, xs, gs),
           lambda x, y, a: ges.ract[ges.star[x][y]][a]
@@ -161,16 +161,16 @@ def check_group_structure_direct(ges: GroupExtendingStructure) -> Report:
 
     def twisted_module(x, y, a):
         ya = ges.lact[y][a]
-        lhs = mul(ges.lact[x][ya], ges.cocyc[ges.ract[x][ya]][ges.ract[y][a]])
-        return lhs == mul(ges.cocyc[x][y], ges.lact[ges.star[x][y]][a])
+        lhs = table[ges.lact[x][ya]][ges.cocyc[ges.ract[x][ya]][ges.ract[y][a]]]
+        return lhs == table[ges.cocyc[x][y]][ges.lact[ges.star[x][y]][a]]
 
     _scan(rep, "twisted-module", iproduct(xs, xs, gs), twisted_module,
           _tuple_label(xl, xl, gl))
 
     def cocycle_condition(x, y, z):
         fyz = ges.cocyc[y][z]
-        lhs = mul(ges.lact[x][fyz], ges.cocyc[ges.ract[x][fyz]][ges.star[y][z]])
-        return lhs == mul(ges.cocyc[x][y], ges.cocyc[ges.star[x][y]][z])
+        lhs = table[ges.lact[x][fyz]][ges.cocyc[ges.ract[x][fyz]][ges.star[y][z]]]
+        return lhs == table[ges.cocyc[x][y]][ges.cocyc[ges.star[x][y]][z]]
 
     _scan(rep, "cocycle-condition", iproduct(xs, xs, xs), cocycle_condition,
           _tuple_label(xl, xl, xl))
@@ -317,7 +317,7 @@ def group_unified_product(ges: GroupExtendingStructure) -> GroupTable:
     """
     g = ges.group
     nx = ges.x_size
-    mul = g.mult
+    gt = g.table
     n = g.order * nx
     table = [[0] * n for _ in range(n)]
     for a in range(g.order):
@@ -327,7 +327,7 @@ def group_unified_product(ges: GroupExtendingStructure) -> GroupTable:
                 xb_g = ges.lact[x][b]
                 xb_x = ges.ract[x][b]
                 for y in range(nx):
-                    out_a = mul(mul(a, xb_g), ges.cocyc[xb_x][y])
+                    out_a = gt[gt[a][xb_g]][ges.cocyc[xb_x][y]]
                     out_x = ges.star[xb_x][y]
                     row[b * nx + y] = out_a * nx + out_x
     labels = [f"({ga},{lx})" for ga in g.labels for lx in ges.x_labels]
@@ -514,8 +514,9 @@ def is_algebra_antimap(f, src, dst) -> bool:
 
 def bilin_direct(m: LinMap, v, w, right_dim: int) -> dict:
     """m applied to v (x) w with every pair of terms adding its scaled
-    column, a basis index counting with coefficient one: the general loop of
-    :meth:`LinMap.bilin`, as the oracle of its one-term path."""
+    column, a basis index counting with coefficient one.  The ``DatumOps``
+    oracles read the structure maps through it, so that they share no code
+    with the engine's :meth:`LinMap.bilin`."""
     f = m.field
     left = ((v, None),) if isinstance(v, int) else v.items()
     right = ((w, None),) if isinstance(w, int) else tuple(w.items())

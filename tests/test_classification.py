@@ -38,9 +38,10 @@ from hopfprod.corpus import (
     z2xz2_crossed_datum,
     z4_crossed_datum,
 )
+from hopfprod.factorization import FactorizationInput, recover_datum
 from hopfprod.fields import QQ, PrimeField
 from hopfprod.groups import builtin_group, group_algebra, grouplike_coalgebra
-from hopfprod.linalg import LinMap, compose, tensor_space
+from hopfprod.linalg import LinMap, compose, tensor_space, tensor_vec, vec_add_into
 from hopfprod.reports import Report
 from hopfprod.special import (
     MatchedPair,
@@ -51,7 +52,7 @@ from hopfprod.special import (
     trivial_matched_pair,
 )
 from hopfprod.structures import FDAlgebra, FDBialgebra, UnitalCoalgebra, attach_antipode
-from hopfprod.unified import build_unified_product
+from hopfprod.unified import assemble_product, build_unified_product
 
 
 def test_trivial_cocycle_is_lazy():
@@ -432,6 +433,46 @@ def test_deformation_is_a_left_action_on_a_non_abelian_base():
         if uv.linmap != cocycle_convolve(v, u).linmap:
             told_apart += twice.components_equal(deform_datum(d, uv)) is not None
     assert told_apart >= 1
+
+
+def cocycle_complement(e: FDBialgebra, d, u: LazyCocycle) -> LinMap:
+    """The inclusion of H_u = {u(h1) h2} into the product e = A # H of d,
+    h -> sum u(h1) (x) h2, where a (x) h sits at a * dim H + h."""
+    field, nh = d.field, d.ext.dim
+    cols = {}
+    for hi in range(nh):
+        col = cols[hi] = {}
+        for (h1, h2), c in d.ext.coalg.expand(hi, 2):
+            for ai, x in u.linmap.col(h1).items():
+                vec_add_into(field, col, {ai * nh + h2: x}, c)
+    return LinMap(field, d.ext.space, e.space, cols)
+
+
+@pytest.mark.parametrize("name, field, count", [
+    ("a4-unified", QQ, 32), ("a4-unified", PrimeField(5), 32), ("s4-over-s3", QQ, 216)],
+    ids=["a4-unified-QQ", "a4-unified-GF5", "s4-over-s3-QQ"])
+def test_factorizing_through_the_complement_of_a_cocycle_gives_its_deformation(
+        name, field, count):
+    # the factorization theorem against the classification theorem: E
+    # factorizes through A and H_u = {u(h1) h2}, and recover_datum, which
+    # reads E through its multiplication map, must give the datum that
+    # deform_datum computes without building E
+    from hopfprod.corpus import a4_unified_datum
+
+    d = a4_unified_datum(field) if name == "a4-unified" else s4_over_s3_datum()
+    e = assemble_product(d)
+    incl_a = LinMap(field, d.base.space, e.space,
+                    {ai: tensor_vec(field, {ai: field.one}, d.ext.unit, d.ext.dim)
+                     for ai in range(d.base.dim)})
+    cands = enumerate_cocycles(d.ext, d.base)
+    assert len(cands) == count
+    moved = 0
+    for u in cands:
+        fi = FactorizationInput.build(e, incl_a, cocycle_complement(e, d, u))
+        want = deform_datum(d, u)
+        assert recover_datum(fi).components_equal(want) is None
+        moved += d.components_equal(want) is not None
+    assert moved == count - 1
 
 
 def test_every_quotient_call_is_held_against_the_pairwise_relation(monkeypatch):

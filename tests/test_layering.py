@@ -110,3 +110,39 @@ def test_set_level_oracle_names_nothing_of_the_engine():
     names |= {node.attr for node in ast.walk(oracle) if isinstance(node, ast.Attribute)}
     engine = {"_table_rows", "_condition_evaluators", "lift_to_hopf", "check_product_conditions"}
     assert "_scan" in names and not names & engine
+
+
+def _constructor_callers(attr: str) -> set[str]:
+    """``module.qualname`` of each function in the package that calls
+    ``<something>.attr(...)``, named by its innermost enclosing function."""
+    callers = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}"
+            elif (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                  and child.func.attr == attr):
+                callers.add(scope)
+            visit(child, inner)
+
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem)
+    return callers
+
+
+def test_unchecked_constructors_have_only_the_documented_callers():
+    # LinMap._of stores columns with no check and LinMap._from_points checks
+    # only points; each caller is listed in the linalg module docstring, and
+    # a new one must be added there and here
+    assert _constructor_callers("_of") == {
+        "linalg.LinMap._from_points", "linalg.compose", "linalg.PreimageSolver._read_table",
+        "structures.convolution", "classification.enumerate_cocycles",
+        "classification._twist", "classification._deformed_maps",
+        "classification._deformed_maps.convolve",
+    }
+    assert _constructor_callers("_from_points") == {
+        "groups.group_algebra", "groups.lift_to_hopf", "structures.counit_all_ones",
+        "structures.grouplike_delta", "unified._table_product",
+    }

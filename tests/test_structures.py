@@ -49,7 +49,6 @@ from hopfprod.structures import (
     convolution_unit,
     counit_all_ones,
     grouplike_delta,
-    grouplike_indices,
     is_algebra_map,
     is_coalgebra_map,
     tensor_coalgebra,
@@ -400,13 +399,6 @@ def test_sweedler_antipode_closed_form():
     assert s == LinMap(QQ, b.space, b.space,
                        {0: {0: one}, 1: {1: one},
                         2: {3: QQ.neg(one)}, 3: {2: one}})
-
-
-def test_grouplike_detection():
-    b = sweedler_bialgebra()
-    assert grouplike_indices(b.coalgebra) == [0, 1]
-    g = group_algebra(builtin_group("c4"))
-    assert grouplike_indices(g.coalgebra) == [0, 1, 2, 3]
 
 
 def rows(report):
