@@ -52,7 +52,6 @@ from .structures import (
     _add_term,
     _counits,
     _grouplike,
-    _tuple_label,
     convolution,
     convolution_unit,
     is_coalgebra_map,
@@ -307,17 +306,21 @@ class EquivalenceResult:
 
 
 def _deformation_evaluators(d: ExtendingDatum, d2: ExtendingDatum, u: LazyCocycle) -> dict:
-    """The three deformation formulas as pointwise evaluators, in the shape
-    of :func:`~hopfprod.unified._condition_evaluators`: each holds where the
-    map of d2 is the deformation of the map of d by u.  The cocycle formula
-    reads the deformed dot from d2."""
+    """The three deformation formulas as rows, in the shape of
+    :func:`~hopfprod.unified._condition_evaluators`: each fails at the pairs
+    where the map of d2 differs from the deformation of the map of d by u.
+    The cocycle formula reads the deformed dot from d2."""
     hl, al = d.ext.space.labels, d.base.space.labels
     dot, lact, cocycle = _deformed_maps(d, u, d2.dot)
 
     def row(mine: LinMap, theirs: LinMap, left, right):
         n, mine, theirs = len(right), mine.cols, theirs.cols
-        holds = lambda i, j: mine.get(i * n + j) == theirs.get(i * n + j)
-        return (range(len(left)), range(n)), holds, _tuple_label(left, right)
+
+        def failing():
+            for k in range(len(left) * n):
+                if mine.get(k) != theirs.get(k):
+                    yield divmod(k, n)
+        return failing, (left, right)
 
     return {"deformed-lact": row(lact, d2.lact, hl, al), "deformed-dot": row(dot, d2.dot, hl, hl),
             "deformed-cocycle": row(cocycle, d2.cocycle, hl, hl)}

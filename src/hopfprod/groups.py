@@ -14,14 +14,14 @@ set-level product on ``G x X`` entry for entry (an oracle of the tests).
 Lifts over one :class:`GroupTable` object share the two factors k[G] and
 H, which the object keeps for as long as it lives (:func:`lift_to_hopf`).
 :func:`check_group_structure` needs no lift: it scans the engine's
-index-table rows (:func:`~hopfprod.unified._table_rows`) over the
-structure's own tables; only its unit normalization is written here.
+index-table rows (:func:`~hopfprod.unified._table_rows`), each a loop that
+yields its failing tuples, over the structure's own tables; only its unit
+normalization, one more such loop, is written here.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product as iproduct
 
 from .fields import QQ
 from .linalg import BasedSpace, LinMap, tensor_space
@@ -32,7 +32,6 @@ from .structures import (
     FDHopf,
     UnitalCoalgebra,
     _scan,
-    _tuple_label,
     counit_all_ones,
     grouplike_delta,
 )
@@ -365,32 +364,36 @@ def check_group_structure(ges: GroupExtendingStructure) -> Report:
     On group-like bases the two tensor-symmetry conditions hold identically,
     so the battery is the unit normalization plus the six rows group-like
     data do not decide: the engine's :func:`~hopfprod.unified._table_rows`,
-    read on the structure's own tables, with no lift, over the ranges and
-    labels of :data:`~hopfprod.unified.CONDITION_SHAPES`.
+    read on the structure's own tables, with no lift, and labelled by
+    :data:`~hopfprod.unified.CONDITION_SHAPES`.  The unit normalization
+    fails at (x, a) where x or a breaks it, so it is one pass over X that
+    yields the failing a of each x.
     """
     g = ges.group
-    nx, ng = ges.x_size, g.order
     e, base = g.identity, 0
+    lact, ract, cocyc, star = ges.lact, ges.ract, ges.cocyc, ges.star
     rep = Report("set-level extending structure")
-    xs, gs = range(nx), range(ng)
     xl, gl = ges.x_labels, g.labels
 
-    def normal(x, a):
-        return (ges.lact[x][e] == e and ges.ract[x][e] == x
-                and ges.lact[base][a] == a and ges.ract[base][a] == base
-                and ges.cocyc[x][base] == e and ges.cocyc[base][x] == e
-                and ges.star[x][base] == x and ges.star[base][x] == x)
+    def unit_normalization():
+        """x |> e = e, x <| e = x, 0 |> a = a, 0 <| a = 0, f(x, 0) = f(0, x) = e
+        and x . 0 = 0 . x = x"""
+        l0, r0, c0, s0 = lact[base], ract[base], cocyc[base], star[base]
+        every, bad = range(g.order), [a for a in range(g.order) if l0[a] != a or r0[a] != base]
+        for x in range(ges.x_size):
+            ok = (lact[x][e] == e and ract[x][e] == x and cocyc[x][base] == e
+                  and c0[x] == e and star[x][base] == x and s0[x] == x)
+            for a in bad if ok else every:
+                yield x, a
 
-    _scan(rep, "unit-normalization", iproduct(xs, gs), normal, _tuple_label(xl, gl))
+    _scan(rep, "unit-normalization", unit_normalization(), (xl, gl))
     # each table a list of row tuples, as _tables gives them: the row code is
     # shared with the engine, and tuple tables here as well make the
     # interpreter re-specialize its indexing (`oracle` ran about 6% slower)
-    rows = _table_rows([list(ges.lact), list(ges.ract), list(ges.cocyc), list(ges.star),
-                        list(g.table)])
-    bases = {"h": (xs, xl), "a": (gs, gl)}
+    rows = _table_rows([list(lact), list(ract), list(cocyc), list(star), list(g.table)])
+    labels = {"h": xl, "a": gl}
     for name, shape in zip(CONDITION_NAMES[1:7], CONDITION_SHAPES[1:7]):
-        ranges, labels = zip(*(bases[k] for k in shape))
-        _scan(rep, name, iproduct(*ranges), rows[name], _tuple_label(*labels))
+        _scan(rep, name, rows[name](), tuple(map(labels.__getitem__, shape)))
     rep.add("action-symmetry", True)  # identical tensor legs on group-like bases
     rep.add("cocycle-symmetry", True)
     return rep

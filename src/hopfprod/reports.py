@@ -7,6 +7,7 @@ and as a machine-readable JSON section.
 """
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import NamedTuple
 
 
@@ -18,6 +19,11 @@ class CheckItem(NamedTuple):
     witness: str | None = None
 
 
+# rows are made by tuple.__new__, as CheckItem._make makes them, not through
+# the NamedTuple's Python-level __new__; their verdicts are read in C
+_new_item, _passed = tuple.__new__, itemgetter(1)
+
+
 class Report:
     """An ordered list of named condition checks."""
 
@@ -26,14 +32,14 @@ class Report:
         self.items: list[CheckItem] = []
 
     def add(self, condition: str, passed: bool, witness: str | None = None):
-        self.items.append(CheckItem(condition, passed, witness if not passed else None))
+        self.items.append(_new_item(CheckItem, (condition, passed, None if passed else witness)))
 
     def extend(self, other: Report):
         self.items.extend(other.items)
 
     @property
     def ok(self) -> bool:
-        return all(item.passed for item in self.items)
+        return all(map(_passed, self.items))
 
     def failures(self) -> list[CheckItem]:
         return [item for item in self.items if not item.passed]

@@ -27,8 +27,8 @@ from .structures import (
     FDBialgebra,
     FDHopf,
     _counits,
+    _failing,
     _scan,
-    _tuple_label,
     trivial_action_left,
     trivial_action_right,
     trivial_cocycle,
@@ -86,14 +86,21 @@ def check_matched_pair(mp: MatchedPair) -> Report:
     _scan_condition(rep, shared, "twisted-module", "left-module-law")
     _scan_condition(rep, normal, "ract-normal-unit-right", "right-module-unit")
     _scan_condition(rep, shared, "right-module", "right-module-law")
-    ract_unit, lact_unit = (normal[name][1] for name in
-                            ("ract-normal-unit-left", "lact-normal-unit-right"))
-    _scan(rep, "unit-normalization", iproduct(range(h.dim), range(a.dim)),
-          lambda g, j: ract_unit(j) and lact_unit(g), _tuple_label(hl, al))
+    bad_g, bad_j = _failing_indices(normal, "lact-normal-unit-right", "ract-normal-unit-left")
+    _scan(rep, "unit-normalization", _failing(iproduct(range(h.dim), range(a.dim)),
+                                              lambda g, j: g not in bad_g and j not in bad_j),
+          (hl, al))
     _scan_condition(rep, shared, "lact-multiplicative")
     _scan_condition(rep, shared, "ract-dot-compat", "ract-multiplicative")
     _scan_condition(rep, shared, "action-symmetry")
     return rep
+
+
+def _failing_indices(normal: dict, *names) -> list:
+    """For each one-index row ``names[k]`` of the normalization table
+    ``normal``, the set of indices at which it fails; a classical
+    normalization that joins several of them fails where any does."""
+    return [{i for (i,) in normal[name][0]()} for name in names]
 
 
 def matched_pair_datum(mp: MatchedPair) -> ExtendingDatum:
@@ -172,13 +179,13 @@ def check_crossed(cd: CrossedDatum) -> Report:
                         cocycle=cd.cocycle)
     d = crossed_datum(cd)
     normal = _normalization_evaluators(d)
-    unit_right, unit_left, coc_right, coc_left = (normal[name][1] for name in (
-        "lact-normal-unit-right", "lact-normal-unit-left",
-        "cocycle-normal-right", "cocycle-normal-left"))
-    _scan(rep, "lact-normalization", iproduct(range(h.dim), range(a.dim)),
-          lambda g, j: unit_right(g) and unit_left(j), _tuple_label(hl, al))
-    _scan(rep, "cocycle-normalization", iproduct(range(h.dim)),
-          lambda g: coc_right(g) and coc_left(g), _tuple_label(hl))
+    bad_g, bad_j, coc_right, coc_left = _failing_indices(
+        normal, "lact-normal-unit-right", "lact-normal-unit-left",
+        "cocycle-normal-right", "cocycle-normal-left")
+    _scan(rep, "lact-normalization", _failing(iproduct(range(h.dim), range(a.dim)),
+                                              lambda g, j: g not in bad_g and j not in bad_j),
+          (hl, al))
+    _scan(rep, "cocycle-normalization", ((g,) for g in sorted(coc_right | coc_left)), (hl,))
 
     shared = _condition_evaluators(d, grouplike)
     for name in ("lact-multiplicative", "twisted-module", "cocycle-condition"):
@@ -242,10 +249,10 @@ def _scan_ract_kills(rep: Report, d: ExtendingDatum, u: LazyCocycle) -> bool:
     """Record whether the right action of d kills u: h <| u(g) = counit(g) h."""
     field, h = d.field, d.ext
     eps = _counits(h.coalg)
-    return _scan(rep, "ract-kills-cocycle", iproduct(range(h.dim), repeat=2),
-                 lambda hi, gi: d.ract.bilin(hi, u.linmap.col(gi), d.base.dim)
-                 == vec_scale(field, eps[gi], {hi: field.one}),
-                 _tuple_label(h.space.labels, h.space.labels))
+    return _scan(rep, "ract-kills-cocycle", _failing(
+        iproduct(range(h.dim), repeat=2),
+        lambda hi, gi: d.ract.bilin(hi, u.linmap.col(gi), d.base.dim)
+        == vec_scale(field, eps[gi], {hi: field.one})), (h.space.labels, h.space.labels))
 
 
 def check_bicrossed_equivalence(mp: MatchedPair, mp2: MatchedPair,

@@ -9,8 +9,12 @@ Axiom checkers return :class:`~hopfprod.reports.Report` objects that name
 each failing axiom together with a witness basis element, never bare booleans.
 Checkers and the morphism predicates evaluate every identity pointwise
 over basis tuples, straight from the structure constants, and stop an axiom
-at its first failing tuple.  Tuples are scanned in row-major order, so the
-witness is the label of the first differing tensor-space index.  Where
+at its first failing tuple.  :func:`_scan` is the one scanner: a row is an
+iterator of its failing tuples in row-major order, so the witness is the
+label of the first differing tensor-space index, formatted for that tuple
+alone.  A row read tuple by tuple is :func:`_failing` of its tuples and
+evaluator; a row on index tables is a loop that yields its failing tuples
+itself.  Where
 every map an identity reads is an index table
 (:attr:`~hopfprod.linalg.LinMap.points`), the checkers and the morphism
 predicates compare the indices of its two sides: :func:`check_algebra`
@@ -25,7 +29,8 @@ Between group-like coalgebras (:func:`_grouplike`), the set level of
 Agore and Militaru's "Extending structures I", an index table is a
 coalgebra map: delta m(x) = m(x) (x) m(x) = (m (x) m) delta(x), and the
 counit is one on both sides.  The rows this decides, and the coalgebra
-axioms there, are :func:`_decided` once per check, not scanned.
+axioms there, are added as passed once per check, with nothing built for
+them and nothing scanned.
 
 Maps are read as stored columns.  Where the coproduct and both operands
 are index tables (:attr:`~hopfprod.linalg.LinMap.points`), each column of
@@ -40,6 +45,7 @@ from __future__ import annotations
 
 import functools
 from itertools import product as iproduct
+from operator import getitem
 
 from .fields import same_field
 from .linalg import (
@@ -386,71 +392,83 @@ def _grouplike(c: FDCoalgebra) -> bool:
     return (c.delta.points, c.epsilon.points) == _grouplike_points(c.dim)
 
 
-def _decided(*tup) -> bool:
-    """A row that holds identically: true anywhere, and passed unscanned."""
-    return True
+def _unit_index(unit: dict, n: int, one):
+    """u where the vector ``unit`` is ``1 e_u`` for a basis index 0 <= u < n,
+    so that the map k -> E, 1 -> unit, is an index table; else None."""
+    if len(unit) == 1:
+        ((u, c),) = unit.items()
+        if c == one and 0 <= u < n:
+            return u
+    return None
 
 
-def _scan(rep: Report, name: str, tuples, holds, label) -> bool:
-    """Record whether ``holds`` is true on every tuple, in the given order;
-    a failure is witnessed by ``label`` of the first tuple where it is not.
-    A :func:`_decided` row passes unscanned.  Returns the verdict."""
-    if holds is not _decided:
-        for tup in tuples:
-            if not holds(*tup):
-                rep.add(name, False, label(*tup))
-                return False
+def _failing(tuples, holds):
+    """The tuples at which ``holds`` is false, in the given order: a row
+    evaluated tuple by tuple, as :func:`_scan` reads it."""
+    for tup in tuples:
+        if not holds(*tup):
+            yield tup
+
+
+def _scan(rep: Report, name: str, failing, label) -> bool:
+    """Record whether the row ``name`` holds, given ``failing``, an iterator
+    of its failing tuples in row-major order: it holds when there is none,
+    and a failure is witnessed by the first.  ``label`` names that tuple
+    alone: a function of its indices, or one label list per position, which
+    gives "(a,b,c)".  Returns the verdict."""
+    for tup in failing:
+        rep.add(name, False, label(*tup) if callable(label)
+                else "(" + ",".join(map(getitem, label, tup)) + ")")
+        return False
     rep.add(name, True)
     return True
 
 
-def _tuple_label(*labels):
-    """The witness label "(a,b,c)" of a basis tuple, from one label list per
-    position."""
-    return lambda *tup: "(" + ",".join(lab[k] for lab, k in zip(labels, tup)) + ")"
+_COALGEBRA_AXIOMS = ("coassociativity", "counit-left", "counit-right")
 
 
 def check_coalgebra(c: FDCoalgebra) -> Report:
     """Verify coassociativity and both counit laws, with witnesses.
 
-    On a group-like c (:func:`_grouplike`) all three are :func:`_decided`:
-    with delta(x) = x (x) x and counit(x) = 1, both sides of
+    On a group-like c (:func:`_grouplike`) all three hold and are added
+    unscanned: with delta(x) = x (x) x and counit(x) = 1, both sides of
     coassociativity are x (x) x (x) x, and of each counit law x."""
     return _check_coalgebra(c, _grouplike(c))
 
 
 def _check_coalgebra(c: FDCoalgebra, grouplike: bool) -> Report:
     """:func:`check_coalgebra`, told whether c is group-like."""
-    basis = [(i,) for i in range(c.dim)]
     rep = Report("coalgebra axioms")
     if grouplike:
-        laws = (_decided,) * 3
-    else:
-        field, eps = c.field, _counits(c)
-        mul, one = field.mul, field.one
-        cop = [c.expand(i, 2) for i in range(c.dim)]
+        for name in _COALGEBRA_AXIOMS:
+            rep.add(name, True)
+        return rep
+    field, eps = c.field, _counits(c)
+    mul, one = field.mul, field.one
+    cop = [c.expand(i, 2) for i in range(c.dim)]
 
-        def coassociative(i):
-            lhs, rhs = {}, {}
+    def coassociative(i):
+        lhs, rhs = {}, {}
+        for (a, b), x in cop[i]:
+            for (a1, a2), y in cop[a]:
+                _add_term(field, lhs, (a1, a2, b), mul(x, y))
+            for (b1, b2), y in cop[b]:
+                _add_term(field, rhs, (a, b1, b2), mul(x, y))
+        return lhs == rhs
+
+    def counit_law(left):
+        def holds(i):
+            acc = {}
             for (a, b), x in cop[i]:
-                for (a1, a2), y in cop[a]:
-                    _add_term(field, lhs, (a1, a2, b), mul(x, y))
-                for (b1, b2), y in cop[b]:
-                    _add_term(field, rhs, (a, b1, b2), mul(x, y))
-            return lhs == rhs
+                _add_term(field, acc, b if left else a, mul(eps[a if left else b], x))
+            return acc == {i: one}
+        return holds
 
-        def counit_law(left):
-            def holds(i):
-                acc = {}
-                for (a, b), x in cop[i]:
-                    _add_term(field, acc, b if left else a, mul(eps[a if left else b], x))
-                return acc == {i: one}
-            return holds
-        laws = (coassociative, counit_law(True), counit_law(False))
-
+    basis = [(i,) for i in range(c.dim)]
     label = c.space.labels.__getitem__
-    for name, holds in zip(("coassociativity", "counit-left", "counit-right"), laws):
-        _scan(rep, name, basis, holds, label)
+    for name, holds in zip(_COALGEBRA_AXIOMS,
+                           (coassociative, counit_law(True), counit_law(False))):
+        _scan(rep, name, _failing(basis, holds), label)
     return rep
 
 
@@ -465,8 +483,8 @@ def check_algebra(a: FDAlgebra) -> Report:
     triple, so the witness is the first failing triple in row-major order
     either way.  Where the product is an index table
     (:attr:`~hopfprod.linalg.LinMap.points`), the rows are slices of its
-    points and every row is of that form, and a unit 1 e_u is checked on
-    the row of u."""
+    points and every row is of that form, and a unit 1 e_u is checked in
+    one loop over the row of u, or its column."""
     field = a.field
     mul, one = field.mul, field.one
     n, m = a.dim, a.mult.cols
@@ -477,9 +495,12 @@ def check_algebra(a: FDAlgebra) -> Report:
         # rows[r][k] is the point of e_r e_k
         rows = [mp[r * n:r * n + n] for r in range(n)]
 
-        def row_holds(i, j):
-            row = rows[i]
-            return rows[row[j]] == tuple(map(row.__getitem__, rows[j]))
+        def failing_rows():
+            """The pairs (i, j) whose rows differ, in row-major order."""
+            for i, row in enumerate(rows):
+                for j, r in enumerate(row):
+                    if rows[r] != tuple(map(row.__getitem__, rows[j])):
+                        yield i, j
     else:
         # table[r][k] is the stored column of e_r e_k; index n stands for 0
         zero_row = ((),) * (n + 1)
@@ -497,10 +518,12 @@ def check_algebra(a: FDAlgebra) -> Report:
         points = [[point(col) for col in table[j][:n]] + [n] for j in range(n)]
         right = [None if None in pts else pts for pts in points]
 
-        def row_holds(i, j):
-            r, s = points[i][j], right[j]
-            return (r is not None and s is not None
-                    and table[r] == tuple(map(table[i].__getitem__, s)))
+        def failing_rows():
+            """The pairs (i, j) whose rows differ or are of another form."""
+            for i, j in iproduct(range(n), repeat=2):
+                r, s = points[i][j], right[j]
+                if r is None or s is None or table[r] != tuple(map(table[i].__getitem__, s)):
+                    yield i, j
 
     def associative(i, j, k):
         lhs, rhs = {}, {}
@@ -513,10 +536,12 @@ def check_algebra(a: FDAlgebra) -> Report:
         return lhs == rhs
 
     def unit_law(left):
-        if mp is not None and list(a.unit.values()) == [one]:
-            # the unit is 1 e_u: e_u e_i is e_i, read off the row of u
-            (u,) = a.unit
-            return (lambda i: rows[u][i] == i) if left else (lambda i: rows[i][u] == i)
+        """The failing indices of the left or right unit law."""
+        u = _unit_index(a.unit, n, one)
+        if mp is not None and u is not None:
+            # the unit is 1 e_u: e_u e_i and e_i e_u are e_i, read off the
+            # row and the column of u
+            return ((i,) for i, p in enumerate(rows[u] if left else mp[u::n]) if p != i)
 
         def holds(i):
             acc = {}
@@ -524,42 +549,50 @@ def check_algebra(a: FDAlgebra) -> Report:
                 for s, y in m.get(u * n + i if left else i * n + u, ()):
                     _add_term(field, acc, s, mul(x, y))
             return acc == {i: field.one}
-        return holds
+        return _failing(((i,) for i in range(n)), holds)
 
-    triples = ((i, j, k) for i, j in iproduct(range(n), repeat=2) if not row_holds(i, j)
-               for k in range(n))
-    _scan(rep, "associativity", triples, associative,
+    triples = ((i, j, k) for i, j in failing_rows() for k in range(n))
+    _scan(rep, "associativity", _failing(triples, associative),
           lambda i, j, k: f"(({labels[i]},{labels[j]}),{labels[k]})")
-    basis = [(i,) for i in range(n)]
-    _scan(rep, "unit-left", basis, unit_law(True), labels.__getitem__)
-    _scan(rep, "unit-right", basis, unit_law(False), labels.__getitem__)
+    _scan(rep, "unit-left", unit_law(True), labels.__getitem__)
+    _scan(rep, "unit-right", unit_law(False), labels.__getitem__)
     return rep
 
 
 def check_bialgebra(b: FDBialgebra) -> Report:
     """Coalgebra axioms, algebra axioms, and the four compatibility laws.
 
-    A product that is an index table on a group-like E (:func:`_grouplike`)
-    is a coalgebra map, so comult- and counit-multiplicative are
-    :func:`_decided` there; the two unit rows are evaluated."""
-    n, labels = b.dim, b.space.labels
-    pair_label = _tuple_label(labels, labels)  # as tensor_space names it
+    On a group-like E (:func:`_grouplike`) a product that is an index table
+    is a coalgebra map, so comult- and counit-multiplicative hold, and so do
+    comult- and counit-unit where the unit is 1 e_u, the index table
+    k -> E of u: those rows are added unscanned, with nothing built for
+    them.  The other rows are evaluated."""
+    c = b.coalgebra
     rep = Report("bialgebra axioms")
-    grouplike = _grouplike(b.coalgebra)
-    rep.extend(_check_coalgebra(b.coalgebra, grouplike))
+    grouplike = _grouplike(c)
+    rep.extend(_check_coalgebra(c, grouplike))
     rep.extend(check_algebra(b.algebra))
 
     # multiplication and unit are coalgebra maps E (x) E -> E and k -> E
     if grouplike and b.mult.points is not None:
-        comult = counit = _decided
+        mult = None
     else:
-        comult, counit = _coalgebra_map_halves(b.mult, b.coalgebra, b.coalgebra, b.coalgebra)
-    k = _ground_coalgebra(b.field)
-    unit_comult, unit_counit = _coalgebra_map_halves(b.algebra.unit_map(), k, k, b.coalgebra)
-    _scan(rep, "comult-multiplicative", iproduct(range(n), repeat=2), comult, pair_label)
-    rep.add("comult-unit", unit_comult(0, 0), "unit")
-    _scan(rep, "counit-multiplicative", iproduct(range(n), repeat=2), counit, pair_label)
-    rep.add("counit-unit", unit_counit(0, 0), "unit")
+        mult = _coalgebra_map_halves(b.mult, c, c, c)
+    if grouplike and _unit_index(b.unit, b.dim, b.field.one) is not None:
+        unit = True, True
+    else:
+        k = _ground_coalgebra(b.field)
+        unit = [half(0, 0) for half in _coalgebra_map_halves(b.algebra.unit_map(), k, k, c)]
+    labels = b.space.labels
+    for side, (name, unit_name) in enumerate((("comult-multiplicative", "comult-unit"),
+                                              ("counit-multiplicative", "counit-unit"))):
+        if mult is None:
+            rep.add(name, True)
+        else:
+            # the pair labelled as tensor_space labels it
+            _scan(rep, name, _failing(iproduct(range(b.dim), repeat=2), mult[side]),
+                  (labels, labels))
+        rep.add(unit_name, unit[side], "unit")
     return rep
 
 

@@ -15,16 +15,21 @@ carries a witness.  Each identity is written once: comult-multiplicative is
 the coalgebra-map evaluator of :mod:`hopfprod.structures` on the dot, and
 the other eight come from five formulas.  The unit normalizations of
 :func:`validate_datum` are one table, which the classical checkers share;
-on index tables with units ``1 e_u`` each compares a point with an index.
+on index tables with units ``1 e_u`` each row is one loop that compares
+points with indices.  A table of rows maps each name to the generator
+function of its failing tuples, in row-major order, with its labels, as
+``structures._scan`` reads it; a row evaluated tuple by tuple is wrapped
+as one (:func:`_loop_row`).
 
 On group-like H and A (``structures._grouplike``) each coproduct leg of x
 is x, so index tables are coalgebra maps and both symmetry conditions
-compare a tensor with itself: those rows are decided once per check.
-Where the four maps of the datum and the product of A are index tables
-(``LinMap.points``) too, :func:`_tables` reads their points once; the six
-other conditions then compare two indices per tuple (:func:`_table_rows`),
-and each column of the product is one entry read from the tables
-(:func:`_table_product`).
+compare a tensor with itself: those rows are decided once per check, and
+added as passed with nothing built for them.  Where the four maps of the
+datum and the product of A are index tables (``LinMap.points``) too,
+:func:`_tables` reads their points once; the six other conditions are then
+loops over those tables that compare two indices per tuple and yield the
+tuples that differ (:func:`_table_rows`), and each column of the product
+is one entry read from the tables (:func:`_table_product`).
 Otherwise assembly and the conditions read structure maps at basis pairs as
 stored columns, memoized (:func:`_pair_columns`), and collapse each sum
 that does not depend on every index once (:func:`_collapse`); only a vector
@@ -55,14 +60,15 @@ from .structures import (
     tensor_coalgebra,
     _add_term,
     _antipode_failure,
+    _check_shape,
     _coalgebra_map_halves,
     _counits,
-    _decided,
+    _failing,
     _ground_coalgebra,
     _grouplike,
     _is_coalgebra_map,
     _scan,
-    _tuple_label,
+    _unit_index,
 )
 
 CONDITION_NAMES = (
@@ -154,48 +160,74 @@ def _grouplike_factors(hc, ac) -> tuple[bool, bool]:
 def _coalgebra_map_rows(rep: Report, hc, ac, grouplike, **maps) -> None:
     """Add a "<name>-coalgebra-map" row for each structure map given, in the
     order given, with its shape read from :data:`MAP_SHAPES`; ``grouplike``
-    is :func:`_grouplike_factors` of H and A.  The maps are checked as they
-    are, so one of the wrong shape raises here, before a datum is formed
-    from it."""
+    is :func:`_grouplike_factors` of H and A.  An index table between
+    group-like coalgebras is a coalgebra map, and its row is added with
+    nothing evaluated.  The maps are checked as they are, so one of the
+    wrong shape raises here, before a datum is formed from it."""
     coalgs = {"h": (hc, grouplike[0]), "a": (ac, grouplike[1])}
     for name, m in maps.items():
-        (left, gl), (right, gr), (target, gt) = (coalgs[k] for k in MAP_SHAPES[name])
-        rep.add(f"{name}-coalgebra-map",
-                _is_coalgebra_map(m, left, right, target, gl and gr and gt))
+        (left, gl), (right, gr), (target, gt) = map(coalgs.__getitem__, MAP_SHAPES[name])
+        all_grouplike = gl and gr and gt
+        if all_grouplike and m.points is not None:
+            _check_shape(m, left.dim * right.dim, target.dim, "coalgebras")
+            ok = True
+        else:
+            ok = _is_coalgebra_map(m, left, right, target, all_grouplike)
+        rep.add(f"{name}-coalgebra-map", ok)
+
+
+def _loop_row(holds, *ranges):
+    """The generator function of the failing tuples of a row evaluated
+    tuple by tuple, by ``holds``, over the product of ``ranges``."""
+    return lambda: _failing(iproduct(*ranges), holds)
+
+
+def _points_off(got, want):
+    """The generator function of the failing indices (i,) of a unit
+    normalization on index tables: where the point ``got[i]`` is not
+    ``want[i]``."""
+    return lambda: ((i,) for i, p in enumerate(got) if p != want[i])
 
 
 def _normalization_evaluators(d: ExtendingDatum) -> dict:
-    """The eight unit normalizations of d as pointwise evaluators, in report
-    order, shaped like :func:`_condition_evaluators`.
+    """The eight unit normalizations of d, in report order, shaped like
+    :func:`_condition_evaluators`.
 
     Where the four maps are index tables (``LinMap.points``) and both units
     are ``1 e_u``, each side is one basis vector, or the counit times one:
-    a row compares the point of its map with an index, and, where the other
-    side is scaled by a counit, asks that counit times one be one."""
+    a row is one loop over a row or a column of the points of its map
+    (:func:`_points_off`), which compares each point with an index.  Where
+    the other side is scaled by a counit, it is that index only where the
+    counit times one is one, and no point elsewhere.  Otherwise each row is
+    evaluated index by index."""
     field = d.field
     a, h = d.base, d.ext
     adim, hdim, one, one_a, one_h = a.dim, h.dim, field.one, a.unit, h.unit
     eps_h, eps_a = _counits(h.coalg), _counits(a.coalgebra)
-    hr, ar = (range(h.dim),), (range(a.dim),)
-    hl, al = _tuple_label(h.space.labels), _tuple_label(a.space.labels)
+    hr, ar = range(hdim), range(adim)
+    hl, al = (h.space.labels,), (a.space.labels,)
     points = [m.points for m in (d.lact, d.ract, d.cocycle, d.dot)]
-    if None not in points and list(one_a.values()) == [one] == list(one_h.values()):
+    ua, uh = _unit_index(one_a, adim, one), _unit_index(one_h, hdim, one)
+    if None not in points and ua is not None and uh is not None:
         lp, rp, cp, dp = points
-        (ua,), (uh,) = one_a, one_h
-        # counit(x) 1 = 1 at each x, as vec_scale and the comparison read it
-        unit_h, unit_a = ([field.mul(e, one) == one for e in eps] for eps in (eps_h, eps_a))
+        # counit(x) 1 (x) e_u is e_u where counit(x) 1 = 1, as vec_scale and
+        # the comparison read it, and no basis vector elsewhere
+        ua_h, uh_a = ([u if field.mul(e, one) == one else None for e in eps]
+                      for u, eps in ((ua, eps_h), (uh, eps_a)))
+        # the points at (x, 1) are a column of a table, at (1, x) its row
+        ha, hh = uh * adim, uh * hdim
         return {
-            "lact-normal-unit-right": (hr, lambda i: unit_h[i] and lp[i * adim + ua] == ua, hl),
-            "lact-normal-unit-left": (ar, lambda j: lp[uh * adim + j] == j, al),
-            "ract-normal-unit-left": (ar, lambda j: unit_a[j] and rp[uh * adim + j] == uh, al),
-            "ract-normal-unit-right": (hr, lambda i: rp[i * adim + ua] == i, hl),
-            "cocycle-normal-right": (hr, lambda i: unit_h[i] and cp[i * hdim + uh] == ua, hl),
-            "cocycle-normal-left": (hr, lambda i: unit_h[i] and cp[uh * hdim + i] == ua, hl),
-            "dot-unit-left": (hr, lambda i: dp[uh * hdim + i] == i, hl),
-            "dot-unit-right": (hr, lambda i: dp[i * hdim + uh] == i, hl),
+            "lact-normal-unit-right": (_points_off(lp[ua::adim], ua_h), hl),
+            "lact-normal-unit-left": (_points_off(lp[ha:ha + adim], ar), al),
+            "ract-normal-unit-left": (_points_off(rp[ha:ha + adim], uh_a), al),
+            "ract-normal-unit-right": (_points_off(rp[ua::adim], hr), hl),
+            "cocycle-normal-right": (_points_off(cp[uh::hdim], ua_h), hl),
+            "cocycle-normal-left": (_points_off(cp[hh:hh + hdim], ua_h), hl),
+            "dot-unit-left": (_points_off(dp[hh:hh + hdim], hr), hl),
+            "dot-unit-right": (_points_off(dp[uh::hdim], hr), hl),
         }
     lact, ract, coc, dot = d.lact.bilin, d.ract.bilin, d.cocycle.bilin, d.dot.bilin
-    return {
+    rows = {
         "lact-normal-unit-right": (
             hr, lambda i: lact(i, one_a, adim) == vec_scale(field, eps_h[i], one_a), hl),
         "lact-normal-unit-left": (ar, lambda j: lact(one_h, j, adim) == {j: one}, al),
@@ -209,18 +241,25 @@ def _normalization_evaluators(d: ExtendingDatum) -> dict:
         "dot-unit-left": (hr, lambda i: dot(one_h, i, hdim) == {i: one}, hl),
         "dot-unit-right": (hr, lambda i: dot(i, one_h, hdim) == {i: one}, hl),
     }
+    return {name: (_loop_row(holds, r), labels) for name, (r, holds, labels) in rows.items()}
 
 
 def validate_datum(d: ExtendingDatum) -> Report:
-    """Unit/counit normalization and coalgebra-map property of all four maps."""
+    """Unit/counit normalization and coalgebra-map property of all four maps.
+
+    1_H is group-like exactly when k -> H, 1 -> 1_H is a coalgebra map, and
+    k is group-like by construction: on group-like H a unit ``1 e_u`` is an
+    index table between group-like coalgebras, and its row is added with
+    nothing built for it."""
     h = d.ext
     rep = Report("extending datum")
     grouplike = _grouplike_factors(h.coalg, d.base.coalgebra)
-    # 1_H is group-like exactly when k -> H, 1 -> 1_H is a coalgebra map;
-    # k is group-like by construction
-    unit = LinMap(d.field, SCALAR_SPACE, h.space, {0: h.unit})
-    k = _ground_coalgebra(d.field)
-    rep.add("unit-h-grouplike", _is_coalgebra_map(unit, k, k, h.coalg, grouplike[0]), "1_H")
+    if grouplike[0] and _unit_index(h.unit, h.dim, d.field.one) is not None:
+        rep.add("unit-h-grouplike", True)
+    else:
+        unit = LinMap(d.field, SCALAR_SPACE, h.space, {0: h.unit})
+        k = _ground_coalgebra(d.field)
+        rep.add("unit-h-grouplike", _is_coalgebra_map(unit, k, k, h.coalg, grouplike[0]), "1_H")
     _coalgebra_map_rows(rep, h.coalg, d.base.coalgebra, grouplike, ract=d.ract, lact=d.lact,
                         cocycle=d.cocycle, dot=d.dot)
     normalizations = _normalization_evaluators(d)
@@ -335,9 +374,12 @@ def _tables(d: ExtendingDatum, grouplike):
 
 
 def _condition_evaluators(d: ExtendingDatum, grouplike) -> dict:
-    """The nine compatibility identities of d as pointwise evaluators, in
-    report order: name -> (index ranges, holds(*indices), witness label);
-    ``grouplike`` is :func:`_grouplike_factors` of H and A.
+    """The nine compatibility identities of d, in report order: name ->
+    (failing, labels), where ``failing()`` iterates the tuples at which the
+    row fails, in row-major order, and ``labels`` holds one label list per
+    tuple position; or None for a row that holds, which is added unscanned
+    (:func:`_scan_condition`).  ``grouplike`` is :func:`_grouplike_factors`
+    of H and A.
 
     comult-multiplicative is the coalgebra-map evaluator of the dot.  The
     others are :func:`_table_rows` where :func:`_tables` gives the points of
@@ -345,73 +387,103 @@ def _condition_evaluators(d: ExtendingDatum, grouplike) -> dict:
     group-like H, delta(g) = g (x) g: cocycle-symmetry compares
     (g . j) (x) f(g, j) with itself, and an index-table dot is a coalgebra
     map; on group-like A too, action-symmetry compares (g <| j) (x) (g |> j)
-    with itself.  Those rows are :func:`_decided`."""
+    with itself.  Those rows are None."""
     a, h = d.base, d.ext
     hc = h.coalg
     gh, ga = grouplike
     tables = _tables(d, grouplike)
     rows = _table_rows(tables) if tables is not None else _vector_rows(d)
     if gh:
-        rows["cocycle-symmetry"] = _decided
+        rows["cocycle-symmetry"] = None
         if ga:
-            rows["action-symmetry"] = _decided
+            rows["action-symmetry"] = None
     if gh and d.dot.points is not None:
-        rows["comult-multiplicative"] = _decided
+        rows["comult-multiplicative"] = None
     else:
         comult, counit = _coalgebra_map_halves(d.dot, hc, hc, hc)
-        rows["comult-multiplicative"] = lambda g, i: comult(g, i) and counit(g, i)
-    # each tuple position ranges over the basis of H ("h") or of A ("a")
-    bases = {"h": (range(h.dim), h.space.labels), "a": (range(a.dim), a.space.labels)}
+        hr = range(h.dim)
+        rows["comult-multiplicative"] = _loop_row(
+            lambda g, i: comult(g, i) and counit(g, i), hr, hr)
+    # each tuple position is labelled by the basis of H ("h") or of A ("a")
+    labels = {"h": h.space.labels, "a": a.space.labels}
     out = {}
     for name, shape in zip(CONDITION_NAMES, CONDITION_SHAPES):
-        ranges, labels = zip(*(bases[k] for k in shape))
-        out[name] = ranges, rows[name], _tuple_label(*labels)
+        row = rows[name]
+        out[name] = None if row is None else (row, tuple(map(labels.__getitem__, shape)))
     return out
 
 
 def _table_rows(t) -> dict:
     """The six rows of :func:`_condition_evaluators` that group-like data do
-    not decide, read from the points ``t`` of :func:`_tables`.  Every leg
+    not decide, read from the points ``t`` of :func:`_tables`, each the
+    generator function of its failing tuples in row-major order.  Every leg
     of a coproduct is x itself, so each side of a row is one basis vector
     and the row compares the two indices; each formula is its counterpart
-    in :func:`_vector_rows` with every leg read as x."""
+    in :func:`_vector_rows` with every leg read as x.  What does not depend
+    on the inner index is read once outside its loop."""
     lact, ract, coc, dot, amul = t
+    hs, as_ = range(len(lact)), range(len(amul))
 
-    def right_module(g, i, j):
+    def right_module():
         """(g <| i) <| j = g <| i j"""
-        return ract[ract[g][i]][j] == ract[g][amul[i][j]]
+        for g in hs:
+            rg = ract[g]
+            for i in as_:
+                left, ai = ract[rg[i]], amul[i]
+                for j in as_:
+                    if left[j] != rg[ai[j]]:
+                        yield g, i, j
 
-    def lact_multiplicative(g, i, j):
+    def lact_multiplicative():
         """g |> i j = (g |> i) ((g <| i) |> j)"""
-        return lact[g][amul[i][j]] == amul[lact[g][i]][lact[ract[g][i]][j]]
+        for g in hs:
+            lg, rg = lact[g], ract[g]
+            for i in as_:
+                ai, right, acted = amul[i], amul[lg[i]], lact[rg[i]]
+                for j in as_:
+                    if lg[ai[j]] != right[acted[j]]:
+                        yield g, i, j
 
-    def h_leg(act, twist):
-        """twist(g . i, j) = (g <| act(i, j)) . twist(i, j)"""
-        def holds(g, i, j):
-            return twist[dot[g][i]][j] == dot[ract[g][act[i][j]]][twist[i][j]]
-        return holds
+    def h_leg(act, twist, js):
+        """twist(g . i, j) = (g <| act(i, j)) . twist(i, j), j in ``js``"""
+        def failing():
+            for g in hs:
+                dg, rg = dot[g], ract[g]
+                for i in hs:
+                    left, ai, ti = twist[dg[i]], act[i], twist[i]
+                    for j in js:
+                        if left[j] != dot[rg[ai[j]]][ti[j]]:
+                            yield g, i, j
+        return failing
 
-    def a_leg(act, twist):
-        """(g |> act(i, j)) f(g <| act(i, j), twist(i, j)) = f(g, i) act(g . i, j)"""
-        def holds(g, i, j):
-            x = act[i][j]
-            return (amul[lact[g][x]][coc[ract[g][x]][twist[i][j]]]
-                    == amul[coc[g][i]][act[dot[g][i]][j]])
-        return holds
+    def a_leg(act, twist, js):
+        """(g |> act(i, j)) f(g <| act(i, j), twist(i, j)) = f(g, i) act(g . i, j),
+        j in ``js``"""
+        def failing():
+            for g in hs:
+                lg, rg, cg, dg = lact[g], ract[g], coc[g], dot[g]
+                for i in hs:
+                    ai, ti, right, acted = act[i], twist[i], amul[cg[i]], act[dg[i]]
+                    for j in js:
+                        x = ai[j]
+                        if amul[lg[x]][coc[rg[x]][ti[j]]] != right[acted[j]]:
+                            yield g, i, j
+        return failing
 
     return {
         "right-module": right_module,
-        "twisted-associativity": h_leg(coc, dot),
+        "twisted-associativity": h_leg(coc, dot, hs),
         "lact-multiplicative": lact_multiplicative,
-        "ract-dot-compat": h_leg(lact, ract),
-        "twisted-module": a_leg(lact, ract),
-        "cocycle-condition": a_leg(coc, dot),
+        "ract-dot-compat": h_leg(lact, ract, as_),
+        "twisted-module": a_leg(lact, ract, as_),
+        "cocycle-condition": a_leg(coc, dot, hs),
     }
 
 
 def _vector_rows(d: ExtendingDatum) -> dict:
     """The eight rows of :func:`_condition_evaluators` after
-    comult-multiplicative, each side a sparse vector.
+    comult-multiplicative, each side a sparse vector, each evaluated tuple
+    by tuple (:func:`_loop_row`).
 
     Associativity of the product, read on its H leg and on its A leg, gives
     ``h_leg`` and ``a_leg``, each used twice: with ``(act, twist)`` = (f, .)
@@ -516,7 +588,7 @@ def _vector_rows(d: ExtendingDatum) -> dict:
             return lhs == rhs
         return holds
 
-    return {
+    holds = {
         "right-module": right_module,
         "twisted-associativity": h_leg(dot, coc_dot),
         "lact-multiplicative": lact_multiplicative,
@@ -526,13 +598,20 @@ def _vector_rows(d: ExtendingDatum) -> dict:
         "action-symmetry": flip(ract, lact, ac),
         "cocycle-symmetry": flip(dot, coc, hc),
     }
+    ranges = {"h": range(h.dim), "a": range(a.dim)}
+    return {name: _loop_row(holds[name], *map(ranges.__getitem__, shape))
+            for name, shape in zip(CONDITION_NAMES[1:], CONDITION_SHAPES[1:])}
 
 
 def _scan_condition(rep: Report, evaluators: dict, name: str, row: str | None = None) -> None:
-    """Scan one evaluator of a table shaped like :func:`_condition_evaluators`
-    into ``rep``, as the row ``row`` (default: its own name)."""
-    ranges, holds, label = evaluators[name]
-    _scan(rep, row or name, iproduct(*ranges), holds, label)
+    """Scan one row of a table shaped like :func:`_condition_evaluators`
+    into ``rep``, as the row ``row`` (default: its own name); a row the
+    table holds as None is added as passed."""
+    entry = evaluators[name]
+    if entry is None:
+        rep.add(row or name, True)
+    else:
+        _scan(rep, row or name, entry[0](), entry[1])
 
 
 def check_product_conditions(d: ExtendingDatum) -> Report:

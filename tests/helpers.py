@@ -43,8 +43,8 @@ from hopfprod.structures import (
     FDHopf,
     NoAntipodeError,
     UnitalCoalgebra,
+    _failing,
     _scan,
-    _tuple_label,
     check_algebra,
     check_coalgebra,
     convolution,
@@ -120,6 +120,13 @@ def perturb_group_structure(rng, ges: GroupExtendingStructure) -> GroupExtending
     )
 
 
+def scan_loop(rep: Report, name: str, tuples, holds, labels) -> bool:
+    """Add the row ``name`` to ``rep`` by evaluating ``holds`` on every
+    tuple in the given order, as the library's scanner reads a row evaluated
+    tuple by tuple; ``labels`` holds one label list per tuple position."""
+    return _scan(rep, name, _failing(tuples, holds), labels)
+
+
 def check_group_structure_direct(ges: GroupExtendingStructure) -> Report:
     """The set-level conditions written out by hand, the independent oracle
     of ``groups.check_group_structure``: the same title, rows, order and
@@ -142,38 +149,37 @@ def check_group_structure_direct(ges: GroupExtendingStructure) -> Report:
                 and ges.cocyc[x][base] == e and ges.cocyc[base][x] == e
                 and ges.star[x][base] == x and ges.star[base][x] == x)
 
-    _scan(rep, "unit-normalization", iproduct(xs, gs), normal, _tuple_label(xl, gl))
-    _scan(rep, "right-module", iproduct(xs, gs, gs),
-          lambda x, a, b: ges.ract[ges.ract[x][a]][b] == ges.ract[x][table[a][b]],
-          _tuple_label(xl, gl, gl))
-    _scan(rep, "twisted-associativity", iproduct(xs, xs, xs),
-          lambda x, y, z: ges.star[ges.star[x][y]][z]
-          == ges.star[ges.ract[x][ges.cocyc[y][z]]][ges.star[y][z]],
-          _tuple_label(xl, xl, xl))
-    _scan(rep, "lact-multiplicative", iproduct(xs, gs, gs),
-          lambda x, a, b: ges.lact[x][table[a][b]]
-          == table[ges.lact[x][a]][ges.lact[ges.ract[x][a]][b]],
-          _tuple_label(xl, gl, gl))
-    _scan(rep, "ract-dot-compat", iproduct(xs, xs, gs),
-          lambda x, y, a: ges.ract[ges.star[x][y]][a]
-          == ges.star[ges.ract[x][ges.lact[y][a]]][ges.ract[y][a]],
-          _tuple_label(xl, xl, gl))
+    _scan(rep, "unit-normalization", _failing(iproduct(xs, gs), normal), (xl, gl))
+    _scan(rep, "right-module", _failing(
+        iproduct(xs, gs, gs),
+        lambda x, a, b: ges.ract[ges.ract[x][a]][b] == ges.ract[x][table[a][b]]), (xl, gl, gl))
+    _scan(rep, "twisted-associativity", _failing(
+        iproduct(xs, xs, xs),
+        lambda x, y, z: ges.star[ges.star[x][y]][z]
+        == ges.star[ges.ract[x][ges.cocyc[y][z]]][ges.star[y][z]]), (xl, xl, xl))
+    _scan(rep, "lact-multiplicative", _failing(
+        iproduct(xs, gs, gs),
+        lambda x, a, b: ges.lact[x][table[a][b]]
+        == table[ges.lact[x][a]][ges.lact[ges.ract[x][a]][b]]), (xl, gl, gl))
+    _scan(rep, "ract-dot-compat", _failing(
+        iproduct(xs, xs, gs),
+        lambda x, y, a: ges.ract[ges.star[x][y]][a]
+        == ges.star[ges.ract[x][ges.lact[y][a]]][ges.ract[y][a]]), (xl, xl, gl))
 
     def twisted_module(x, y, a):
         ya = ges.lact[y][a]
         lhs = table[ges.lact[x][ya]][ges.cocyc[ges.ract[x][ya]][ges.ract[y][a]]]
         return lhs == table[ges.cocyc[x][y]][ges.lact[ges.star[x][y]][a]]
 
-    _scan(rep, "twisted-module", iproduct(xs, xs, gs), twisted_module,
-          _tuple_label(xl, xl, gl))
+    _scan(rep, "twisted-module", _failing(iproduct(xs, xs, gs), twisted_module), (xl, xl, gl))
 
     def cocycle_condition(x, y, z):
         fyz = ges.cocyc[y][z]
         lhs = table[ges.lact[x][fyz]][ges.cocyc[ges.ract[x][fyz]][ges.star[y][z]]]
         return lhs == table[ges.cocyc[x][y]][ges.cocyc[ges.star[x][y]][z]]
 
-    _scan(rep, "cocycle-condition", iproduct(xs, xs, xs), cocycle_condition,
-          _tuple_label(xl, xl, xl))
+    _scan(rep, "cocycle-condition", _failing(iproduct(xs, xs, xs), cocycle_condition),
+          (xl, xl, xl))
 
     rep.add("action-symmetry", True)  # identical tensor legs on group-like bases
     rep.add("cocycle-symmetry", True)
@@ -704,6 +710,14 @@ def a4_unified_with_bad_ract() -> hp.ExtendingDatum:
     return dataclasses.replace(d, ract=with_column(d.ract, 1 * 2 + 1, {5: QQ.one}))
 
 
+def a4_unified_with_bad_unit() -> hp.ExtendingDatum:
+    """a4-unified with (1 2 3) . e sent to (1 3 2): the dot is still an index
+    table and H and A are still group-like, so validate_datum reads its unit
+    normalizations off the tables, and dot-unit-right fails at (1 2 3)."""
+    d = a4_unified_datum()
+    return dataclasses.replace(d, dot=with_column(d.dot, 1 * d.ext.dim + 0, {2: QQ.one}))
+
+
 def with_coalgebra_column(c: FDCoalgebra, which: str, index: int, col: dict) -> FDCoalgebra:
     """c with column ``index`` of its coproduct (``which`` = "delta") or of
     its counit ("epsilon") replaced by ``col``."""
@@ -1184,7 +1198,7 @@ def mixed_relations(d: ExtendingDatum, e: FDBialgebra) -> Report:
                     tensor_vec(field, bv(ci), bv(gi), nh))
         return got == tensor_vec(field, a.mul(bv(ai), bv(ci)), bv(gi), nh)
 
-    _scan(rep, "mixed-left-base", iproduct(ar, ar, hr), left_base, _tuple_label(al, al, hl))
+    scan_loop(rep, "mixed-left-base", iproduct(ar, ar, hr), left_base, (al, al, hl))
 
     def against_ext(ai, gi, hi):
         got = e.mul(tensor_vec(field, bv(ai), bv(gi), nh),
@@ -1198,7 +1212,7 @@ def mixed_relations(d: ExtendingDatum, e: FDBialgebra) -> Report:
                 vec_add_into(field, want, term, field.mul(cg, ch))
         return got == want
 
-    _scan(rep, "mixed-cocycle", iproduct(ar, hr, hr), against_ext, _tuple_label(al, hl, hl))
+    scan_loop(rep, "mixed-cocycle", iproduct(ar, hr, hr), against_ext, (al, hl, hl))
 
     def against_base(ai, gi, bi):
         got = e.mul(tensor_vec(field, bv(ai), bv(gi), nh),
@@ -1212,15 +1226,15 @@ def mixed_relations(d: ExtendingDatum, e: FDBialgebra) -> Report:
                 vec_add_into(field, want, term, field.mul(cg, cb))
         return got == want
 
-    _scan(rep, "mixed-actions", iproduct(ar, hr, ar), against_base,
-          _tuple_label(al, hl, al))
+    scan_loop(rep, "mixed-actions", iproduct(ar, hr, ar), against_base,
+              (al, hl, al))
 
     def generator(ai, gi):
         got = e.mul(tensor_vec(field, bv(ai), one_h, nh),
                     tensor_vec(field, one_a, bv(gi), nh))
         return got == tensor_vec(field, bv(ai), bv(gi), nh)
 
-    _scan(rep, "generator-identity", iproduct(ar, hr), generator, _tuple_label(al, hl))
+    scan_loop(rep, "generator-identity", iproduct(ar, hr), generator, (al, hl))
     return rep
 
 
@@ -1399,8 +1413,8 @@ def cocycle_triviality_direct(mp: hp.MatchedPair, u):
         return got == vec_scale(field, field.mul(eps[hi], eps[gi]), a.unit)
 
     rep = Report()
-    _scan(rep, "cocycle-triviality", iproduct(range(h.dim), repeat=2), holds,
-          _tuple_label(h.space.labels, h.space.labels))
+    scan_loop(rep, "cocycle-triviality", iproduct(range(h.dim), repeat=2), holds,
+              (h.space.labels, h.space.labels))
     return rep.items[0].passed, rep.items[0].witness
 
 
@@ -1482,12 +1496,12 @@ def crossed_rows_direct(cd: hp.CrossedDatum) -> list:
     hl, al = h.space.labels, a.space.labels
     hr, ar = range(h.dim), range(adim)
     rep = Report()
-    _scan(rep, "lact-multiplicative", iproduct(hr, ar, ar), lact_multiplicative,
-          _tuple_label(hl, al, al))
-    _scan(rep, "twisted-module", iproduct(hr, hr, ar), twisted_module, _tuple_label(hl, hl, al))
-    _scan(rep, "cocycle-condition", iproduct(hr, hr, hr), cocycle_condition,
-          _tuple_label(hl, hl, hl))
-    _scan(rep, "lact-symmetry", iproduct(hr, ar), lact_symmetry, _tuple_label(hl, al))
+    scan_loop(rep, "lact-multiplicative", iproduct(hr, ar, ar), lact_multiplicative,
+              (hl, al, al))
+    scan_loop(rep, "twisted-module", iproduct(hr, hr, ar), twisted_module, (hl, hl, al))
+    scan_loop(rep, "cocycle-condition", iproduct(hr, hr, hr), cocycle_condition,
+              (hl, hl, hl))
+    scan_loop(rep, "lact-symmetry", iproduct(hr, ar), lact_symmetry, (hl, al))
     return [(it.condition, it.passed, it.witness) for it in rep.items]
 
 
@@ -1501,9 +1515,9 @@ def left_module_law_direct(mp: hp.MatchedPair) -> list:
     a, h = mp.a, mp.h
     lact = lambda x, y: mp.lact.bilin(x, y, a.dim)
     rep = Report()
-    _scan(rep, "left-module-law", iproduct(range(h.dim), range(h.dim), range(a.dim)),
-          lambda g, i, j: lact(h.mul(g, i), j) == lact(g, lact(i, j)),
-          _tuple_label(h.space.labels, h.space.labels, a.space.labels))
+    scan_loop(rep, "left-module-law", iproduct(range(h.dim), range(h.dim), range(a.dim)),
+              lambda g, i, j: lact(h.mul(g, i), j) == lact(g, lact(i, j)),
+              (h.space.labels, h.space.labels, a.space.labels))
     return [(it.condition, it.passed, it.witness) for it in rep.items]
 
 

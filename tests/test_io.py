@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from helpers import (
     a4_unified_look_alikes,
     a4_unified_with_bad_ract,
+    a4_unified_with_bad_unit,
     h4_datum_with_bad_lact,
     h4_trivial_datum,
     idempotent_monoid_bialgebra,
@@ -102,6 +103,12 @@ def golden_objects():
         # of `hopfprod verify` on it: six conditions fail, each at a witness
         "a4-unified-bad-ract.json": bad_ract,
         "verify-a4-unified-bad-ract.json": hopfprod.cli._datum_report(bad_ract)[0],
+        # a4-unified with the point of . at ((1 2 3), e) retargeted, and the
+        # machine section of `hopfprod verify` on it: dot-unit-right fails
+        # on the index-table path of validate_datum, at (1 2 3)
+        "a4-unified-bad-unit.json": a4_unified_with_bad_unit(),
+        "verify-a4-unified-bad-unit.json":
+            hopfprod.cli._datum_report(a4_unified_with_bad_unit())[0],
         # the inclusions a -> a (x) 1 and h -> 1 (x) h of a4-unified's factors
         # into its product: `hopfprod factorize` of the built product through
         # them gives back a4-unified byte for byte
@@ -384,6 +391,7 @@ def pinned_verify_inputs():
     return {"s3-bicrossed": (s3_matched_pair(), 0), "z4-crossed": (z4_crossed_datum(), 0),
             "s3-bicrossed-bad-lact": (s3_pair_with_bad_lact(), 1),
             "a4-unified-bad-ract": (a4_unified_with_bad_ract(), 1),
+            "a4-unified-bad-unit": (a4_unified_with_bad_unit(), 1),
             "z4-crossed-bad-cocycle": (z4_crossed_with_bad_cocycle(), 1),
             "h4xh4-gf5": (h4_trivial_datum(), 0),
             "h4xh4-gf5-bad-lact": (h4_datum_with_bad_lact(), 1),

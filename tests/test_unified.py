@@ -82,7 +82,6 @@ from hopfprod.structures import (
     antipode_solve,
     UnitalCoalgebra,
     _coalgebra_map_halves,
-    _decided,
     _ground_coalgebra,
     _grouplike,
     attach_antipode,
@@ -97,11 +96,13 @@ from hopfprod.structures import (
 )
 from hopfprod.unified import (
     CONDITION_NAMES,
+    CONDITION_SHAPES,
     ExtendingDatum,
     MAP_SHAPES,
     DatumConditionError,
     _condition_evaluators,
     _grouplike_factors,
+    _normalization_evaluators,
     _scan_condition,
     _tables,
     assemble_product,
@@ -602,35 +603,76 @@ def with_corruptions(d, rng, per_map):
             yield dataclasses.replace(d, **{name: m})
 
 
-def first_difference(calls, got, want):
-    return next(call for call, x, y in zip(calls, got, want) if x != y)
+def condition_tuples(d, name):
+    """Every basis tuple of the condition ``name`` of d, in scan order, with
+    its positions ranging over H or A as :data:`CONDITION_SHAPES` says."""
+    dims = {"h": d.ext.dim, "a": d.base.dim}
+    shape = CONDITION_SHAPES[CONDITION_NAMES.index(name)]
+    return list(iproduct(*(range(dims[k]) for k in shape)))
+
+
+def failing_tuples(table, name):
+    """The tuples the row ``name`` of an evaluator table yields, to its end;
+    none for a row the table decides (None)."""
+    return [] if table[name] is None else list(table[name][0]())
 
 
 def test_collapsed_leg_rows_agree_with_the_expanded_oracle_on_every_tuple():
-    """Each row of :data:`LEG_ROWS` gives the verdict of
-    :func:`leg_rows_direct` on every tuple: first row by row in scan order
-    through one table, as the condition check reads it, then through a
-    fresh table with the tuples of all rows shuffled together, so that one
-    row reads the collapsed legs and products another row stored, out of
-    turn."""
+    """Each row of :data:`LEG_ROWS` yields exactly the tuples at which
+    :func:`leg_rows_direct` is false, in scan order, and a decided row
+    (None) is true on every tuple: first row by row, each run to its end
+    through one table, then through a fresh table whose rows are advanced
+    in a shuffled interleaving, so that one row reads the collapsed legs and
+    products another row stored, out of turn.  The table rows of
+    :func:`grouplike_table_data` are generators; every verdict of every
+    tuple is still held against the oracle."""
     rng = random.Random(18)
-    verdicts = []
+    verdicts, generators = [], 0
     for d, per_map in leg_test_data():
         for d2 in with_corruptions(d, rng, per_map):
             direct = leg_rows_direct(d2)
+            want = {}
+            for name in LEG_ROWS:
+                tuples = condition_tuples(d2, name)
+                ok = [direct[name](*t) for t in tuples]
+                want[name] = [t for t, v in zip(tuples, ok) if not v]
+                verdicts += ok
             table = _condition_evaluators(d2, grouplike_of(d2))
-            calls = [(name, t) for name in LEG_ROWS for t in iproduct(*table[name][0])]
-            want = [direct[name](*t) for name, t in calls]
-            got = [table[name][1](*t) for name, t in calls]
-            assert got == want, first_difference(calls, got, want)
-            order = list(range(len(calls)))
-            rng.shuffle(order)
+            for name in LEG_ROWS:
+                assert failing_tuples(table, name) == want[name], name
+            generators += _tables(d2, grouplike_of(d2)) is not None
             table = _condition_evaluators(d2, grouplike_of(d2))
-            shuffled = {k: table[calls[k][0]][1](*calls[k][1]) for k in order}
-            got = [shuffled[k] for k in range(len(calls))]
-            assert got == want, first_difference(calls, got, want)
-            verdicts += want
+            rows = {name: table[name][0]() for name in LEG_ROWS if table[name] is not None}
+            turns = [name for name in rows for _ in range(len(want[name]) + 1)]
+            rng.shuffle(turns)
+            got = {name: [] for name in LEG_ROWS}
+            for name in turns:
+                t = next(rows[name], None)
+                if t is not None:
+                    got[name].append(t)
+            assert got == want
     assert verdicts.count(False) > 1000 and verdicts.count(True) > 1000
+    assert generators > 20
+
+
+def test_normalization_rows_on_index_tables_yield_what_their_loops_yield():
+    """Each unit normalization of ``validate_datum`` read off index tables
+    yields the failing indices, in order, and the labels that its loop
+    gives with ``LinMap.points`` read as None, on every datum and
+    corruption of :func:`leg_test_data` and on those with drawn counits."""
+    rng = random.Random(19)
+    data = [d2 for d, per_map in leg_test_data() for d2 in with_corruptions(d, rng, per_map)]
+    data += [with_drawn_counits(rng, d) for d in table_test_data() + grouplike_table_data()]
+    on_tables, failing = 0, 0
+    for d in data:
+        def rows():
+            return {name: (list(row()), labels)
+                    for name, (row, labels) in _normalization_evaluators(d).items()}
+        got, want = rows(), on_loops(rows)
+        assert got == want
+        on_tables += None not in [m.points for m in (d.lact, d.ract, d.cocycle, d.dot)]
+        failing += sum(bool(tuples) for tuples, _ in got.values())
+    assert on_tables > 100 and failing > 50
 
 
 def test_two_condition_checks_on_one_datum_give_equal_reports():
@@ -828,11 +870,11 @@ def test_solvers_on_index_tables_match_their_loops():
                     ("inverse", False, False)}
 
 
-# The rows decided once per check on group-like data, by the scan that
-# passes them (the coalgebra axioms, the two multiplicative rows of a
-# bialgebra and three of the nine conditions), and by the coalgebra-map
-# predicate (the rows of validate_datum, check_matched_pair, check_crossed
-# and the certificate's phi-coalgebra-map).
+# The rows decided once per check on group-like data that are scanned
+# elsewhere (the coalgebra axioms, the two multiplicative rows of a
+# bialgebra and three of the nine conditions); the coalgebra-map rows (of
+# validate_datum, check_matched_pair, check_crossed and the certificate's
+# phi-coalgebra-map) and the two unit rows of a bialgebra are decided too.
 DECIDED_SCANS = {"coassociativity", "counit-left", "counit-right", "comult-multiplicative",
                  "counit-multiplicative", "cocycle-symmetry", "action-symmetry"}
 DECIDED_SYMMETRY = ("cocycle-symmetry", "action-symmetry")
@@ -886,11 +928,14 @@ def bialgebra_look_alikes(e, rng):
     yield FDBialgebra(c, FDAlgebra(field, e.space, mult, e.unit))
 
 
-def first_failing_tuple(evaluators, name):
-    """The witness label of the first tuple, in scan order, at which the
-    evaluator ``evaluators[name]`` is false; None when there is none."""
-    ranges, holds, label = evaluators[name]
-    return next((label(*t) for t in iproduct(*ranges) if not holds(*t)), None)
+def first_failing_tuple(d, name, holds):
+    """The witness label "(a,b)" of the first tuple of the condition
+    ``name`` of d, in scan order, at which ``holds`` is false; None when
+    there is none."""
+    labels = {"h": d.ext.space.labels, "a": d.base.space.labels}
+    shape = CONDITION_SHAPES[CONDITION_NAMES.index(name)]
+    t = next((t for t in condition_tuples(d, name) if not holds(*t)), None)
+    return None if t is None else "(" + ",".join(labels[k][x] for k, x in zip(shape, t)) + ")"
 
 
 def test_decided_rows_match_the_oracles_and_their_loops():
@@ -926,12 +971,8 @@ def test_decided_rows_match_the_oracles_and_their_loops():
         want = [("comult-multiplicative", ok,
                  None if ok else first_coalgebra_map_failure(d.dot, tensor_coalgebra(hc, hc), hc))]
         direct = leg_rows_direct(d)
-        table = {name: (ranges, direct[name], label)
-                 for name, (ranges, _, label)
-                 in _condition_evaluators(d, grouplike_of(d)).items()
-                 if name in DECIDED_SYMMETRY}
         for name in DECIDED_SYMMETRY:
-            witness = first_failing_tuple(table, name)
+            witness = first_failing_tuple(d, name, direct[name])
             want.append((name, witness is None, witness))
         rows = {row[0]: row for row in report_rows(rep)}
         assert [rows[name] for name, _, _ in want] == want
@@ -959,19 +1000,18 @@ def test_decided_rows_match_the_oracles_and_their_loops():
 
 
 def test_decided_rows_are_scanned_on_their_loops(monkeypatch):
-    """On group-like data no decided row is scanned, and the only map whose
-    coalgebra-map halves are read is the unit of the product; with
-    ``LinMap.points`` read as None nothing is group-like, and every decided
-    row is scanned again and every map's halves read.  A spy on ``_scan``
-    records the rows whose evaluator is not ``_decided``, and one on
-    ``_coalgebra_map_halves`` the maps it is given."""
+    """On group-like data no decided row is scanned, and no map's
+    coalgebra-map halves are read, not even those of the unit of the
+    product; with ``LinMap.points`` read as None nothing is group-like, and
+    every decided row is scanned again and every map's halves read, both
+    units' included.  A spy on ``_scan`` records the rows it scans, and one
+    on ``_coalgebra_map_halves`` the maps it is given."""
     scan, halves = hopfprod.structures._scan, _coalgebra_map_halves
     scanned, maps = set(), []
 
-    def scan_spy(rep, name, tuples, holds, label):
-        if holds is not _decided:
-            scanned.add(name)
-        return scan(rep, name, tuples, holds, label)
+    def scan_spy(rep, name, failing, label):
+        scanned.add(name)
+        return scan(rep, name, failing, label)
 
     def halves_spy(m, *coalgebras):
         maps.append(m)
@@ -990,12 +1030,43 @@ def test_decided_rows_are_scanned_on_their_loops(monkeypatch):
             return set(scanned), list(maps)
         names, read = run()
         assert not names & DECIDED_SCANS
-        assert [m.codomain.labels for m in read] == [e.space.labels]
+        assert read == []
         names, read = on_loops(run)
         assert DECIDED_SCANS <= names
         for m in (d.ract, d.lact, d.cocycle, d.dot, e.mult):
             assert any(x is m for x in read)
-        assert any(x.domain.dim == 1 and x.codomain.labels == d.ext.space.labels for x in read)
+        for space in (d.ext.space, e.space):
+            assert any(x.domain.dim == 1 and x.codomain.labels == space.labels for x in read)
+
+
+def test_unit_rows_of_a_scaled_unit_are_evaluated(monkeypatch):
+    """A group-like E whose product is an index table and whose unit is
+    2 e_u is a look-alike of the data on which comult-unit and counit-unit
+    are decided: its unit k -> E is no index table, so both rows are
+    evaluated on the unit map, and both fail at "unit", as the oracle and
+    the loops say; with 1 e_u both hold, and nothing is evaluated."""
+    halves, maps = _coalgebra_map_halves, []
+
+    def halves_spy(m, *coalgebras):
+        maps.append(m)
+        return halves(m, *coalgebras)
+    rebind_everywhere(monkeypatch, halves, halves_spy)
+    for d in (a4_unified_datum(), lift_to_hopf(random_group_structure(
+            random.Random(47), builtin_group("s3"), 2), PrimeField(5))):
+        e = assemble_product(d)
+        (u,) = e.unit
+        two = e.field.of(2)
+        for unit, passed in (({u: e.field.one}, True), ({u: two}, False)):
+            b = FDBialgebra(e.coalgebra, FDAlgebra(e.field, e.space, e.mult, unit))
+            maps.clear()
+            rows = {row[0]: row for row in report_rows(check_bialgebra(b))}
+            unit_maps = [m for m in maps if m.domain.dim == 1]
+            assert len(unit_maps) == (0 if passed else 1)
+            witness = None if passed else "unit"
+            want = [("comult-unit", passed, witness), ("counit-unit", passed, witness)]
+            assert [rows["comult-unit"], rows["counit-unit"]] == want
+            assert report_rows(check_bialgebra(b)) == report_rows(oracle_check_bialgebra(b))
+            assert report_rows(check_bialgebra(b)) == report_rows(on_loops(check_bialgebra, b))
 
 
 def fresh_lift(ges, field):
