@@ -15,11 +15,12 @@ to an orbit.
 
 phi, its inverse psi and the map ``T(h (x) g) = sum (h <| u(g1)) (x) g2``,
 through which the deformation composes the dot and the cocycle, are one
-twist, :func:`_twist`.  Deformation and certification read structure
-constants as stored columns.  Where delta_H and the maps a result reads are
-index tables (``LinMap.points``), as on group-like data, each column is a
-stored column of the datum, shared, or the one entry the tables give;
-otherwise it is summed term by term.  The tensor coalgebras the
+twist, :func:`_twist`; every T is built by :func:`_deformation_twist`.
+Deformation and certification read structure constants as stored columns.
+Where delta_H and the maps a result reads are index tables
+(``LinMap.points``), as on group-like data, each column is a stored column
+of the datum, shared, or the one entry the tables give; otherwise it is
+summed term by term.  The tensor coalgebras the
 convolutions run over are built once per pair.
 
 Enumeration of cocycles is only available at group-like desk scale, where
@@ -52,6 +53,7 @@ from .structures import (
     _add_term,
     _counits,
     _grouplike,
+    _unit_index,
     convolution,
     convolution_unit,
     is_coalgebra_map,
@@ -168,12 +170,11 @@ def enumerate_cocycles(h: UnitalCoalgebra, a: FDBialgebra,
         raise NotGroupLikeError("H is not group-like on its basis")
     if not _grouplike(a.coalgebra):
         raise NotGroupLikeError("A is not group-like on its basis")
-    base_idx = [i for i, c in h.unit.items() if c == field.one]
-    if len(h.unit) != 1 or len(base_idx) != 1:
+    basepoint = _unit_index(h.unit, h.dim, field.one)
+    if basepoint is None:
         raise NotGroupLikeError("the unit of H is not a basis vector")
-    basepoint = base_idx[0]
-    unit_idx = [i for i, c in a.unit.items() if c == field.one]
-    if len(a.unit) != 1 or len(unit_idx) != 1:
+    unit = _unit_index(a.unit, a.dim, field.one)
+    if unit is None:
         raise NotGroupLikeError("the unit of A is not a basis vector")
     count = a.dim ** (h.dim - 1)
     if count > cap:
@@ -183,7 +184,7 @@ def enumerate_cocycles(h: UnitalCoalgebra, a: FDBialgebra,
     points = [((t, field.one),) for t in range(a.dim)]
     out = []
     for targets in iproduct(points, repeat=len(others)):
-        cols = {basepoint: points[unit_idx[0]]}
+        cols = {basepoint: points[unit]}
         cols.update(zip(others, targets))
         u = LinMap._of(field, h.space, a.space, cols)
         out.append(LazyCocycle._unchecked(u, h, a))
@@ -216,6 +217,12 @@ def _twist(op: LinMap, w: LinMap, hc: FDCoalgebra, src, dst) -> LinMap:
     return LinMap(field, src, dst, cols)
 
 
+def _deformation_twist(d: ExtendingDatum, u: LazyCocycle) -> LinMap:
+    """T(h (x) g) = sum (h <| u(g1)) (x) g2 of d and u (:func:`_twist`),
+    through which the deformation reads .' = dot T and f'' = f T."""
+    return _twist(d.ract, u.linmap, d.ext.coalg, d.dot.domain, d.dot.domain)
+
+
 def _deformed_maps(d: ExtendingDatum, u: LazyCocycle,
                    dot: LinMap | None = None) -> tuple[LinMap, LinMap, LinMap]:
     """The deformed (dot, lact, cocycle) of d by u, with S the antipode of A:
@@ -224,11 +231,11 @@ def _deformed_maps(d: ExtendingDatum, u: LazyCocycle,
         |>' = (u (x) counit_A) * |> * (S u <|)                 over H (x) A
         f'  = (u (x) counit_H) * |>(id (x) u) * f T * (S u .')  over H (x) H
 
-    where T(h (x) g) = sum (h <| u(g1)) (x) g2 (:func:`_twist`) and each *
-    is the convolution over the tensor-product coalgebra named, nested to the
-    left so that A multiplies in the order written.  The last factor of f'
-    reads ``dot``, by default the deformed dot.  The right action never
-    moves."""
+    where T(h (x) g) = sum (h <| u(g1)) (x) g2 (:func:`_deformation_twist`)
+    and each * is the convolution over the tensor-product coalgebra named,
+    nested to the left so that A multiplies in the order written.  The last
+    factor of f' reads ``dot``, by default the deformed dot.  The right
+    action never moves."""
     a, h, field, ucols = d.base, d.ext, d.field, u.linmap.cols
     one, hdim, adim = field.one, h.dim, a.dim
     su = compose(a.antipode, u.linmap)
@@ -249,7 +256,7 @@ def _deformed_maps(d: ExtendingDatum, u: LazyCocycle,
                             for hi in range(hdim) for xi, e in enumerate(counits)})
         return functools.reduce(lambda f, g: convolution(f, g, src, a.algebra), maps, first)
 
-    t = _twist(d.ract, u.linmap, h.coalg, d.dot.domain, d.dot.domain)
+    t = _deformation_twist(d, u)
     deformed_dot = compose(d.dot, t)
     # h |> u(g): where u is an index table, the stored column of the
     # validated |>, so it needs no check again
@@ -409,8 +416,7 @@ def _dot_hits(d: ExtendingDatum, d2: ExtendingDatum, cocycles: list[LazyCocycle]
     The shared context is checked first, as that check does it."""
     _require_shared_context(d, d2)
     for k, u in enumerate(cocycles):
-        t = _twist(d.ract, u.linmap, d.ext.coalg, d.dot.domain, d.dot.domain)
-        if compose(d.dot, t) == d2.dot:
+        if compose(d.dot, _deformation_twist(d, u)) == d2.dot:
             yield k, u
 
 
@@ -448,8 +454,7 @@ def quotient_classes(data: list[ExtendingDatum]) -> list[list[int]]:
         for u in cocycles:
             if not left:
                 break
-            t = _twist(d.ract, u.linmap, d.ext.coalg, d.dot.domain, d.dot.domain)
-            for j in by_dot.get(compose(d.dot, t), ()):
+            for j in by_dot.get(compose(d.dot, _deformation_twist(d, u)), ()):
                 if j in left:
                     rep = _deformation_report(d, data[j], u)
                     if rep.ok and _certify(rep, d, data[j], u, products[i], products[j]).ok:

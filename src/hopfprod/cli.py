@@ -235,7 +235,8 @@ def cap(text: str) -> int:
 def make_parser() -> argparse.ArgumentParser:
     """The command parser, built once per process: parsing does not change
     it, so in-process callers of :func:`main` share one.  Callers must not
-    change it either."""
+    change it either.  It holds no handler: :func:`main` looks up
+    ``cmd_<command>`` when it runs, so a handler rebound later is called."""
     parser = argparse.ArgumentParser(
         prog="hopfprod",
         description="exact twisted products of finite-dimensional Hopf algebras",
@@ -244,12 +245,10 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run all datum and product checks")
     p.add_argument("datum")
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("build", help="build the product bialgebra of a datum")
     p.add_argument("datum")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("factorize",
                        help="recover a datum from a factorized bialgebra")
@@ -257,7 +256,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--sub-a", required=True, dest="sub_a")
     p.add_argument("--sub-h", required=True, dest="sub_h")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_factorize)
 
     p = sub.add_parser("equiv", help="test equivalence of two extending data")
     p.add_argument("datum1")
@@ -265,27 +263,24 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--cocycle")
     p.add_argument("--search", action="store_true")
     p.add_argument("--max-cocycles", type=cap, default=DEFAULT_COCYCLE_CAP)
-    p.set_defaults(func=cmd_equiv)
 
     p = sub.add_parser("enum-cocycles", help="list all lazy cocycles H -> A")
     p.add_argument("ext")
     p.add_argument("base")
     p.add_argument("--max-cocycles", type=cap, default=DEFAULT_COCYCLE_CAP)
-    p.set_defaults(func=cmd_enum_cocycles)
 
     p = sub.add_parser("example", help="emit a built-in corpus object")
     p.add_argument("name",
                    help=f"one of {', '.join(EXAMPLE_NAMES)} or a builtin group "
                         f"({', '.join(BUILTIN_NAMES)})")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_example)
     return parser
 
 
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
-        code = args.func(args)
+        code = globals()["cmd_" + args.command.replace("-", "_")](args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

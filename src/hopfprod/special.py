@@ -28,6 +28,7 @@ from .structures import (
     FDHopf,
     _counits,
     _failing,
+    _grouplike,
     _scan,
     trivial_action_left,
     trivial_action_right,
@@ -39,7 +40,6 @@ from .unified import (
     UnifiedProduct,
     _coalgebra_map_rows,
     _condition_evaluators,
-    _grouplike_factors,
     _normalization_evaluators,
     _scan_condition,
     build_unified_product,
@@ -77,7 +77,7 @@ def check_matched_pair(mp: MatchedPair) -> Report:
     hl, al = h.space.labels, a.space.labels
     rep = Report("matched pair")
 
-    grouplike = _grouplike_factors(h.coalgebra, a.coalgebra)
+    grouplike = _grouplike(h.coalgebra), _grouplike(a.coalgebra)
     _coalgebra_map_rows(rep, h.coalgebra, a.coalgebra, grouplike, ract=mp.ract, lact=mp.lact)
     d = matched_pair_datum(mp)
     shared, normal = _condition_evaluators(d, grouplike), _normalization_evaluators(d)
@@ -174,7 +174,7 @@ def check_crossed(cd: CrossedDatum) -> Report:
     hl, al = h.space.labels, a.space.labels
     rep = Report("crossed datum")
 
-    grouplike = _grouplike_factors(h.coalgebra, a.coalgebra)
+    grouplike = _grouplike(h.coalgebra), _grouplike(a.coalgebra)
     _coalgebra_map_rows(rep, h.coalgebra, a.coalgebra, grouplike, lact=cd.lact,
                         cocycle=cd.cocycle)
     d = crossed_datum(cd)

@@ -28,9 +28,10 @@ maps of a datum and, with Y = k, a linear map.
 Between group-like coalgebras (:func:`_grouplike`), the set level of
 Agore and Militaru's "Extending structures I", an index table is a
 coalgebra map: delta m(x) = m(x) (x) m(x) = (m (x) m) delta(x), and the
-counit is one on both sides.  The rows this decides, and the coalgebra
-axioms there, are added as passed once per check, with nothing built for
-them and nothing scanned.
+counit is one on both sides.  :func:`_undecided_halves` (a map) and
+:func:`_unit_verdicts` (a unit k -> C) hold this rule for every check.
+The rows they decide, and the coalgebra axioms there, are added as passed
+once per check, with nothing built for them and nothing scanned.
 
 Maps are read as stored columns.  Where the coproduct and both operands
 are index tables (:attr:`~hopfprod.linalg.LinMap.points`), each column of
@@ -110,11 +111,6 @@ class FDCoalgebra:
             return cached
         field = self.field
         dim = self.dim
-        if n == 2:
-            # the stored column, already sorted and free of zeros
-            out = [(divmod(flat, dim), c) for flat, c in self.delta.cols.get(i, ())]
-            self._expand_cache[key] = out
-            return out
         acc: dict[tuple[int, ...], object] = {}
         for rest, c in self.expand(i, n - 1):
             for flat, c2 in self.delta.cols.get(rest[0], ()):
@@ -562,11 +558,10 @@ def check_algebra(a: FDAlgebra) -> Report:
 def check_bialgebra(b: FDBialgebra) -> Report:
     """Coalgebra axioms, algebra axioms, and the four compatibility laws.
 
-    On a group-like E (:func:`_grouplike`) a product that is an index table
-    is a coalgebra map, so comult- and counit-multiplicative hold, and so do
-    comult- and counit-unit where the unit is 1 e_u, the index table
-    k -> E of u: those rows are added unscanned, with nothing built for
-    them.  The other rows are evaluated."""
+    The group-like rule decides comult- and counit-multiplicative where E
+    is group-like (:func:`_grouplike`) and its product an index table
+    (:func:`_undecided_halves`), and comult- and counit-unit where its unit
+    is 1 e_u (:func:`_unit_verdicts`); the other rows are evaluated."""
     c = b.coalgebra
     rep = Report("bialgebra axioms")
     grouplike = _grouplike(c)
@@ -574,15 +569,8 @@ def check_bialgebra(b: FDBialgebra) -> Report:
     rep.extend(check_algebra(b.algebra))
 
     # multiplication and unit are coalgebra maps E (x) E -> E and k -> E
-    if grouplike and b.mult.points is not None:
-        mult = None
-    else:
-        mult = _coalgebra_map_halves(b.mult, c, c, c)
-    if grouplike and _unit_index(b.unit, b.dim, b.field.one) is not None:
-        unit = True, True
-    else:
-        k = _ground_coalgebra(b.field)
-        unit = [half(0, 0) for half in _coalgebra_map_halves(b.algebra.unit_map(), k, k, c)]
+    mult = _undecided_halves(b.mult, c, c, c, grouplike)
+    unit = _unit_verdicts(b.unit, c, grouplike)
     labels = b.space.labels
     for side, (name, unit_name) in enumerate((("comult-multiplicative", "comult-unit"),
                                               ("counit-multiplicative", "counit-unit"))):
@@ -645,20 +633,41 @@ def _coalgebra_map_halves(m: LinMap, x: FDCoalgebra, y: FDCoalgebra, z: FDCoalge
     return comult, counit
 
 
+def _undecided_halves(m: LinMap, x: FDCoalgebra, y: FDCoalgebra, z: FDCoalgebra,
+                      grouplike: bool):
+    """None where the group-like rule decides "m: X (x) Y -> Z is a
+    coalgebra map": m is an index table and X, Y, Z are group-like
+    (``grouplike``), so delta_Z m(a, b) = m(a, b) (x) m(a, b) and both
+    counits are one.  Else the evaluators of :func:`_coalgebra_map_halves`.
+    Raises ``ValueError`` unless m maps X (x) Y to Z; the field is
+    compared on the evaluated path only."""
+    if grouplike and m.points is not None:
+        _check_shape(m, x.dim * y.dim, z.dim, "coalgebras")
+        return None
+    return _coalgebra_map_halves(m, x, y, z)
+
+
+def _unit_verdicts(unit: dict, c: FDCoalgebra, grouplike: bool) -> tuple[bool, bool]:
+    """The (comult, counit) verdicts of "k -> C, 1 -> unit is a coalgebra
+    map", ``grouplike`` saying whether C is group-like: both hold unbuilt
+    where it is and the unit is 1 e_u (:func:`_unit_index`), an index table
+    between group-like coalgebras; else both halves are evaluated at 1."""
+    if grouplike and _unit_index(unit, c.dim, c.field.one) is not None:
+        return True, True
+    k = _ground_coalgebra(c.field)
+    comult, counit = _coalgebra_map_halves(
+        LinMap(c.field, SCALAR_SPACE, c.space, {0: unit}), k, k, c)
+    return comult(0, 0), counit(0, 0)
+
+
 def _is_coalgebra_map(m: LinMap, x: FDCoalgebra, y: FDCoalgebra, z: FDCoalgebra,
-                      grouplike: bool | None = None) -> bool:
-    """Both halves of :func:`_coalgebra_map_halves` at every (a, b); True
-    unscanned where m is an index table and X, Y, Z are group-like:
-    delta_Z m(a, b) = m(a, b) (x) m(a, b), and the counit is one both sides.
-    ``grouplike`` says whether X, Y and Z all are, where a check has decided
-    it once (:func:`_grouplike`); None asks here."""
-    _check_shape(m, x.dim * y.dim, z.dim, "coalgebras")
-    same_field(m, x, y, z)
-    if grouplike is None:
-        grouplike = _grouplike(x) and _grouplike(y) and _grouplike(z)
-    if m.points is not None and grouplike:
+                      grouplike: bool) -> bool:
+    """Both halves of "m: X (x) Y -> Z is a coalgebra map" at every (a, b),
+    unless the group-like rule decides it (:func:`_undecided_halves`)."""
+    halves = _undecided_halves(m, x, y, z, grouplike)
+    if halves is None:
         return True
-    comult, counit = _coalgebra_map_halves(m, x, y, z)
+    comult, counit = halves
     return all(comult(a, b) and counit(a, b)
                for a, b in iproduct(range(x.dim), range(y.dim)))
 
@@ -672,7 +681,8 @@ def _ground_coalgebra(field) -> FDCoalgebra:
 
 def is_coalgebra_map(f: LinMap, src: FDCoalgebra, dst: FDCoalgebra) -> bool:
     """True iff delta_dst . f = (f (x) f) . delta_src and counits agree."""
-    return _is_coalgebra_map(f, src, _ground_coalgebra(src.field), dst)
+    k = _ground_coalgebra(same_field(f, src, dst))
+    return _is_coalgebra_map(f, src, k, dst, _grouplike(src) and _grouplike(dst))
 
 
 def is_algebra_map(f: LinMap, src: FDAlgebra, dst: FDAlgebra) -> bool:

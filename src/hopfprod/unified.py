@@ -24,8 +24,10 @@ as one (:func:`_loop_row`).
 On group-like H and A (``structures._grouplike``) each coproduct leg of x
 is x, so index tables are coalgebra maps and both symmetry conditions
 compare a tensor with itself: those rows are decided once per check, and
-added as passed with nothing built for them.  Where the four maps of the
-datum and the product of A are index tables (``LinMap.points``) too,
+added as passed with nothing built for them.  The coalgebra-map and unit
+rows are decided in ``structures`` (``_undecided_halves``,
+``_unit_verdicts``), only the symmetry rows here.  Where the four maps of
+the datum and the product of A are index tables (``LinMap.points``) too,
 :func:`_tables` reads their points once; the six other conditions are then
 loops over those tables that compare two indices per tuple and yield the
 tuples that differ (:func:`_table_rows`), and each column of the product
@@ -42,7 +44,6 @@ from itertools import product as iproduct
 
 from .fields import same_field
 from .linalg import (
-    SCALAR_SPACE,
     LinMap,
     basis_vec,
     tensor_vec,
@@ -60,15 +61,14 @@ from .structures import (
     tensor_coalgebra,
     _add_term,
     _antipode_failure,
-    _check_shape,
-    _coalgebra_map_halves,
     _counits,
     _failing,
-    _ground_coalgebra,
     _grouplike,
     _is_coalgebra_map,
     _scan,
+    _undecided_halves,
     _unit_index,
+    _unit_verdicts,
 )
 
 CONDITION_NAMES = (
@@ -150,30 +150,18 @@ class ExtendingDatum:
         return None
 
 
-def _grouplike_factors(hc, ac) -> tuple[bool, bool]:
-    """Whether the coalgebras H and A are group-like
-    (``structures._grouplike``): decided once per check, and passed to
-    every evaluator of that check that asks."""
-    return _grouplike(hc), _grouplike(ac)
-
-
 def _coalgebra_map_rows(rep: Report, hc, ac, grouplike, **maps) -> None:
     """Add a "<name>-coalgebra-map" row for each structure map given, in the
     order given, with its shape read from :data:`MAP_SHAPES`; ``grouplike``
-    is :func:`_grouplike_factors` of H and A.  An index table between
-    group-like coalgebras is a coalgebra map, and its row is added with
-    nothing evaluated.  The maps are checked as they are, so one of the
-    wrong shape raises here, before a datum is formed from it."""
+    says whether H and A are group-like (``structures._grouplike``), and
+    the rule of ``structures._undecided_halves`` decides the rows it can.
+    The maps are checked as they are, so one of the wrong shape raises
+    here, before a datum is formed from it."""
     coalgs = {"h": (hc, grouplike[0]), "a": (ac, grouplike[1])}
     for name, m in maps.items():
         (left, gl), (right, gr), (target, gt) = map(coalgs.__getitem__, MAP_SHAPES[name])
-        all_grouplike = gl and gr and gt
-        if all_grouplike and m.points is not None:
-            _check_shape(m, left.dim * right.dim, target.dim, "coalgebras")
-            ok = True
-        else:
-            ok = _is_coalgebra_map(m, left, right, target, all_grouplike)
-        rep.add(f"{name}-coalgebra-map", ok)
+        rep.add(f"{name}-coalgebra-map",
+                _is_coalgebra_map(m, left, right, target, gl and gr and gt))
 
 
 def _loop_row(holds, *ranges):
@@ -247,19 +235,12 @@ def _normalization_evaluators(d: ExtendingDatum) -> dict:
 def validate_datum(d: ExtendingDatum) -> Report:
     """Unit/counit normalization and coalgebra-map property of all four maps.
 
-    1_H is group-like exactly when k -> H, 1 -> 1_H is a coalgebra map, and
-    k is group-like by construction: on group-like H a unit ``1 e_u`` is an
-    index table between group-like coalgebras, and its row is added with
-    nothing built for it."""
+    1_H is group-like exactly when k -> H, 1 -> 1_H is a coalgebra map
+    (``structures._unit_verdicts``)."""
     h = d.ext
     rep = Report("extending datum")
-    grouplike = _grouplike_factors(h.coalg, d.base.coalgebra)
-    if grouplike[0] and _unit_index(h.unit, h.dim, d.field.one) is not None:
-        rep.add("unit-h-grouplike", True)
-    else:
-        unit = LinMap(d.field, SCALAR_SPACE, h.space, {0: h.unit})
-        k = _ground_coalgebra(d.field)
-        rep.add("unit-h-grouplike", _is_coalgebra_map(unit, k, k, h.coalg, grouplike[0]), "1_H")
+    grouplike = _grouplike(h.coalg), _grouplike(d.base.coalgebra)
+    rep.add("unit-h-grouplike", all(_unit_verdicts(h.unit, h.coalg, grouplike[0])), "1_H")
     _coalgebra_map_rows(rep, h.coalg, d.base.coalgebra, grouplike, ract=d.ract, lact=d.lact,
                         cocycle=d.cocycle, dot=d.dot)
     normalizations = _normalization_evaluators(d)
@@ -355,9 +336,9 @@ def _gather(field, terms, memo, k) -> dict:
 
 
 def _tables(d: ExtendingDatum, grouplike):
-    """The points of d where H and A are group-like (``grouplike``, their
-    :func:`_grouplike_factors`) and every map the product reads is an index
-    table (:attr:`~hopfprod.linalg.LinMap.points`); else None.
+    """The points of d where H and A are group-like (``grouplike``, the
+    pair of their ``structures._grouplike``) and every map the product reads
+    is an index table (:attr:`~hopfprod.linalg.LinMap.points`); else None.
 
     Returns [|>, <|, f, ., m_A], each a list of rows, ``m[x][y]`` the point
     of m at (x, y); no coproduct leg is kept, since each is x itself."""
@@ -378,16 +359,16 @@ def _condition_evaluators(d: ExtendingDatum, grouplike) -> dict:
     (failing, labels), where ``failing()`` iterates the tuples at which the
     row fails, in row-major order, and ``labels`` holds one label list per
     tuple position; or None for a row that holds, which is added unscanned
-    (:func:`_scan_condition`).  ``grouplike`` is :func:`_grouplike_factors`
-    of H and A.
+    (:func:`_scan_condition`).  ``grouplike`` is the pair of
+    ``structures._grouplike`` of H and A.
 
-    comult-multiplicative is the coalgebra-map evaluator of the dot.  The
+    comult-multiplicative is the coalgebra-map evaluator of the dot, or
+    None where ``structures._undecided_halves`` decides it.  The
     others are :func:`_table_rows` where :func:`_tables` gives the points of
     d, and :func:`_vector_rows` otherwise, with the same verdicts.  On
     group-like H, delta(g) = g (x) g: cocycle-symmetry compares
-    (g . j) (x) f(g, j) with itself, and an index-table dot is a coalgebra
-    map; on group-like A too, action-symmetry compares (g <| j) (x) (g |> j)
-    with itself.  Those rows are None."""
+    (g . j) (x) f(g, j) with itself; on group-like A too, action-symmetry
+    compares (g <| j) (x) (g |> j) with itself.  Those rows are None."""
     a, h = d.base, d.ext
     hc = h.coalg
     gh, ga = grouplike
@@ -397,10 +378,11 @@ def _condition_evaluators(d: ExtendingDatum, grouplike) -> dict:
         rows["cocycle-symmetry"] = None
         if ga:
             rows["action-symmetry"] = None
-    if gh and d.dot.points is not None:
+    halves = _undecided_halves(d.dot, hc, hc, hc, gh)
+    if halves is None:
         rows["comult-multiplicative"] = None
     else:
-        comult, counit = _coalgebra_map_halves(d.dot, hc, hc, hc)
+        comult, counit = halves
         hr = range(h.dim)
         rows["comult-multiplicative"] = _loop_row(
             lambda g, i: comult(g, i) and counit(g, i), hr, hr)
@@ -617,7 +599,7 @@ def _scan_condition(rep: Report, evaluators: dict, name: str, row: str | None = 
 def check_product_conditions(d: ExtendingDatum) -> Report:
     """The nine compatibility identities, each over all basis tuples."""
     rep = Report("product compatibility")
-    evaluators = _condition_evaluators(d, _grouplike_factors(d.ext.coalg, d.base.coalgebra))
+    evaluators = _condition_evaluators(d, (_grouplike(d.ext.coalg), _grouplike(d.base.coalgebra)))
     for name in evaluators:
         _scan_condition(rep, evaluators, name)
     return rep
@@ -641,7 +623,7 @@ def assemble_product(d: ExtendingDatum) -> FDBialgebra:
     field = d.field
     a, h = d.base, d.ext
     coalg = tensor_coalgebra(a.coalgebra, h.coalg)
-    tables = _tables(d, _grouplike_factors(h.coalg, a.coalgebra))
+    tables = _tables(d, (_grouplike(h.coalg), _grouplike(a.coalgebra)))
     if tables is not None:
         mult = _table_product(field, coalg, tables, a.dim, h.dim)
     else:

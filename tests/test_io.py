@@ -619,6 +619,19 @@ def test_cli_enum_cocycles_and_cap(tmp_path, capsys):
     assert code == 3
 
 
+def test_cli_main_calls_the_handler_bound_when_it_runs(monkeypatch):
+    """The parser is built once and cached, yet a handler rebound after
+    that, as a tracer rebinds ``cli.cmd_*``, is the one ``main`` calls; a
+    hyphenated command runs its underscored handler."""
+    hopfprod.cli.make_parser()
+    for argv, handler in ((["verify", "d.json"], "cmd_verify"),
+                          (["enum-cocycles", "h.json", "a.json"], "cmd_enum_cocycles")):
+        ran = []
+        monkeypatch.setattr(hopfprod.cli, handler, lambda args: ran.append(args.command) or 0)
+        assert main(argv) == 0
+        assert ran == [argv[0]]
+
+
 def assert_cli_rejects_usage(capsys, *argv, message):
     """The parser refuses argv as malformed input: exit 2, nothing on stdout."""
     with pytest.raises(SystemExit) as exc:

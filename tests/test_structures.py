@@ -23,7 +23,7 @@ from helpers import (
     trivial_datum,
     with_column,
 )
-from hopfprod.fields import QQ, PrimeField
+from hopfprod.fields import QQ, FieldMismatchError, PrimeField
 from hopfprod.groups import builtin_group, group_algebra, grouplike_coalgebra
 from hopfprod.linalg import (
     SCALAR_SPACE,
@@ -121,6 +121,16 @@ def test_broken_counit_unit_detected():
 def test_is_coalgebra_map_identity():
     c = grouplike(("a", "b"))
     assert is_coalgebra_map(LinMap.identity(QQ, c.space), c, c)
+
+
+def test_is_coalgebra_map_refuses_an_index_table_over_another_field():
+    # the group-like rule decides an index table between group-like
+    # coalgebras without evaluating it, but the fields are still compared
+    c = grouplike(("a", "b"))
+    f = LinMap.identity(PrimeField(5), c.space)
+    assert f.points is not None
+    with pytest.raises(FieldMismatchError):
+        is_coalgebra_map(f, c, c)
 
 
 def test_sum_of_grouplikes_is_not_a_coalgebra_map():

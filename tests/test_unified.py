@@ -101,7 +101,6 @@ from hopfprod.unified import (
     MAP_SHAPES,
     DatumConditionError,
     _condition_evaluators,
-    _grouplike_factors,
     _normalization_evaluators,
     _scan_condition,
     _tables,
@@ -124,7 +123,7 @@ def failing(report):
 
 def grouplike_of(d):
     """Whether H and A of d are group-like, as a check decides it once."""
-    return _grouplike_factors(d.ext.coalg, d.base.coalgebra)
+    return _grouplike(d.ext.coalg), _grouplike(d.base.coalgebra)
 
 
 def test_trivial_datum_all_checks_pass():
